@@ -300,27 +300,16 @@ def cmd_evaluate(args) -> int:
         sat_total = 0
         for lo in range(0, len(labels), args.batch):
             chunk = x[lo:lo + args.batch]
-            if chunk.shape[0] == 1:
-                trace = simulate(net, FeatureSequence(chunk[0], t_ann), mode=mode,
-                                 record_rasters=False)
-                scores = readout(trace, net)[None, :]
-                frame_s = [fs[None] for fs in trace.frame_s]
-                counts = [sc[None] for sc in trace.spike_counts]
-                sat_total += trace.saturation_total
-            else:
-                result = simulate_batch(net, chunk, mode=mode)
-                scores = result.scores
-                frame_s = result.frame_s
-                counts = result.spike_counts
-                sat_total += result.saturation_total
-            preds[lo:lo + chunk.shape[0]] = scores.argmax(axis=1)
-            spikes[lo:lo + chunk.shape[0]] = sum(c.sum(axis=1) for c in counts)
+            result = simulate_batch(net, chunk, mode=mode)
+            sat_total += result.saturation_total
+            preds[lo:lo + chunk.shape[0]] = result.scores.argmax(axis=1)
+            spikes[lo:lo + chunk.shape[0]] = result.spikes_per_sample
             _, cache = forward_batch(model, chunk, keep=True)
             for b in range(chunk.shape[0]):
                 per_layer = []
                 for li in range(len(net.layers)):
                     ann_tr = cache["ys"][li][:, b, :]
-                    snn_tr = frame_s[li][b] / net.f
+                    snn_tr = result.frame_s[li][b] / net.f
                     num = float(((ann_tr - snn_tr) ** 2).sum())
                     den = float((ann_tr ** 2).sum())
                     per_layer.append(num / den if den > 0 else 0.0)

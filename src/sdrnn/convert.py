@@ -392,20 +392,14 @@ def probe_peak_state(model: LpRnnModel, probes: list[FeatureSequence],
                      config: CompileConfig = CompileConfig()) -> float:
     """Peak |state| over a reference-mode simulation of the mapped network:
     one batched run per group of equal-shape probes."""
-    from .snn_sim import simulate, simulate_batch  # deferred: snn_sim imports this module
+    from .snn_sim import simulate_batch  # deferred: snn_sim imports this module
 
     net = compile_network(model, timing, f, config)
-    groups: dict[tuple, list[FeatureSequence]] = {}
+    groups: dict[tuple, list[np.ndarray]] = {}
     for probe in probes:
-        groups.setdefault(probe.data.shape, []).append(probe)
-    peak = 0.0
-    for group in groups.values():
-        if len(group) == 1:
-            result = simulate(net, group[0], record_rasters=False)
-        else:
-            result = simulate_batch(net, np.stack([p.data for p in group]))
-        peak = max(peak, result.peak_state)
-    return peak
+        groups.setdefault(probe.data.shape, []).append(probe.data)
+    return max((simulate_batch(net, np.stack(group)).peak_state for group in groups.values()),
+               default=0.0)
 
 
 def select_scale_factor(model: LpRnnModel, probes: list[FeatureSequence],

@@ -99,24 +99,27 @@ def decay_step(x, tau, rounding: str = "trunc"):
 
 
 def decay_array(x: np.ndarray, tau, *, fixed: bool = False, rounding: str = "trunc") -> np.ndarray:
+    """One decay step of every element; tau is a scalar or one per element."""
     if not fixed:
-        if math.isinf(tau):
-            return x.copy()
-        return x - x / tau
-    tau = int(tau)
-    mag = np.abs(x)
+        return x - x / tau  # x / inf is 0: an infinite tau keeps x
+    tau = np.asarray(tau, dtype=np.int64)
     if rounding == "trunc":
-        kept = (mag * (tau - 1)) // tau
+        half = 0
     elif rounding == "round":
-        kept = (mag * (tau - 1) + tau // 2) // tau
+        half = tau // 2
     else:
         raise ConfigError(f"unknown decay rounding mode {rounding!r}")
-    return np.where(x >= 0, kept, -kept)
+    # kept magnitude (|x| (tau - 1) + half) // tau, written as
+    # |x| + (half - |x|) // tau, with the sign of x
+    return x + np.sign(x) * ((half - np.abs(x)) // tau)
 
 
 def sat_add_array(x: np.ndarray, delta) -> tuple[np.ndarray, int]:
-    """Saturating add on an int64 state array; returns (result, n_clipped)."""
+    """Saturating add on an int64 state array; returns (result, n_clipped).
+    The clip runs only when the sum leaves the range."""
     total = x + delta
+    if not total.size or (total.min() >= -STATE_LIMIT and total.max() <= STATE_LIMIT):
+        return total, 0
     clipped = np.clip(total, -STATE_LIMIT, STATE_LIMIT)
     return clipped, int(np.count_nonzero(clipped != total))
 

@@ -17,9 +17,25 @@ constants, overflow impossible) and fixed_point (int64 states saturating at
 network parameters (weights, biases, thresholds) are identical integers in
 both modes, so the modes differ only in state arithmetic.
 
-Independent samples are freely batchable: one network instance advances all
-states of a batch in lockstep, which is safe because the synaptic delays of
-at least one step remove any cross-neuron ordering dependence within a step.
+One step advances the whole network. Each of the four states is a single
+[batch, N] array with the layers' neurons side by side, and taus, bias,
+threshold, w_fb and weight exponent are per-neuron vectors. Every synapse
+reads spikes of an earlier step, so no update depends on another within a
+step: the drive is spikes(t-1) @ W_1 plus spikes(t-d) @ W_d for each other
+recurrent delay d, where W_1 holds every layer's w_in below the diagonal
+and the delay-1 w_rec blocks on it. Spikes of the last max(rec_delay) steps
+wait in one [depth, batch, N] ring. The analog encoder drive overwrites the
+encoder's columns; a spike raster replaces the encoder, whose columns are
+then left out of the update. Rasters, frame-end s, spike counts, probes and
+the readout are column slices of the flat state. Batched samples advance in
+lockstep on the same arrays.
+
+The flat step is bit-identical to a layer-by-layer one: weights are
+integers and spikes 0/1, so the float64 block products are exact integer
+sums in any order, and every other operation is elementwise. Its cost is one
+dense N x N matrix per distinct delay, whatever the sparsity of the layer
+graph: cheap for the networks of about 100 neurons used here; measure
+before relying on it above about 1k neurons.
 """
 
 from __future__ import annotations
@@ -32,19 +48,9 @@ import numpy as np
 from .containers import FeatureSequence, SpikeRaster
 from .convert import SnnNetwork
 from .errors import ConfigError, DataError
-from .numerics import decay_array, round_half_away, sat_add_array
+from .numerics import STATE_LIMIT, decay_array, round_half_away, sat_add_array
 
 _MAX_SAT_LOG = 1000
-
-
-@dataclass
-class CompartmentState:
-    """State arrays of one layer: dendritic (u, i) and somatic (imem, s)."""
-
-    u: np.ndarray
-    i: np.ndarray
-    s: np.ndarray
-    imem: np.ndarray
 
 
 @dataclass
@@ -86,23 +92,22 @@ def _mode_flag(mode: str) -> bool:
 
 
 def _engine(net: SnnNetwork, x: np.ndarray | None, input_raster: SpikeRaster | None,
-            mode: str, record_rasters: bool, probe: dict | None):
+            mode: str, single: bool, record_rasters: bool = False, probe: dict | None = None):
     fixed = _mode_flag(mode)
     oversample = net.oversample
     layers = net.layers
     rounding = net.config.decay_rounding
-    gain = float(net.config.weight_gain)
+    starts = np.cumsum([0] + [l.size for l in layers])  # layer li: columns starts[li]:starts[li + 1]
+    n0, n = int(starts[1]), int(starts[-1])
 
     if input_raster is not None:
-        if input_raster.population != layers[0].size:
-            raise DataError(
-                f"raster population {input_raster.population} != encoder size {layers[0].size}")
+        if input_raster.population != n0:
+            raise DataError(f"raster population {input_raster.population} != encoder size {n0}")
         if input_raster.duration % oversample:
             raise DataError("raster duration must be a multiple of the oversample ratio")
         batch = 1
         duration = input_raster.duration
-        enc_drive = None
-        input_spikes = input_raster.dense()  # [duration, n0]
+        input_spikes = input_raster.dense().astype(np.float64)  # [duration, n0]
     else:
         if x.ndim != 3:
             raise DataError("input must be [batch, frames, features]")
@@ -114,146 +119,149 @@ def _engine(net: SnnNetwork, x: np.ndarray | None, input_raster: SpikeRaster | N
             raise DataError("network has no analog encoder layer; feed a spike raster")
         if width != enc.enc_w.shape[1]:
             raise DataError(f"feature width {width} != encoder input width {enc.enc_w.shape[1]}")
+        if not np.isfinite(x).all():
+            raise DataError("input features must be finite (NaN or inf found)")
         duration = n_frames_in * oversample
         drive_all = (np.einsum("btd,nd->tbn", x, enc.enc_w)
                      * (net.f / (enc.tau_u_fx * enc.tau_i_fx)))
         enc_drive = round_half_away(drive_all) if fixed else drive_all
-        input_spikes = None
+    # a raster stands in for the encoder, whose columns are then not updated
+    first = 0 if input_raster is None else 1
+    lo = int(starts[first])
 
     n_frames = duration // oversample
     dtype = np.int64 if fixed else np.float64
-    states = [CompartmentState(*(np.zeros((batch, l.size), dtype=dtype) for _ in range(4)))
-              for l in layers]
-    biases = [l.bias.astype(dtype) for l in layers]
-    w_in_t = [None if l.w_in is None else l.w_in.astype(np.float64).T for l in layers]
-    w_rec_t = [None if l.w_rec is None else l.w_rec.astype(np.float64).T for l in layers]
+
+    def per_neuron(attr, kind=dtype):
+        return np.concatenate([np.broadcast_to(getattr(l, attr), l.size)
+                               for l in layers])[lo:].astype(kind)
+
     # both modes run on the integer network constants; reference mode is
     # real-valued state arithmetic on the same network
-    taus = [(l.tau_u_fx, l.tau_i_fx, l.tau_s_fx, l.tau_mem_fx) for l in layers]
-    if not fixed:
-        taus = [tuple(float(t) for t in row) for row in taus]
-    # recurrent spikes in flight: slot t % rec_delay holds those of step
-    # t - rec_delay until step t reads them
-    rec_ring = [None if l.w_rec is None else [np.zeros((batch, l.size))] * l.rec_delay
-                for l in layers]
+    taus = [per_neuron(a) for a in ("tau_u_fx", "tau_i_fx", "tau_s_fx", "tau_mem_fx")]
+    bias = per_neuron("bias")
+    threshold = per_neuron("threshold", np.int64)
+    w_fb = per_neuron("w_fb", np.int64)
+    exps = per_neuron("weight_exp", np.int64)
+    half = (1 << exps) >> 1        # u enters i as (u + half) >> exps in fixed point
+    scale = np.ldexp(1.0, -exps)   # and as u * 2**-exps in reference mode
+    gain = float(net.config.weight_gain)
 
-    prev_spikes = [np.zeros((batch, l.size)) for l in layers]
-    spike_counts = [np.zeros((batch, l.size), dtype=np.int64) for l in layers]
-    frame_s = [np.zeros((batch, n_frames, l.size)) for l in layers]
-    out_hist = np.zeros((duration, layers[-1].size)) if batch == 1 else None
+    # one [n, n] block matrix per distinct synaptic delay, presynaptic rows
+    delays = {1} | {l.rec_delay for l in layers if l.w_rec is not None}
+    mats = {d: np.zeros((n, n)) for d in delays}
+    for li in range(1, len(layers)):
+        cols = slice(starts[li], starts[li + 1])
+        mats[1][starts[li - 1]:starts[li], cols] = layers[li].w_in.T
+        if layers[li].w_rec is not None:
+            mats[layers[li].rec_delay][cols, cols] = layers[li].w_rec.T
+    mats = {d: np.ascontiguousarray(m[:, lo:]) for d, m in mats.items()}
+    w_1 = mats.pop(1)
+    # slot t % depth of the ring holds the spikes of step t
+    depth = max(delays)
+    ring = np.zeros((depth, batch, n))
+
+    u, i, s, imem = (np.zeros((batch, n - lo), dtype=dtype) for _ in range(4))
+    counts = np.zeros((batch, n))
+    frame_s = np.zeros((batch, n_frames, n))
+    out = slice(int(starts[-2]) - lo, None)
+    out_hist = np.zeros((duration, layers[-1].size)) if single else None
     window = max(1, math.ceil(net.source_model.readout_fraction * duration))
     acc = np.zeros((batch, layers[-1].size))
     acc_start = duration - window
-    raster_events: list[list] = [[] for _ in layers]
+    events: list[tuple] = []
     sat_events: list[tuple] = []
     sat_total = 0
     peak = 0.0
-    probes = {}
-    if probe:
-        for li, ids in probe.items():
-            for var in ("u", "i", "s", "imem"):
-                probes[(li, var)] = np.zeros((duration, len(ids)))
+    probe = probe or {}
+    probes = {(li, var): np.zeros((duration, len(ids)))
+              for li, ids in probe.items() for var in ("u", "i", "s", "imem")}
+    probe_cols = {li: int(starts[li]) - lo + np.asarray(ids, dtype=np.int64)
+                  for li, ids in probe.items() if li >= first}
+    clips: list[tuple] = []  # (var, clips per updated layer) of the current step
+
+    def sat(x, delta, var):
+        total, count = sat_add_array(x, delta)
+        if count:
+            over = (np.abs(x + delta) > STATE_LIMIT).sum(axis=0)
+            clips.append((var, np.add.reduceat(over, starts[first:-1] - lo)))
+        return total
 
     for t in range(duration):
-        new_spikes = []
-        for li, layer in enumerate(layers):
-            if li == 0 and input_spikes is not None:
-                new_spikes.append(input_spikes[t][None, :].astype(np.float64))
-                spike_counts[0] += input_spikes[t][None, :]
-                continue
-            st = states[li]
-            t_u, t_i, t_s, t_m = taus[li]
-            if layer.kind == "encoder":
-                drive = enc_drive[t // oversample]
-            else:
-                drive = prev_spikes[li - 1] @ w_in_t[li]
-                if w_rec_t[li] is not None:
-                    drive = drive + rec_ring[li][t % layer.rec_delay] @ w_rec_t[li]
-                drive = drive * gain
-                if fixed:
-                    drive = drive.astype(np.int64)
-            exp = layer.weight_exp
-            if fixed:
-                u, c1 = sat_add_array(
-                    decay_array(st.u, t_u, fixed=True, rounding=rounding), drive)
-                u_in = u if exp == 0 else (u + (1 << (exp - 1))) >> exp
-                i, c2 = sat_add_array(
-                    decay_array(st.i, t_i, fixed=True, rounding=rounding), u_in + biases[li])
-                s = decay_array(st.s, t_s, fixed=True, rounding=rounding)
-                imem, c3 = sat_add_array(
-                    decay_array(st.imem, t_m, fixed=True, rounding=rounding), i - s)
-                fired = imem > layer.threshold
-                imem = np.where(fired, 0, imem)
-                s, c4 = sat_add_array(s, layer.w_fb * fired)
-                for count, var in ((c1, "u"), (c2, "i"), (c3, "imem"), (c4, "s")):
-                    if count:
-                        sat_total += count
+        drive = ring[(t - 1) % depth] @ w_1
+        for d, w in mats.items():
+            drive += ring[(t - d) % depth] @ w
+        drive *= gain
+        if fixed:
+            drive = drive.astype(np.int64)
+        if not lo:
+            drive[:, :n0] = enc_drive[t // oversample]
+        u, i, s, imem = (decay_array(v, tau, fixed=fixed, rounding=rounding)
+                         for v, tau in zip((u, i, s, imem), taus))
+        if fixed:
+            u = sat(u, drive, "u")
+            i = sat(i, ((u + half) >> exps) + bias, "i")
+            imem = sat(imem, i - s, "imem")
+        else:
+            u = u + drive
+            i = i + u * scale + bias
+            imem = imem + i - s
+        fired = imem > threshold
+        imem = np.where(fired, 0, imem)
+        s = sat(s, w_fb * fired, "s") if fixed else s + w_fb * fired
+        peak = max(peak, float(np.abs(np.concatenate((u, i, s, imem))).max()))
+        slot = ring[t % depth]
+        slot[:, lo:] = fired
+        if lo:
+            slot[:, :lo] = input_spikes[t]
+        counts += slot
+        if record_rasters:
+            idx = np.flatnonzero(fired[0])
+            if idx.size:
+                events.append((t, idx))
+        if clips:
+            for k in range(len(layers) - first):
+                for var, per_layer in clips:
+                    if per_layer[k]:
+                        sat_total += int(per_layer[k])
                         if len(sat_events) < _MAX_SAT_LOG:
-                            sat_events.append((t, li, var, count))
-            else:
-                u = st.u - st.u / t_u + drive
-                u_in = u if exp == 0 else u * 2.0 ** -exp
-                i = st.i - st.i / t_i + u_in + biases[li]
-                s = st.s - st.s / t_s
-                imem = st.imem - st.imem / t_m + i - s
-                fired = imem > layer.threshold
-                imem = np.where(fired, 0.0, imem)
-                s = s + layer.w_fb * fired
-            st.u, st.i, st.s, st.imem = u, i, s, imem
-            # one reduction over all four: same value, fewer numpy calls
-            peak = max(peak, float(np.abs(np.concatenate((u, i, s, imem), axis=None)).max()))
-            spike_counts[li] += fired
-            if record_rasters and batch == 1:
-                idx = np.nonzero(fired[0])[0]
-                if idx.size:
-                    raster_events[li].append((t, idx))
-            spikes = fired.astype(np.float64)
-            new_spikes.append(spikes)
-            if rec_ring[li] is not None:
-                rec_ring[li][t % layer.rec_delay] = spikes
-        prev_spikes = new_spikes
+                            sat_events.append((t, first + k, var, int(per_layer[k])))
+            clips.clear()
         if (t + 1) % oversample == 0:
-            fr = (t + 1) // oversample - 1
-            for li in range(len(layers)):
-                frame_s[li][:, fr, :] = states[li].s
-        if out_hist is not None:
-            out_hist[t] = states[-1].s[0]
+            frame_s[:, t // oversample, lo:] = s
+        if single:
+            out_hist[t] = s[0, out]
         if t >= acc_start:
-            acc += states[-1].s
-        if probe:
-            for li, ids in probe.items():
-                st = states[li]
-                for var in ("u", "i", "s", "imem"):
-                    probes[(li, var)][t] = getattr(st, var)[0, ids]
+            acc += s[:, out]
+        for li, cols in probe_cols.items():
+            for var, v in (("u", u), ("i", i), ("s", s), ("imem", imem)):
+                probes[(li, var)][t] = v[0, cols]
 
-    scores = acc / window / net.f
-    if batch == 1:
-        rasters: list[SpikeRaster | None] = []
-        dt = net.timing.t_snn
-        for li, events in enumerate(raster_events):
-            if not record_rasters:
-                rasters.append(None)
-                continue
-            if li == 0 and input_spikes is not None:
-                rasters.append(input_raster)
-                continue
-            if events:
-                times = np.concatenate([np.full(idx.size, t, dtype=np.int64)
-                                        for t, idx in events])
-                units = np.concatenate([idx.astype(np.int64) for _, idx in events])
-            else:
-                times = np.empty(0, dtype=np.int64)
-                units = np.empty(0, dtype=np.int64)
-            rasters.append(SpikeRaster(times, units, duration, layers[li].size, dt))
-        return SimulationTrace(
-            rasters=rasters, frame_s=[fs[0] for fs in frame_s], out_s_steps=out_hist,
-            spike_counts=[sc[0] for sc in spike_counts], saturation_events=sat_events,
-            saturation_total=sat_total, peak_state=peak, mode=mode, duration=duration,
-            oversample=oversample, probes=probes)
-    spikes_per_sample = sum(sc.sum(axis=1) for sc in spike_counts)
-    return BatchResult(scores=scores, spikes_per_sample=spikes_per_sample,
-                       spike_counts=spike_counts, frame_s=frame_s,
-                       saturation_total=sat_total, peak_state=peak, mode=mode)
+    counts = counts.astype(np.int64)
+
+    def per_layer(a):
+        return np.split(a, starts[1:-1], axis=-1)
+
+    if not single:
+        return BatchResult(scores=acc / window / net.f, spikes_per_sample=counts.sum(axis=1),
+                           spike_counts=per_layer(counts), frame_s=per_layer(frame_s),
+                           saturation_total=sat_total, peak_state=peak, mode=mode)
+    rasters: list[SpikeRaster | None] = [None] * len(layers)
+    if record_rasters:
+        times = np.concatenate([np.full(idx.size, t, dtype=np.int64) for t, idx in events]
+                               or [np.empty(0, dtype=np.int64)])
+        units = np.concatenate([idx for _, idx in events]
+                               or [np.empty(0, dtype=np.int64)]).astype(np.int64) + lo
+        for li, layer in enumerate(layers):
+            mine = (units >= starts[li]) & (units < starts[li + 1])
+            rasters[li] = (input_raster if li < first else
+                           SpikeRaster(times[mine], units[mine] - starts[li], duration,
+                                       layer.size, net.timing.t_snn))
+    return SimulationTrace(
+        rasters=rasters, frame_s=per_layer(frame_s[0]), out_s_steps=out_hist,
+        spike_counts=per_layer(counts[0]), saturation_events=sat_events,
+        saturation_total=sat_total, peak_state=peak, mode=mode, duration=duration,
+        oversample=oversample, probes=probes)
 
 
 def simulate(net: SnnNetwork, inp, mode: str = "reference",
@@ -261,19 +269,18 @@ def simulate(net: SnnNetwork, inp, mode: str = "reference",
     """Simulate one input: a FeatureSequence through the analog encoder, or a
     SpikeRaster of pre-encoded input spikes that replaces the encoder output."""
     if isinstance(inp, FeatureSequence):
-        return _engine(net, inp.data[None, :, :], None, mode, record_rasters, probe)
+        return _engine(net, inp.data[None, :, :], None, mode, True, record_rasters, probe)
     if isinstance(inp, SpikeRaster):
-        return _engine(net, None, inp, mode, record_rasters, probe)
+        return _engine(net, None, inp, mode, True, record_rasters, probe)
     raise DataError(f"unsupported input type {type(inp).__name__}")
 
 
 def simulate_batch(net: SnnNetwork, x: np.ndarray, mode: str = "reference") -> BatchResult:
     """Simulate a stack of equal-length feature sequences [batch, frames, dim]."""
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 3 or x.shape[0] < 2:
-        raise DataError("simulate_batch expects [batch >= 2, frames, features]; "
-                        "use simulate() for single inputs")
-    return _engine(net, x, None, mode, record_rasters=False, probe=None)
+    if x.ndim != 3 or x.shape[0] < 1:
+        raise DataError("simulate_batch expects [batch >= 1, frames, features]")
+    return _engine(net, x, None, mode, single=False)
 
 
 def readout(trace: SimulationTrace, net: SnnNetwork) -> np.ndarray:

@@ -1,4 +1,5 @@
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -139,6 +140,20 @@ class TestEvaluateCommand:
                          "--split", "test", "--mode", "reference",
                          "--out", str(out)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_nan_feature_is_data_error(self, workspace, tmp_path):
+        features = tmp_path / "features"
+        shutil.copytree(workspace["features"], features)
+        index = json.loads((features / "features_index.json").read_text())
+        key = next(e["key"] for e in index["entries"] if e["split"] == "test")
+        with np.load(features / f"{key}.npz") as data:
+            arrays = dict(data)
+        arrays["data"][3, 0] = np.nan
+        np.savez(features / f"{key}.npz", **arrays)
+        for mode in ("reference", "fixed"):
+            assert main(["evaluate", "--input", str(workspace["net"]),
+                         "--features", str(features), "--split", "test",
+                         "--mode", mode, "--out", str(tmp_path / f"{mode}.json")]) == 3
 
     def test_missing_split_is_data_error(self, workspace, tmp_path):
         assert main(["evaluate", "--input", str(workspace["model"]),

@@ -111,11 +111,27 @@ class TestArrayKernels:
         out = decay_array(xs, 4, fixed=True)
         expected = [decay_step(FixedState(int(x)), 4).value for x in xs]
         assert out.tolist() == expected
+        # one tau per element, as the engine passes them: each element decays
+        # as a scalar call with its own tau, in both modes and both roundings
+        xs = np.array([[-4096, -7, 0, 7, 4096, 999], [5, -5, 3, -3, 1, -1]], dtype=np.int64)
+        taus = np.array([1, 2, 3, 4, 7, 150], dtype=np.int64)
+        for rounding in ("trunc", "round"):
+            out = decay_array(xs, taus, fixed=True, rounding=rounding)
+            expected = [[decay_step(FixedState(int(x)), int(t), rounding).value
+                         for x, t in zip(row, taus)] for row in xs]
+            assert out.tolist() == expected
+        out = decay_array(xs.astype(np.float64), taus.astype(np.float64))
+        expected = [[decay_step(float(x), float(t)) for x, t in zip(row, taus)] for row in xs]
+        assert out.tolist() == expected
 
     def test_sat_add_array_counts_clips(self):
         xs = np.array([STATE_LIMIT - 1, 0, -STATE_LIMIT + 1], dtype=np.int64)
         out, clipped = sat_add_array(xs, np.array([10, 10, -10]))
         assert clipped == 2
+        assert out.tolist() == [STATE_LIMIT, 10, -STATE_LIMIT]
+        # sums that reach the rails exactly are not clips
+        out, clipped = sat_add_array(xs, np.array([1, 10, -1]))
+        assert clipped == 0
         assert out.tolist() == [STATE_LIMIT, 10, -STATE_LIMIT]
 
     def test_round_half_away(self):

@@ -5,7 +5,7 @@ import pytest
 
 from sdrnn.containers import FeatureSequence, SpikeRaster
 from sdrnn.convert import (CompileConfig, TimingConfig, compile_network, load_network,
-                           save_network)
+                           probe_peak_state, save_network)
 from sdrnn.errors import DataError
 from sdrnn.lprnn import forward_sequence, init_model
 from sdrnn.numerics import STATE_LIMIT
@@ -29,13 +29,17 @@ def toy_model(rng, n_in=2, hidden=(3, 3), n_out=2, alphas=(0.85, 0.9, 0.8),
     return model
 
 
-def flat_loop_sim(net, feats: np.ndarray, mode: str):
+def flat_loop_sim(net, feats: np.ndarray, mode: str, sat_log: list | None = None):
     """Independent scalar-loop duplicate of the engine semantics.
 
     Python floats / ints only, no vectorization: decay-then-add per stage,
     u into i scaled by 2**-weight_exp (rounded half up by shift in fixed
     point), bias into i, one-step feed-forward delay, rec_delay-step
-    recurrent delay, same-step self-feedback.
+    recurrent delay, same-step self-feedback. In fixed point each sum is
+    clipped to +/-STATE_LIMIT before the next stage reads it (s after its
+    feedback increment); sat_log, if given, receives one (step, layer, var,
+    count) entry per clipping (layer, var) of a step, vars in the order u,
+    i, imem, s.
     """
     oversample = net.oversample
     n_frames = feats.shape[0]
@@ -66,9 +70,16 @@ def flat_loop_sim(net, feats: np.ndarray, mode: str):
             return kept if value >= 0 else -kept
         return value - value / tau
 
+    def clip(value, var, clipped):
+        if not fixed or -STATE_LIMIT <= value <= STATE_LIMIT:
+            return value
+        clipped[var] += 1
+        return max(-STATE_LIMIT, min(STATE_LIMIT, value))
+
     for t in range(duration):
         new_prev = []
         for li, layer in enumerate(layers):
+            clipped = dict.fromkeys(("u", "i", "imem", "s"), 0)
             st = states[li]
             tau_u = layer.tau_u_fx if fixed else float(layer.tau_u_fx)
             tau_i = layer.tau_i_fx if fixed else float(layer.tau_i_fx)
@@ -91,7 +102,7 @@ def flat_loop_sim(net, feats: np.ndarray, mode: str):
                         for k in range(layer.size):
                             acc += int(layer.w_rec[j, k]) * history[li][-1][k]
                     drive = acc * gain
-                u = decay(st["u"][j], tau_u) + drive
+                u = clip(decay(st["u"][j], tau_u) + drive, "u", clipped)
                 e = layer.weight_exp
                 if e == 0:
                     u_in = u
@@ -99,20 +110,19 @@ def flat_loop_sim(net, feats: np.ndarray, mode: str):
                     u_in = (u + 2 ** (e - 1)) // 2 ** e
                 else:
                     u_in = u / 2 ** e
-                i = decay(st["i"][j], tau_i) + u_in + int(layer.bias[j])
+                i = clip(decay(st["i"][j], tau_i) + u_in + int(layer.bias[j]), "i", clipped)
                 s = decay(st["s"][j], tau_s)
-                imem = decay(st["imem"][j], tau_m) + i - s
-                if fixed:
-                    clip = lambda v: max(-STATE_LIMIT, min(STATE_LIMIT, v))
-                    u, i, imem = clip(u), clip(i), clip(imem)
+                imem = clip(decay(st["imem"][j], tau_m) + i - s, "imem", clipped)
                 spike = imem > layer.threshold
                 if spike:
                     imem = 0 if fixed else 0.0
-                    s = s + layer.w_fb
+                    s = clip(s + layer.w_fb, "s", clipped)
                     events[li].append((t, j))
                 st["u"][j], st["i"][j], st["s"][j], st["imem"][j] = u, i, s, imem
                 fired_now.append(1 if spike else 0)
             new_prev.append(fired_now)
+            if sat_log is not None:
+                sat_log.extend((t, li, var, n) for var, n in clipped.items() if n)
         for li in range(len(layers)):
             history[li] = [new_prev[li]] + history[li][:-1]
         for li in range(len(layers)):
@@ -278,17 +288,31 @@ class TestTrackingBehavior:
         np.testing.assert_array_equal(decoded.data, trace.probes[(1, "s")])
 
     def test_fixed_point_states_bounded_and_logged(self):
-        # force saturation with an absurd bias and check clipping, not wrap
-        rng = np.random.default_rng(6)
-        model = toy_model(rng)
-        net = compile_network(model, TIMING, f=5e4)
-        net.layers[1].bias = net.layers[1].bias + STATE_LIMIT // 2
-        feats = FeatureSequence(rng.uniform(0.5, 1.0, size=(10, 2)), TIMING.t_ann)
-        trace = simulate(net, feats, mode="fixed_point", probe={1: [0, 1, 2]})
-        assert trace.saturation_total > 0
-        assert len(trace.saturation_events) > 0
-        for var in ("u", "i", "s", "imem"):
-            assert np.abs(trace.probes[(1, var)]).max() <= STATE_LIMIT
+        # force saturation with absurd constants and check clipping, not
+        # wrap, and the clip log against the scalar oracle's
+        for force in ("bias", "every_var"):
+            rng = np.random.default_rng(6)
+            model = toy_model(rng)
+            net = compile_network(model, TIMING, f=5e4)
+            net.layers[1].bias = net.layers[1].bias + STATE_LIMIT // 2
+            if force == "every_var":
+                # u of layer 1 by huge weights; imem and s of layer 2 by a
+                # large negative self-feedback that fires at every step
+                net.layers[1].w_in = net.layers[1].w_in * 40000
+                net.layers[2].bias = net.layers[2].bias + STATE_LIMIT // 4
+                net.layers[2].threshold = 10
+                net.layers[2].w_fb = -(STATE_LIMIT - 5)
+            feats = FeatureSequence(rng.uniform(0.5, 1.0, size=(10, 2)), TIMING.t_ann)
+            trace = simulate(net, feats, mode="fixed_point", probe={1: [0, 1, 2]})
+            assert trace.saturation_total > 0
+            assert len(trace.saturation_events) > 0
+            for var in ("u", "i", "s", "imem"):
+                assert np.abs(trace.probes[(1, var)]).max() <= STATE_LIMIT
+            sat_log: list = []
+            flat_loop_sim(net, feats.data, "fixed_point", sat_log)
+            assert trace.saturation_events == sat_log[:1000], force
+            assert trace.saturation_total == sum(entry[3] for entry in sat_log), force
+        assert {var for _, _, var, _ in sat_log} == {"u", "i", "imem", "s"}
 
 
 class TestReadout:
@@ -316,19 +340,41 @@ class TestReadout:
 
 
 class TestBatchedRuns:
-    def test_batch_matches_single_runs(self):
+    @pytest.mark.parametrize("mode", ["reference", "fixed_point"])
+    @pytest.mark.parametrize("batch_size", [1, 3])
+    def test_batch_matches_single_runs(self, mode, batch_size):
         rng = np.random.default_rng(9)
         model = toy_model(rng)
         net = compile_network(model, TIMING, f=5e4)
-        x = rng.uniform(0, 1, size=(3, 10, 2))
-        batch = simulate_batch(net, x, mode="fixed_point")
-        for b in range(3):
-            trace = simulate(net, FeatureSequence(x[b], TIMING.t_ann), mode="fixed_point")
+        x = rng.uniform(0, 1, size=(3, 10, 2))[:batch_size]
+        batch = simulate_batch(net, x, mode=mode)
+        for b in range(batch_size):
+            trace = simulate(net, FeatureSequence(x[b], TIMING.t_ann), mode=mode)
             np.testing.assert_allclose(batch.scores[b], readout(trace, net), rtol=0, atol=0)
             for li in range(len(net.layers)):
                 np.testing.assert_array_equal(batch.spike_counts[li][b],
                                               trace.spike_counts[li])
                 np.testing.assert_array_equal(batch.frame_s[li][b], trace.frame_s[li])
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("mode", ["reference", "fixed_point"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_rejected(self, mode, bad):
+        rng = np.random.default_rng(13)
+        model = toy_model(rng)
+        net = compile_network(model, TIMING, f=5e4)
+        x = rng.uniform(0, 1, size=(2, 10, 2))
+        x[1, 4, 0] = bad
+        with pytest.raises(DataError):
+            simulate(net, FeatureSequence(x[1], TIMING.t_ann), mode=mode)
+        with pytest.raises(DataError):
+            simulate_batch(net, x, mode=mode)
+        if mode == "reference":
+            # the f search's probes run in reference mode: a non-finite peak
+            # must not be dropped by its max
+            with pytest.raises(DataError):
+                probe_peak_state(model, [FeatureSequence(x[1], TIMING.t_ann)], TIMING, 5e4)
 
 
 class TestCompareActivations:
