@@ -22,7 +22,7 @@ from .containers import FeatureSequence
 from .convert import (CompileConfig, TimingConfig, compile_network, compile_report,
                       load_network, probe_peak_state, save_network,
                       select_scale_factor)
-from .errors import ConfigError, DataError, NumericError
+from .errors import ConfigError, DataError, NumericError, reading
 from .lprnn import (TrainConfig, forward_batch, init_model, load_model,
                     magnitude_prune, save_model, train)
 from .snn_sim import compare_activations, simulate, simulate_batch, readout
@@ -51,7 +51,7 @@ def _apply_config_file(args: argparse.Namespace, parser_defaults: dict) -> None:
     with open(args.config) as fh:
         overrides = json.load(fh)
     for key, value in overrides.items():
-        if key in ("func", "config", "command"):
+        if key in ("func", "config", "command", "f_search_evals"):
             continue
         if not hasattr(args, key):
             raise ConfigError(f"unknown config key {key!r}")
@@ -146,7 +146,7 @@ def _load_split(features_dir: Path, split: str, trim: str = "min"):
     index_path = features_dir / "features_index.json"
     if not index_path.exists():
         raise DataError(f"{features_dir}: no features_index.json; run `features` first")
-    with open(index_path) as fh:
+    with reading(index_path), open(index_path) as fh:
         index = json.load(fh)
     entries = [e for e in index["entries"] if e["split"] == split]
     if not entries:
@@ -159,9 +159,13 @@ def _load_split(features_dir: Path, split: str, trim: str = "min"):
     label_ids = {name: k for k, name in enumerate(label_names)}
     feats, labels, periods = [], [], []
     for entry in entries:
-        with np.load(features_dir / f"{entry['key']}.npz") as data:
-            feats.append(af.apply_norm(data["data"], stats))
+        path = features_dir / f"{entry['key']}.npz"
+        with reading(path), np.load(path) as data:
+            raw = data["data"]
             periods.append(float(data["frame_period"]))
+        if not np.isfinite(raw).all():
+            raise DataError(f"{path}: feature file holds NaN or inf values")
+        feats.append(af.apply_norm(raw, stats))
         labels.append(label_ids[entry["label"]])
     t_min = min(f.shape[0] for f in feats)
     x = np.stack([f[:t_min] for f in feats])
@@ -232,13 +236,15 @@ def cmd_convert(args) -> int:
     report = compile_report(net)
     with open(str(out) + ".report.txt", "w") as fh:
         fh.write(report)
-    _write_json(str(out) + ".config.json", _resolved_config(args, "convert"))
+    # the f used, so that a replay of this file compiles the same network
+    _write_json(str(out) + ".config.json",
+                {**_resolved_config(args, "convert"), "f": f, "f_search_evals": len(trace or ())})
     print(f"convert: f = {f:.6g}, network -> {out}")
     return 0
 
 
 def _detect_artifact(path):
-    with np.load(path) as data:
+    with reading(path), np.load(path) as data:
         if "meta" not in data:
             raise DataError(f"{path}: unrecognized file (no metadata)")
         meta = json.loads(bytes(data["meta"]).decode())

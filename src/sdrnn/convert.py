@@ -13,8 +13,9 @@ deposits gain * W_snn into u), e >= 0 is the layer's power-of-two weight
 exponent (u enters i scaled by 2**-e) and the tau factors cancel the DC
 gains of the u and i filter stages, so a presynaptic spike rate r yields a
 steady drive i = f * W_ann * r. The global gain f trades integer weight
-precision against headroom below the 24-bit state bound and is chosen by a
-simulation-backed bracketing search.
+precision against headroom below the 24-bit state bound. The peak state
+scales with f like every on-chip quantity, so one reference simulation
+predicts f and a second verifies it (select_scale_factor).
 
 Timing. The source network is a frame recursion: layer l at frame t reads
 its sender at the end of frame t and itself at the end of frame t-1
@@ -79,7 +80,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .containers import FeatureSequence
-from .errors import ConfigError, DataError, NumericError
+from .errors import ConfigError, DataError, NumericError, reading
 from .lprnn import (KIND_INPUT, KIND_RECURRENT, LpRnnLayer, LpRnnModel, load_model,
                     save_model)
 from .numerics import STATE_LIMIT, round_half_away
@@ -111,12 +112,11 @@ class CompileConfig:
 
     tau_u applies to the analog encoder layer only. A spike-driven layer gets
     tau_i = tau_s = its alpha-derived constant and tau_u = tau_s minus the
-    frame lag of its alpha (module docstring); the overrides pin them
-    globally instead, which breaks the activation correspondence and exists
-    for experiments. weight_limit bounds every mapped integer weight, and
-    with it each layer's weight exponent. weight_gain is the synaptic
-    accumulation gain: the hardware's native value is 64, but 1 buys integer
-    weight resolution inside the 24-bit budget (see module docstring). decay_rounding "round"
+    frame lag of its alpha (module docstring). weight_limit bounds every
+    mapped integer weight, and with it each layer's weight exponent.
+    weight_gain is the synaptic accumulation gain: the hardware's native
+    value is 64, but 1 buys integer weight resolution inside the 24-bit
+    budget (see module docstring). decay_rounding "round"
     keeps fixed-point spike counts within a couple of spikes of reference
     mode; "trunc" decays slightly faster per step (half an LSB of systematic
     bias) but drains any state to exactly zero.
@@ -124,8 +124,6 @@ class CompileConfig:
 
     tau_u: float = 2.0
     tau_mem: float = 1.0
-    tau_u_override: float | None = None
-    tau_i_override: float | None = None
     weight_gain: int = 1
     weight_limit: int = 255
     safety_margin: float = 0.5
@@ -267,7 +265,7 @@ def frame_lag(alpha: float) -> float:
 
 
 class LayerConstants(NamedTuple):
-    """Time constants, recurrent delay and weight range of one layer.
+    """Time constants (tau_i is tau_s), recurrent delay and weight range of one layer.
 
     weight_cap is the largest f at which exponent 0 keeps every mapped
     weight of the layer within weight_limit (inf for an encoder, whose
@@ -277,10 +275,8 @@ class LayerConstants(NamedTuple):
     """
 
     tau_s: float
-    tau_i: float
     tau_u: float
     tau_s_fx: int
-    tau_i_fx: int
     tau_u_fx: int
     rec_delay: int
     weight_cap: float
@@ -294,23 +290,18 @@ def layer_constants(layer: LpRnnLayer, w_in_q: np.ndarray, w_rec_q: np.ndarray |
     w_rec_q (module docstring): taus from the alpha mapping and the
     frame-lag rule, the recurrent delay, the weight-range cap and,
     given f, the weight exponent: the largest e >= 0 with
-    2**e * f <= weight_cap and 2**e <= tau_i_fx."""
+    2**e * f <= weight_cap and 2**e <= tau_s_fx."""
     tau_s = rescale_tau(alpha_to_tau(layer.alpha, timing.t_ann), timing)
-    tau_i = tau_s if config.tau_i_override is None else config.tau_i_override
     # the network's operating constants are the integer-rounded taus (the
     # hardware description); the real-valued taus are kept as provenance.
     # Mapping with the integer constants keeps the filter-gain
     # cancellation exact in both simulation modes.
-    tau_s_fx, tau_i_fx = _int_tau(tau_s), _int_tau(tau_i)
+    tau_s_fx = _int_tau(tau_s)
     rec_delay = 1
     if layer.kind == KIND_INPUT:
         tau_u = config.tau_u  # analog drive: no presynaptic lead to cancel
         tau_u_fx = _int_tau(tau_u)
         tensors = ()  # encoder weights stay real-valued off-chip
-    elif config.tau_u_override is not None:
-        tau_u = config.tau_u_override
-        tau_u_fx = _int_tau(tau_u)
-        tensors = (w_in_q, w_rec_q)
     else:
         lag = frame_lag(layer.alpha) * timing.oversample
         tau_u = max(1.0, tau_s - lag)
@@ -323,15 +314,13 @@ def layer_constants(layer: LpRnnLayer, w_in_q: np.ndarray, w_rec_q: np.ndarray |
         peak = 0.0 if w is None else float(np.abs(w).max())
         if peak > 0.0:
             cap = min(cap, (config.weight_limit + 0.499) *
-                      tau_u_fx * tau_i_fx * config.weight_gain / peak)
+                      tau_u_fx * tau_s_fx * config.weight_gain / peak)
     exp = 0
     if f is not None and tensors:
-        while f * 2.0 ** (exp + 1) <= cap and 2 ** (exp + 1) <= tau_i_fx:
+        while f * 2.0 ** (exp + 1) <= cap and 2 ** (exp + 1) <= tau_s_fx:
             exp += 1
-    return LayerConstants(
-        tau_s=tau_s, tau_i=tau_i, tau_u=tau_u, tau_s_fx=tau_s_fx,
-        tau_i_fx=tau_i_fx, tau_u_fx=tau_u_fx,
-        rec_delay=rec_delay, weight_cap=cap, weight_exp=exp)
+    return LayerConstants(tau_s=tau_s, tau_u=tau_u, tau_s_fx=tau_s_fx, tau_u_fx=tau_u_fx,
+                          rec_delay=rec_delay, weight_cap=cap, weight_exp=exp)
 
 
 def compile_network(model: LpRnnModel, timing: TimingConfig, f: float,
@@ -355,10 +344,10 @@ def compile_network(model: LpRnnModel, timing: TimingConfig, f: float,
             raise NumericError(
                 f"layer {idx}: f = {f} gives feedback weight below 1 "
                 f"(f/tau_s = {f / c.tau_s_fx:.3g}); increase f")
-        bias = map_bias(layer.bias, f, c.tau_i_fx)
+        bias = map_bias(layer.bias, f, c.tau_s_fx)
 
         def mapped(w):
-            return map_weights(w, f, c.tau_u_fx, c.tau_i_fx, config.weight_gain,
+            return map_weights(w, f, c.tau_u_fx, c.tau_s_fx, config.weight_gain,
                                config.weight_limit, c.weight_exp)
 
         if layer.kind == KIND_INPUT:
@@ -372,9 +361,9 @@ def compile_network(model: LpRnnModel, timing: TimingConfig, f: float,
         layers.append(SnnLayer(
             kind=kind, size=layer.size, w_in=w_in,
             w_rec=None if w_rec_q is None else mapped(w_rec_q), bias=bias,
-            enc_w=enc_w, tau_s=c.tau_s, tau_i=c.tau_i, tau_u=c.tau_u,
+            enc_w=enc_w, tau_s=c.tau_s, tau_i=c.tau_s, tau_u=c.tau_u,
             tau_mem=config.tau_mem, tau_s_fx=c.tau_s_fx,
-            tau_i_fx=c.tau_i_fx, tau_u_fx=c.tau_u_fx,
+            tau_i_fx=c.tau_s_fx, tau_u_fx=c.tau_u_fx,
             tau_mem_fx=_int_tau(config.tau_mem), w_fb=w_fb, threshold=w_fb,
             rec_delay=c.rec_delay, weight_exp=c.weight_exp))
     return SnnNetwork(layers=layers, f=f, timing=timing, config=config,
@@ -406,58 +395,43 @@ def select_scale_factor(model: LpRnnModel, probes: list[FeatureSequence],
                         timing: TimingConfig,
                         config: CompileConfig = CompileConfig(),
                         grid: float = 0.02, return_trace: bool = False):
-    """Find the largest f whose simulated peak state stays below
-    STATE_LIMIT * safety_margin on the probe inputs.
+    """Largest f, within the margin grid, whose simulated peak state stays
+    below bound = STATE_LIMIT * safety_margin on the probe inputs.
 
-    Starts from the weight-range cap and bisects downward in log space to a
-    relative grid resolution. The search trace of (f, peak) pairs is
-    available for diagnostics via return_trace.
+    In reference mode the encoder drive, biases, weights and w_fb scale
+    with f up to integer rounding, so the spike pattern, and with it
+    peak/f, barely depends on f. From the weight-range cap, while the peak
+    p at f exceeds the bound, the search steps to f * bound / p / (1 + grid):
+    the linear prediction less a margin for rounding. Each step lowers f by
+    at least 1 + grid, and the f returned passed a simulation; when the
+    first prediction holds that costs two. return_trace adds the (f, peak)
+    pairs, sorted by f.
     """
     if not probes:
         raise ConfigError("probe set must be non-empty")
     bound = STATE_LIMIT * config.safety_margin
-    cap = _weight_cap(model, timing, config)
-    if math.isinf(cap):
-        # all on-chip weights are zero; only state headroom binds
-        cap = bound
+    f = _weight_cap(model, timing, config)
+    if math.isinf(f):
+        f = bound  # all on-chip weights are zero; only state headroom binds
     trace: list[tuple[float, float]] = []
-
-    def peak_at(f: float) -> float:
-        p = probe_peak_state(model, probes, timing, f, config)
-        trace.append((f, p))
-        return p
-
-    hi = cap
-    if peak_at(hi) <= bound:
-        result = hi
-    else:
-        lo = None
-        candidate = hi
-        for _ in range(60):
-            candidate /= 2.0
-            try:
-                if peak_at(candidate) <= bound:
-                    lo = candidate
-                    break
-            except NumericError:
-                break  # w_fb fell below 1: no feasible f further down
-        if lo is None:
-            peak = min(p for _, p in trace)
-            raise NumericError(
-                f"no feasible scale factor: even tiny f overflows "
-                f"(best peak state {peak:.3g} vs bound {bound:.3g})")
-        f_lo, f_hi = lo, min(lo * 2.0, hi)
-        while f_hi / f_lo > 1.0 + grid:
-            mid = math.sqrt(f_lo * f_hi)
-            if peak_at(mid) <= bound:
-                f_lo = mid
-            else:
-                f_hi = mid
-        result = f_lo
+    for _ in range(60):
+        try:
+            peak = probe_peak_state(model, probes, timing, f, config)
+        except NumericError:
+            if not trace:
+                raise  # infeasible at the weight cap itself
+            break  # w_fb fell below 1: no feasible f further down
+        trace.append((f, peak))
+        if peak <= bound:
+            break
+        f *= bound / peak / (1.0 + grid)
+    if trace[-1][1] > bound:
+        raise NumericError(
+            f"no feasible scale factor: even tiny f overflows "
+            f"(best peak state {min(p for _, p in trace):.3g} vs bound {bound:.3g})")
     if return_trace:
-        trace.sort(key=lambda fp: fp[0])
-        return result, trace
-    return result
+        return f, sorted(trace)
+    return f
 
 
 # Network container format mirrors the model format: JSON metadata entry +
@@ -473,8 +447,6 @@ def save_network(net: SnnNetwork, path) -> None:
         "t_snn": net.timing.t_snn,
         "config": {
             "tau_u": net.config.tau_u, "tau_mem": net.config.tau_mem,
-            "tau_u_override": net.config.tau_u_override,
-            "tau_i_override": net.config.tau_i_override,
             "weight_gain": net.config.weight_gain,
             "weight_limit": net.config.weight_limit,
             "safety_margin": net.config.safety_margin,
@@ -509,12 +481,16 @@ def save_network(net: SnnNetwork, path) -> None:
 def load_network(path) -> SnnNetwork:
     import io as _io
 
-    with np.load(path) as data:
+    with reading(path), np.load(path) as data:
         if "meta" not in data:
             raise DataError(f"{path}: not a network file (missing metadata)")
         meta = json.loads(bytes(data["meta"]).decode())
         if meta.get("format") != "sdrnn-net-v1":
             raise DataError(f"{path}: unsupported network format {meta.get('format')!r}")
+        # the tau overrides are gone; older files record them as null
+        overrides = {k: meta["config"].pop(k, None) for k in ("tau_u_override", "tau_i_override")}
+        if any(v is not None for v in overrides.values()):
+            raise DataError(f"{path}: tau overrides {overrides} are not supported")
         cfg = CompileConfig(**meta["config"])
         layers = []
         for li, lmeta in enumerate(meta["layers"]):
@@ -538,9 +514,9 @@ def load_network(path) -> SnnNetwork:
                 threshold=lmeta["threshold"], rec_delay=rec_delay,
                 weight_exp=weight_exp))
         source = load_model(_io.BytesIO(bytes(data["source_model"])))
-        timing = TimingConfig(meta["t_ann"], meta["t_snn"])
-    return SnnNetwork(layers=layers, f=meta["f"], timing=timing, config=cfg,
-                      source_model=source, notes=meta.get("notes", {}))
+        return SnnNetwork(layers=layers, f=meta["f"],
+                          timing=TimingConfig(meta["t_ann"], meta["t_snn"]), config=cfg,
+                          source_model=source, notes=meta.get("notes", {}))
 
 
 def compile_report(net: SnnNetwork, peak_states: dict | None = None) -> str:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .containers import FeatureSequence
-from .errors import ConfigError, DataError, NumericError
+from .errors import ConfigError, DataError, NumericError, reading
 
 KIND_INPUT = "input_lowpass"
 KIND_RECURRENT = "recurrent"
@@ -509,7 +509,7 @@ def save_model(model: LpRnnModel, path) -> None:
 
 
 def load_model(path) -> LpRnnModel:
-    with np.load(path) as data:
+    with reading(path), np.load(path) as data:
         if "meta" not in data:
             raise DataError(f"{path}: not a model file (missing metadata)")
         meta = json.loads(bytes(data["meta"]).decode())
@@ -523,7 +523,7 @@ def load_model(path) -> LpRnnModel:
             layers.append(LpRnnLayer(lmeta["kind"], data[f"l{li}_w_in"], w_rec,
                                      data[f"l{li}_bias"], lmeta["alpha"],
                                      mask_in, mask_rec))
-    return LpRnnModel(layers, t_ann=meta["t_ann"], clamp_ceiling=meta["clamp_ceiling"],
-                      bits=meta["bits"], readout_fraction=meta["readout_fraction"],
-                      quantize=meta["quantize"], norm_stats=meta["norm_stats"],
-                      label_names=meta["label_names"])
+        return LpRnnModel(layers, t_ann=meta["t_ann"], clamp_ceiling=meta["clamp_ceiling"],
+                          bits=meta["bits"], readout_fraction=meta["readout_fraction"],
+                          quantize=meta["quantize"], norm_stats=meta["norm_stats"],
+                          label_names=meta["label_names"])

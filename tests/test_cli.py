@@ -7,6 +7,7 @@ import pytest
 
 from sdrnn.audio_frontend import write_manifest
 from sdrnn.cli import main
+from sdrnn.convert import load_network
 from sdrnn.synthetic import CLASSES, generate_dataset
 
 
@@ -102,6 +103,25 @@ class TestConvertCommand:
         assert main(["convert", "--model", str(workspace["model"]),
                      "--out", str(out), "--t-snn", "0.001", "--f", "5e4"]) == 0
 
+    def test_config_replay_compiles_same_network(self, workspace, tmp_path):
+        # the recorded config holds the f the search selected, so a replay
+        # compiles the same network without searching
+        config = json.loads(Path(str(workspace["net"]) + ".config.json").read_text())
+        searched = load_network(workspace["net"])
+        assert config["f"] == searched.f
+        assert config["f_search_evals"] == len(searched.notes["f_search_trace"]) >= 1
+        out = tmp_path / "replay.npz"
+        assert main(["convert", "--model", str(workspace["model"]), "--out", str(out),
+                     "--config", str(workspace["net"]) + ".config.json"]) == 0
+        replayed = load_network(out)
+        assert replayed.f == searched.f
+        assert replayed.notes["f_search_trace"] is None
+        for a, b in zip(replayed.layers, searched.layers):
+            for name in ("w_in", "w_rec", "bias", "enc_w"):
+                np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+            assert (a.w_fb, a.weight_exp) == (b.w_fb, b.weight_exp)
+        assert json.loads(Path(str(out) + ".config.json").read_text())["f_search_evals"] == 0
+
     def test_missing_probe_source_is_config_error(self, workspace, tmp_path):
         assert main(["convert", "--model", str(workspace["model"]),
                      "--out", str(tmp_path / "net.npz"),
@@ -149,11 +169,33 @@ class TestEvaluateCommand:
         with np.load(features / f"{key}.npz") as data:
             arrays = dict(data)
         arrays["data"][3, 0] = np.nan
+        arrays["data"][4, 1] = np.inf
         np.savez(features / f"{key}.npz", **arrays)
-        for mode in ("reference", "fixed"):
-            assert main(["evaluate", "--input", str(workspace["net"]),
+        for artifact, mode in (("net", "reference"), ("net", "fixed"), ("model", "ann")):
+            assert main(["evaluate", "--input", str(workspace[artifact]),
                          "--features", str(features), "--split", "test",
                          "--mode", mode, "--out", str(tmp_path / f"{mode}.json")]) == 3
+
+    @pytest.mark.parametrize("damage", ["garbage", "truncated_net", "truncated_model"])
+    def test_corrupt_input_is_data_error(self, workspace, tmp_path, capsys, damage):
+        bad = tmp_path / "bad.npz"
+        if damage == "garbage":
+            bad.write_bytes(b"\x93NUMPY not really an array" * 10)
+        else:
+            payload = workspace[damage.split("_")[1]].read_bytes()
+            bad.write_bytes(payload[:len(payload) // 2])
+        assert main(["evaluate", "--input", str(bad), "--features", str(workspace["features"]),
+                     "--out", str(tmp_path / "x.json")]) == 3
+        err = capsys.readouterr().err
+        assert f"data error: {bad}" in err and "Traceback" not in err
+
+    def test_corrupt_feature_index_is_data_error(self, workspace, tmp_path):
+        features = tmp_path / "features"
+        shutil.copytree(workspace["features"], features)
+        index = features / "features_index.json"
+        index.write_text(index.read_text()[:100])
+        assert main(["evaluate", "--input", str(workspace["model"]),
+                     "--features", str(features), "--out", str(tmp_path / "x.json")]) == 3
 
     def test_missing_split_is_data_error(self, workspace, tmp_path):
         assert main(["evaluate", "--input", str(workspace["model"]),

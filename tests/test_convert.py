@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 
+from sdrnn import convert
+from sdrnn.benchmarks import make_random_model, make_smooth_input
 from sdrnn.containers import FeatureSequence
 from sdrnn.convert import (CompileConfig, TimingConfig, alpha_to_tau, compile_network,
                            compile_report, load_network, map_bias, map_weights,
@@ -268,6 +270,41 @@ class TestSelectScaleFactor:
         with pytest.raises(ConfigError):
             select_scale_factor(quantized_model(rng), [], TIMING)
 
+    def test_random_model_takes_at_most_two_evaluations(self):
+        # criterion 4's first model and inputs: peak/f holds across f, so the
+        # step from the cap lands on a verified f at once
+        rng = np.random.default_rng(44)
+        model = make_random_model(rng)
+        probes = [FeatureSequence(make_smooth_input(rng, 30, model.n_features), TIMING.t_ann)
+                  for _ in range(3)]
+        f, trace = select_scale_factor(model, probes, TIMING, return_trace=True)
+        assert len(trace) <= 2
+        assert dict(trace)[f] <= STATE_LIMIT * CompileConfig().safety_margin
+
+    def test_offset_peak_takes_more_steps(self, monkeypatch):
+        # a peak with a part that does not scale with f falls slower than f,
+        # so the linear prediction overshoots: the search steps again until
+        # a simulated peak is within the bound
+        bound = STATE_LIMIT * CompileConfig().safety_margin
+        model = quantized_model(np.random.default_rng(14))
+        cap = convert._weight_cap(model, TIMING, CompileConfig())
+        monkeypatch.setattr(convert, "probe_peak_state",
+                            lambda model, probes, timing, f, config: bound * (0.5 + 2.0 * f / cap))
+        probes = [FeatureSequence(np.zeros((5, 2)), TIMING.t_ann)]
+        f, trace = select_scale_factor(model, probes, TIMING, return_trace=True)
+        assert len(trace) > 2
+        assert dict(trace)[f] <= bound
+        assert all(p > bound for g, p in trace if g > f)
+
+    def test_peak_never_within_bound_raises(self, monkeypatch):
+        bound = STATE_LIMIT * CompileConfig().safety_margin
+        monkeypatch.setattr(convert, "probe_peak_state",
+                            lambda model, probes, timing, f, config: 2.0 * bound)
+        model = quantized_model(np.random.default_rng(15))
+        probes = [FeatureSequence(np.zeros((5, 2)), TIMING.t_ann)]
+        with pytest.raises(NumericError, match="no feasible scale factor"):
+            select_scale_factor(model, probes, TIMING)
+
 
 class TestNetworkFile:
     def test_roundtrip_and_report(self, tmp_path):
@@ -295,16 +332,38 @@ class TestNetworkFile:
         assert "scale factor" in report and "histogram" in report
         assert f"weight exponent {net.layers[1].weight_exp}" in report
 
-    def test_invalid_delay_rejected(self, tmp_path):
+    @staticmethod
+    def saved_with_meta(tmp_path, edit):
+        """A compiled network and the path of its saved file, whose metadata
+        edit() has changed."""
         net = compile_network(quantized_model(np.random.default_rng(13)), TIMING, f=2e5)
         path = tmp_path / "net.npz"
         save_network(net, path)
         with np.load(path) as data:
             arrays = dict(data)
         meta = json.loads(bytes(arrays["meta"]).decode())
-        meta["layers"][1]["rec_delay"] = 0
+        edit(meta)
         arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
         with open(path, "wb") as fh:
             np.savez(fh, **arrays)
+        return net, path
+
+    def test_invalid_delay_rejected(self, tmp_path):
+        _, path = self.saved_with_meta(
+            tmp_path, lambda meta: meta["layers"][1].update(rec_delay=0))
         with pytest.raises(DataError):
+            load_network(path)
+
+    def test_null_tau_overrides_load(self, tmp_path):
+        # files written while the compiler had tau overrides record them as null
+        net, path = self.saved_with_meta(
+            tmp_path, lambda meta: meta["config"].update(tau_u_override=None,
+                                                         tau_i_override=None))
+        back = load_network(path)
+        assert back.f == net.f and back.config == net.config
+
+    @pytest.mark.parametrize("key", ["tau_u_override", "tau_i_override"])
+    def test_tau_override_rejected(self, tmp_path, key):
+        _, path = self.saved_with_meta(tmp_path, lambda meta: meta["config"].update({key: 50.0}))
+        with pytest.raises(DataError, match=key):
             load_network(path)
