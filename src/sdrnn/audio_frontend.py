@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .containers import FeatureSequence
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, reading
 
 
 @dataclass
@@ -168,7 +168,7 @@ def apply_norm(feats: np.ndarray, stats: dict) -> np.ndarray:
 
 def read_manifest(path) -> list[dict]:
     rows = []
-    with open(path) as fh:
+    with reading(path), open(path) as fh:
         header = fh.readline().strip()
         if header != "path,label,split":
             raise DataError(f"{path}: manifest must start with 'path,label,split'")

@@ -43,19 +43,24 @@ def _resolved_config(args: argparse.Namespace, command: str) -> dict:
     return resolved
 
 
-def _apply_config_file(args: argparse.Namespace, parser_defaults: dict) -> None:
-    """Overlay: defaults < config file < explicit flags (flags left at their
-    default are treated as unset)."""
+def _apply_config_file(args: argparse.Namespace, given: set) -> None:
+    """Overlay: defaults < config file < the flags in `given`, those on the
+    command line (whatever their value)."""
     if not getattr(args, "config", None):
         return
-    with open(args.config) as fh:
-        overrides = json.load(fh)
+    try:
+        with open(args.config) as fh:
+            overrides = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"{args.config}: unreadable config file ({exc})") from exc
+    if not isinstance(overrides, dict):
+        raise ConfigError(f"{args.config}: config file must hold a JSON object")
     for key, value in overrides.items():
         if key in ("func", "config", "command", "f_search_evals"):
             continue
         if not hasattr(args, key):
             raise ConfigError(f"unknown config key {key!r}")
-        if getattr(args, key) == parser_defaults.get(key):
+        if key not in given:
             setattr(args, key, value)
 
 
@@ -140,7 +145,7 @@ def cmd_features(args) -> int:
     return 0
 
 
-def _load_split(features_dir: Path, split: str, trim: str = "min"):
+def _load_split(features_dir: Path, split: str):
     """Stacked features/labels for one split; sequences trimmed to the
     shortest length in the split so they batch."""
     index_path = features_dir / "features_index.json"
@@ -473,12 +478,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    defaults = {}
+    # parsed again with no defaults, the namespace holds only the flags given
     for action in parser._subparsers._group_actions[0].choices[args.command]._actions:
-        if action.dest not in ("help",):
-            defaults[action.dest] = action.default
+        action.default = argparse.SUPPRESS
+    given = set(vars(parser.parse_args(argv)))
     try:
-        _apply_config_file(args, defaults)
+        _apply_config_file(args, given)
         return args.func(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, reading
 
 
 @dataclass
@@ -90,24 +90,28 @@ def save_raster(raster: SpikeRaster, path) -> None:
 
 
 def load_raster(path) -> SpikeRaster:
-    with open(path) as fh:
+    with reading(path), open(path) as fh:
         header = fh.readline().strip()
         if not header.startswith("#"):
             raise DataError(f"{path}: missing raster header line")
-        fields = dict(item.split("=", 1) for item in header[1:].split())
         try:
+            fields = dict(item.split("=", 1) for item in header[1:].split())
             duration = int(fields["duration"])
             population = int(fields["population"])
             dt = float(fields["dt"])
         except (KeyError, ValueError) as exc:
-            raise DataError(f"{path}: bad raster header: {header}") from exc
+            raise DataError(f"{path}:1: bad raster header: {header}") from exc
         times, units = [], []
-        for line in fh:
+        for ln, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
                 continue
-            t_str, u_str = line.split(",")
-            times.append(int(t_str))
-            units.append(int(u_str))
+            try:
+                t_str, u_str = line.split(",")
+                times.append(int(t_str))
+                units.append(int(u_str))
+            except ValueError as exc:
+                raise DataError(f"{path}:{ln}: expected 'timestep,neuron_id', "
+                                f"got {line!r}") from exc
     return SpikeRaster(np.array(times, dtype=np.int64), np.array(units, dtype=np.int64),
                        duration, population, dt)

@@ -10,6 +10,16 @@ trailing fraction of frames.
 Weights are trained quantization-aware: every forward pass sees the 3-bit
 quantized view of the weights while gradients pass straight through the
 quantizer to the full-precision master copy.
+
+Histories are frame-major [T, B, n]. The forward pass writes each layer's
+drive for all frames into one buffer, then scans the frames in place. The
+backward pass runs layer by layer, top first: the error from the layer
+above, the gates and the weight-gradient terms come for all frames at once,
+and the reverse frame loop carries only alpha * delta + e @ W_rec. Both equal
+a frame-by-frame loop bit for bit: each product is the BLAS call the loop
+makes (per sample or per frame; one gemm over all T*B rows rounds
+differently where BLAS switches kernels), elementwise operations keep their
+order, and gradients add the per-frame terms last frame first.
 """
 
 from __future__ import annotations
@@ -32,11 +42,6 @@ def clamped_relu(x: np.ndarray, ceiling: float) -> np.ndarray:
     if not ceiling > 0:
         raise ConfigError("clamp ceiling must be positive")
     return np.clip(x, 0.0, ceiling)
-
-
-def _relu_gate(z: np.ndarray, ceiling: float) -> np.ndarray:
-    # subgradient 0 at both rails
-    return ((z > 0.0) & (z < ceiling)).astype(z.dtype)
 
 
 def quantize_levels(w: np.ndarray, bits: int = 3) -> tuple[np.ndarray, float]:
@@ -223,8 +228,9 @@ def _readout_window(n_frames: int, fraction: float) -> int:
 def forward_batch(model: LpRnnModel, x: np.ndarray, keep: bool = False):
     """Run the full stack over a batch [B, T, D].
 
-    Returns (logits [B, C], cache) where the cache holds per-layer z and y
-    histories when keep=True (needed for the backward pass and traces).
+    Returns (logits [B, C], cache) where the cache holds per-layer y and, when
+    keep=True (needed for the backward pass and traces), z histories, both
+    frame-major [T, B, n].
     """
     if x.ndim != 3:
         raise DataError("batch input must be [batch, frames, features]")
@@ -234,29 +240,31 @@ def forward_batch(model: LpRnnModel, x: np.ndarray, keep: bool = False):
     if d != model.n_features:
         raise DataError(f"feature width {d} != input layer width {model.n_features}")
     c = model.clamp_ceiling
-    ys: list[np.ndarray] = []
-    zs: list[np.ndarray] = []
+    ys, zs = [], []
     weights = [model.effective_weights(layer) for layer in model.layers]
     h = x
     for layer, (w_in, w_rec) in zip(model.layers, weights):
-        n = layer.size
-        y = np.zeros((b, n))
-        y_hist = np.empty((t, b, n))
-        z_hist = np.empty((t, b, n)) if keep else None
-        drive = h @ w_in.T + layer.bias  # [B,T,n] for all frames at once
-        drive = np.swapaxes(drive, 0, 1)  # [T,B,n]
-        for step in range(t):
-            z = drive[step]
-            if w_rec is not None:
-                z = z + y @ w_rec.T
+        n, alpha = layer.size, layer.alpha
+        z = np.empty((t, b, n))
+        np.matmul(h, w_in.T, out=np.swapaxes(z, 0, 1))
+        z += layer.bias
+        y = np.empty((t, b, n))
+        prev = np.zeros((b, n))
+        if w_rec is None:
             a = clamped_relu(z, c)
-            y = layer.alpha * y + (1.0 - layer.alpha) * a
-            if z_hist is not None:
-                z_hist[step] = z
-            y_hist[step] = y
-        ys.append(y_hist)
-        zs.append(z_hist)
-        h = np.swapaxes(y_hist, 0, 1)
+            a *= 1.0 - alpha
+            for step in range(t):
+                prev = np.add(np.multiply(prev, alpha, out=y[step]), a[step], out=y[step])
+        else:
+            rec, a = np.empty((b, n)), np.empty((b, n))
+            for step in range(t):
+                zt = np.add(z[step], np.matmul(prev, w_rec.T, out=rec), out=z[step])
+                np.minimum(np.maximum(zt, 0.0, out=a), c, out=a)
+                a *= 1.0 - alpha
+                prev = np.add(np.multiply(prev, alpha, out=y[step]), a, out=y[step])
+        ys.append(y)
+        zs.append(z if keep else None)
+        h = np.swapaxes(y, 0, 1)
     window = _readout_window(t, model.readout_fraction)
     logits = ys[-1][t - window:].mean(axis=0)
     cache = {"x": x, "ys": ys, "zs": zs, "weights": weights, "window": window}
@@ -286,6 +294,18 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
     return float(-np.log(p[np.arange(n), labels] + 1e-300).mean())
 
 
+def _frame_sum_back(e: np.ndarray, h: np.ndarray | None) -> np.ndarray:
+    """Sum over frames of e[t].T @ h[t] (of e[t].sum(axis=0) when h is None),
+    added last frame first as a reverse frame loop adds them."""
+    t, _, n = e.shape
+    if h is None:
+        terms = np.sum(e[::-1], axis=1, out=np.empty((t, n)))
+    else:
+        terms = np.matmul(e[::-1].transpose(0, 2, 1), h[::-1],
+                          out=np.empty((t, n, h.shape[2])))
+    return np.add.reduce(terms, axis=0)
+
+
 def bptt_grads(model: LpRnnModel, batch: tuple[np.ndarray, np.ndarray]):
     """Exact reverse-mode gradients of the cross-entropy loss through the
     unrolled stack, with the straight-through contract at the quantizers and
@@ -303,42 +323,43 @@ def bptt_grads(model: LpRnnModel, batch: tuple[np.ndarray, np.ndarray]):
         raise NumericError(f"non-finite loss {loss}")
     b, t, _ = x.shape
     c = model.clamp_ceiling
-    n_layers = len(model.layers)
     window = cache["window"]
 
     dlogits = softmax(logits)
     dlogits[np.arange(b), labels] -= 1.0
     dlogits /= b
+    d_out = dlogits / window
 
-    grads = [{"w_in": np.zeros_like(l.w_in),
-              "w_rec": None if l.w_rec is None else np.zeros_like(l.w_rec),
-              "bias": np.zeros_like(l.bias)} for l in model.layers]
-    carry = [np.zeros((b, l.size)) for l in model.layers]
-    e_same_frame = [None] * n_layers
-
-    for step in range(t - 1, -1, -1):
-        for li in range(n_layers - 1, -1, -1):
-            layer = model.layers[li]
-            w_in, w_rec = cache["weights"][li]
-            delta = carry[li]
-            if li == n_layers - 1 and step >= t - window:
-                delta = delta + dlogits / window
-            if li + 1 < n_layers:
-                w_in_next = cache["weights"][li + 1][0]
-                delta = delta + e_same_frame[li + 1] @ w_in_next
-            gate = _relu_gate(cache["zs"][li][step], c)
-            e = delta * (1.0 - layer.alpha) * gate
-            e_same_frame[li] = e
-            h_prev = x[:, step, :] if li == 0 else cache["ys"][li - 1][step]
-            y_prev = cache["ys"][li][step - 1] if step > 0 else np.zeros((b, layer.size))
-            grads[li]["w_in"] += e.T @ h_prev
+    grads = [None] * len(model.layers)
+    above = None  # error from the layer above, every frame [T, B, n]
+    for li in range(len(model.layers) - 1, -1, -1):
+        layer = model.layers[li]
+        w_in, w_rec = cache["weights"][li]
+        n, alpha = layer.size, layer.alpha
+        # clamp subgradient 0 at both rails; since the gate is 0 or 1,
+        # delta * (1 - alpha) * gate == delta * ((1 - alpha) * gate)
+        z = cache["zs"][li]
+        gain = (1.0 - alpha) * ((z > 0.0) & (z < c))
+        e = np.empty((t, b, n))
+        carry, delta, rec = np.zeros((b, n)), np.empty((b, n)), np.empty((b, n))
+        for step in range(t - 1, -1, -1):
+            if above is not None:
+                dl = np.add(carry, above[step], out=delta)
+            elif step >= t - window:
+                dl = np.add(carry, d_out, out=delta)
+            else:
+                dl = carry
+            np.multiply(dl, gain[step], out=e[step])
+            np.multiply(dl, alpha, out=carry)
             if w_rec is not None:
-                grads[li]["w_rec"] += e.T @ y_prev
-            grads[li]["bias"] += e.sum(axis=0)
-            new_carry = layer.alpha * delta
-            if w_rec is not None:
-                new_carry = new_carry + e @ w_rec
-            carry[li] = new_carry
+                carry += np.matmul(e[step], w_rec, out=rec)
+        h = np.swapaxes(x, 0, 1) if li == 0 else cache["ys"][li - 1]
+        grads[li] = {"w_in": _frame_sum_back(e, h),
+                     "w_rec": None if w_rec is None
+                     else _frame_sum_back(e[1:], cache["ys"][li][:-1]),
+                     "bias": _frame_sum_back(e, None)}
+        if li > 0:
+            above = np.matmul(e, w_in)
 
     # straight-through mapping back to the full-precision masters
     for layer, g in zip(model.layers, grads):

@@ -68,6 +68,11 @@ class TestFeatures:
         assert main(["features", "--manifest", str(manifest),
                      "--features", str(tmp_path / "cache")]) == 3
 
+    def test_missing_manifest_is_data_error(self, tmp_path, capsys):
+        assert main(["features", "--manifest", str(tmp_path / "missing.csv"),
+                     "--features", str(tmp_path / "cache")]) == 3
+        assert "missing.csv" in capsys.readouterr().err
+
 
 class TestTrainCommand:
     def test_artifacts_written(self, workspace):
@@ -84,6 +89,27 @@ class TestTrainCommand:
                      "--out", str(out), "--config", str(cfg_path)]) == 0
         resolved = json.loads(Path(str(out) + ".config.json").read_text())
         assert resolved["epochs"] == 1 and resolved["hidden"] == [6, 6]
+
+    def test_explicit_flag_at_default_beats_config_file(self, workspace, tmp_path):
+        # --lr 0.01 is the parser default, but given on the command line it wins
+        cfg_path = tmp_path / "train.json"
+        cfg_path.write_text(json.dumps({"lr": 0.5, "epochs": 1, "hidden": [4, 4],
+                                        "alpha": [0.5, 0.5, 0.5]}))
+        out = tmp_path / "m.npz"
+        assert main(["train", "--features", str(workspace["features"]), "--out", str(out),
+                     "--lr", "0.01", "--config", str(cfg_path)]) == 0
+        resolved = json.loads(Path(str(out) + ".config.json").read_text())
+        assert resolved["lr"] == 0.01 and resolved["epochs"] == 1
+
+    @pytest.mark.parametrize("content", [None, "{not json", "[1, 2]"])
+    def test_unreadable_config_file_is_config_error(self, workspace, tmp_path, capsys,
+                                                    content):
+        cfg_path = tmp_path / "cfg.json"
+        if content is not None:
+            cfg_path.write_text(content)
+        assert main(["train", "--features", str(workspace["features"]),
+                     "--out", str(tmp_path / "m.npz"), "--config", str(cfg_path)]) == 2
+        assert "cfg.json" in capsys.readouterr().err
 
     def test_unknown_config_key_rejected(self, workspace, tmp_path):
         cfg_path = tmp_path / "bad.json"

@@ -10,7 +10,7 @@ from sdrnn.lprnn import (KIND_INPUT, KIND_OUTPUT, KIND_RECURRENT, LpRnnLayer,
                          clamped_relu, cross_entropy, forward_batch,
                          forward_sequence, init_model, load_model,
                          magnitude_prune, quantize_levels, save_model,
-                         ste_quantize, train)
+                         softmax, ste_grad_mask, ste_quantize, train)
 from sdrnn.containers import FeatureSequence
 
 
@@ -44,6 +44,88 @@ def random_model(rng, n_in=3, hidden=(4, 4, 4), n_out=3, alphas=None, quantize=F
         layer.bias = rng.normal(0.0, bias_scale, size=layer.bias.shape)
     model.readout_fraction = readout_fraction
     return model
+
+
+def loop_forward_batch(model, x):
+    """Frame-by-frame forward pass, one frame and one layer at a time: the
+    independent oracle for the frame-major forward_batch."""
+    b, t, _ = x.shape
+    c = model.clamp_ceiling
+    ys, zs = [], []
+    weights = [model.effective_weights(layer) for layer in model.layers]
+    h = x
+    for layer, (w_in, w_rec) in zip(model.layers, weights):
+        n = layer.size
+        y = np.zeros((b, n))
+        y_hist, z_hist = np.empty((t, b, n)), np.empty((t, b, n))
+        drive = np.swapaxes(h @ w_in.T + layer.bias, 0, 1)
+        for step in range(t):
+            z = drive[step]
+            if w_rec is not None:
+                z = z + y @ w_rec.T
+            y = layer.alpha * y + (1.0 - layer.alpha) * np.clip(z, 0.0, c)
+            z_hist[step] = z
+            y_hist[step] = y
+        ys.append(y_hist)
+        zs.append(z_hist)
+        h = np.swapaxes(y_hist, 0, 1)
+    window = max(1, int(np.ceil(model.readout_fraction * t)))
+    logits = ys[-1][t - window:].mean(axis=0)
+    return logits, {"ys": ys, "zs": zs, "weights": weights, "window": window}
+
+
+def loop_bptt_grads(model, x, labels):
+    """Reverse frame loop with every layer inside each frame: the independent
+    oracle for the layer-outer bptt_grads."""
+    logits, cache = loop_forward_batch(model, x)
+    loss = cross_entropy(logits, labels)
+    b, t, _ = x.shape
+    c = model.clamp_ceiling
+    n_layers = len(model.layers)
+    window = cache["window"]
+    dlogits = softmax(logits)
+    dlogits[np.arange(b), labels] -= 1.0
+    dlogits /= b
+    grads = [{"w_in": np.zeros_like(l.w_in),
+              "w_rec": None if l.w_rec is None else np.zeros_like(l.w_rec),
+              "bias": np.zeros_like(l.bias)} for l in model.layers]
+    carry = [np.zeros((b, l.size)) for l in model.layers]
+    e_same_frame = [None] * n_layers
+    for step in range(t - 1, -1, -1):
+        for li in range(n_layers - 1, -1, -1):
+            layer = model.layers[li]
+            w_in, w_rec = cache["weights"][li]
+            delta = carry[li]
+            if li == n_layers - 1 and step >= t - window:
+                delta = delta + dlogits / window
+            if li + 1 < n_layers:
+                delta = delta + e_same_frame[li + 1] @ cache["weights"][li + 1][0]
+            z = cache["zs"][li][step]
+            gate = ((z > 0.0) & (z < c)).astype(z.dtype)
+            e = delta * (1.0 - layer.alpha) * gate
+            e_same_frame[li] = e
+            h_prev = x[:, step, :] if li == 0 else cache["ys"][li - 1][step]
+            y_prev = cache["ys"][li][step - 1] if step > 0 else np.zeros((b, layer.size))
+            grads[li]["w_in"] += e.T @ h_prev
+            if w_rec is not None:
+                grads[li]["w_rec"] += e.T @ y_prev
+            grads[li]["bias"] += e.sum(axis=0)
+            new_carry = layer.alpha * delta
+            if w_rec is not None:
+                new_carry = new_carry + e @ w_rec
+            carry[li] = new_carry
+    for layer, g in zip(model.layers, grads):
+        if model.quantize:
+            g["w_in"] *= ste_grad_mask(layer.w_in if layer.mask_in is None
+                                       else layer.w_in * layer.mask_in, model.bits)
+            if g["w_rec"] is not None:
+                w = layer.w_rec if layer.mask_rec is None else layer.w_rec * layer.mask_rec
+                g["w_rec"] *= ste_grad_mask(w, model.bits)
+        if layer.mask_in is not None:
+            g["w_in"] *= layer.mask_in
+        if g["w_rec"] is not None and layer.mask_rec is not None:
+            g["w_rec"] *= layer.mask_rec
+    return logits, cache, grads, loss
 
 
 class TestClampedRelu:
@@ -296,6 +378,54 @@ class TestBpttGrads:
         x = rng.uniform(0, 1, size=(1, 4, 3))
         with pytest.raises(NumericError):
             bptt_grads(model, (x, np.array([0])))
+
+
+class TestFrameLoopOracle:
+    """forward_batch and bptt_grads equal the frame loops bit for bit."""
+
+    def check(self, model, x, labels):
+        logits, cache = forward_batch(model, x, keep=True)
+        grads, loss = bptt_grads(model, (x, labels))
+        o_logits, o_cache, o_grads, o_loss = loop_bptt_grads(model, x, labels)
+        assert np.array_equal(logits, o_logits)
+        assert loss == o_loss
+        assert cache["window"] == o_cache["window"]
+        for key in ("ys", "zs"):
+            for got, want in zip(cache[key], o_cache[key], strict=True):
+                assert got.shape == want.shape and np.array_equal(got, want)
+        for got, want in zip(grads, o_grads, strict=True):
+            for name in ("w_in", "w_rec", "bias"):
+                if want[name] is None:
+                    assert got[name] is None
+                else:
+                    assert np.array_equal(got[name], want[name]), name
+
+    @pytest.mark.parametrize("quantize", [False, True])
+    @pytest.mark.parametrize("pruned", [False, True])
+    @pytest.mark.parametrize("b", [1, 5])
+    @pytest.mark.parametrize("t", [1, 7])
+    @pytest.mark.parametrize("readout_fraction", [1.0, 0.25])
+    @pytest.mark.parametrize("alphas", [(0.6, 0.6, 0.6, 0.6), (0.0, 0.9, 0.35, 0.75)])
+    def test_matches_loop_oracle(self, quantize, pruned, b, t, readout_fraction, alphas):
+        rng = np.random.default_rng([b, t, int(quantize), int(pruned)])
+        # weight scale 2 drives units onto both clamp rails, so the gate is mixed
+        model = random_model(rng, n_in=4, hidden=(6, 5, 5), n_out=3, alphas=alphas,
+                             quantize=quantize, weight_scale=2.0,
+                             readout_fraction=readout_fraction)
+        if pruned:
+            model = magnitude_prune(model, 0.4)
+        x = rng.uniform(-1.0, 1.0, size=(b, t, 4))
+        self.check(model, x, rng.integers(0, 3, size=b))
+
+    @pytest.mark.parametrize("b, t", [(32, 101), (8, 101), (32, 30)])
+    def test_matches_loop_oracle_at_training_size(self, b, t):
+        # the CLI's shapes: 40 mel bands, 24x3 hidden, batches of 32 and the
+        # last one of 8; at 30 frames BLAS takes its small-matrix kernel for
+        # the per-sample input products
+        rng = np.random.default_rng([14, b, t])
+        model = random_model(rng, n_in=40, hidden=(24, 24, 24), n_out=4, quantize=True)
+        x = rng.normal(size=(b, t, 40))
+        self.check(model, x, rng.integers(0, 4, size=b))
 
 
 class TestTrain:

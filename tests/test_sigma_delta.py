@@ -161,6 +161,17 @@ class TestRasterSerialization:
         np.testing.assert_array_equal(back.times, raster.times)
         np.testing.assert_array_equal(back.units, raster.units)
 
+    @pytest.mark.parametrize("text, where", [
+        ("# duration=10 population=5 dt=0.0001\n1,2\n1;2\n", ":3:"),
+        ("# duration=10 population=5 dt=0.0001\n1,x\n", ":2:"),
+        ("# duration=10 population dt=0.0001\n1,2\n", ":1:"),
+    ], ids=["separator", "integer", "header-field"])
+    def test_malformed_file_is_data_error(self, tmp_path, text, where):
+        path = tmp_path / "spikes.txt"
+        path.write_text(text)
+        with pytest.raises(DataError, match=f"spikes.txt{where}"):
+            load_raster(path)
+
     def test_rejects_out_of_range_events(self):
         with pytest.raises(DataError):
             SpikeRaster(np.array([10]), np.array([0]), duration=10, population=1, dt=1e-4)
