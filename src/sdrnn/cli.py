@@ -145,9 +145,9 @@ def cmd_features(args) -> int:
     return 0
 
 
-def _load_split(features_dir: Path, split: str):
-    """Stacked features/labels for one split; sequences trimmed to the
-    shortest length in the split so they batch."""
+def _load_split(features_dir: Path, split: str, optional: bool = False):
+    """Stacked features/labels for one split, trimmed to the shortest
+    sequence so they batch; None for an optional split not in the index."""
     index_path = features_dir / "features_index.json"
     if not index_path.exists():
         raise DataError(f"{features_dir}: no features_index.json; run `features` first")
@@ -155,6 +155,8 @@ def _load_split(features_dir: Path, split: str):
         index = json.load(fh)
     entries = [e for e in index["entries"] if e["split"] == split]
     if not entries:
+        if optional:
+            return None
         raise DataError(f"split {split!r} not present in the feature index")
     stats = index["norm_stats"]
     if stats is None:
@@ -181,11 +183,9 @@ def cmd_train(args) -> int:
     features_dir = Path(args.features)
     x_tr, y_tr, label_names, t_ann, stats = _load_split(features_dir, "train")
     dataset = {"train": (x_tr, y_tr)}
-    try:
-        x_val, y_val, _, _, _ = _load_split(features_dir, "val")
-        dataset["val"] = (x_val, y_val)
-    except DataError:
-        pass
+    val = _load_split(features_dir, "val", optional=True)
+    if val is not None:
+        dataset["val"] = val[:2]
 
     model = init_model(n_features=x_tr.shape[2], hidden=tuple(args.hidden),
                        n_classes=len(label_names), alphas=tuple(args.alpha),

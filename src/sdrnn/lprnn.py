@@ -49,13 +49,13 @@ def quantize_levels(w: np.ndarray, bits: int = 3) -> tuple[np.ndarray, float]:
 
     Levels lie in [-(2**(bits-1)-1), +(2**(bits-1)-1)]; scale is max|w| over
     the top level so the largest magnitude maps exactly onto the grid edge.
-    Rounding is half away from zero. An all-zero tensor gets scale 1.0.
+    Rounding is half away from zero. Scale is 1.0 if peak / top is 0 (all zero or tiny).
     """
     if bits < 2:
         raise ConfigError("quantizer needs at least 2 bits")
     top = (1 << (bits - 1)) - 1
     peak = float(np.abs(w).max()) if w.size else 0.0
-    scale = peak / top if peak > 0 else 1.0
+    scale = peak / top if peak / top > 0 else 1.0
     raw = w / scale
     levels = np.sign(raw) * np.floor(np.abs(raw) + 0.5)
     # np.clip's dispatch costs more than the two ufuncs on small tensors
@@ -508,16 +508,8 @@ def save_model(model: LpRnnModel, path) -> None:
     for li, layer in enumerate(model.layers):
         arrays[f"l{li}_w_in"] = layer.w_in
         arrays[f"l{li}_bias"] = layer.bias
-        q, scale = quantize_levels(layer.w_in if layer.mask_in is None
-                                   else layer.w_in * layer.mask_in, model.bits)
-        arrays[f"l{li}_w_in_q"] = q
-        arrays[f"l{li}_w_in_scale"] = np.array(scale)
         if layer.w_rec is not None:
             arrays[f"l{li}_w_rec"] = layer.w_rec
-            q, scale = quantize_levels(layer.w_rec if layer.mask_rec is None
-                                       else layer.w_rec * layer.mask_rec, model.bits)
-            arrays[f"l{li}_w_rec_q"] = q
-            arrays[f"l{li}_w_rec_scale"] = np.array(scale)
         if layer.mask_in is not None:
             arrays[f"l{li}_mask_in"] = layer.mask_in
         if layer.mask_rec is not None:

@@ -9,6 +9,11 @@ In fixed-point mode it is evaluated multiplicatively as
 trunc_toward_zero(x * (tau - 1) / tau), which never flips the sign, keeps 0 a
 fixed point, and (unlike subtracting trunc(x/tau), which stalls for
 0 < |x| < tau) drains any state to exactly 0 in finitely many steps.
+
+The array kernels take float64 states, integer-valued in fixed-point mode
+(exact below 2**53). For integers |a| < 2**52 and tau >= 1, a / tau is an
+integer or lies at least 1/tau below one, a relative gap wider than one
+rounding, so floor(a / tau) in float64 is the integer floor division.
 """
 
 from __future__ import annotations
@@ -94,34 +99,41 @@ def decay_step(x, tau, rounding: str = "trunc"):
     return x - x / t
 
 
-# Vectorized kernels used by the simulation engine. States are float64 in
-# reference mode and int64 in fixed-point mode.
+# Vectorized kernels used by the simulation engine, on float64 states.
 
 
-def decay_array(x: np.ndarray, tau, *, fixed: bool = False, rounding: str = "trunc") -> np.ndarray:
-    """One decay step of every element; tau is a scalar or one per element."""
+def decay_array(x: np.ndarray, tau, *, fixed: bool = False, rounding: str = "trunc",
+                out: np.ndarray | None = None) -> np.ndarray:
+    """One decay step of every element; tau is a scalar or broadcasts against
+    x. The result goes to out if given, which must not be x."""
     if not fixed:
-        return x - x / tau  # x / inf is 0: an infinite tau keeps x
-    tau = np.asarray(tau, dtype=np.int64)
+        out = np.divide(x, tau, out=out)
+        return np.subtract(x, out, out=out)  # x / inf is 0: an infinite tau keeps x
     if rounding == "trunc":
-        half = 0
+        half = 0.0
     elif rounding == "round":
-        half = tau // 2
+        half = np.floor_divide(tau, 2)
     else:
         raise ConfigError(f"unknown decay rounding mode {rounding!r}")
     # kept magnitude (|x| (tau - 1) + half) // tau, written as
-    # |x| + (half - |x|) // tau, with the sign of x
-    return x + np.sign(x) * ((half - np.abs(x)) // tau)
+    # |x| + (half - |x|) // tau, with the sign of x: x + sign(x) * floor,
+    # which is x - copysign(floor, x) as floor <= 0 (half < tau), and +0 at x = 0
+    out = np.abs(x, out=out, dtype=np.float64)
+    np.subtract(half, out, out=out)
+    np.divide(out, tau, out=out)
+    np.floor(out, out=out)
+    np.copysign(out, x, out=out)
+    return np.subtract(x, out, out=out)
 
 
-def sat_add_array(x: np.ndarray, delta) -> tuple[np.ndarray, int]:
-    """Saturating add on an int64 state array; returns (result, n_clipped).
-    The clip runs only when the sum leaves the range."""
-    total = x + delta
+def sat_add_array(x: np.ndarray, delta, out: np.ndarray | None = None) -> tuple[np.ndarray, int]:
+    """Saturating add at +/-2**23, into out if given; returns (result,
+    n_clipped). The clip runs only when the sum leaves the range."""
+    total = np.add(x, delta, out=out)
     if not total.size or (total.min() >= -STATE_LIMIT and total.max() <= STATE_LIMIT):
         return total, 0
-    clipped = np.clip(total, -STATE_LIMIT, STATE_LIMIT)
-    return clipped, int(np.count_nonzero(clipped != total))
+    count = int(np.count_nonzero(np.abs(total) > STATE_LIMIT))
+    return np.clip(total, -STATE_LIMIT, STATE_LIMIT, out=total), count
 
 
 def round_half_away(x: np.ndarray) -> np.ndarray:

@@ -152,10 +152,9 @@ def reconstruct(raster: SpikeRaster, params: NeuronParams, fixed: bool = False,
     tau_s, add w_fb in the step a spike occurs), so a neuron's own raster
     reconstructs its s trace bit-for-bit.
     """
-    dtype = np.int64 if fixed else np.float64
-    s = np.zeros(raster.population, dtype=dtype)
-    trace = np.zeros((raster.duration, raster.population), dtype=dtype)
-    spikes_at = np.zeros(raster.population, dtype=dtype)
+    s = np.zeros(raster.population)
+    trace = np.zeros((raster.duration, raster.population))
+    spikes_at = np.zeros(raster.population)
     w_fb = int(params.w_fb) if fixed else params.w_fb
     # group events by timestep for the replay loop
     by_step = np.zeros(raster.duration + 1, dtype=np.int64)
@@ -171,4 +170,4 @@ def reconstruct(raster: SpikeRaster, params: NeuronParams, fixed: bool = False,
             np.add.at(spikes_at, raster.units[lo:hi], 1)
             s = s + w_fb * spikes_at
         trace[t] = s
-    return FeatureSequence(trace.astype(np.float64), frame_period=raster.dt)
+    return FeatureSequence(trace, frame_period=raster.dt)

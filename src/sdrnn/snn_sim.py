@@ -11,20 +11,30 @@ step of synaptic delay and a layer's own recurrent synapses with rec_delay
 steps (the lead of the u stage in networks the compiler emits); the
 self-feedback increment lands in the same step the spike is emitted.
 
-Two arithmetic modes share one engine: reference (float64, real time
-constants, overflow impossible) and fixed_point (int64 states saturating at
-+/-2**23, truncated multiplicative decay, integer time constants). The
-network parameters (weights, biases, thresholds) are identical integers in
-both modes, so the modes differ only in state arithmetic.
+Two arithmetic modes share one engine: reference (real arithmetic, overflow
+impossible) and fixed_point (integer states saturating at +/-2**23, rounded
+multiplicative decay). The network parameters (weights, biases, thresholds,
+integer time constants) are identical in both modes, so the modes differ
+only in state arithmetic. Both hold states in float64, fixed point as
+integers (exact below 2**53) rounded where the hardware rounds: the decay
+(numerics.decay_array), u into i as floor((u + half) * 2**-weight_exp), the
+rounded shift since scaling by a power of two is exact, and the drive by
+truncation. Every other operation sums integers exactly, so the states equal
+an int64 evaluation's; they start at +0 and a sum that cancels is +0, so
+none is ever -0.0.
 
-One step advances the whole network. Each of the four states is a single
-[batch, N] array with the layers' neurons side by side, and taus, bias,
-threshold, w_fb and weight exponent are per-neuron vectors. Every synapse
-reads spikes of an earlier step, so no update depends on another within a
-step: the drive is spikes(t-1) @ W_1 plus spikes(t-d) @ W_d for each other
-recurrent delay d, where W_1 holds every layer's w_in below the diagonal
-and the delay-1 w_rec blocks on it. Spikes of the last max(rec_delay) steps
-wait in one [depth, batch, N] ring. The analog encoder drive overwrites the
+One step advances the whole network. The four states u, i, s and imem are
+the rows of one [4, batch, N] array with the layers' neurons side by side;
+taus are stacked to [4, 1, N] so one call decays all four, and bias,
+threshold, w_fb and weight exponent are per-neuron vectors. The decay
+writes a second stack, from which the sums are written back in place, so a
+step allocates no state-sized temporary, and the peak |state| is
+max(-min, max) of the stack. Every synapse reads spikes of an earlier
+step, so no update depends on another within a step: the drive is
+spikes(t-1) @ W_1 plus spikes(t-d) @ W_d for each other recurrent delay d,
+where W_1 holds every layer's w_in below the diagonal and the delay-1 w_rec
+blocks on it. Spikes of the last max(rec_delay) steps wait in one
+[depth, batch, N] ring. The analog encoder drive overwrites the
 encoder's columns; a spike raster replaces the encoder, whose columns are
 then left out of the update. Rasters, frame-end s, spike counts, probes and
 the readout are column slices of the flat state. Batched samples advance in
@@ -130,21 +140,20 @@ def _engine(net: SnnNetwork, x: np.ndarray | None, input_raster: SpikeRaster | N
     lo = int(starts[first])
 
     n_frames = duration // oversample
-    dtype = np.int64 if fixed else np.float64
+    shape = (batch, n - lo)  # the updated columns
 
-    def per_neuron(attr, kind=dtype):
+    def per_neuron(attr):
         return np.concatenate([np.broadcast_to(getattr(l, attr), l.size)
-                               for l in layers])[lo:].astype(kind)
+                               for l in layers])[lo:].astype(np.float64)
 
     # both modes run on the integer network constants; reference mode is
     # real-valued state arithmetic on the same network
-    taus = [per_neuron(a) for a in ("tau_u_fx", "tau_i_fx", "tau_s_fx", "tau_mem_fx")]
-    bias = per_neuron("bias")
-    threshold = per_neuron("threshold", np.int64)
-    w_fb = per_neuron("w_fb", np.int64)
-    exps = per_neuron("weight_exp", np.int64)
-    half = (1 << exps) >> 1        # u enters i as (u + half) >> exps in fixed point
-    scale = np.ldexp(1.0, -exps)   # and as u * 2**-exps in reference mode
+    taus = np.stack([per_neuron(a) for a in ("tau_u_fx", "tau_i_fx", "tau_s_fx",
+                                             "tau_mem_fx")])[:, None, :]
+    bias, threshold, w_fb = (per_neuron(a) for a in ("bias", "threshold", "w_fb"))
+    exps = per_neuron("weight_exp").astype(np.int64)
+    scale = np.ldexp(1.0, -exps)   # u enters i as u * 2**-exps, and in fixed
+    half = (1 << exps) >> 1        # point as floor((u + half) * 2**-exps)
     gain = float(net.config.weight_gain)
 
     # one [n, n] block matrix per distinct synaptic delay, presynaptic rows
@@ -161,7 +170,12 @@ def _engine(net: SnnNetwork, x: np.ndarray | None, input_raster: SpikeRaster | N
     depth = max(delays)
     ring = np.zeros((depth, batch, n))
 
-    u, i, s, imem = (np.zeros((batch, n - lo), dtype=dtype) for _ in range(4))
+    # each step decays the state stack into the second one and adds back
+    state, decayed = np.zeros((4, *shape)), np.zeros((4, *shape))
+    u, i, s, imem = state
+    du, di, ds, dimem = decayed
+    drive, tmp = np.zeros(shape), np.zeros(shape)
+    fired = np.zeros(shape, dtype=bool)
     counts = np.zeros((batch, n))
     frame_s = np.zeros((batch, n_frames, n))
     out = slice(int(starts[-2]) - lo, None)
@@ -180,36 +194,39 @@ def _engine(net: SnnNetwork, x: np.ndarray | None, input_raster: SpikeRaster | N
                   for li, ids in probe.items() if li >= first}
     clips: list[tuple] = []  # (var, clips per updated layer) of the current step
 
-    def sat(x, delta, var):
-        total, count = sat_add_array(x, delta)
+    def add(x, delta, into, var):
+        if not fixed:
+            return np.add(x, delta, out=into)
+        _, count = sat_add_array(x, delta, out=into)
         if count:
             over = (np.abs(x + delta) > STATE_LIMIT).sum(axis=0)
             clips.append((var, np.add.reduceat(over, starts[first:-1] - lo)))
-        return total
 
     for t in range(duration):
-        drive = ring[(t - 1) % depth] @ w_1
+        np.matmul(ring[(t - 1) % depth], w_1, out=drive)
         for d, w in mats.items():
-            drive += ring[(t - d) % depth] @ w
+            drive += np.matmul(ring[(t - d) % depth], w, out=tmp)
         drive *= gain
         if fixed:
-            drive = drive.astype(np.int64)
+            np.trunc(drive, out=drive)
         if not lo:
             drive[:, :n0] = enc_drive[t // oversample]
-        u, i, s, imem = (decay_array(v, tau, fixed=fixed, rounding=rounding)
-                         for v, tau in zip((u, i, s, imem), taus))
+        decay_array(state, taus, fixed=fixed, rounding=rounding, out=decayed)
+        add(du, drive, u, "u")
         if fixed:
-            u = sat(u, drive, "u")
-            i = sat(i, ((u + half) >> exps) + bias, "i")
-            imem = sat(imem, i - s, "imem")
+            np.floor(np.multiply(np.add(u, half, out=tmp), scale, out=tmp), out=tmp)
         else:
-            u = u + drive
-            i = i + u * scale + bias
-            imem = imem + i - s
-        fired = imem > threshold
-        imem = np.where(fired, 0, imem)
-        s = sat(s, w_fb * fired, "s") if fixed else s + w_fb * fired
-        peak = max(peak, float(np.abs(np.concatenate((u, i, s, imem))).max()))
+            np.multiply(u, scale, out=tmp)
+        di += tmp
+        add(di, bias, i, "i")
+        if fixed:
+            add(dimem, np.subtract(i, ds, out=tmp), imem, "imem")
+        else:
+            np.subtract(np.add(dimem, i, out=imem), ds, out=imem)
+        np.greater(imem, threshold, out=fired)
+        np.putmask(imem, fired, 0.0)
+        add(ds, np.multiply(w_fb, fired, out=tmp), s, "s")
+        peak = max(peak, -float(state.min()), float(state.max()))
         slot = ring[t % depth]
         slot[:, lo:] = fired
         if lo:

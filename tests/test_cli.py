@@ -111,6 +111,29 @@ class TestTrainCommand:
                      "--out", str(tmp_path / "m.npz"), "--config", str(cfg_path)]) == 2
         assert "cfg.json" in capsys.readouterr().err
 
+    def test_val_split_is_loaded_and_checked(self, workspace, tmp_path):
+        # the shared workspace has no val split and trains (see the fixture);
+        # relabel its test clips as val: a clean split trains, a NaN in one
+        # of its feature files is a data error
+        features = tmp_path / "features"
+        shutil.copytree(workspace["features"], features)
+        index_path = features / "features_index.json"
+        index = json.loads(index_path.read_text())
+        assert not any(e["split"] == "val" for e in index["entries"])
+        for entry in index["entries"]:
+            if entry["split"] == "test":
+                entry["split"] = "val"
+        index_path.write_text(json.dumps(index))
+        args = ["train", "--features", str(features), "--out", str(tmp_path / "m.npz"),
+                "--hidden", "4", "4", "--alpha", "0.5", "0.5", "0.5", "--epochs", "1"]
+        assert main(args) == 0
+        key = next(e["key"] for e in index["entries"] if e["split"] == "val")
+        with np.load(features / f"{key}.npz") as data:
+            arrays = dict(data)
+        arrays["data"][2, 1] = np.nan
+        np.savez(features / f"{key}.npz", **arrays)
+        assert main(args) == 3
+
     def test_unknown_config_key_rejected(self, workspace, tmp_path):
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text(json.dumps({"nonsense": 1}))

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -255,6 +257,17 @@ class TestSteQuantize:
     def test_zero_tensor(self):
         out = ste_quantize(np.zeros((3, 3)))
         assert np.all(out == 0.0)
+
+    def test_subnormal_peak(self):
+        # max|w| / top underflows to 0: scale falls back to 1.0, as for an
+        # all-zero tensor, instead of 0/0 -> NaN -> int8
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            levels, scale = quantize_levels(np.array([0.0, 5e-324, -5e-324]))
+            out = ste_quantize(np.array([0.0, 5e-324, -5e-324]))
+        assert scale > 0
+        assert levels.tolist() == [0, 0, 0]
+        assert np.all(np.isfinite(out))
 
     def test_grid_fixed_point(self):
         s = 0.37
@@ -533,6 +546,31 @@ class TestModelFile:
             if b.w_rec is not None:
                 np.testing.assert_array_equal(a.w_rec, b.w_rec)
             np.testing.assert_array_equal(a.mask_in, b.mask_in)
+
+    def test_file_with_quantized_copies_loads(self, tmp_path):
+        # files written before save_model dropped the unread l{k}_*_q and
+        # l{k}_*_scale arrays load to the same model
+        rng = np.random.default_rng(22)
+        model = random_model(rng, quantize=True)
+        path = tmp_path / "model.npz"
+        save_model(model, path)
+        with np.load(path) as data:
+            arrays = dict(data)
+        assert not any(k.endswith(("_q", "_scale")) for k in arrays)
+        for li, layer in enumerate(model.layers):
+            for name, w in (("w_in", layer.w_in), ("w_rec", layer.w_rec)):
+                if w is not None:
+                    q, scale = quantize_levels(w, model.bits)
+                    arrays[f"l{li}_{name}_q"] = q
+                    arrays[f"l{li}_{name}_scale"] = np.array(scale)
+        old = tmp_path / "old.npz"
+        np.savez(old, **arrays)
+        a, b = load_model(path), load_model(old)
+        assert (a.t_ann, a.bits, a.quantize) == (b.t_ann, b.bits, b.quantize)
+        for la, lb in zip(a.layers, b.layers):
+            assert (la.kind, la.alpha) == (lb.kind, lb.alpha)
+            for name in ("w_in", "w_rec", "bias", "mask_in", "mask_rec"):
+                np.testing.assert_array_equal(getattr(la, name), getattr(lb, name))
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "junk.npz"

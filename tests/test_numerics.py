@@ -124,6 +124,40 @@ class TestArrayKernels:
         expected = [[decay_step(float(x), float(t)) for x, t in zip(row, taus)] for row in xs]
         assert out.tolist() == expected
 
+    @pytest.mark.parametrize("rounding", ["trunc", "round"])
+    def test_float_held_decay_matches_integer_floor_division(self, rounding):
+        # every tau in 1..4096 (the tau_*_fx the compiler emits at oversample
+        # <= 200 for alpha up to 0.95, and tau_mem = 1, tau_u = 2) plus 64
+        # larger ones up to 2**23, at the edge magnitudes of each tau and a
+        # random sample of the 24-bit range: the float64 kernel on integer
+        # values equals the int64 floor division (|x| (tau - 1) + half) // tau
+        # with the sign of x, and makes no -0.0
+        taus = np.concatenate([np.arange(1, 4097),
+                               np.geomspace(4097, STATE_LIMIT, 64).astype(np.int64)])[:, None]
+        half = taus // 2 if rounding == "round" else np.zeros_like(taus)
+        h = taus // 2
+        edges = np.concatenate([np.broadcast_to(np.array([0, 1, STATE_LIMIT - 1, STATE_LIMIT]),
+                                                (taus.size, 4)),
+                                h - 1, h, h + 1, taus - 1, taus, taus + 1], axis=1)
+        sample = np.random.default_rng(0).integers(-STATE_LIMIT, STATE_LIMIT + 1, size=512)
+        xs = np.concatenate([edges.clip(0), -edges.clip(0),
+                             np.broadcast_to(sample, (taus.size, sample.size))], axis=1)
+        expected = np.sign(xs) * ((np.abs(xs) * (taus - 1) + half) // taus)
+        got = decay_array(xs.astype(np.float64), taus.astype(np.float64), fixed=True,
+                          rounding=rounding, out=np.empty(xs.shape))
+        np.testing.assert_array_equal(got, expected)
+        assert not np.signbit(got[got == 0]).any()
+
+    def test_float_held_shift_matches_arithmetic_shift(self):
+        # u enters i as floor((u + half) * 2**-e), the rounded arithmetic
+        # shift (u + half) >> e, negative odd u included
+        us = np.concatenate([np.arange(-4099, 4100),
+                             [-STATE_LIMIT, -STATE_LIMIT + 1, STATE_LIMIT - 1, STATE_LIMIT]])
+        for e in range(9):
+            half = (1 << e) >> 1
+            got = np.floor((us.astype(np.float64) + half) * np.ldexp(1.0, -e))
+            np.testing.assert_array_equal(got, (us + half) >> e)
+
     def test_sat_add_array_counts_clips(self):
         xs = np.array([STATE_LIMIT - 1, 0, -STATE_LIMIT + 1], dtype=np.int64)
         out, clipped = sat_add_array(xs, np.array([10, 10, -10]))

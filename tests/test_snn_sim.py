@@ -131,11 +131,16 @@ def flat_loop_sim(net, feats: np.ndarray, mode: str, sat_log: list | None = None
 
 
 class TestEngineAgainstFlatLoop:
-    @pytest.mark.parametrize("mode", ["reference", "fixed_point"])
-    def test_identical_rasters_and_traces(self, mode):
+    @pytest.mark.parametrize("mode, rounding", [
+        pytest.param("reference", "round", id="reference"),
+        pytest.param("fixed_point", "round", id="fixed_point"),
+        pytest.param("reference", "trunc", id="reference-trunc"),
+        pytest.param("fixed_point", "trunc", id="fixed_point-trunc"),
+    ])
+    def test_identical_rasters_and_traces(self, mode, rounding):
         rng = np.random.default_rng(42)
         model = toy_model(rng)
-        net = compile_network(model, TIMING, f=5e4)
+        net = compile_network(model, TIMING, f=5e4, config=CompileConfig(decay_rounding=rounding))
         feats = rng.uniform(0.0, 1.0, size=(12, 2))
         trace = simulate(net, FeatureSequence(feats, TIMING.t_ann), mode=mode,
                          probe={1: list(range(3))})
@@ -188,6 +193,24 @@ class TestBasics:
         assert all(r.n_spikes == 0 for r in trace.rasters)
         assert trace.peak_state == 0.0
         assert np.all(trace.out_s_steps == 0.0)
+
+    def test_fixed_point_outputs_are_integers_without_negative_zero(self):
+        # fixed-point states are integers held in float64; a -0.0 would
+        # compare equal to 0 but change the raw bytes that digests hash
+        rng = np.random.default_rng(14)
+        model = toy_model(rng)
+        for layer in model.layers:
+            layer.bias = rng.uniform(-0.1, 0.1, size=layer.bias.shape)
+        net = compile_network(model, TIMING, f=5e4)
+        x = rng.uniform(0, 1, size=(3, 12, 2))
+        trace = simulate(net, FeatureSequence(x[0], TIMING.t_ann), mode="fixed_point",
+                         probe={li: list(range(l.size)) for li, l in enumerate(net.layers)})
+        batch = simulate_batch(net, x, mode="fixed_point")
+        arrays = [*trace.frame_s, *trace.probes.values(), *batch.frame_s]
+        assert any((a < 0).any() for a in arrays)
+        for a in arrays:
+            np.testing.assert_array_equal(a, np.round(a))
+            assert not np.signbit(a[a == 0]).any()
 
     def test_determinism(self):
         rng = np.random.default_rng(1)
