@@ -10,8 +10,9 @@ from .errors import ConfigError, DataError, NumericError, SdrnnError
 from .lprnn import (LpRnnLayer, LpRnnModel, TrainConfig, bptt_grads, cell_forward,
                     clamped_relu, forward_sequence, init_model, load_model,
                     magnitude_prune, save_model, ste_quantize, train)
-from .numerics import STATE_LIMIT, DecayConstant, FixedState, decay_step, sat_add
+from .numerics import STATE_LIMIT
 from .sigma_delta import NeuronParams, NeuronState, encode_analog, neuron_step, reconstruct
-from .snn_sim import SimulationTrace, compare_activations, readout, simulate, simulate_batch
+from .snn_sim import (SimulationResult, compare_activations, readout, simulate,
+                      simulate_batch)
 
 __version__ = "0.1.0"

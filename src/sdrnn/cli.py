@@ -316,15 +316,9 @@ def cmd_evaluate(args) -> int:
             preds[lo:lo + chunk.shape[0]] = result.scores.argmax(axis=1)
             spikes[lo:lo + chunk.shape[0]] = result.spikes_per_sample
             _, cache = forward_batch(model, chunk, keep=True)
-            for b in range(chunk.shape[0]):
-                per_layer = []
-                for li in range(len(net.layers)):
-                    ann_tr = cache["ys"][li][:, b, :]
-                    snn_tr = result.frame_s[li][b] / net.f
-                    num = float(((ann_tr - snn_tr) ** 2).sum())
-                    den = float((ann_tr ** 2).sum())
-                    per_layer.append(num / den if den > 0 else 0.0)
-                tracking.append(per_layer)
+            report = compare_activations([np.swapaxes(ys, 0, 1) for ys in cache["ys"]],
+                                         result, net)
+            tracking += zip(*(e["relative_mse"] for e in report["per_layer"]))
         tracking = np.array(tracking)
         agreement = float((preds == ann_pred).mean())
         metrics = {

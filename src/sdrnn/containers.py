@@ -70,10 +70,6 @@ class SpikeRaster:
     def n_spikes(self) -> int:
         return int(self.times.size)
 
-    def counts(self) -> np.ndarray:
-        """Spike count per neuron, shape [population]."""
-        return np.bincount(self.units, minlength=self.population)
-
     def dense(self) -> np.ndarray:
         """Dense boolean [duration, population] matrix (small rasters only)."""
         out = np.zeros((self.duration, self.population), dtype=bool)

@@ -74,7 +74,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -491,6 +491,9 @@ def load_network(path) -> SnnNetwork:
         overrides = {k: meta["config"].pop(k, None) for k in ("tau_u_override", "tau_i_override")}
         if any(v is not None for v in overrides.values()):
             raise DataError(f"{path}: tau overrides {overrides} are not supported")
+        if (set(meta["config"]) - {f.name for f in fields(CompileConfig)}
+                or meta["config"].get("decay_rounding") not in ("round", "trunc")):
+            raise DataError(f"{path}: unsupported compile config {meta['config']}")
         cfg = CompileConfig(**meta["config"])
         layers = []
         for li, lmeta in enumerate(meta["layers"]):
@@ -501,6 +504,10 @@ def load_network(path) -> SnnNetwork:
                     and type(weight_exp) is int and weight_exp >= 0):
                 raise DataError(f"{path}: layer {li}: invalid rec_delay {rec_delay!r} "
                                 f"or weight_exp {weight_exp!r}")
+            taus = {k: lmeta[k] for k in ("tau_s_fx", "tau_i_fx", "tau_u_fx", "tau_mem_fx")}
+            if not all(type(v) is int and v >= 1 for v in taus.values()):
+                raise DataError(f"{path}: layer {li}: time constants {taus} "
+                                "must be integers >= 1")
             layers.append(SnnLayer(
                 kind=lmeta["kind"], size=lmeta["size"],
                 w_in=data[f"l{li}_w_in"] if f"l{li}_w_in" in data else None,
@@ -508,11 +515,8 @@ def load_network(path) -> SnnNetwork:
                 bias=data[f"l{li}_bias"],
                 enc_w=data[f"l{li}_enc_w"] if f"l{li}_enc_w" in data else None,
                 tau_s=lmeta["tau_s"], tau_i=lmeta["tau_i"], tau_u=lmeta["tau_u"],
-                tau_mem=lmeta["tau_mem"], tau_s_fx=lmeta["tau_s_fx"],
-                tau_i_fx=lmeta["tau_i_fx"], tau_u_fx=lmeta["tau_u_fx"],
-                tau_mem_fx=lmeta["tau_mem_fx"], w_fb=lmeta["w_fb"],
-                threshold=lmeta["threshold"], rec_delay=rec_delay,
-                weight_exp=weight_exp))
+                tau_mem=lmeta["tau_mem"], **taus, w_fb=lmeta["w_fb"],
+                threshold=lmeta["threshold"], rec_delay=rec_delay, weight_exp=weight_exp))
         source = load_model(_io.BytesIO(bytes(data["source_model"])))
         return SnnNetwork(layers=layers, f=meta["f"],
                           timing=TimingConfig(meta["t_ann"], meta["t_snn"]), config=cfg,

@@ -1,5 +1,8 @@
 """Saturating 24-bit state arithmetic and exponential-decay kernels.
 
+The kernels work on whole arrays of states; the neuron update that calls
+them, the only one in the package, is snn_sim.sigma_delta_kernel.
+
 All compartment variables of the spiking simulator live in the signed range
 [-2**23, +2**23]. Additions clip at the rails (never wrap) and clipping is
 flagged, so overflow is detectable instead of silently corrupting dynamics.
@@ -18,88 +21,12 @@ rounding, so floor(a / tau) in float64 is the integer floor division.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigError
 
 #: Magnitude bound of every fixed-point state variable (24-bit signed range).
 STATE_LIMIT = 1 << 23
-
-
-@dataclass(frozen=True)
-class DecayConstant:
-    """A decay time constant in simulator steps.
-
-    In reference mode tau is any positive real (math.inf disables decay).
-    In fixed-point mode tau must be an integer >= 1; tau < 1 would
-    over-decay in a single step.
-    """
-
-    tau: float
-    fixed: bool = False
-
-    def __post_init__(self):
-        if self.fixed:
-            if not float(self.tau).is_integer() or self.tau < 1:
-                raise ConfigError(
-                    f"fixed-point decay constant must be an integer >= 1, got {self.tau}"
-                )
-        elif not self.tau > 0:
-            raise ConfigError(f"decay constant must be positive, got {self.tau}")
-
-
-@dataclass
-class FixedState:
-    """One saturating 24-bit accumulator cell."""
-
-    value: int
-    saturation_flag: bool = False
-
-    def __post_init__(self):
-        if abs(self.value) > STATE_LIMIT:
-            raise ConfigError(f"state value {self.value} outside +/-{STATE_LIMIT}")
-
-
-def sat_add(a: FixedState, b: int) -> FixedState:
-    """Add b into a, clipping at +/-2**23 and flagging any clip."""
-    total = a.value + b
-    clipped = min(max(total, -STATE_LIMIT), STATE_LIMIT)
-    return FixedState(clipped, a.saturation_flag or clipped != total)
-
-
-def _decay_fixed_int(x: int, tau: int, rounding: str) -> int:
-    mag = abs(x)
-    if rounding == "trunc":
-        kept = (mag * (tau - 1)) // tau
-    elif rounding == "round":
-        kept = (mag * (tau - 1) + tau // 2) // tau
-    else:
-        raise ConfigError(f"unknown decay rounding mode {rounding!r}")
-    return kept if x >= 0 else -kept
-
-
-def decay_step(x, tau, rounding: str = "trunc"):
-    """One decay step x -> x - x/tau.
-
-    Accepts a FixedState (fixed-point semantics, integer tau) or a plain
-    real (reference semantics, fractional and infinite tau allowed).
-    """
-    t = tau.tau if isinstance(tau, DecayConstant) else tau
-    if isinstance(x, FixedState):
-        if not float(t).is_integer() or t < 1:
-            raise ConfigError(f"fixed-point decay needs integer tau >= 1, got {t}")
-        return FixedState(_decay_fixed_int(x.value, int(t), rounding), x.saturation_flag)
-    if not t > 0:
-        raise ConfigError(f"decay constant must be positive, got {t}")
-    if math.isinf(t):
-        return float(x)
-    return x - x / t
-
-
-# Vectorized kernels used by the simulation engine, on float64 states.
 
 
 def decay_array(x: np.ndarray, tau, *, fixed: bool = False, rounding: str = "trunc",

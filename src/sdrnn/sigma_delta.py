@@ -1,4 +1,4 @@
-"""Sigma-delta spiking neuron: step dynamics, analog encoding, reconstruction.
+"""Sigma-delta spiking neuron: one-neuron steps, analog encoding, reconstruction.
 
 The neuron holds four filtered state variables. u integrates synaptic or
 analog input current, i integrates u (plus any bias current), s integrates
@@ -20,7 +20,10 @@ decayed in the step it arrives and the DC gain of each stage is its tau):
 
 Feedback is same-step; propagation to other neurons (one step to the next
 layer, a per-layer delay on recurrent synapses) and the weight exponent
-that scales u into i are handled by the network engine.
+that scales u into i are handled by the network engine. The update itself
+is the engine's, snn_sim.sigma_delta_kernel: neuron_step runs one neuron on
+it and encode_analog a population of uncoupled ones, with no bias and
+weight exponent 0, in reference mode.
 """
 
 from __future__ import annotations
@@ -32,7 +35,8 @@ import numpy as np
 
 from .containers import FeatureSequence, SpikeRaster
 from .errors import ConfigError, DataError
-from .numerics import decay_step
+from .numerics import decay_array
+from .snn_sim import sigma_delta_kernel
 
 _DEFAULT_TAU_S = 100.0
 
@@ -74,6 +78,15 @@ class NeuronState:
     imem: float = 0.0
 
 
+def _population(params: NeuronParams, size: int):
+    """(state, step) of `size` uncoupled neurons of one population, in
+    reference mode."""
+    taus = np.array([params.tau_u, params.tau_i, params.tau_s, params.tau_mem])[:, None, None]
+    state, _, step = sigma_delta_kernel((1, size), taus, bias=0.0, threshold=params.threshold,
+                                        w_fb=params.w_fb, exps=0)
+    return state, step
+
+
 def neuron_step(state: NeuronState, weighted_spike_input: float, analog_input: float,
                 params: NeuronParams) -> tuple[NeuronState, bool]:
     """Advance one neuron by one step in reference (real-valued) mode.
@@ -83,15 +96,10 @@ def neuron_step(state: NeuronState, weighted_spike_input: float, analog_input: f
     one or the other, never both (input layers are analog-driven, hidden
     layers spike-driven).
     """
-    u = decay_step(state.u, params.tau_u) + weighted_spike_input + analog_input
-    i = decay_step(state.i, params.tau_i) + u
-    s = decay_step(state.s, params.tau_s)
-    imem = decay_step(state.imem, params.tau_mem) + i - s
-    spike = imem > params.threshold
-    if spike:
-        imem = 0.0
-        s = s + params.w_fb
-    return NeuronState(u=u, i=i, s=s, imem=imem), bool(spike)
+    states, step = _population(params, 1)
+    states[:, 0, 0] = (state.u, state.i, state.s, state.imem)
+    fired = step(weighted_spike_input + analog_input)
+    return NeuronState(*states[:, 0, 0].tolist()), bool(fired[0, 0])
 
 
 def encode_analog(signal: FeatureSequence, params: NeuronParams, oversample: int) -> SpikeRaster:
@@ -114,60 +122,24 @@ def encode_analog(signal: FeatureSequence, params: NeuronParams, oversample: int
     n_frames, n_units = data.shape
     duration = n_frames * oversample
     drive = data / (params.tau_u * params.tau_i)
-
-    u = np.zeros(n_units)
-    i = np.zeros(n_units)
-    s = np.zeros(n_units)
-    imem = np.zeros(n_units)
-    times, units = [], []
-    ku_u, ku_i = 1.0 - 1.0 / params.tau_u, 1.0 - 1.0 / params.tau_i
-    ku_s, ku_m = 1.0 - 1.0 / params.tau_s, 1.0 - 1.0 / params.tau_mem
+    _, step = _population(params, n_units)
+    spikes = np.zeros((duration, n_units), dtype=bool)
     for t in range(duration):
-        u = u * ku_u + drive[t // oversample]
-        i = i * ku_i + u
-        s = s * ku_s
-        imem = imem * ku_m + i - s
-        fired = imem > params.threshold
-        if fired.any():
-            imem[fired] = 0.0
-            s[fired] += params.w_fb
-            idx = np.nonzero(fired)[0]
-            times.append(np.full(idx.size, t, dtype=np.int64))
-            units.append(idx.astype(np.int64))
-    if times:
-        times = np.concatenate(times)
-        units = np.concatenate(units)
-    else:
-        times = np.empty(0, dtype=np.int64)
-        units = np.empty(0, dtype=np.int64)
-    return SpikeRaster(times, units, duration, n_units,
+        spikes[t] = step(drive[t // oversample])[0]
+    return SpikeRaster(*np.nonzero(spikes), duration, n_units,
                        dt=signal.frame_period / oversample)
 
 
-def reconstruct(raster: SpikeRaster, params: NeuronParams, fixed: bool = False,
-                rounding: str = "trunc") -> FeatureSequence:
+def reconstruct(raster: SpikeRaster, params: NeuronParams) -> FeatureSequence:
     """Decode a raster back to analog traces by replaying the s dynamics.
 
-    Replays exactly the decay/increment path of the simulator (decay by
-    tau_s, add w_fb in the step a spike occurs), so a neuron's own raster
-    reconstructs its s trace bit-for-bit.
+    Replays exactly the decay/increment path of the simulator in reference
+    mode (decay by tau_s, add w_fb in the step a spike occurs), so a
+    neuron's own raster reconstructs its s trace bit-for-bit.
     """
-    s = np.zeros(raster.population)
-    trace = np.zeros((raster.duration, raster.population))
-    spikes_at = np.zeros(raster.population)
-    w_fb = int(params.w_fb) if fixed else params.w_fb
-    # group events by timestep for the replay loop
-    by_step = np.zeros(raster.duration + 1, dtype=np.int64)
-    np.add.at(by_step, raster.times + 1, 1)
-    offsets = np.cumsum(by_step)
-    from .numerics import decay_array
-
-    for t in range(raster.duration):
-        s = decay_array(s, params.tau_s, fixed=fixed, rounding=rounding)
-        lo, hi = offsets[t], offsets[t + 1]
-        if hi > lo:
-            spikes_at[:] = 0
-            np.add.at(spikes_at, raster.units[lo:hi], 1)
-            s = s + w_fb * spikes_at
-        trace[t] = s
-    return FeatureSequence(trace, frame_period=raster.dt)
+    # row t + 1 starts as the increments of step t and ends as s after it
+    trace = np.zeros((raster.duration + 1, raster.population))
+    np.add.at(trace, (raster.times + 1, raster.units), params.w_fb)
+    for t in range(1, raster.duration + 1):
+        trace[t] += decay_array(trace[t - 1], params.tau_s)
+    return FeatureSequence(trace[1:], frame_period=raster.dt)

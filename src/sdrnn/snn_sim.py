@@ -10,6 +10,9 @@ arithmetic shift in fixed-point mode). Spikes reach the next layer with one
 step of synaptic delay and a layer's own recurrent synapses with rec_delay
 steps (the lead of the u stage in networks the compiler emits); the
 self-feedback increment lands in the same step the spike is emitted.
+sigma_delta_kernel is the package's one neuron update: the engine advances
+the whole network with it once per step, and sigma_delta runs its single
+neuron and its analog encoder on it.
 
 Two arithmetic modes share one engine: reference (real arithmetic, overflow
 impossible) and fixed_point (integer states saturating at +/-2**23, rounded
@@ -51,7 +54,7 @@ before relying on it above about 1k neurons.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -64,33 +67,75 @@ _MAX_SAT_LOG = 1000
 
 
 @dataclass
-class SimulationTrace:
-    """Outcome of a single-sample simulation run."""
+class SimulationResult:
+    """Outcome of a simulation run. simulate_batch's arrays lead with the
+    batch axis; simulate returns one sample's, without it. Rasters and
+    probes record the first sample only."""
 
+    scores: np.ndarray                 # [batch, n_classes], the readout
+    spikes_per_sample: np.ndarray      # [batch]
+    spike_counts: list[np.ndarray]     # per layer [batch, size]
+    frame_s: list[np.ndarray]          # per layer [batch, n_frames, size], s at frame ends
     rasters: list[SpikeRaster | None]
-    frame_s: list[np.ndarray]          # per layer [n_frames, size], s at frame ends
-    out_s_steps: np.ndarray            # [duration, n_classes]
-    spike_counts: list[np.ndarray]     # per layer [size]
     saturation_events: list[tuple]     # (step, layer, var, count), capped log
     saturation_total: int
     peak_state: float
     mode: str
-    duration: int
-    oversample: int
     probes: dict = field(default_factory=dict)
 
 
-@dataclass
-class BatchResult:
-    """Outcome of a batched simulation (no rasters, readout pre-accumulated)."""
+def sigma_delta_kernel(shape, taus, bias, threshold, w_fb, exps, fixed: bool = False,
+                       rounding: str = "round"):
+    """The decay-then-add update of a population of sigma-delta neurons.
 
-    scores: np.ndarray                 # [batch, n_classes]
-    spikes_per_sample: np.ndarray      # [batch]
-    spike_counts: list[np.ndarray]     # per layer [batch, size]
-    frame_s: list[np.ndarray]          # per layer [batch, n_frames, size]
-    saturation_total: int
-    peak_state: float
-    mode: str
+    Returns (state, clips, step). state is the zeroed stack (u, i, s, imem)
+    of shape [4, *shape]; step(drive) advances it one step in place and
+    returns the spike mask:
+
+        u    <- decay(u, tau_u) + drive
+        i    <- decay(i, tau_i) + u * 2**-exps + bias
+        imem <- decay(imem, tau_mem) + i - decay(s, tau_s)
+        s    <- decay(s, tau_s), plus w_fb where imem > threshold (imem <- 0)
+
+    taus broadcast against the stack ([4, 1, n] per neuron); bias,
+    threshold, w_fb and exps are per neuron or scalars. In fixed point the
+    adds saturate, and each clipping add appends (var, clips per neuron) to
+    clips, which the caller clears."""
+    state, decayed = np.zeros((4, *shape)), np.zeros((4, *shape))
+    u, i, s, imem = state
+    du, di, ds, dimem = decayed
+    tmp, fired = np.zeros(shape), np.zeros(shape, dtype=bool)
+    scale = np.ldexp(1.0, -exps)  # u enters i as u * 2**-exps, and in fixed
+    half = (1 << exps) >> 1       # point as floor((u + half) * 2**-exps)
+    clips: list[tuple] = []
+
+    def add(x, delta, into, var):
+        if not fixed:
+            np.add(x, delta, out=into)
+            return
+        _, count = sat_add_array(x, delta, out=into)
+        if count:
+            clips.append((var, (np.abs(x + delta) > STATE_LIMIT).sum(axis=0)))
+
+    def step(drive) -> np.ndarray:
+        decay_array(state, taus, fixed=fixed, rounding=rounding, out=decayed)
+        add(du, drive, u, "u")
+        if fixed:
+            np.floor(np.multiply(np.add(u, half, out=tmp), scale, out=tmp), out=tmp)
+        else:
+            np.multiply(u, scale, out=tmp)
+        np.add(di, tmp, out=di)
+        add(di, bias, i, "i")
+        if fixed:
+            add(dimem, np.subtract(i, ds, out=tmp), imem, "imem")
+        else:
+            np.subtract(np.add(dimem, i, out=imem), ds, out=imem)
+        np.greater(imem, threshold, out=fired)
+        np.putmask(imem, fired, 0.0)
+        add(ds, np.multiply(w_fb, fired, out=tmp), s, "s")
+        return fired
+
+    return state, clips, step
 
 
 def _mode_flag(mode: str) -> bool:
@@ -102,11 +147,11 @@ def _mode_flag(mode: str) -> bool:
 
 
 def _engine(net: SnnNetwork, x: np.ndarray | None, input_raster: SpikeRaster | None,
-            mode: str, single: bool, record_rasters: bool = False, probe: dict | None = None):
+            mode: str, record_rasters: bool = False,
+            probe: dict | None = None) -> SimulationResult:
     fixed = _mode_flag(mode)
     oversample = net.oversample
     layers = net.layers
-    rounding = net.config.decay_rounding
     starts = np.cumsum([0] + [l.size for l in layers])  # layer li: columns starts[li]:starts[li + 1]
     n0, n = int(starts[1]), int(starts[-1])
 
@@ -150,10 +195,10 @@ def _engine(net: SnnNetwork, x: np.ndarray | None, input_raster: SpikeRaster | N
     # real-valued state arithmetic on the same network
     taus = np.stack([per_neuron(a) for a in ("tau_u_fx", "tau_i_fx", "tau_s_fx",
                                              "tau_mem_fx")])[:, None, :]
-    bias, threshold, w_fb = (per_neuron(a) for a in ("bias", "threshold", "w_fb"))
-    exps = per_neuron("weight_exp").astype(np.int64)
-    scale = np.ldexp(1.0, -exps)   # u enters i as u * 2**-exps, and in fixed
-    half = (1 << exps) >> 1        # point as floor((u + half) * 2**-exps)
+    state, clips, step = sigma_delta_kernel(
+        shape, taus, *(per_neuron(a) for a in ("bias", "threshold", "w_fb")),
+        per_neuron("weight_exp").astype(np.int64), fixed, net.config.decay_rounding)
+    s = state[2]
     gain = float(net.config.weight_gain)
 
     # one [n, n] block matrix per distinct synaptic delay, presynaptic rows
@@ -170,20 +215,14 @@ def _engine(net: SnnNetwork, x: np.ndarray | None, input_raster: SpikeRaster | N
     depth = max(delays)
     ring = np.zeros((depth, batch, n))
 
-    # each step decays the state stack into the second one and adds back
-    state, decayed = np.zeros((4, *shape)), np.zeros((4, *shape))
-    u, i, s, imem = state
-    du, di, ds, dimem = decayed
     drive, tmp = np.zeros(shape), np.zeros(shape)
-    fired = np.zeros(shape, dtype=bool)
     counts = np.zeros((batch, n))
     frame_s = np.zeros((batch, n_frames, n))
+    spiked = np.zeros((duration if record_rasters else 0, n - lo), dtype=bool)
     out = slice(int(starts[-2]) - lo, None)
-    out_hist = np.zeros((duration, layers[-1].size)) if single else None
     window = max(1, math.ceil(net.source_model.readout_fraction * duration))
     acc = np.zeros((batch, layers[-1].size))
     acc_start = duration - window
-    events: list[tuple] = []
     sat_events: list[tuple] = []
     sat_total = 0
     peak = 0.0
@@ -192,15 +231,6 @@ def _engine(net: SnnNetwork, x: np.ndarray | None, input_raster: SpikeRaster | N
               for li, ids in probe.items() for var in ("u", "i", "s", "imem")}
     probe_cols = {li: int(starts[li]) - lo + np.asarray(ids, dtype=np.int64)
                   for li, ids in probe.items() if li >= first}
-    clips: list[tuple] = []  # (var, clips per updated layer) of the current step
-
-    def add(x, delta, into, var):
-        if not fixed:
-            return np.add(x, delta, out=into)
-        _, count = sat_add_array(x, delta, out=into)
-        if count:
-            over = (np.abs(x + delta) > STATE_LIMIT).sum(axis=0)
-            clips.append((var, np.add.reduceat(over, starts[first:-1] - lo)))
 
     for t in range(duration):
         np.matmul(ring[(t - 1) % depth], w_1, out=drive)
@@ -211,21 +241,7 @@ def _engine(net: SnnNetwork, x: np.ndarray | None, input_raster: SpikeRaster | N
             np.trunc(drive, out=drive)
         if not lo:
             drive[:, :n0] = enc_drive[t // oversample]
-        decay_array(state, taus, fixed=fixed, rounding=rounding, out=decayed)
-        add(du, drive, u, "u")
-        if fixed:
-            np.floor(np.multiply(np.add(u, half, out=tmp), scale, out=tmp), out=tmp)
-        else:
-            np.multiply(u, scale, out=tmp)
-        di += tmp
-        add(di, bias, i, "i")
-        if fixed:
-            add(dimem, np.subtract(i, ds, out=tmp), imem, "imem")
-        else:
-            np.subtract(np.add(dimem, i, out=imem), ds, out=imem)
-        np.greater(imem, threshold, out=fired)
-        np.putmask(imem, fired, 0.0)
-        add(ds, np.multiply(w_fb, fired, out=tmp), s, "s")
+        fired = step(drive)
         peak = max(peak, -float(state.min()), float(state.max()))
         slot = ring[t % depth]
         slot[:, lo:] = fired
@@ -233,25 +249,20 @@ def _engine(net: SnnNetwork, x: np.ndarray | None, input_raster: SpikeRaster | N
             slot[:, :lo] = input_spikes[t]
         counts += slot
         if record_rasters:
-            idx = np.flatnonzero(fired[0])
-            if idx.size:
-                events.append((t, idx))
+            spiked[t] = fired[0]
         if clips:
-            for k in range(len(layers) - first):
-                for var, per_layer in clips:
-                    if per_layer[k]:
-                        sat_total += int(per_layer[k])
-                        if len(sat_events) < _MAX_SAT_LOG:
-                            sat_events.append((t, first + k, var, int(per_layer[k])))
+            per_layer = [(var, np.add.reduceat(over, starts[first:-1] - lo))
+                         for var, over in clips]
+            sat_total += sum(int(c.sum()) for _, c in per_layer)
+            sat_events += [(t, first + k, var, int(c[k])) for k in range(len(layers) - first)
+                           for var, c in per_layer if c[k]][:_MAX_SAT_LOG - len(sat_events)]
             clips.clear()
         if (t + 1) % oversample == 0:
             frame_s[:, t // oversample, lo:] = s
-        if single:
-            out_hist[t] = s[0, out]
         if t >= acc_start:
             acc += s[:, out]
         for li, cols in probe_cols.items():
-            for var, v in (("u", u), ("i", i), ("s", s), ("imem", imem)):
+            for var, v in zip(("u", "i", "s", "imem"), state):
                 probes[(li, var)][t] = v[0, cols]
 
     counts = counts.astype(np.int64)
@@ -259,78 +270,77 @@ def _engine(net: SnnNetwork, x: np.ndarray | None, input_raster: SpikeRaster | N
     def per_layer(a):
         return np.split(a, starts[1:-1], axis=-1)
 
-    if not single:
-        return BatchResult(scores=acc / window / net.f, spikes_per_sample=counts.sum(axis=1),
-                           spike_counts=per_layer(counts), frame_s=per_layer(frame_s),
-                           saturation_total=sat_total, peak_state=peak, mode=mode)
     rasters: list[SpikeRaster | None] = [None] * len(layers)
     if record_rasters:
-        times = np.concatenate([np.full(idx.size, t, dtype=np.int64) for t, idx in events]
-                               or [np.empty(0, dtype=np.int64)])
-        units = np.concatenate([idx for _, idx in events]
-                               or [np.empty(0, dtype=np.int64)]).astype(np.int64) + lo
-        for li, layer in enumerate(layers):
-            mine = (units >= starts[li]) & (units < starts[li + 1])
-            rasters[li] = (input_raster if li < first else
-                           SpikeRaster(times[mine], units[mine] - starts[li], duration,
-                                       layer.size, net.timing.t_snn))
-    return SimulationTrace(
-        rasters=rasters, frame_s=per_layer(frame_s[0]), out_s_steps=out_hist,
-        spike_counts=per_layer(counts[0]), saturation_events=sat_events,
-        saturation_total=sat_total, peak_state=peak, mode=mode, duration=duration,
-        oversample=oversample, probes=probes)
+        rasters = [input_raster if li < first else
+                   SpikeRaster(*np.nonzero(spiked[:, starts[li] - lo:starts[li + 1] - lo]),
+                               duration, layer.size, net.timing.t_snn)
+                   for li, layer in enumerate(layers)]
+    return SimulationResult(
+        scores=acc / window / net.f, spikes_per_sample=counts.sum(axis=1),
+        spike_counts=per_layer(counts), frame_s=per_layer(frame_s), rasters=rasters,
+        saturation_events=sat_events, saturation_total=sat_total, peak_state=peak,
+        mode=mode, probes=probes)
 
 
 def simulate(net: SnnNetwork, inp, mode: str = "reference",
-             probe: dict | None = None, record_rasters: bool = True) -> SimulationTrace:
+             probe: dict | None = None, record_rasters: bool = True) -> SimulationResult:
     """Simulate one input: a FeatureSequence through the analog encoder, or a
     SpikeRaster of pre-encoded input spikes that replaces the encoder output."""
     if isinstance(inp, FeatureSequence):
-        return _engine(net, inp.data[None, :, :], None, mode, True, record_rasters, probe)
-    if isinstance(inp, SpikeRaster):
-        return _engine(net, None, inp, mode, True, record_rasters, probe)
-    raise DataError(f"unsupported input type {type(inp).__name__}")
+        result = _engine(net, inp.data[None, :, :], None, mode, record_rasters, probe)
+    elif isinstance(inp, SpikeRaster):
+        result = _engine(net, None, inp, mode, record_rasters, probe)
+    else:
+        raise DataError(f"unsupported input type {type(inp).__name__}")
+    return replace(result, scores=result.scores[0],
+                   spikes_per_sample=result.spikes_per_sample[0],
+                   spike_counts=[c[0] for c in result.spike_counts],
+                   frame_s=[fs[0] for fs in result.frame_s])
 
 
-def simulate_batch(net: SnnNetwork, x: np.ndarray, mode: str = "reference") -> BatchResult:
+def simulate_batch(net: SnnNetwork, x: np.ndarray, mode: str = "reference") -> SimulationResult:
     """Simulate a stack of equal-length feature sequences [batch, frames, dim]."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 3 or x.shape[0] < 1:
         raise DataError("simulate_batch expects [batch >= 1, frames, features]")
-    return _engine(net, x, None, mode, single=False)
+    return _engine(net, x, None, mode)
 
 
-def readout(trace: SimulationTrace, net: SnnNetwork) -> np.ndarray:
+def readout(result: SimulationResult, net: SnnNetwork) -> np.ndarray:
     """Class scores: output-layer s averaged over the trailing readout window
-    and rescaled to source-network units by 1/f."""
-    if trace.out_s_steps is None or trace.out_s_steps.shape[0] != trace.duration:
-        raise DataError("trace does not cover the full duration")
-    window = max(1, math.ceil(net.source_model.readout_fraction * trace.duration))
-    return trace.out_s_steps[-window:].mean(axis=0) / net.f
+    and rescaled to source-network units by 1/f, as the engine accumulated
+    them."""
+    return result.scores
 
 
-def compare_activations(ann_traces: list[np.ndarray], snn_trace: SimulationTrace,
+def compare_activations(ann_traces: list[np.ndarray], result: SimulationResult,
                         net: SnnNetwork) -> dict:
     """Per-layer error metrics between source-network activations and the
-    decoded spiking activations (frame-sampled s rescaled by 1/f)."""
+    decoded spiking activations (frame-sampled s rescaled by 1/f). Traces of
+    a batched result lead with the batch axis, and then each per-layer
+    figure is a list with one entry per sample."""
     if len(ann_traces) != len(net.layers):
         raise DataError(f"expected {len(net.layers)} layer traces, got {len(ann_traces)}")
-    report = {"per_layer": [], "oversample": snn_trace.oversample, "mode": snn_trace.mode}
+    report = {"per_layer": [], "oversample": net.oversample, "mode": result.mode}
     for li, (ann, layer) in enumerate(zip(ann_traces, net.layers)):
-        snn = snn_trace.frame_s[li] / net.f
+        snn = result.frame_s[li] / net.f
         if ann.shape != snn.shape:
             raise DataError(f"layer {li}: trace shape mismatch {ann.shape} vs {snn.shape}")
-        diff = ann - snn
-        denom = float((ann ** 2).sum())
-        num = float((diff ** 2).sum())
-        rel_mse = num / denom if denom > 0 else (0.0 if num == 0.0 else math.inf)
+        batched = ann.ndim == 3
+        rel_mse, deviation = [], []
+        for a, b in (zip(ann, snn) if batched else [(ann, snn)]):
+            diff = a - b
+            num, den = float((diff ** 2).sum()), float((a ** 2).sum())
+            rel_mse.append(num / den if den > 0 else (0.0 if num == 0.0 else math.inf))
+            deviation.append(float(np.abs(diff).max()))
         report["per_layer"].append({
             "layer": li,
             "kind": layer.kind,
-            "relative_mse": rel_mse,
-            "max_abs_deviation": float(np.abs(diff).max()),
-            "spike_count": int(snn_trace.spike_counts[li].sum()),
+            "relative_mse": rel_mse if batched else rel_mse[0],
+            "max_abs_deviation": deviation if batched else deviation[0],
+            "spike_count": result.spike_counts[li].sum(axis=-1).tolist(),
         })
-    report["total_spikes"] = int(sum(e["spike_count"] for e in report["per_layer"]))
-    report["saturation_events"] = snn_trace.saturation_total
+    report["total_spikes"] = int(sum(np.sum(e["spike_count"]) for e in report["per_layer"]))
+    report["saturation_events"] = result.saturation_total
     return report

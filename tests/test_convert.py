@@ -354,6 +354,19 @@ class TestNetworkFile:
         with pytest.raises(DataError):
             load_network(path)
 
+    @pytest.mark.parametrize("edit", [
+        lambda meta: meta["layers"][1].update(tau_u_fx=0),
+        lambda meta: meta["layers"][2].update(tau_s_fx=2.5),
+        lambda meta: meta["config"].update(decay_rounding="bogus"),
+        lambda meta: meta["config"].update(bogus=1),
+    ], ids=["tau-zero", "fractional-tau", "decay-rounding", "unknown-config-key"])
+    def test_invalid_constants_rejected(self, tmp_path, edit):
+        # time constants are integers >= 1, decay_rounding is round or
+        # trunc, and every config key is known
+        _, path = self.saved_with_meta(tmp_path, edit)
+        with pytest.raises(DataError):
+            load_network(path)
+
     def test_null_tau_overrides_load(self, tmp_path):
         # files written while the compiler had tau overrides record them as null
         net, path = self.saved_with_meta(

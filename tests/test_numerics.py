@@ -2,126 +2,111 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
-from sdrnn.errors import ConfigError
-from sdrnn.numerics import (STATE_LIMIT, DecayConstant, FixedState, decay_array,
-                            decay_step, round_half_away, sat_add, sat_add_array)
+from sdrnn.numerics import STATE_LIMIT, decay_array, round_half_away, sat_add_array
+
+
+def sat_add(a, b):
+    """sat_add_array on two scalars: (clipped sum, clips)."""
+    out, clipped = sat_add_array(np.array([float(a)]), float(b))
+    return out[0], clipped
+
+
+def decay(x, tau, fixed=True, rounding="trunc"):
+    """decay_array on one scalar."""
+    return decay_array(np.array([float(x)]), float(tau), fixed=fixed, rounding=rounding)[0]
 
 
 class TestSatAdd:
     def test_zero(self):
-        out = sat_add(FixedState(0), 0)
-        assert out.value == 0 and not out.saturation_flag
+        assert sat_add(0, 0) == (0, 0)
 
     def test_clip_at_positive_rail(self):
-        out = sat_add(FixedState(STATE_LIMIT), 1)
-        assert out.value == STATE_LIMIT and out.saturation_flag
+        assert sat_add(STATE_LIMIT, 1) == (STATE_LIMIT, 1)
 
     def test_plain_sum(self):
         # independent integer evaluation: 5000 + (-12000) = -7000
-        out = sat_add(FixedState(5000), -12000)
-        assert out.value == -7000 and not out.saturation_flag
-
-    def test_flag_is_sticky(self):
-        out = sat_add(sat_add(FixedState(STATE_LIMIT), 1), -5)
-        assert out.value == STATE_LIMIT - 5 and out.saturation_flag
+        assert sat_add(5000, -12000) == (-7000, 0)
 
     @given(st.integers(-STATE_LIMIT, STATE_LIMIT), st.integers(-STATE_LIMIT, STATE_LIMIT))
     def test_commutative_numeric_effect(self, a, b):
-        # swapping cell and increment leaves the clipped sum unchanged
-        assert sat_add(FixedState(a), b).value == sat_add(FixedState(b), a).value
+        # swapping state and increment leaves the clipped sum unchanged
+        assert sat_add(a, b) == sat_add(b, a)
 
     @given(st.integers(0, 1 << 30))
     def test_idempotent_at_rails(self, b):
-        top = sat_add(FixedState(STATE_LIMIT), b)
-        assert top.value == STATE_LIMIT
-        bottom = sat_add(FixedState(-STATE_LIMIT), -b)
-        assert bottom.value == -STATE_LIMIT
+        assert sat_add(STATE_LIMIT, b)[0] == STATE_LIMIT
+        assert sat_add(-STATE_LIMIT, -b)[0] == -STATE_LIMIT
 
 
 class TestDecay:
     def test_zero_fixed_point_of_decay(self):
-        assert decay_step(FixedState(0), 5).value == 0
-        assert decay_step(0.0, 3.7) == 0.0
+        for rounding in ("trunc", "round"):
+            assert decay(0, 5, rounding=rounding) == 0
+        assert decay(0.0, 3.7, fixed=False) == 0.0
 
     def test_full_decay_at_tau_one(self):
-        assert decay_step(FixedState(4096), 1).value == 0
+        for rounding in ("trunc", "round"):
+            assert decay(4096, 1, rounding=rounding) == 0
 
     def test_reference_integer_evaluation(self):
         # 4096 - 4096/4 = 3072
-        assert decay_step(FixedState(4096), 4).value == 3072
-        assert decay_step(4096.0, 4.0) == pytest.approx(3072.0, abs=0)
+        assert decay(4096, 4) == 3072
+        assert decay(4096.0, 4.0, fixed=False) == 3072.0
 
     def test_infinite_tau_disables_reference_decay(self):
-        assert decay_step(123.456, math.inf) == 123.456
+        assert decay(123.456, math.inf, fixed=False) == 123.456
 
-    def test_fixed_rejects_fractional_tau(self):
-        with pytest.raises(ConfigError):
-            decay_step(FixedState(10), 2.5)
-
-    @given(st.integers(-STATE_LIMIT, STATE_LIMIT), st.integers(1, 10000))
-    def test_sign_preserved_and_contracting(self, x, tau):
-        out = decay_step(FixedState(x), tau).value
+    @given(st.integers(-STATE_LIMIT, STATE_LIMIT), st.integers(1, 10000),
+           st.sampled_from(["trunc", "round"]))
+    def test_sign_preserved_and_contracting(self, x, tau, rounding):
+        out = decay(x, tau, rounding=rounding)
         assert out == 0 or np.sign(out) == np.sign(x)
         assert abs(out) <= abs(x)
 
     @given(st.floats(-1e6, 1e6), st.floats(1.0, 1e6))
     def test_reference_contraction(self, x, tau):
-        out = decay_step(x, tau)
+        out = decay(x, tau, fixed=False)
         assert abs(out) <= abs(x) + 1e-12
         if x != 0:
             assert np.sign(out) in (0, np.sign(x))
 
-    @given(st.integers(-STATE_LIMIT, STATE_LIMIT), st.integers(1, 5000))
-    @settings(max_examples=50)
-    def test_reaches_zero_in_finite_steps(self, x, tau):
-        state = FixedState(x)
-        for _ in range(abs(x) + 1):
-            if state.value == 0:
-                break
-            state = decay_step(state, tau)
-        assert state.value == 0
+    def test_reaches_zero_in_finite_steps(self):
+        # truncating decay drains every state to exactly 0: 64 states over
+        # the 24-bit range with taus up to 5000, at most max|x| + 1 steps
+        rng = np.random.default_rng(0)
+        xs = rng.integers(-STATE_LIMIT, STATE_LIMIT + 1, size=64).astype(np.float64)
+        taus = rng.integers(1, 5001, size=64).astype(np.float64)
+        state, steps = xs, 0
+        while state.any() and steps <= np.abs(xs).max():
+            state = decay_array(state, taus, fixed=True, rounding="trunc")
+            steps += 1
+        assert not state.any()
 
     def test_strict_decrement_even_below_tau(self):
         # magnitudes below tau still drain instead of stalling
-        state = FixedState(5)
-        state = decay_step(state, 1000)
-        assert state.value == 4
-
-
-class TestDecayConstant:
-    def test_fixed_requires_integer_at_least_one(self):
-        with pytest.raises(ConfigError):
-            DecayConstant(0.5, fixed=True)
-        with pytest.raises(ConfigError):
-            DecayConstant(2.5, fixed=True)
-        assert DecayConstant(3, fixed=True).tau == 3
-
-    def test_reference_requires_positive(self):
-        with pytest.raises(ConfigError):
-            DecayConstant(0.0)
-        assert DecayConstant(math.inf).tau == math.inf
+        assert decay(5, 1000) == 4
+        assert decay(-5, 1000) == -4
 
 
 class TestArrayKernels:
     def test_decay_array_matches_scalar(self):
-        xs = np.array([-4096, -5, 0, 5, 4096], dtype=np.int64)
-        out = decay_array(xs, 4, fixed=True)
-        expected = [decay_step(FixedState(int(x)), 4).value for x in xs]
-        assert out.tolist() == expected
         # one tau per element, as the engine passes them: each element decays
-        # as a scalar call with its own tau, in both modes and both roundings
-        xs = np.array([[-4096, -7, 0, 7, 4096, 999], [5, -5, 3, -3, 1, -1]], dtype=np.int64)
-        taus = np.array([1, 2, 3, 4, 7, 150], dtype=np.int64)
+        # as the integer (|x| (tau - 1) + half) // tau with the sign of x in
+        # fixed point, and as x - x / tau in reference mode
+        xs = np.array([[-4096, -7, 0, 7, 4096, 999], [5, -5, 3, -3, 1, -1]])
+        taus = [1, 2, 3, 4, 7, 150]
         for rounding in ("trunc", "round"):
-            out = decay_array(xs, taus, fixed=True, rounding=rounding)
-            expected = [[decay_step(FixedState(int(x)), int(t), rounding).value
+            out = decay_array(xs.astype(np.float64), np.array(taus, dtype=np.float64),
+                              fixed=True, rounding=rounding)
+            expected = [[int(math.copysign((abs(int(x)) * (t - 1)
+                                            + (t // 2 if rounding == "round" else 0)) // t, x))
                          for x, t in zip(row, taus)] for row in xs]
             assert out.tolist() == expected
-        out = decay_array(xs.astype(np.float64), taus.astype(np.float64))
-        expected = [[decay_step(float(x), float(t)) for x, t in zip(row, taus)] for row in xs]
+        out = decay_array(xs.astype(np.float64), np.array(taus, dtype=np.float64))
+        expected = [[float(x) - float(x) / t for x, t in zip(row, taus)] for row in xs]
         assert out.tolist() == expected
 
     @pytest.mark.parametrize("rounding", ["trunc", "round"])

@@ -6,10 +6,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sdrnn.containers import FeatureSequence, SpikeRaster, load_raster, save_raster
-from sdrnn.errors import DataError
+from sdrnn.errors import ConfigError, DataError
 from sdrnn.sigma_delta import NeuronParams, NeuronState, encode_analog, neuron_step, reconstruct
 
 DEFAULTS = NeuronParams()
+
+
+def scalar_neuron_step(state, drive, params):
+    """One reference-mode step of one neuron in Python floats: each state
+    decays as x - x / tau, then takes its increments."""
+    u, i, s, imem = state
+    u = u - u / params.tau_u + drive
+    i = i - i / params.tau_i + u
+    s = s - s / params.tau_s
+    imem = imem - imem / params.tau_mem + i - s
+    spike = imem > params.threshold
+    if spike:
+        imem = 0.0
+        s = s + params.w_fb
+    return (u, i, s, imem), spike
 
 
 def drive_constant(value, steps, params=DEFAULTS):
@@ -25,6 +40,15 @@ def drive_constant(value, steps, params=DEFAULTS):
         if spike:
             spikes.append(t)
     return np.array(i_tr), np.array(s_tr), spikes
+
+
+class TestNeuronParams:
+    def test_taus_must_be_positive(self):
+        # a time constant is any positive real; an infinite one disables decay
+        for name in ("tau_mem", "tau_s", "tau_i", "tau_u"):
+            with pytest.raises(ConfigError):
+                NeuronParams(**{name: 0.0})
+        assert NeuronParams(tau_s=math.inf).tau_s == math.inf
 
 
 class TestNeuronStep:
@@ -114,6 +138,8 @@ class TestEncodeAnalog:
         assert tail.mean() == pytest.approx(v, abs=DEFAULTS.w_fb)
 
     def test_encode_matches_neuron_step_loop(self):
+        # the encoder's raster and neuron_step's states against a scalar
+        # Python-float loop of the reference update
         rng = np.random.default_rng(0)
         frames = rng.uniform(0.0, 1.0, size=(7, 2))
         sig = FeatureSequence(frames, frame_period=0.01)
@@ -121,12 +147,13 @@ class TestEncodeAnalog:
         raster = encode_analog(sig, DEFAULTS, oversample)
         dense = raster.dense()
         for unit in range(2):
-            state = NeuronState()
+            state, oracle = NeuronState(), (0.0, 0.0, 0.0, 0.0)
             for t in range(raster.duration):
-                v = frames[t // oversample, unit]
-                state, spike = neuron_step(
-                    state, 0.0, v / (DEFAULTS.tau_u * DEFAULTS.tau_i), DEFAULTS)
-                assert dense[t, unit] == spike
+                cur = frames[t // oversample, unit] / (DEFAULTS.tau_u * DEFAULTS.tau_i)
+                oracle, oracle_spike = scalar_neuron_step(oracle, cur, DEFAULTS)
+                state, spike = neuron_step(state, 0.0, cur, DEFAULTS)
+                assert dense[t, unit] == spike == oracle_spike
+                assert (state.u, state.i, state.s, state.imem) == oracle
 
 
 class TestReconstruct:

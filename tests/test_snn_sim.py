@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -27,6 +28,11 @@ def toy_model(rng, n_in=2, hidden=(3, 3), n_out=2, alphas=(0.85, 0.9, 0.8),
                                      size=layer.w_rec.shape)
         layer.bias = rng.uniform(0.0, bias_scale, size=layer.bias.shape)
     return model
+
+
+def output_probe(net) -> dict:
+    """A probe of every output neuron at every step."""
+    return {len(net.layers) - 1: list(range(net.layers[-1].size))}
 
 
 def flat_loop_sim(net, feats: np.ndarray, mode: str, sat_log: list | None = None):
@@ -175,13 +181,14 @@ class TestEngineAgainstFlatLoop:
         net = load_network(path)
         assert [(l.rec_delay, l.weight_exp) for l in net.layers] == [(1, 0)] * 3
         feats = rng.uniform(0.0, 1.0, size=(12, 2))
-        trace = simulate(net, FeatureSequence(feats, TIMING.t_ann), mode=mode)
+        trace = simulate(net, FeatureSequence(feats, TIMING.t_ann), mode=mode,
+                         probe=output_probe(net))
         events, s_traces = flat_loop_sim(net, feats, mode)
         for li in range(len(net.layers)):
             got = list(zip(trace.rasters[li].times.tolist(),
                            trace.rasters[li].units.tolist()))
             assert got == sorted(events[li]), f"layer {li} rasters differ"
-        np.testing.assert_array_equal(trace.out_s_steps, np.array(s_traces[-1]))
+        np.testing.assert_array_equal(trace.probes[(2, "s")], np.array(s_traces[-1]))
 
 
 class TestBasics:
@@ -189,10 +196,11 @@ class TestBasics:
         rng = np.random.default_rng(0)
         model = toy_model(rng, bias_scale=0.0)
         net = compile_network(model, TIMING, f=5e4)
-        trace = simulate(net, FeatureSequence(np.zeros((10, 2)), TIMING.t_ann))
+        trace = simulate(net, FeatureSequence(np.zeros((10, 2)), TIMING.t_ann),
+                         probe=output_probe(net))
         assert all(r.n_spikes == 0 for r in trace.rasters)
         assert trace.peak_state == 0.0
-        assert np.all(trace.out_s_steps == 0.0)
+        assert np.all(trace.probes[(2, "s")] == 0.0)
 
     def test_fixed_point_outputs_are_integers_without_negative_zero(self):
         # fixed-point states are integers held in float64; a -0.0 would
@@ -217,12 +225,12 @@ class TestBasics:
         model = toy_model(rng)
         net = compile_network(model, TIMING, f=5e4)
         feats = FeatureSequence(rng.uniform(0, 1, size=(15, 2)), TIMING.t_ann)
-        t1 = simulate(net, feats, mode="fixed_point")
-        t2 = simulate(net, feats, mode="fixed_point")
+        t1 = simulate(net, feats, mode="fixed_point", probe=output_probe(net))
+        t2 = simulate(net, feats, mode="fixed_point", probe=output_probe(net))
         for r1, r2 in zip(t1.rasters, t2.rasters):
             np.testing.assert_array_equal(r1.times, r2.times)
             np.testing.assert_array_equal(r1.units, r2.units)
-        np.testing.assert_array_equal(t1.out_s_steps, t2.out_s_steps)
+        np.testing.assert_array_equal(t1.probes[(2, "s")], t2.probes[(2, "s")])
 
     def test_one_step_causality(self):
         rng = np.random.default_rng(2)
@@ -412,6 +420,26 @@ class TestCompareActivations:
         for entry in report["per_layer"]:
             assert entry["relative_mse"] == 0.0
             assert entry["max_abs_deviation"] == 0.0
+
+    def test_batched_silent_ann_layer(self):
+        # a layer silent in the source network has relative MSE 0 where the
+        # spiking layer is silent too and inf where it spikes; the batched
+        # figures equal the single-sample ones
+        rng = np.random.default_rng(11)
+        net = compile_network(toy_model(rng, bias_scale=0.0), TIMING, f=5e4)
+        x = np.stack([np.zeros((10, 2)), rng.uniform(0, 1, size=(10, 2))])
+        batch = simulate_batch(net, x)
+        assert not batch.frame_s[1][0].any() and batch.frame_s[1][1].any()
+        ann = [fs / net.f for fs in batch.frame_s]
+        ann[1] = np.zeros_like(ann[1])
+        report = compare_activations(ann, batch, net)
+        assert [e["relative_mse"] for e in report["per_layer"]] == [
+            [0.0, 0.0], [0.0, math.inf], [0.0, 0.0]]
+        for b in range(2):
+            single = compare_activations([a[b] for a in ann],
+                                         simulate(net, FeatureSequence(x[b], TIMING.t_ann)), net)
+            assert [e["relative_mse"] for e in single["per_layer"]] == [
+                e["relative_mse"][b] for e in report["per_layer"]]
 
     def test_shape_mismatch_fatal(self):
         rng = np.random.default_rng(11)
