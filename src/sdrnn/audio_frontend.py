@@ -59,17 +59,17 @@ def load_wav(path) -> AudioClip:
     """Read a 16-bit PCM mono WAV file into normalized float samples."""
     try:
         with wave.open(str(path), "rb") as fh:
-            n_channels = fh.getnchannels()
-            sampwidth = fh.getsampwidth()
-            rate = fh.getframerate()
-            n_frames = fh.getnframes()
+            n_channels, sampwidth, rate, n_frames = fh.getparams()[:4]
             raw = fh.readframes(n_frames)
-    except (wave.Error, EOFError) as exc:
-        raise DataError(f"{path}: malformed WAV file ({exc})") from exc
+    # wave's chunk skip raises a bare RuntimeError past the end of the file
+    except (wave.Error, EOFError, RuntimeError) as exc:
+        raise DataError(f"{path}: malformed WAV file ({exc!r})") from exc
     if n_channels != 1:
         raise DataError(f"{path}: expected mono audio, got {n_channels} channels")
     if sampwidth != 2:
         raise DataError(f"{path}: expected 16-bit PCM, got {8 * sampwidth}-bit")
+    if len(raw) % 2:
+        raise DataError(f"{path}: data chunk ends inside a sample ({len(raw)} bytes)")
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
     return AudioClip(samples=samples, sample_rate=rate)
 
@@ -133,19 +133,15 @@ def stft_magnitude(samples: np.ndarray, n_fft: int, hop_length: int) -> np.ndarr
     return np.abs(np.fft.rfft(frames, axis=1))
 
 
-def mel_spectrogram(clip: AudioClip, cfg: MelConfig,
-                    norm_stats: dict | None = None) -> FeatureSequence:
-    """Log mel power features; pass training-split norm_stats to map to [0, 1]."""
+def mel_spectrogram(clip: AudioClip, cfg: MelConfig) -> FeatureSequence:
+    """Log mel power features, before normalization (apply_norm)."""
     if clip.sample_rate != cfg.sample_rate:
         raise DataError(
             f"clip sample rate {clip.sample_rate} != configured {cfg.sample_rate}")
     mag = stft_magnitude(clip.samples, cfg.n_fft, cfg.hop_length)
     power = mag ** 2
     mel = power @ mel_filterbank(cfg).T
-    feats = np.log(mel + cfg.log_floor)
-    if norm_stats is not None:
-        feats = apply_norm(feats, norm_stats)
-    return FeatureSequence(feats, frame_period=cfg.frame_period)
+    return FeatureSequence(np.log(mel + cfg.log_floor), frame_period=cfg.frame_period)
 
 
 def compute_norm_stats(feature_list: list[np.ndarray]) -> dict:

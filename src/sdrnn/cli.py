@@ -12,7 +12,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -20,10 +20,10 @@ import numpy as np
 from . import audio_frontend as af
 from .containers import FeatureSequence
 from .convert import (CompileConfig, TimingConfig, compile_network, compile_report,
-                      load_network, probe_peak_state, save_network,
+                      load_network, pop_retired, probe_peak_state, save_network,
                       select_scale_factor)
-from .errors import ConfigError, DataError, NumericError, reading
-from .lprnn import (TrainConfig, forward_batch, init_model, load_model,
+from .errors import ConfigError, DataError, NumericError, npz_file, reading
+from .lprnn import (TrainConfig, forward_batch, forward_sequence, init_model, load_model,
                     magnitude_prune, save_model, train)
 from .snn_sim import compare_activations, simulate, simulate_batch, readout
 
@@ -55,6 +55,9 @@ def _apply_config_file(args: argparse.Namespace, given: set) -> None:
         raise ConfigError(f"{args.config}: unreadable config file ({exc})") from exc
     if not isinstance(overrides, dict):
         raise ConfigError(f"{args.config}: config file must hold a JSON object")
+    # a convert config may hold the compiler constants that were options
+    if args.command == "convert" and (bad := pop_retired(overrides, "config")):
+        raise ConfigError(f"{args.config}: {bad}")
     for key, value in overrides.items():
         if key in ("func", "config", "command", "f_search_evals"):
             continue
@@ -65,9 +68,7 @@ def _apply_config_file(args: argparse.Namespace, given: set) -> None:
 
 
 def _mel_config(args) -> af.MelConfig:
-    return af.MelConfig(sample_rate=args.sample_rate, n_fft=args.n_fft,
-                        hop_length=args.hop_length, n_mels=args.n_mels,
-                        f_min=args.f_min, f_max=args.f_max, log_floor=args.log_floor)
+    return af.MelConfig(**{f.name: getattr(args, f.name) for f in fields(af.MelConfig)})
 
 
 def _cache_dir(args) -> Path:
@@ -134,7 +135,7 @@ def cmd_features(args) -> int:
     train_feats = []
     for entry in index:
         if entry["split"] == "train":
-            with np.load(cache_dir / f"{entry['key']}.npz") as data:
+            with npz_file(cache_dir / f"{entry['key']}.npz") as data:
                 train_feats.append(data["data"])
     stats = af.compute_norm_stats(train_feats) if train_feats else None
     payload = {"mel_config": asdict(mel_cfg), "mel_digest": mel_cfg.digest(),
@@ -167,7 +168,7 @@ def _load_split(features_dir: Path, split: str, optional: bool = False):
     feats, labels, periods = [], [], []
     for entry in entries:
         path = features_dir / f"{entry['key']}.npz"
-        with reading(path), np.load(path) as data:
+        with npz_file(path) as data:
             raw = data["data"]
             periods.append(float(data["frame_period"]))
         if not np.isfinite(raw).all():
@@ -217,11 +218,7 @@ def cmd_train(args) -> int:
 def cmd_convert(args) -> int:
     model = load_model(args.model)
     timing = TimingConfig(t_ann=model.t_ann, t_snn=args.t_snn)
-    cfg = CompileConfig(tau_u=args.tau_u, tau_mem=args.tau_mem,
-                        weight_gain=args.weight_gain,
-                        weight_limit=args.weight_limit,
-                        safety_margin=args.safety_margin,
-                        decay_rounding=args.decay_rounding)
+    cfg = CompileConfig(safety_margin=args.safety_margin, decay_rounding=args.decay_rounding)
     if args.f is not None:
         f = args.f
         trace = None
@@ -249,7 +246,7 @@ def cmd_convert(args) -> int:
 
 
 def _detect_artifact(path):
-    with reading(path), np.load(path) as data:
+    with npz_file(path) as data:
         if "meta" not in data:
             raise DataError(f"{path}: unrecognized file (no metadata)")
         meta = json.loads(bytes(data["meta"]).decode())
@@ -357,8 +354,6 @@ def cmd_compare(args) -> int:
                           f"of {len(labels)} samples")
     feats = FeatureSequence(x[args.sample_index], t_ann)
     model = net.source_model
-    from .lprnn import forward_sequence
-
     logits, ann_traces = forward_sequence(model, feats)
     trace = simulate(net, feats, mode=args.mode, record_rasters=False)
     report = compare_activations(ann_traces, trace, net)
@@ -436,11 +431,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features", metavar="DIR")
     p.add_argument("--probes", type=int, default=8)
     p.add_argument("--probe-split", default="train")
-    p.add_argument("--tau-u", type=float, default=2.0,
-                   help="encoder-stage input filter (steps)")
-    p.add_argument("--tau-mem", type=float, default=1.0)
-    p.add_argument("--weight-gain", type=int, default=1)
-    p.add_argument("--weight-limit", type=int, default=255)
     p.add_argument("--safety-margin", type=float, default=0.5)
     p.add_argument("--decay-rounding", choices=["round", "trunc"], default="round")
     p.add_argument("--config")

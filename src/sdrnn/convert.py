@@ -60,27 +60,33 @@ making spike rate equal activation on the [0, clamp_ceiling] scale.
 Precision. The 24-bit state budget must cover f times the mapped weight
 resolution times tau_u * tau_i * gain. With two alpha-derived stages the
 hardware's native synaptic gain of 64 leaves sub-integer weight steps at
-realistic time constants, so the compiler defaults to gain 1 and keeps the
-gain a config value used consistently by the mapping formula and the
-simulator. Where the state budget, not the weight range, binds f (high
-oversample), the mapped weights would shrink as 1/oversample**2; the weight
-exponent e, the largest that keeps every mapped weight of the layer within
-weight_limit, keeps their precision (Loihi's weight exponent). u then
-peaks near 2**e * f * z / tau_i, so 2**e <= tau_i keeps it within the
-budget that i = f * z already needs.
+realistic time constants, so the compiler maps with gain 1. Where the state
+budget, not the weight range, binds f (high oversample), the mapped weights
+would shrink as 1/oversample**2; the weight exponent e, the largest that
+keeps every mapped weight of the layer within the weight limit, keeps their
+precision (Loihi's weight exponent). u then peaks near 2**e * f * z / tau_i,
+so 2**e <= tau_i keeps it within the budget that i = f * z already needs.
+
+Hardware constants. The target is one fixed compartment chain, so these
+are not options: the analog encoder's u stage has tau ENCODER_TAU_U = 2
+steps, imem has TAU_MEM = 1, a spike deposits WEIGHT_GAIN = 1 times its
+weight, a mapped weight lies within +/-WEIGHT_LIMIT = 255, a layer's i stage
+has its tau_s and it fires above w_fb. Older files that record these load
+when they hold these values (RETIRED_KEYS).
 """
 
 from __future__ import annotations
 
+import io
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
 
 from .containers import FeatureSequence
-from .errors import ConfigError, DataError, NumericError, reading
+from .errors import ConfigError, DataError, NumericError, npz_file
 from .lprnn import (KIND_INPUT, KIND_RECURRENT, LpRnnLayer, LpRnnModel, load_model,
                     save_model)
 from .numerics import STATE_LIMIT, round_half_away
@@ -106,26 +112,49 @@ class TimingConfig:
         return int(round(self.t_ann / self.t_snn))
 
 
+#: Hardware constants of the mapping (module docstring).
+ENCODER_TAU_U = 2.0
+TAU_MEM = 1
+WEIGHT_GAIN = 1
+WEIGHT_LIMIT = 255
+
+#: Keys that files written before the constants above were fixed still
+#: hold, with the value each must have: a constant, or the name of the
+#: layer key it restated. "config" covers a network's compile config and
+#: the convert command's config file.
+RETIRED_KEYS = {
+    "config": {"tau_u": ENCODER_TAU_U, "tau_mem": TAU_MEM, "weight_gain": WEIGHT_GAIN,
+               "weight_limit": WEIGHT_LIMIT, "tau_u_override": None, "tau_i_override": None},
+    "layer": {"tau_i": "tau_s", "tau_i_fx": "tau_s_fx", "threshold": "w_fb",
+              "tau_mem": TAU_MEM, "tau_mem_fx": TAU_MEM},
+}
+
+
+def pop_retired(entries: dict, section: str) -> str | None:
+    """Remove the retired keys of `section` from entries. Returns a message
+    naming the first that holds another value than the one it takes now,
+    or None."""
+    for key, now in RETIRED_KEYS[section].items():
+        if key in entries:
+            value = entries.pop(key)
+            expected = entries.get(now) if isinstance(now, str) else now
+            if value != expected:
+                return f"{key} = {value!r} is no longer supported (it is {expected!r} now)"
+    return None
+
+
 @dataclass(frozen=True)
 class CompileConfig:
-    """Hardware-model knobs.
+    """The options of a compile; the hardware constants are fixed (module
+    docstring).
 
-    tau_u applies to the analog encoder layer only. A spike-driven layer gets
-    tau_i = tau_s = its alpha-derived constant and tau_u = tau_s minus the
-    frame lag of its alpha (module docstring). weight_limit bounds every
-    mapped integer weight, and with it each layer's weight exponent.
-    weight_gain is the synaptic accumulation gain: the hardware's native
-    value is 64, but 1 buys integer weight resolution inside the 24-bit
-    budget (see module docstring). decay_rounding "round"
-    keeps fixed-point spike counts within a couple of spikes of reference
-    mode; "trunc" decays slightly faster per step (half an LSB of systematic
-    bias) but drains any state to exactly zero.
+    safety_margin is the share of the 24-bit state bound that the f search
+    lets the probes' peak state reach. decay_rounding "round" keeps
+    fixed-point spike counts within a couple of spikes of reference mode;
+    "trunc" decays slightly faster per step (half an LSB of systematic bias)
+    but drains any state to exactly zero.
     """
 
-    tau_u: float = 2.0
-    tau_mem: float = 1.0
-    weight_gain: int = 1
-    weight_limit: int = 255
     safety_margin: float = 0.5
     decay_rounding: str = "round"
 
@@ -138,13 +167,6 @@ def alpha_to_tau(alpha: float, t_s: float) -> float:
     if not t_s > 0:
         raise ConfigError("t_s must be positive")
     return -t_s / math.log(alpha)
-
-
-def tau_to_alpha(tau: float, t_s: float) -> float:
-    """Inverse of alpha_to_tau."""
-    if not tau > 0:
-        raise ConfigError("tau must be positive")
-    return math.exp(-t_s / tau)
 
 
 def rescale_tau(tau_ann: float, timing: TimingConfig) -> float:
@@ -180,33 +202,35 @@ def map_weights(w_ann: np.ndarray, f: float, tau_u: float, tau_i: float,
     return mapped
 
 
-def map_bias(b_ann: np.ndarray, f: float, tau_i: float,
-             limit: int = STATE_LIMIT) -> np.ndarray:
+def map_bias(b_ann: np.ndarray, f: float, tau_i: float) -> np.ndarray:
     """Map biases onto integer currents: round(f*b/tau_i), injected into the
     input-current variable i once per simulator step."""
     if not f > 0:
         raise ConfigError("scale factor f must be positive")
     mapped = round_half_away(f * np.asarray(b_ann, dtype=np.float64) / tau_i)
-    if np.any(np.abs(mapped) > limit):
-        bad = np.argwhere(np.abs(mapped) > limit)[:, 0]
+    if np.any(np.abs(mapped) > STATE_LIMIT):
+        bad = np.argwhere(np.abs(mapped) > STATE_LIMIT)[:, 0]
         raise NumericError(
-            f"{bad.shape[0]} mapped biases exceed +/-{limit}; first offenders: "
+            f"{bad.shape[0]} mapped biases exceed +/-{STATE_LIMIT}; first offenders: "
             + ", ".join(f"({int(i)}) -> {int(mapped[int(i)])}" for i in bad[:5]))
     return mapped
 
 
 @dataclass
 class SnnLayer:
-    """Compiled description of one spiking layer.
+    """Compiled description of one spiking layer: what the engine runs on.
 
-    w_in/w_rec/bias are hardware integers; enc_w/enc_bias keep the quantized
+    w_in/w_rec/bias are hardware integers; enc_w keeps the quantized
     real-valued weights of an analog-driven encoder layer (run off-chip).
-    tau_* are the real-valued constants (provenance), tau_*_fx their integer
-    counterparts, on which both simulation modes run. rec_delay is the
-    delay of the recurrent synapses in steps (feed-forward synapses take
-    one step), weight_exp the power-of-two exponent of the weights: u
-    enters i scaled by 2**-weight_exp. The defaults describe networks
-    compiled before either existed.
+    tau_s and tau_u are the real-valued constants (provenance), tau_s_fx
+    and tau_u_fx their integer counterparts, on which both simulation modes
+    run. tau_s sets both the i stage and the feedback filter s, and imem
+    has tau TAU_MEM = 1. w_fb is the feedback weight and the firing
+    threshold: a neuron fires when imem exceeds it. rec_delay is the delay
+    of the recurrent synapses in steps (feed-forward synapses take one
+    step), weight_exp the power-of-two exponent of the weights: u enters i
+    scaled by 2**-weight_exp. The defaults describe networks compiled
+    before either existed.
     """
 
     kind: str  # encoder | recurrent | output
@@ -216,17 +240,18 @@ class SnnLayer:
     bias: np.ndarray
     enc_w: np.ndarray | None
     tau_s: float
-    tau_i: float
     tau_u: float
-    tau_mem: float
     tau_s_fx: int
-    tau_i_fx: int
     tau_u_fx: int
-    tau_mem_fx: int
     w_fb: int
-    threshold: int
     rec_delay: int = 1
     weight_exp: int = 0
+
+
+#: The SnnLayer fields that a network file stores as arrays, and the rest,
+#: which it stores in the metadata.
+_LAYER_ARRAYS = ("w_in", "w_rec", "bias", "enc_w")
+_LAYER_SCALARS = tuple(f.name for f in fields(SnnLayer) if f.name not in _LAYER_ARRAYS)
 
 
 @dataclass
@@ -284,8 +309,7 @@ class LayerConstants(NamedTuple):
 
 
 def layer_constants(layer: LpRnnLayer, w_in_q: np.ndarray, w_rec_q: np.ndarray | None,
-                    timing: TimingConfig, config: CompileConfig,
-                    f: float | None = None) -> LayerConstants:
+                    timing: TimingConfig, f: float | None = None) -> LayerConstants:
     """Constants of one compiled layer with effective weights w_in_q and
     w_rec_q (module docstring): taus from the alpha mapping and the
     frame-lag rule, the recurrent delay, the weight-range cap and,
@@ -299,7 +323,7 @@ def layer_constants(layer: LpRnnLayer, w_in_q: np.ndarray, w_rec_q: np.ndarray |
     tau_s_fx = _int_tau(tau_s)
     rec_delay = 1
     if layer.kind == KIND_INPUT:
-        tau_u = config.tau_u  # analog drive: no presynaptic lead to cancel
+        tau_u = ENCODER_TAU_U  # analog drive: no presynaptic lead to cancel
         tau_u_fx = _int_tau(tau_u)
         tensors = ()  # encoder weights stay real-valued off-chip
     else:
@@ -313,8 +337,7 @@ def layer_constants(layer: LpRnnLayer, w_in_q: np.ndarray, w_rec_q: np.ndarray |
     for w in tensors:
         peak = 0.0 if w is None else float(np.abs(w).max())
         if peak > 0.0:
-            cap = min(cap, (config.weight_limit + 0.499) *
-                      tau_u_fx * tau_s_fx * config.weight_gain / peak)
+            cap = min(cap, (WEIGHT_LIMIT + 0.499) * tau_u_fx * tau_s_fx * WEIGHT_GAIN / peak)
     exp = 0
     if f is not None and tensors:
         while f * 2.0 ** (exp + 1) <= cap and 2 ** (exp + 1) <= tau_s_fx:
@@ -329,7 +352,8 @@ def compile_network(model: LpRnnModel, timing: TimingConfig, f: float,
 
     A pure function of (model, timing, f, config): per-layer constants from
     layer_constants, integer weights and biases from the mapping formulas,
-    and w_fb = threshold = round(f / tau_s)."""
+    and the feedback weight w_fb = round(f / tau_s), also the firing
+    threshold."""
     if not (f > 0 and math.isfinite(f)):
         raise ConfigError("scale factor f must be positive and finite")
     layers = []
@@ -338,7 +362,7 @@ def compile_network(model: LpRnnModel, timing: TimingConfig, f: float,
         if layer.alpha <= 0.0:
             raise ConfigError(
                 f"layer {idx}: alpha = {layer.alpha} has no finite time constant")
-        c = layer_constants(layer, w_in_q, w_rec_q, timing, config, f)
+        c = layer_constants(layer, w_in_q, w_rec_q, timing, f)
         w_fb = math.floor(f / c.tau_s_fx + 0.5)  # round half away: f > 0
         if w_fb < 1:
             raise NumericError(
@@ -347,32 +371,25 @@ def compile_network(model: LpRnnModel, timing: TimingConfig, f: float,
         bias = map_bias(layer.bias, f, c.tau_s_fx)
 
         def mapped(w):
-            return map_weights(w, f, c.tau_u_fx, c.tau_s_fx, config.weight_gain,
-                               config.weight_limit, c.weight_exp)
+            return map_weights(w, f, c.tau_u_fx, c.tau_s_fx, WEIGHT_GAIN, WEIGHT_LIMIT,
+                               c.weight_exp)
 
-        if layer.kind == KIND_INPUT:
-            kind = "encoder"
-            w_in = None
-            enc_w = w_in_q
-        else:
-            kind = "recurrent" if layer.kind == KIND_RECURRENT else "output"
-            w_in = mapped(w_in_q)
-            enc_w = None
+        encoder = layer.kind == KIND_INPUT  # its weights stay real-valued, off-chip
         layers.append(SnnLayer(
-            kind=kind, size=layer.size, w_in=w_in,
+            kind={KIND_INPUT: "encoder", KIND_RECURRENT: "recurrent"}.get(layer.kind, "output"),
+            size=layer.size, w_in=None if encoder else mapped(w_in_q),
             w_rec=None if w_rec_q is None else mapped(w_rec_q), bias=bias,
-            enc_w=enc_w, tau_s=c.tau_s, tau_i=c.tau_s, tau_u=c.tau_u,
-            tau_mem=config.tau_mem, tau_s_fx=c.tau_s_fx,
-            tau_i_fx=c.tau_s_fx, tau_u_fx=c.tau_u_fx,
-            tau_mem_fx=_int_tau(config.tau_mem), w_fb=w_fb, threshold=w_fb,
-            rec_delay=c.rec_delay, weight_exp=c.weight_exp))
+            enc_w=w_in_q if encoder else None, tau_s=c.tau_s, tau_u=c.tau_u, tau_s_fx=c.tau_s_fx,
+            tau_u_fx=c.tau_u_fx, w_fb=w_fb, rec_delay=c.rec_delay, weight_exp=c.weight_exp))
     return SnnNetwork(layers=layers, f=f, timing=timing, config=config,
                       source_model=model.copy())
 
 
-def _weight_cap(model: LpRnnModel, timing: TimingConfig, config: CompileConfig) -> float:
-    """Largest f for which every mapped weight stays within the hardware range."""
-    return min(layer_constants(layer, *model.effective_weights(layer), timing, config).weight_cap
+def _weight_cap(model: LpRnnModel, timing: TimingConfig,
+                config: CompileConfig | None = None) -> float:
+    """Largest f for which every mapped weight stays within the hardware
+    range; no option of config bears on it."""
+    return min(layer_constants(layer, *model.effective_weights(layer), timing).weight_cap
                for layer in model.layers)
 
 
@@ -410,7 +427,7 @@ def select_scale_factor(model: LpRnnModel, probes: list[FeatureSequence],
     if not probes:
         raise ConfigError("probe set must be non-empty")
     bound = STATE_LIMIT * config.safety_margin
-    f = _weight_cap(model, timing, config)
+    f = _weight_cap(model, timing)
     if math.isinf(f):
         f = bound  # all on-chip weights are zero; only state headroom binds
     trace: list[tuple[float, float]] = []
@@ -438,40 +455,21 @@ def select_scale_factor(model: LpRnnModel, probes: list[FeatureSequence],
 # integer payloads, with the source model embedded for paired evaluation.
 
 def save_network(net: SnnNetwork, path) -> None:
-    import io as _io
-
     meta = {
         "format": "sdrnn-net-v1",
         "f": net.f,
         "t_ann": net.timing.t_ann,
         "t_snn": net.timing.t_snn,
-        "config": {
-            "tau_u": net.config.tau_u, "tau_mem": net.config.tau_mem,
-            "weight_gain": net.config.weight_gain,
-            "weight_limit": net.config.weight_limit,
-            "safety_margin": net.config.safety_margin,
-            "decay_rounding": net.config.decay_rounding,
-        },
+        "config": asdict(net.config),
         "notes": net.notes,
-        "layers": [{
-            "kind": l.kind, "size": l.size,
-            "tau_s": l.tau_s, "tau_i": l.tau_i, "tau_u": l.tau_u,
-            "tau_mem": l.tau_mem, "tau_s_fx": l.tau_s_fx, "tau_i_fx": l.tau_i_fx,
-            "tau_u_fx": l.tau_u_fx, "tau_mem_fx": l.tau_mem_fx,
-            "w_fb": l.w_fb, "threshold": l.threshold,
-            "rec_delay": l.rec_delay, "weight_exp": l.weight_exp,
-        } for l in net.layers],
+        "layers": [{name: getattr(l, name) for name in _LAYER_SCALARS} for l in net.layers],
     }
     arrays = {"meta": np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)}
     for li, layer in enumerate(net.layers):
-        arrays[f"l{li}_bias"] = layer.bias
-        if layer.w_in is not None:
-            arrays[f"l{li}_w_in"] = layer.w_in
-        if layer.w_rec is not None:
-            arrays[f"l{li}_w_rec"] = layer.w_rec
-        if layer.enc_w is not None:
-            arrays[f"l{li}_enc_w"] = layer.enc_w
-    buf = _io.BytesIO()
+        for name in _LAYER_ARRAYS:
+            if getattr(layer, name) is not None:
+                arrays[f"l{li}_{name}"] = getattr(layer, name)
+    buf = io.BytesIO()
     save_model(net.source_model, buf)
     arrays["source_model"] = np.frombuffer(buf.getvalue(), dtype=np.uint8)
     with open(path, "wb") as fh:
@@ -479,67 +477,57 @@ def save_network(net: SnnNetwork, path) -> None:
 
 
 def load_network(path) -> SnnNetwork:
-    import io as _io
-
-    with reading(path), np.load(path) as data:
+    with npz_file(path) as data:
         if "meta" not in data:
             raise DataError(f"{path}: not a network file (missing metadata)")
         meta = json.loads(bytes(data["meta"]).decode())
         if meta.get("format") != "sdrnn-net-v1":
             raise DataError(f"{path}: unsupported network format {meta.get('format')!r}")
-        # the tau overrides are gone; older files record them as null
-        overrides = {k: meta["config"].pop(k, None) for k in ("tau_u_override", "tau_i_override")}
-        if any(v is not None for v in overrides.values()):
-            raise DataError(f"{path}: tau overrides {overrides} are not supported")
+        if bad := pop_retired(meta["config"], "config"):
+            raise DataError(f"{path}: {bad}")
         if (set(meta["config"]) - {f.name for f in fields(CompileConfig)}
                 or meta["config"].get("decay_rounding") not in ("round", "trunc")):
             raise DataError(f"{path}: unsupported compile config {meta['config']}")
         cfg = CompileConfig(**meta["config"])
         layers = []
         for li, lmeta in enumerate(meta["layers"]):
+            if bad := pop_retired(lmeta, "layer"):
+                raise DataError(f"{path}: layer {li}: {bad}")
             # files written before these fields: one step, no exponent
-            rec_delay = lmeta.get("rec_delay", 1)
-            weight_exp = lmeta.get("weight_exp", 0)
-            if not (type(rec_delay) is int and rec_delay >= 1
-                    and type(weight_exp) is int and weight_exp >= 0):
-                raise DataError(f"{path}: layer {li}: invalid rec_delay {rec_delay!r} "
-                                f"or weight_exp {weight_exp!r}")
-            taus = {k: lmeta[k] for k in ("tau_s_fx", "tau_i_fx", "tau_u_fx", "tau_mem_fx")}
-            if not all(type(v) is int and v >= 1 for v in taus.values()):
-                raise DataError(f"{path}: layer {li}: time constants {taus} "
-                                "must be integers >= 1")
-            layers.append(SnnLayer(
-                kind=lmeta["kind"], size=lmeta["size"],
-                w_in=data[f"l{li}_w_in"] if f"l{li}_w_in" in data else None,
-                w_rec=data[f"l{li}_w_rec"] if f"l{li}_w_rec" in data else None,
-                bias=data[f"l{li}_bias"],
-                enc_w=data[f"l{li}_enc_w"] if f"l{li}_enc_w" in data else None,
-                tau_s=lmeta["tau_s"], tau_i=lmeta["tau_i"], tau_u=lmeta["tau_u"],
-                tau_mem=lmeta["tau_mem"], **taus, w_fb=lmeta["w_fb"],
-                threshold=lmeta["threshold"], rec_delay=rec_delay, weight_exp=weight_exp))
-        source = load_model(_io.BytesIO(bytes(data["source_model"])))
+            lmeta = {"rec_delay": 1, "weight_exp": 0, **lmeta}
+            if set(lmeta) != set(_LAYER_SCALARS):
+                raise DataError(f"{path}: layer {li}: keys {sorted(lmeta)} are not "
+                                f"{sorted(_LAYER_SCALARS)}")
+            ints = {k: lmeta[k] for k in ("tau_s_fx", "tau_u_fx", "rec_delay", "weight_exp")}
+            if not all(type(v) is int and v >= (k != "weight_exp") for k, v in ints.items()):
+                raise DataError(f"{path}: layer {li}: {ints} must be integers >= 1 "
+                                "(weight_exp >= 0)")
+            # bias is required: data[...] raises for a file without it
+            layers.append(SnnLayer(**lmeta, **{
+                name: data[f"l{li}_{name}"] if f"l{li}_{name}" in data or name == "bias"
+                else None for name in _LAYER_ARRAYS}))
+        source = load_model(io.BytesIO(bytes(data["source_model"])))
         return SnnNetwork(layers=layers, f=meta["f"],
                           timing=TimingConfig(meta["t_ann"], meta["t_snn"]), config=cfg,
                           source_model=source, notes=meta.get("notes", {}))
 
 
-def compile_report(net: SnnNetwork, peak_states: dict | None = None) -> str:
+def compile_report(net: SnnNetwork) -> str:
     """Human-readable compile summary: scale factor, per-layer constants and
-    integer-weight histograms, and predicted peak states when available."""
+    integer-weight histograms."""
     lines = [
         "spiking network compile report",
         f"  scale factor f       : {net.f:.6g}",
         f"  frame period         : {net.timing.t_ann} s",
         f"  simulator step       : {net.timing.t_snn} s (oversample {net.oversample})",
-        f"  synaptic gain        : {net.config.weight_gain}",
+        f"  synaptic gain        : {WEIGHT_GAIN}",
         f"  state bound          : +/-{STATE_LIMIT} (safety margin {net.config.safety_margin})",
         "",
     ]
     for li, layer in enumerate(net.layers):
         lines.append(f"layer {li} [{layer.kind}] size {layer.size}")
-        lines.append(f"  tau_s {layer.tau_s:.2f}  tau_i {layer.tau_i:.2f}  "
-                     f"tau_u {layer.tau_u:.2f}  tau_mem {layer.tau_mem:.2f}  "
-                     f"w_fb {layer.w_fb}  threshold {layer.threshold}")
+        lines.append(f"  tau_s {layer.tau_s:.2f}  tau_u {layer.tau_u:.2f}  "
+                     f"w_fb {layer.w_fb} (also the threshold)")
         lines.append(f"  recurrent delay {layer.rec_delay} steps  "
                      f"weight exponent {layer.weight_exp}")
         for name, w in (("w_in", layer.w_in), ("w_rec", layer.w_rec)):
@@ -551,7 +539,5 @@ def compile_report(net: SnnNetwork, peak_states: dict | None = None) -> str:
         if layer.enc_w is not None:
             lines.append(f"  analog encoder weights: {layer.enc_w.shape[1]} -> "
                          f"{layer.enc_w.shape[0]} (off-chip, real-valued)")
-        if peak_states and li in peak_states:
-            lines.append(f"  predicted peak |state|: {peak_states[li]:.4g}")
         lines.append("")
     return "\n".join(lines)

@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .containers import FeatureSequence
-from .errors import ConfigError, DataError, NumericError, reading
+from .errors import ConfigError, DataError, NumericError, npz_file
 
 KIND_INPUT = "input_lowpass"
 KIND_RECURRENT = "recurrent"
@@ -74,10 +74,10 @@ def ste_quantize(w: np.ndarray, bits: int = 3) -> np.ndarray:
 
 
 def ste_grad_mask(w: np.ndarray, bits: int = 3) -> np.ndarray:
-    """1.0 where the quantizer did not clip, 0.0 where it did."""
+    """1.0 where the quantizer did not clip, 0.0 where it did, on the scale
+    of quantize_levels."""
+    _, scale = quantize_levels(w, bits)
     top = (1 << (bits - 1)) - 1
-    peak = float(np.max(np.abs(w))) if w.size else 0.0
-    scale = peak / top if peak > 0 else 1.0
     return (np.abs(w) <= (top + 0.5) * scale).astype(np.float64)
 
 
@@ -382,9 +382,10 @@ class TrainConfig:
     lr: float = 3e-3
     batch_size: int = 32
     seed: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+
+
+#: Adam's moment decay rates and denominator offset.
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 def _model_accuracy(model: LpRnnModel, x: np.ndarray, labels: np.ndarray,
@@ -414,12 +415,9 @@ def train(model: LpRnnModel, dataset: dict, config: TrainConfig) -> LpRnnModel:
     val = dataset.get("val")
     rng = np.random.default_rng(config.seed)
 
-    params = []
-    for layer in model.layers:
-        params.append(("w_in", layer))
-        if layer.w_rec is not None:
-            params.append(("w_rec", layer))
-        params.append(("bias", layer))
+    # (name, layer) of every trained tensor, in the order of the Adam state
+    params = [(name, layer) for layer in model.layers for name in ("w_in", "w_rec", "bias")
+              if getattr(layer, name) is not None]
     m_state = [np.zeros_like(getattr(l, name)) for name, l in params]
     v_state = [np.zeros_like(getattr(l, name)) for name, l in params]
 
@@ -434,18 +432,14 @@ def train(model: LpRnnModel, dataset: dict, config: TrainConfig) -> LpRnnModel:
             if not np.isfinite(loss):
                 raise NumericError("training diverged (non-finite loss)")
             step_count += 1
-            flat = []
-            for li, g in enumerate(grads):
-                flat.append(g["w_in"])
-                if g["w_rec"] is not None:
-                    flat.append(g["w_rec"])
-                flat.append(g["bias"])
+            flat = [g[name] for g in grads for name in ("w_in", "w_rec", "bias")
+                    if g[name] is not None]
             for k, ((name, layer), g) in enumerate(zip(params, flat)):
-                m_state[k] = config.beta1 * m_state[k] + (1 - config.beta1) * g
-                v_state[k] = config.beta2 * v_state[k] + (1 - config.beta2) * g * g
-                m_hat = m_state[k] / (1 - config.beta1 ** step_count)
-                v_hat = v_state[k] / (1 - config.beta2 ** step_count)
-                upd = config.lr * m_hat / (np.sqrt(v_hat) + config.eps)
+                m_state[k] = ADAM_BETA1 * m_state[k] + (1 - ADAM_BETA1) * g
+                v_state[k] = ADAM_BETA2 * v_state[k] + (1 - ADAM_BETA2) * g * g
+                m_hat = m_state[k] / (1 - ADAM_BETA1 ** step_count)
+                v_hat = v_state[k] / (1 - ADAM_BETA2 ** step_count)
+                upd = config.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
                 setattr(layer, name, getattr(layer, name) - upd)
             for layer in model.layers:
                 if layer.mask_in is not None:
@@ -489,7 +483,7 @@ def magnitude_prune(model: LpRnnModel, sparsity: float) -> LpRnnModel:
 
 
 # Model container format: a .npz holding a JSON metadata entry plus, per
-# layer, the full-precision tensors and their 3-bit integer views + scales.
+# layer, the full-precision tensors and any pruning masks.
 
 def save_model(model: LpRnnModel, path) -> None:
     meta = {
@@ -522,7 +516,8 @@ def save_model(model: LpRnnModel, path) -> None:
 
 
 def load_model(path) -> LpRnnModel:
-    with reading(path), np.load(path) as data:
+    """Read a model file: a path or an open binary file."""
+    with npz_file(path) as data:
         if "meta" not in data:
             raise DataError(f"{path}: not a model file (missing metadata)")
         meta = json.loads(bytes(data["meta"]).decode())

@@ -8,10 +8,13 @@ All compartment variables of the spiking simulator live in the signed range
 flagged, so overflow is detectable instead of silently corrupting dynamics.
 
 Decay implements x -> x - x/tau. In reference mode this is real arithmetic.
-In fixed-point mode it is evaluated multiplicatively as
-trunc_toward_zero(x * (tau - 1) / tau), which never flips the sign, keeps 0 a
-fixed point, and (unlike subtracting trunc(x/tau), which stalls for
-0 < |x| < tau) drains any state to exactly 0 in finitely many steps.
+In fixed-point mode it is evaluated multiplicatively on the magnitude, which
+keeps the sign and keeps 0 a fixed point. Rounding "round" (the compiler's
+default) keeps (|x| (tau - 1) + tau // 2) // tau, the nearest integer, halves
+up: within half an LSB of reference mode per step, but magnitudes of at most
+tau // 2 stop decaying. "trunc" keeps (|x| (tau - 1)) // tau: up to one LSB
+faster per step, but (unlike subtracting trunc(x/tau), which stalls for
+0 < |x| < tau) it drains any state to exactly 0 in finitely many steps.
 
 The array kernels take float64 states, integer-valued in fixed-point mode
 (exact below 2**53). For integers |a| < 2**52 and tau >= 1, a / tau is an

@@ -16,8 +16,8 @@ neuron and its analog encoder on it.
 
 Two arithmetic modes share one engine: reference (real arithmetic, overflow
 impossible) and fixed_point (integer states saturating at +/-2**23, rounded
-multiplicative decay). The network parameters (weights, biases, thresholds,
-integer time constants) are identical in both modes, so the modes differ
+multiplicative decay). The network parameters (weights, biases, feedback
+weights, integer time constants) are identical in both modes, so the modes differ
 only in state arithmetic. Both hold states in float64, fixed point as
 integers (exact below 2**53) rounded where the hardware rounds: the decay
 (numerics.decay_array), u into i as floor((u + half) * 2**-weight_exp), the
@@ -29,7 +29,7 @@ none is ever -0.0.
 One step advances the whole network. The four states u, i, s and imem are
 the rows of one [4, batch, N] array with the layers' neurons side by side;
 taus are stacked to [4, 1, N] so one call decays all four, and bias,
-threshold, w_fb and weight exponent are per-neuron vectors. The decay
+w_fb (also the threshold) and weight exponent are per-neuron vectors. The decay
 writes a second stack, from which the sums are written back in place, so a
 step allocates no state-sized temporary, and the peak |state| is
 max(-min, max) of the stack. Every synapse reads spikes of an earlier
@@ -59,7 +59,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .containers import FeatureSequence, SpikeRaster
-from .convert import SnnNetwork
+from .convert import TAU_MEM, SnnNetwork
 from .errors import ConfigError, DataError
 from .numerics import STATE_LIMIT, decay_array, round_half_away, sat_add_array
 
@@ -178,7 +178,7 @@ def _engine(net: SnnNetwork, x: np.ndarray | None, input_raster: SpikeRaster | N
             raise DataError("input features must be finite (NaN or inf found)")
         duration = n_frames_in * oversample
         drive_all = (np.einsum("btd,nd->tbn", x, enc.enc_w)
-                     * (net.f / (enc.tau_u_fx * enc.tau_i_fx)))
+                     * (net.f / (enc.tau_u_fx * enc.tau_s_fx)))
         enc_drive = round_half_away(drive_all) if fixed else drive_all
     # a raster stands in for the encoder, whose columns are then not updated
     first = 0 if input_raster is None else 1
@@ -192,14 +192,14 @@ def _engine(net: SnnNetwork, x: np.ndarray | None, input_raster: SpikeRaster | N
                                for l in layers])[lo:].astype(np.float64)
 
     # both modes run on the integer network constants; reference mode is
-    # real-valued state arithmetic on the same network
-    taus = np.stack([per_neuron(a) for a in ("tau_u_fx", "tau_i_fx", "tau_s_fx",
-                                             "tau_mem_fx")])[:, None, :]
+    # real-valued state arithmetic on the same network. The i stage shares
+    # tau_s and a neuron fires above its w_fb.
+    tau_u, tau_s, w_fb = per_neuron("tau_u_fx"), per_neuron("tau_s_fx"), per_neuron("w_fb")
+    taus = np.stack([tau_u, tau_s, tau_s, np.full_like(tau_s, TAU_MEM)])[:, None, :]
     state, clips, step = sigma_delta_kernel(
-        shape, taus, *(per_neuron(a) for a in ("bias", "threshold", "w_fb")),
+        shape, taus, per_neuron("bias"), w_fb, w_fb,
         per_neuron("weight_exp").astype(np.int64), fixed, net.config.decay_rounding)
     s = state[2]
-    gain = float(net.config.weight_gain)
 
     # one [n, n] block matrix per distinct synaptic delay, presynaptic rows
     delays = {1} | {l.rec_delay for l in layers if l.w_rec is not None}
@@ -236,7 +236,6 @@ def _engine(net: SnnNetwork, x: np.ndarray | None, input_raster: SpikeRaster | N
         np.matmul(ring[(t - 1) % depth], w_1, out=drive)
         for d, w in mats.items():
             drive += np.matmul(ring[(t - d) % depth], w, out=tmp)
-        drive *= gain
         if fixed:
             np.trunc(drive, out=drive)
         if not lo:

@@ -59,6 +59,24 @@ class TestWavIO:
         with pytest.raises(DataError):
             load_wav(path)
 
+    def test_data_chunk_ending_inside_a_sample_rejected(self, tmp_path):
+        path = tmp_path / "odd.wav"
+        save_wav(path, np.zeros(100), 16000)
+        path.write_bytes(path.read_bytes()[:-1])
+        with pytest.raises(DataError, match="inside a sample"):
+            load_wav(path)
+
+    def test_chunk_length_past_end_of_file_rejected(self, tmp_path):
+        # a chunk before the data chunk claims more bytes than the file
+        # holds: wave's chunk skip fails with a bare RuntimeError
+        path = tmp_path / "skip.wav"
+        save_wav(path, np.zeros(100), 16000)
+        data = path.read_bytes()
+        chunk = b"LIST" + (10 ** 6).to_bytes(4, "little") + b"abcd"
+        path.write_bytes(data[:36] + chunk + data[36:])
+        with pytest.raises(DataError, match="malformed WAV"):
+            load_wav(path)
+
 
 class TestFft:
     def test_impulse_flat_spectrum(self):

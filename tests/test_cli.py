@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sdrnn.audio_frontend import write_manifest
+from sdrnn.audio_frontend import save_wav, write_manifest
 from sdrnn.cli import main
 from sdrnn.convert import load_network
 from sdrnn.synthetic import CLASSES, generate_dataset
@@ -60,6 +60,17 @@ class TestFeatures:
         assert code == 3
         err = capsys.readouterr().err
         assert "bad.wav" in err
+
+    def test_wav_ending_inside_a_sample_is_data_error(self, tmp_path, capsys):
+        wav = tmp_path / "odd.wav"
+        save_wav(wav, np.zeros(1000), 16000)
+        wav.write_bytes(wav.read_bytes()[:-1])
+        manifest = tmp_path / "manifest.csv"
+        write_manifest(manifest, [{"path": "odd.wav", "label": "up", "split": "train"}])
+        assert main(["features", "--manifest", str(manifest),
+                     "--features", str(tmp_path / "cache")]) == 3
+        err = capsys.readouterr().err
+        assert "odd.wav" in err and "Traceback" not in err
 
     def test_missing_file_is_data_error(self, tmp_path):
         manifest = tmp_path / "manifest.csv"
@@ -171,6 +182,43 @@ class TestConvertCommand:
             assert (a.w_fb, a.weight_exp) == (b.w_fb, b.weight_exp)
         assert json.loads(Path(str(out) + ".config.json").read_text())["f_search_evals"] == 0
 
+    @staticmethod
+    def with_retired_options(workspace, tmp_path, **changes) -> Path:
+        """The recorded config of the workspace network as the convert
+        command wrote it while the compiler constants were options."""
+        config = json.loads(Path(str(workspace["net"]) + ".config.json").read_text())
+        config.update({"tau_u": 2.0, "tau_mem": 1.0, "weight_gain": 1, "weight_limit": 255,
+                       **changes})
+        path = tmp_path / "old.config.json"
+        path.write_text(json.dumps(config))
+        return path
+
+    def test_config_with_retired_options_replays(self, workspace, tmp_path):
+        out = tmp_path / "replay.npz"
+        assert main(["convert", "--model", str(workspace["model"]), "--out", str(out),
+                     "--config", str(self.with_retired_options(workspace, tmp_path))]) == 0
+        replayed, searched = load_network(out), load_network(workspace["net"])
+        assert (replayed.f, replayed.config) == (searched.f, searched.config)
+        for a, b in zip(replayed.layers, searched.layers):
+            for name in ("w_in", "w_rec", "bias", "enc_w"):
+                np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+            assert (a.w_fb, a.tau_s_fx, a.tau_u_fx) == (b.w_fb, b.tau_s_fx, b.tau_u_fx)
+
+    @pytest.mark.parametrize("key, value", [("tau_u", 3.0), ("tau_mem", 2.0),
+                                            ("weight_gain", 64), ("weight_limit", 127)])
+    def test_retired_option_with_another_value_is_config_error(self, workspace, tmp_path,
+                                                               capsys, key, value):
+        config = self.with_retired_options(workspace, tmp_path, **{key: value})
+        assert main(["convert", "--model", str(workspace["model"]),
+                     "--out", str(tmp_path / "net.npz"), "--config", str(config)]) == 2
+        assert key in capsys.readouterr().err
+
+    def test_retired_option_is_unknown_to_other_commands(self, workspace, tmp_path):
+        cfg_path = tmp_path / "train.json"
+        cfg_path.write_text(json.dumps({"tau_u": 2.0}))
+        assert main(["train", "--features", str(workspace["features"]),
+                     "--out", str(tmp_path / "m.npz"), "--config", str(cfg_path)]) == 2
+
     def test_missing_probe_source_is_config_error(self, workspace, tmp_path):
         assert main(["convert", "--model", str(workspace["model"]),
                      "--out", str(tmp_path / "net.npz"),
@@ -237,6 +285,19 @@ class TestEvaluateCommand:
                      "--out", str(tmp_path / "x.json")]) == 3
         err = capsys.readouterr().err
         assert f"data error: {bad}" in err and "Traceback" not in err
+
+    def test_network_with_retired_key_of_another_value_is_data_error(self, workspace,
+                                                                     tmp_path, capsys):
+        with np.load(workspace["net"]) as data:
+            arrays = dict(data)
+        meta = json.loads(bytes(arrays["meta"]).decode())
+        meta["layers"][1]["threshold"] = meta["layers"][1]["w_fb"] + 1
+        arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+        net = tmp_path / "net.npz"
+        np.savez(net, **arrays)
+        assert main(["evaluate", "--input", str(net), "--features", str(workspace["features"]),
+                     "--out", str(tmp_path / "x.json")]) == 3
+        assert "threshold" in capsys.readouterr().err
 
     def test_corrupt_feature_index_is_data_error(self, workspace, tmp_path):
         features = tmp_path / "features"

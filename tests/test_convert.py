@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -7,12 +8,13 @@ import pytest
 from sdrnn import convert
 from sdrnn.benchmarks import make_random_model, make_smooth_input
 from sdrnn.containers import FeatureSequence
-from sdrnn.convert import (CompileConfig, TimingConfig, alpha_to_tau, compile_network,
-                           compile_report, load_network, map_bias, map_weights,
-                           rescale_tau, save_network, select_scale_factor, tau_to_alpha)
+from sdrnn.convert import (CompileConfig, SnnLayer, TimingConfig, alpha_to_tau,
+                           compile_network, compile_report, load_network, map_bias,
+                           map_weights, rescale_tau, save_network, select_scale_factor)
 from sdrnn.errors import ConfigError, DataError, NumericError
 from sdrnn.lprnn import init_model, ste_quantize
 from sdrnn.numerics import STATE_LIMIT
+from sdrnn.snn_sim import simulate_batch
 
 TIMING = TimingConfig(t_ann=0.01, t_snn=0.0001)
 
@@ -61,12 +63,6 @@ class TestAlphaToTau:
         for alpha in (0.0, 1.0, 1.5, -0.1):
             with pytest.raises(ConfigError):
                 alpha_to_tau(alpha, 1.0)
-
-    def test_round_trip_recovers_alpha(self):
-        rng = np.random.default_rng(0)
-        for alpha in rng.uniform(1e-6, 1.0 - 1e-9, size=200):
-            tau = alpha_to_tau(alpha, 0.01)
-            assert tau_to_alpha(tau, 0.01) == pytest.approx(alpha, rel=1e-12)
 
 
 class TestRescaleTau:
@@ -147,9 +143,7 @@ class TestCompile:
         for layer_model, layer_net in zip(model.layers, net.layers):
             tau_expected = rescale_tau(alpha_to_tau(layer_model.alpha, TIMING.t_ann), TIMING)
             assert layer_net.tau_s == pytest.approx(tau_expected, rel=1e-12)
-            assert layer_net.tau_i == layer_net.tau_s
             assert layer_net.w_fb == int(round(f / layer_net.tau_s_fx))
-            assert layer_net.threshold == layer_net.w_fb
 
     def test_alpha_09_tau_in_steps(self):
         # chained formula: (-0.010 / ln 0.9) s expressed in 0.1 ms steps
@@ -163,7 +157,6 @@ class TestCompile:
         rng = np.random.default_rng(5)
         model = quantized_model(rng)
         net = compile_network(model, TIMING, f=2e5)
-        cfg = net.config
         for li, layer in enumerate(net.layers):
             if layer.w_in is not None:
                 alpha = model.layers[li].alpha
@@ -171,7 +164,6 @@ class TestCompile:
                 # fine-step filter behind the frame recursion, in steps
                 lag = (-1.0 / math.log(alpha) - alpha / (1.0 - alpha)) * TIMING.oversample
                 assert layer.tau_u_fx == layer.tau_s_fx - round(lag)
-                assert layer.tau_i_fx == layer.tau_s_fx
                 tensors = [(layer.w_in, model.layers[li].w_in)]
                 if layer.w_rec is not None:
                     tensors.append((layer.w_rec, model.layers[li].w_rec))
@@ -180,19 +172,19 @@ class TestCompile:
                     assert layer.rec_delay == round(lag)
                 for mapped, w in tensors:
                     w_q = ste_quantize(w, model.bits)
-                    expected = map_weights(w_q, net.f, layer.tau_u_fx, layer.tau_i_fx,
-                                           cfg.weight_gain, cfg.weight_limit,
+                    expected = map_weights(w_q, net.f, layer.tau_u_fx, layer.tau_s_fx,
+                                           convert.WEIGHT_GAIN, convert.WEIGHT_LIMIT,
                                            layer.weight_exp)
                     np.testing.assert_array_equal(mapped, expected)
                 # the exponent is the largest the weight range and 2**e <= tau_i allow
                 assert layer.weight_exp > 0  # f = 2e5 is far below the weight cap
-                assert 2 ** layer.weight_exp <= layer.tau_i_fx
-                if 2 ** (layer.weight_exp + 1) <= layer.tau_i_fx:
+                assert 2 ** layer.weight_exp <= layer.tau_s_fx
+                if 2 ** (layer.weight_exp + 1) <= layer.tau_s_fx:
                     with pytest.raises(NumericError):
                         for _, w in tensors:
                             map_weights(ste_quantize(w, model.bits), net.f, layer.tau_u_fx,
-                                        layer.tau_i_fx, cfg.weight_gain, cfg.weight_limit,
-                                        layer.weight_exp + 1)
+                                        layer.tau_s_fx, convert.WEIGHT_GAIN,
+                                        convert.WEIGHT_LIMIT, layer.weight_exp + 1)
             assert layer.bias.dtype.kind == "i"
 
     def test_compile_is_deterministic(self):
@@ -331,6 +323,61 @@ class TestNetworkFile:
         report = compile_report(back)
         assert "scale factor" in report and "histogram" in report
         assert f"weight exponent {net.layers[1].weight_exp}" in report
+
+    def test_round_trip_keeps_every_field(self, tmp_path):
+        # a field that the file format dropped would come back as its
+        # default, or fail to load
+        config = CompileConfig(safety_margin=0.3, decay_rounding="trunc")
+        net = compile_network(quantized_model(np.random.default_rng(16)), TIMING, f=2e5,
+                              config=config)
+        assert all(l.rec_delay > 1 and l.weight_exp > 0 for l in net.layers[1:3])
+        path = tmp_path / "net.npz"
+        save_network(net, path)
+        back = load_network(path)
+        for f in fields(CompileConfig):
+            assert getattr(back.config, f.name) == getattr(config, f.name), f.name
+        for la, lb in zip(back.layers, net.layers):
+            for f in fields(SnnLayer):
+                a, b = getattr(la, f.name), getattr(lb, f.name)
+                if isinstance(b, np.ndarray):
+                    assert a.dtype == b.dtype, f.name
+                    np.testing.assert_array_equal(a, b, err_msg=f.name)
+                else:
+                    assert (type(a), a) == (type(b), b), f.name
+
+    @staticmethod
+    def with_retired_keys(meta):
+        """meta as the compiler wrote it while these keys were options or
+        restated another field, with the values they always took."""
+        meta["config"].update(tau_u=2.0, tau_mem=1.0, weight_gain=1, weight_limit=255)
+        for lmeta in meta["layers"]:
+            lmeta.update(tau_i=lmeta["tau_s"], tau_mem=1.0, tau_i_fx=lmeta["tau_s_fx"],
+                         tau_mem_fx=1, threshold=lmeta["w_fb"])
+
+    @pytest.mark.parametrize("mode", ["reference", "fixed_point"])
+    def test_file_with_retired_keys_simulates_the_same(self, tmp_path, mode):
+        net, path = self.saved_with_meta(tmp_path, self.with_retired_keys)
+        back = load_network(path)
+        assert back.config == net.config
+        x = np.random.default_rng(17).uniform(0.0, 1.0, size=(2, 6, 2))
+        a, b = simulate_batch(net, x, mode), simulate_batch(back, x, mode)
+        for li in range(len(net.layers)):
+            np.testing.assert_array_equal(a.spike_counts[li], b.spike_counts[li])
+            np.testing.assert_array_equal(a.frame_s[li], b.frame_s[li])
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("config", "tau_u", 3.0), ("config", "tau_mem", 2.0), ("config", "weight_gain", 64),
+        ("config", "weight_limit", 127), ("layer", "tau_i", 30.0), ("layer", "tau_i_fx", 7),
+        ("layer", "threshold", 3), ("layer", "tau_mem", 2.0), ("layer", "tau_mem_fx", 2),
+    ])
+    def test_retired_key_with_another_value_rejected(self, tmp_path, section, key, value):
+        def edit(meta):
+            self.with_retired_keys(meta)
+            (meta["config"] if section == "config" else meta["layers"][1])[key] = value
+
+        _, path = self.saved_with_meta(tmp_path, edit)
+        with pytest.raises(DataError, match=key):
+            load_network(path)
 
     @staticmethod
     def saved_with_meta(tmp_path, edit):

@@ -269,6 +269,14 @@ class TestSteQuantize:
         assert levels.tolist() == [0, 0, 0]
         assert np.all(np.isfinite(out))
 
+    def test_grad_mask_at_subnormal_peak_clips_nothing(self):
+        # quantize_levels takes scale 1.0 here and clips nothing, so the
+        # straight-through mask passes every gradient
+        w = np.array([5e-324, -5e-324, 0.0])
+        levels, _ = quantize_levels(w)
+        assert levels.tolist() == [0, 0, 0]
+        assert ste_grad_mask(w).tolist() == [1.0, 1.0, 1.0]
+
     def test_grid_fixed_point(self):
         s = 0.37
         w = np.array([-3, -2, -1, 0, 1, 2, 3], dtype=np.float64) * s

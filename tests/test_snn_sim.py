@@ -41,7 +41,9 @@ def flat_loop_sim(net, feats: np.ndarray, mode: str, sat_log: list | None = None
     Python floats / ints only, no vectorization: decay-then-add per stage,
     u into i scaled by 2**-weight_exp (rounded half up by shift in fixed
     point), bias into i, one-step feed-forward delay, rec_delay-step
-    recurrent delay, same-step self-feedback. In fixed point each sum is
+    recurrent delay, same-step self-feedback. The i stage decays with tau_s,
+    imem with tau 1, a neuron fires when imem exceeds w_fb, and a spike
+    deposits its weight times a gain of 1. In fixed point each sum is
     clipped to +/-STATE_LIMIT before the next stage reads it (s after its
     feedback increment); sat_log, if given, receives one (step, layer, var,
     count) entry per clipping (layer, var) of a step, vars in the order u,
@@ -51,7 +53,6 @@ def flat_loop_sim(net, feats: np.ndarray, mode: str, sat_log: list | None = None
     n_frames = feats.shape[0]
     duration = n_frames * oversample
     fixed = mode in ("fixed", "fixed_point")
-    gain = net.config.weight_gain
     layers = net.layers
     states = []
     for layer in layers:
@@ -88,16 +89,16 @@ def flat_loop_sim(net, feats: np.ndarray, mode: str, sat_log: list | None = None
             clipped = dict.fromkeys(("u", "i", "imem", "s"), 0)
             st = states[li]
             tau_u = layer.tau_u_fx if fixed else float(layer.tau_u_fx)
-            tau_i = layer.tau_i_fx if fixed else float(layer.tau_i_fx)
+            tau_i = layer.tau_s_fx if fixed else float(layer.tau_s_fx)
             tau_s = layer.tau_s_fx if fixed else float(layer.tau_s_fx)
-            tau_m = layer.tau_mem_fx if fixed else float(layer.tau_mem_fx)
+            tau_m = 1 if fixed else 1.0
             fired_now = []
             for j in range(layer.size):
                 if layer.kind == "encoder":
                     raw = 0.0
                     for k in range(layer.enc_w.shape[1]):
                         raw += layer.enc_w[j, k] * feats[t // oversample, k]
-                    drive = raw * net.f / (layer.tau_u_fx * layer.tau_i_fx)
+                    drive = raw * net.f / (layer.tau_u_fx * layer.tau_s_fx)
                     if fixed:
                         drive = int(np.sign(drive) * np.floor(abs(drive) + 0.5))
                 else:
@@ -107,7 +108,7 @@ def flat_loop_sim(net, feats: np.ndarray, mode: str, sat_log: list | None = None
                     if layer.w_rec is not None:
                         for k in range(layer.size):
                             acc += int(layer.w_rec[j, k]) * history[li][-1][k]
-                    drive = acc * gain
+                    drive = acc
                 u = clip(decay(st["u"][j], tau_u) + drive, "u", clipped)
                 e = layer.weight_exp
                 if e == 0:
@@ -119,7 +120,7 @@ def flat_loop_sim(net, feats: np.ndarray, mode: str, sat_log: list | None = None
                 i = clip(decay(st["i"][j], tau_i) + u_in + int(layer.bias[j]), "i", clipped)
                 s = decay(st["s"][j], tau_s)
                 imem = clip(decay(st["imem"][j], tau_m) + i - s, "imem", clipped)
-                spike = imem > layer.threshold
+                spike = imem > layer.w_fb
                 if spike:
                     imem = 0 if fixed else 0.0
                     s = clip(s + layer.w_fb, "s", clipped)
@@ -311,9 +312,9 @@ class TestTrackingBehavior:
         feats = FeatureSequence(rng.uniform(0, 1, size=(10, 2)), TIMING.t_ann)
         trace = simulate(net, feats, probe={1: [0, 1, 2]})
         layer = net.layers[1]
-        params = NeuronParams(tau_s=layer.tau_s_fx, tau_i=layer.tau_i_fx,
-                              tau_u=layer.tau_u_fx, tau_mem=layer.tau_mem_fx,
-                              threshold=layer.threshold, w_fb=layer.w_fb,
+        params = NeuronParams(tau_s=layer.tau_s_fx, tau_i=layer.tau_s_fx,
+                              tau_u=layer.tau_u_fx, tau_mem=1,
+                              threshold=layer.w_fb, w_fb=layer.w_fb,
                               clamp_ceiling=net.f)
         decoded = reconstruct(trace.rasters[1], params)
         np.testing.assert_array_equal(decoded.data, trace.probes[(1, "s")])
@@ -328,10 +329,10 @@ class TestTrackingBehavior:
             net.layers[1].bias = net.layers[1].bias + STATE_LIMIT // 2
             if force == "every_var":
                 # u of layer 1 by huge weights; imem and s of layer 2 by a
-                # large negative self-feedback that fires at every step
+                # large negative self-feedback, also the threshold, that
+                # fires at every step
                 net.layers[1].w_in = net.layers[1].w_in * 40000
                 net.layers[2].bias = net.layers[2].bias + STATE_LIMIT // 4
-                net.layers[2].threshold = 10
                 net.layers[2].w_fb = -(STATE_LIMIT - 5)
             feats = FeatureSequence(rng.uniform(0.5, 1.0, size=(10, 2)), TIMING.t_ann)
             trace = simulate(net, feats, mode="fixed_point", probe={1: [0, 1, 2]})
