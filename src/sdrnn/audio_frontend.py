@@ -8,6 +8,7 @@ normalization to [0, 1] with statistics computed on the training split only.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import wave
@@ -93,8 +94,10 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
+@functools.lru_cache(maxsize=8)
 def mel_filterbank(cfg: MelConfig) -> np.ndarray:
-    """Triangular filters [n_mels, n_fft//2 + 1]; each row sums to 1."""
+    """Triangular filters [n_mels, n_fft//2 + 1]; each row sums to 1. Built
+    once per config and shared by every clip, so the array is read-only."""
     n_bins = cfg.n_fft // 2 + 1
     fft_freqs = np.arange(n_bins) * cfg.sample_rate / cfg.n_fft
     edges = mel_to_hz(np.linspace(hz_to_mel(cfg.f_min), hz_to_mel(cfg.f_max), cfg.n_mels + 2))
@@ -109,6 +112,7 @@ def mel_filterbank(cfg: MelConfig) -> np.ndarray:
             raise ConfigError(
                 f"mel filter {k} is empty; n_fft {cfg.n_fft} too small for {cfg.n_mels} bins")
         bank[k] /= total
+    bank.flags.writeable = False
     return bank
 
 

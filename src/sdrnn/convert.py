@@ -476,6 +476,30 @@ def save_network(net: SnnNetwork, path) -> None:
         np.savez(fh, **arrays)
 
 
+def _bad_arrays(layer: SnnLayer, fan_in: int | None) -> str | None:
+    """What is wrong with the arrays of a loaded layer, or None. fan_in is
+    the size of the layer below it, None for the first layer, whose w_in
+    the engine does not read. The engine's sums are exact only on finite
+    integer weights and biases."""
+    n = layer.size
+    if fan_in is not None and layer.w_in is None:
+        return "w_in is missing"
+    shapes = {"w_in": None if fan_in is None else (n, fan_in), "w_rec": (n, n), "bias": (n,)}
+    for name, shape in shapes.items():
+        a = getattr(layer, name)
+        if a is None or shape is None:
+            continue
+        if a.shape != shape:
+            return f"{name} has shape {a.shape}, not {shape}"
+        if a.dtype.kind not in "iuf" or not (np.isfinite(a).all() and (a == np.round(a)).all()):
+            return f"{name} must hold finite integers"
+    enc = layer.enc_w
+    if enc is not None and not (enc.ndim == 2 and enc.shape[0] == n and enc.dtype.kind == "f"
+                                and np.isfinite(enc).all()):
+        return f"enc_w must be finite reals of shape [{n}, features], not {enc.dtype} {enc.shape}"
+    return None
+
+
 def load_network(path) -> SnnNetwork:
     with npz_file(path) as data:
         if "meta" not in data:
@@ -498,7 +522,8 @@ def load_network(path) -> SnnNetwork:
             if set(lmeta) != set(_LAYER_SCALARS):
                 raise DataError(f"{path}: layer {li}: keys {sorted(lmeta)} are not "
                                 f"{sorted(_LAYER_SCALARS)}")
-            ints = {k: lmeta[k] for k in ("tau_s_fx", "tau_u_fx", "rec_delay", "weight_exp")}
+            ints = {k: lmeta[k] for k in ("size", "tau_s_fx", "tau_u_fx", "w_fb", "rec_delay",
+                                          "weight_exp")}
             if not all(type(v) is int and v >= (k != "weight_exp") for k, v in ints.items()):
                 raise DataError(f"{path}: layer {li}: {ints} must be integers >= 1 "
                                 "(weight_exp >= 0)")
@@ -506,6 +531,8 @@ def load_network(path) -> SnnNetwork:
             layers.append(SnnLayer(**lmeta, **{
                 name: data[f"l{li}_{name}"] if f"l{li}_{name}" in data or name == "bias"
                 else None for name in _LAYER_ARRAYS}))
+            if bad := _bad_arrays(layers[-1], layers[-2].size if li else None):
+                raise DataError(f"{path}: layer {li}: {bad}")
         source = load_model(io.BytesIO(bytes(data["source_model"])))
         return SnnNetwork(layers=layers, f=meta["f"],
                           timing=TimingConfig(meta["t_ann"], meta["t_snn"]), config=cfg,

@@ -15,6 +15,9 @@ up: within half an LSB of reference mode per step, but magnitudes of at most
 tau // 2 stop decaying. "trunc" keeps (|x| (tau - 1)) // tau: up to one LSB
 faster per step, but (unlike subtracting trunc(x/tau), which stalls for
 0 < |x| < tau) it drains any state to exactly 0 in finitely many steps.
+The rounding offset, tau // 2 or 0, is decay_offset(tau, rounding); the
+neuron kernel decays by the same taus at every step, so it computes the
+offset once per run and passes it to decay_array instead of the rounding.
 
 The array kernels take float64 states, integer-valued in fixed-point mode
 (exact below 2**53). For integers |a| < 2**52 and tau >= 1, a / tau is an
@@ -32,24 +35,33 @@ from .errors import ConfigError
 STATE_LIMIT = 1 << 23
 
 
+def decay_offset(tau, rounding: str):
+    """The rounding offset of the fixed-point decay by tau: tau // 2 for
+    "round", 0 for "trunc"."""
+    if rounding == "trunc":
+        return 0.0
+    if rounding == "round":
+        return np.floor_divide(tau, 2)
+    raise ConfigError(f"unknown decay rounding mode {rounding!r}")
+
+
 def decay_array(x: np.ndarray, tau, *, fixed: bool = False, rounding: str = "trunc",
-                out: np.ndarray | None = None) -> np.ndarray:
+                out: np.ndarray | None = None, offset=None) -> np.ndarray:
     """One decay step of every element; tau is a scalar or broadcasts against
-    x. The result goes to out if given, which must not be x."""
+    x. The result goes to out if given, which must not be x. In fixed point
+    the rounding offset is decay_offset(tau, rounding); a caller that decays
+    by the same taus at every step computes it once and passes it as
+    offset, which then stands in for rounding."""
     if not fixed:
         out = np.divide(x, tau, out=out)
         return np.subtract(x, out, out=out)  # x / inf is 0: an infinite tau keeps x
-    if rounding == "trunc":
-        half = 0.0
-    elif rounding == "round":
-        half = np.floor_divide(tau, 2)
-    else:
-        raise ConfigError(f"unknown decay rounding mode {rounding!r}")
-    # kept magnitude (|x| (tau - 1) + half) // tau, written as
-    # |x| + (half - |x|) // tau, with the sign of x: x + sign(x) * floor,
-    # which is x - copysign(floor, x) as floor <= 0 (half < tau), and +0 at x = 0
+    if offset is None:
+        offset = decay_offset(tau, rounding)
+    # kept magnitude (|x| (tau - 1) + offset) // tau, written as
+    # |x| + (offset - |x|) // tau, with the sign of x: x + sign(x) * floor,
+    # which is x - copysign(floor, x) as floor <= 0 (offset < tau), and +0 at x = 0
     out = np.abs(x, out=out, dtype=np.float64)
-    np.subtract(half, out, out=out)
+    np.subtract(offset, out, out=out)
     np.divide(out, tau, out=out)
     np.floor(out, out=out)
     np.copysign(out, x, out=out)

@@ -27,28 +27,35 @@ an int64 evaluation's; they start at +0 and a sum that cancels is +0, so
 none is ever -0.0.
 
 One step advances the whole network. The four states u, i, s and imem are
-the rows of one [4, batch, N] array with the layers' neurons side by side;
-taus are stacked to [4, 1, N] so one call decays all four, and bias,
-w_fb (also the threshold) and weight exponent are per-neuron vectors. The decay
+the rows of one [4, batch, N] array with the layers' neurons side by side.
+The kernel lays every per-neuron constant (taus, the fixed-point rounding
+offset, bias, w_fb, which is also the threshold, and the shift scale) out
+once per run as a contiguous array of the full shape it meets, so a step
+broadcasts nothing, and one call decays the stack. imem has tau 1, whose
+decay is exactly +0, so only the u, i and s rows are decayed. The decay
 writes a second stack, from which the sums are written back in place, so a
 step allocates no state-sized temporary, and the peak |state| is
 max(-min, max) of the stack. Every synapse reads spikes of an earlier
 step, so no update depends on another within a step: the drive is
 spikes(t-1) @ W_1 plus spikes(t-d) @ W_d for each other recurrent delay d,
 where W_1 holds every layer's w_in below the diagonal and the delay-1 w_rec
-blocks on it. Spikes of the last max(rec_delay) steps wait in one
-[depth, batch, N] ring. The analog encoder drive overwrites the
-encoder's columns; a spike raster replaces the encoder, whose columns are
-then left out of the update. Rasters, frame-end s, spike counts, probes and
-the readout are column slices of the flat state. Batched samples advance in
-lockstep on the same arrays.
+blocks on it. W_1 spans nearly the whole network and is kept whole; each
+other W_d is cut to the bounding box of its nonzero rows and columns (the
+recurrent blocks of that delay), whose product adds into that column slice
+of the drive, and an all-zero W_d is skipped. Spikes of the last
+max(rec_delay) steps wait in one [depth, batch, N] ring. The analog
+encoder drive overwrites the encoder's columns; a spike raster replaces the
+encoder, whose columns are then left out of the update (and cannot be
+probed). Rasters, frame-end s, spike counts, probes and the readout are
+column slices of the flat state. Batched samples advance in lockstep on
+the same arrays.
 
 The flat step is bit-identical to a layer-by-layer one: weights are
 integers and spikes 0/1, so the float64 block products are exact integer
-sums in any order, and every other operation is elementwise. Its cost is one
-dense N x N matrix per distinct delay, whatever the sparsity of the layer
-graph: cheap for the networks of about 100 neurons used here; measure
-before relying on it above about 1k neurons.
+sums in any order, and every other operation is elementwise. Its cost is
+one dense N x N product for the delay-1 synapses plus one box per other
+delay, whatever the sparsity inside them: cheap for the networks of about
+100 neurons used here; measure before relying on it above about 1k neurons.
 """
 
 from __future__ import annotations
@@ -61,7 +68,7 @@ import numpy as np
 from .containers import FeatureSequence, SpikeRaster
 from .convert import TAU_MEM, SnnNetwork
 from .errors import ConfigError, DataError
-from .numerics import STATE_LIMIT, decay_array, round_half_away, sat_add_array
+from .numerics import STATE_LIMIT, decay_array, decay_offset, round_half_away, sat_add_array
 
 _MAX_SAT_LOG = 1000
 
@@ -100,13 +107,30 @@ def sigma_delta_kernel(shape, taus, bias, threshold, w_fb, exps, fixed: bool = F
     taus broadcast against the stack ([4, 1, n] per neuron); bias,
     threshold, w_fb and exps are per neuron or scalars. In fixed point the
     adds saturate, and each clipping add appends (var, clips per neuron) to
-    clips, which the caller clears."""
-    state, decayed = np.zeros((4, *shape)), np.zeros((4, *shape))
+    clips, which the caller clears.
+
+    The constants are laid out once, contiguous at the full shape they meet
+    in the step, so no step broadcasts. A decay by tau 1 is exactly +0 in
+    both modes (x - x / 1, and (|x| 0 + 0) // 1), so when every tau_mem is 1
+    only u, i and s are decayed and the decayed imem stays 0."""
+    full = (4, *shape)
+    taus = np.ascontiguousarray(np.broadcast_to(taus, full), dtype=np.float64)
+    rows = 3 if (taus[3] == 1).all() else 4
+    taus = taus[:rows]
+    offset = decay_offset(taus, rounding) if fixed else None
+
+    def laid_out(value):
+        return np.ascontiguousarray(np.broadcast_to(value, shape), dtype=np.float64)
+
+    bias, threshold, w_fb = laid_out(bias), laid_out(threshold), laid_out(w_fb)
+    exps = np.asarray(exps, dtype=np.int64)
+    # u enters i as u * 2**-exps, and in fixed point as floor((u + half) * 2**-exps)
+    scale, half = laid_out(np.ldexp(1.0, -exps)), laid_out((1 << exps) >> 1)
+    state, decayed = np.zeros(full), np.zeros(full)
     u, i, s, imem = state
     du, di, ds, dimem = decayed
+    live, decaying = state[:rows], decayed[:rows]
     tmp, fired = np.zeros(shape), np.zeros(shape, dtype=bool)
-    scale = np.ldexp(1.0, -exps)  # u enters i as u * 2**-exps, and in fixed
-    half = (1 << exps) >> 1       # point as floor((u + half) * 2**-exps)
     clips: list[tuple] = []
 
     def add(x, delta, into, var):
@@ -118,7 +142,7 @@ def sigma_delta_kernel(shape, taus, bias, threshold, w_fb, exps, fixed: bool = F
             clips.append((var, (np.abs(x + delta) > STATE_LIMIT).sum(axis=0)))
 
     def step(drive) -> np.ndarray:
-        decay_array(state, taus, fixed=fixed, rounding=rounding, out=decayed)
+        decay_array(live, taus, fixed=fixed, out=decaying, offset=offset)
         add(du, drive, u, "u")
         if fixed:
             np.floor(np.multiply(np.add(u, half, out=tmp), scale, out=tmp), out=tmp)
@@ -201,7 +225,8 @@ def _engine(net: SnnNetwork, x: np.ndarray | None, input_raster: SpikeRaster | N
         per_neuron("weight_exp").astype(np.int64), fixed, net.config.decay_rounding)
     s = state[2]
 
-    # one [n, n] block matrix per distinct synaptic delay, presynaptic rows
+    # one [n, n] block matrix per distinct synaptic delay, presynaptic rows;
+    # W_1 stays whole, the others are cut to the box of their nonzeros
     delays = {1} | {l.rec_delay for l in layers if l.w_rec is not None}
     mats = {d: np.zeros((n, n)) for d in delays}
     for li in range(1, len(layers)):
@@ -209,13 +234,20 @@ def _engine(net: SnnNetwork, x: np.ndarray | None, input_raster: SpikeRaster | N
         mats[1][starts[li - 1]:starts[li], cols] = layers[li].w_in.T
         if layers[li].w_rec is not None:
             mats[layers[li].rec_delay][cols, cols] = layers[li].w_rec.T
-    mats = {d: np.ascontiguousarray(m[:, lo:]) for d, m in mats.items()}
-    w_1 = mats.pop(1)
+    w_1 = np.ascontiguousarray(mats.pop(1)[:, lo:])
+    boxes = []  # (delay, presynaptic rows, drive columns, block, product buffer)
+    for d, m in mats.items():
+        m = m[:, lo:]
+        rows, cols = np.flatnonzero(m.any(axis=1)), np.flatnonzero(m.any(axis=0))
+        if rows.size:
+            rows, cols = slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1)
+            boxes.append((d, rows, cols, np.ascontiguousarray(m[rows, cols]),
+                          np.zeros((batch, cols.stop - cols.start))))
     # slot t % depth of the ring holds the spikes of step t
     depth = max(delays)
     ring = np.zeros((depth, batch, n))
 
-    drive, tmp = np.zeros(shape), np.zeros(shape)
+    drive = np.zeros(shape)
     counts = np.zeros((batch, n))
     frame_s = np.zeros((batch, n_frames, n))
     spiked = np.zeros((duration if record_rasters else 0, n - lo), dtype=bool)
@@ -227,15 +259,21 @@ def _engine(net: SnnNetwork, x: np.ndarray | None, input_raster: SpikeRaster | N
     sat_total = 0
     peak = 0.0
     probe = probe or {}
+    for li, ids in probe.items():
+        if not (0 <= li < len(layers) and all(0 <= k < layers[li].size for k in ids)):
+            raise ConfigError(f"probe of layer {li} names no neuron of it: {ids}")
+        if li < first:
+            raise ConfigError("a spike raster stands in for the encoder, which therefore "
+                              "has no states to probe")
     probes = {(li, var): np.zeros((duration, len(ids)))
               for li, ids in probe.items() for var in ("u", "i", "s", "imem")}
     probe_cols = {li: int(starts[li]) - lo + np.asarray(ids, dtype=np.int64)
-                  for li, ids in probe.items() if li >= first}
+                  for li, ids in probe.items()}
 
     for t in range(duration):
         np.matmul(ring[(t - 1) % depth], w_1, out=drive)
-        for d, w in mats.items():
-            drive += np.matmul(ring[(t - d) % depth], w, out=tmp)
+        for d, rows, cols, w, product in boxes:
+            drive[:, cols] += np.matmul(ring[(t - d) % depth][:, rows], w, out=product)
         if fixed:
             np.trunc(drive, out=drive)
         if not lo:

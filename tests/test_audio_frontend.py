@@ -119,6 +119,21 @@ class TestMelFilterbank:
         assert np.all(bank >= 0.0)
         np.testing.assert_allclose(bank.sum(axis=1), 1.0, rtol=1e-12)
 
+    def test_built_once_per_config_and_read_only(self):
+        # every clip of a config shares one bank, which no caller can
+        # change; the features equal those of a freshly built bank
+        bank = mel_filterbank(CFG)
+        assert mel_filterbank(MelConfig()) is bank
+        assert mel_filterbank(MelConfig(n_mels=20)).shape == (20, CFG.n_fft // 2 + 1)
+        with pytest.raises(ValueError):
+            bank[0, 0] = 1.0
+        fresh = mel_filterbank.__wrapped__(CFG)
+        np.testing.assert_array_equal(fresh, bank)
+        samples = np.random.default_rng(3).uniform(-0.5, 0.5, size=4000)
+        power = stft_magnitude(samples, CFG.n_fft, CFG.hop_length) ** 2
+        feats = mel_spectrogram(AudioClip(samples, CFG.sample_rate), CFG)
+        np.testing.assert_array_equal(feats.data, np.log(power @ fresh.T + CFG.log_floor))
+
     def test_mel_scale_round_trip(self):
         freqs = np.linspace(20, 8000, 50)
         np.testing.assert_allclose(mel_to_hz(hz_to_mel(freqs)), freqs, rtol=1e-12)

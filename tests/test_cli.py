@@ -299,6 +299,21 @@ class TestEvaluateCommand:
                      "--out", str(tmp_path / "x.json")]) == 3
         assert "threshold" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode", ["reference", "fixed"])
+    def test_network_whose_size_disagrees_with_its_arrays_is_data_error(
+            self, workspace, tmp_path, capsys, mode):
+        with np.load(workspace["net"]) as data:
+            arrays = dict(data)
+        meta = json.loads(bytes(arrays["meta"]).decode())
+        meta["layers"][1]["size"] += 1
+        arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+        net = tmp_path / "net.npz"
+        np.savez(net, **arrays)
+        assert main(["evaluate", "--input", str(net), "--features", str(workspace["features"]),
+                     "--mode", mode, "--out", str(tmp_path / "x.json")]) == 3
+        err = capsys.readouterr().err
+        assert "layer 1" in err and "Traceback" not in err
+
     def test_corrupt_feature_index_is_data_error(self, workspace, tmp_path):
         features = tmp_path / "features"
         shutil.copytree(workspace["features"], features)

@@ -380,9 +380,9 @@ class TestNetworkFile:
             load_network(path)
 
     @staticmethod
-    def saved_with_meta(tmp_path, edit):
+    def saved_with_meta(tmp_path, edit, edit_arrays=None):
         """A compiled network and the path of its saved file, whose metadata
-        edit() has changed."""
+        edit() has changed, and its arrays edit_arrays(), if given."""
         net = compile_network(quantized_model(np.random.default_rng(13)), TIMING, f=2e5)
         path = tmp_path / "net.npz"
         save_network(net, path)
@@ -390,10 +390,46 @@ class TestNetworkFile:
             arrays = dict(data)
         meta = json.loads(bytes(arrays["meta"]).decode())
         edit(meta)
+        if edit_arrays is not None:
+            edit_arrays(arrays)
         arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
         with open(path, "wb") as fh:
             np.savez(fh, **arrays)
         return net, path
+
+    @staticmethod
+    def set_array(name, value):
+        def edit(arrays):
+            arrays[name] = value(arrays[name])
+        return edit
+
+    @pytest.mark.parametrize("edit, edit_arrays, match", [
+        # the layer's size disagrees with all of its arrays
+        (lambda meta: meta["layers"][1].update(size=meta["layers"][1]["size"] + 1), None,
+         "shape"),
+        (lambda meta: None, set_array("l2_w_in", lambda w: w[:, :-1]), "w_in has shape"),
+        (lambda meta: None, set_array("l1_w_rec", lambda w: w[:, :-1]), "w_rec has shape"),
+        (lambda meta: None, set_array("l3_bias", lambda b: b[:-1]), "bias has shape"),
+        (lambda meta: None, set_array("l0_enc_w", lambda w: w[:-1]), "enc_w"),
+        (lambda meta: None, set_array("l1_w_in", lambda w: w + 0.5), "finite integers"),
+        (lambda meta: None, set_array("l2_w_rec", lambda w: w + 0.5), "finite integers"),
+        (lambda meta: None, set_array("l2_bias", lambda b: np.where(np.arange(b.size) == 1,
+                                                                    np.nan, b)),
+         "finite integers"),
+        (lambda meta: None, set_array("l0_enc_w", lambda w: np.full_like(w, np.inf)), "enc_w"),
+        (lambda meta: meta["layers"][1].update(w_fb=0), None, "w_fb"),
+        (lambda meta: meta["layers"][2].update(w_fb=12.5), None, "w_fb"),
+    ], ids=["size-plus-one", "w_in-columns", "w_rec-columns", "bias-length", "enc_w-rows",
+            "w_in-half-integers", "w_rec-half-integers", "nan-bias", "inf-enc_w",
+            "w_fb-zero", "w_fb-fractional"])
+    def test_arrays_that_disagree_with_the_layer_rejected(self, tmp_path, edit, edit_arrays,
+                                                          match):
+        # a layer's arrays must have the shapes its size and the size of
+        # the layer below give, and the engine's exact integer sums need
+        # finite integer weights and biases and an integer w_fb >= 1
+        _, path = self.saved_with_meta(tmp_path, edit, edit_arrays)
+        with pytest.raises(DataError, match=match):
+            load_network(path)
 
     def test_invalid_delay_rejected(self, tmp_path):
         _, path = self.saved_with_meta(

@@ -1,0 +1,197 @@
+"""Golden digests of the simulation engine and its neuron kernel.
+
+Each case hashes every field of a SimulationResult (scores, spike counts,
+frame_s, rasters, probes, peak_state and the saturation log), or every
+state and clip of a bare sigma_delta_kernel run, and compares the SHA-256
+with the digest this engine produced when the table was written. A change
+that is meant to leave the arithmetic alone must leave every digest as it
+is; one that changes the arithmetic on purpose rewrites the table and says
+why in CHANGES.md. The block products are exact integer sums, so the
+digests do not depend on their order; the analog encoder's drive is a
+float einsum, which another numpy build may sum in another order.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from sdrnn.containers import FeatureSequence
+from sdrnn.convert import CompileConfig, compile_network
+from sdrnn.numerics import STATE_LIMIT
+from sdrnn.sigma_delta import NeuronParams, encode_analog
+from sdrnn.snn_sim import sigma_delta_kernel, simulate, simulate_batch
+
+from test_snn_sim import TIMING, toy_model
+
+#: (mode, decay rounding); reference mode does not round
+MODES = [("reference", "round"), ("fixed_point", "round"), ("fixed_point", "trunc")]
+
+
+class Hasher:
+    def __init__(self):
+        self._h = hashlib.sha256()
+
+    def add(self, *items) -> None:
+        for item in items:
+            if isinstance(item, np.ndarray):
+                arr = np.ascontiguousarray(item)
+                self._h.update(f"{arr.dtype}{arr.shape}".encode())
+                self._h.update(arr.tobytes())
+            else:
+                self._h.update(repr(item).encode())
+
+    def hexdigest(self) -> str:
+        return self._h.hexdigest()
+
+
+def result_digest(result) -> str:
+    h = Hasher()
+    h.add(result.mode, result.scores, result.spikes_per_sample, *result.spike_counts,
+          *result.frame_s, result.saturation_events, result.saturation_total,
+          float(result.peak_state).hex())
+    for raster in result.rasters:
+        h.add(None if raster is None else (raster.duration, raster.population, raster.dt))
+        if raster is not None:
+            h.add(raster.times, raster.units)
+    for key in sorted(result.probes):
+        h.add(key, result.probes[key])
+    return h.hexdigest()
+
+
+def toy_net(rounding: str, seed: int = 42):
+    """The toy network of the flat-loop tests: rec_delay 5 on the recurrent
+    layer and nonzero weight exponents."""
+    rng = np.random.default_rng(seed)
+    net = compile_network(toy_model(rng), TIMING, f=5e4,
+                          config=CompileConfig(decay_rounding=rounding))
+    return net, rng
+
+
+def every_probe(net, first: int = 0) -> dict:
+    return {li: list(range(layer.size)) for li, layer in enumerate(net.layers) if li >= first}
+
+
+def single_run(mode, rounding):
+    net, rng = toy_net(rounding)
+    feats = FeatureSequence(rng.uniform(0.0, 1.0, size=(12, 2)), TIMING.t_ann)
+    return simulate(net, feats, mode=mode, probe=every_probe(net))
+
+
+def batch_run(mode, rounding):
+    net, rng = toy_net(rounding)
+    return simulate_batch(net, rng.uniform(0.0, 1.0, size=(3, 12, 2)), mode=mode)
+
+
+def raster_run(mode, rounding):
+    net, rng = toy_net(rounding)
+    feats = FeatureSequence(rng.uniform(0.0, 1.0, size=(12, 2)), TIMING.t_ann)
+    encoded = simulate(net, feats, mode=mode).rasters[0]
+    return simulate(net, encoded, mode=mode, probe=every_probe(net, first=1))
+
+
+def saturating_run(mode, rounding):
+    # the every_var case of test_fixed_point_states_bounded_and_logged: u,
+    # i, imem and s all clip in fixed point
+    rng = np.random.default_rng(6)
+    net = compile_network(toy_model(rng), TIMING, f=5e4,
+                          config=CompileConfig(decay_rounding=rounding))
+    net.layers[1].bias = net.layers[1].bias + STATE_LIMIT // 2
+    net.layers[1].w_in = net.layers[1].w_in * 40000
+    net.layers[2].bias = net.layers[2].bias + STATE_LIMIT // 4
+    net.layers[2].w_fb = -(STATE_LIMIT - 5)
+    feats = FeatureSequence(rng.uniform(0.5, 1.0, size=(10, 2)), TIMING.t_ann)
+    return simulate(net, feats, mode=mode, probe=every_probe(net))
+
+
+def kernel_digest(mode, rounding) -> str:
+    """A bare kernel run with per-neuron taus, tau_mem 4 on half of the
+    neurons and inf on one, weight exponents 0-3 and a drive large enough
+    to clip in fixed point."""
+    rng = np.random.default_rng(77)
+    fixed = mode == "fixed_point"
+    shape = (2, 6)
+    tau_mem = np.array([4.0, 1.0, 4.0, 1.0, 4.0, np.inf if not fixed else 1.0])
+    taus = np.stack([np.array([2.0, 3.0, 5.0, 7.0, 2.0, 9.0]),
+                     np.array([9.0, 6.0, 10.0, 4.0, 3.0, 8.0]),
+                     np.array([9.0, 6.0, 10.0, 4.0, 3.0, 8.0]), tau_mem])[:, None, :]
+    exps = np.array([0, 1, 2, 3, 0, 1])
+    bias = np.array([3.0, -2.0, 0.0, 5.0, 1.0, 0.0])
+    w_fb = np.array([40.0, 25.0, 60.0, 30.0, 20.0, 50.0])
+    state, clips, step = sigma_delta_kernel(shape, taus, bias, w_fb, w_fb, exps, fixed,
+                                            rounding)
+    h = Hasher()
+    for t in range(200):
+        drive = np.round(rng.normal(0.0, 30.0, size=shape))
+        if t % 50 == 7:
+            drive[0, t % 6] = STATE_LIMIT
+        fired = step(drive)
+        h.add(fired, state)
+        for var, count in clips:
+            h.add(var, count)
+        clips.clear()
+    return h.hexdigest()
+
+
+def encoder_digest() -> str:
+    """encode_analog's population at the default (tau_mem 1) parameters."""
+    rng = np.random.default_rng(78)
+    raster = encode_analog(FeatureSequence(rng.uniform(0.0, 1.0, size=(20, 5)), 0.01),
+                           NeuronParams(), oversample=20)
+    h = Hasher()
+    h.add(raster.times, raster.units, raster.duration, raster.population, raster.dt)
+    return h.hexdigest()
+
+
+RUNS = {"single": single_run, "batch": batch_run, "raster": raster_run,
+        "saturating": saturating_run}
+
+GOLDEN = {
+    ('single', 'reference', 'round'):
+        "cc2570e4dfb86eb4c0363647aaa0a7ebb50fee978c04faef7cc3b9c80b2d086f",
+    ('single', 'fixed_point', 'round'):
+        "0defada0b6f1b84ce7140a9e8c0a1ba4de812b15e95a5e15a6b652a08d74e5eb",
+    ('single', 'fixed_point', 'trunc'):
+        "d6e97c352b309c15d9f6ce55aabc4bdbe7dad459c52bb40f20322df0c6e601d7",
+    ('batch', 'reference', 'round'):
+        "b2d0ed64bd2b4e666fb9d2943c1ddec7c30fb672e4fd5068004c4fe34b3dcbd2",
+    ('batch', 'fixed_point', 'round'):
+        "07031373c82c3d7bd6737d56f276240b7905325875e7d1d31991aa0f87257446",
+    ('batch', 'fixed_point', 'trunc'):
+        "9650d67ba1722d1a41b716df207fc09df63547f6728c534b1b255fe372d2b841",
+    ('raster', 'reference', 'round'):
+        "ccab9555fe15da785253d24671d779d8eae5be6de22ed9fcd2c4ea0d13fba844",
+    ('raster', 'fixed_point', 'round'):
+        "2e3ff361f1f9fe131925299a268bdc5a812fd16f02553b56c77afb8451cf86e7",
+    ('raster', 'fixed_point', 'trunc'):
+        "e2de01ec651d2bdee63e260f528f88fd2bc5ef6d7878a270e4081248799f9d99",
+    ('saturating', 'reference', 'round'):
+        "a9828e476d62570a03078b084c050d9b20dd22e1aa067174fc2fa8cd2b7a5d25",
+    ('saturating', 'fixed_point', 'round'):
+        "9dc876a865e6632944353f3946740b7ad52759959efb55cf8d8540c24b4c265b",
+    ('saturating', 'fixed_point', 'trunc'):
+        "01e7513257012fb82b3c1cf723dccb2e72c5875c6b33741919abbe93fdb67ee1",
+    ('kernel', 'reference', 'round'):
+        "9eae997b07a367165546f13c3ef54ac2d9775a7efa9611fbfb4823e9beb0090c",
+    ('kernel', 'fixed_point', 'round'):
+        "897a7417830df7d6a1c84f6b6ef7faf21a1553d0ba0aac36be0e2da2a8921d59",
+    ('kernel', 'fixed_point', 'trunc'):
+        "c485c848067743838130f0374b8b8de125f0bcf54adddeb3012b1621f6ab4d80",
+    ('encoder',):
+        "fd7080e19851183c9d8da97a7982ca3473aa2830064bd81b3bba23467cfed575",
+}
+
+
+@pytest.mark.parametrize("mode, rounding", MODES)
+@pytest.mark.parametrize("case", list(RUNS))
+def test_engine_result_digest(case, mode, rounding):
+    assert result_digest(RUNS[case](mode, rounding)) == GOLDEN[(case, mode, rounding)]
+
+
+@pytest.mark.parametrize("mode, rounding", MODES)
+def test_kernel_digest(mode, rounding):
+    assert kernel_digest(mode, rounding) == GOLDEN[("kernel", mode, rounding)]
+
+
+def test_encoder_digest():
+    assert encoder_digest() == GOLDEN[("encoder",)]

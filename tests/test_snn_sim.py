@@ -7,11 +7,12 @@ import pytest
 from sdrnn.containers import FeatureSequence, SpikeRaster
 from sdrnn.convert import (CompileConfig, TimingConfig, compile_network, load_network,
                            probe_peak_state, save_network)
-from sdrnn.errors import DataError
+from sdrnn.errors import ConfigError, DataError
 from sdrnn.lprnn import forward_sequence, init_model
 from sdrnn.numerics import STATE_LIMIT
 from sdrnn.sigma_delta import NeuronParams, reconstruct
-from sdrnn.snn_sim import compare_activations, readout, simulate, simulate_batch
+from sdrnn.snn_sim import (compare_activations, readout, sigma_delta_kernel, simulate,
+                           simulate_batch)
 
 TIMING = TimingConfig(t_ann=0.01, t_snn=0.001)  # oversample 10 keeps tests fast
 
@@ -192,6 +193,83 @@ class TestEngineAgainstFlatLoop:
         np.testing.assert_array_equal(trace.probes[(2, "s")], np.array(s_traces[-1]))
 
 
+    @pytest.mark.parametrize("mode", ["reference", "fixed_point"])
+    @pytest.mark.parametrize("zeroed", ["edges", "all"])
+    def test_recurrent_block_with_zero_rows_and_columns(self, mode, zeroed):
+        # the engine multiplies only the bounding box of a delay's nonzero
+        # recurrent weights and skips an all-zero one: zero the first row
+        # (no recurrent input to neuron 0) and the last column (no
+        # recurrent output of neuron 2), or the whole block
+        rng = np.random.default_rng(44)
+        net = compile_network(toy_model(rng), TIMING, f=5e4)
+        layer = net.layers[1]
+        assert layer.rec_delay > 1 and np.count_nonzero(layer.w_rec[1:, :-1]) > 1
+        layer.w_rec = layer.w_rec.copy()
+        if zeroed == "edges":
+            layer.w_rec[0, :] = 0
+            layer.w_rec[:, -1] = 0
+        else:
+            layer.w_rec[:] = 0
+        feats = rng.uniform(0.0, 1.0, size=(12, 2))
+        trace = simulate(net, FeatureSequence(feats, TIMING.t_ann), mode=mode,
+                         probe=output_probe(net))
+        events, s_traces = flat_loop_sim(net, feats, mode)
+        for li in range(len(net.layers)):
+            got = list(zip(trace.rasters[li].times.tolist(),
+                           trace.rasters[li].units.tolist()))
+            assert got == sorted(events[li]), f"layer {li} rasters differ"
+        assert events[1] and events[2]
+        np.testing.assert_array_equal(trace.probes[(2, "s")], np.array(s_traces[-1]))
+
+
+class TestKernel:
+    @pytest.mark.parametrize("rounding", ["round", "trunc"])
+    def test_fixed_point_with_decaying_imem_matches_integer_loop(self, rounding):
+        # tau_mem 4 makes the kernel decay all four rows; each neuron
+        # against Python integers: decay-then-add, the rounded shift of u
+        # into i, clips at the rails, imem reset and same-step feedback
+        tau_u, tau_s = [2, 3, 5, 7, 4], [9, 6, 10, 4, 3]
+        tau_mem = [4, 1, 4, 2, 4]
+        exps, bias, w_fb = [0, 1, 2, 3, 0], [3, -2, 0, 5, 1], [40, 25, 60, 30, 20]
+        n = len(tau_u)
+        taus = np.array([tau_u, tau_s, tau_s, tau_mem], dtype=np.float64)[:, None, :]
+        state, clips, step = sigma_delta_kernel(
+            (1, n), taus, np.array(bias, dtype=np.float64), np.array(w_fb, dtype=np.float64),
+            np.array(w_fb, dtype=np.float64), np.array(exps), fixed=True, rounding=rounding)
+
+        def decay(x, tau):
+            kept = (abs(x) * (tau - 1) + (tau // 2 if rounding == "round" else 0)) // tau
+            return kept if x >= 0 else -kept
+
+        def clip(x):
+            return max(-STATE_LIMIT, min(STATE_LIMIT, x))
+
+        rng = np.random.default_rng(15)
+        oracle = [[0, 0, 0, 0] for _ in range(n)]
+        n_clips = 0
+        for t in range(300):
+            drive = [int(d) for d in rng.integers(-60, 61, size=n)]
+            if t % 60 == 11:
+                drive[t % n] = STATE_LIMIT
+            fired = step(np.array([drive], dtype=np.float64))[0]
+            for j in range(n):
+                u, i, s, imem = oracle[j]
+                u = clip(decay(u, tau_u[j]) + drive[j])
+                i = clip(decay(i, tau_s[j]) + ((u + ((1 << exps[j]) >> 1)) >> exps[j])
+                         + bias[j])
+                s = decay(s, tau_s[j])
+                imem = clip(decay(imem, tau_mem[j]) + i - s)
+                spike = imem > w_fb[j]
+                if spike:
+                    imem, s = 0, clip(s + w_fb[j])
+                oracle[j] = [u, i, s, imem]
+                assert bool(fired[j]) == spike, (t, j)
+            np.testing.assert_array_equal(state[:, 0, :], np.array(oracle).T, err_msg=str(t))
+            n_clips += len(clips)
+            clips.clear()
+        assert n_clips > 0
+
+
 class TestBasics:
     def test_zero_input_silent(self):
         rng = np.random.default_rng(0)
@@ -202,6 +280,19 @@ class TestBasics:
         assert all(r.n_spikes == 0 for r in trace.rasters)
         assert trace.peak_state == 0.0
         assert np.all(trace.probes[(2, "s")] == 0.0)
+
+    @pytest.mark.parametrize("mode", ["reference", "fixed_point"])
+    def test_peak_state_is_largest_probed_magnitude(self, mode):
+        # with every neuron of every layer probed, the peak |state| is the
+        # largest magnitude in the probes
+        rng = np.random.default_rng(16)
+        net = compile_network(toy_model(rng), TIMING, f=5e4)
+        feats = FeatureSequence(rng.uniform(0, 1, size=(12, 2)), TIMING.t_ann)
+        trace = simulate(net, feats, mode=mode,
+                         probe={li: list(range(l.size)) for li, l in enumerate(net.layers)})
+        assert len(trace.probes) == 4 * len(net.layers)
+        peak = max(float(np.abs(v).max()) for v in trace.probes.values())
+        assert peak > 0 and trace.peak_state == peak
 
     def test_fixed_point_outputs_are_integers_without_negative_zero(self):
         # fixed-point states are integers held in float64; a -0.0 would
@@ -255,6 +346,20 @@ class TestBasics:
         for li in range(1, len(net.layers)):
             np.testing.assert_array_equal(full.rasters[li].times, replay.rasters[li].times)
             np.testing.assert_array_equal(full.rasters[li].units, replay.rasters[li].units)
+
+    def test_probe_of_a_layer_the_run_does_not_update_rejected(self):
+        # a raster stands in for the encoder, whose states are then never
+        # computed; probes of neurons a layer does not have are as wrong
+        rng = np.random.default_rng(3)
+        net = compile_network(toy_model(rng), TIMING, f=5e4)
+        feats = FeatureSequence(rng.uniform(0, 1, size=(4, 2)), TIMING.t_ann)
+        raster = simulate(net, feats).rasters[0]
+        assert simulate(net, raster, probe={1: [0]}).probes[(1, "u")].any()
+        with pytest.raises(ConfigError, match="raster"):
+            simulate(net, raster, probe={0: [0], 1: [0]})
+        for bad in ({3: [0]}, {-1: [0]}, {1: [3]}, {2: [-1]}):
+            with pytest.raises(ConfigError):
+                simulate(net, feats, probe=bad)
 
     def test_dimension_mismatch_fatal(self):
         rng = np.random.default_rng(4)
