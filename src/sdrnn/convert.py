@@ -194,12 +194,12 @@ def map_weights(w_ann: np.ndarray, f: float, tau_u: float, tau_i: float,
     if np.any(np.abs(mapped) > weight_limit):
         bad = np.argwhere(np.abs(mapped) > weight_limit)
         offenders = ", ".join(
-            f"({', '.join(str(int(v)) for v in idx)}) -> {int(mapped[tuple(idx)])}"
+            f"({', '.join(str(int(v)) for v in idx)}) -> {mapped[tuple(idx)]:.10g}"
             for idx in bad[:5])
         raise NumericError(
             f"{bad.shape[0]} mapped weights exceed the hardware range "
             f"+/-{weight_limit}; first offenders: {offenders}")
-    return mapped
+    return mapped.astype(np.int64)
 
 
 def map_bias(b_ann: np.ndarray, f: float, tau_i: float) -> np.ndarray:
@@ -212,8 +212,8 @@ def map_bias(b_ann: np.ndarray, f: float, tau_i: float) -> np.ndarray:
         bad = np.argwhere(np.abs(mapped) > STATE_LIMIT)[:, 0]
         raise NumericError(
             f"{bad.shape[0]} mapped biases exceed +/-{STATE_LIMIT}; first offenders: "
-            + ", ".join(f"({int(i)}) -> {int(mapped[int(i)])}" for i in bad[:5]))
-    return mapped
+            + ", ".join(f"({int(i)}) -> {mapped[int(i)]:.10g}" for i in bad[:5]))
+    return mapped.astype(np.int64)
 
 
 @dataclass

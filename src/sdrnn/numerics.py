@@ -15,14 +15,37 @@ up: within half an LSB of reference mode per step, but magnitudes of at most
 tau // 2 stop decaying. "trunc" keeps (|x| (tau - 1)) // tau: up to one LSB
 faster per step, but (unlike subtracting trunc(x/tau), which stalls for
 0 < |x| < tau) it drains any state to exactly 0 in finitely many steps.
-The rounding offset, tau // 2 or 0, is decay_offset(tau, rounding); the
-neuron kernel decays by the same taus at every step, so it computes the
-offset once per run and passes it to decay_array instead of the rounding.
 
-The array kernels take float64 states, integer-valued in fixed-point mode
-(exact below 2**53). For integers |a| < 2**52 and tau >= 1, a / tau is an
-integer or lies at least 1/tau below one, a relative gap wider than one
-rounding, so floor(a / tau) in float64 is the integer floor division.
+The array kernels take float64 states, integer-valued in fixed-point mode,
+and the fixed-point decay is one rounded multiply: rint(x k) for "round"
+and trunc(x k) for "trunc", plus 0.0 so that a -0.0 becomes +0, with
+
+    k = fl(fl((tau - 1) / tau) * (1 + 2**-50)),
+
+which decay_factor(tau) computes; the neuron kernel decays by the same taus
+at every step, so it computes k and the rounding once per run and calls
+decay_by. The nudge
+makes x k exceed the exact quotient: it sends even-tau ties away from zero
+and lifts exact multiples just above their integer, which is what the
+integer floor division does. It is exact for every integer |x| <= 2**23
+(the range of every state) and every integer tau in [1, TAU_LIMIT =
+2**25]. Proof: let a = |x|, y = a (tau - 1) / tau = n + r / tau with
+0 <= r < tau. The kept magnitude is n + [2r >= tau] for "round" and n for
+"trunc". Each of the three float64 roundings (the quotient, the nudged
+product, a k) errs by at most 2**-53 relatively, so fl(a k) = y (1 + e)
+with 4 * 2**-53 < e < 2**-49, and for y > 0
+
+    y < fl(a k) < y + 2**23 * 2**-49 = y + 2**-26 <= y + 1 / (2 tau).
+
+Below the next integer, n + 1, y lies at least 1 / tau; below n + 1/2, when
+2r < tau, at least 1 / (2 tau). So trunc gives n, and rint gives n + 1
+exactly when 2r >= tau, a tie 2r = tau being lifted strictly above the
+half. At y = 0 (x = 0 or tau = 1, where k = 0) the product is exactly 0.
+rint and trunc are odd and the roundings sign-symmetric, so a negative x
+decays to minus its magnitude's result. The test suite checks every
+integer |x| <= 2**23 at seven taus against the integer formula. A tau
+outside the proof's range, or not an integer, is a ConfigError in fixed
+point; reference mode takes any positive tau, infinity included.
 """
 
 from __future__ import annotations
@@ -35,37 +58,45 @@ from .errors import ConfigError
 STATE_LIMIT = 1 << 23
 
 
-def decay_offset(tau, rounding: str):
-    """The rounding offset of the fixed-point decay by tau: tau // 2 for
-    "round", 0 for "trunc"."""
-    if rounding == "trunc":
-        return 0.0
-    if rounding == "round":
-        return np.floor_divide(tau, 2)
-    raise ConfigError(f"unknown decay rounding mode {rounding!r}")
+#: Largest fixed-point decay tau for which decay_by is proven exact.
+TAU_LIMIT = 1 << 25
+
+_ROUNDERS = {"round": np.rint, "trunc": np.trunc}
+
+
+def rounder(rounding: str):
+    """The rounding of the fixed-point decay: np.rint for "round" (it meets
+    no tie, which the nudge in k lifts), np.trunc for "trunc"."""
+    if rounding not in _ROUNDERS:
+        raise ConfigError(f"unknown decay rounding mode {rounding!r}")
+    return _ROUNDERS[rounding]
+
+
+def decay_factor(tau) -> np.ndarray:
+    """The multiplier k of the fixed-point decay by tau (see the module
+    docstring); ConfigError unless every tau is an integer in [1, TAU_LIMIT]."""
+    tau = np.asarray(tau, dtype=np.float64)
+    if not ((tau >= 1) & (tau <= TAU_LIMIT) & (tau == np.floor(tau))).all():
+        raise ConfigError(f"a fixed-point decay tau must be an integer in [1, {TAU_LIMIT}]")
+    return (tau - 1) / tau * (1 + 2.0 ** -50)
+
+
+def decay_by(x: np.ndarray, k, rnd, out: np.ndarray | None = None) -> np.ndarray:
+    """One fixed-point decay step of every element of x, into out if given:
+    rnd(x k) + 0.0, with k = decay_factor(tau) and rnd = rounder(rounding)."""
+    out = np.multiply(x, k, out=out)
+    rnd(out, out=out)
+    return np.add(out, 0.0, out=out)
 
 
 def decay_array(x: np.ndarray, tau, *, fixed: bool = False, rounding: str = "trunc",
-                out: np.ndarray | None = None, offset=None) -> np.ndarray:
+                out: np.ndarray | None = None) -> np.ndarray:
     """One decay step of every element; tau is a scalar or broadcasts against
-    x. The result goes to out if given, which must not be x. In fixed point
-    the rounding offset is decay_offset(tau, rounding); a caller that decays
-    by the same taus at every step computes it once and passes it as
-    offset, which then stands in for rounding."""
+    x. The result goes to out if given, which must not be x."""
     if not fixed:
         out = np.divide(x, tau, out=out)
         return np.subtract(x, out, out=out)  # x / inf is 0: an infinite tau keeps x
-    if offset is None:
-        offset = decay_offset(tau, rounding)
-    # kept magnitude (|x| (tau - 1) + offset) // tau, written as
-    # |x| + (offset - |x|) // tau, with the sign of x: x + sign(x) * floor,
-    # which is x - copysign(floor, x) as floor <= 0 (offset < tau), and +0 at x = 0
-    out = np.abs(x, out=out, dtype=np.float64)
-    np.subtract(offset, out, out=out)
-    np.divide(out, tau, out=out)
-    np.floor(out, out=out)
-    np.copysign(out, x, out=out)
-    return np.subtract(x, out, out=out)
+    return decay_by(x, decay_factor(tau), rounder(rounding), out)
 
 
 def sat_add_array(x: np.ndarray, delta, out: np.ndarray | None = None) -> tuple[np.ndarray, int]:
@@ -79,6 +110,7 @@ def sat_add_array(x: np.ndarray, delta, out: np.ndarray | None = None) -> tuple[
 
 
 def round_half_away(x: np.ndarray) -> np.ndarray:
-    """Round to nearest integer with ties away from zero (np.round ties to even)."""
+    """Round to nearest integer with ties away from zero (np.round ties to
+    even), in float64: a value beyond the int64 range stays as it is."""
     x = np.asarray(x)
-    return (np.sign(x) * np.floor(np.abs(x) + 0.5)).astype(np.int64)
+    return np.sign(x) * np.floor(np.abs(x) + 0.5)

@@ -20,16 +20,28 @@ multiplicative decay). The network parameters (weights, biases, feedback
 weights, integer time constants) are identical in both modes, so the modes differ
 only in state arithmetic. Both hold states in float64, fixed point as
 integers (exact below 2**53) rounded where the hardware rounds: the decay
-(numerics.decay_array), u into i as floor((u + half) * 2**-weight_exp), the
-rounded shift since scaling by a power of two is exact, and the drive by
-truncation. Every other operation sums integers exactly, so the states equal
-an int64 evaluation's; they start at +0 and a sum that cancels is +0, so
-none is ever -0.0.
+(numerics.decay_by, one rounded multiply), u into i as
+floor((u + half) * 2**-weight_exp), the rounded shift since scaling by a
+power of two is exact, the synaptic drive by truncation and the encoder's
+drive half away from zero, kept in float64 so that a huge one saturates u
+like any other sum. Every other operation sums integers exactly, so the
+states equal an int64 evaluation's; they start at +0, the decay adds 0.0,
+and a sum that cancels and the reset (imem - imem) are +0, so none is
+ever -0.0.
+
+Saturation is checked once per step. A fixed-point step runs its adds
+unclipped, exactly as reference mode does, then takes the min and max of
+the whole state stack, with imem before its reset: an imem that left the
+range and fired is 0 afterwards. Only if some sum left +/-2**23 does the
+step run the adds again from the decayed states and the drive, which the
+first run left as they were, each clipped at the rails by
+numerics.sat_add_array and its clips logged. The clipped re-run is the
+saturating arithmetic, and a step that clips nothing equals it.
 
 One step advances the whole network. The four states u, i, s and imem are
 the rows of one [4, batch, N] array with the layers' neurons side by side.
-The kernel lays every per-neuron constant (taus, the fixed-point rounding
-offset, bias, w_fb, which is also the threshold, and the shift scale) out
+The kernel lays every per-neuron constant (taus, the fixed-point decay
+multipliers, bias, w_fb, which is also the threshold, and the shift scale) out
 once per run as a contiguous array of the full shape it meets, so a step
 broadcasts nothing, and one call decays the stack. imem has tau 1, whose
 decay is exactly +0, so only the u, i and s rows are decayed. The decay
@@ -68,7 +80,8 @@ import numpy as np
 from .containers import FeatureSequence, SpikeRaster
 from .convert import TAU_MEM, SnnNetwork
 from .errors import ConfigError, DataError
-from .numerics import STATE_LIMIT, decay_array, decay_offset, round_half_away, sat_add_array
+from .numerics import (STATE_LIMIT, decay_array, decay_by, decay_factor, round_half_away,
+                       rounder, sat_add_array)
 
 _MAX_SAT_LOG = 1000
 
@@ -111,13 +124,21 @@ def sigma_delta_kernel(shape, taus, bias, threshold, w_fb, exps, fixed: bool = F
 
     The constants are laid out once, contiguous at the full shape they meet
     in the step, so no step broadcasts. A decay by tau 1 is exactly +0 in
-    both modes (x - x / 1, and (|x| 0 + 0) // 1), so when every tau_mem is 1
-    only u, i and s are decayed and the decayed imem stays 0."""
+    both modes (x - x / 1, and rint or trunc of x * 0), so when every
+    tau_mem is 1 only u, i and s are decayed and imem is i - s.
+
+    A fixed-point step runs the adds unclipped, as reference mode does (on
+    integers below 2**53 every sum is exact), then bounds the stack once,
+    before the reset so that an imem that left the range and fired counts.
+    Only if some sum left +/-2**23 does it run the adds again, each clipped
+    and logged by sat_add_array, from the decayed rows and the drive, which
+    the first run left as they were."""
     full = (4, *shape)
     taus = np.ascontiguousarray(np.broadcast_to(taus, full), dtype=np.float64)
     rows = 3 if (taus[3] == 1).all() else 4
     taus = taus[:rows]
-    offset = decay_offset(taus, rounding) if fixed else None
+    if fixed:
+        factor, rnd = decay_factor(taus), rounder(rounding)
 
     def laid_out(value):
         return np.ascontiguousarray(np.broadcast_to(value, shape), dtype=np.float64)
@@ -130,33 +151,53 @@ def sigma_delta_kernel(shape, taus, bias, threshold, w_fb, exps, fixed: bool = F
     u, i, s, imem = state
     du, di, ds, dimem = decayed
     live, decaying = state[:rows], decayed[:rows]
-    tmp, fired = np.zeros(shape), np.zeros(shape, dtype=bool)
+    tmp, fired, spikes = np.zeros(shape), np.zeros(shape, dtype=bool), np.zeros(shape)
     clips: list[tuple] = []
 
-    def add(x, delta, into, var):
-        if not fixed:
-            np.add(x, delta, out=into)
-            return
-        _, count = sat_add_array(x, delta, out=into)
-        if count:
-            clips.append((var, (np.abs(x + delta) > STATE_LIMIT).sum(axis=0)))
-
-    def step(drive) -> np.ndarray:
-        decay_array(live, taus, fixed=fixed, out=decaying, offset=offset)
-        add(du, drive, u, "u")
+    def into_i():
+        """di + u * 2**-exps (rounded in fixed point), in tmp."""
         if fixed:
             np.floor(np.multiply(np.add(u, half, out=tmp), scale, out=tmp), out=tmp)
         else:
             np.multiply(u, scale, out=tmp)
-        np.add(di, tmp, out=di)
-        add(di, bias, i, "i")
+        return np.add(di, tmp, out=tmp)
+
+    def sat_add(x, delta, into, var):
+        # into aliases neither operand: the clip count sums them again
+        _, count = sat_add_array(x, delta, out=into)
+        if count:
+            clips.append((var, (np.abs(x + delta) > STATE_LIMIT).sum(axis=0)))
+
+    def fire():
+        """The spike mask, also as 0.0/1.0 in spikes, and w_fb * spikes in tmp."""
+        np.greater(imem, threshold, out=fired)
+        np.copyto(spikes, fired)
+        return np.multiply(w_fb, spikes, out=tmp)
+
+    def saturating(drive):
+        """The adds of the step again, each clipped and its clips logged."""
+        sat_add(du, drive, u, "u")
+        sat_add(into_i(), bias, i, "i")
+        sat_add(dimem, np.subtract(i, ds, out=tmp), imem, "imem")
+        sat_add(ds, fire(), s, "s")
+
+    def step(drive) -> np.ndarray:
         if fixed:
-            add(dimem, np.subtract(i, ds, out=tmp), imem, "imem")
+            decay_by(live, factor, rnd, out=decaying)
+        else:
+            decay_array(live, taus, out=decaying)
+        np.add(du, drive, out=u)
+        np.add(into_i(), bias, out=i)
+        if rows == 3:
+            np.subtract(i, ds, out=imem)
         else:
             np.subtract(np.add(dimem, i, out=imem), ds, out=imem)
-        np.greater(imem, threshold, out=fired)
-        np.putmask(imem, fired, 0.0)
-        add(ds, np.multiply(w_fb, fired, out=tmp), s, "s")
+        np.add(ds, fire(), out=s)
+        if fixed and not (state.min() >= -STATE_LIMIT and state.max() <= STATE_LIMIT):
+            saturating(drive)
+        # the reset: imem - imem is +0 whatever the sign of imem, and
+        # imem - (+/-0) is imem
+        np.subtract(imem, np.multiply(imem, spikes, out=tmp), out=imem)
         return fired
 
     return state, clips, step
@@ -198,11 +239,14 @@ def _engine(net: SnnNetwork, x: np.ndarray | None, input_raster: SpikeRaster | N
             raise DataError("network has no analog encoder layer; feed a spike raster")
         if width != enc.enc_w.shape[1]:
             raise DataError(f"feature width {width} != encoder input width {enc.enc_w.shape[1]}")
-        if not np.isfinite(x).all():
-            raise DataError("input features must be finite (NaN or inf found)")
         duration = n_frames_in * oversample
-        drive_all = (np.einsum("btd,nd->tbn", x, enc.enc_w)
-                     * (net.f / (enc.tau_u_fx * enc.tau_s_fx)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            drive_all = (np.einsum("btd,nd->tbn", x, enc.enc_w)
+                         * (net.f / (enc.tau_u_fx * enc.tau_s_fx)))
+        if not np.isfinite(drive_all).all():
+            raise DataError("the encoder drive is not finite: NaN or inf features, or "
+                            "features too large for the encoder weights and f")
+        # held in float64, a huge drive saturates u like any other sum
         enc_drive = round_half_away(drive_all) if fixed else drive_all
     # a raster stands in for the encoder, whose columns are then not updated
     first = 0 if input_raster is None else 1

@@ -273,6 +273,43 @@ class TestEvaluateCommand:
                          "--features", str(features), "--split", "test",
                          "--mode", mode, "--out", str(tmp_path / f"{mode}.json")]) == 3
 
+    def test_huge_finite_features_evaluate_in_fixed_mode(self, workspace, tmp_path, capsys):
+        # normalization clips features of 1e300 to the top of their range
+        features = tmp_path / "features"
+        shutil.copytree(workspace["features"], features)
+        index = json.loads((features / "features_index.json").read_text())
+        key = next(e["key"] for e in index["entries"] if e["split"] == "test")
+        with np.load(features / f"{key}.npz") as data:
+            arrays = dict(data)
+        arrays["data"][2:6] = 1e300
+        np.savez(features / f"{key}.npz", **arrays)
+        assert main(["evaluate", "--input", str(workspace["net"]), "--features", str(features),
+                     "--split", "test", "--mode", "fixed",
+                     "--out", str(tmp_path / "x.json")]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("enc_w, mode, code", [
+        pytest.param(1e290, "fixed", 0, id="saturating-fixed"),
+        pytest.param(1e308, "fixed", 3, id="overflowing-fixed"),
+        pytest.param(1e308, "reference", 3, id="overflowing-reference")])
+    def test_huge_encoder_drive(self, workspace, tmp_path, capsys, enc_w, mode, code):
+        # finite encoder weights whose drive saturates u in fixed mode,
+        # counted like any other clip, or overflows float64, a data error
+        with np.load(workspace["net"]) as data:
+            arrays = dict(data)
+        arrays["l0_enc_w"] = np.full_like(arrays["l0_enc_w"], enc_w)
+        net = tmp_path / "net.npz"
+        np.savez(net, **arrays)
+        out = tmp_path / "x.json"
+        assert main(["evaluate", "--input", str(net), "--features", str(workspace["features"]),
+                     "--mode", mode, "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if code:
+            assert "drive" in err
+        else:
+            assert json.loads(out.read_text())["saturation_events"] > 0
+
     @pytest.mark.parametrize("damage", ["garbage", "truncated_net", "truncated_model"])
     def test_corrupt_input_is_data_error(self, workspace, tmp_path, capsys, damage):
         bad = tmp_path / "bad.npz"

@@ -108,6 +108,12 @@ class TestMapWeights:
             map_weights(w, f=10_000_000.0, tau_u=2, tau_i=4, weight_limit=255)
         assert "(0, 0)" in str(err.value)
 
+    def test_weights_beyond_int64_are_range_errors(self):
+        # the rounded weights are beyond int64 too: the range check sees
+        # them before the cast, which would wrap them past it
+        with pytest.raises(NumericError, match=r"\(0, 1\) -> 9\.765625e\+296"):
+            map_weights(np.array([[1.0, 0.5]]), f=1e300, tau_u=2, tau_i=4)
+
     def test_ties_round_away_from_zero(self):
         # f/(tau_u*tau_i*gain) = 0.5 exactly
         out = map_weights(np.array([[1.0, -1.0, 3.0]]), f=256.0, tau_u=2, tau_i=4)
@@ -131,6 +137,10 @@ class TestMapBias:
     def test_range_check(self):
         with pytest.raises(NumericError):
             map_bias(np.array([1.0]), f=1e9, tau_i=1)
+
+    def test_bias_beyond_int64_is_a_range_error(self):
+        with pytest.raises(NumericError):
+            map_bias(np.array([1.0]), f=1e300, tau_i=4)
 
 
 class TestCompile:

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sdrnn.numerics import STATE_LIMIT, decay_array, round_half_away, sat_add_array
+from sdrnn.errors import ConfigError
+from sdrnn.numerics import STATE_LIMIT, TAU_LIMIT, decay_array, round_half_away, sat_add_array
 
 
 def sat_add(a, b):
@@ -133,6 +134,47 @@ class TestArrayKernels:
         np.testing.assert_array_equal(got, expected)
         assert not np.signbit(got[got == 0]).any()
 
+    @pytest.mark.parametrize("rounding", ["trunc", "round"])
+    def test_decay_exact_over_the_whole_state_range(self, rounding):
+        # every integer |x| <= 2**23, both signs, at taus from 1 to past
+        # 2**24: the rounded multiply equals the int64 floor division
+        # (|x| (tau - 1) + half) // tau with the sign of x, bit for bit
+        # (int64 views, so a -0.0 for +0 fails too)
+        chunk = 1 << 20
+        x, got, want = np.empty(chunk), np.empty(chunk), np.empty(chunk)
+        for start in range(0, STATE_LIMIT + 1, chunk):
+            a = np.arange(start, min(start + chunk, STATE_LIMIT + 1))
+            n = a.size
+            for tau in (1, 2, 3, 98, 100, 4096, (1 << 24) + 3):
+                half = tau // 2 if rounding == "round" else 0
+                w = want[:n]
+                w[...] = (a * (tau - 1) + half) // tau
+                for sign in (1.0, -1.0):
+                    g = decay_array(np.multiply(a, sign, out=x[:n]), float(tau), fixed=True,
+                                    rounding=rounding, out=got[:n])
+                    if sign < 0:
+                        np.add(np.negative(w, out=w), 0.0, out=w)
+                    assert np.array_equal(g.view(np.int64), w.view(np.int64)), (tau, start)
+
+    @pytest.mark.parametrize("tau", [0.0, 0.5, 2.5, TAU_LIMIT + 1.0, math.inf, math.nan])
+    def test_fixed_point_tau_outside_the_proven_range_rejected(self, tau):
+        with pytest.raises(ConfigError, match="tau"):
+            decay_array(np.array([5.0, -5.0]), np.array([3.0, tau]), fixed=True)
+        # reference mode takes any positive tau
+        if tau > 0:
+            decay_array(np.array([5.0, -5.0]), np.array([3.0, tau]))
+
+    def test_largest_proven_tau_and_unknown_rounding(self):
+        # at TAU_LIMIT a magnitude below tau / 2 keeps its value when
+        # rounded and loses one when truncated
+        xs = np.array([STATE_LIMIT, -1.0, 0.0])
+        assert decay_array(xs, float(TAU_LIMIT), fixed=True, rounding="round").tolist() == [
+            STATE_LIMIT, -1, 0]
+        assert decay_array(xs, float(TAU_LIMIT), fixed=True, rounding="trunc").tolist() == [
+            STATE_LIMIT - 1, 0, 0]
+        with pytest.raises(ConfigError, match="rounding"):
+            decay_array(xs, 3.0, fixed=True, rounding="floor")
+
     def test_float_held_shift_matches_arithmetic_shift(self):
         # u enters i as floor((u + half) * 2**-e), the rounded arithmetic
         # shift (u + half) >> e, negative odd u included
@@ -156,3 +198,8 @@ class TestArrayKernels:
     def test_round_half_away(self):
         xs = np.array([-1.5, -0.5, -0.49, 0.49, 0.5, 1.5, 2.5])
         assert round_half_away(xs).tolist() == [-2, -1, 0, 0, 1, 2, 3]
+
+    def test_round_half_away_keeps_values_beyond_int64(self):
+        out = round_half_away(np.array([1e300, -1e300, 2.0 ** 63 + 2.0 ** 11]))
+        assert out.dtype == np.float64
+        assert out.tolist() == [1e300, -1e300, 2.0 ** 63 + 2.0 ** 11]

@@ -36,7 +36,8 @@ def output_probe(net) -> dict:
     return {len(net.layers) - 1: list(range(net.layers[-1].size))}
 
 
-def flat_loop_sim(net, feats: np.ndarray, mode: str, sat_log: list | None = None):
+def flat_loop_sim(net, feats: np.ndarray, mode: str, sat_log: list | None = None,
+                  traces: dict | None = None):
     """Independent scalar-loop duplicate of the engine semantics.
 
     Python floats / ints only, no vectorization: decay-then-add per stage,
@@ -48,7 +49,8 @@ def flat_loop_sim(net, feats: np.ndarray, mode: str, sat_log: list | None = None
     clipped to +/-STATE_LIMIT before the next stage reads it (s after its
     feedback increment); sat_log, if given, receives one (step, layer, var,
     count) entry per clipping (layer, var) of a step, vars in the order u,
-    i, imem, s.
+    i, imem, s. traces, if given, receives each layer's four states after
+    every step, keyed (layer, var) as the engine's probes are.
     """
     oversample = net.oversample
     n_frames = feats.shape[0]
@@ -135,6 +137,9 @@ def flat_loop_sim(net, feats: np.ndarray, mode: str, sat_log: list | None = None
             history[li] = [new_prev[li]] + history[li][:-1]
         for li in range(len(layers)):
             s_traces[li].append(list(states[li]["s"]))
+            if traces is not None:
+                for var, values in states[li].items():
+                    traces.setdefault((li, var), []).append(list(values))
     return events, s_traces
 
 
@@ -268,6 +273,20 @@ class TestKernel:
             n_clips += len(clips)
             clips.clear()
         assert n_clips > 0
+
+    def test_fixed_point_constants_outside_the_exact_decay_rejected(self):
+        # the fixed-point decay is proven exact for integer taus up to
+        # numerics.TAU_LIMIT; the kernel checks its taus and rounding once
+        taus = np.array([2.0, 9.0, 9.0, 1.0])[:, None, None]
+        args = ((1, 1), taus, 0.0, 10.0, 10.0, 0)
+        for bad in (2.0 ** 26, 2.5):
+            wide = taus.copy()
+            wide[1] = bad
+            with pytest.raises(ConfigError, match="tau"):
+                sigma_delta_kernel((1, 1), wide, *args[2:], fixed=True)
+            sigma_delta_kernel((1, 1), wide, *args[2:])  # reference mode takes it
+        with pytest.raises(ConfigError, match="rounding"):
+            sigma_delta_kernel(*args, fixed=True, rounding="floor")
 
 
 class TestBasics:
@@ -476,6 +495,77 @@ class TestReadout:
         np.testing.assert_allclose(permuted, base, rtol=0, atol=0)
 
 
+class TestSaturationCheck:
+    """A fixed-point step bounds its unclipped sums once and runs the adds
+    again, clipped, only on a step where one left the range."""
+
+    @staticmethod
+    def rarely_clipping_net():
+        """Layer 2's negative feedback weight, also its threshold, holds s
+        near -STATE_LIMIT / 2 and fires at every step, so its imem, i - s,
+        passes +STATE_LIMIT on the few steps where i peaks, and fires and
+        is reset in the same step; no other state of that step clips. A
+        strongly negative input weight drives u of layer 1 below
+        -STATE_LIMIT on a few other steps, and a larger weight exponent keeps
+        its i in range."""
+        rng = np.random.default_rng(6)
+        net = compile_network(toy_model(rng), TIMING, f=5e4)
+        l1, l2 = net.layers[1], net.layers[2]
+        l1.w_in = l1.w_in.copy()
+        l1.w_in[0] = [-(STATE_LIMIT // 8), 0, 0]
+        l1.weight_exp = 7
+        l2.w_fb = -(STATE_LIMIT // (2 * l2.tau_s_fx))
+        l2.bias = np.full(l2.size, int(0.45 * STATE_LIMIT / l2.tau_s_fx))
+        l2.w_in = l2.w_in * 1000
+        return net, rng.uniform(0.0, 1.0, size=(12, 2))
+
+    def test_rare_clips_match_the_scalar_loop(self):
+        net, feats = self.rarely_clipping_net()
+        trace = simulate(net, FeatureSequence(feats, TIMING.t_ann), mode="fixed_point",
+                         probe={li: list(range(l.size)) for li, l in enumerate(net.layers)})
+        sat_log: list = []
+        traces: dict = {}
+        flat_loop_sim(net, feats, "fixed_point", sat_log, traces)
+        assert trace.saturation_events == sat_log
+        assert trace.saturation_total == sum(entry[3] for entry in sat_log)
+        for key, values in traces.items():
+            np.testing.assert_array_equal(trace.probes[key], np.array(values), err_msg=str(key))
+        clipped: dict = {}
+        for t, li, var, _ in sat_log:
+            clipped.setdefault(t, set()).add((li, var))
+        duration = feats.shape[0] * net.oversample
+        assert 0 < len(clipped) < duration // 8
+        fired = set(trace.rasters[2].times.tolist())
+        assert any(vars_ == {(2, "imem")} and t in fired for t, vars_ in clipped.items())
+        assert any((1, "u") in vars_ for vars_ in clipped.values())
+        assert trace.probes[(1, "u")].min() == -STATE_LIMIT
+
+    @pytest.mark.parametrize("rounding", ["round", "trunc"])
+    def test_no_state_is_ever_negative_zero(self, rounding):
+        # negative thresholds fire negative imem, whose reset must give +0,
+        # and small negative states decay to 0; every state after every
+        # step, whether the step clipped or not, holds no -0.0
+        n = 6
+        taus = np.array([[2, 3, 5, 7, 4, 2], [9, 6, 10, 4, 3, 2], [9, 6, 10, 4, 3, 2],
+                         [1] * n], dtype=np.float64)[:, None, :]
+        threshold = np.array([40.0, -25.0, 60.0, -30.0, -1.0, 20.0])
+        state, clips, step = sigma_delta_kernel(
+            (3, n), taus, np.array([3.0, -2.0, 0.0, -5.0, 1.0, 0.0]), threshold, threshold,
+            np.array([0, 1, 2, 3, 0, 1]), fixed=True, rounding=rounding)
+        rng = np.random.default_rng(21)
+        zeros = 0
+        for t in range(400):
+            drive = np.round(rng.normal(0.0, 40.0, size=(3, n)))
+            if t % 97 == 5:
+                drive[t % 3, t % n] = -2 * STATE_LIMIT
+            fired = step(drive)
+            assert not np.signbit(state[state == 0]).any(), t
+            zeros += int((state == 0).sum())
+            assert fired.dtype == bool
+            clips.clear()
+        assert zeros
+
+
 class TestBatchedRuns:
     @pytest.mark.parametrize("mode", ["reference", "fixed_point"])
     @pytest.mark.parametrize("batch_size", [1, 3])
@@ -512,6 +602,38 @@ class TestBadInput:
             # must not be dropped by its max
             with pytest.raises(DataError):
                 probe_peak_state(model, [FeatureSequence(x[1], TIMING.t_ann)], TIMING, 5e4)
+
+    def test_huge_finite_features_saturate_in_fixed_point(self):
+        # features of 1e300 are finite: their rounded drive stays in float64
+        # and clips u at either rail, counted and logged like any other clip,
+        # as the scalar loop does, with no warning from a cast to int64 (the
+        # test configuration turns warnings into errors)
+        rng = np.random.default_rng(13)
+        net = compile_network(toy_model(rng), TIMING, f=5e4)
+        feats = rng.uniform(0, 1, size=(10, 2))
+        feats[3:5] = 1e300
+        trace = simulate(net, FeatureSequence(feats, TIMING.t_ann), mode="fixed_point",
+                         probe={0: [0, 1, 2]})
+        batch = simulate_batch(net, feats[None], mode="fixed_point")
+        sat_log: list = []
+        traces: dict = {}
+        flat_loop_sim(net, feats, "fixed_point", sat_log, traces)
+        assert trace.saturation_events == sat_log[:1000]
+        assert trace.saturation_total == batch.saturation_total == sum(e[3] for e in sat_log)
+        np.testing.assert_array_equal(trace.probes[(0, "u")], np.array(traces[(0, "u")]))
+        assert {-STATE_LIMIT, STATE_LIMIT} <= set(trace.probes[(0, "u")].ravel().tolist())
+
+    @pytest.mark.parametrize("mode", ["reference", "fixed_point"])
+    def test_drive_that_overflows_rejected(self, mode):
+        # finite features whose encoder drive overflows float64
+        rng = np.random.default_rng(13)
+        net = compile_network(toy_model(rng), TIMING, f=5e4)
+        x = rng.uniform(0, 1, size=(2, 10, 2))
+        x[1, 4, 0] = 1e308
+        with pytest.raises(DataError, match="drive"):
+            simulate(net, FeatureSequence(x[1], TIMING.t_ann), mode=mode)
+        with pytest.raises(DataError, match="drive"):
+            simulate_batch(net, x, mode=mode)
 
 
 class TestCompareActivations:
