@@ -513,6 +513,10 @@ def load_network(path) -> SnnNetwork:
                 or meta["config"].get("decay_rounding") not in ("round", "trunc")):
             raise DataError(f"{path}: unsupported compile config {meta['config']}")
         cfg = CompileConfig(**meta["config"])
+        f = meta.get("f")
+        if type(f) not in (int, float) or not (math.isfinite(f) and f > 0):
+            raise DataError(f"{path}: the scale factor f must be a finite positive number, "
+                            f"not {f!r}")
         layers = []
         for li, lmeta in enumerate(meta["layers"]):
             if bad := pop_retired(lmeta, "layer"):
@@ -527,6 +531,14 @@ def load_network(path) -> SnnNetwork:
             if not all(type(v) is int and v >= (k != "weight_exp") for k, v in ints.items()):
                 raise DataError(f"{path}: layer {li}: {ints} must be integers >= 1 "
                                 "(weight_exp >= 0)")
+            # the compiler's bounds: rec_delay = tau_s_fx - tau_u_fx with
+            # tau_u_fx >= 1, and 2**weight_exp <= tau_s_fx
+            if ints["rec_delay"] > max(1, ints["tau_s_fx"] - 1):
+                raise DataError(f"{path}: layer {li}: rec_delay {ints['rec_delay']} exceeds "
+                                f"max(1, tau_s_fx - 1) for tau_s_fx {ints['tau_s_fx']}")
+            if ints["weight_exp"] >= ints["tau_s_fx"].bit_length():
+                raise DataError(f"{path}: layer {li}: 2**weight_exp exceeds tau_s_fx "
+                                f"{ints['tau_s_fx']} (weight_exp {ints['weight_exp']})")
             # bias is required: data[...] raises for a file without it
             layers.append(SnnLayer(**lmeta, **{
                 name: data[f"l{li}_{name}"] if f"l{li}_{name}" in data or name == "bias"
@@ -534,7 +546,7 @@ def load_network(path) -> SnnNetwork:
             if bad := _bad_arrays(layers[-1], layers[-2].size if li else None):
                 raise DataError(f"{path}: layer {li}: {bad}")
         source = load_model(io.BytesIO(bytes(data["source_model"])))
-        return SnnNetwork(layers=layers, f=meta["f"],
+        return SnnNetwork(layers=layers, f=f,
                           timing=TimingConfig(meta["t_ann"], meta["t_snn"]), config=cfg,
                           source_model=source, notes=meta.get("notes", {}))
 

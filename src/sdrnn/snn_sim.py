@@ -22,12 +22,12 @@ only in state arithmetic. Both hold states in float64, fixed point as
 integers (exact below 2**53) rounded where the hardware rounds: the decay
 (numerics.decay_by, one rounded multiply), u into i as
 floor((u + half) * 2**-weight_exp), the rounded shift since scaling by a
-power of two is exact, the synaptic drive by truncation and the encoder's
-drive half away from zero, kept in float64 so that a huge one saturates u
-like any other sum. Every other operation sums integers exactly, so the
-states equal an int64 evaluation's; they start at +0, the decay adds 0.0,
-and a sum that cancels and the reset (imem - imem) are +0, so none is
-ever -0.0.
+power of two is exact, and the encoder's drive half away from zero, kept
+in float64 so that a huge one saturates u like any other sum. The
+synaptic drive is an integer already (see below). Every other operation
+sums integers exactly, so the states equal an int64 evaluation's; they
+start at +0, the decay adds 0.0, and a sum that cancels and the reset
+(imem - imem) are +0, so none is ever -0.0.
 
 Saturation is checked once per step. A fixed-point step runs its adds
 unclipped, exactly as reference mode does, then takes the min and max of
@@ -47,27 +47,33 @@ broadcasts nothing, and one call decays the stack. imem has tau 1, whose
 decay is exactly +0, so only the u, i and s rows are decayed. The decay
 writes a second stack, from which the sums are written back in place, so a
 step allocates no state-sized temporary, and the peak |state| is
-max(-min, max) of the stack. Every synapse reads spikes of an earlier
-step, so no update depends on another within a step: the drive is
-spikes(t-1) @ W_1 plus spikes(t-d) @ W_d for each other recurrent delay d,
-where W_1 holds every layer's w_in below the diagonal and the delay-1 w_rec
-blocks on it. W_1 spans nearly the whole network and is kept whole; each
-other W_d is cut to the bounding box of its nonzero rows and columns (the
-recurrent blocks of that delay), whose product adds into that column slice
-of the drive, and an all-zero W_d is skipped. Spikes of the last
-max(rec_delay) steps wait in one [depth, batch, N] ring. The analog
-encoder drive overwrites the encoder's columns; a spike raster replaces the
-encoder, whose columns are then left out of the update (and cannot be
-probed). Rasters, frame-end s, spike counts, probes and the readout are
-column slices of the flat state. Batched samples advance in lockstep on
-the same arrays.
+max(-min, max) of the stack, in fixed point the bound check's. Every
+synapse reads spikes of an earlier step, so no update depends on another
+within a step: the drive is spikes(t-1) @ W_1 plus spikes(t-d) @ W_d for
+each other recurrent delay d, where W_1 holds every layer's w_in below the
+diagonal and the delay-1 w_rec blocks on it. Each W_d is cut to the span
+of its nonzero presynaptic rows. W_1 keeps every non-encoder column, so
+its product writes the whole synaptic drive each step; each other W_d is
+cut to the span of its nonzero columns (its recurrent blocks), whose
+product adds into them, and an all-zero one is skipped. Spikes of the
+last max(rec_delay) steps wait in one [depth, batch, N] ring. The analog
+encoder's drive is written into its columns at frame starts only, and
+nothing else writes them; a spike raster replaces the encoder, whose
+columns are then left out of the update (and cannot be probed). Rasters,
+frame-end s, spike counts, probes and the readout are column slices of
+the flat state. Batched samples advance in lockstep on the same arrays.
 
-The flat step is bit-identical to a layer-by-layer one: weights are
-integers and spikes 0/1, so the float64 block products are exact integer
-sums in any order, and every other operation is elementwise. Its cost is
-one dense N x N product for the delay-1 synapses plus one box per other
-delay, whatever the sparsity inside them: cheap for the networks of about
-100 neurons used here; measure before relying on it above about 1k neurons.
+The synaptic drive is exact in float32. Spikes are 0/1 and weights
+integers, so every partial sum of a drive column, in any order and over
+all delays, is an integer no larger than the column's absolute-weight sum.
+If no column's sum exceeds 2**24 (float32 holds every integer up to
+2**24), the ring, the blocks and the products are float32; otherwise
+float64, exact to 2**53. The network alone decides, once per run. So the flat step
+is bit-identical to a layer-by-layer one, whatever the order of the sums,
+and every other operation is elementwise. Its cost is one dense product
+per delay over the span of its nonzero blocks, whatever the sparsity
+inside them: cheap for the networks of about 100 neurons used here; measure
+before relying on it above about 1k neurons.
 """
 
 from __future__ import annotations
@@ -84,6 +90,8 @@ from .numerics import (STATE_LIMIT, decay_array, decay_by, decay_factor, round_h
                        rounder, sat_add_array)
 
 _MAX_SAT_LOG = 1000
+#: Integers up to this magnitude are exact in float32.
+_FLOAT32_EXACT = 1 << 24
 
 
 @dataclass
@@ -105,7 +113,7 @@ class SimulationResult:
 
 
 def sigma_delta_kernel(shape, taus, bias, threshold, w_fb, exps, fixed: bool = False,
-                       rounding: str = "round"):
+                       rounding: str = "round", peak: list | None = None):
     """The decay-then-add update of a population of sigma-delta neurons.
 
     Returns (state, clips, step). state is the zeroed stack (u, i, s, imem)
@@ -132,7 +140,14 @@ def sigma_delta_kernel(shape, taus, bias, threshold, w_fb, exps, fixed: bool = F
     before the reset so that an imem that left the range and fired counts.
     Only if some sum left +/-2**23 does it run the adds again, each clipped
     and logged by sat_add_array, from the decayed rows and the drive, which
-    the first run left as they were."""
+    the first run left as they were.
+
+    peak, if given, is a one-element list that each step raises to the
+    largest |state| after it. In fixed point with tau_mem 1 and threshold
+    and w_fb >= 0, the bound check's min and max serve: s >= 0, so imem =
+    i - s <= i, and a neuron that fires has imem > threshold >= 0, whose
+    reset to 0 moves neither extreme. Otherwise the step reduces the stack
+    after the reset."""
     full = (4, *shape)
     taus = np.ascontiguousarray(np.broadcast_to(taus, full), dtype=np.float64)
     rows = 3 if (taus[3] == 1).all() else 4
@@ -153,6 +168,7 @@ def sigma_delta_kernel(shape, taus, bias, threshold, w_fb, exps, fixed: bool = F
     live, decaying = state[:rows], decayed[:rows]
     tmp, fired, spikes = np.zeros(shape), np.zeros(shape, dtype=bool), np.zeros(shape)
     clips: list[tuple] = []
+    checked_peak = fixed and rows == 3 and (threshold >= 0).all() and (w_fb >= 0).all()
 
     def into_i():
         """di + u * 2**-exps (rounded in fixed point), in tmp."""
@@ -193,11 +209,18 @@ def sigma_delta_kernel(shape, taus, bias, threshold, w_fb, exps, fixed: bool = F
         else:
             np.subtract(np.add(dimem, i, out=imem), ds, out=imem)
         np.add(ds, fire(), out=s)
-        if fixed and not (state.min() >= -STATE_LIMIT and state.max() <= STATE_LIMIT):
-            saturating(drive)
+        if fixed:
+            low, high = state.min(), state.max()
+            if not (low >= -STATE_LIMIT and high <= STATE_LIMIT):
+                saturating(drive)
+                low, high = state.min(), state.max()
         # the reset: imem - imem is +0 whatever the sign of imem, and
         # imem - (+/-0) is imem
         np.subtract(imem, np.multiply(imem, spikes, out=tmp), out=imem)
+        if peak is not None:
+            if not checked_peak:
+                low, high = state.min(), state.max()
+            peak[0] = max(peak[0], -float(low), float(high))
         return fired
 
     return state, clips, step
@@ -264,13 +287,13 @@ def _engine(net: SnnNetwork, x: np.ndarray | None, input_raster: SpikeRaster | N
     # tau_s and a neuron fires above its w_fb.
     tau_u, tau_s, w_fb = per_neuron("tau_u_fx"), per_neuron("tau_s_fx"), per_neuron("w_fb")
     taus = np.stack([tau_u, tau_s, tau_s, np.full_like(tau_s, TAU_MEM)])[:, None, :]
+    peak = [0.0]
     state, clips, step = sigma_delta_kernel(
         shape, taus, per_neuron("bias"), w_fb, w_fb,
-        per_neuron("weight_exp").astype(np.int64), fixed, net.config.decay_rounding)
+        per_neuron("weight_exp").astype(np.int64), fixed, net.config.decay_rounding, peak)
     s = state[2]
 
-    # one [n, n] block matrix per distinct synaptic delay, presynaptic rows;
-    # W_1 stays whole, the others are cut to the box of their nonzeros
+    # one [n, n] block matrix per distinct synaptic delay, presynaptic rows
     delays = {1} | {l.rec_delay for l in layers if l.w_rec is not None}
     mats = {d: np.zeros((n, n)) for d in delays}
     for li in range(1, len(layers)):
@@ -278,21 +301,36 @@ def _engine(net: SnnNetwork, x: np.ndarray | None, input_raster: SpikeRaster | N
         mats[1][starts[li - 1]:starts[li], cols] = layers[li].w_in.T
         if layers[li].w_rec is not None:
             mats[layers[li].rec_delay][cols, cols] = layers[li].w_rec.T
-    w_1 = np.ascontiguousarray(mats.pop(1)[:, lo:])
-    boxes = []  # (delay, presynaptic rows, drive columns, block, product buffer)
-    for d, m in mats.items():
-        m = m[:, lo:]
-        rows, cols = np.flatnonzero(m.any(axis=1)), np.flatnonzero(m.any(axis=0))
-        if rows.size:
-            rows, cols = slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1)
-            boxes.append((d, rows, cols, np.ascontiguousarray(m[rows, cols]),
-                          np.zeros((batch, cols.stop - cols.start))))
+    # exact in float32 while no drive column's absolute-weight sum exceeds
+    # 2**24 (module docstring)
+    reach = sum(np.abs(m).sum(axis=0) for m in mats.values())
+    dtype = np.float32 if reach.max() <= _FLOAT32_EXACT else np.float64
     # slot t % depth of the ring holds the spikes of step t
     depth = max(delays)
-    ring = np.zeros((depth, batch, n))
+    ring = np.zeros((depth, batch, n), dtype=dtype)
+    # each W_d is cut to the span of its nonzero presynaptic rows and to the
+    # non-encoder columns, the synaptic drive. W_1's product writes all of
+    # them; each other delay's adds into the span of its nonzero columns.
+    synaptic = np.zeros((batch, n - n0), dtype=dtype)
+    blocks = []  # (delay, presynaptic spikes per slot, synaptic columns, block, product)
+    for d in sorted(delays):
+        m = mats[d][:, n0:]
+        rows, cols = np.flatnonzero(m.any(axis=1)), np.flatnonzero(m.any(axis=0))
+        if d > 1 and not rows.size:
+            continue
+        rows = slice(rows[0], rows[-1] + 1) if rows.size else slice(0, 0)
+        cols = slice(None) if d == 1 else slice(cols[0], cols[-1] + 1)
+        w = np.ascontiguousarray(m[rows, cols], dtype=dtype)
+        blocks.append((d, [slot[:, rows] for slot in ring], synaptic[:, cols], w,
+                       np.zeros((batch, w.shape[1]), dtype=dtype)))
+    (_, spikes_1, _, w_1, _), *boxes = blocks
 
+    # the encoder's columns of the drive are written at frame starts, the
+    # others from the synaptic drive at every step
     drive = np.zeros(shape)
-    counts = np.zeros((batch, n))
+    into = drive[:, n0 - lo:]
+    # a count grows by at most 1 per step
+    counts = np.zeros((batch, n), dtype=dtype if duration <= _FLOAT32_EXACT else np.float64)
     frame_s = np.zeros((batch, n_frames, n))
     spiked = np.zeros((duration if record_rasters else 0, n - lo), dtype=bool)
     out = slice(int(starts[-2]) - lo, None)
@@ -301,7 +339,6 @@ def _engine(net: SnnNetwork, x: np.ndarray | None, input_raster: SpikeRaster | N
     acc_start = duration - window
     sat_events: list[tuple] = []
     sat_total = 0
-    peak = 0.0
     probe = probe or {}
     for li, ids in probe.items():
         if not (0 <= li < len(layers) and all(0 <= k < layers[li].size for k in ids)):
@@ -315,15 +352,13 @@ def _engine(net: SnnNetwork, x: np.ndarray | None, input_raster: SpikeRaster | N
                   for li, ids in probe.items()}
 
     for t in range(duration):
-        np.matmul(ring[(t - 1) % depth], w_1, out=drive)
-        for d, rows, cols, w, product in boxes:
-            drive[:, cols] += np.matmul(ring[(t - d) % depth][:, rows], w, out=product)
-        if fixed:
-            np.trunc(drive, out=drive)
-        if not lo:
+        np.matmul(spikes_1[(t - 1) % depth], w_1, out=synaptic)
+        for d, spikes, target, w, product in boxes:
+            target += np.matmul(spikes[(t - d) % depth], w, out=product)
+        np.copyto(into, synaptic)
+        if not lo and t % oversample == 0:
             drive[:, :n0] = enc_drive[t // oversample]
         fired = step(drive)
-        peak = max(peak, -float(state.min()), float(state.max()))
         slot = ring[t % depth]
         slot[:, lo:] = fired
         if lo:
@@ -360,7 +395,7 @@ def _engine(net: SnnNetwork, x: np.ndarray | None, input_raster: SpikeRaster | N
     return SimulationResult(
         scores=acc / window / net.f, spikes_per_sample=counts.sum(axis=1),
         spike_counts=per_layer(counts), frame_s=per_layer(frame_s), rasters=rasters,
-        saturation_events=sat_events, saturation_total=sat_total, peak_state=peak,
+        saturation_events=sat_events, saturation_total=sat_total, peak_state=peak[0],
         mode=mode, probes=probes)
 
 

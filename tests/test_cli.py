@@ -351,6 +351,36 @@ class TestEvaluateCommand:
         err = capsys.readouterr().err
         assert "layer 1" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("field, value", [
+        pytest.param("f", -50000.0, id="negative-f"),
+        pytest.param("f", 0.0, id="zero-f"),
+        pytest.param("f", float("inf"), id="infinite-f"),
+        pytest.param("f", "abc", id="string-f"),
+        pytest.param("rec_delay", "tau_s_fx", id="rec_delay-beyond-the-compiler"),
+        pytest.param("weight_exp", "bit_length", id="weight_exp-beyond-tau_s")])
+    @pytest.mark.parametrize("mode", ["reference", "fixed"])
+    def test_network_value_the_compiler_never_emits_is_data_error(
+            self, workspace, tmp_path, capsys, field, value, mode):
+        # each file would load and run silently wrong, allocate a ring of
+        # rec_delay steps, or end in a traceback inside the engine
+        with np.load(workspace["net"]) as data:
+            arrays = dict(data)
+        meta = json.loads(bytes(arrays["meta"]).decode())
+        layer = meta["layers"][1]
+        if field == "f":
+            meta["f"] = value
+        elif field == "rec_delay":
+            layer["rec_delay"] = max(1, layer["tau_s_fx"] - 1) + 1
+        else:
+            layer["weight_exp"] = layer["tau_s_fx"].bit_length()  # 2**e > tau_s_fx
+        arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+        net = tmp_path / "net.npz"
+        np.savez(net, **arrays)
+        assert main(["evaluate", "--input", str(net), "--features", str(workspace["features"]),
+                     "--mode", mode, "--out", str(tmp_path / "x.json")]) == 3
+        err = capsys.readouterr().err
+        assert ("scale factor" if field == "f" else field) in err and "Traceback" not in err
+
     def test_corrupt_feature_index_is_data_error(self, workspace, tmp_path):
         features = tmp_path / "features"
         shutil.copytree(workspace["features"], features)

@@ -227,6 +227,99 @@ class TestEngineAgainstFlatLoop:
         np.testing.assert_array_equal(trace.probes[(2, "s")], np.array(s_traces[-1]))
 
 
+def assert_matches_flat_loop(net, feats: np.ndarray, mode: str, raster_input: bool = False):
+    """Run the engine on feats, or on the encoder spikes of the scalar loop
+    as a raster, and require every raster and every state of each
+    spike-driven layer to equal the loop's. Returns the loop's events."""
+    traces = {}
+    events, _ = flat_loop_sim(net, feats, mode, traces=traces)
+    if raster_input:
+        times, units = np.array(events[0], dtype=np.int64).reshape(-1, 2).T
+        inp = SpikeRaster(times, units, feats.shape[0] * net.oversample, net.layers[0].size,
+                          net.timing.t_snn)
+    else:
+        inp = FeatureSequence(feats, net.timing.t_ann)
+    first = 1 if raster_input else 0
+    result = simulate(net, inp, mode=mode,
+                      probe={li: list(range(l.size)) for li, l in enumerate(net.layers)
+                             if li >= first})
+    for li in range(len(net.layers)):
+        got = list(zip(result.rasters[li].times.tolist(), result.rasters[li].units.tolist()))
+        assert got == sorted(events[li]), f"layer {li} rasters differ"
+    # the encoder's drive is a float sum in another order than the loop's
+    for li in range(1, len(net.layers)):
+        for var in ("u", "i", "s", "imem"):
+            np.testing.assert_array_equal(result.probes[(li, var)],
+                                          np.array(traces[(li, var)]), err_msg=f"{li} {var}")
+    return events
+
+
+class TestDriveProducts:
+    """The engine forms the synaptic drive with float32 products when every
+    drive column's absolute-weight sum is at most 2**24, and in float64
+    above it; W_1 is cut to the span of its nonzero presynaptic rows, and
+    the encoder's drive is written at frame starts only."""
+
+    @staticmethod
+    def twin_net(big: int, small: int):
+        # layer 1's neurons 0 and 1 get the same input, so they spike
+        # together, and output neuron 0 reads them with weights big and
+        # -small only: a drive of big - small per spike of the pair
+        rng = np.random.default_rng(45)
+        net = compile_network(toy_model(rng), TIMING, f=5e4)
+        hidden, out = net.layers[1], net.layers[2]
+        for name in ("w_in", "w_rec", "bias"):
+            a = getattr(hidden, name).copy()
+            a[1] = a[0]
+            setattr(hidden, name, a)
+        out.w_in = out.w_in.copy()
+        out.w_in[0] = (big, -small, 0)
+        return net, rng.uniform(0.0, 1.0, size=(12, 2))
+
+    @pytest.mark.parametrize("mode", ["reference", "fixed_point"])
+    def test_column_sum_above_2_24_falls_back_to_float64(self, mode):
+        # 2**24 + 1 has no float32: a float32 block would drop the 1
+        net, feats = self.twin_net(2 ** 24 + 1, 2 ** 24)
+        events = assert_matches_flat_loop(net, feats, mode)
+        assert {j for _, j in events[1]} >= {0, 1}
+
+    @pytest.mark.parametrize("mode", ["reference", "fixed_point"])
+    def test_column_sum_of_exactly_2_24_in_float32(self, mode):
+        net, feats = self.twin_net(2 ** 23 + 1, 2 ** 23 - 1)
+        assert np.abs(net.layers[2].w_in).sum(axis=1).max() == 2 ** 24
+        events = assert_matches_flat_loop(net, feats, mode)
+        assert {j for _, j in events[1]} >= {0, 1}
+
+    @pytest.mark.parametrize("mode", ["reference", "fixed_point"])
+    @pytest.mark.parametrize("zeroed", [(2,), (1, 2)], ids=["output", "every"])
+    def test_layer_with_all_zero_w_in(self, mode, zeroed):
+        # with every w_in zero, W_1 has no nonzero row and its product
+        # writes zeros, which the delay-5 recurrent box adds to
+        rng = np.random.default_rng(46)
+        net = compile_network(toy_model(rng), TIMING, f=5e4)
+        for li in zeroed:
+            net.layers[li].w_in = np.zeros_like(net.layers[li].w_in)
+        events = assert_matches_flat_loop(net, rng.uniform(0.0, 1.0, size=(12, 2)), mode)
+        assert events[0] and events[1]
+
+    @pytest.mark.parametrize("mode", ["reference", "fixed_point"])
+    def test_raster_input(self, mode):
+        rng = np.random.default_rng(48)
+        net = compile_network(toy_model(rng), TIMING, f=5e4)
+        events = assert_matches_flat_loop(net, rng.uniform(0.0, 1.0, size=(12, 2)), mode,
+                                          raster_input=True)
+        assert events[0] and events[2]
+
+    @pytest.mark.parametrize("mode", ["reference", "fixed_point"])
+    def test_oversample_1_starts_a_frame_every_step(self, mode):
+        timing = TimingConfig(t_ann=0.01, t_snn=0.01)
+        rng = np.random.default_rng(49)
+        net = compile_network(toy_model(rng, t_ann=timing.t_ann), timing, f=5e3)
+        assert net.oversample == 1
+        events = assert_matches_flat_loop(net, rng.uniform(0.0, 1.0, size=(60, 2)), mode)
+        assert events[0] and events[2]
+
+
 class TestKernel:
     @pytest.mark.parametrize("rounding", ["round", "trunc"])
     def test_fixed_point_with_decaying_imem_matches_integer_loop(self, rounding):
@@ -312,6 +405,26 @@ class TestBasics:
         assert len(trace.probes) == 4 * len(net.layers)
         peak = max(float(np.abs(v).max()) for v in trace.probes.values())
         assert peak > 0 and trace.peak_state == peak
+
+    @pytest.mark.parametrize("mode", ["reference", "fixed_point"])
+    @pytest.mark.parametrize("case", ["clipping", "negative_w_fb"])
+    def test_peak_state_where_the_bound_check_cannot_give_it(self, mode, case):
+        # a fixed-point step takes the peak from its bound check, taken
+        # again after a clipping re-run; with a negative w_fb a fired
+        # imem can exceed every state after the reset, so the step
+        # reduces the stack after the reset instead
+        rng = np.random.default_rng(16)
+        net = compile_network(toy_model(rng), TIMING, f=5e4)
+        if case == "clipping":
+            net.layers[1].bias = net.layers[1].bias + STATE_LIMIT
+        else:
+            net.layers[2].w_fb = -5000
+        feats = FeatureSequence(rng.uniform(0, 1, size=(12, 2)), TIMING.t_ann)
+        trace = simulate(net, feats, mode=mode,
+                         probe={li: list(range(l.size)) for li, l in enumerate(net.layers)})
+        assert (trace.saturation_total > 0) == (case == "clipping" and mode == "fixed_point")
+        peak = max(float(np.abs(v).max()) for v in trace.probes.values())
+        assert trace.peak_state == peak
 
     def test_fixed_point_outputs_are_integers_without_negative_zero(self):
         # fixed-point states are integers held in float64; a -0.0 would
