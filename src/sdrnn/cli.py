@@ -25,7 +25,7 @@ from .convert import (CompileConfig, TimingConfig, compile_network, compile_repo
 from .errors import ConfigError, DataError, NumericError, npz_file, reading
 from .lprnn import (TrainConfig, forward_batch, forward_sequence, init_model, load_model,
                     magnitude_prune, save_model, train)
-from .snn_sim import compare_activations, simulate, simulate_batch, readout
+from .snn_sim import compare_activations, simulate, simulate_batch
 
 CACHE_ENV = "SDRNN_CACHE_DIR"
 
@@ -360,7 +360,7 @@ def cmd_compare(args) -> int:
     report["sample_index"] = args.sample_index
     report["label"] = label_names[labels[args.sample_index]]
     report["ann_argmax"] = label_names[int(np.argmax(logits))]
-    report["snn_argmax"] = label_names[int(np.argmax(readout(trace, net)))]
+    report["snn_argmax"] = label_names[int(np.argmax(trace.scores))]
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

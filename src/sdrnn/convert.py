@@ -80,6 +80,8 @@ from __future__ import annotations
 import io
 import json
 import math
+import numbers
+import sys
 from dataclasses import asdict, dataclass, field, fields
 from typing import NamedTuple
 
@@ -89,7 +91,13 @@ from .containers import FeatureSequence
 from .errors import ConfigError, DataError, NumericError, npz_file
 from .lprnn import (KIND_INPUT, KIND_RECURRENT, LpRnnLayer, LpRnnModel, load_model,
                     save_model)
-from .numerics import STATE_LIMIT, round_half_away
+from .numerics import STATE_LIMIT, TAU_LIMIT, round_half_away
+
+
+def _finite_positive(value) -> bool:
+    """Whether value is a real number, not a bool, in (0, the largest float]."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and 0 < value <= sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -100,10 +108,12 @@ class TimingConfig:
     t_snn: float
 
     def __post_init__(self):
-        if not (self.t_ann > 0 and self.t_snn > 0):
-            raise ConfigError("t_ann and t_snn must be positive")
+        if not (_finite_positive(self.t_ann) and _finite_positive(self.t_snn)):
+            raise ConfigError(f"t_ann and t_snn must be finite positive numbers, not "
+                              f"{self.t_ann!r} and {self.t_snn!r}")
         ratio = self.t_ann / self.t_snn
-        if abs(ratio - round(ratio)) > 1e-6 * ratio or round(ratio) < 1:
+        if not (ratio < math.inf and abs(ratio - round(ratio)) <= 1e-6 * ratio
+                and round(ratio) >= 1):
             raise ConfigError(
                 f"t_ann/t_snn must be a positive integer, got {ratio}")
 
@@ -501,24 +511,49 @@ def _bad_arrays(layer: SnnLayer, fan_in: int | None) -> str | None:
 
 
 def load_network(path) -> SnnNetwork:
+    """The network saved at path. DataError for a damaged file and for values
+    that compile_network never emits: wrong types, a tau_s_fx that the
+    source layer's alpha does not give at the file's timing, a w_fb other
+    than round(f / tau_s_fx), and delays or exponents beyond its bounds."""
     with npz_file(path) as data:
         if "meta" not in data:
             raise DataError(f"{path}: not a network file (missing metadata)")
         meta = json.loads(bytes(data["meta"]).decode())
-        if meta.get("format") != "sdrnn-net-v1":
-            raise DataError(f"{path}: unsupported network format {meta.get('format')!r}")
-        if bad := pop_retired(meta["config"], "config"):
+        fmt = meta.get("format") if isinstance(meta, dict) else None
+        if fmt != "sdrnn-net-v1":
+            raise DataError(f"{path}: unsupported network format {fmt!r}")
+        config = meta.get("config")
+        if not isinstance(config, dict):
+            raise DataError(f"{path}: the compile config must be a JSON object, not {config!r}")
+        if bad := pop_retired(config, "config"):
             raise DataError(f"{path}: {bad}")
-        if (set(meta["config"]) - {f.name for f in fields(CompileConfig)}
-                or meta["config"].get("decay_rounding") not in ("round", "trunc")):
-            raise DataError(f"{path}: unsupported compile config {meta['config']}")
-        cfg = CompileConfig(**meta["config"])
+        if (set(config) - {f.name for f in fields(CompileConfig)}
+                or config.get("decay_rounding") not in ("round", "trunc")
+                or not _finite_positive(config.get("safety_margin",
+                                                   CompileConfig.safety_margin))):
+            raise DataError(f"{path}: unsupported compile config {config}")
+        cfg = CompileConfig(**config)
         f = meta.get("f")
-        if type(f) not in (int, float) or not (math.isfinite(f) and f > 0):
+        if not _finite_positive(f):
             raise DataError(f"{path}: the scale factor f must be a finite positive number, "
                             f"not {f!r}")
+        if not isinstance(notes := meta.get("notes", {}), dict):
+            raise DataError(f"{path}: notes must be a JSON object, not {notes!r}")
+        source = load_model(io.BytesIO(bytes(data["source_model"])))
+        try:
+            timing = TimingConfig(meta.get("t_ann"), meta.get("t_snn"))
+            # the compiler's tau_s_fx of each layer: its alpha at this timing
+            taus = [_int_tau(rescale_tau(alpha_to_tau(layer.alpha, timing.t_ann), timing))
+                    for layer in source.layers]
+        except ConfigError as exc:
+            raise DataError(f"{path}: {exc}") from None
+        if not (isinstance(meta.get("layers"), list) and len(meta["layers"]) == len(taus)):
+            raise DataError(f"{path}: layers must list the {len(taus)} layers of the source "
+                            "model")
         layers = []
-        for li, lmeta in enumerate(meta["layers"]):
+        for li, (lmeta, tau_s_fx) in enumerate(zip(meta["layers"], taus)):
+            if not isinstance(lmeta, dict):
+                raise DataError(f"{path}: layer {li} must be a JSON object, not {lmeta!r}")
             if bad := pop_retired(lmeta, "layer"):
                 raise DataError(f"{path}: layer {li}: {bad}")
             # files written before these fields: one step, no exponent
@@ -526,29 +561,39 @@ def load_network(path) -> SnnNetwork:
             if set(lmeta) != set(_LAYER_SCALARS):
                 raise DataError(f"{path}: layer {li}: keys {sorted(lmeta)} are not "
                                 f"{sorted(_LAYER_SCALARS)}")
+            if (lmeta["kind"] not in ("encoder", "recurrent", "output")
+                    or not all(_finite_positive(lmeta[k]) for k in ("tau_s", "tau_u"))):
+                raise DataError(f"{path}: layer {li}: kind {lmeta['kind']!r}, tau_s "
+                                f"{lmeta['tau_s']!r} or tau_u {lmeta['tau_u']!r} is invalid")
             ints = {k: lmeta[k] for k in ("size", "tau_s_fx", "tau_u_fx", "w_fb", "rec_delay",
                                           "weight_exp")}
-            if not all(type(v) is int and v >= (k != "weight_exp") for k, v in ints.items()):
+            if not (all(type(v) is int and v >= (k != "weight_exp") for k, v in ints.items())
+                    and ints["tau_u_fx"] <= TAU_LIMIT):
                 raise DataError(f"{path}: layer {li}: {ints} must be integers >= 1 "
-                                "(weight_exp >= 0)")
-            # the compiler's bounds: rec_delay = tau_s_fx - tau_u_fx with
-            # tau_u_fx >= 1, and 2**weight_exp <= tau_s_fx
-            if ints["rec_delay"] > max(1, ints["tau_s_fx"] - 1):
+                                f"(weight_exp >= 0, tau_u_fx <= {TAU_LIMIT})")
+            # the compiler's rules: w_fb = round(f / tau_s_fx), rec_delay =
+            # tau_s_fx - tau_u_fx with tau_u_fx >= 1, and 2**weight_exp <= tau_s_fx
+            if ints["tau_s_fx"] != tau_s_fx:
+                raise DataError(f"{path}: layer {li}: tau_s_fx {ints['tau_s_fx']} is not "
+                                f"{tau_s_fx}, what the source model's alpha gives at t_ann "
+                                f"{timing.t_ann} and t_snn {timing.t_snn}")
+            if ints["w_fb"] != math.floor(f / tau_s_fx + 0.5):
+                raise DataError(f"{path}: layer {li}: w_fb {ints['w_fb']} is not "
+                                f"round(f / tau_s_fx) for f {f} and tau_s_fx {tau_s_fx}")
+            if ints["rec_delay"] > max(1, tau_s_fx - 1):
                 raise DataError(f"{path}: layer {li}: rec_delay {ints['rec_delay']} exceeds "
-                                f"max(1, tau_s_fx - 1) for tau_s_fx {ints['tau_s_fx']}")
-            if ints["weight_exp"] >= ints["tau_s_fx"].bit_length():
+                                f"max(1, tau_s_fx - 1) for tau_s_fx {tau_s_fx}")
+            if ints["weight_exp"] >= tau_s_fx.bit_length():
                 raise DataError(f"{path}: layer {li}: 2**weight_exp exceeds tau_s_fx "
-                                f"{ints['tau_s_fx']} (weight_exp {ints['weight_exp']})")
+                                f"{tau_s_fx} (weight_exp {ints['weight_exp']})")
             # bias is required: data[...] raises for a file without it
             layers.append(SnnLayer(**lmeta, **{
                 name: data[f"l{li}_{name}"] if f"l{li}_{name}" in data or name == "bias"
                 else None for name in _LAYER_ARRAYS}))
             if bad := _bad_arrays(layers[-1], layers[-2].size if li else None):
                 raise DataError(f"{path}: layer {li}: {bad}")
-        source = load_model(io.BytesIO(bytes(data["source_model"])))
-        return SnnNetwork(layers=layers, f=f,
-                          timing=TimingConfig(meta["t_ann"], meta["t_snn"]), config=cfg,
-                          source_model=source, notes=meta.get("notes", {}))
+        return SnnNetwork(layers=layers, f=f, timing=timing, config=cfg, source_model=source,
+                          notes=notes)
 
 
 def compile_report(net: SnnNetwork) -> str:

@@ -49,16 +49,15 @@ writes a second stack, from which the sums are written back in place, so a
 step allocates no state-sized temporary, and the peak |state| is
 max(-min, max) of the stack, in fixed point the bound check's. Every
 synapse reads spikes of an earlier step, so no update depends on another
-within a step: the drive is spikes(t-1) @ W_1 plus spikes(t-d) @ W_d for
-each other recurrent delay d, where W_1 holds every layer's w_in below the
-diagonal and the delay-1 w_rec blocks on it. Each W_d is cut to the span
-of its nonzero presynaptic rows. W_1 keeps every non-encoder column, so
-its product writes the whole synaptic drive each step; each other W_d is
-cut to the span of its nonzero columns (its recurrent blocks), whose
-product adds into them, and an all-zero one is skipped. Spikes of the
-last max(rec_delay) steps wait in one [depth, batch, N] ring. The analog
-encoder's drive is written into its columns at frame starts only, and
-nothing else writes them; a spike raster replaces the encoder, whose
+within a step. Each distinct synaptic delay d (one step for every layer's
+w_in, rec_delay for its w_rec) has a block matrix W_d, presynaptic rows by
+the non-encoder columns, cut to the span of its nonzero rows: a tap. The
+cuts stack into one matrix w, and the taps' rows into the columns of a
+delay line of max(rec_delay) slots: the spikes of step t enter each tap's
+segment of slot (t + d) % depth, so the drive of step t is the one product
+line[t % depth] @ w. A rec_delay of 1 shares the feed-forward tap. The
+analog encoder's drive is written into its columns at frame starts only,
+and nothing else writes them; a spike raster replaces the encoder, whose
 columns are then left out of the update (and cannot be probed). Rasters,
 frame-end s, spike counts, probes and the readout are column slices of
 the flat state. Batched samples advance in lockstep on the same arrays.
@@ -67,13 +66,13 @@ The synaptic drive is exact in float32. Spikes are 0/1 and weights
 integers, so every partial sum of a drive column, in any order and over
 all delays, is an integer no larger than the column's absolute-weight sum.
 If no column's sum exceeds 2**24 (float32 holds every integer up to
-2**24), the ring, the blocks and the products are float32; otherwise
-float64, exact to 2**53. The network alone decides, once per run. So the flat step
-is bit-identical to a layer-by-layer one, whatever the order of the sums,
-and every other operation is elementwise. Its cost is one dense product
-per delay over the span of its nonzero blocks, whatever the sparsity
-inside them: cheap for the networks of about 100 neurons used here; measure
-before relying on it above about 1k neurons.
+2**24), the line, w and the product are float32; otherwise float64, exact
+to 2**53. The network alone decides, once per run. So the flat step is
+bit-identical to a layer-by-layer one, whatever the order of the sums, and
+every other operation is elementwise. Its cost is one dense product per
+step over the stacked row spans, whatever the sparsity inside them: cheap
+for the networks of about 100 neurons used here; measure before relying on
+it above about 1k neurons.
 """
 
 from __future__ import annotations
@@ -293,42 +292,34 @@ def _engine(net: SnnNetwork, x: np.ndarray | None, input_raster: SpikeRaster | N
         per_neuron("weight_exp").astype(np.int64), fixed, net.config.decay_rounding, peak)
     s = state[2]
 
-    # one [n, n] block matrix per distinct synaptic delay, presynaptic rows
-    delays = {1} | {l.rec_delay for l in layers if l.w_rec is not None}
-    mats = {d: np.zeros((n, n)) for d in delays}
+    # one block matrix W_d per distinct synaptic delay d: presynaptic rows,
+    # the synaptic (non-encoder) columns
+    delays = sorted({1} | {l.rec_delay for l in layers if l.w_rec is not None})
+    mats = np.zeros((len(delays), n, n - n0))
     for li in range(1, len(layers)):
-        cols = slice(starts[li], starts[li + 1])
-        mats[1][starts[li - 1]:starts[li], cols] = layers[li].w_in.T
+        cols = slice(starts[li] - n0, starts[li + 1] - n0)
+        mats[0, starts[li - 1]:starts[li], cols] = layers[li].w_in.T
         if layers[li].w_rec is not None:
-            mats[layers[li].rec_delay][cols, cols] = layers[li].w_rec.T
-    # exact in float32 while no drive column's absolute-weight sum exceeds
-    # 2**24 (module docstring)
-    reach = sum(np.abs(m).sum(axis=0) for m in mats.values())
-    dtype = np.float32 if reach.max() <= _FLOAT32_EXACT else np.float64
-    # slot t % depth of the ring holds the spikes of step t
-    depth = max(delays)
-    ring = np.zeros((depth, batch, n), dtype=dtype)
-    # each W_d is cut to the span of its nonzero presynaptic rows and to the
-    # non-encoder columns, the synaptic drive. W_1's product writes all of
-    # them; each other delay's adds into the span of its nonzero columns.
-    synaptic = np.zeros((batch, n - n0), dtype=dtype)
-    blocks = []  # (delay, presynaptic spikes per slot, synaptic columns, block, product)
-    for d in sorted(delays):
-        m = mats[d][:, n0:]
-        rows, cols = np.flatnonzero(m.any(axis=1)), np.flatnonzero(m.any(axis=0))
-        if d > 1 and not rows.size:
-            continue
-        rows = slice(rows[0], rows[-1] + 1) if rows.size else slice(0, 0)
-        cols = slice(None) if d == 1 else slice(cols[0], cols[-1] + 1)
-        w = np.ascontiguousarray(m[rows, cols], dtype=dtype)
-        blocks.append((d, [slot[:, rows] for slot in ring], synaptic[:, cols], w,
-                       np.zeros((batch, w.shape[1]), dtype=dtype)))
-    (_, spikes_1, _, w_1, _), *boxes = blocks
+            k = delays.index(layers[li].rec_delay)
+            mats[k, starts[li]:starts[li + 1], cols] = layers[li].w_rec.T
+    # W_d cut to the span of its nonzero rows is a tap; the stacked cuts w are
+    # exact in float32 while no column's absolute sum exceeds 2**24 (docstring)
+    spans = [np.flatnonzero(m.any(axis=1)) for m in mats]
+    spans = [slice(r[0], r[-1] + 1) if r.size else slice(0, 0) for r in spans]
+    w = np.concatenate([m[rows] for m, rows in zip(mats, spans)])
+    dtype = np.float32 if np.abs(w).sum(axis=0).max(initial=0) <= _FLOAT32_EXACT else np.float64
+    w = w.astype(dtype)
+    # slot t % depth of the delay line holds, in each tap's segment, the
+    # tap's rows of the spikes of step t - d; one view per tap and slot
+    now = np.zeros((batch, n), dtype=dtype)  # the spikes of step t
+    line = np.zeros((delays[-1], batch, len(w)), dtype=dtype)
+    depth = len(line)
+    cuts = np.cumsum([rows.stop - rows.start for rows in spans])[:-1]
+    taps = [(d, now[:, rows], list(segments))
+            for d, rows, segments in zip(delays, spans, np.split(line, cuts, axis=2))]
 
-    # the encoder's columns of the drive are written at frame starts, the
-    # others from the synaptic drive at every step
-    drive = np.zeros(shape)
-    into = drive[:, n0 - lo:]
+    drive = np.zeros(shape)  # the encoder's columns are written at frame starts
+    synaptic = drive[:, n0 - lo:]
     # a count grows by at most 1 per step
     counts = np.zeros((batch, n), dtype=dtype if duration <= _FLOAT32_EXACT else np.float64)
     frame_s = np.zeros((batch, n_frames, n))
@@ -352,18 +343,16 @@ def _engine(net: SnnNetwork, x: np.ndarray | None, input_raster: SpikeRaster | N
                   for li, ids in probe.items()}
 
     for t in range(duration):
-        np.matmul(spikes_1[(t - 1) % depth], w_1, out=synaptic)
-        for d, spikes, target, w, product in boxes:
-            target += np.matmul(spikes[(t - d) % depth], w, out=product)
-        np.copyto(into, synaptic)
+        np.matmul(line[t % depth], w, out=synaptic)
         if not lo and t % oversample == 0:
             drive[:, :n0] = enc_drive[t // oversample]
         fired = step(drive)
-        slot = ring[t % depth]
-        slot[:, lo:] = fired
+        now[:, lo:] = fired
         if lo:
-            slot[:, :lo] = input_spikes[t]
-        counts += slot
+            now[:, :lo] = input_spikes[t]
+        counts += now
+        for d, rows, segments in taps:
+            segments[(t + d) % depth][...] = rows
         if record_rasters:
             spiked[t] = fired[0]
         if clips:

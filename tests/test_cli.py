@@ -357,18 +357,28 @@ class TestEvaluateCommand:
         pytest.param("f", float("inf"), id="infinite-f"),
         pytest.param("f", "abc", id="string-f"),
         pytest.param("rec_delay", "tau_s_fx", id="rec_delay-beyond-the-compiler"),
-        pytest.param("weight_exp", "bit_length", id="weight_exp-beyond-tau_s")])
+        pytest.param("weight_exp", "bit_length", id="weight_exp-beyond-tau_s"),
+        pytest.param("t_ann", "abc", id="string-t_ann"),
+        pytest.param("t_snn", None, id="null-t_snn"),
+        pytest.param("t_snn", 0.0005, id="t_snn-the-taus-were-not-compiled-for"),
+        pytest.param("layers", "x", id="layer-not-an-object"),
+        pytest.param("w_fb", "doubled", id="w_fb-doubled")])
     @pytest.mark.parametrize("mode", ["reference", "fixed"])
     def test_network_value_the_compiler_never_emits_is_data_error(
             self, workspace, tmp_path, capsys, field, value, mode):
         # each file would load and run silently wrong, allocate a ring of
-        # rec_delay steps, or end in a traceback inside the engine
+        # rec_delay steps, or end in a traceback inside the loader or the
+        # engine
         with np.load(workspace["net"]) as data:
             arrays = dict(data)
         meta = json.loads(bytes(arrays["meta"]).decode())
         layer = meta["layers"][1]
-        if field == "f":
-            meta["f"] = value
+        if field in ("f", "t_ann", "t_snn"):
+            meta[field] = value
+        elif field == "layers":
+            meta["layers"][1] = value
+        elif field == "w_fb":
+            layer["w_fb"] *= 2
         elif field == "rec_delay":
             layer["rec_delay"] = max(1, layer["tau_s_fx"] - 1) + 1
         else:
@@ -379,7 +389,8 @@ class TestEvaluateCommand:
         assert main(["evaluate", "--input", str(net), "--features", str(workspace["features"]),
                      "--mode", mode, "--out", str(tmp_path / "x.json")]) == 3
         err = capsys.readouterr().err
-        assert ("scale factor" if field == "f" else field) in err and "Traceback" not in err
+        named = {"f": "scale factor", "layers": "layer 1"}.get(field, field)
+        assert named in err and "Traceback" not in err
 
     def test_corrupt_feature_index_is_data_error(self, workspace, tmp_path):
         features = tmp_path / "features"

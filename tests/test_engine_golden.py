@@ -22,7 +22,7 @@ from sdrnn.numerics import STATE_LIMIT
 from sdrnn.sigma_delta import NeuronParams, encode_analog
 from sdrnn.snn_sim import sigma_delta_kernel, simulate, simulate_batch
 
-from test_snn_sim import TIMING, toy_model
+from test_snn_sim import TIMING, three_tap_net, toy_model
 
 #: (mode, decay rounding); reference mode does not round
 MODES = [("reference", "round"), ("fixed_point", "round"), ("fixed_point", "trunc")]
@@ -90,6 +90,13 @@ def raster_run(mode, rounding):
     return simulate(net, encoded, mode=mode, probe=every_probe(net, first=1))
 
 
+def three_tap_run(mode, rounding):
+    # synaptic delays 1, 4 and 5
+    net, rng = three_tap_net(CompileConfig(decay_rounding=rounding))
+    feats = FeatureSequence(rng.uniform(0.0, 1.0, size=(12, 2)), TIMING.t_ann)
+    return simulate(net, feats, mode=mode, probe=every_probe(net))
+
+
 def saturating_run(mode, rounding):
     # the every_var case of test_fixed_point_states_bounded_and_logged: u,
     # i, imem and s all clip in fixed point
@@ -144,7 +151,7 @@ def encoder_digest() -> str:
 
 
 RUNS = {"single": single_run, "batch": batch_run, "raster": raster_run,
-        "saturating": saturating_run}
+        "saturating": saturating_run, "three_tap": three_tap_run}
 
 GOLDEN = {
     ('single', 'reference', 'round'):
@@ -179,6 +186,12 @@ GOLDEN = {
         "c485c848067743838130f0374b8b8de125f0bcf54adddeb3012b1621f6ab4d80",
     ('encoder',):
         "fd7080e19851183c9d8da97a7982ca3473aa2830064bd81b3bba23467cfed575",
+    ('three_tap', 'reference', 'round'):
+        "1ffb4ab65f47646a6fc103d8d0129a61e51bf6a95bb4f732164e79830ce1ce87",
+    ('three_tap', 'fixed_point', 'round'):
+        "23cae098f2dddc2c7430df57d415528afaab7eafd58c3ac74f5e63a34d5ccdd9",
+    ('three_tap', 'fixed_point', 'trunc'):
+        "054c450d842dc53f74bb06e805bc206ed1c40d04e5b9366dfc16260f2361a4d4",
 }
 
 

@@ -1,5 +1,8 @@
 """Garbled copies of valid files: every loader either loads the copy or
-raises DataError, never another exception."""
+raises DataError, never another exception. A network whose metadata holds
+a value of another kind either is a DataError or runs."""
+
+import json
 
 import numpy as np
 import pytest
@@ -9,8 +12,9 @@ from hypothesis import strategies as st
 from sdrnn.audio_frontend import load_wav, read_manifest, save_wav, write_manifest
 from sdrnn.containers import SpikeRaster, load_raster, save_raster
 from sdrnn.convert import TimingConfig, compile_network, load_network, save_network
-from sdrnn.errors import DataError
+from sdrnn.errors import DataError, SdrnnError
 from sdrnn.lprnn import init_model, load_model, save_model
+from sdrnn.snn_sim import simulate_batch
 
 LOADERS = {"model.npz": load_model, "net.npz": load_network, "raster.txt": load_raster,
            "manifest.csv": read_manifest, "clip.wav": load_wav}
@@ -82,3 +86,47 @@ def test_every_truncation_of_an_archive_is_data_error(valid_dir, name):
         path.write_bytes(data[:at])
         with pytest.raises(DataError):
             LOADERS[name](path)
+
+
+#: JSON values of every kind: numbers (nan and infinities among them),
+#: strings, null, booleans, and lists and objects of them
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
+                                                                max_size=3),
+    max_leaves=6)
+
+
+def metadata_paths(meta: dict) -> list[tuple]:
+    """The place of every value of a network's metadata: each top-level key,
+    each config key, each layer entry and each key of each layer."""
+    return ([(key,) for key in meta] + [("config", key) for key in meta["config"]]
+            + [("layers", li) for li in range(len(meta["layers"]))]
+            + [("layers", li, key) for li, lmeta in enumerate(meta["layers"]) for key in lmeta])
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_network_metadata_value_replaced_is_data_error_or_runs(valid_dir, data):
+    with np.load(valid_dir / "net.npz") as archive:
+        arrays = dict(archive)
+    meta = json.loads(bytes(arrays["meta"]).decode())
+    *parents, key = data.draw(st.sampled_from(metadata_paths(meta)))
+    target = meta
+    for parent in parents:
+        target = target[parent]
+    target[key] = data.draw(JSON_VALUES)
+    arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    path = valid_dir / "edited-net.npz"
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+    try:
+        net = load_network(path)
+    except DataError:
+        return
+    x = np.random.default_rng(0).uniform(0.0, 1.0, size=(2, 3, 3))
+    for mode in ("reference", "fixed"):
+        try:
+            simulate_batch(net, x, mode)
+        except SdrnnError:
+            pass

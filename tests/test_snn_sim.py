@@ -31,6 +31,14 @@ def toy_model(rng, n_in=2, hidden=(3, 3), n_out=2, alphas=(0.85, 0.9, 0.8),
     return model
 
 
+def three_tap_net(config: CompileConfig = CompileConfig()):
+    """Two recurrent layers of different alpha, with rec_delay 5 and 4: with
+    the feed-forward synapses, three distinct synaptic delays."""
+    rng = np.random.default_rng(48)
+    model = toy_model(rng, hidden=(3, 3, 3), alphas=(0.85, 0.9, 0.5, 0.8))
+    return compile_network(model, TIMING, f=2.5e4, config=config), rng
+
+
 def output_probe(net) -> dict:
     """A probe of every output neuron at every step."""
     return {len(net.layers) - 1: list(range(net.layers[-1].size))}
@@ -201,8 +209,8 @@ class TestEngineAgainstFlatLoop:
     @pytest.mark.parametrize("mode", ["reference", "fixed_point"])
     @pytest.mark.parametrize("zeroed", ["edges", "all"])
     def test_recurrent_block_with_zero_rows_and_columns(self, mode, zeroed):
-        # the engine multiplies only the bounding box of a delay's nonzero
-        # recurrent weights and skips an all-zero one: zero the first row
+        # the engine cuts a delay's block matrix to the span of its nonzero
+        # rows, which an all-zero block leaves empty: zero the first row
         # (no recurrent input to neuron 0) and the last column (no
         # recurrent output of neuron 2), or the whole block
         rng = np.random.default_rng(44)
@@ -255,10 +263,10 @@ def assert_matches_flat_loop(net, feats: np.ndarray, mode: str, raster_input: bo
 
 
 class TestDriveProducts:
-    """The engine forms the synaptic drive with float32 products when every
-    drive column's absolute-weight sum is at most 2**24, and in float64
-    above it; W_1 is cut to the span of its nonzero presynaptic rows, and
-    the encoder's drive is written at frame starts only."""
+    """The engine forms the synaptic drive with one float32 product per step
+    when every drive column's absolute-weight sum is at most 2**24, and in
+    float64 above it, over a delay line of one tap per synaptic delay; the
+    encoder's drive is written at frame starts only."""
 
     @staticmethod
     def twin_net(big: int, small: int):
@@ -293,8 +301,8 @@ class TestDriveProducts:
     @pytest.mark.parametrize("mode", ["reference", "fixed_point"])
     @pytest.mark.parametrize("zeroed", [(2,), (1, 2)], ids=["output", "every"])
     def test_layer_with_all_zero_w_in(self, mode, zeroed):
-        # with every w_in zero, W_1 has no nonzero row and its product
-        # writes zeros, which the delay-5 recurrent box adds to
+        # with every w_in zero, the feed-forward tap has no row and only
+        # the delay-5 recurrent tap drives the product
         rng = np.random.default_rng(46)
         net = compile_network(toy_model(rng), TIMING, f=5e4)
         for li in zeroed:
@@ -309,6 +317,25 @@ class TestDriveProducts:
         events = assert_matches_flat_loop(net, rng.uniform(0.0, 1.0, size=(12, 2)), mode,
                                           raster_input=True)
         assert events[0] and events[2]
+
+    @pytest.mark.parametrize("mode", ["reference", "fixed_point"])
+    @pytest.mark.parametrize("raster_input", [False, True], ids=["features", "raster"])
+    def test_three_synaptic_delays(self, mode, raster_input):
+        net, rng = three_tap_net()
+        assert {1} | {l.rec_delay for l in net.layers} == {1, 4, 5}
+        events = assert_matches_flat_loop(net, rng.uniform(0.0, 1.0, size=(12, 2)), mode,
+                                          raster_input=raster_input)
+        assert all(events)
+
+    @pytest.mark.parametrize("mode", ["reference", "fixed_point"])
+    def test_recurrent_delay_of_one_step(self, mode):
+        # as a file written before rec_delay existed loads: the recurrent
+        # synapses share the feed-forward synapses' delay
+        rng = np.random.default_rng(50)
+        net = compile_network(toy_model(rng), TIMING, f=5e4)
+        net.layers[1].rec_delay = 1
+        events = assert_matches_flat_loop(net, rng.uniform(0.0, 1.0, size=(12, 2)), mode)
+        assert all(events)
 
     @pytest.mark.parametrize("mode", ["reference", "fixed_point"])
     def test_oversample_1_starts_a_frame_every_step(self, mode):
