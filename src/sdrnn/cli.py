@@ -23,8 +23,8 @@ from .convert import (CompileConfig, TimingConfig, compile_network, compile_repo
                       load_network, pop_retired, probe_peak_state, save_network,
                       select_scale_factor)
 from .errors import ConfigError, DataError, NumericError, npz_file, reading
-from .lprnn import (TrainConfig, forward_batch, forward_sequence, init_model, load_model,
-                    magnitude_prune, save_model, train)
+from .lprnn import (TrainConfig, _finite_positive, forward_batch, forward_sequence, init_model,
+                    load_model, magnitude_prune, save_model, train)
 from .snn_sim import compare_activations, simulate, simulate_batch
 
 CACHE_ENV = "SDRNN_CACHE_DIR"
@@ -65,6 +65,20 @@ def _apply_config_file(args: argparse.Namespace, given: set) -> None:
             raise ConfigError(f"unknown config key {key!r}")
         if key not in given:
             setattr(args, key, value)
+
+
+def _check_sizes_and_steps(args: argparse.Namespace) -> None:
+    """ConfigError for a batch size below 1, an epoch count below 0 or a
+    learning rate that is not a finite positive number, whether given on
+    the command line or in a config file."""
+    for key, least in (("batch", 1), ("batch_size", 1), ("epochs", 0),
+                       ("prune_finetune_epochs", 0)):
+        value = getattr(args, key, least)
+        if not (isinstance(value, int) and not isinstance(value, bool) and value >= least):
+            raise ConfigError(f"--{key.replace('_', '-')} must be an integer >= {least}, "
+                              f"not {value!r}")
+    if not _finite_positive(getattr(args, "lr", 1.0)):
+        raise ConfigError(f"--lr must be a finite positive number, not {args.lr!r}")
 
 
 def _mel_config(args) -> af.MelConfig:
@@ -196,20 +210,25 @@ def cmd_train(args) -> int:
     model.label_names = label_names
     cfg = TrainConfig(epochs=args.epochs, lr=args.lr,
                       batch_size=args.batch_size, seed=args.seed)
-    model = train(model, dataset, cfg)
-    if args.prune_sparsity > 0:
-        model = magnitude_prune(model, args.prune_sparsity)
-        if args.prune_finetune_epochs > 0:
-            fine = TrainConfig(epochs=args.prune_finetune_epochs, lr=args.lr,
-                               batch_size=args.batch_size, seed=args.seed + 1)
-            model = train(model, dataset, fine)
+    try:
+        # weights that a large step size drove past the float range diverged
+        with np.errstate(over="raise", invalid="raise"):
+            model = train(model, dataset, cfg)
+            if args.prune_sparsity > 0:
+                model = magnitude_prune(model, args.prune_sparsity)
+                if args.prune_finetune_epochs > 0:
+                    fine = TrainConfig(epochs=args.prune_finetune_epochs, lr=args.lr,
+                                       batch_size=args.batch_size, seed=args.seed + 1)
+                    model = train(model, dataset, fine)
+            logits, _ = forward_batch(model, x_tr)
+    except FloatingPointError as exc:
+        raise NumericError(f"training diverged ({exc})") from None
+    acc = float((logits.argmax(axis=1) == y_tr).mean())
 
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_model(model, out)
     _write_json(str(out) + ".config.json", _resolved_config(args, "train"))
-    logits, _ = forward_batch(model, x_tr)
-    acc = float((logits.argmax(axis=1) == y_tr).mean())
     print(f"train: model -> {out} (train accuracy {acc:.3f}, "
           f"classes {','.join(label_names)})")
     return 0
@@ -468,6 +487,7 @@ def main(argv=None) -> int:
     given = set(vars(parser.parse_args(argv)))
     try:
         _apply_config_file(args, given)
+        _check_sizes_and_steps(args)
         return args.func(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

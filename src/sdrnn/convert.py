@@ -80,8 +80,6 @@ from __future__ import annotations
 import io
 import json
 import math
-import numbers
-import sys
 from dataclasses import asdict, dataclass, field, fields
 from typing import NamedTuple
 
@@ -89,15 +87,9 @@ import numpy as np
 
 from .containers import FeatureSequence
 from .errors import ConfigError, DataError, NumericError, npz_file
-from .lprnn import (KIND_INPUT, KIND_RECURRENT, LpRnnLayer, LpRnnModel, load_model,
-                    save_model)
+from .lprnn import (KIND_INPUT, KIND_RECURRENT, LpRnnLayer, LpRnnModel, _finite_positive,
+                    load_model, save_model)
 from .numerics import STATE_LIMIT, TAU_LIMIT, round_half_away
-
-
-def _finite_positive(value) -> bool:
-    """Whether value is a real number, not a bool, in (0, the largest float]."""
-    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and 0 < value <= sys.float_info.max)
 
 
 @dataclass(frozen=True)

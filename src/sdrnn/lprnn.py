@@ -25,6 +25,8 @@ order, and gradients add the per-frame terms last frame first.
 from __future__ import annotations
 
 import json
+import numbers
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -35,6 +37,19 @@ from .errors import ConfigError, DataError, NumericError, npz_file
 KIND_INPUT = "input_lowpass"
 KIND_RECURRENT = "recurrent"
 KIND_OUTPUT = "output"
+
+#: Largest quantizer bit width: levels are stored as int8.
+MAX_BITS = 8
+
+
+def _real(value) -> bool:
+    """Whether value is a real number and not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _finite_positive(value) -> bool:
+    """Whether value is a real number, not a bool, in (0, the largest float]."""
+    return _real(value) and 0 < value <= sys.float_info.max
 
 
 def clamped_relu(x: np.ndarray, ceiling: float) -> np.ndarray:
@@ -100,8 +115,8 @@ class LpRnnLayer:
     def __post_init__(self):
         if self.kind not in (KIND_INPUT, KIND_RECURRENT, KIND_OUTPUT):
             raise ConfigError(f"unknown layer kind {self.kind!r}")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ConfigError(f"alpha must lie in [0, 1], got {self.alpha}")
+        if not (_real(self.alpha) and 0.0 <= self.alpha <= 1.0):
+            raise ConfigError(f"alpha must lie in [0, 1], got {self.alpha!r}")
         if self.kind == KIND_RECURRENT:
             if self.w_rec is None:
                 raise ConfigError("recurrent layer needs w_rec")
@@ -146,10 +161,17 @@ class LpRnnModel:
         for layer in self.layers:
             if layer.alpha >= 1.0:
                 raise ConfigError("alpha must be < 1 in a model (alpha = 1 freezes the state)")
-        if not 0 < self.readout_fraction <= 1:
-            raise ConfigError("readout_fraction must lie in (0, 1]")
-        if not self.t_ann > 0:
-            raise ConfigError("t_ann must be positive")
+        if not (_real(self.readout_fraction) and 0 < self.readout_fraction <= 1):
+            raise ConfigError(f"readout_fraction must lie in (0, 1], not "
+                              f"{self.readout_fraction!r}")
+        if not (_finite_positive(self.t_ann) and _finite_positive(self.clamp_ceiling)):
+            raise ConfigError(f"t_ann and clamp_ceiling must be finite positive numbers, "
+                              f"not {self.t_ann!r} and {self.clamp_ceiling!r}")
+        if not (isinstance(self.bits, numbers.Integral) and not isinstance(self.bits, bool)
+                and 2 <= self.bits <= MAX_BITS):
+            raise ConfigError(f"bits must be an integer in [2, {MAX_BITS}], not {self.bits!r}")
+        if not isinstance(self.quantize, (bool, np.bool_)):
+            raise ConfigError(f"quantize must be a boolean, not {self.quantize!r}")
 
     @property
     def n_classes(self) -> int:
@@ -521,8 +543,19 @@ def load_model(path) -> LpRnnModel:
         if "meta" not in data:
             raise DataError(f"{path}: not a model file (missing metadata)")
         meta = json.loads(bytes(data["meta"]).decode())
-        if meta.get("format") != "sdrnn-model-v1":
-            raise DataError(f"{path}: unsupported model format {meta.get('format')!r}")
+        fmt = meta.get("format") if isinstance(meta, dict) else None
+        if fmt != "sdrnn-model-v1":
+            raise DataError(f"{path}: unsupported model format {fmt!r}")
+        norm_stats, label_names = meta["norm_stats"], meta["label_names"]
+        if not (isinstance(meta["layers"], list)
+                and all(isinstance(lmeta, dict) for lmeta in meta["layers"])):
+            raise DataError(f"{path}: layers must be a list of JSON objects")
+        if not (norm_stats is None or isinstance(norm_stats, dict)):
+            raise DataError(f"{path}: norm_stats must be a JSON object or null")
+        if not (label_names is None or (isinstance(label_names, list)
+                                        and all(isinstance(n, str) for n in label_names))):
+            raise DataError(f"{path}: label_names must be a list of strings or null")
+        # the model checks the other values' types (a ConfigError, read as a DataError)
         layers = []
         for li, lmeta in enumerate(meta["layers"]):
             w_rec = data[f"l{li}_w_rec"] if f"l{li}_w_rec" in data else None
@@ -533,5 +566,5 @@ def load_model(path) -> LpRnnModel:
                                      mask_in, mask_rec))
         return LpRnnModel(layers, t_ann=meta["t_ann"], clamp_ceiling=meta["clamp_ceiling"],
                           bits=meta["bits"], readout_fraction=meta["readout_fraction"],
-                          quantize=meta["quantize"], norm_stats=meta["norm_stats"],
-                          label_names=meta["label_names"])
+                          quantize=meta["quantize"], norm_stats=norm_stats,
+                          label_names=label_names)

@@ -24,6 +24,14 @@ that scales u into i are handled by the network engine. The update itself
 is the engine's, snn_sim.sigma_delta_kernel: neuron_step runs one neuron on
 it and encode_analog a population of uncoupled ones, with no bias and
 weight exponent 0, in reference mode.
+
+At 1-40 uncoupled neurons every numpy call of a step is overhead, so the
+codec spends none it can spare. The kernel sees, once per run, that every
+exponent and bias is 0 and drops the scale (u * 1 is u) and the bias add
+(+ 0.0 changes only -0.0, which a sum with a decayed state never is), so i
+is di + u. encode_analog hands the step each frame's held drive as a ready
+[1, n] row, and reconstruct decays each row into one buffer. Rasters and
+traces are bit-identical to a step-by-step loop of the update above.
 """
 
 from __future__ import annotations
@@ -114,6 +122,9 @@ def encode_analog(signal: FeatureSequence, params: NeuronParams, oversample: int
     if math.isinf(params.tau_u) or math.isinf(params.tau_i):
         raise ConfigError("analog encoding requires finite tau_u and tau_i")
     data = signal.data
+    # NaN passes both range checks below
+    if not np.isfinite(data).all():
+        raise DataError("analog encoder accepts finite signals only")
     if np.any(data < 0):
         raise DataError("analog encoder accepts nonnegative signals only")
     if np.any(data > params.clamp_ceiling):
@@ -121,12 +132,14 @@ def encode_analog(signal: FeatureSequence, params: NeuronParams, oversample: int
 
     n_frames, n_units = data.shape
     duration = n_frames * oversample
-    drive = data / (params.tau_u * params.tau_i)
+    # each frame's held drive, a [1, n] row of the population's shape
+    drive = (data / (params.tau_u * params.tau_i))[:, None, :]
     _, step = _population(params, n_units)
-    spikes = np.zeros((duration, n_units), dtype=bool)
-    for t in range(duration):
-        spikes[t] = step(drive[t // oversample])[0]
-    return SpikeRaster(*np.nonzero(spikes), duration, n_units,
+    spikes = np.zeros((n_frames, oversample, n_units), dtype=bool)
+    for held, frame in zip(drive, spikes):
+        for t in range(oversample):
+            frame[t] = step(held)
+    return SpikeRaster(*np.nonzero(spikes.reshape(duration, n_units)), duration, n_units,
                        dt=signal.frame_period / oversample)
 
 
@@ -140,6 +153,7 @@ def reconstruct(raster: SpikeRaster, params: NeuronParams) -> FeatureSequence:
     # row t + 1 starts as the increments of step t and ends as s after it
     trace = np.zeros((raster.duration + 1, raster.population))
     np.add.at(trace, (raster.times + 1, raster.units), params.w_fb)
-    for t in range(1, raster.duration + 1):
-        trace[t] += decay_array(trace[t - 1], params.tau_s)
+    decayed = np.empty(raster.population)
+    for prev, row in zip(trace, trace[1:]):
+        row += decay_array(prev, params.tau_s, out=decayed)
     return FeatureSequence(trace[1:], frame_period=raster.dt)

@@ -132,7 +132,15 @@ def sigma_delta_kernel(shape, taus, bias, threshold, w_fb, exps, fixed: bool = F
     The constants are laid out once, contiguous at the full shape they meet
     in the step, so no step broadcasts. A decay by tau 1 is exactly +0 in
     both modes (x - x / 1, and rint or trunc of x * 0), so when every
-    tau_mem is 1 only u, i and s are decayed and imem is i - s.
+    tau_mem is 1 only u, i and s are decayed and imem is i - s. Two more
+    passes are dropped for the run when they cannot change a value, as in
+    the analog encoder's population. When every exponent is 0 the scale
+    goes: u * 1 is u, and in fixed point floor(u + 0) is the integer u.
+    When every bias is 0 the bias add goes: + 0.0 changes only -0.0, and
+    di + u * 2**-exps is never -0.0, since a decayed state never is and a
+    sum is -0.0 only if both its terms are. Then i <- di + u is written
+    straight into i. The clipped re-run forms the same sum and adds the
+    bias, clipped, as before.
 
     A fixed-point step runs the adds unclipped, as reference mode does (on
     integers below 2**53 every sum is exact), then bounds the stack once,
@@ -168,14 +176,18 @@ def sigma_delta_kernel(shape, taus, bias, threshold, w_fb, exps, fixed: bool = F
     tmp, fired, spikes = np.zeros(shape), np.zeros(shape, dtype=bool), np.zeros(shape)
     clips: list[tuple] = []
     checked_peak = fixed and rows == 3 and (threshold >= 0).all() and (w_fb >= 0).all()
+    # passes that change no value, dropped for the run (docstring)
+    unit_scale, no_bias = (exps == 0).all(), not bias.any()
 
-    def into_i():
-        """di + u * 2**-exps (rounded in fixed point), in tmp."""
+    def into_i(out):
+        """di + u * 2**-exps (rounded in fixed point), in out."""
+        if unit_scale:
+            return np.add(di, u, out=out)
         if fixed:
             np.floor(np.multiply(np.add(u, half, out=tmp), scale, out=tmp), out=tmp)
         else:
             np.multiply(u, scale, out=tmp)
-        return np.add(di, tmp, out=tmp)
+        return np.add(di, tmp, out=out)
 
     def sat_add(x, delta, into, var):
         # into aliases neither operand: the clip count sums them again
@@ -192,7 +204,7 @@ def sigma_delta_kernel(shape, taus, bias, threshold, w_fb, exps, fixed: bool = F
     def saturating(drive):
         """The adds of the step again, each clipped and its clips logged."""
         sat_add(du, drive, u, "u")
-        sat_add(into_i(), bias, i, "i")
+        sat_add(into_i(tmp), bias, i, "i")
         sat_add(dimem, np.subtract(i, ds, out=tmp), imem, "imem")
         sat_add(ds, fire(), s, "s")
 
@@ -202,7 +214,10 @@ def sigma_delta_kernel(shape, taus, bias, threshold, w_fb, exps, fixed: bool = F
         else:
             decay_array(live, taus, out=decaying)
         np.add(du, drive, out=u)
-        np.add(into_i(), bias, out=i)
+        if no_bias:
+            into_i(i)
+        else:
+            np.add(into_i(tmp), bias, out=i)
         if rows == 3:
             np.subtract(i, ds, out=imem)
         else:

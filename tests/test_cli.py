@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sdrnn.audio_frontend import save_wav, write_manifest
 from sdrnn.cli import main
@@ -29,6 +31,19 @@ def workspace(tmp_path_factory):
                  "--probes", "2"]) == 0
     return {"root": root, "manifest": manifest, "features": features,
             "model": model, "net": net}
+
+
+def tiny_train(workspace, out, epochs: bool = True) -> list[str]:
+    """A train command that runs in well under a second on the workspace,
+    with --epochs 1 unless epochs is False."""
+    args = ["train", "--features", str(workspace["features"]), "--out", str(out),
+            "--hidden", "2", "2", "--alpha", "0.5", "0.5", "0.5"]
+    return args + ["--epochs", "1"] if epochs else args
+
+
+def evaluate_net(workspace, out) -> list[str]:
+    return ["evaluate", "--input", str(workspace["net"]), "--features",
+            str(workspace["features"]), "--mode", "reference", "--out", str(out)]
 
 
 class TestFeatures:
@@ -151,6 +166,34 @@ class TestTrainCommand:
         assert main(["train", "--features", str(workspace["features"]),
                      "--out", str(tmp_path / "m.npz"),
                      "--config", str(cfg_path)]) == 2
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--batch-size", "0"), ("--epochs", "-1"), ("--lr", "-1"),
+        ("--prune-finetune-epochs", "-1")])
+    def test_size_or_step_out_of_range_is_config_error(self, workspace, tmp_path, capsys,
+                                                       flag, value):
+        # a batch size of 0 ended in a ValueError traceback; a negative
+        # epoch count wrote an untrained model and a negative lr a
+        # gradient-ascended one
+        out = tmp_path / "m.npz"
+        assert main(tiny_train(workspace, out) + [flag, value]) == 2
+        err = capsys.readouterr().err
+        assert flag in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value", [("epochs", 1.5), ("lr", "x"), ("batch_size", True)])
+    def test_size_or_step_from_config_file_is_checked(self, workspace, tmp_path, capsys, key,
+                                                      value):
+        cfg_path = tmp_path / "train.json"
+        cfg_path.write_text(json.dumps({key: value}))
+        args = tiny_train(workspace, tmp_path / "m.npz", epochs=key != "epochs")
+        assert main(args + ["--config", str(cfg_path)]) == 2
+        assert key.replace("_", "-") in capsys.readouterr().err
+
+    def test_diverging_step_size_is_numeric_error(self, workspace, tmp_path, capsys):
+        # a finite lr so large that the weights overflow float64
+        assert main(tiny_train(workspace, tmp_path / "m.npz") + ["--lr", "1e308"]) == 4
+        assert "diverged" in capsys.readouterr().err
 
 
 class TestConvertCommand:
@@ -392,6 +435,38 @@ class TestEvaluateCommand:
         named = {"f": "scale factor", "layers": "layer 1"}.get(field, field)
         assert named in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("key, value", [
+        ("t_ann", "abc"), ("readout_fraction", None), ("clamp_ceiling", "x"), ("bits", 2.5),
+        ("quantize", "yes")])
+    def test_model_metadata_of_another_type_is_data_error(self, workspace, tmp_path, capsys,
+                                                          key, value):
+        # each ended in a TypeError traceback, or (quantize) loaded and ran
+        with np.load(workspace["model"]) as data:
+            arrays = dict(data)
+        meta = json.loads(bytes(arrays["meta"]).decode())
+        meta[key] = value
+        arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+        model = tmp_path / "model.npz"
+        np.savez(model, **arrays)
+        assert main(["evaluate", "--input", str(model), "--features", str(workspace["features"]),
+                     "--out", str(tmp_path / "x.json")]) == 3
+        err = capsys.readouterr().err
+        assert key in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("value, config", [("0", False), ("-5", False), (0, True)])
+    def test_batch_below_one_is_config_error(self, workspace, tmp_path, capsys, value,
+                                             config):
+        args = evaluate_net(workspace, tmp_path / "x.json")
+        if config:
+            cfg_path = tmp_path / "eval.json"
+            cfg_path.write_text(json.dumps({"batch": value}))
+            args += ["--config", str(cfg_path)]
+        else:
+            args += ["--batch", value]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert "--batch" in err and "Traceback" not in err
+
     def test_corrupt_feature_index_is_data_error(self, workspace, tmp_path):
         features = tmp_path / "features"
         shutil.copytree(workspace["features"], features)
@@ -412,6 +487,41 @@ class TestEvaluateCommand:
         assert main(["evaluate", "--input", str(workspace["net"]),
                      "--features", str(workspace["features"]),
                      "--mode", "ann", "--out", str(tmp_path / "x.json")]) == 2
+
+
+#: (command, option key) of each size and step option that the CLI bounds
+SIZE_OPTIONS = [("train", "batch_size"), ("train", "epochs"), ("train", "lr"),
+                ("train", "prune_finetune_epochs"), ("evaluate", "batch")]
+#: zero, negatives, nan, infinities and huge numbers; an epoch count stays
+#: small when positive, so that every example ends
+ANY_NUMBER = st.integers() | st.floats() | st.sampled_from([0, -1, 10 ** 30, 1e308])
+FEW_EPOCHS = st.integers(max_value=2) | st.floats() | st.sampled_from([0, -1, -10 ** 30])
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_size_or_step_option_exits_with_a_documented_code(workspace, data):
+    # each value on the command line or in a config file: exit 0, 2
+    # (argparse's own errors among them), 3 or 4, never a traceback
+    command, key = data.draw(st.sampled_from(SIZE_OPTIONS))
+    value = data.draw(FEW_EPOCHS if "epochs" in key else ANY_NUMBER)
+    root = workspace["root"] / "option-fuzz"
+    root.mkdir(exist_ok=True)
+    from_config = data.draw(st.booleans())
+    args = (tiny_train(workspace, root / "m.npz", epochs=not (from_config and key == "epochs"))
+            if command == "train" else evaluate_net(workspace, root / "x.json"))
+    if from_config:
+        (root / "cfg.json").write_text(json.dumps({key: value}))
+        args += ["--config", str(root / "cfg.json")]
+    else:
+        args += [f"--{key.replace('_', '-')}", str(value)]
+    if key == "prune_finetune_epochs":
+        args += ["--prune-sparsity", "0.5"]
+    try:
+        code = main(args)
+    except SystemExit as exc:
+        code = exc.code
+    assert code in (0, 2, 3, 4)
 
 
 class TestCompareCommand:

@@ -19,7 +19,7 @@ import pytest
 from sdrnn.containers import FeatureSequence
 from sdrnn.convert import CompileConfig, compile_network
 from sdrnn.numerics import STATE_LIMIT
-from sdrnn.sigma_delta import NeuronParams, encode_analog
+from sdrnn.sigma_delta import NeuronParams, encode_analog, reconstruct
 from sdrnn.snn_sim import sigma_delta_kernel, simulate, simulate_batch
 
 from test_snn_sim import TIMING, three_tap_net, toy_model
@@ -111,10 +111,11 @@ def saturating_run(mode, rounding):
     return simulate(net, feats, mode=mode, probe=every_probe(net))
 
 
-def kernel_digest(mode, rounding) -> str:
+def kernel_digest(mode, rounding, exps=(0, 1, 2, 3, 0, 1),
+                  bias=(3.0, -2.0, 0.0, 5.0, 1.0, 0.0)) -> str:
     """A bare kernel run with per-neuron taus, tau_mem 4 on half of the
-    neurons and inf on one, weight exponents 0-3 and a drive large enough
-    to clip in fixed point."""
+    neurons and inf on one, weight exponents 0-3 (or the given ones) and a
+    drive large enough to clip in fixed point."""
     rng = np.random.default_rng(77)
     fixed = mode == "fixed_point"
     shape = (2, 6)
@@ -122,8 +123,7 @@ def kernel_digest(mode, rounding) -> str:
     taus = np.stack([np.array([2.0, 3.0, 5.0, 7.0, 2.0, 9.0]),
                      np.array([9.0, 6.0, 10.0, 4.0, 3.0, 8.0]),
                      np.array([9.0, 6.0, 10.0, 4.0, 3.0, 8.0]), tau_mem])[:, None, :]
-    exps = np.array([0, 1, 2, 3, 0, 1])
-    bias = np.array([3.0, -2.0, 0.0, 5.0, 1.0, 0.0])
+    exps, bias = np.asarray(exps), np.asarray(bias, dtype=np.float64)
     w_fb = np.array([40.0, 25.0, 60.0, 30.0, 20.0, 50.0])
     state, clips, step = sigma_delta_kernel(shape, taus, bias, w_fb, w_fb, exps, fixed,
                                             rounding)
@@ -140,13 +140,25 @@ def kernel_digest(mode, rounding) -> str:
     return h.hexdigest()
 
 
-def encoder_digest() -> str:
+def encoder_raster():
     """encode_analog's population at the default (tau_mem 1) parameters."""
     rng = np.random.default_rng(78)
-    raster = encode_analog(FeatureSequence(rng.uniform(0.0, 1.0, size=(20, 5)), 0.01),
-                           NeuronParams(), oversample=20)
+    return encode_analog(FeatureSequence(rng.uniform(0.0, 1.0, size=(20, 5)), 0.01),
+                         NeuronParams(), oversample=20)
+
+
+def encoder_digest() -> str:
+    raster = encoder_raster()
     h = Hasher()
     h.add(raster.times, raster.units, raster.duration, raster.population, raster.dt)
+    return h.hexdigest()
+
+
+def reconstruct_digest() -> str:
+    """reconstruct's traces of the encoder case's raster."""
+    decoded = reconstruct(encoder_raster(), NeuronParams())
+    h = Hasher()
+    h.add(decoded.data, decoded.frame_period)
     return h.hexdigest()
 
 
@@ -192,6 +204,14 @@ GOLDEN = {
         "23cae098f2dddc2c7430df57d415528afaab7eafd58c3ac74f5e63a34d5ccdd9",
     ('three_tap', 'fixed_point', 'trunc'):
         "054c450d842dc53f74bb06e805bc206ed1c40d04e5b9366dfc16260f2361a4d4",
+    ('unit_kernel', 'reference', 'round'):
+        "931d937e78c4cd1f526b191defcb8907ca883ea5c49bb793e366d8fce0f1d44c",
+    ('unit_kernel', 'fixed_point', 'round'):
+        "f0b51721634ba8aa3eeb353b5f22b3c6e734c4e95d19cb6ca9837706772a1abb",
+    ('unit_kernel', 'fixed_point', 'trunc'):
+        "4ba579595e377642f7879c3f79559e70076043a0cc6df2a5fb3e64dd42a54576",
+    ('reconstruct',):
+        "2a39e5256067ec15fa934159b33bbc5fbd61a907ccbe308bd37b60efa5664819",
 }
 
 
@@ -208,3 +228,15 @@ def test_kernel_digest(mode, rounding):
 
 def test_encoder_digest():
     assert encoder_digest() == GOLDEN[("encoder",)]
+
+
+@pytest.mark.parametrize("mode, rounding", MODES)
+def test_unit_kernel_digest(mode, rounding):
+    # every weight exponent and bias 0, as in the analog encoder's
+    # population: the kernel drops the scale and the bias add
+    assert kernel_digest(mode, rounding, exps=0, bias=0.0) == GOLDEN[("unit_kernel", mode,
+                                                                       rounding)]
+
+
+def test_reconstruct_digest():
+    assert reconstruct_digest() == GOLDEN[("reconstruct",)]

@@ -1,6 +1,6 @@
 """Garbled copies of valid files: every loader either loads the copy or
-raises DataError, never another exception. A network whose metadata holds
-a value of another kind either is a DataError or runs."""
+raises DataError, never another exception. A model or network whose
+metadata holds a value of another kind either is a DataError or runs."""
 
 import json
 
@@ -13,7 +13,7 @@ from sdrnn.audio_frontend import load_wav, read_manifest, save_wav, write_manife
 from sdrnn.containers import SpikeRaster, load_raster, save_raster
 from sdrnn.convert import TimingConfig, compile_network, load_network, save_network
 from sdrnn.errors import DataError, SdrnnError
-from sdrnn.lprnn import init_model, load_model, save_model
+from sdrnn.lprnn import forward_batch, init_model, load_model, save_model
 from sdrnn.snn_sim import simulate_batch
 
 LOADERS = {"model.npz": load_model, "net.npz": load_network, "raster.txt": load_raster,
@@ -98,17 +98,18 @@ JSON_VALUES = st.recursive(
 
 
 def metadata_paths(meta: dict) -> list[tuple]:
-    """The place of every value of a network's metadata: each top-level key,
-    each config key, each layer entry and each key of each layer."""
-    return ([(key,) for key in meta] + [("config", key) for key in meta["config"]]
+    """The place of every value of a model's or network's metadata: each
+    top-level key, each config key, each layer entry and each key of each
+    layer."""
+    return ([(key,) for key in meta] + [("config", key) for key in meta.get("config", {})]
             + [("layers", li) for li in range(len(meta["layers"]))]
             + [("layers", li, key) for li, lmeta in enumerate(meta["layers"]) for key in lmeta])
 
 
-@given(data=st.data())
-@settings(max_examples=300, deadline=None)
-def test_network_metadata_value_replaced_is_data_error_or_runs(valid_dir, data):
-    with np.load(valid_dir / "net.npz") as archive:
+def edited_copy(valid_dir, name: str, data) -> object:
+    """The file `name` with one drawn metadata value replaced by a drawn JSON
+    value, loaded; None if the loader raised DataError."""
+    with np.load(valid_dir / name) as archive:
         arrays = dict(archive)
     meta = json.loads(bytes(arrays["meta"]).decode())
     *parents, key = data.draw(st.sampled_from(metadata_paths(meta)))
@@ -117,12 +118,20 @@ def test_network_metadata_value_replaced_is_data_error_or_runs(valid_dir, data):
         target = target[parent]
     target[key] = data.draw(JSON_VALUES)
     arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
-    path = valid_dir / "edited-net.npz"
+    path = valid_dir / f"edited-{name}"
     with open(path, "wb") as fh:
         np.savez(fh, **arrays)
     try:
-        net = load_network(path)
+        return LOADERS[name](path)
     except DataError:
+        return None
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_network_metadata_value_replaced_is_data_error_or_runs(valid_dir, data):
+    net = edited_copy(valid_dir, "net.npz", data)
+    if net is None:
         return
     x = np.random.default_rng(0).uniform(0.0, 1.0, size=(2, 3, 3))
     for mode in ("reference", "fixed"):
@@ -130,3 +139,15 @@ def test_network_metadata_value_replaced_is_data_error_or_runs(valid_dir, data):
             simulate_batch(net, x, mode)
         except SdrnnError:
             pass
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_model_metadata_value_replaced_is_data_error_or_runs(valid_dir, data):
+    model = edited_copy(valid_dir, "model.npz", data)
+    if model is None:
+        return
+    try:
+        forward_batch(model, np.random.default_rng(0).uniform(0.0, 1.0, size=(2, 3, 3)))
+    except SdrnnError:
+        pass

@@ -122,6 +122,12 @@ class TestEncodeAnalog:
         with pytest.raises(DataError):
             encode_analog(sig, DEFAULTS, oversample=4)
 
+    def test_nan_signal_rejected(self):
+        # NaN passes both range checks, and was encoded as a silent neuron
+        sig = FeatureSequence(np.array([[np.nan, 0.5]]), frame_period=0.01)
+        with pytest.raises(DataError, match="finite"):
+            encode_analog(sig, DEFAULTS, oversample=4)
+
     def test_constant_signal_rate_and_roundtrip(self):
         v = 0.5
         frames = 12 * int(DEFAULTS.tau_s)
