@@ -132,7 +132,9 @@ def cmd_features(args) -> int:
         with ProcessPoolExecutor(max_workers=args.workers,
                                  initializer=_feature_pool_init,
                                  initargs=(mel_cfg,)) as pool:
-            results = list(pool.map(_feature_one, jobs))
+            # about four chunks per worker: one IPC round trip per chunk
+            chunk = max(1, len(jobs) // (4 * args.workers))
+            results = list(pool.map(_feature_one, jobs, chunksize=chunk))
     else:
         _feature_pool_init(mel_cfg)
         results = [_feature_one(job) for job in jobs]

@@ -12,14 +12,21 @@ quantized view of the weights while gradients pass straight through the
 quantizer to the full-precision master copy.
 
 Histories are frame-major [T, B, n]. The forward pass writes each layer's
-drive for all frames into one buffer, then scans the frames in place. The
-backward pass runs layer by layer, top first: the error from the layer
-above, the gates and the weight-gradient terms come for all frames at once,
-and the reverse frame loop carries only alpha * delta + e @ W_rec. Both equal
-a frame-by-frame loop bit for bit: each product is the BLAS call the loop
-makes (per sample or per frame; one gemm over all T*B rows rounds
-differently where BLAS switches kernels), elementwise operations keep their
-order, and gradients add the per-frame terms last frame first.
+drive for all frames into one buffer, then scans the frames in place. A pass
+that keeps no histories (checkpoint selection, final and ANN logits) runs
+all layers in two buffers that the layers take in turn, so each layer's
+drive and state overwrite the states of the layer two below. The backward
+pass runs layer by layer, top first: the error from the layer above, the
+gates and the weight-gradient terms come for all frames at once, and the
+reverse frame loop carries only alpha * delta + e @ W_rec. A layer without
+W_rec carries only alpha * delta and takes its gate once over all frames
+after the loop. The per-frame recurrent products go through np.dot, which
+gives np.matmul's products bit for bit without its ufunc dispatch. Both
+passes equal a frame-by-frame loop bit for bit: each product is the BLAS
+call the loop makes (per sample or per frame; one gemm over all T*B rows
+rounds differently where BLAS switches kernels), elementwise operations keep
+their operands and order, and gradients add the per-frame terms last frame
+first.
 """
 
 from __future__ import annotations
@@ -213,6 +220,8 @@ def init_model(n_features: int, hidden: tuple[int, ...], n_classes: int,
     kinds = [KIND_INPUT] + [KIND_RECURRENT] * (len(hidden) - 1) + [KIND_OUTPUT]
     if len(hidden) < 1:
         raise ConfigError("need at least one hidden layer")
+    if min(sizes) < 1:
+        raise ConfigError(f"layer widths must be at least 1, got {sizes}")
     if len(alphas) != len(kinds):
         raise ConfigError(f"need one alpha per layer ({len(kinds)}), got {len(alphas)}")
     rng = np.random.default_rng(seed)
@@ -250,9 +259,11 @@ def _readout_window(n_frames: int, fraction: float) -> int:
 def forward_batch(model: LpRnnModel, x: np.ndarray, keep: bool = False):
     """Run the full stack over a batch [B, T, D].
 
-    Returns (logits [B, C], cache) where the cache holds per-layer y and, when
-    keep=True (needed for the backward pass and traces), z histories, both
-    frame-major [T, B, n].
+    Returns (logits [B, C], cache). With keep=True (needed for the backward
+    pass and traces) the cache holds per-layer y and z histories, frame-major
+    [T, B, n]; with keep=False it holds none, and the layers take turns in
+    two buffers, each layer writing its drive and then its state over the
+    states of the layer two below.
     """
     if x.ndim != 3:
         raise DataError("batch input must be [batch, frames, features]")
@@ -264,31 +275,43 @@ def forward_batch(model: LpRnnModel, x: np.ndarray, keep: bool = False):
     c = model.clamp_ceiling
     ys, zs = [], []
     weights = [model.effective_weights(layer) for layer in model.layers]
+    if not keep:
+        # one block for both buffers: glibc raises its mmap threshold, and the
+        # heap's trim threshold with it, to the largest mapped block freed, so
+        # after a large pass the heap keeps the pages of bptt_grads' arrays
+        # between training steps instead of returning them and faulting
+        # them in again
+        widest = max(layer.size for layer in model.layers)
+        buffers = np.empty((2, t * b * widest))
     h = x
-    for layer, (w_in, w_rec) in zip(model.layers, weights):
+    for li, (layer, (w_in, w_rec)) in enumerate(zip(model.layers, weights)):
         n, alpha = layer.size, layer.alpha
-        z = np.empty((t, b, n))
+        if keep:
+            z, y = np.empty((t, b, n)), np.empty((t, b, n))
+            ys.append(y)
+            zs.append(z)
+        else:
+            z = y = buffers[li % 2][:t * b * n].reshape(t, b, n)
         np.matmul(h, w_in.T, out=np.swapaxes(z, 0, 1))
         z += layer.bias
-        y = np.empty((t, b, n))
-        prev = np.zeros((b, n))
+        # y_t = alpha * y_{t-1} + a_t, the product in tmp: on the
+        # feed-forward path a_t is y_t
+        prev, tmp = np.zeros((b, n)), np.empty((b, n))
         if w_rec is None:
-            a = clamped_relu(z, c)
+            a = np.clip(z, 0.0, c, out=y)
             a *= 1.0 - alpha
-            for step in range(t):
-                prev = np.add(np.multiply(prev, alpha, out=y[step]), a[step], out=y[step])
+            for a_t, y_t in zip(a, y):
+                prev = np.add(np.multiply(prev, alpha, out=tmp), a_t, out=y_t)
         else:
-            rec, a = np.empty((b, n)), np.empty((b, n))
-            for step in range(t):
-                zt = np.add(z[step], np.matmul(prev, w_rec.T, out=rec), out=z[step])
-                np.minimum(np.maximum(zt, 0.0, out=a), c, out=a)
+            rec, a, w_rec_t = np.empty((b, n)), np.empty((b, n)), w_rec.T
+            for z_t, y_t in zip(z, y):
+                np.add(z_t, np.dot(prev, w_rec_t, out=rec), out=z_t)
+                np.minimum(np.maximum(z_t, 0.0, out=a), c, out=a)
                 a *= 1.0 - alpha
-                prev = np.add(np.multiply(prev, alpha, out=y[step]), a, out=y[step])
-        ys.append(y)
-        zs.append(z if keep else None)
+                prev = np.add(np.multiply(prev, alpha, out=tmp), a, out=y_t)
         h = np.swapaxes(y, 0, 1)
     window = _readout_window(t, model.readout_fraction)
-    logits = ys[-1][t - window:].mean(axis=0)
+    logits = y[t - window:].mean(axis=0)
     cache = {"x": x, "ys": ys, "zs": zs, "weights": weights, "window": window}
     return logits, cache
 
@@ -328,6 +351,36 @@ def _frame_sum_back(e: np.ndarray, h: np.ndarray | None) -> np.ndarray:
     return np.add.reduce(terms, axis=0)
 
 
+def _layer_errors(gain: np.ndarray, alpha: float, w_rec: np.ndarray | None,
+                  above: np.ndarray | None, d_out: np.ndarray, window: int) -> np.ndarray:
+    """One layer's errors e [T, B, n] by the reverse frame loop, which carries
+    only alpha * delta + e @ W_rec. The error from above is `above`, or for
+    the output layer d_out over the readout window. The loops' frame views
+    end with this call, so they keep no array of this layer alive while the
+    next one is worked."""
+    t, b, n = gain.shape
+    e = np.empty((t, b, n))
+    carry = np.zeros((b, n))
+    if w_rec is None:
+        # e holds the deltas until the loop ends, then takes the gain
+        terms = above[::-1] if above is not None else [d_out] * window + [None] * (t - window)
+        for e_t, term in zip(e[::-1], terms):
+            if term is None:
+                e_t[...] = carry
+            else:
+                np.add(carry, term, out=e_t)
+            np.multiply(e_t, alpha, out=carry)
+        e *= gain
+    else:
+        rec = np.empty((b, n))
+        for e_t, above_t, gain_t in zip(e[::-1], above[::-1], gain[::-1]):
+            np.add(carry, above_t, out=carry)
+            np.multiply(carry, gain_t, out=e_t)
+            carry *= alpha
+            carry += np.dot(e_t, w_rec, out=rec)
+    return e
+
+
 def bptt_grads(model: LpRnnModel, batch: tuple[np.ndarray, np.ndarray]):
     """Exact reverse-mode gradients of the cross-entropy loss through the
     unrolled stack, with the straight-through contract at the quantizers and
@@ -343,7 +396,7 @@ def bptt_grads(model: LpRnnModel, batch: tuple[np.ndarray, np.ndarray]):
     loss = cross_entropy(logits, labels)
     if not np.isfinite(loss):
         raise NumericError(f"non-finite loss {loss}")
-    b, t, _ = x.shape
+    b = x.shape[0]
     c = model.clamp_ceiling
     window = cache["window"]
 
@@ -357,24 +410,12 @@ def bptt_grads(model: LpRnnModel, batch: tuple[np.ndarray, np.ndarray]):
     for li in range(len(model.layers) - 1, -1, -1):
         layer = model.layers[li]
         w_in, w_rec = cache["weights"][li]
-        n, alpha = layer.size, layer.alpha
+        alpha = layer.alpha
         # clamp subgradient 0 at both rails; since the gate is 0 or 1,
         # delta * (1 - alpha) * gate == delta * ((1 - alpha) * gate)
         z = cache["zs"][li]
         gain = (1.0 - alpha) * ((z > 0.0) & (z < c))
-        e = np.empty((t, b, n))
-        carry, delta, rec = np.zeros((b, n)), np.empty((b, n)), np.empty((b, n))
-        for step in range(t - 1, -1, -1):
-            if above is not None:
-                dl = np.add(carry, above[step], out=delta)
-            elif step >= t - window:
-                dl = np.add(carry, d_out, out=delta)
-            else:
-                dl = carry
-            np.multiply(dl, gain[step], out=e[step])
-            np.multiply(dl, alpha, out=carry)
-            if w_rec is not None:
-                carry += np.matmul(e[step], w_rec, out=rec)
+        e = _layer_errors(gain, alpha, w_rec, above, d_out, window)
         h = np.swapaxes(x, 0, 1) if li == 0 else cache["ys"][li - 1]
         grads[li] = {"w_in": _frame_sum_back(e, h),
                      "w_rec": None if w_rec is None

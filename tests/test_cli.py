@@ -99,6 +99,18 @@ class TestFeatures:
                      "--features", str(tmp_path / "cache")]) == 3
         assert "missing.csv" in capsys.readouterr().err
 
+    def test_worker_count_leaves_the_cache_alone(self, workspace, tmp_path):
+        # the pool sends clips in chunks; any worker count writes the same files
+        caches = [tmp_path / f"w{workers}" for workers in (1, 2)]
+        for workers, cache in zip((1, 2), caches):
+            assert main(["features", "--manifest", str(workspace["manifest"]),
+                         "--features", str(cache), "--workers", str(workers)]) == 0
+        names = sorted(p.name for p in caches[0].iterdir() if p.suffix == ".npz")
+        assert len(names) == 24
+        assert names == sorted(p.name for p in caches[1].iterdir() if p.suffix == ".npz")
+        for name in names + ["features_index.json"]:
+            assert (caches[0] / name).read_bytes() == (caches[1] / name).read_bytes(), name
+
 
 class TestTrainCommand:
     def test_artifacts_written(self, workspace):
@@ -189,6 +201,15 @@ class TestTrainCommand:
         args = tiny_train(workspace, tmp_path / "m.npz", epochs=key != "epochs")
         assert main(args + ["--config", str(cfg_path)]) == 2
         assert key.replace("_", "-") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("widths", [["2", "0"], ["-2", "2"]])
+    def test_layer_width_below_one_is_config_error(self, workspace, tmp_path, capsys, widths):
+        # --hidden 2 0 ended in a ZeroDivisionError traceback, -2 2 in a ValueError one
+        args = tiny_train(workspace, tmp_path / "m.npz") + ["--hidden", *widths]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert "width" in err and "Traceback" not in err
+        assert not (tmp_path / "m.npz").exists()
 
     def test_diverging_step_size_is_numeric_error(self, workspace, tmp_path, capsys):
         # a finite lr so large that the weights overflow float64

@@ -449,6 +449,33 @@ class TestFrameLoopOracle:
         self.check(model, x, rng.integers(0, 4, size=b))
 
 
+class TestForwardWithoutHistories:
+    """keep=False runs the layers in two shared buffers; its logits equal
+    keep=True's and the frame loop's bit for bit."""
+
+    @pytest.mark.parametrize("equal_widths", [True, False])
+    @given(b=st.integers(1, 40), t=st.integers(1, 60),
+           widths=st.lists(st.integers(1, 9), min_size=3, max_size=5),
+           quantize=st.booleans(), seed=st.integers(0, 1 << 16))
+    @settings(max_examples=25, deadline=None)
+    def test_logits_match_keep_and_loop_oracle(self, equal_widths, b, t, widths, quantize,
+                                               seed):
+        # equal widths make each layer's buffer view the same span as the
+        # states of the layer two below it
+        if equal_widths:
+            widths = [widths[0]] * len(widths)
+        n_in, *hidden, n_out = widths
+        rng = np.random.default_rng(seed)
+        model = random_model(rng, n_in=n_in, hidden=tuple(hidden), n_out=n_out,
+                             alphas=tuple(rng.uniform(0.0, 0.9, size=len(widths) - 1)),
+                             quantize=quantize, weight_scale=2.0)
+        x = rng.uniform(-1.0, 1.0, size=(b, t, n_in))
+        logits, cache = forward_batch(model, x)
+        assert cache["ys"] == [] and cache["zs"] == []
+        assert np.array_equal(logits, forward_batch(model, x, keep=True)[0])
+        assert np.array_equal(logits, loop_forward_batch(model, x)[0])
+
+
 class TestTrain:
     def make_task(self, rng, n=16):
         # two constant feature levels, trivially separable
