@@ -7,8 +7,8 @@ All compartment variables of the spiking simulator live in the signed range
 [-2**23, +2**23]. Additions clip at the rails (never wrap) and clipping is
 flagged, so overflow is detectable instead of silently corrupting dynamics.
 
-Decay implements x -> x - x/tau. In reference mode this is real arithmetic.
-In fixed-point mode it is evaluated multiplicatively on the magnitude, which
+Decay implements x -> x - x/tau. In reference mode this is real arithmetic
+(decay_array). In fixed-point mode (decay_by) it is evaluated multiplicatively on the magnitude, which
 keeps the sign and keeps 0 a fixed point. Rounding "round" (the compiler's
 default) keeps (|x| (tau - 1) + tau // 2) // tau, the nearest integer, halves
 up: within half an LSB of reference mode per step, but magnitudes of at most
@@ -22,10 +22,10 @@ and trunc(x k) for "trunc", plus 0.0 so that a -0.0 becomes +0, with
 
     k = fl(fl((tau - 1) / tau) * (1 + 2**-50)),
 
-which decay_factor(tau) computes; the neuron kernel decays by the same taus
-at every step, so it computes k and the rounding once per run and calls
-decay_by. The nudge
-makes x k exceed the exact quotient: it sends even-tau ties away from zero
+which decay_factor(tau) computes. The one fixed-point decay is
+decay_by(x, decay_factor(tau), rounder(rounding)); the neuron kernel decays
+by the same taus at every step, so it computes k and the rounding once per
+run. The nudge makes x k exceed the exact quotient: it sends even-tau ties away from zero
 and lifts exact multiples just above their integer, which is what the
 integer floor division does. It is exact for every integer |x| <= 2**23
 (the range of every state) and every integer tau in [1, TAU_LIMIT =
@@ -89,14 +89,12 @@ def decay_by(x: np.ndarray, k, rnd, out: np.ndarray | None = None) -> np.ndarray
     return np.add(out, 0.0, out=out)
 
 
-def decay_array(x: np.ndarray, tau, *, fixed: bool = False, rounding: str = "trunc",
-                out: np.ndarray | None = None) -> np.ndarray:
-    """One decay step of every element; tau is a scalar or broadcasts against
-    x. The result goes to out if given, which must not be x."""
-    if not fixed:
-        out = np.divide(x, tau, out=out)
-        return np.subtract(x, out, out=out)  # x / inf is 0: an infinite tau keeps x
-    return decay_by(x, decay_factor(tau), rounder(rounding), out)
+def decay_array(x: np.ndarray, tau, *, out: np.ndarray | None = None) -> np.ndarray:
+    """One reference-mode decay step, x - x / tau, of every element; tau is a
+    scalar or broadcasts against x. The result goes to out if given, which
+    must not be x. The fixed-point decay is decay_by."""
+    out = np.divide(x, tau, out=out)
+    return np.subtract(x, out, out=out)  # x / inf is 0: an infinite tau keeps x
 
 
 def sat_add_array(x: np.ndarray, delta, out: np.ndarray | None = None) -> tuple[np.ndarray, int]:

@@ -1,22 +1,27 @@
 """Sigma-delta spiking neuron: one-neuron steps, analog encoding, reconstruction.
 
-The neuron holds four filtered state variables. u integrates synaptic or
-analog input current, i integrates u (plus any bias current), s integrates
-the neuron's own spikes weighted by w_fb, and imem accumulates the mismatch
-i - s. A spike is emitted when imem exceeds the threshold, imem is then
-hard-reset to 0, and the feedback increment w_fb lands in s within the same
-step. Spikes are therefore produced exactly when the feedback estimate s has
-fallen too far behind the input drive i, which lets s track i with error
-bounded by w_fb and makes the spike train a sigma-delta code of the drive.
+The neuron is the compiled one, the package's only neuron: three decaying
+stages and a membrane. u integrates synaptic or analog input current, i
+integrates u (plus any bias current), s integrates the neuron's own spikes
+weighted by w_fb, and imem is the mismatch i - s. A spike is emitted when
+imem exceeds w_fb, imem is then hard-reset to 0, and the feedback increment
+w_fb lands in s within the same step. Spikes are therefore produced exactly
+when the feedback estimate s has fallen too far behind the input drive i,
+which lets s track i with error bounded by w_fb and makes the spike train a
+sigma-delta code of the drive.
 
 Update order within one step (decay-then-add, so an increment is never
 decayed in the step it arrives and the DC gain of each stage is its tau):
 
-    u    <- decay(u, tau_u)     + spike drive + analog drive
-    i    <- decay(i, tau_i)     + u + bias
+    u    <- decay(u, tau_u) + spike drive + analog drive
+    i    <- decay(i, tau_i) + u + bias
     s    <- decay(s, tau_s)
-    imem <- decay(imem, tau_mem) + i - s
-    spike = imem > threshold;  on spike: imem <- 0, s <- s + w_fb
+    imem <- i - s
+    spike = imem > w_fb;  on spike: imem <- 0, s <- s + w_fb
+
+The membrane's tau is 1, and a decay by tau 1 is exactly 0 (x - x / 1, or
+in fixed point rint or trunc of x * 0), so imem keeps nothing of its last
+value: it needs no decay and its state is not an input of the step.
 
 Feedback is same-step; propagation to other neurons (one step to the next
 layer, a per-layer delay on recurrent synapses) and the weight exponent
@@ -58,20 +63,16 @@ class NeuronParams:
     neuron spiking every step sustains s = 1.0 = clamp_ceiling.
     """
 
-    tau_mem: float = 1.0
     tau_s: float = _DEFAULT_TAU_S
     tau_i: float = _DEFAULT_TAU_S
     tau_u: float = 2.0
-    threshold: float = 1.0 / _DEFAULT_TAU_S
     w_fb: float = 1.0 / _DEFAULT_TAU_S
     clamp_ceiling: float = 1.0
 
     def __post_init__(self):
-        if not self.threshold > 0:
-            raise ConfigError("threshold must be positive")
         if not self.w_fb > 0:
             raise ConfigError("w_fb must be positive")
-        for name in ("tau_mem", "tau_s", "tau_i", "tau_u"):
+        for name in ("tau_s", "tau_i", "tau_u"):
             if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be positive")
         if not self.clamp_ceiling > 0:
@@ -89,9 +90,8 @@ class NeuronState:
 def _population(params: NeuronParams, size: int):
     """(state, step) of `size` uncoupled neurons of one population, in
     reference mode."""
-    taus = np.array([params.tau_u, params.tau_i, params.tau_s, params.tau_mem])[:, None, None]
-    state, _, step = sigma_delta_kernel((1, size), taus, bias=0.0, threshold=params.threshold,
-                                        w_fb=params.w_fb, exps=0)
+    taus = np.array([params.tau_u, params.tau_i, params.tau_s])[:, None, None]
+    state, _, step = sigma_delta_kernel((1, size), taus, bias=0.0, w_fb=params.w_fb, exps=0)
     return state, step
 
 

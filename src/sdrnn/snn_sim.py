@@ -3,8 +3,11 @@
 Every neuron is a two-compartment unit: the dendritic compartment filters
 weighted presynaptic spikes into u and relays its potential i (which also
 receives the bias current) into the somatic compartment, whose potential
-imem integrates i minus the feedback current s; s integrates the neuron's
-own spikes through an inhibitory self-synapse. u enters i scaled by
+imem is i minus the feedback current s; s integrates the neuron's own
+spikes through an inhibitory self-synapse, and the neuron fires when imem
+exceeds w_fb. The soma's tau is 1, and a decay by tau 1 is exactly +0 in
+both modes, so imem keeps nothing of its last value and is never decayed:
+imem <- i - s. u enters i scaled by
 2**-weight_exp, the layer's power-of-two weight exponent (a rounded
 arithmetic shift in fixed-point mode). Spikes reach the next layer with one
 step of synaptic delay and a layer's own recurrent synapses with rec_delay
@@ -43,8 +46,7 @@ the rows of one [4, batch, N] array with the layers' neurons side by side.
 The kernel lays every per-neuron constant (taus, the fixed-point decay
 multipliers, bias, w_fb, which is also the threshold, and the shift scale) out
 once per run as a contiguous array of the full shape it meets, so a step
-broadcasts nothing, and one call decays the stack. imem has tau 1, whose
-decay is exactly +0, so only the u, i and s rows are decayed. The decay
+broadcasts nothing, and one call decays the u, i and s rows. The decay
 writes a second stack, from which the sums are written back in place, so a
 step allocates no state-sized temporary, and the peak |state| is
 max(-min, max) of the stack, in fixed point the bound check's. Every
@@ -83,7 +85,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .containers import FeatureSequence, SpikeRaster
-from .convert import TAU_MEM, SnnNetwork
+from .convert import SnnNetwork
 from .errors import ConfigError, DataError
 from .numerics import (STATE_LIMIT, decay_array, decay_by, decay_factor, round_half_away,
                        rounder, sat_add_array)
@@ -111,9 +113,10 @@ class SimulationResult:
     probes: dict = field(default_factory=dict)
 
 
-def sigma_delta_kernel(shape, taus, bias, threshold, w_fb, exps, fixed: bool = False,
+def sigma_delta_kernel(shape, taus, bias, w_fb, exps, fixed: bool = False,
                        rounding: str = "round", peak: list | None = None):
-    """The decay-then-add update of a population of sigma-delta neurons.
+    """The decay-then-add update of a population of compiled sigma-delta
+    neurons.
 
     Returns (state, clips, step). state is the zeroed stack (u, i, s, imem)
     of shape [4, *shape]; step(drive) advances it one step in place and
@@ -121,26 +124,26 @@ def sigma_delta_kernel(shape, taus, bias, threshold, w_fb, exps, fixed: bool = F
 
         u    <- decay(u, tau_u) + drive
         i    <- decay(i, tau_i) + u * 2**-exps + bias
-        imem <- decay(imem, tau_mem) + i - decay(s, tau_s)
-        s    <- decay(s, tau_s), plus w_fb where imem > threshold (imem <- 0)
+        imem <- i - decay(s, tau_s)
+        s    <- decay(s, tau_s), plus w_fb where imem > w_fb (imem <- 0)
 
-    taus broadcast against the stack ([4, 1, n] per neuron); bias,
-    threshold, w_fb and exps are per neuron or scalars. In fixed point the
-    adds saturate, and each clipping add appends (var, clips per neuron) to
-    clips, which the caller clears.
+    taus, the rows (tau_u, tau_i, tau_s), broadcast against [3, *shape]
+    ([3, 1, n] per neuron); bias, w_fb and exps are per neuron or scalars.
+    imem has tau 1, and a decay by tau 1 is exactly +0 in both modes (x -
+    x / 1, and rint or trunc of x * 0), so imem keeps nothing of its last
+    value and is not decayed. In fixed point the adds saturate, and each
+    clipping add appends (var, clips per neuron) to clips, which the caller
+    clears.
 
     The constants are laid out once, contiguous at the full shape they meet
-    in the step, so no step broadcasts. A decay by tau 1 is exactly +0 in
-    both modes (x - x / 1, and rint or trunc of x * 0), so when every
-    tau_mem is 1 only u, i and s are decayed and imem is i - s. Two more
-    passes are dropped for the run when they cannot change a value, as in
-    the analog encoder's population. When every exponent is 0 the scale
-    goes: u * 1 is u, and in fixed point floor(u + 0) is the integer u.
-    When every bias is 0 the bias add goes: + 0.0 changes only -0.0, and
-    di + u * 2**-exps is never -0.0, since a decayed state never is and a
-    sum is -0.0 only if both its terms are. Then i <- di + u is written
-    straight into i. The clipped re-run forms the same sum and adds the
-    bias, clipped, as before.
+    in the step, so no step broadcasts. Two more passes are dropped for the
+    run when they cannot change a value, as in the analog encoder's
+    population. When every exponent is 0 the scale goes: u * 1 is u, and in
+    fixed point floor(u + 0) is the integer u. When every bias is 0 the
+    bias add goes: + 0.0 changes only -0.0, and di + u * 2**-exps is never
+    -0.0, since a decayed state never is and a sum is -0.0 only if both its
+    terms are. Then i <- di + u is written straight into i. The clipped
+    re-run forms the same sum and adds the bias, clipped, as before.
 
     A fixed-point step runs the adds unclipped, as reference mode does (on
     integers below 2**53 every sum is exact), then bounds the stack once,
@@ -150,32 +153,28 @@ def sigma_delta_kernel(shape, taus, bias, threshold, w_fb, exps, fixed: bool = F
     the first run left as they were.
 
     peak, if given, is a one-element list that each step raises to the
-    largest |state| after it. In fixed point with tau_mem 1 and threshold
-    and w_fb >= 0, the bound check's min and max serve: s >= 0, so imem =
-    i - s <= i, and a neuron that fires has imem > threshold >= 0, whose
-    reset to 0 moves neither extreme. Otherwise the step reduces the stack
-    after the reset."""
-    full = (4, *shape)
-    taus = np.ascontiguousarray(np.broadcast_to(taus, full), dtype=np.float64)
-    rows = 3 if (taus[3] == 1).all() else 4
-    taus = taus[:rows]
+    largest |state| after it. In fixed point with w_fb >= 0, the bound
+    check's min and max serve: s >= 0, so imem = i - s <= i, and a neuron
+    that fires has imem > w_fb >= 0, whose reset to 0 moves neither
+    extreme. Otherwise the step reduces the stack after the reset."""
+    taus = np.ascontiguousarray(np.broadcast_to(taus, (3, *shape)), dtype=np.float64)
     if fixed:
         factor, rnd = decay_factor(taus), rounder(rounding)
 
     def laid_out(value):
         return np.ascontiguousarray(np.broadcast_to(value, shape), dtype=np.float64)
 
-    bias, threshold, w_fb = laid_out(bias), laid_out(threshold), laid_out(w_fb)
+    bias, w_fb = laid_out(bias), laid_out(w_fb)
     exps = np.asarray(exps, dtype=np.int64)
     # u enters i as u * 2**-exps, and in fixed point as floor((u + half) * 2**-exps)
     scale, half = laid_out(np.ldexp(1.0, -exps)), laid_out((1 << exps) >> 1)
-    state, decayed = np.zeros(full), np.zeros(full)
+    state, decayed = np.zeros((4, *shape)), np.zeros((3, *shape))
     u, i, s, imem = state
-    du, di, ds, dimem = decayed
-    live, decaying = state[:rows], decayed[:rows]
+    du, di, ds = decayed
+    live = state[:3]
     tmp, fired, spikes = np.zeros(shape), np.zeros(shape, dtype=bool), np.zeros(shape)
     clips: list[tuple] = []
-    checked_peak = fixed and rows == 3 and (threshold >= 0).all() and (w_fb >= 0).all()
+    checked_peak = fixed and (w_fb >= 0).all()
     # passes that change no value, dropped for the run (docstring)
     unit_scale, no_bias = (exps == 0).all(), not bias.any()
 
@@ -197,7 +196,7 @@ def sigma_delta_kernel(shape, taus, bias, threshold, w_fb, exps, fixed: bool = F
 
     def fire():
         """The spike mask, also as 0.0/1.0 in spikes, and w_fb * spikes in tmp."""
-        np.greater(imem, threshold, out=fired)
+        np.greater(imem, w_fb, out=fired)
         np.copyto(spikes, fired)
         return np.multiply(w_fb, spikes, out=tmp)
 
@@ -205,23 +204,20 @@ def sigma_delta_kernel(shape, taus, bias, threshold, w_fb, exps, fixed: bool = F
         """The adds of the step again, each clipped and its clips logged."""
         sat_add(du, drive, u, "u")
         sat_add(into_i(tmp), bias, i, "i")
-        sat_add(dimem, np.subtract(i, ds, out=tmp), imem, "imem")
+        sat_add(i, np.negative(ds, out=tmp), imem, "imem")  # i + -ds is i - ds
         sat_add(ds, fire(), s, "s")
 
     def step(drive) -> np.ndarray:
         if fixed:
-            decay_by(live, factor, rnd, out=decaying)
+            decay_by(live, factor, rnd, out=decayed)
         else:
-            decay_array(live, taus, out=decaying)
+            decay_array(live, taus, out=decayed)
         np.add(du, drive, out=u)
         if no_bias:
             into_i(i)
         else:
             np.add(into_i(tmp), bias, out=i)
-        if rows == 3:
-            np.subtract(i, ds, out=imem)
-        else:
-            np.subtract(np.add(dimem, i, out=imem), ds, out=imem)
+        np.subtract(i, ds, out=imem)
         np.add(ds, fire(), out=s)
         if fixed:
             low, high = state.min(), state.max()
@@ -300,10 +296,9 @@ def _engine(net: SnnNetwork, x: np.ndarray | None, input_raster: SpikeRaster | N
     # real-valued state arithmetic on the same network. The i stage shares
     # tau_s and a neuron fires above its w_fb.
     tau_u, tau_s, w_fb = per_neuron("tau_u_fx"), per_neuron("tau_s_fx"), per_neuron("w_fb")
-    taus = np.stack([tau_u, tau_s, tau_s, np.full_like(tau_s, TAU_MEM)])[:, None, :]
     peak = [0.0]
     state, clips, step = sigma_delta_kernel(
-        shape, taus, per_neuron("bias"), w_fb, w_fb,
+        shape, np.stack([tau_u, tau_s, tau_s])[:, None, :], per_neuron("bias"), w_fb,
         per_neuron("weight_exp").astype(np.int64), fixed, net.config.decay_rounding, peak)
     s = state[2]
 

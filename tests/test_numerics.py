@@ -6,7 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sdrnn.errors import ConfigError
-from sdrnn.numerics import STATE_LIMIT, TAU_LIMIT, decay_array, round_half_away, sat_add_array
+from sdrnn.numerics import (STATE_LIMIT, TAU_LIMIT, decay_array, decay_by, decay_factor,
+                            round_half_away, rounder, sat_add_array)
 
 
 def sat_add(a, b):
@@ -15,9 +16,16 @@ def sat_add(a, b):
     return out[0], clipped
 
 
+def fixed_decay(x, tau, rounding="trunc", out=None):
+    """The fixed-point decay by tau: decay_by with tau's factor and the
+    rounding's rounder."""
+    return decay_by(x, decay_factor(tau), rounder(rounding), out=out)
+
+
 def decay(x, tau, fixed=True, rounding="trunc"):
-    """decay_array on one scalar."""
-    return decay_array(np.array([float(x)]), float(tau), fixed=fixed, rounding=rounding)[0]
+    """fixed_decay, or decay_array in reference mode, on one scalar."""
+    x = np.array([float(x)])
+    return (fixed_decay(x, float(tau), rounding) if fixed else decay_array(x, float(tau)))[0]
 
 
 class TestSatAdd:
@@ -82,7 +90,7 @@ class TestDecay:
         taus = rng.integers(1, 5001, size=64).astype(np.float64)
         state, steps = xs, 0
         while state.any() and steps <= np.abs(xs).max():
-            state = decay_array(state, taus, fixed=True, rounding="trunc")
+            state = fixed_decay(state, taus, "trunc")
             steps += 1
         assert not state.any()
 
@@ -100,8 +108,8 @@ class TestArrayKernels:
         xs = np.array([[-4096, -7, 0, 7, 4096, 999], [5, -5, 3, -3, 1, -1]])
         taus = [1, 2, 3, 4, 7, 150]
         for rounding in ("trunc", "round"):
-            out = decay_array(xs.astype(np.float64), np.array(taus, dtype=np.float64),
-                              fixed=True, rounding=rounding)
+            out = fixed_decay(xs.astype(np.float64), np.array(taus, dtype=np.float64),
+                              rounding)
             expected = [[int(math.copysign((abs(int(x)) * (t - 1)
                                             + (t // 2 if rounding == "round" else 0)) // t, x))
                          for x, t in zip(row, taus)] for row in xs]
@@ -129,8 +137,8 @@ class TestArrayKernels:
         xs = np.concatenate([edges.clip(0), -edges.clip(0),
                              np.broadcast_to(sample, (taus.size, sample.size))], axis=1)
         expected = np.sign(xs) * ((np.abs(xs) * (taus - 1) + half) // taus)
-        got = decay_array(xs.astype(np.float64), taus.astype(np.float64), fixed=True,
-                          rounding=rounding, out=np.empty(xs.shape))
+        got = fixed_decay(xs.astype(np.float64), taus.astype(np.float64), rounding,
+                          out=np.empty(xs.shape))
         np.testing.assert_array_equal(got, expected)
         assert not np.signbit(got[got == 0]).any()
 
@@ -150,8 +158,8 @@ class TestArrayKernels:
                 w = want[:n]
                 w[...] = (a * (tau - 1) + half) // tau
                 for sign in (1.0, -1.0):
-                    g = decay_array(np.multiply(a, sign, out=x[:n]), float(tau), fixed=True,
-                                    rounding=rounding, out=got[:n])
+                    g = fixed_decay(np.multiply(a, sign, out=x[:n]), float(tau), rounding,
+                                    out=got[:n])
                     if sign < 0:
                         np.add(np.negative(w, out=w), 0.0, out=w)
                     assert np.array_equal(g.view(np.int64), w.view(np.int64)), (tau, start)
@@ -159,7 +167,7 @@ class TestArrayKernels:
     @pytest.mark.parametrize("tau", [0.0, 0.5, 2.5, TAU_LIMIT + 1.0, math.inf, math.nan])
     def test_fixed_point_tau_outside_the_proven_range_rejected(self, tau):
         with pytest.raises(ConfigError, match="tau"):
-            decay_array(np.array([5.0, -5.0]), np.array([3.0, tau]), fixed=True)
+            fixed_decay(np.array([5.0, -5.0]), np.array([3.0, tau]))
         # reference mode takes any positive tau
         if tau > 0:
             decay_array(np.array([5.0, -5.0]), np.array([3.0, tau]))
@@ -168,12 +176,10 @@ class TestArrayKernels:
         # at TAU_LIMIT a magnitude below tau / 2 keeps its value when
         # rounded and loses one when truncated
         xs = np.array([STATE_LIMIT, -1.0, 0.0])
-        assert decay_array(xs, float(TAU_LIMIT), fixed=True, rounding="round").tolist() == [
-            STATE_LIMIT, -1, 0]
-        assert decay_array(xs, float(TAU_LIMIT), fixed=True, rounding="trunc").tolist() == [
-            STATE_LIMIT - 1, 0, 0]
+        assert fixed_decay(xs, float(TAU_LIMIT), "round").tolist() == [STATE_LIMIT, -1, 0]
+        assert fixed_decay(xs, float(TAU_LIMIT), "trunc").tolist() == [STATE_LIMIT - 1, 0, 0]
         with pytest.raises(ConfigError, match="rounding"):
-            decay_array(xs, 3.0, fixed=True, rounding="floor")
+            fixed_decay(xs, 3.0, "floor")
 
     def test_float_held_shift_matches_arithmetic_shift(self):
         # u enters i as floor((u + half) * 2**-e), the rounded arithmetic

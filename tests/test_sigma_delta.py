@@ -13,14 +13,14 @@ DEFAULTS = NeuronParams()
 
 
 def scalar_neuron_step(state, drive, params):
-    """One reference-mode step of one neuron in Python floats: each state
-    decays as x - x / tau, then takes its increments."""
+    """One reference-mode step of one neuron in Python floats: u, i and s
+    decay as x - x / tau, then take their increments; imem is i - s."""
     u, i, s, imem = state
     u = u - u / params.tau_u + drive
     i = i - i / params.tau_i + u
     s = s - s / params.tau_s
-    imem = imem - imem / params.tau_mem + i - s
-    spike = imem > params.threshold
+    imem = i - s
+    spike = imem > params.w_fb
     if spike:
         imem = 0.0
         s = s + params.w_fb
@@ -45,7 +45,7 @@ def drive_constant(value, steps, params=DEFAULTS):
 class TestNeuronParams:
     def test_taus_must_be_positive(self):
         # a time constant is any positive real; an infinite one disables decay
-        for name in ("tau_mem", "tau_s", "tau_i", "tau_u"):
+        for name in ("tau_s", "tau_i", "tau_u"):
             with pytest.raises(ConfigError):
                 NeuronParams(**{name: 0.0})
         assert NeuronParams(tau_s=math.inf).tau_s == math.inf
@@ -60,21 +60,19 @@ class TestNeuronStep:
         assert state.u == state.i == state.s == state.imem == 0.0
 
     def test_hand_simulated_accumulation_and_reset(self):
-        # decays disabled: imem accumulates i - s each step until it crosses
-        # threshold, then resets to exactly 0
-        params = NeuronParams(tau_mem=math.inf, tau_s=math.inf, tau_i=math.inf,
-                              tau_u=math.inf, threshold=1.0, w_fb=1.0)
-        state = NeuronState(i=params.threshold + 1.0)
+        # decays disabled: imem is i - s, which crosses the threshold w_fb
+        # and resets to exactly 0
+        params = NeuronParams(tau_s=math.inf, tau_i=math.inf, tau_u=math.inf, w_fb=1.0)
+        state = NeuronState(i=params.w_fb + 1.0)
         state, spike = neuron_step(state, 0.0, 0.0, params)
-        # hand simulation: imem = 0 + (threshold + 1) - 0 = 2.0 > 1.0
+        # hand simulation: imem = (w_fb + 1) - 0 = 2.0 > 1.0
         assert spike
         assert state.imem == 0.0
         assert state.s == params.w_fb  # same-step feedback
 
     def test_update_order_decay_then_add(self):
         # a fresh input is not decayed in its arrival step: u == input exactly
-        params = NeuronParams(tau_u=4.0, tau_i=4.0, tau_s=4.0, tau_mem=4.0,
-                              threshold=100.0, w_fb=1.0)
+        params = NeuronParams(tau_u=4.0, tau_i=4.0, tau_s=4.0, w_fb=100.0)
         state, _ = neuron_step(NeuronState(), 0.0, 1.0, params)
         assert state.u == 1.0
         assert state.i == 1.0  # i receives the fresh u undecayed

@@ -349,18 +349,17 @@ class TestDriveProducts:
 
 class TestKernel:
     @pytest.mark.parametrize("rounding", ["round", "trunc"])
-    def test_fixed_point_with_decaying_imem_matches_integer_loop(self, rounding):
-        # tau_mem 4 makes the kernel decay all four rows; each neuron
-        # against Python integers: decay-then-add, the rounded shift of u
-        # into i, clips at the rails, imem reset and same-step feedback
+    def test_fixed_point_kernel_matches_integer_loop(self, rounding):
+        # each neuron against Python integers: decay-then-add, the rounded
+        # shift of u into i, the bias, clips at the rails, imem = i - s with
+        # tau 1 (no decay), the reset and same-step feedback
         tau_u, tau_s = [2, 3, 5, 7, 4], [9, 6, 10, 4, 3]
-        tau_mem = [4, 1, 4, 2, 4]
         exps, bias, w_fb = [0, 1, 2, 3, 0], [3, -2, 0, 5, 1], [40, 25, 60, 30, 20]
         n = len(tau_u)
-        taus = np.array([tau_u, tau_s, tau_s, tau_mem], dtype=np.float64)[:, None, :]
+        taus = np.array([tau_u, tau_s, tau_s], dtype=np.float64)[:, None, :]
         state, clips, step = sigma_delta_kernel(
             (1, n), taus, np.array(bias, dtype=np.float64), np.array(w_fb, dtype=np.float64),
-            np.array(w_fb, dtype=np.float64), np.array(exps), fixed=True, rounding=rounding)
+            np.array(exps), fixed=True, rounding=rounding)
 
         def decay(x, tau):
             kept = (abs(x) * (tau - 1) + (tau // 2 if rounding == "round" else 0)) // tau
@@ -383,7 +382,7 @@ class TestKernel:
                 i = clip(decay(i, tau_s[j]) + ((u + ((1 << exps[j]) >> 1)) >> exps[j])
                          + bias[j])
                 s = decay(s, tau_s[j])
-                imem = clip(decay(imem, tau_mem[j]) + i - s)
+                imem = clip(i - s)
                 spike = imem > w_fb[j]
                 if spike:
                     imem, s = 0, clip(s + w_fb[j])
@@ -397,8 +396,8 @@ class TestKernel:
     def test_fixed_point_constants_outside_the_exact_decay_rejected(self):
         # the fixed-point decay is proven exact for integer taus up to
         # numerics.TAU_LIMIT; the kernel checks its taus and rounding once
-        taus = np.array([2.0, 9.0, 9.0, 1.0])[:, None, None]
-        args = ((1, 1), taus, 0.0, 10.0, 10.0, 0)
+        taus = np.array([2.0, 9.0, 9.0])[:, None, None]
+        args = ((1, 1), taus, 0.0, 10.0, 0)
         for bad in (2.0 ** 26, 2.5):
             wide = taus.copy()
             wide[1] = bad
@@ -577,9 +576,7 @@ class TestTrackingBehavior:
         trace = simulate(net, feats, probe={1: [0, 1, 2]})
         layer = net.layers[1]
         params = NeuronParams(tau_s=layer.tau_s_fx, tau_i=layer.tau_s_fx,
-                              tau_u=layer.tau_u_fx, tau_mem=1,
-                              threshold=layer.w_fb, w_fb=layer.w_fb,
-                              clamp_ceiling=net.f)
+                              tau_u=layer.tau_u_fx, w_fb=layer.w_fb, clamp_ceiling=net.f)
         decoded = reconstruct(trace.rasters[1], params)
         np.testing.assert_array_equal(decoded.data, trace.probes[(1, "s")])
 
@@ -682,16 +679,17 @@ class TestSaturationCheck:
 
     @pytest.mark.parametrize("rounding", ["round", "trunc"])
     def test_no_state_is_ever_negative_zero(self, rounding):
-        # negative thresholds fire negative imem, whose reset must give +0,
-        # and small negative states decay to 0; every state after every
-        # step, whether the step clipped or not, holds no -0.0
+        # negative feedback weights, the thresholds, fire negative imem,
+        # whose reset must give +0, and small negative states decay to 0;
+        # every state after every step, whether the step clipped or not,
+        # holds no -0.0
         n = 6
-        taus = np.array([[2, 3, 5, 7, 4, 2], [9, 6, 10, 4, 3, 2], [9, 6, 10, 4, 3, 2],
-                         [1] * n], dtype=np.float64)[:, None, :]
-        threshold = np.array([40.0, -25.0, 60.0, -30.0, -1.0, 20.0])
+        taus = np.array([[2, 3, 5, 7, 4, 2], [9, 6, 10, 4, 3, 2], [9, 6, 10, 4, 3, 2]],
+                        dtype=np.float64)[:, None, :]
         state, clips, step = sigma_delta_kernel(
-            (3, n), taus, np.array([3.0, -2.0, 0.0, -5.0, 1.0, 0.0]), threshold, threshold,
-            np.array([0, 1, 2, 3, 0, 1]), fixed=True, rounding=rounding)
+            (3, n), taus, np.array([3.0, -2.0, 0.0, -5.0, 1.0, 0.0]),
+            np.array([40.0, -25.0, 60.0, -30.0, -1.0, 20.0]), np.array([0, 1, 2, 3, 0, 1]),
+            fixed=True, rounding=rounding)
         rng = np.random.default_rng(21)
         zeros = 0
         for t in range(400):
