@@ -19,12 +19,13 @@ import numpy as np
 
 from . import audio_frontend as af
 from .containers import FeatureSequence
-from .convert import (CompileConfig, TimingConfig, compile_network, compile_report,
-                      load_network, pop_retired, probe_peak_state, save_network,
-                      select_scale_factor)
-from .errors import ConfigError, DataError, NumericError, npz_file, reading
-from .lprnn import (TrainConfig, _finite_positive, forward_batch, forward_sequence, init_model,
-                    load_model, magnitude_prune, save_model, train)
+from .convert import (NET_FORMAT, CompileConfig, TimingConfig, compile_network,
+                      compile_report, load_network, pop_retired, probe_peak_state,
+                      save_network, select_scale_factor)
+from .errors import ConfigError, DataError, NumericError, npz_file, npz_meta, reading
+from .lprnn import (MODEL_FORMAT, TrainConfig, _finite_positive, forward_batch,
+                    forward_sequence, init_model, load_model, magnitude_prune, save_model,
+                    train)
 from .snn_sim import compare_activations, simulate, simulate_batch
 
 CACHE_ENV = "SDRNN_CACHE_DIR"
@@ -170,16 +171,23 @@ def _load_split(features_dir: Path, split: str, optional: bool = False):
         raise DataError(f"{features_dir}: no features_index.json; run `features` first")
     with reading(index_path), open(index_path) as fh:
         index = json.load(fh)
-    entries = [e for e in index["entries"] if e["split"] == split]
+    rows = index.get("entries") if isinstance(index, dict) else None
+    if not (isinstance(rows, list)
+            and all(isinstance(e, dict) and all(isinstance(e.get(k), str)
+                                                for k in ("split", "label", "key"))
+                    for e in rows)
+            and isinstance(stats := index.get("norm_stats"), (dict, type(None)))):
+        raise DataError(f"{index_path}: not a feature index (an object of entries with "
+                        "string split, label and key, and a norm_stats object or null)")
+    entries = [e for e in rows if e["split"] == split]
     if not entries:
         if optional:
             return None
         raise DataError(f"split {split!r} not present in the feature index")
-    stats = index["norm_stats"]
     if stats is None:
         raise DataError("feature index has no normalization statistics "
                         "(manifest had no train split)")
-    label_names = sorted({e["label"] for e in index["entries"]})
+    label_names = sorted({e["label"] for e in rows})
     label_ids = {name: k for k, name in enumerate(label_names)}
     feats, labels, periods = [], [], []
     for entry in entries:
@@ -266,19 +274,6 @@ def cmd_convert(args) -> int:
     return 0
 
 
-def _detect_artifact(path):
-    with npz_file(path) as data:
-        if "meta" not in data:
-            raise DataError(f"{path}: unrecognized file (no metadata)")
-        meta = json.loads(bytes(data["meta"]).decode())
-    fmt = meta.get("format", "")
-    if fmt == "sdrnn-model-v1":
-        return "model"
-    if fmt == "sdrnn-net-v1":
-        return "net"
-    raise DataError(f"{path}: unrecognized format {fmt!r}")
-
-
 def _per_class_accuracy(pred, labels, label_names):
     out = {}
     for k, name in enumerate(label_names):
@@ -288,7 +283,9 @@ def _per_class_accuracy(pred, labels, label_names):
 
 
 def cmd_evaluate(args) -> int:
-    kind = _detect_artifact(args.input)
+    with npz_file(args.input) as data:
+        fmt = npz_meta(data, args.input, MODEL_FORMAT, NET_FORMAT)["format"]
+    kind = "model" if fmt == MODEL_FORMAT else "net"
     mode = args.mode
     if mode == "auto":
         mode = "ann" if kind == "model" else "reference"

@@ -57,6 +57,9 @@ class SpikeRaster:
         self.units = np.asarray(self.units, dtype=np.int64)
         if self.times.shape != self.units.shape:
             raise DataError("times and units must have equal length")
+        if not (self.duration >= 0 and self.population >= 0 and self.dt > 0):
+            raise DataError(f"a raster needs duration and population >= 0 and dt > 0, not "
+                            f"{self.duration}, {self.population} and {self.dt}")
         if self.times.size:
             if self.times.min() < 0 or self.times.max() >= self.duration:
                 raise DataError("spike timestep outside declared duration")

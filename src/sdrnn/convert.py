@@ -86,7 +86,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .containers import FeatureSequence
-from .errors import ConfigError, DataError, NumericError, npz_file
+from .errors import ConfigError, DataError, NumericError, npz_file, npz_meta
 from .lprnn import (KIND_INPUT, KIND_RECURRENT, LpRnnLayer, LpRnnModel, _finite_positive,
                     load_model, save_model)
 from .numerics import STATE_LIMIT, TAU_LIMIT, round_half_away
@@ -456,9 +456,12 @@ def select_scale_factor(model: LpRnnModel, probes: list[FeatureSequence],
 # Network container format mirrors the model format: JSON metadata entry +
 # integer payloads, with the source model embedded for paired evaluation.
 
+NET_FORMAT = "sdrnn-net-v1"
+
+
 def save_network(net: SnnNetwork, path) -> None:
     meta = {
-        "format": "sdrnn-net-v1",
+        "format": NET_FORMAT,
         "f": net.f,
         "t_ann": net.timing.t_ann,
         "t_snn": net.timing.t_snn,
@@ -508,12 +511,7 @@ def load_network(path) -> SnnNetwork:
     source layer's alpha does not give at the file's timing, a w_fb other
     than round(f / tau_s_fx), and delays or exponents beyond its bounds."""
     with npz_file(path) as data:
-        if "meta" not in data:
-            raise DataError(f"{path}: not a network file (missing metadata)")
-        meta = json.loads(bytes(data["meta"]).decode())
-        fmt = meta.get("format") if isinstance(meta, dict) else None
-        if fmt != "sdrnn-net-v1":
-            raise DataError(f"{path}: unsupported network format {fmt!r}")
+        meta = npz_meta(data, path, NET_FORMAT)
         config = meta.get("config")
         if not isinstance(config, dict):
             raise DataError(f"{path}: the compile config must be a JSON object, not {config!r}")

@@ -3,6 +3,7 @@
 The CLI maps these onto distinct exit codes (config 2, data 3, numeric 4).
 """
 
+import json
 import zipfile
 from contextlib import ExitStack, contextmanager
 
@@ -50,3 +51,13 @@ def npz_file(path):
         fh = path if hasattr(path, "read") else stack.enter_context(open(path, "rb"))
         with np.lib.npyio.NpzFile(fh) as data:
             yield data
+
+
+def npz_meta(data, path, *formats) -> dict:
+    """The JSON object that the archive data, open under npz_file(path),
+    holds as "meta", if its "format" is one of formats; else DataError."""
+    meta = json.loads(bytes(data["meta"]).decode()) if "meta" in data else None
+    if not (isinstance(meta, dict) and meta.get("format") in formats):
+        raise DataError(f"{path}: not a {' or '.join(formats)} file (its metadata is "
+                        "missing, not a JSON object or of another format)")
+    return meta

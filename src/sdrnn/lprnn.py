@@ -39,7 +39,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .containers import FeatureSequence
-from .errors import ConfigError, DataError, NumericError, npz_file
+from .errors import ConfigError, DataError, NumericError, npz_file, npz_meta
 
 KIND_INPUT = "input_lowpass"
 KIND_RECURRENT = "recurrent"
@@ -548,9 +548,12 @@ def magnitude_prune(model: LpRnnModel, sparsity: float) -> LpRnnModel:
 # Model container format: a .npz holding a JSON metadata entry plus, per
 # layer, the full-precision tensors and any pruning masks.
 
+MODEL_FORMAT = "sdrnn-model-v1"
+
+
 def save_model(model: LpRnnModel, path) -> None:
     meta = {
-        "format": "sdrnn-model-v1",
+        "format": MODEL_FORMAT,
         "t_ann": model.t_ann,
         "clamp_ceiling": model.clamp_ceiling,
         "bits": model.bits,
@@ -581,12 +584,7 @@ def save_model(model: LpRnnModel, path) -> None:
 def load_model(path) -> LpRnnModel:
     """Read a model file: a path or an open binary file."""
     with npz_file(path) as data:
-        if "meta" not in data:
-            raise DataError(f"{path}: not a model file (missing metadata)")
-        meta = json.loads(bytes(data["meta"]).decode())
-        fmt = meta.get("format") if isinstance(meta, dict) else None
-        if fmt != "sdrnn-model-v1":
-            raise DataError(f"{path}: unsupported model format {fmt!r}")
+        meta = npz_meta(data, path, MODEL_FORMAT)
         norm_stats, label_names = meta["norm_stats"], meta["label_names"]
         if not (isinstance(meta["layers"], list)
                 and all(isinstance(lmeta, dict) for lmeta in meta["layers"])):

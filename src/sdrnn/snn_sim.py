@@ -115,8 +115,7 @@ class SimulationResult:
 
 def sigma_delta_kernel(shape, taus, bias, w_fb, exps, fixed: bool = False,
                        rounding: str = "round", peak: list | None = None):
-    """The decay-then-add update of a population of compiled sigma-delta
-    neurons.
+    """The decay-then-add update of a population of compiled neurons.
 
     Returns (state, clips, step). state is the zeroed stack (u, i, s, imem)
     of shape [4, *shape]; step(drive) advances it one step in place and
@@ -136,14 +135,13 @@ def sigma_delta_kernel(shape, taus, bias, w_fb, exps, fixed: bool = False,
     clears.
 
     The constants are laid out once, contiguous at the full shape they meet
-    in the step, so no step broadcasts. Two more passes are dropped for the
-    run when they cannot change a value, as in the analog encoder's
-    population. When every exponent is 0 the scale goes: u * 1 is u, and in
-    fixed point floor(u + 0) is the integer u. When every bias is 0 the
-    bias add goes: + 0.0 changes only -0.0, and di + u * 2**-exps is never
-    -0.0, since a decayed state never is and a sum is -0.0 only if both its
-    terms are. Then i <- di + u is written straight into i. The clipped
-    re-run forms the same sum and adds the bias, clipped, as before.
+    in the step, so no step broadcasts. Two passes that cannot change a
+    value are dropped for the run. When every exponent is 0 the scale goes:
+    u * 1 is u, and in fixed point floor(u + 0) is the integer u. When every
+    bias is 0 the bias add goes: + 0.0 changes only -0.0, and di + u *
+    2**-exps is never -0.0, since a decayed state never is and a sum is -0.0
+    only if both its terms are; i <- di + u is written straight into i. The
+    clipped re-run forms the same sum and adds the bias, clipped.
 
     A fixed-point step runs the adds unclipped, as reference mode does (on
     integers below 2**53 every sum is exact), then bounds the stack once,
@@ -265,8 +263,6 @@ def _engine(net: SnnNetwork, x: np.ndarray | None, input_raster: SpikeRaster | N
         if x.ndim != 3:
             raise DataError("input must be [batch, frames, features]")
         batch, n_frames_in, width = x.shape
-        if n_frames_in == 0:
-            raise DataError("empty sequence rejected")
         enc = layers[0]
         if enc.enc_w is None:
             raise DataError("network has no analog encoder layer; feed a spike raster")
@@ -281,6 +277,8 @@ def _engine(net: SnnNetwork, x: np.ndarray | None, input_raster: SpikeRaster | N
                             "features too large for the encoder weights and f")
         # held in float64, a huge drive saturates u like any other sum
         enc_drive = round_half_away(drive_all) if fixed else drive_all
+    if duration == 0:
+        raise DataError("empty sequence rejected")
     # a raster stands in for the encoder, whose columns are then not updated
     first = 0 if input_raster is None else 1
     lo = int(starts[first])

@@ -12,6 +12,8 @@ from sdrnn.cli import main
 from sdrnn.convert import load_network
 from sdrnn.synthetic import CLASSES, generate_dataset
 
+from test_loader_fuzz import JSON_VALUES
+
 
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
@@ -39,6 +41,14 @@ def tiny_train(workspace, out, epochs: bool = True) -> list[str]:
     args = ["train", "--features", str(workspace["features"]), "--out", str(out),
             "--hidden", "2", "2", "--alpha", "0.5", "0.5", "0.5"]
     return args + ["--epochs", "1"] if epochs else args
+
+
+def with_metadata(src, dst, meta) -> None:
+    """The .npz file src, saved at dst with meta as its metadata."""
+    with np.load(src) as data:
+        arrays = dict(data)
+    arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    np.savez(dst, **arrays)
 
 
 def evaluate_net(workspace, out) -> list[str]:
@@ -496,6 +506,46 @@ class TestEvaluateCommand:
         assert main(["evaluate", "--input", str(workspace["model"]),
                      "--features", str(features), "--out", str(tmp_path / "x.json")]) == 3
 
+    @pytest.mark.parametrize("meta", [[1, "a"], 7, "sdrnn-net-v1", None],
+                             ids=["list", "number", "string", "null"])
+    def test_metadata_that_is_not_an_object_is_data_error(self, workspace, tmp_path, capsys,
+                                                          meta):
+        # evaluate ended in an AttributeError traceback on each of these
+        for name in ("model", "net"):
+            with_metadata(workspace[name], tmp_path / f"{name}.npz", meta)
+        model, net = str(tmp_path / "model.npz"), str(tmp_path / "net.npz")
+        features, out = str(workspace["features"]), str(tmp_path / "x.json")
+        for args in (["evaluate", "--input", model, "--features", features, "--out", out],
+                     ["evaluate", "--input", net, "--features", features, "--out", out],
+                     ["convert", "--model", model, "--f", "5e4", "--out", out + ".npz"],
+                     ["compare", "--net", net, "--features", features,
+                      "--out-dir", str(tmp_path / "cmp")]):
+            assert main(args) == 3, args
+            err = capsys.readouterr().err
+            assert "metadata" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("edit", [
+        lambda index: {}, lambda index: [], lambda index: {**index, "entries": {}},
+        lambda index: {**index, "entries": index["entries"] + [1]},
+        lambda index: {**index, "entries": [{**e, "label": 3} for e in index["entries"]]},
+        lambda index: {**index, "entries": [{k: e[k] for k in ("split", "label")}
+                                            for e in index["entries"]]},
+        lambda index: {**index, "norm_stats": [0.0]}],
+        ids=["empty-object", "list", "entries-object", "entry-number", "label-number",
+             "no-key", "norm-stats-list"])
+    def test_malformed_feature_index_is_data_error(self, workspace, tmp_path, capsys, edit):
+        # {} ended train in a KeyError traceback, and [] in a TypeError
+        features = tmp_path / "features"
+        shutil.copytree(workspace["features"], features)
+        index = features / "features_index.json"
+        index.write_text(json.dumps(edit(json.loads(index.read_text()))))
+        for args in (tiny_train({**workspace, "features": features}, tmp_path / "m.npz"),
+                     ["evaluate", "--input", str(workspace["model"]), "--features",
+                      str(features), "--out", str(tmp_path / "x.json")]):
+            assert main(args) == 3, args
+            err = capsys.readouterr().err
+            assert "not a feature index" in err and "Traceback" not in err
+
     def test_missing_split_is_data_error(self, workspace, tmp_path):
         assert main(["evaluate", "--input", str(workspace["model"]),
                      "--features", str(workspace["features"]),
@@ -543,6 +593,48 @@ def test_size_or_step_option_exits_with_a_documented_code(workspace, data):
     except SystemExit as exc:
         code = exc.code
     assert code in (0, 2, 3, 4)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(workspace, tmp_path_factory):
+    """A copy of the workspace's features for the fuzz to overwrite the
+    index of, and the commands' output directory."""
+    root = tmp_path_factory.mktemp("file-fuzz")
+    shutil.copytree(workspace["features"], root / "features")
+    return root
+
+
+@given(target=st.sampled_from(["model", "net", "index"]), value=JSON_VALUES)
+@settings(max_examples=150, deadline=None)
+def test_arbitrary_metadata_or_index_exits_with_a_documented_code(workspace, fuzz_dir,
+                                                                   target, value):
+    # a model's or a network's whole metadata, or the whole feature index,
+    # replaced by an arbitrary JSON value: every command that reads it exits
+    # 0, 2, 3 or 4, and no exception escapes main
+    features = fuzz_dir / "features"
+    index = features / "features_index.json"
+    index.write_text((workspace["features"] / "features_index.json").read_text())
+    files = {"model": workspace["model"], "net": workspace["net"]}
+    if target == "index":
+        index.write_text(json.dumps(value))
+    else:
+        files[target] = fuzz_dir / f"{target}.npz"
+        with_metadata(workspace[target], files[target], value)
+    model, net, feats = str(files["model"]), str(files["net"]), str(features)
+    out, out_dir, out_npz = (str(fuzz_dir / name) for name in ("x.json", "cmp", "out.npz"))
+    runs = {
+        "model": [["evaluate", "--input", model, "--features", feats, "--out", out],
+                  ["convert", "--model", model, "--f", "5e4", "--out", out_npz]],
+        "net": [["evaluate", "--input", net, "--features", feats, "--out", out],
+                ["compare", "--net", net, "--features", feats, "--out-dir", out_dir]],
+        "index": [tiny_train({**workspace, "features": features}, out_npz),
+                  ["evaluate", "--input", model, "--features", feats, "--out", out],
+                  ["compare", "--net", net, "--features", feats, "--out-dir", out_dir],
+                  ["convert", "--model", model, "--features", feats, "--probes", "1",
+                   "--out", out_npz]],
+    }
+    for args in runs[target]:
+        assert main(args) in (0, 2, 3, 4), args
 
 
 class TestCompareCommand:

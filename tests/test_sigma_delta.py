@@ -203,6 +203,23 @@ class TestRasterSerialization:
         with pytest.raises(DataError, match=f"spikes.txt{where}"):
             load_raster(path)
 
+    @pytest.mark.parametrize("duration, population, dt", [
+        (-5, 2, 1e-4), (10, -1, 1e-4), (10, 2, 0.0), (10, 2, -1e-4), (10, 2, math.nan)])
+    def test_rejects_negative_sizes_and_a_step_that_is_not_positive(self, duration,
+                                                                    population, dt):
+        with pytest.raises(DataError, match="raster"):
+            SpikeRaster(np.array([], dtype=np.int64), np.array([], dtype=np.int64),
+                        duration, population, dt)
+
+    @pytest.mark.parametrize("header", ["duration=-5 population=2 dt=0.001",
+                                        "duration=5 population=2 dt=0.0",
+                                        "duration=5 population=2 dt=nan"])
+    def test_file_with_a_bad_header_value_is_data_error(self, tmp_path, header):
+        path = tmp_path / "spikes.txt"
+        path.write_text(f"# {header}\n")
+        with pytest.raises(DataError, match="raster"):
+            load_raster(path)
+
     def test_rejects_out_of_range_events(self):
         with pytest.raises(DataError):
             SpikeRaster(np.array([10]), np.array([0]), duration=10, population=1, dt=1e-4)

@@ -762,6 +762,17 @@ class TestBadInput:
         assert {-STATE_LIMIT, STATE_LIMIT} <= set(trace.probes[(0, "u")].ravel().tolist())
 
     @pytest.mark.parametrize("mode", ["reference", "fixed_point"])
+    def test_zero_step_raster_is_an_empty_sequence(self, mode):
+        # a raster of 0 steps returned all-zero scores, where 0 frames of
+        # features are a DataError
+        net = compile_network(toy_model(np.random.default_rng(13)), TIMING, f=5e4)
+        empty = SpikeRaster([], [], 0, net.layers[0].size, net.timing.t_snn)
+        with pytest.raises(DataError, match="empty sequence"):
+            simulate(net, empty, mode=mode)
+        with pytest.raises(DataError, match="empty sequence"):
+            simulate(net, FeatureSequence(np.zeros((0, 2)), TIMING.t_ann), mode=mode)
+
+    @pytest.mark.parametrize("mode", ["reference", "fixed_point"])
     def test_drive_that_overflows_rejected(self, mode):
         # finite features whose encoder drive overflows float64
         rng = np.random.default_rng(13)
