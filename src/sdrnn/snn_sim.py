@@ -7,12 +7,12 @@ imem is i minus the feedback current s; s integrates the neuron's own
 spikes through an inhibitory self-synapse, and the neuron fires when imem
 exceeds w_fb. The soma's tau is 1, and a decay by tau 1 is exactly +0 in
 both modes, so imem keeps nothing of its last value and is never decayed:
-imem <- i - s. u enters i scaled by
-2**-weight_exp, the layer's power-of-two weight exponent (a rounded
-arithmetic shift in fixed-point mode). Spikes reach the next layer with one
-step of synaptic delay and a layer's own recurrent synapses with rec_delay
-steps (the lead of the u stage in networks the compiler emits); the
-self-feedback increment lands in the same step the spike is emitted.
+imem <- i - s. u enters i scaled by 2**-weight_exp, the layer's
+power-of-two weight exponent (a rounded arithmetic shift in fixed-point
+mode). Spikes reach the next layer with one step of synaptic delay and a
+layer's own recurrent synapses with rec_delay steps (the lead of the u
+stage in networks the compiler emits); the self-feedback increment lands
+in the same step the spike is emitted.
 sigma_delta_kernel is the package's one neuron update: the engine advances
 the whole network with it once per step, and sigma_delta runs its single
 neuron and its analog encoder on it.
