@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -20,10 +21,10 @@ import numpy as np
 from . import audio_frontend as af
 from .containers import FeatureSequence
 from .convert import (NET_FORMAT, CompileConfig, TimingConfig, compile_network,
-                      compile_report, load_network, pop_retired, probe_peak_state,
-                      save_network, select_scale_factor)
+                      compile_report, load_network, pop_retired, predicted_peak,
+                      probe_peak_state, save_network, select_scale_factor)
 from .errors import ConfigError, DataError, NumericError, npz_file, npz_meta, reading
-from .lprnn import (MODEL_FORMAT, TrainConfig, _finite_positive, forward_batch,
+from .lprnn import (MODEL_FORMAT, TrainConfig, _finite_positive, _real, forward_batch,
                     forward_sequence, init_model, load_model, magnitude_prune, save_model,
                     train)
 from .snn_sim import compare_activations, simulate, simulate_batch
@@ -187,16 +188,28 @@ def _load_split(features_dir: Path, split: str, optional: bool = False):
     if stats is None:
         raise DataError("feature index has no normalization statistics "
                         "(manifest had no train split)")
+    lo, hi = stats.get("min"), stats.get("max")
+    if not (isinstance(lo, list) and isinstance(hi, list) and len(lo) == len(hi)
+            and all(_real(v) and math.isfinite(v) for v in lo + hi)):
+        raise DataError(f"{index_path}: norm_stats must hold min and max lists of finite "
+                        "numbers of one length")
     label_names = sorted({e["label"] for e in rows})
     label_ids = {name: k for k, name in enumerate(label_names)}
     feats, labels, periods = [], [], []
     for entry in entries:
         path = features_dir / f"{entry['key']}.npz"
         with npz_file(path) as data:
-            raw = data["data"]
-            periods.append(float(data["frame_period"]))
-        if not np.isfinite(raw).all():
-            raise DataError(f"{path}: feature file holds NaN or inf values")
+            raw, period = data["data"], data["frame_period"]
+        if not (raw.ndim == 2 and raw.shape[1] == len(lo) and raw.dtype.kind in "iuf"
+                and np.isfinite(raw).all()):
+            raise DataError(f"{path}: feature data must be a 2-D array of finite numbers "
+                            f"{len(lo)} wide (as norm_stats), not {raw.dtype} {raw.shape} "
+                            "or with NaN or inf values")
+        period = float(period) if period.shape == () and period.dtype.kind in "iuf" else None
+        if not (_finite_positive(period) and period == (periods[0] if periods else period)):
+            raise DataError(f"{path}: frame_period must be one finite positive number, the "
+                            "same in every clip")
+        periods.append(period)
         feats.append(af.apply_norm(raw, stats))
         labels.append(label_ids[entry["label"]])
     t_min = min(f.shape[0] for f in feats)
@@ -249,18 +262,18 @@ def cmd_convert(args) -> int:
     timing = TimingConfig(t_ann=model.t_ann, t_snn=args.t_snn)
     cfg = CompileConfig(safety_margin=args.safety_margin, decay_rounding=args.decay_rounding)
     if args.f is not None:
-        f = args.f
-        trace = None
+        f, trace, predicted = args.f, None, None
     else:
         if args.features is None:
             raise ConfigError("need --features (and a manifest with a train "
                               "split) to select f, or pass --f explicitly")
         x, _, _, t_ann, _ = _load_split(Path(args.features), args.probe_split)
         probes = [FeatureSequence(x[k], t_ann) for k in range(min(args.probes, len(x)))]
-        f, trace = select_scale_factor(model, probes, timing, cfg,
-                                       return_trace=True)
+        predicted = predicted_peak(model, probes)
+        f, trace = select_scale_factor(model, probes, timing, cfg, return_trace=True,
+                                       predicted=predicted)
     net = compile_network(model, timing, f, cfg)
-    net.notes["f_search_trace"] = trace
+    net.notes.update(f_search_trace=trace, f_search_predicted_peak=predicted)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_network(net, out)
@@ -318,19 +331,20 @@ def cmd_evaluate(args) -> int:
     else:
         net = load_network(args.input)
         model = net.source_model
-        ann_logits, _ = forward_batch(model, x)
-        ann_pred = ann_logits.argmax(axis=1)
+        ann_pred = np.zeros(len(labels), dtype=np.int64)
         preds = np.zeros(len(labels), dtype=np.int64)
         spikes = np.zeros(len(labels))
         tracking = []
         sat_total = 0
         for lo in range(0, len(labels), args.batch):
             chunk = x[lo:lo + args.batch]
+            part = slice(lo, lo + chunk.shape[0])
             result = simulate_batch(net, chunk, mode=mode)
             sat_total += result.saturation_total
-            preds[lo:lo + chunk.shape[0]] = result.scores.argmax(axis=1)
-            spikes[lo:lo + chunk.shape[0]] = result.spikes_per_sample
-            _, cache = forward_batch(model, chunk, keep=True)
+            preds[part] = result.scores.argmax(axis=1)
+            spikes[part] = result.spikes_per_sample
+            ann_logits, cache = forward_batch(model, chunk, keep=True)
+            ann_pred[part] = ann_logits.argmax(axis=1)
             report = compare_activations([np.swapaxes(ys, 0, 1) for ys in cache["ys"]],
                                          result, net)
             tracking += zip(*(e["relative_mse"] for e in report["per_layer"]))

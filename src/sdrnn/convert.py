@@ -14,8 +14,11 @@ exponent (u enters i scaled by 2**-e) and the tau factors cancel the DC
 gains of the u and i filter stages, so a presynaptic spike rate r yields a
 steady drive i = f * W_ann * r. The global gain f trades integer weight
 precision against headroom below the 24-bit state bound. The peak state
-scales with f like every on-chip quantity, so one reference simulation
-predicts f and a second verifies it (select_scale_factor).
+scales with f like every on-chip quantity, and the source network predicts
+it: each layer's i stage low-passes f times the layer's pre-activation, as
+the recursion low-passes the clamped one. The f search starts where that
+prediction meets the bound and verifies it with one reference simulation
+(select_scale_factor).
 
 Timing. The source network is a frame recursion: layer l at frame t reads
 its sender at the end of frame t and itself at the end of frame t-1
@@ -88,7 +91,7 @@ import numpy as np
 from .containers import FeatureSequence
 from .errors import ConfigError, DataError, NumericError, npz_file, npz_meta
 from .lprnn import (KIND_INPUT, KIND_RECURRENT, LpRnnLayer, LpRnnModel, _finite_positive,
-                    load_model, save_model)
+                    forward_batch, load_model, save_model)
 from .numerics import STATE_LIMIT, TAU_LIMIT, round_half_away
 
 
@@ -159,6 +162,14 @@ class CompileConfig:
 
     safety_margin: float = 0.5
     decay_rounding: str = "round"
+
+    def __post_init__(self):
+        if not _finite_positive(self.safety_margin):
+            raise ConfigError(f"safety_margin must be a finite positive number, not "
+                              f"{self.safety_margin!r}")
+        if self.decay_rounding not in ("round", "trunc"):
+            raise ConfigError(f"decay_rounding must be 'round' or 'trunc', not "
+                              f"{self.decay_rounding!r}")
 
 
 def alpha_to_tau(alpha: float, t_s: float) -> float:
@@ -395,6 +406,14 @@ def _weight_cap(model: LpRnnModel, timing: TimingConfig,
                for layer in model.layers)
 
 
+def _probe_batches(probes: list[FeatureSequence]) -> list[np.ndarray]:
+    """The probes stacked into one batch per shape."""
+    groups: dict[tuple, list[np.ndarray]] = {}
+    for probe in probes:
+        groups.setdefault(probe.data.shape, []).append(probe.data)
+    return [np.stack(group) for group in groups.values()]
+
+
 def probe_peak_state(model: LpRnnModel, probes: list[FeatureSequence],
                      timing: TimingConfig, f: float,
                      config: CompileConfig = CompileConfig()) -> float:
@@ -403,28 +422,47 @@ def probe_peak_state(model: LpRnnModel, probes: list[FeatureSequence],
     from .snn_sim import simulate_batch  # deferred: snn_sim imports this module
 
     net = compile_network(model, timing, f, config)
-    groups: dict[tuple, list[np.ndarray]] = {}
-    for probe in probes:
-        groups.setdefault(probe.data.shape, []).append(probe.data)
-    return max((simulate_batch(net, np.stack(group)).peak_state for group in groups.values()),
+    return max((simulate_batch(net, batch).peak_state for batch in _probe_batches(probes)),
                default=0.0)
+
+
+def predicted_peak(model: LpRnnModel, probes: list[FeatureSequence]) -> float:
+    """P, the peak state per unit f that the source network predicts: the
+    largest |y| over layers, frames and probes of y <- alpha*y + (1-alpha)*z,
+    each layer's recursion run on its pre-activation z without the clamp. A
+    layer's i stage low-passes f * z with the layer's own time constant and
+    holds the layer's peak state; the u stage before it only smooths
+    further."""
+    peak = 0.0
+    for batch in _probe_batches(probes):
+        _, cache = forward_batch(model, batch, keep=True)
+        for layer, z in zip(model.layers, cache["zs"]):  # z is [T, B, n], the pass's own
+            z *= 1.0 - layer.alpha
+            for prev, z_t in zip(z, z[1:]):
+                z_t += layer.alpha * prev
+            peak = max(peak, float(np.abs(z).max()))
+    return peak
 
 
 def select_scale_factor(model: LpRnnModel, probes: list[FeatureSequence],
                         timing: TimingConfig,
                         config: CompileConfig = CompileConfig(),
-                        grid: float = 0.02, return_trace: bool = False):
+                        grid: float = 0.02, return_trace: bool = False,
+                        predicted: float | None = None):
     """Largest f, within the margin grid, whose simulated peak state stays
     below bound = STATE_LIMIT * safety_margin on the probe inputs.
 
     In reference mode the encoder drive, biases, weights and w_fb scale
     with f up to integer rounding, so the spike pattern, and with it
-    peak/f, barely depends on f. From the weight-range cap, while the peak
-    p at f exceeds the bound, the search steps to f * bound / p / (1 + grid):
-    the linear prediction less a margin for rounding. Each step lowers f by
-    at least 1 + grid, and the f returned passed a simulation; when the
-    first prediction holds that costs two. return_trace adds the (f, peak)
-    pairs, sorted by f.
+    peak/f, barely depends on f, and the source network predicts it:
+    peak/f is about P = predicted_peak(model, probes) (or `predicted`, a P
+    the caller already has). The search starts at f = min(weight-range cap,
+    bound / (P * (1 + grid))), or at the cap when P is 0 or not finite, and
+    simulates the probes there. While the peak p at f exceeds the bound, it
+    steps to f * bound / p / (1 + grid): the linear prediction less a
+    margin for rounding. Each step lowers f by at least 1 + grid, and the f
+    returned passed a simulation; when P holds within the margin that
+    costs one. return_trace adds the (f, peak) pairs, sorted by f.
     """
     if not probes:
         raise ConfigError("probe set must be non-empty")
@@ -432,13 +470,17 @@ def select_scale_factor(model: LpRnnModel, probes: list[FeatureSequence],
     f = _weight_cap(model, timing)
     if math.isinf(f):
         f = bound  # all on-chip weights are zero; only state headroom binds
+    if predicted is None:
+        predicted = predicted_peak(model, probes)
+    if 0.0 < predicted < math.inf:
+        f = min(f, bound / (predicted * (1.0 + grid)))
     trace: list[tuple[float, float]] = []
     for _ in range(60):
         try:
             peak = probe_peak_state(model, probes, timing, f, config)
         except NumericError:
             if not trace:
-                raise  # infeasible at the weight cap itself
+                raise  # infeasible where the search starts
             break  # w_fb fell below 1: no feasible f further down
         trace.append((f, peak))
         if peak <= bound:
@@ -517,12 +559,10 @@ def load_network(path) -> SnnNetwork:
             raise DataError(f"{path}: the compile config must be a JSON object, not {config!r}")
         if bad := pop_retired(config, "config"):
             raise DataError(f"{path}: {bad}")
-        if (set(config) - {f.name for f in fields(CompileConfig)}
-                or config.get("decay_rounding") not in ("round", "trunc")
-                or not _finite_positive(config.get("safety_margin",
-                                                   CompileConfig.safety_margin))):
-            raise DataError(f"{path}: unsupported compile config {config}")
-        cfg = CompileConfig(**config)
+        try:
+            cfg = CompileConfig(**config)
+        except (ConfigError, TypeError) as exc:  # TypeError: a key that is no option
+            raise DataError(f"{path}: unsupported compile config {config} ({exc})") from None
         f = meta.get("f")
         if not _finite_positive(f):
             raise DataError(f"{path}: the scale factor f must be a finite positive number, "
@@ -587,8 +627,10 @@ def load_network(path) -> SnnNetwork:
 
 
 def compile_report(net: SnnNetwork) -> str:
-    """Human-readable compile summary: scale factor, per-layer constants and
-    integer-weight histograms."""
+    """Human-readable compile summary: scale factor, the f search that chose
+    it (from the network's notes), per-layer constants and integer-weight
+    histograms."""
+    bound = STATE_LIMIT * net.config.safety_margin
     lines = [
         "spiking network compile report",
         f"  scale factor f       : {net.f:.6g}",
@@ -596,8 +638,17 @@ def compile_report(net: SnnNetwork) -> str:
         f"  simulator step       : {net.timing.t_snn} s (oversample {net.oversample})",
         f"  synaptic gain        : {WEIGHT_GAIN}",
         f"  state bound          : +/-{STATE_LIMIT} (safety margin {net.config.safety_margin})",
-        "",
     ]
+    trace = net.notes.get("f_search_trace")
+    if not trace:
+        lines.append("  f search             : none (f given)")
+    else:
+        lines.append(f"  f search             : predicted peak state / f P = "
+                     f"{net.notes.get('f_search_predicted_peak', math.nan):.6g}, "
+                     f"{len(trace)} evaluation(s)")
+        for k, (f, peak) in enumerate(sorted(trace, reverse=True), 1):
+            lines.append(f"    evaluation {k}: f {f:.6g}  peak/bound {peak / bound:.4f}")
+    lines.append("")
     for li, layer in enumerate(net.layers):
         lines.append(f"layer {li} [{layer.kind}] size {layer.size}")
         lines.append(f"  tau_s {layer.tau_s:.2f}  tau_u {layer.tau_u:.2f}  "

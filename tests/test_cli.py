@@ -232,6 +232,37 @@ class TestConvertCommand:
         report = Path(str(workspace["net"]) + ".report.txt").read_text()
         assert "scale factor" in report and "histogram" in report
 
+    def test_report_lists_the_f_search(self, workspace):
+        # the predicted peak, then each evaluation from the first f down to
+        # the one chosen
+        report = Path(str(workspace["net"]) + ".report.txt").read_text()
+        net = load_network(workspace["net"])
+        trace = net.notes["f_search_trace"]
+        assert (f"predicted peak state / f P = {net.notes['f_search_predicted_peak']:.6g}, "
+                f"{len(trace)} evaluation(s)") in report
+        assert f"evaluation {len(trace)}: f {net.f:.6g}  peak/bound" in report
+
+    @pytest.mark.parametrize("option, value", [
+        ("safety_margin", "inf"), ("safety_margin", "nan"), ("safety_margin", "0"),
+        ("safety_margin", "-1"), ("safety_margin", "x"), ("decay_rounding", "bogus")])
+    def test_invalid_compile_option_is_config_error(self, workspace, tmp_path, capsys,
+                                                    option, value):
+        # --safety-margin inf wrote a network that evaluate then rejected,
+        # and nan, 0 and -1 were reported as an invalid scale factor; the
+        # config file reaches options that argparse never sees
+        out = tmp_path / "net.npz"
+        args = ["convert", "--model", str(workspace["model"]), "--out", str(out), "--f", "5e4"]
+        if value in ("x", "bogus"):
+            cfg_path = tmp_path / "convert.json"
+            cfg_path.write_text(json.dumps({option: value}))
+            args += ["--config", str(cfg_path)]
+        else:
+            args += [f"--{option.replace('_', '-')}", value]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert option in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_explicit_f_skips_probes(self, workspace, tmp_path):
         out = tmp_path / "net.npz"
         assert main(["convert", "--model", str(workspace["model"]),
@@ -545,6 +576,59 @@ class TestEvaluateCommand:
             assert main(args) == 3, args
             err = capsys.readouterr().err
             assert "not a feature index" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("edit", [
+        lambda stats: {}, lambda stats: {"min": "a", "max": "b"},
+        lambda stats: {k: v[:-1] for k, v in stats.items()},
+        lambda stats: {**stats, "max": stats["max"][:-1]},
+        lambda stats: {**stats, "min": [None] * len(stats["min"])}],
+        ids=["empty", "strings", "too-narrow", "unequal-lengths", "nulls"])
+    def test_malformed_norm_stats_is_data_error(self, workspace, tmp_path, capsys, edit):
+        # {} ended train in a KeyError traceback, strings in a UFuncTypeError
+        # and lists of the wrong width in a broadcasting ValueError
+        features = tmp_path / "features"
+        shutil.copytree(workspace["features"], features)
+        index_path = features / "features_index.json"
+        index = json.loads(index_path.read_text())
+        index_path.write_text(json.dumps({**index, "norm_stats": edit(index["norm_stats"])}))
+        for args in (tiny_train({**workspace, "features": features}, tmp_path / "m.npz"),
+                     ["evaluate", "--input", str(workspace["model"]), "--features",
+                      str(features), "--out", str(tmp_path / "x.json")]):
+            assert main(args) == 3, args
+            err = capsys.readouterr().err
+            assert "norm_stats" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("name, edit", [
+        ("frame_period", lambda a: np.array([0.01, 0.01])),
+        ("frame_period", lambda a: np.array("0.01")),
+        ("frame_period", lambda a: np.array(0.0)),
+        ("frame_period", lambda a: a * 2),
+        ("data", lambda a: a.astype(str)),
+        ("data", lambda a: a[:, 0]),
+        ("data", lambda a: a[:, :-1]),
+        ("data", lambda a: np.where(a > a.mean(), np.inf, a))],
+        ids=["period-pair", "period-string", "period-zero", "period-differs", "data-strings",
+             "data-1d", "data-narrow", "data-inf"])
+    def test_malformed_feature_archive_is_data_error(self, workspace, tmp_path, capsys, name,
+                                                     edit):
+        # a two-value frame_period and a string data array ended train in a
+        # TypeError traceback; one archive per split is edited, the second
+        # of its split, so that a frame_period unlike the first one's shows
+        features = tmp_path / "features"
+        shutil.copytree(workspace["features"], features)
+        entries = json.loads((features / "features_index.json").read_text())["entries"]
+        for split in ("train", "test"):
+            key = [e["key"] for e in entries if e["split"] == split][1]
+            with np.load(features / f"{key}.npz") as data:
+                arrays = dict(data)
+            arrays[name] = edit(arrays[name])
+            np.savez(features / f"{key}.npz", **arrays)
+        for args in (tiny_train({**workspace, "features": features}, tmp_path / "m.npz"),
+                     ["evaluate", "--input", str(workspace["model"]), "--features",
+                      str(features), "--out", str(tmp_path / "x.json")]):
+            assert main(args) == 3, args
+            err = capsys.readouterr().err
+            assert {"data": "feature data"}.get(name, name) in err and "Traceback" not in err
 
     def test_missing_split_is_data_error(self, workspace, tmp_path):
         assert main(["evaluate", "--input", str(workspace["model"]),

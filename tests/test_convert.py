@@ -218,6 +218,14 @@ class TestCompile:
         with pytest.raises(ConfigError):
             compile_network(quantized_model(np.random.default_rng(7)), TIMING, f=math.inf)
 
+    @pytest.mark.parametrize("option, value", [
+        ("safety_margin", math.inf), ("safety_margin", math.nan), ("safety_margin", 0.0),
+        ("safety_margin", -1.0), ("safety_margin", True), ("safety_margin", "0.5"),
+        ("decay_rounding", "bogus"), ("decay_rounding", None)])
+    def test_invalid_compile_config_rejected(self, option, value):
+        with pytest.raises(ConfigError, match=option):
+            CompileConfig(**{option: value})
+
 
 class TestSelectScaleFactor:
     def test_zero_probes_cap_by_weight_range(self):
@@ -297,6 +305,60 @@ class TestSelectScaleFactor:
         assert len(trace) > 2
         assert dict(trace)[f] <= bound
         assert all(p > bound for g, p in trace if g > f)
+
+    def test_worst_criterion_4_model_takes_one_evaluation(self):
+        # criterion 4's model 6 and its inputs: the predicted peak starts the
+        # search at an f that the one simulation verifies
+        rng = np.random.default_rng(44)
+        for _ in range(7):
+            model = make_random_model(rng)
+            probes = [FeatureSequence(make_smooth_input(rng, 30, model.n_features),
+                                      TIMING.t_ann) for _ in range(3)]
+        f, trace = select_scale_factor(model, probes, TIMING, return_trace=True)
+        assert len(trace) == 1
+        assert dict(trace)[f] <= STATE_LIMIT * CompileConfig().safety_margin
+
+    def test_under_prediction_falls_back_to_stepping(self, monkeypatch):
+        # half the predicted P starts the search at twice the f that the
+        # bound allows: it steps down as from the cap, and the f returned is
+        # one it simulated
+        rng = np.random.default_rng(44)
+        model = make_random_model(rng)
+        probes = [FeatureSequence(make_smooth_input(rng, 30, model.n_features), TIMING.t_ann)
+                  for _ in range(3)]
+        predicted = convert.predicted_peak(model, probes)
+        monkeypatch.setattr(convert, "predicted_peak", lambda model, probes: predicted / 2)
+        simulated = {}
+        probe = convert.probe_peak_state
+
+        def recorded(model, probes, timing, f, config):
+            simulated[f] = probe(model, probes, timing, f, config)
+            return simulated[f]
+
+        monkeypatch.setattr(convert, "probe_peak_state", recorded)
+        bound = STATE_LIMIT * CompileConfig().safety_margin
+        f, trace = select_scale_factor(model, probes, TIMING, return_trace=True)
+        assert len(trace) >= 2 and trace[-1][1] > bound
+        assert simulated[f] == dict(trace)[f] <= bound
+
+    @pytest.mark.parametrize("predicted", [0.0, math.inf, math.nan])
+    def test_prediction_of_zero_or_not_finite_starts_at_the_cap(self, monkeypatch, predicted):
+        model = quantized_model(np.random.default_rng(16))
+        monkeypatch.setattr(convert, "predicted_peak", lambda model, probes: predicted)
+        probes = [FeatureSequence(np.full((10, 2), 0.5), TIMING.t_ann)]
+        _, trace = select_scale_factor(model, probes, TIMING, return_trace=True)
+        assert trace[-1][0] == convert._weight_cap(model, TIMING)
+
+    def test_predicted_peak_of_a_held_input(self):
+        # one encoder unit of weight 1 held at v for T frames: its recursion
+        # reaches v * (1 - alpha**T), and the output layer's weight of 0.03
+        # keeps its own far below
+        model = init_model(1, (1,), 1, (0.9, 0.9), t_ann=TIMING.t_ann, seed=0)
+        model.layers[0].w_in[:] = 1.0
+        model.layers[1].w_in[:] = 0.03
+        probes = [FeatureSequence(np.full((40, 1), 0.8), TIMING.t_ann),
+                  FeatureSequence(np.full((20, 1), 0.8), TIMING.t_ann)]
+        assert convert.predicted_peak(model, probes) == pytest.approx(0.8 * (1 - 0.9 ** 40))
 
     def test_peak_never_within_bound_raises(self, monkeypatch):
         bound = STATE_LIMIT * CompileConfig().safety_margin
@@ -452,7 +514,9 @@ class TestNetworkFile:
         lambda meta: meta["layers"][2].update(tau_s_fx=2.5),
         lambda meta: meta["config"].update(decay_rounding="bogus"),
         lambda meta: meta["config"].update(bogus=1),
-    ], ids=["tau-zero", "fractional-tau", "decay-rounding", "unknown-config-key"])
+        lambda meta: meta["config"].update(safety_margin=math.inf),
+    ], ids=["tau-zero", "fractional-tau", "decay-rounding", "unknown-config-key",
+            "infinite-safety-margin"])
     def test_invalid_constants_rejected(self, tmp_path, edit):
         # time constants are integers >= 1, decay_rounding is round or
         # trunc, and every config key is known
