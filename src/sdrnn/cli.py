@@ -1,8 +1,9 @@
 """Command-line pipeline: features, train, convert, evaluate, compare.
 
 Every command writes a resolved-config JSON next to its primary output so a
-run can be replayed bit-for-bit. Exit codes: 0 success, 2 configuration
-error, 3 data error, 4 numeric failure.
+run can be replayed bit-for-bit. A --config file's values pass through the
+same argparse types and choices as flags, and the flags given win. Exit
+codes: 0 success, 2 configuration error, 3 data error, 4 numeric failure.
 """
 
 from __future__ import annotations
@@ -45,11 +46,13 @@ def _resolved_config(args: argparse.Namespace, command: str) -> dict:
     return resolved
 
 
-def _apply_config_file(args: argparse.Namespace, given: set) -> None:
-    """Overlay: defaults < config file < the flags in `given`, those on the
-    command line (whatever their value)."""
-    if not getattr(args, "config", None):
-        return
+def _with_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser,
+                      argv: list[str]) -> list[str]:
+    """argv, parsed as args, with the values of its config file inserted as
+    tokens after the command, so that the command's own argparse actions
+    read them and the flags given after them win: a JSON list for an option
+    that takes several values, one value otherwise; null keeps the option's
+    default."""
     try:
         with open(args.config) as fh:
             overrides = json.load(fh)
@@ -60,27 +63,53 @@ def _apply_config_file(args: argparse.Namespace, given: set) -> None:
     # a convert config may hold the compiler constants that were options
     if args.command == "convert" and (bad := pop_retired(overrides, "config")):
         raise ConfigError(f"{args.config}: {bad}")
+    command = parser._subparsers._group_actions[0].choices[args.command]
+    options = {a.dest: a for a in command._actions if a.option_strings and a.dest != "help"}
+    inserted = []
     for key, value in overrides.items():
-        if key in ("func", "config", "command", "f_search_evals"):
+        if key in ("func", "config", "command", "f_search_evals") or value is None:
             continue
-        if not hasattr(args, key):
+        if key not in options:
             raise ConfigError(f"unknown config key {key!r}")
-        if key not in given:
-            setattr(args, key, value)
+        flag, several = options[key].option_strings[-1], options[key].nargs == "+"
+        if isinstance(value, list) != several:
+            raise ConfigError(f"{args.config}: {key} takes {'a list' if several else 'one value'}"
+                              f", not {value!r}")
+        # a string as it is, any other JSON value (a number among them) as JSON
+        tokens = [v if isinstance(v, str) else json.dumps(v)
+                  for v in (value if several else [value])]
+        tokens = [flag, *tokens] if several else [f"{flag}={tokens[0]}"]
+        try:
+            parser.parse_args([argv[0], *tokens, *argv[1:]])
+        except ConfigError as exc:
+            raise ConfigError(f"{args.config}: {key}: {exc}") from None
+        inserted += tokens
+    return [argv[0], *inserted, *argv[1:]]
 
 
-def _check_sizes_and_steps(args: argparse.Namespace) -> None:
-    """ConfigError for a batch size below 1, an epoch count below 0 or a
-    learning rate that is not a finite positive number, whether given on
-    the command line or in a config file."""
-    for key, least in (("batch", 1), ("batch_size", 1), ("epochs", 0),
-                       ("prune_finetune_epochs", 0)):
-        value = getattr(args, key, least)
-        if not (isinstance(value, int) and not isinstance(value, bool) and value >= least):
-            raise ConfigError(f"--{key.replace('_', '-')} must be an integer >= {least}, "
-                              f"not {value!r}")
-    if not _finite_positive(getattr(args, "lr", 1.0)):
-        raise ConfigError(f"--lr must be a finite positive number, not {args.lr!r}")
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose errors, on the command line or in a config
+    file, are a ConfigError."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ConfigError(message)
+
+
+def _integer(least: int):
+    """argparse type: an integer >= least."""
+    def integer(text: str) -> int:
+        if (value := int(text)) < least:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {least}, not {text!r}")
+        return value
+    return integer
+
+
+def positive_number(text: str) -> float:
+    """argparse type: a finite positive number."""
+    if not _finite_positive(value := float(text)):
+        raise argparse.ArgumentTypeError(f"must be a finite positive number, not {text!r}")
+    return value
 
 
 def _mel_config(args) -> af.MelConfig:
@@ -413,7 +442,7 @@ def cmd_compare(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sdrnn",
         description="Train low-pass RNNs, compile them to sigma-delta spiking "
                     "networks, and simulate them under fixed-point constraints.")
@@ -441,15 +470,15 @@ def build_parser() -> argparse.ArgumentParser:
                    help="widths of the input low-pass and recurrent layers")
     p.add_argument("--alpha", type=float, nargs="+", default=[0.6, 0.6, 0.6, 0.6],
                    help="one smoothing coefficient per layer (incl. output)")
-    p.add_argument("--epochs", type=int, default=40)
-    p.add_argument("--lr", type=float, default=1e-2)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--epochs", type=_integer(0), default=40)
+    p.add_argument("--lr", type=positive_number, default=1e-2)
+    p.add_argument("--batch-size", type=_integer(1), default=32)
+    p.add_argument("--seed", type=_integer(0), default=0)
     p.add_argument("--clamp", type=float, default=1.0)
     p.add_argument("--bits", type=int, default=3)
     p.add_argument("--readout-fraction", type=float, default=0.25)
     p.add_argument("--prune-sparsity", type=float, default=0.0)
-    p.add_argument("--prune-finetune-epochs", type=int, default=0)
+    p.add_argument("--prune-finetune-epochs", type=_integer(0), default=0)
     p.add_argument("--config")
     p.set_defaults(func=cmd_train)
 
@@ -475,7 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["auto", "ann", "reference", "fixed"],
                    default="auto")
     p.add_argument("--out", required=True, metavar="METRICS_JSON")
-    p.add_argument("--batch", type=int, default=64)
+    p.add_argument("--batch", type=_integer(1), default=64)
     p.add_argument("--config")
     p.set_defaults(func=cmd_evaluate)
 
@@ -493,14 +522,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    # parsed again with no defaults, the namespace holds only the flags given
-    for action in parser._subparsers._group_actions[0].choices[args.command]._actions:
-        action.default = argparse.SUPPRESS
-    given = set(vars(parser.parse_args(argv)))
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        _apply_config_file(args, given)
-        _check_sizes_and_steps(args)
+        args = parser.parse_args(argv)
+        if args.config:
+            args = parser.parse_args(_with_config_file(args, parser, argv))
         return args.func(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -76,6 +76,10 @@ steps, imem has TAU_MEM = 1, a spike deposits WEIGHT_GAIN = 1 times its
 weight, a mapped weight lies within +/-WEIGHT_LIMIT = 255, a layer's i stage
 has its tau_s and it fires above w_fb. Older files that record these load
 when they hold these values (RETIRED_KEYS).
+
+A network file loads only as the compiler's output: load_network compiles
+the file's source model again and requires every stored layer to equal the
+compiled one.
 """
 
 from __future__ import annotations
@@ -92,7 +96,7 @@ from .containers import FeatureSequence
 from .errors import ConfigError, DataError, NumericError, npz_file, npz_meta
 from .lprnn import (KIND_INPUT, KIND_RECURRENT, LpRnnLayer, LpRnnModel, _finite_positive,
                     forward_batch, load_model, save_model)
-from .numerics import STATE_LIMIT, TAU_LIMIT, round_half_away
+from .numerics import STATE_LIMIT, round_half_away
 
 
 @dataclass(frozen=True)
@@ -188,9 +192,9 @@ def rescale_tau(tau_ann: float, timing: TimingConfig) -> float:
     if not tau_ann > 0:
         raise ConfigError(f"tau_ann must be positive, got {tau_ann}")
     tau_steps = tau_ann * timing.oversample / timing.t_ann
-    if tau_steps < 1.0:
-        raise ConfigError(
-            f"tau of {tau_ann} s is below one simulator step ({timing.t_snn} s)")
+    if not 1.0 <= tau_steps < math.inf:
+        raise ConfigError(f"tau of {tau_ann} s is {tau_steps} simulator steps of "
+                          f"{timing.t_snn} s, not a finite number >= 1")
     return tau_steps
 
 
@@ -242,8 +246,7 @@ class SnnLayer:
     threshold: a neuron fires when imem exceeds it. rec_delay is the delay
     of the recurrent synapses in steps (feed-forward synapses take one
     step), weight_exp the power-of-two exponent of the weights: u enters i
-    scaled by 2**-weight_exp. The defaults describe networks compiled
-    before either existed.
+    scaled by 2**-weight_exp.
     """
 
     kind: str  # encoder | recurrent | output
@@ -257,8 +260,8 @@ class SnnLayer:
     tau_s_fx: int
     tau_u_fx: int
     w_fb: int
-    rec_delay: int = 1
-    weight_exp: int = 0
+    rec_delay: int
+    weight_exp: int
 
 
 #: The SnnLayer fields that a network file stores as arrays, and the rest,
@@ -367,14 +370,11 @@ def compile_network(model: LpRnnModel, timing: TimingConfig, f: float,
     layer_constants, integer weights and biases from the mapping formulas,
     and the feedback weight w_fb = round(f / tau_s), also the firing
     threshold."""
-    if not (f > 0 and math.isfinite(f)):
-        raise ConfigError("scale factor f must be positive and finite")
+    if not _finite_positive(f):
+        raise ConfigError(f"scale factor f must be a finite positive number, not {f!r}")
     layers = []
     for idx, layer in enumerate(model.layers):
         w_in_q, w_rec_q = model.effective_weights(layer)
-        if layer.alpha <= 0.0:
-            raise ConfigError(
-                f"layer {idx}: alpha = {layer.alpha} has no finite time constant")
         c = layer_constants(layer, w_in_q, w_rec_q, timing, f)
         w_fb = math.floor(f / c.tau_s_fx + 0.5)  # round half away: f > 0
         if w_fb < 1:
@@ -523,35 +523,14 @@ def save_network(net: SnnNetwork, path) -> None:
         np.savez(fh, **arrays)
 
 
-def _bad_arrays(layer: SnnLayer, fan_in: int | None) -> str | None:
-    """What is wrong with the arrays of a loaded layer, or None. fan_in is
-    the size of the layer below it, None for the first layer, whose w_in
-    the engine does not read. The engine's sums are exact only on finite
-    integer weights and biases."""
-    n = layer.size
-    if fan_in is not None and layer.w_in is None:
-        return "w_in is missing"
-    shapes = {"w_in": None if fan_in is None else (n, fan_in), "w_rec": (n, n), "bias": (n,)}
-    for name, shape in shapes.items():
-        a = getattr(layer, name)
-        if a is None or shape is None:
-            continue
-        if a.shape != shape:
-            return f"{name} has shape {a.shape}, not {shape}"
-        if a.dtype.kind not in "iuf" or not (np.isfinite(a).all() and (a == np.round(a)).all()):
-            return f"{name} must hold finite integers"
-    enc = layer.enc_w
-    if enc is not None and not (enc.ndim == 2 and enc.shape[0] == n and enc.dtype.kind == "f"
-                                and np.isfinite(enc).all()):
-        return f"enc_w must be finite reals of shape [{n}, features], not {enc.dtype} {enc.shape}"
-    return None
-
-
 def load_network(path) -> SnnNetwork:
-    """The network saved at path. DataError for a damaged file and for values
-    that compile_network never emits: wrong types, a tau_s_fx that the
-    source layer's alpha does not give at the file's timing, a w_fb other
-    than round(f / tau_s_fx), and delays or exponents beyond its bounds."""
+    """The network saved at path, which loads only as the compiler's output:
+    the file's source model is compiled again at its t_ann, t_snn, f and
+    compile config, and each stored layer must equal the compiled one, each
+    scalar in type and value and each array in presence, dtype, shape and
+    value. Returns the compiled network with the file's notes. DataError for
+    a damaged file, one whose values do not compile, and one whose stored
+    layers differ, naming the layer and its first field that differs."""
     with npz_file(path) as data:
         meta = npz_meta(data, path, NET_FORMAT)
         config = meta.get("config")
@@ -559,71 +538,42 @@ def load_network(path) -> SnnNetwork:
             raise DataError(f"{path}: the compile config must be a JSON object, not {config!r}")
         if bad := pop_retired(config, "config"):
             raise DataError(f"{path}: {bad}")
-        try:
-            cfg = CompileConfig(**config)
-        except (ConfigError, TypeError) as exc:  # TypeError: a key that is no option
-            raise DataError(f"{path}: unsupported compile config {config} ({exc})") from None
-        f = meta.get("f")
-        if not _finite_positive(f):
-            raise DataError(f"{path}: the scale factor f must be a finite positive number, "
-                            f"not {f!r}")
         if not isinstance(notes := meta.get("notes", {}), dict):
             raise DataError(f"{path}: notes must be a JSON object, not {notes!r}")
         source = load_model(io.BytesIO(bytes(data["source_model"])))
+        f, t_ann, t_snn = meta.get("f"), meta.get("t_ann"), meta.get("t_snn")
+        at = f"f {f!r}, t_ann {t_ann!r} and t_snn {t_snn!r}"
         try:
-            timing = TimingConfig(meta.get("t_ann"), meta.get("t_snn"))
-            # the compiler's tau_s_fx of each layer: its alpha at this timing
-            taus = [_int_tau(rescale_tau(alpha_to_tau(layer.alpha, timing.t_ann), timing))
-                    for layer in source.layers]
-        except ConfigError as exc:
-            raise DataError(f"{path}: {exc}") from None
-        if not (isinstance(meta.get("layers"), list) and len(meta["layers"]) == len(taus)):
-            raise DataError(f"{path}: layers must list the {len(taus)} layers of the source "
+            net = compile_network(source, TimingConfig(t_ann, t_snn), f, CompileConfig(**config))
+        except (ConfigError, NumericError, TypeError) as exc:  # TypeError: a key that is no option
+            raise DataError(f"{path}: the source model does not compile at {at} ({exc})") from None
+        stored = meta.get("layers")
+        if not (isinstance(stored, list) and len(stored) == len(net.layers)):
+            raise DataError(f"{path}: layers must list the {len(net.layers)} layers of the source "
                             "model")
-        layers = []
-        for li, (lmeta, tau_s_fx) in enumerate(zip(meta["layers"], taus)):
+        for li, (lmeta, layer) in enumerate(zip(stored, net.layers)):
             if not isinstance(lmeta, dict):
                 raise DataError(f"{path}: layer {li} must be a JSON object, not {lmeta!r}")
             if bad := pop_retired(lmeta, "layer"):
                 raise DataError(f"{path}: layer {li}: {bad}")
-            # files written before these fields: one step, no exponent
-            lmeta = {"rec_delay": 1, "weight_exp": 0, **lmeta}
-            if set(lmeta) != set(_LAYER_SCALARS):
-                raise DataError(f"{path}: layer {li}: keys {sorted(lmeta)} are not "
-                                f"{sorted(_LAYER_SCALARS)}")
-            if (lmeta["kind"] not in ("encoder", "recurrent", "output")
-                    or not all(_finite_positive(lmeta[k]) for k in ("tau_s", "tau_u"))):
-                raise DataError(f"{path}: layer {li}: kind {lmeta['kind']!r}, tau_s "
-                                f"{lmeta['tau_s']!r} or tau_u {lmeta['tau_u']!r} is invalid")
-            ints = {k: lmeta[k] for k in ("size", "tau_s_fx", "tau_u_fx", "w_fb", "rec_delay",
-                                          "weight_exp")}
-            if not (all(type(v) is int and v >= (k != "weight_exp") for k, v in ints.items())
-                    and ints["tau_u_fx"] <= TAU_LIMIT):
-                raise DataError(f"{path}: layer {li}: {ints} must be integers >= 1 "
-                                f"(weight_exp >= 0, tau_u_fx <= {TAU_LIMIT})")
-            # the compiler's rules: w_fb = round(f / tau_s_fx), rec_delay =
-            # tau_s_fx - tau_u_fx with tau_u_fx >= 1, and 2**weight_exp <= tau_s_fx
-            if ints["tau_s_fx"] != tau_s_fx:
-                raise DataError(f"{path}: layer {li}: tau_s_fx {ints['tau_s_fx']} is not "
-                                f"{tau_s_fx}, what the source model's alpha gives at t_ann "
-                                f"{timing.t_ann} and t_snn {timing.t_snn}")
-            if ints["w_fb"] != math.floor(f / tau_s_fx + 0.5):
-                raise DataError(f"{path}: layer {li}: w_fb {ints['w_fb']} is not "
-                                f"round(f / tau_s_fx) for f {f} and tau_s_fx {tau_s_fx}")
-            if ints["rec_delay"] > max(1, tau_s_fx - 1):
-                raise DataError(f"{path}: layer {li}: rec_delay {ints['rec_delay']} exceeds "
-                                f"max(1, tau_s_fx - 1) for tau_s_fx {tau_s_fx}")
-            if ints["weight_exp"] >= tau_s_fx.bit_length():
-                raise DataError(f"{path}: layer {li}: 2**weight_exp exceeds tau_s_fx "
-                                f"{tau_s_fx} (weight_exp {ints['weight_exp']})")
-            # bias is required: data[...] raises for a file without it
-            layers.append(SnnLayer(**lmeta, **{
-                name: data[f"l{li}_{name}"] if f"l{li}_{name}" in data or name == "bias"
-                else None for name in _LAYER_ARRAYS}))
-            if bad := _bad_arrays(layers[-1], layers[-2].size if li else None):
-                raise DataError(f"{path}: layer {li}: {bad}")
-        return SnnNetwork(layers=layers, f=f, timing=timing, config=cfg, source_model=source,
-                          notes=notes)
+            if extra := sorted(set(lmeta) - set(_LAYER_SCALARS)):
+                raise DataError(f"{path}: layer {li}: {extra[0]!r} is no field of a layer")
+            for name in _LAYER_SCALARS + _LAYER_ARRAYS:
+                got = _compared(lmeta.get(name, "missing") if name in _LAYER_SCALARS
+                                else data.get(f"l{li}_{name}"))
+                if got != (want := _compared(getattr(layer, name))):
+                    raise DataError(f"{path}: layer {li}: {name} is {got[-1]}, not {want[-1]} as "
+                                    f"compiled from the source model at {at}")
+        net.notes = notes
+        return net
+
+
+def _compared(value) -> tuple:
+    """A layer field as load_network compares it: an array by dtype, shape
+    and bytes, anything else by type and value; a description last."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes(), f"{value.dtype} {value.shape}"
+    return type(value), value, repr(value)
 
 
 def compile_report(net: SnnNetwork) -> str:

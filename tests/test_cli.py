@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sdrnn.audio_frontend import save_wav, write_manifest
-from sdrnn.cli import main
+from sdrnn.cli import build_parser, main
 from sdrnn.convert import load_network
 from sdrnn.synthetic import CLASSES, generate_dataset
 
@@ -393,27 +393,19 @@ class TestEvaluateCommand:
                      "--out", str(tmp_path / "x.json")]) == 0
         assert "Traceback" not in capsys.readouterr().err
 
-    @pytest.mark.parametrize("enc_w, mode, code", [
-        pytest.param(1e290, "fixed", 0, id="saturating-fixed"),
-        pytest.param(1e308, "fixed", 3, id="overflowing-fixed"),
-        pytest.param(1e308, "reference", 3, id="overflowing-reference")])
-    def test_huge_encoder_drive(self, workspace, tmp_path, capsys, enc_w, mode, code):
-        # finite encoder weights whose drive saturates u in fixed mode,
-        # counted like any other clip, or overflows float64, a data error
+    @pytest.mark.parametrize("mode", ["reference", "fixed"])
+    def test_huge_encoder_drive(self, workspace, tmp_path, capsys, mode):
+        # encoder weights that the compiler did not emit do not load; the
+        # engine's own handling of a huge drive is tested in test_snn_sim
         with np.load(workspace["net"]) as data:
             arrays = dict(data)
-        arrays["l0_enc_w"] = np.full_like(arrays["l0_enc_w"], enc_w)
+        arrays["l0_enc_w"] = np.full_like(arrays["l0_enc_w"], 1e290)
         net = tmp_path / "net.npz"
         np.savez(net, **arrays)
-        out = tmp_path / "x.json"
         assert main(["evaluate", "--input", str(net), "--features", str(workspace["features"]),
-                     "--mode", mode, "--out", str(out)]) == code
+                     "--mode", mode, "--out", str(tmp_path / "x.json")]) == 3
         err = capsys.readouterr().err
-        assert "Traceback" not in err
-        if code:
-            assert "drive" in err
-        else:
-            assert json.loads(out.read_text())["saturation_events"] > 0
+        assert "Traceback" not in err and "layer 0: enc_w" in err.split(str(net), 1)[1]
 
     @pytest.mark.parametrize("damage", ["garbage", "truncated_net", "truncated_model"])
     def test_corrupt_input_is_data_error(self, workspace, tmp_path, capsys, damage):
@@ -644,6 +636,31 @@ class TestEvaluateCommand:
                      "--mode", "ann", "--out", str(tmp_path / "x.json")]) == 2
 
 
+@pytest.mark.parametrize("command, key, value", [
+    ("convert", "probes", "x"), ("convert", "f", "x"), ("compare", "sample_index", "a"),
+    ("train", "hidden", "8"), ("train", "alpha", 0.6), ("train", "prune_sparsity", "x"),
+    ("train", "seed", "x"), ("train", "seed", -1), ("features", "workers", "x"),
+    ("features", "n_mels", "x")])
+def test_config_file_value_that_the_option_rejects_is_config_error(workspace, tmp_path, capsys,
+                                                                   command, key, value):
+    # each ended in a TypeError traceback (seed -1 in a ValueError one):
+    # config-file values went past the options' argparse types
+    feats = str(workspace["features"])
+    args = {
+        "convert": ["convert", "--model", str(workspace["model"]), "--features", feats,
+                    "--out", str(tmp_path / "net.npz")],
+        "compare": ["compare", "--net", str(workspace["net"]), "--features", feats,
+                    "--out-dir", str(tmp_path / "cmp")],
+        "train": tiny_train(workspace, tmp_path / "m.npz"),
+        "features": ["features", "--manifest", str(workspace["manifest"]),
+                     "--features", str(tmp_path / "features")],
+    }[command]
+    (tmp_path / "cfg.json").write_text(json.dumps({key: value}))
+    assert main(args + ["--config", str(tmp_path / "cfg.json")]) == 2
+    err = capsys.readouterr().err
+    assert key in err and "Traceback" not in err
+
+
 #: (command, option key) of each size and step option that the CLI bounds
 SIZE_OPTIONS = [("train", "batch_size"), ("train", "epochs"), ("train", "lr"),
                 ("train", "prune_finetune_epochs"), ("evaluate", "batch")]
@@ -688,24 +705,60 @@ def fuzz_dir(workspace, tmp_path_factory):
     return root
 
 
-@given(target=st.sampled_from(["model", "net", "index"]), value=JSON_VALUES)
-@settings(max_examples=150, deadline=None)
+#: (command, option) of every option that a config file may set, less the
+#: output paths, which the fuzz must not point anywhere
+CONFIG_OPTIONS = [(name, action.dest)
+                  for name, command in build_parser()._subparsers._group_actions[0].choices.items()
+                  for action in command._actions
+                  if action.option_strings
+                  and action.dest not in ("help", "config", "out", "out_dir")
+                  and (name, action.dest) != ("features", "features")]
+#: JSON values that an option might be given: null, booleans, integers
+#: small enough that every example ends soon (an epoch count or a layer
+#: width of 10**9 is a valid value), floats (nan and infinities among
+#: them) and strings, and lists and objects of them
+CONFIG_SCALARS = (st.none() | st.booleans() | st.integers(-2, 3) | st.floats()
+                  | st.text(max_size=6))
+CONFIG_VALUES = (CONFIG_SCALARS | st.lists(CONFIG_SCALARS, max_size=4)
+                 | st.dictionaries(st.text(max_size=6), CONFIG_SCALARS, max_size=2))
+
+
+@given(target=st.sampled_from(["model", "net", "index", "config"]), value=JSON_VALUES,
+       option=st.sampled_from(CONFIG_OPTIONS), option_value=CONFIG_VALUES)
+@settings(max_examples=200, deadline=None)
 def test_arbitrary_metadata_or_index_exits_with_a_documented_code(workspace, fuzz_dir,
-                                                                   target, value):
+                                                                   target, value, option,
+                                                                   option_value):
     # a model's or a network's whole metadata, or the whole feature index,
-    # replaced by an arbitrary JSON value: every command that reads it exits
-    # 0, 2, 3 or 4, and no exception escapes main
+    # replaced by an arbitrary JSON value, or a config file that sets one
+    # option of a command to one: every command that reads it exits 0, 2,
+    # 3 or 4, and no exception escapes main
     features = fuzz_dir / "features"
     index = features / "features_index.json"
     index.write_text((workspace["features"] / "features_index.json").read_text())
     files = {"model": workspace["model"], "net": workspace["net"]}
     if target == "index":
         index.write_text(json.dumps(value))
-    else:
+    elif target != "config":
         files[target] = fuzz_dir / f"{target}.npz"
         with_metadata(workspace[target], files[target], value)
     model, net, feats = str(files["model"]), str(files["net"]), str(features)
     out, out_dir, out_npz = (str(fuzz_dir / name) for name in ("x.json", "cmp", "out.npz"))
+    commands = {  # each command on the workspace, with what keeps it small
+        "features": (["features", "--manifest", str(workspace["manifest"]), "--features", feats],
+                     {}),
+        "train": (["train", "--features", feats, "--out", out_npz],
+                  {"hidden": [2, 2], "alpha": [0.5] * 3, "epochs": 1}),
+        "convert": (["convert", "--model", model, "--out", out_npz], {"f": 5e4}),
+        "evaluate": (["evaluate", "--input", net, "--features", feats, "--out", out], {}),
+        "compare": (["compare", "--net", net, "--features", feats, "--out-dir", out_dir], {}),
+    }
+    if target == "config":
+        command, key = option
+        args, config = commands[command]
+        (fuzz_dir / "cfg.json").write_text(json.dumps({**config, key: option_value}))
+        assert main(args + ["--config", str(fuzz_dir / "cfg.json")]) in (0, 2, 3, 4), option
+        return
     runs = {
         "model": [["evaluate", "--input", model, "--features", feats, "--out", out],
                   ["convert", "--model", model, "--f", "5e4", "--out", out_npz]],

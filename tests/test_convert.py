@@ -83,6 +83,12 @@ class TestRescaleTau:
         with pytest.raises(ConfigError):
             rescale_tau(TIMING.t_snn / 2, TIMING)
 
+    def test_tau_beyond_the_float_range_rejected(self):
+        # a step so fine that the tau in steps overflows to inf ended in an
+        # OverflowError when the compiler rounded it
+        with pytest.raises(ConfigError, match="finite"):
+            rescale_tau(0.02, TimingConfig(t_ann=0.01, t_snn=1e-310))
+
 
 class TestMapWeights:
     def test_zero_maps_to_zero(self):
@@ -214,9 +220,11 @@ class TestCompile:
         with pytest.raises(NumericError):
             compile_network(model, TIMING, f=10.0)  # f/tau_s < 1
 
-    def test_infinite_f_rejected(self):
-        with pytest.raises(ConfigError):
-            compile_network(quantized_model(np.random.default_rng(7)), TIMING, f=math.inf)
+    @pytest.mark.parametrize("f", [math.inf, math.nan, 0.0, -1.0, True, "abc", None])
+    def test_invalid_f_rejected(self, f):
+        # a string or None ended in a TypeError, and True was taken for f = 1
+        with pytest.raises(ConfigError, match="scale factor f"):
+            compile_network(quantized_model(np.random.default_rng(7)), TIMING, f=f)
 
     @pytest.mark.parametrize("option, value", [
         ("safety_margin", math.inf), ("safety_margin", math.nan), ("safety_margin", 0.0),
@@ -478,19 +486,20 @@ class TestNetworkFile:
     @pytest.mark.parametrize("edit, edit_arrays, match", [
         # the layer's size disagrees with all of its arrays
         (lambda meta: meta["layers"][1].update(size=meta["layers"][1]["size"] + 1), None,
-         "shape"),
-        (lambda meta: None, set_array("l2_w_in", lambda w: w[:, :-1]), "w_in has shape"),
-        (lambda meta: None, set_array("l1_w_rec", lambda w: w[:, :-1]), "w_rec has shape"),
-        (lambda meta: None, set_array("l3_bias", lambda b: b[:-1]), "bias has shape"),
-        (lambda meta: None, set_array("l0_enc_w", lambda w: w[:-1]), "enc_w"),
-        (lambda meta: None, set_array("l1_w_in", lambda w: w + 0.5), "finite integers"),
-        (lambda meta: None, set_array("l2_w_rec", lambda w: w + 0.5), "finite integers"),
+         "layer 1: size"),
+        (lambda meta: None, set_array("l2_w_in", lambda w: w[:, :-1]), "layer 2: w_in"),
+        (lambda meta: None, set_array("l1_w_rec", lambda w: w[:, :-1]), "layer 1: w_rec"),
+        (lambda meta: None, set_array("l3_bias", lambda b: b[:-1]), "layer 3: bias"),
+        (lambda meta: None, set_array("l0_enc_w", lambda w: w[:-1]), "layer 0: enc_w"),
+        (lambda meta: None, set_array("l1_w_in", lambda w: w + 0.5), "layer 1: w_in"),
+        (lambda meta: None, set_array("l2_w_rec", lambda w: w + 0.5), "layer 2: w_rec"),
         (lambda meta: None, set_array("l2_bias", lambda b: np.where(np.arange(b.size) == 1,
                                                                     np.nan, b)),
-         "finite integers"),
-        (lambda meta: None, set_array("l0_enc_w", lambda w: np.full_like(w, np.inf)), "enc_w"),
-        (lambda meta: meta["layers"][1].update(w_fb=0), None, "w_fb"),
-        (lambda meta: meta["layers"][2].update(w_fb=12.5), None, "w_fb"),
+         "layer 2: bias"),
+        (lambda meta: None, set_array("l0_enc_w", lambda w: np.full_like(w, np.inf)),
+         "layer 0: enc_w"),
+        (lambda meta: meta["layers"][1].update(w_fb=0), None, "layer 1: w_fb"),
+        (lambda meta: meta["layers"][2].update(w_fb=12.5), None, "layer 2: w_fb"),
     ], ids=["size-plus-one", "w_in-columns", "w_rec-columns", "bias-length", "enc_w-rows",
             "w_in-half-integers", "w_rec-half-integers", "nan-bias", "inf-enc_w",
             "w_fb-zero", "w_fb-fractional"])
@@ -501,6 +510,46 @@ class TestNetworkFile:
         # finite integer weights and biases and an integer w_fb >= 1
         _, path = self.saved_with_meta(tmp_path, edit, edit_arrays)
         with pytest.raises(DataError, match=match):
+            load_network(path)
+
+    @staticmethod
+    def edited(value, how):
+        """A stored field changed: `how` "value" moves a scalar by one (a
+        kind to another kind) or one element of an array, "type" stores the
+        value as another JSON type or dtype, "absent" drops an array."""
+        if isinstance(value, np.ndarray):
+            if how == "absent":
+                return None
+            if how == "type":
+                return value.astype(np.float64 if value.dtype.kind == "i" else np.float32)
+            value = value.copy()
+            value.flat[0] += 1
+            return value
+        if isinstance(value, str):
+            return {"value": "output", "type": [value]}[how]
+        return {"value": value + 1, "type": float(value) if type(value) is int else str(value)}[how]
+
+    @pytest.mark.parametrize("name, how", [
+        (f.name, how) for f in fields(SnnLayer)
+        for how in (("value", "type", "absent") if f.name in convert._LAYER_ARRAYS
+                    else ("value", "type"))])
+    def test_each_field_that_differs_from_the_compile_is_named(self, tmp_path, name, how):
+        # the stored layer must be the compiler's, field by field: scalars
+        # in type and value, arrays in presence, dtype, shape and value
+        li = 0 if name == "enc_w" else 1
+        key = f"l{li}_{name}"
+
+        def edit(meta):
+            if name not in convert._LAYER_ARRAYS:
+                meta["layers"][li][name] = self.edited(meta["layers"][li][name], how)
+
+        def edit_arrays(arrays):
+            if name in convert._LAYER_ARRAYS:
+                if (value := self.edited(arrays.pop(key), how)) is not None:
+                    arrays[key] = value
+
+        _, path = self.saved_with_meta(tmp_path, edit, edit_arrays)
+        with pytest.raises(DataError, match=f"layer {li}: {name} is "):
             load_network(path)
 
     def test_invalid_delay_rejected(self, tmp_path):
