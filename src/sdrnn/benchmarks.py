@@ -12,9 +12,11 @@ removes before conversion).
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
-from .lprnn import LpRnnModel, cell_forward, init_model, ste_quantize
+from .lprnn import LpRnnModel, cell_forward, init_model
 
 
 def make_smooth_input(rng: np.random.Generator, frames: int, dims: int,
@@ -33,11 +35,11 @@ def make_smooth_input(rng: np.random.Generator, frames: int, dims: int,
     return sig * env
 
 
-def _run_layer(layer, h: np.ndarray, bits: int) -> np.ndarray:
+def _run_layer(layer, h: np.ndarray) -> np.ndarray:
     y = np.zeros((1, layer.size))
     out = np.empty((h.shape[0], layer.size))
     for t in range(h.shape[0]):
-        y = cell_forward(y, h[t][None], layer, 1.0, quantize=True, bits=bits)
+        y = cell_forward(y, h[t][None], layer)
         out[t] = y[0]
     return out
 
@@ -68,11 +70,12 @@ def make_random_model(rng: np.random.Generator, n_in: int = 8,
                      and out_target_range is not None else target_range)
         target = rng.uniform(*rng_range, size=layer.size)
         layer.bias = np.zeros(layer.size)
+        w_in, w_rec = model.effective_weights(layer)
         for _ in range(2):
-            y_trace = _run_layer(layer, h, model.bits)
-            z_mean = (h @ ste_quantize(layer.w_in, model.bits).T).mean(axis=0) + layer.bias
-            if layer.w_rec is not None:
-                z_mean = z_mean + (y_trace @ ste_quantize(layer.w_rec, model.bits).T).mean(axis=0)
+            y_trace = _run_layer(replace(layer, w_in=w_in, w_rec=w_rec), h)
+            z_mean = (h @ w_in.T).mean(axis=0) + layer.bias
+            if w_rec is not None:
+                z_mean = z_mean + (y_trace @ w_rec.T).mean(axis=0)
             layer.bias = layer.bias + (target - z_mean)
-        h = _run_layer(layer, h, model.bits)
+        h = _run_layer(replace(layer, w_in=w_in, w_rec=w_rec), h)
     return model

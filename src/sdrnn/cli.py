@@ -2,8 +2,10 @@
 
 Every command writes a resolved-config JSON next to its primary output so a
 run can be replayed bit-for-bit. A --config file's values pass through the
-same argparse types and choices as flags, and the flags given win. Exit
-codes: 0 success, 2 configuration error, 3 data error, 4 numeric failure.
+same argparse types and choices as flags, and the flags given win. evaluate,
+compare and convert read only features of the model's classes, frame period
+and norm_stats. Exit codes: 0 success, 2 configuration error (sizes that do
+not fit in memory among them), 3 data error, 4 numeric failure.
 """
 
 from __future__ import annotations
@@ -29,8 +31,6 @@ from .lprnn import (MODEL_FORMAT, TrainConfig, _finite_positive, _real, forward_
                     forward_sequence, init_model, load_model, magnitude_prune, save_model,
                     train)
 from .snn_sim import compare_activations, simulate, simulate_batch
-
-CACHE_ENV = "SDRNN_CACHE_DIR"
 
 
 def _write_json(path, payload) -> None:
@@ -116,12 +116,6 @@ def _mel_config(args) -> af.MelConfig:
     return af.MelConfig(**{f.name: getattr(args, f.name) for f in fields(af.MelConfig)})
 
 
-def _cache_dir(args) -> Path:
-    if os.environ.get(CACHE_ENV):
-        return Path(os.environ[CACHE_ENV])
-    return Path(args.features)
-
-
 def _feature_one(job) -> dict:
     wav_path, key, cache_dir = job
     out = Path(cache_dir) / f"{key}.npz"
@@ -147,7 +141,7 @@ def cmd_features(args) -> int:
     manifest_path = Path(args.manifest)
     rows = af.read_manifest(manifest_path)
     mel_cfg = _mel_config(args)
-    cache_dir = _cache_dir(args)
+    cache_dir = Path(args.features)
     cache_dir.mkdir(parents=True, exist_ok=True)
 
     jobs, index = [], []
@@ -246,6 +240,21 @@ def _load_split(features_dir: Path, split: str, optional: bool = False):
     return x, np.array(labels, dtype=np.int64), label_names, periods[0], stats
 
 
+def _model_split(model, features_dir: Path, split: str):
+    """_load_split's features, labels, class names and frame period, if they
+    are the model's inputs: its classes, t_ann and norm_stats (a field that
+    the model leaves None is not checked)."""
+    x, labels, names, t_ann, stats = _load_split(features_dir, split)
+    for what, ours, theirs in (("number of classes", len(names), model.n_classes),
+                               ("class names", names, model.label_names),
+                               ("frame period", t_ann, model.t_ann),
+                               ("norm_stats", stats, model.norm_stats)):
+        if theirs is not None and ours != theirs:
+            raise DataError(f"{features_dir}: {what}: the feature index has {ours!r}, "
+                            f"the model {theirs!r}")
+    return x, labels, names, t_ann
+
+
 def cmd_train(args) -> int:
     features_dir = Path(args.features)
     x_tr, y_tr, label_names, t_ann, stats = _load_split(features_dir, "train")
@@ -296,7 +305,7 @@ def cmd_convert(args) -> int:
         if args.features is None:
             raise ConfigError("need --features (and a manifest with a train "
                               "split) to select f, or pass --f explicitly")
-        x, _, _, t_ann, _ = _load_split(Path(args.features), args.probe_split)
+        x, _, _, t_ann = _model_split(model, Path(args.features), args.probe_split)
         probes = [FeatureSequence(x[k], t_ann) for k in range(min(args.probes, len(x)))]
         predicted = predicted_peak(model, probes)
         f, trace = select_scale_factor(model, probes, timing, cfg, return_trace=True,
@@ -337,13 +346,14 @@ def cmd_evaluate(args) -> int:
     if kind == "net" and mode == "ann":
         raise ConfigError("a network file evaluates in --mode reference or fixed")
 
-    x, labels, label_names, t_ann, _ = _load_split(Path(args.features), args.split)
+    net = load_network(args.input) if kind == "net" else None
+    model = load_model(args.input) if net is None else net.source_model
+    x, labels, label_names, _ = _model_split(model, Path(args.features), args.split)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     rows = []
 
     if kind == "model":
-        model = load_model(args.input)
         logits, _ = forward_batch(model, x)
         pred = logits.argmax(axis=1)
         margins = np.sort(logits, axis=1)[:, -1] - np.sort(logits, axis=1)[:, -2]
@@ -358,8 +368,6 @@ def cmd_evaluate(args) -> int:
             rows.append((k, label_names[labels[k]], label_names[pred[k]],
                          f"{margins[k]:.6f}", ""))
     else:
-        net = load_network(args.input)
-        model = net.source_model
         ann_pred = np.zeros(len(labels), dtype=np.int64)
         preds = np.zeros(len(labels), dtype=np.int64)
         spikes = np.zeros(len(labels))
@@ -409,12 +417,12 @@ def cmd_evaluate(args) -> int:
 
 def cmd_compare(args) -> int:
     net = load_network(args.net)
-    x, labels, label_names, t_ann, _ = _load_split(Path(args.features), args.split)
+    model = net.source_model
+    x, labels, label_names, t_ann = _model_split(model, Path(args.features), args.split)
     if not 0 <= args.sample_index < len(labels):
         raise ConfigError(f"sample index {args.sample_index} outside split "
                           f"of {len(labels)} samples")
     feats = FeatureSequence(x[args.sample_index], t_ann)
-    model = net.source_model
     logits, ann_traces = forward_sequence(model, feats)
     trace = simulate(net, feats, mode=args.mode, record_rasters=False)
     report = compare_activations(ann_traces, trace, net)
@@ -451,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("features", help="extract mel features for a manifest")
     p.add_argument("--manifest", required=True)
     p.add_argument("--features", required=True, metavar="DIR",
-                   help=f"feature cache directory (env {CACHE_ENV} overrides)")
+                   help="feature cache directory")
     p.add_argument("--sample-rate", type=int, default=16000)
     p.add_argument("--n-fft", type=int, default=512)
     p.add_argument("--hop-length", type=int, default=160)
@@ -537,6 +545,10 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 4
+    except MemoryError as exc:
+        print(f"configuration error: the sizes asked for do not fit in memory ({exc})",
+              file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -9,7 +9,12 @@ trailing fraction of frames.
 
 Weights are trained quantization-aware: every forward pass sees the 3-bit
 quantized view of the weights while gradients pass straight through the
-quantizer to the full-precision master copy.
+quantizer to the full-precision master copy. LpRnnModel.effective_weights is
+that one view, for training, the compiler and the benchmark models alike.
+Pruning is an invariant that LpRnnLayer checks where it is built: a mask is
+a 0/1 array of its weight's shape, and the weights under its 0s are zero. A
+masked gradient is +-0, so Adam's moments and update stay +0 and a pruned
+weight never moves.
 
 Histories are frame-major [T, B, n]. The forward pass writes each layer's
 drive for all frames into one buffer, then scans the frames in place. A pass
@@ -133,6 +138,15 @@ class LpRnnLayer:
             raise ConfigError(f"{self.kind} layer must not have w_rec")
         if self.bias.shape != (self.size,):
             raise ConfigError("bias shape mismatch")
+        for name, w, mask in (("mask_in", self.w_in, self.mask_in),
+                              ("mask_rec", self.w_rec, self.mask_rec)):
+            if mask is not None and not (
+                    isinstance(mask, np.ndarray) and w is not None and mask.shape == w.shape
+                    and mask.dtype.kind in "biuf" and ((mask == 0) | (mask == 1)).all()):
+                raise ConfigError(f"{name} must be a 0/1 array of its weight's shape "
+                                  f"{getattr(w, 'shape', None)}")
+            if mask is not None and (w[mask == 0] != 0).any():
+                raise ConfigError(f"{name} has a nonzero weight under a 0")
 
     @property
     def size(self) -> int:
@@ -189,12 +203,8 @@ class LpRnnModel:
         return self.layers[0].fan_in
 
     def effective_weights(self, layer: LpRnnLayer) -> tuple[np.ndarray, np.ndarray | None]:
-        """Weights as seen by the forward pass (quantized when enabled, pruned zeros kept)."""
+        """Weights as seen by the forward pass (quantized when enabled)."""
         w_in, w_rec = layer.w_in, layer.w_rec
-        if layer.mask_in is not None:
-            w_in = w_in * layer.mask_in
-        if w_rec is not None and layer.mask_rec is not None:
-            w_rec = w_rec * layer.mask_rec
         if self.quantize:
             w_in = ste_quantize(w_in, self.bits)
             if w_rec is not None:
@@ -202,12 +212,10 @@ class LpRnnModel:
         return w_in, w_rec
 
     def copy(self) -> "LpRnnModel":
-        layers = [LpRnnLayer(l.kind, l.w_in.copy(),
-                             None if l.w_rec is None else l.w_rec.copy(),
-                             l.bias.copy(), l.alpha,
-                             None if l.mask_in is None else l.mask_in.copy(),
-                             None if l.mask_rec is None else l.mask_rec.copy())
-                  for l in self.layers]
+        def copied(a):
+            return None if a is None else a.copy()
+        layers = [LpRnnLayer(l.kind, copied(l.w_in), copied(l.w_rec), copied(l.bias), l.alpha,
+                             copied(l.mask_in), copied(l.mask_rec)) for l in self.layers]
         return replace(self, layers=layers)
 
 
@@ -240,20 +248,13 @@ def init_model(n_features: int, hidden: tuple[int, ...], n_classes: int,
 
 
 def cell_forward(y_prev: np.ndarray, x_t: np.ndarray, layer: LpRnnLayer,
-                 ceiling: float = 1.0, quantize: bool = False, bits: int = 3) -> np.ndarray:
-    """One step of the low-pass cell for a single layer."""
-    w_in, w_rec = layer.w_in, layer.w_rec
-    if quantize:
-        w_in = ste_quantize(w_in, bits)
-        w_rec = None if w_rec is None else ste_quantize(w_rec, bits)
-    z = x_t @ w_in.T + layer.bias
-    if w_rec is not None:
-        z = z + y_prev @ w_rec.T
+                 ceiling: float = 1.0) -> np.ndarray:
+    """One step of the low-pass cell for a single layer, on the layer's
+    weights as they are (a model's view of them is effective_weights)."""
+    z = x_t @ layer.w_in.T + layer.bias
+    if layer.w_rec is not None:
+        z = z + y_prev @ layer.w_rec.T
     return layer.alpha * y_prev + (1.0 - layer.alpha) * clamped_relu(z, ceiling)
-
-
-def _readout_window(n_frames: int, fraction: float) -> int:
-    return max(1, int(np.ceil(fraction * n_frames)))
 
 
 def forward_batch(model: LpRnnModel, x: np.ndarray, keep: bool = False):
@@ -310,7 +311,7 @@ def forward_batch(model: LpRnnModel, x: np.ndarray, keep: bool = False):
                 a *= 1.0 - alpha
                 prev = np.add(np.multiply(prev, alpha, out=tmp), a, out=y_t)
         h = np.swapaxes(y, 0, 1)
-    window = _readout_window(t, model.readout_fraction)
+    window = max(1, int(np.ceil(model.readout_fraction * t)))
     logits = y[t - window:].mean(axis=0)
     cache = {"x": x, "ys": ys, "zs": zs, "weights": weights, "window": window}
     return logits, cache
@@ -426,16 +427,13 @@ def bptt_grads(model: LpRnnModel, batch: tuple[np.ndarray, np.ndarray]):
 
     # straight-through mapping back to the full-precision masters
     for layer, g in zip(model.layers, grads):
-        if model.quantize:
-            g["w_in"] *= ste_grad_mask(layer.w_in if layer.mask_in is None
-                                       else layer.w_in * layer.mask_in, model.bits)
-            if g["w_rec"] is not None:
-                w = layer.w_rec if layer.mask_rec is None else layer.w_rec * layer.mask_rec
-                g["w_rec"] *= ste_grad_mask(w, model.bits)
-        if layer.mask_in is not None:
-            g["w_in"] *= layer.mask_in
-        if g["w_rec"] is not None and layer.mask_rec is not None:
-            g["w_rec"] *= layer.mask_rec
+        for name, mask in (("w_in", layer.mask_in), ("w_rec", layer.mask_rec)):
+            if g[name] is None:
+                continue
+            if model.quantize:
+                g[name] *= ste_grad_mask(getattr(layer, name), model.bits)
+            if mask is not None:
+                g[name] *= mask
     return grads, loss
 
 
@@ -504,11 +502,6 @@ def train(model: LpRnnModel, dataset: dict, config: TrainConfig) -> LpRnnModel:
                 v_hat = v_state[k] / (1 - ADAM_BETA2 ** step_count)
                 upd = config.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
                 setattr(layer, name, getattr(layer, name) - upd)
-            for layer in model.layers:
-                if layer.mask_in is not None:
-                    layer.w_in *= layer.mask_in
-                if layer.mask_rec is not None:
-                    layer.w_rec *= layer.mask_rec
         if val is not None:
             acc, vloss = _model_accuracy(model, np.asarray(val[0]), np.asarray(val[1]))
         else:
@@ -533,12 +526,9 @@ def magnitude_prune(model: LpRnnModel, sparsity: float) -> LpRnnModel:
             flat = np.abs(w).ravel()
             k = int(round(sparsity * flat.size))
             mask = np.ones(flat.size)
-            if k > 0:
-                order = np.argsort(flat, kind="stable")
-                mask[order[:k]] = 0.0
+            mask[np.argsort(flat, kind="stable")[:k]] = 0.0
             mask = mask.reshape(w.shape)
-            old = getattr(layer, mask_attr)
-            if old is not None:
+            if (old := getattr(layer, mask_attr)) is not None:
                 mask = mask * old
             setattr(layer, mask_attr, mask)
             setattr(layer, attr, w * mask)
@@ -566,14 +556,9 @@ def save_model(model: LpRnnModel, path) -> None:
     }
     arrays = {"meta": np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)}
     for li, layer in enumerate(model.layers):
-        arrays[f"l{li}_w_in"] = layer.w_in
-        arrays[f"l{li}_bias"] = layer.bias
-        if layer.w_rec is not None:
-            arrays[f"l{li}_w_rec"] = layer.w_rec
-        if layer.mask_in is not None:
-            arrays[f"l{li}_mask_in"] = layer.mask_in
-        if layer.mask_rec is not None:
-            arrays[f"l{li}_mask_rec"] = layer.mask_rec
+        for name in ("w_in", "bias", "w_rec", "mask_in", "mask_rec"):
+            if getattr(layer, name) is not None:
+                arrays[f"l{li}_{name}"] = getattr(layer, name)
     if hasattr(path, "write"):
         np.savez(path, **arrays)
     else:
@@ -597,12 +582,9 @@ def load_model(path) -> LpRnnModel:
         # the model checks the other values' types (a ConfigError, read as a DataError)
         layers = []
         for li, lmeta in enumerate(meta["layers"]):
-            w_rec = data[f"l{li}_w_rec"] if f"l{li}_w_rec" in data else None
-            mask_in = data[f"l{li}_mask_in"] if f"l{li}_mask_in" in data else None
-            mask_rec = data[f"l{li}_mask_rec"] if f"l{li}_mask_rec" in data else None
-            layers.append(LpRnnLayer(lmeta["kind"], data[f"l{li}_w_in"], w_rec,
+            layers.append(LpRnnLayer(lmeta["kind"], data[f"l{li}_w_in"], data.get(f"l{li}_w_rec"),
                                      data[f"l{li}_bias"], lmeta["alpha"],
-                                     mask_in, mask_rec))
+                                     data.get(f"l{li}_mask_in"), data.get(f"l{li}_mask_rec")))
         return LpRnnModel(layers, t_ann=meta["t_ann"], clamp_ceiling=meta["clamp_ceiling"],
                           bits=meta["bits"], readout_fraction=meta["readout_fraction"],
                           quantize=meta["quantize"], norm_stats=norm_stats,

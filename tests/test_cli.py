@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdrnn.audio_frontend import save_wav, write_manifest
+from sdrnn.audio_frontend import MelConfig, save_wav, write_manifest
 from sdrnn.cli import build_parser, main
 from sdrnn.convert import load_network
 from sdrnn.synthetic import CLASSES, generate_dataset
 
-from test_loader_fuzz import JSON_VALUES
+from test_loader_fuzz import JSON_VALUES, any_array
 
 
 @pytest.fixture(scope="module")
@@ -121,6 +121,15 @@ class TestFeatures:
         for name in names + ["features_index.json"]:
             assert (caches[0] / name).read_bytes() == (caches[1] / name).read_bytes(), name
 
+    def test_cache_directory_is_the_one_given(self, workspace, tmp_path, monkeypatch):
+        # SDRNN_CACHE_DIR used to send the archives and the index elsewhere,
+        # so that train --features on the directory given found no index
+        monkeypatch.setenv("SDRNN_CACHE_DIR", str(tmp_path / "elsewhere"))
+        assert main(["features", "--manifest", str(workspace["manifest"]),
+                     "--features", str(tmp_path / "cache")]) == 0
+        assert (tmp_path / "cache" / "features_index.json").exists()
+        assert not (tmp_path / "elsewhere").exists()
+
 
 class TestTrainCommand:
     def test_artifacts_written(self, workspace):
@@ -225,6 +234,18 @@ class TestTrainCommand:
         # a finite lr so large that the weights overflow float64
         assert main(tiny_train(workspace, tmp_path / "m.npz") + ["--lr", "1e308"]) == 4
         assert "diverged" in capsys.readouterr().err
+
+    def test_sizes_that_do_not_fit_in_memory_are_config_error(self, workspace, tmp_path,
+                                                               capsys, monkeypatch):
+        # --hidden 100000 2 ended in a MemoryError traceback, exit 1; the
+        # allocation fails here by hand, since a real one would take the memory
+        def init_model(*args, **kwargs):
+            raise MemoryError("Unable to allocate 1.16 GiB for an array")
+        monkeypatch.setattr("sdrnn.cli.init_model", init_model)
+        assert main(tiny_train(workspace, tmp_path / "m.npz")) == 2
+        err = capsys.readouterr().err
+        assert "do not fit in memory" in err and "1.16 GiB" in err and "Traceback" not in err
+        assert not (tmp_path / "m.npz").exists()
 
 
 class TestConvertCommand:
@@ -622,6 +643,28 @@ class TestEvaluateCommand:
             err = capsys.readouterr().err
             assert {"data": "feature data"}.get(name, name) in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("edit", [
+        lambda w, m: (w, m[:, :-1]), lambda w, m: (w, m * 0.5),
+        lambda w, m: (np.where(m == 0, 0.25, w), m)],
+        ids=["mask-shape", "mask-not-0-1", "weight-under-zero"])
+    def test_model_that_breaks_the_pruning_invariant_is_data_error(self, workspace, tmp_path,
+                                                                   capsys, edit):
+        # a mask of another shape ended evaluate in a ValueError traceback,
+        # and the other two evaluated with exit 0
+        pruned, model = tmp_path / "pruned.npz", tmp_path / "model.npz"
+        assert main(tiny_train(workspace, pruned) + ["--prune-sparsity", "0.5"]) == 0
+        with np.load(pruned) as data:
+            arrays = dict(data)
+        arrays["l1_w_in"], arrays["l1_mask_in"] = edit(arrays["l1_w_in"], arrays["l1_mask_in"])
+        np.savez(model, **arrays)
+        for args in (["evaluate", "--input", str(model), "--features",
+                      str(workspace["features"]), "--out", str(tmp_path / "x.json")],
+                     ["convert", "--model", str(model), "--f", "5e4",
+                      "--out", str(tmp_path / "net.npz")]):
+            assert main(args) == 3, args
+            err = capsys.readouterr().err
+            assert "mask_in" in err and "Traceback" not in err
+
     def test_missing_split_is_data_error(self, workspace, tmp_path):
         assert main(["evaluate", "--input", str(workspace["model"]),
                      "--features", str(workspace["features"]),
@@ -634,6 +677,44 @@ class TestEvaluateCommand:
         assert main(["evaluate", "--input", str(workspace["net"]),
                      "--features", str(workspace["features"]),
                      "--mode", "ann", "--out", str(tmp_path / "x.json")]) == 2
+
+
+@pytest.mark.parametrize("what, edit", [
+    ("number of classes",
+     lambda index: {**index, "entries": [e for e in index["entries"] if e["label"] != "down"]}),
+    ("class names", lambda index: {**index, "entries": [
+        {**e, "label": "zz" if e["label"] == "down" else e["label"]} for e in index["entries"]]}),
+    ("norm_stats", lambda index: {**index, "norm_stats": {
+        **index["norm_stats"], "min": [v - 1 for v in index["norm_stats"]["min"]]}}),
+    ("frame period", None)],
+    ids=["class-missing", "class-renamed", "norm-stats", "frame-period"])
+def test_inputs_unlike_the_models_are_data_error(workspace, tmp_path, capsys, what, edit):
+    # an index without the class "down" ended evaluate in an IndexError
+    # traceback, and one with a class renamed relabelled the samples silently
+    features = tmp_path / "features"
+    shutil.copytree(workspace["features"], features)
+    index_path = features / "features_index.json"
+    index = json.loads(index_path.read_text())
+    if edit is not None:
+        index_path.write_text(json.dumps(edit(index)))
+    else:
+        for entry in index["entries"]:
+            with np.load(features / f"{entry['key']}.npz") as data:
+                arrays = dict(data)
+            np.savez(features / f"{entry['key']}.npz",
+                     **{**arrays, "frame_period": arrays["frame_period"] * 2})
+    model, net, feats = str(workspace["model"]), str(workspace["net"]), str(features)
+    for args in (["evaluate", "--input", model, "--features", feats, "--out",
+                  str(tmp_path / "x.json")],
+                 ["evaluate", "--input", net, "--features", feats, "--out",
+                  str(tmp_path / "x.json")],
+                 ["compare", "--net", net, "--features", feats, "--out-dir",
+                  str(tmp_path / "cmp")],
+                 ["convert", "--model", model, "--features", feats, "--probes", "1",
+                  "--out", str(tmp_path / "net.npz")]):
+        assert main(args) == 3, args
+        err = capsys.readouterr().err
+        assert f"{what}: the feature index has" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("command, key, value", [
@@ -723,22 +804,34 @@ CONFIG_VALUES = (CONFIG_SCALARS | st.lists(CONFIG_SCALARS, max_size=4)
                  | st.dictionaries(st.text(max_size=6), CONFIG_SCALARS, max_size=2))
 
 
-@given(target=st.sampled_from(["model", "net", "index", "config"]), value=JSON_VALUES,
-       option=st.sampled_from(CONFIG_OPTIONS), option_value=CONFIG_VALUES)
-@settings(max_examples=200, deadline=None)
+@given(target=st.sampled_from(["model", "net", "index", "config", "archive"]),
+       value=JSON_VALUES, option=st.sampled_from(CONFIG_OPTIONS), option_value=CONFIG_VALUES,
+       clip=st.integers(0, 10 ** 6), field=st.sampled_from(["data", "frame_period"]),
+       array=any_array((3, MelConfig().n_mels)))
+@settings(max_examples=250, deadline=None)
 def test_arbitrary_metadata_or_index_exits_with_a_documented_code(workspace, fuzz_dir,
                                                                    target, value, option,
-                                                                   option_value):
+                                                                   option_value, clip, field,
+                                                                   array):
     # a model's or a network's whole metadata, or the whole feature index,
-    # replaced by an arbitrary JSON value, or a config file that sets one
-    # option of a command to one: every command that reads it exits 0, 2,
-    # 3 or 4, and no exception escapes main
+    # replaced by an arbitrary JSON value, a config file that sets one
+    # option of a command to one, or one clip archive's data or
+    # frame_period replaced by an arbitrary array: every command that reads
+    # it exits 0, 2, 3 or 4, and no exception escapes main
     features = fuzz_dir / "features"
     index = features / "features_index.json"
     index.write_text((workspace["features"] / "features_index.json").read_text())
+    for archive in workspace["features"].glob("*.npz"):
+        shutil.copyfile(archive, features / archive.name)
     files = {"model": workspace["model"], "net": workspace["net"]}
     if target == "index":
         index.write_text(json.dumps(value))
+    elif target == "archive":
+        entries = json.loads(index.read_text())["entries"]
+        path = features / f"{entries[clip % len(entries)]['key']}.npz"
+        with np.load(path) as data:
+            arrays = dict(data)
+        np.savez(path, **{**arrays, field: array})
     elif target != "config":
         files[target] = fuzz_dir / f"{target}.npz"
         with_metadata(workspace[target], files[target], value)
@@ -759,16 +852,19 @@ def test_arbitrary_metadata_or_index_exits_with_a_documented_code(workspace, fuz
         (fuzz_dir / "cfg.json").write_text(json.dumps({**config, key: option_value}))
         assert main(args + ["--config", str(fuzz_dir / "cfg.json")]) in (0, 2, 3, 4), option
         return
+    index_runs = [tiny_train({**workspace, "features": features}, out_npz),
+                  ["evaluate", "--input", model, "--features", feats, "--out", out],
+                  ["compare", "--net", net, "--features", feats, "--out-dir", out_dir],
+                  ["convert", "--model", model, "--features", feats, "--probes", "1",
+                   "--out", out_npz]]
     runs = {
         "model": [["evaluate", "--input", model, "--features", feats, "--out", out],
                   ["convert", "--model", model, "--f", "5e4", "--out", out_npz]],
         "net": [["evaluate", "--input", net, "--features", feats, "--out", out],
                 ["compare", "--net", net, "--features", feats, "--out-dir", out_dir]],
-        "index": [tiny_train({**workspace, "features": features}, out_npz),
-                  ["evaluate", "--input", model, "--features", feats, "--out", out],
-                  ["compare", "--net", net, "--features", feats, "--out-dir", out_dir],
-                  ["convert", "--model", model, "--features", feats, "--probes", "1",
-                   "--out", out_npz]],
+        "index": index_runs,
+        "archive": index_runs + [["evaluate", "--input", net, "--features", feats,
+                                  "--out", out]],
     }
     for args in runs[target]:
         assert main(args) in (0, 2, 3, 4), args

@@ -1,6 +1,7 @@
 """Garbled copies of valid files: every loader either loads the copy or
 raises DataError, never another exception. A model or network whose
-metadata holds a value of another kind either is a DataError or runs."""
+metadata holds a value of another kind, or a model whose pruning mask is
+replaced by an arbitrary array, either is a DataError or runs."""
 
 import json
 
@@ -8,12 +9,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from sdrnn.audio_frontend import load_wav, read_manifest, save_wav, write_manifest
 from sdrnn.containers import SpikeRaster, load_raster, save_raster
 from sdrnn.convert import TimingConfig, compile_network, load_network, save_network
 from sdrnn.errors import DataError, SdrnnError
-from sdrnn.lprnn import forward_batch, init_model, load_model, save_model
+from sdrnn.lprnn import forward_batch, init_model, load_model, magnitude_prune, save_model
 from sdrnn.snn_sim import simulate_batch
 
 LOADERS = {"model.npz": load_model, "net.npz": load_network, "raster.txt": load_raster,
@@ -28,6 +30,7 @@ def valid_dir(tmp_path_factory):
     model.norm_stats = {"min": [0.0] * 3, "max": [1.0] * 3}
     model.label_names = ["a", "b"]
     save_model(model, root / "model.npz")
+    save_model(magnitude_prune(model, 0.5), root / "pruned.npz")
     save_network(compile_network(model, TimingConfig(t_ann=0.01, t_snn=0.001), f=5e4),
                  root / "net.npz")
     save_raster(SpikeRaster([1, 3, 3, 8], [0, 2, 1, 0], 10, 3, 0.001), root / "raster.txt")
@@ -151,3 +154,41 @@ def test_model_metadata_value_replaced_is_data_error_or_runs(valid_dir, data):
         forward_batch(model, np.random.default_rng(0).uniform(0.0, 1.0, size=(2, 3, 3)))
     except SdrnnError:
         pass
+
+
+def any_array(shape=None):
+    """Arrays of every scalar dtype (nan and infinities among the floats),
+    of strings and of bytes, of up to three small dimensions or of shape."""
+    shapes = hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4)
+    dtypes = (hnp.scalar_dtypes() | hnp.unicode_string_dtypes(max_len=4)
+              | hnp.byte_string_dtypes(max_len=4))
+    return hnp.arrays(dtypes, shapes if shape is None else shapes | st.just(shape))
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_mask_replaced_is_data_error_or_holds_the_invariant(valid_dir, data):
+    # a mask of another shape ended the first forward pass in a ValueError,
+    # and one of 0.5s or with a nonzero weight under a 0 loaded; a mask is
+    # also drawn for a layer without w_rec, and as a 0/1 array of its
+    # weight's shape
+    with np.load(valid_dir / "pruned.npz") as archive:
+        arrays = dict(archive)
+    n_layers = sum(1 for key in arrays if key.endswith("_w_in"))
+    li, name = data.draw(st.integers(0, n_layers - 1)), data.draw(st.sampled_from(["in", "rec"]))
+    weight = arrays.get(f"l{li}_w_{name}", np.zeros((2, 2)))
+    zero_one = hnp.arrays(st.sampled_from([np.float64, np.int8]), weight.shape,
+                          elements=st.sampled_from([0, 1]))
+    arrays[f"l{li}_mask_{name}"] = data.draw(any_array(weight.shape) | zero_one)
+    path = valid_dir / "edited-pruned.npz"
+    np.savez(path, **arrays)
+    try:
+        model = load_model(path)
+    except DataError:
+        return
+    for layer in model.layers:
+        for w, mask in ((layer.w_in, layer.mask_in), (layer.w_rec, layer.mask_rec)):
+            if mask is not None:
+                assert mask.shape == w.shape and np.isin(mask, (0, 1)).all()
+                assert (w[mask == 0] == 0).all()
+    forward_batch(model, np.random.default_rng(0).uniform(0.0, 1.0, size=(2, 3, 3)))

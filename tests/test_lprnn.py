@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -561,6 +562,46 @@ class TestMagnitudePrune:
         for layer in out.layers:
             if layer.mask_in is not None:
                 assert np.all(layer.w_in[layer.mask_in == 0.0] == 0.0)
+
+
+class TestPruningInvariant:
+    @pytest.mark.parametrize("edit, match", [
+        (lambda w, m: (w, m[:, :-1]), "shape"),
+        (lambda w, m: (w, m * 0.5), "0/1"),
+        (lambda w, m: (w, np.where(m == 0, np.nan, m)), "0/1"),
+        (lambda w, m: (w, m.astype(str)), "0/1"),
+        (lambda w, m: (w, m.tolist()), "0/1"),
+        (lambda w, m: (np.where(m == 0, 0.25, w), m), "nonzero weight under a 0")],
+        ids=["shape", "halves", "nan", "strings", "list", "weight-under-zero"])
+    def test_layer_rejects_a_mask_that_breaks_the_invariant(self, edit, match):
+        layer = magnitude_prune(random_model(np.random.default_rng(23)), 0.5).layers[1]
+        for name in ("in", "rec"):
+            w, mask = edit(getattr(layer, f"w_{name}"), getattr(layer, f"mask_{name}"))
+            with pytest.raises(ConfigError, match=f"mask_{name}.*{match}"):
+                replace(layer, **{f"w_{name}": w, f"mask_{name}": mask})
+
+    def test_mask_without_its_weight_rejected(self):
+        rng = np.random.default_rng(24)
+        with pytest.raises(ConfigError, match="mask_rec"):
+            LpRnnLayer(KIND_INPUT, rng.normal(size=(4, 3)), None, np.zeros(4), 0.5,
+                       np.ones((4, 3)), np.ones((4, 4)))
+
+    def test_a_masked_weight_never_moves(self):
+        # a masked gradient is +-0, so Adam's moments and update stay +0 and
+        # the pruned weights keep their bytes, the sign of a -0.0 among them
+        rng = np.random.default_rng(25)
+        pruned = magnitude_prune(random_model(rng, quantize=True), 0.5)
+        x = rng.uniform(0, 1, size=(8, 6, 3))
+        labels = rng.integers(0, 3, size=8)
+        out = train(pruned, {"train": (x, labels)}, TrainConfig(epochs=3, lr=1e-2, seed=0))
+        negative_zeros = 0
+        for a, b in zip(out.layers, pruned.layers):
+            for name, mask in (("w_in", b.mask_in), ("w_rec", b.mask_rec)):
+                if mask is not None:
+                    before, after = getattr(b, name)[mask == 0], getattr(a, name)[mask == 0]
+                    assert before.tobytes() == after.tobytes()
+                    negative_zeros += int(np.signbit(before).sum())
+        assert negative_zeros > 0
 
 
 class TestModelFile:

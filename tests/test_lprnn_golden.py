@@ -14,7 +14,7 @@ sums, so another BLAS build may round them otherwise.
 import numpy as np
 import pytest
 
-from sdrnn.lprnn import TrainConfig, forward_batch, init_model, train
+from sdrnn.lprnn import TrainConfig, forward_batch, init_model, magnitude_prune, train
 
 from test_engine_golden import Hasher
 
@@ -27,14 +27,26 @@ GOLDEN = {
 }
 
 
-def trained(frames: int):
+#: SHA-256 of the weights and masks after pruning the 30-frame model to half
+#: and fine-tuning it, and of the final logits. The loop-oracle tests
+#: compare with np.array_equal, which takes a -0.0 for a +0.0; these bytes
+#: do not.
+GOLDEN_PRUNED = ("fe23a3dd128914a3a660bd03faa20f530657cb25195952dc57b109ea9dcd4e52",
+                 "22c550b437bc95e4797d11d2cd7f4d7d0fb1c8702562f2fe6414103d6d01beaf")
+
+
+def dataset(frames: int):
     rng = np.random.default_rng([14, frames])
     labels = np.arange(40) % 4
     x = rng.normal(size=(40, frames, 40)) + 0.1 * labels[:, None, None]
+    return {"train": (x, labels)}
+
+
+def trained(frames: int):
+    data = dataset(frames)
     model = init_model(40, (24, 24, 24), 4, (0.6,) * 4, t_ann=0.01, seed=0)
-    model = train(model, {"train": (x, labels)},
-                  TrainConfig(epochs=6, lr=0.01, batch_size=16, seed=0))
-    logits, _ = forward_batch(model, x)
+    model = train(model, data, TrainConfig(epochs=6, lr=0.01, batch_size=16, seed=0))
+    logits, _ = forward_batch(model, data["train"][0])
     return model, logits
 
 
@@ -47,3 +59,19 @@ def test_training_digest(frames):
     scores = Hasher()
     scores.add(logits)
     assert (weights.hexdigest(), scores.hexdigest()) == GOLDEN[frames]
+
+
+def test_pruned_fine_tuning_digest():
+    # the CLI's --prune-sparsity 0.5 --prune-finetune-epochs 3 on the
+    # 30-frame model: a masked weight keeps its sign of zero and never moves
+    model, _ = trained(30)
+    data = dataset(30)
+    model = train(magnitude_prune(model, 0.5), data,
+                  TrainConfig(epochs=3, lr=0.01, batch_size=16, seed=1))
+    logits, _ = forward_batch(model, data["train"][0])
+    weights = Hasher()
+    for layer in model.layers:
+        weights.add(layer.w_in, layer.w_rec, layer.bias, layer.mask_in, layer.mask_rec)
+    scores = Hasher()
+    scores.add(logits)
+    assert (weights.hexdigest(), scores.hexdigest()) == GOLDEN_PRUNED
