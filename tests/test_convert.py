@@ -160,6 +160,8 @@ class TestCompile:
             tau_expected = rescale_tau(alpha_to_tau(layer_model.alpha, TIMING.t_ann), TIMING)
             assert layer_net.tau_s == pytest.approx(tau_expected, rel=1e-12)
             assert layer_net.w_fb == int(round(f / layer_net.tau_s_fx))
+            # a network file's load compares each scalar by type
+            assert type(layer_net.tau_s_fx) is int and type(layer_net.tau_u_fx) is int
 
     def test_alpha_09_tau_in_steps(self):
         # chained formula: (-0.010 / ln 0.9) s expressed in 0.1 ms steps
@@ -247,6 +249,20 @@ class TestSelectScaleFactor:
         peak_w = max(int(np.abs(l.w_in).max()) for l in net.layers if l.w_in is not None)
         assert peak_w == 255
         assert len(trace) == 1
+
+    def test_all_zero_on_chip_weights_start_at_the_state_bound(self):
+        # no mapped weight caps f, and silent probes without biases predict
+        # no peak: the state bound is the one f the search simulates
+        model = quantized_model(np.random.default_rng(18), bias_scale=0.0)
+        for layer in model.layers[1:]:
+            layer.w_in = np.zeros_like(layer.w_in)
+            if layer.w_rec is not None:
+                layer.w_rec = np.zeros_like(layer.w_rec)
+        assert math.isinf(convert._weight_cap(model, TIMING))
+        probes = [FeatureSequence(np.zeros((5, 2)), TIMING.t_ann)]
+        f, trace = select_scale_factor(model, probes, TIMING, return_trace=True)
+        assert trace == [(STATE_LIMIT * CompileConfig().safety_margin, 0.0)]
+        assert f == trace[0][0]
 
     def test_single_neuron_closed_form(self):
         # one encoder unit with unit weight driven at constant v: the peak
@@ -368,13 +384,27 @@ class TestSelectScaleFactor:
                   FeatureSequence(np.full((20, 1), 0.8), TIMING.t_ann)]
         assert convert.predicted_peak(model, probes) == pytest.approx(0.8 * (1 - 0.9 ** 40))
 
-    def test_peak_never_within_bound_raises(self, monkeypatch):
+    @pytest.mark.parametrize("infeasible_from, match", [
+        (math.inf, "no feasible scale factor"), (1, "no feasible scale factor"),
+        (0, "feedback weight below 1")],
+        ids=["peak-over-bound", "w_fb-below-1-after-a-step", "w_fb-below-1-at-the-start"])
+    def test_peak_never_within_bound_raises(self, monkeypatch, infeasible_from, match):
+        # each simulated peak is over the bound, and from the evaluation
+        # after the first infeasible_from ones on, w_fb is below 1: no f is
+        # feasible, and an infeasible first f is raised as it is
         bound = STATE_LIMIT * CompileConfig().safety_margin
-        monkeypatch.setattr(convert, "probe_peak_state",
-                            lambda model, probes, timing, f, config: 2.0 * bound)
+        calls = []
+
+        def peak(model, probes, timing, f, config):
+            calls.append(f)
+            if len(calls) > infeasible_from:
+                raise NumericError(f"f = {f} gives feedback weight below 1")
+            return 2.0 * bound
+
+        monkeypatch.setattr(convert, "probe_peak_state", peak)
         model = quantized_model(np.random.default_rng(15))
         probes = [FeatureSequence(np.zeros((5, 2)), TIMING.t_ann)]
-        with pytest.raises(NumericError, match="no feasible scale factor"):
+        with pytest.raises(NumericError, match=match):
             select_scale_factor(model, probes, TIMING)
 
 
@@ -564,11 +594,12 @@ class TestNetworkFile:
         lambda meta: meta["config"].update(decay_rounding="bogus"),
         lambda meta: meta["config"].update(bogus=1),
         lambda meta: meta["config"].update(safety_margin=math.inf),
+        lambda meta: meta.update(notes=[1]),
     ], ids=["tau-zero", "fractional-tau", "decay-rounding", "unknown-config-key",
-            "infinite-safety-margin"])
+            "infinite-safety-margin", "notes-list"])
     def test_invalid_constants_rejected(self, tmp_path, edit):
         # time constants are integers >= 1, decay_rounding is round or
-        # trunc, and every config key is known
+        # trunc, every config key is known, and the notes are a JSON object
         _, path = self.saved_with_meta(tmp_path, edit)
         with pytest.raises(DataError):
             load_network(path)

@@ -1,3 +1,4 @@
+import json
 import warnings
 from dataclasses import replace
 
@@ -400,6 +401,9 @@ class TestBpttGrads:
         x = rng.uniform(0, 1, size=(1, 4, 3))
         with pytest.raises(NumericError):
             bptt_grads(model, (x, np.array([0])))
+        # train has no loss check of its own: its first step raises the same
+        with pytest.raises(NumericError, match="non-finite loss nan"):
+            train(model, {"train": (x, np.array([0]))}, TrainConfig(epochs=1))
 
 
 class TestFrameLoopOracle:
@@ -547,6 +551,15 @@ class TestMagnitudePrune:
         q = ste_quantize(layer.w_in * layer.mask_in)
         assert np.all(q[layer.mask_in == 0.0] == 0.0)
 
+    def test_pruning_a_pruned_model_keeps_its_zeros(self):
+        # the second, lower sparsity masks no fewer weights than the first
+        once = magnitude_prune(random_model(np.random.default_rng(26)), 0.5)
+        twice = magnitude_prune(once, 0.25)
+        for a, b in zip(twice.layers, once.layers):
+            for name in ("mask_in", "mask_rec"):
+                if getattr(b, name) is not None:
+                    np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+
     def test_sparsity_validation(self):
         rng = np.random.default_rng(19)
         with pytest.raises(ConfigError):
@@ -614,6 +627,10 @@ class TestModelFile:
         path = tmp_path / "model.npz"
         save_model(model, path)
         back = load_model(path)
+        with np.load(path) as data:
+            meta = json.loads(bytes(data["meta"]).decode())
+        assert [sorted(lmeta) for lmeta in meta["layers"]] == [
+            ["alpha", "fan_in", "kind", "size"]] * len(model.layers)
         assert back.label_names == ["a", "b", "c"]
         assert back.quantize and back.bits == 3
         for a, b in zip(back.layers, model.layers):
@@ -625,7 +642,8 @@ class TestModelFile:
 
     def test_file_with_quantized_copies_loads(self, tmp_path):
         # files written before save_model dropped the unread l{k}_*_q and
-        # l{k}_*_scale arrays load to the same model
+        # l{k}_*_scale arrays and each layer's "pruned" flag load to the
+        # same model
         rng = np.random.default_rng(22)
         model = random_model(rng, quantize=True)
         path = tmp_path / "model.npz"
@@ -639,6 +657,10 @@ class TestModelFile:
                     q, scale = quantize_levels(w, model.bits)
                     arrays[f"l{li}_{name}_q"] = q
                     arrays[f"l{li}_{name}_scale"] = np.array(scale)
+        meta = json.loads(bytes(arrays["meta"]).decode())
+        for lmeta, layer in zip(meta["layers"], model.layers):
+            lmeta["pruned"] = layer.mask_in is not None
+        arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
         old = tmp_path / "old.npz"
         np.savez(old, **arrays)
         a, b = load_model(path), load_model(old)

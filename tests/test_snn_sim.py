@@ -513,6 +513,10 @@ class TestBasics:
         net = compile_network(toy_model(rng), TIMING, f=5e4)
         with pytest.raises(DataError):
             simulate(net, FeatureSequence(np.zeros((5, 3)), TIMING.t_ann))
+        # simulate_batch's own shape check is the engine's only one
+        for x in (np.zeros((5, 2)), np.zeros((0, 5, 2))):
+            with pytest.raises(DataError, match="simulate_batch expects"):
+                simulate_batch(net, x)
 
 
 class TestTrackingBehavior:
