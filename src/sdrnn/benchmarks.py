@@ -8,6 +8,12 @@ random 3-bit-quantized weights and then calibrates per-unit biases so mean
 pre-activations land in the active region of the clamped ReLU, the regime
 trained networks occupy (low-activity units are what magnitude pruning
 removes before conversion).
+
+Constants: a probe is a tanh-squashed random walk (steps of sd 0.2) at
+0.5 +- 0.4 that rises over an 8-frame onset. Weights are normal, sd 0.8 /
+sqrt(fan_in) in and 0.5 / sqrt(size) recurrent; mean pre-activations are
+steered into (0.2, 0.45), the output layer's into (0.1, 0.55). Every layer
+has alpha 0.6, and frames are 10 ms.
 """
 
 from __future__ import annotations
@@ -19,19 +25,18 @@ import numpy as np
 from .lprnn import LpRnnModel, cell_forward, init_model
 
 
-def make_smooth_input(rng: np.random.Generator, frames: int, dims: int,
-                      ramp: int = 8, level: float = 0.5, swing: float = 0.4) -> np.ndarray:
+def make_smooth_input(rng: np.random.Generator, frames: int, dims: int) -> np.ndarray:
     """Smooth random trajectories in [0, 1] with a smooth onset ramp.
 
     A bounded random walk squashed through tanh, multiplied by a raised-cosine
-    onset over the first `ramp` frames so the signal rises from rest instead
+    onset over the first 8 frames so the signal rises from rest instead
     of stepping at frame zero (a spiking cascade starts silent and cannot
     match a discontinuous onset).
     """
     walk = np.cumsum(rng.normal(0.0, 0.2, size=(frames, dims)), axis=0)
-    sig = level + swing * np.tanh(walk / 3.0)
+    sig = 0.5 + 0.4 * np.tanh(walk / 3.0)
     t = np.arange(frames)[:, None]
-    env = np.where(t < ramp, 0.5 * (1.0 - np.cos(np.pi * t / np.maximum(ramp, 1))), 1.0)
+    env = np.where(t < 8, 0.5 * (1.0 - np.cos(np.pi * t / 8)), 1.0)
     return sig * env
 
 
@@ -46,29 +51,22 @@ def _run_layer(layer, h: np.ndarray) -> np.ndarray:
 
 def make_random_model(rng: np.random.Generator, n_in: int = 8,
                       hidden: tuple[int, ...] = (32, 32, 32), n_out: int = 4,
-                      alpha: float = 0.6, calib_frames: int = 30,
-                      weight_scale: float = 0.8, rec_scale: float = 0.5,
-                      target_range: tuple[float, float] = (0.2, 0.45),
-                      out_target_range: tuple[float, float] | None = (0.1, 0.55),
-                      t_ann: float = 0.01) -> LpRnnModel:
+                      calib_frames: int = 30) -> LpRnnModel:
     """Random quantized model with biases calibrated on a smooth probe.
 
     One shared alpha (the usual hyperparameter setup); per-unit mean
-    pre-activations are steered into target_range by two bias passes, the
-    second folding in the recurrent drive observed after the first.
+    pre-activations are steered into their target range by two bias passes,
+    the second folding in the recurrent drive observed after the first.
     """
-    model = init_model(n_in, hidden, n_out, (alpha,) * (len(hidden) + 1),
-                       t_ann=t_ann, seed=int(rng.integers(1 << 30)))
+    model = init_model(n_in, hidden, n_out, (0.6,) * (len(hidden) + 1),
+                       t_ann=0.01, seed=int(rng.integers(1 << 30)))
     h = make_smooth_input(rng, calib_frames, n_in)
     for layer in model.layers:
-        layer.w_in = rng.normal(0.0, weight_scale / np.sqrt(layer.fan_in),
-                                size=layer.w_in.shape)
+        layer.w_in = rng.normal(0.0, 0.8 / np.sqrt(layer.fan_in), size=layer.w_in.shape)
         if layer.w_rec is not None:
-            layer.w_rec = rng.normal(0.0, rec_scale / np.sqrt(layer.size),
-                                     size=layer.w_rec.shape)
-        rng_range = (out_target_range if layer is model.layers[-1]
-                     and out_target_range is not None else target_range)
-        target = rng.uniform(*rng_range, size=layer.size)
+            layer.w_rec = rng.normal(0.0, 0.5 / np.sqrt(layer.size), size=layer.w_rec.shape)
+        target_range = (0.1, 0.55) if layer is model.layers[-1] else (0.2, 0.45)
+        target = rng.uniform(*target_range, size=layer.size)
         layer.bias = np.zeros(layer.size)
         w_in, w_rec = model.effective_weights(layer)
         for _ in range(2):

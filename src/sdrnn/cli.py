@@ -39,11 +39,8 @@ def _write_json(path, payload) -> None:
         fh.write("\n")
 
 
-def _resolved_config(args: argparse.Namespace, command: str) -> dict:
-    skip = {"func", "config"}
-    resolved = {k: v for k, v in sorted(vars(args).items()) if k not in skip}
-    resolved["command"] = command
-    return resolved
+def _resolved_config(args: argparse.Namespace) -> dict:
+    return {k: v for k, v in sorted(vars(args).items()) if k not in ("func", "config")}
 
 
 def _with_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser,
@@ -112,29 +109,30 @@ def positive_number(text: str) -> float:
     return value
 
 
+def _fraction(text: str) -> float:
+    """argparse type: a number in [0, 1)."""
+    if not 0 <= (value := float(text)) < 1:
+        raise argparse.ArgumentTypeError(f"must be a number in [0, 1), not {text!r}")
+    return value
+
+
 def _mel_config(args) -> af.MelConfig:
     return af.MelConfig(**{f.name: getattr(args, f.name) for f in fields(af.MelConfig)})
 
 
 def _feature_one(job) -> dict:
-    wav_path, key, cache_dir = job
+    wav_path, key, cache_dir, mel_cfg = job
     out = Path(cache_dir) / f"{key}.npz"
     if out.exists():
         return {"key": key, "cached": True, "error": None}
     try:
-        clip = af.load_wav(wav_path)
-        cfg = _feature_one.mel_cfg
-        feats = af.mel_spectrogram(clip, cfg)
+        feats = af.mel_spectrogram(af.load_wav(wav_path), mel_cfg)
         tmp = out.with_suffix(".tmp.npz")
         np.savez(tmp, data=feats.data, frame_period=feats.frame_period)
         os.replace(tmp, out)
         return {"key": key, "cached": False, "error": None}
-    except (DataError, ConfigError) as exc:
+    except DataError as exc:
         return {"key": key, "cached": False, "error": str(exc)}
-
-
-def _feature_pool_init(cfg):
-    _feature_one.mel_cfg = cfg
 
 
 def cmd_features(args) -> int:
@@ -150,18 +148,15 @@ def cmd_features(args) -> int:
         if not wav_path.exists():
             raise DataError(f"{wav_path}: listed in manifest but missing")
         key = af.cache_key(wav_path, mel_cfg)
-        jobs.append((wav_path, key, cache_dir))
+        jobs.append((wav_path, key, cache_dir, mel_cfg))
         index.append({**row, "key": key})
 
     if args.workers > 1 and jobs:
-        with ProcessPoolExecutor(max_workers=args.workers,
-                                 initializer=_feature_pool_init,
-                                 initargs=(mel_cfg,)) as pool:
+        with ProcessPoolExecutor(max_workers=args.workers) as pool:
             # about four chunks per worker: one IPC round trip per chunk
             chunk = max(1, len(jobs) // (4 * args.workers))
             results = list(pool.map(_feature_one, jobs, chunksize=chunk))
     else:
-        _feature_pool_init(mel_cfg)
         results = [_feature_one(job) for job in jobs]
 
     failures = [(row["path"], res["error"]) for row, res in zip(rows, results)
@@ -182,7 +177,7 @@ def cmd_features(args) -> int:
     payload = {"mel_config": asdict(mel_cfg), "mel_digest": mel_cfg.digest(),
                "norm_stats": stats, "entries": index}
     _write_json(cache_dir / "features_index.json", payload)
-    _write_json(cache_dir / "features.config.json", _resolved_config(args, "features"))
+    _write_json(cache_dir / "features.config.json", _resolved_config(args))
     print(f"features: {len(rows)} files ({hits} cache hits) -> {cache_dir}")
     return 0
 
@@ -289,7 +284,7 @@ def cmd_train(args) -> int:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_model(model, out)
-    _write_json(str(out) + ".config.json", _resolved_config(args, "train"))
+    _write_json(str(out) + ".config.json", _resolved_config(args))
     print(f"train: model -> {out} (train accuracy {acc:.3f}, "
           f"classes {','.join(label_names)})")
     return 0
@@ -320,7 +315,7 @@ def cmd_convert(args) -> int:
         fh.write(report)
     # the f used, so that a replay of this file compiles the same network
     _write_json(str(out) + ".config.json",
-                {**_resolved_config(args, "convert"), "f": f, "f_search_evals": len(trace or ())})
+                {**_resolved_config(args), "f": f, "f_search_evals": len(trace or ())})
     print(f"convert: f = {f:.6g}, network -> {out}")
     return 0
 
@@ -409,7 +404,7 @@ def cmd_evaluate(args) -> int:
         fh.write("index,label,prediction,margin_or_tracking,spikes\n")
         for row in rows:
             fh.write(",".join(str(v) for v in row) + "\n")
-    _write_json(str(out) + ".config.json", _resolved_config(args, "evaluate"))
+    _write_json(str(out) + ".config.json", _resolved_config(args))
     print(f"evaluate[{metrics['mode']}]: accuracy {metrics['accuracy']:.3f} "
           f"on {metrics['n_samples']} samples -> {out}")
     return 0
@@ -442,7 +437,7 @@ def cmd_compare(args) -> int:
                 for unit in range(ann_tr.shape[1]):
                     fh.write(f"{frame},{li},{unit},{ann_tr[frame, unit]:.8g},"
                              f"{snn_tr[frame, unit]:.8g}\n")
-    _write_json(out_dir / "compare.config.json", _resolved_config(args, "compare"))
+    _write_json(out_dir / "compare.config.json", _resolved_config(args))
     worst = max(e["relative_mse"] for e in report["per_layer"])
     print(f"compare: sample {args.sample_index} ({report['label']}), "
           f"worst layer relative MSE {worst:.3e} -> {out_dir}")
@@ -481,7 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--clamp", type=float, default=1.0)
     p.add_argument("--bits", type=int, default=3)
     p.add_argument("--readout-fraction", type=float, default=0.25)
-    p.add_argument("--prune-sparsity", type=float, default=0.0)
+    p.add_argument("--prune-sparsity", type=_fraction, default=0.0)
     p.add_argument("--prune-finetune-epochs", type=_integer(0), default=0)
     p.add_argument("--config")
     p.set_defaults(func=cmd_train)

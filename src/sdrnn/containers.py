@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,14 +27,6 @@ class FeatureSequence:
             raise DataError(f"feature data must be 2-D [frames, features], got {self.data.shape}")
         if not self.frame_period > 0:
             raise DataError("frame_period must be positive")
-
-    @property
-    def n_frames(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def n_features(self) -> int:
-        return self.data.shape[1]
 
 
 @dataclass
@@ -68,10 +60,6 @@ class SpikeRaster:
         order = np.lexsort((self.units, self.times))
         self.times = self.times[order]
         self.units = self.units[order]
-
-    @property
-    def n_spikes(self) -> int:
-        return int(self.times.size)
 
     def dense(self) -> np.ndarray:
         """Dense boolean [duration, population] matrix (small rasters only)."""

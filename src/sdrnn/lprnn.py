@@ -44,6 +44,7 @@ import numpy as np
 
 from .containers import FeatureSequence
 from .errors import ConfigError, DataError, NumericError, npz_file, npz_meta, npz_write
+from .numerics import round_half_away
 
 KIND_INPUT = "input_lowpass"
 KIND_RECURRENT = "recurrent"
@@ -82,8 +83,7 @@ def quantize_levels(w: np.ndarray, bits: int = 3) -> tuple[np.ndarray, float]:
     top = (1 << (bits - 1)) - 1
     peak = float(np.abs(w).max()) if w.size else 0.0
     scale = peak / top if peak / top > 0 else 1.0
-    raw = w / scale
-    levels = np.sign(raw) * np.floor(np.abs(raw) + 0.5)
+    levels = round_half_away(w / scale)
     # np.clip's dispatch costs more than the two ufuncs on small tensors
     levels = np.minimum(np.maximum(levels, -top), top)
     return levels.astype(np.int8), scale
@@ -448,9 +448,8 @@ class TrainConfig:
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
-def _model_accuracy(model: LpRnnModel, x: np.ndarray, labels: np.ndarray,
-                    batch: int = 256) -> tuple[float, float]:
-    correct, total, loss_sum = 0, 0, 0.0
+def _model_accuracy(model: LpRnnModel, x: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
+    correct, total, loss_sum, batch = 0, 0, 0.0, 256
     for lo in range(0, x.shape[0], batch):
         logits, _ = forward_batch(model, x[lo:lo + batch])
         pred = logits.argmax(axis=1)

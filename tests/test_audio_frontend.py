@@ -169,8 +169,7 @@ class TestMelSpectrogram:
         clip = AudioClip(np.zeros(16000), CFG.sample_rate)
         feats = mel_spectrogram(clip, CFG)
         assert feats.frame_period == pytest.approx(0.01)
-        assert feats.n_frames == 1 + (16000 - CFG.n_fft) // CFG.hop_length
-        assert feats.n_features == CFG.n_mels
+        assert feats.data.shape == (1 + (16000 - CFG.n_fft) // CFG.hop_length, CFG.n_mels)
 
     def test_determinism_bit_for_bit(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -213,3 +212,19 @@ class TestManifestAndCache:
         save_wav(p1, np.ones(1600) * 0.5, 16000)
         assert cache_key(p1, CFG) != k1
         assert cache_key(p1, MelConfig(n_mels=30)) != cache_key(p1, CFG)
+
+
+@pytest.mark.parametrize("call, error, match", [
+    pytest.param(lambda: MelConfig(n_fft=500), ConfigError, "power of two", id="n_fft"),
+    pytest.param(lambda: MelConfig(f_min=8000.0), ConfigError, "f_min", id="f_min"),
+    pytest.param(lambda: MelConfig(hop_length=0), ConfigError, "hop_length", id="hop_length"),
+    pytest.param(lambda: MelConfig(log_floor=0.0), ConfigError, "log_floor", id="log_floor"),
+    pytest.param(lambda: mel_filterbank(MelConfig(n_fft=64, n_mels=40)), ConfigError, "empty",
+                 id="empty-filter"),
+    pytest.param(lambda: mel_spectrogram(AudioClip(np.zeros(16000), 8000), CFG), DataError,
+                 "sample rate", id="sample-rate"),
+    pytest.param(lambda: compute_norm_stats([]), DataError, "empty split", id="empty-split"),
+])
+def test_input_check(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

@@ -215,12 +215,14 @@ class TestTrainCommand:
 
     @pytest.mark.parametrize("flag, value", [
         ("--batch-size", "0"), ("--epochs", "-1"), ("--lr", "-1"),
-        ("--prune-finetune-epochs", "-1")])
+        ("--prune-finetune-epochs", "-1"), ("--prune-sparsity", "-0.5"),
+        ("--prune-sparsity", "nan"), ("--prune-sparsity", "1")])
     def test_size_or_step_out_of_range_is_config_error(self, workspace, tmp_path, capsys,
                                                        flag, value):
         # a batch size of 0 ended in a ValueError traceback; a negative
         # epoch count wrote an untrained model and a negative lr a
-        # gradient-ascended one
+        # gradient-ascended one; a negative or NaN sparsity wrote an
+        # unpruned model, and 1 failed only after training
         out = tmp_path / "m.npz"
         assert main(tiny_train(workspace, out) + [flag, value]) == 2
         err = capsys.readouterr().err
@@ -903,6 +905,24 @@ def test_arbitrary_metadata_or_index_exits_with_a_documented_code(workspace, fuz
     }
     for args in runs[target]:
         assert main(args) in (0, 2, 3, 4), args
+
+
+@pytest.mark.parametrize("command, flags, code", [
+    ("features", ["--n-fft", "500"], 2), ("features", ["--f-min", "8000"], 2),
+    ("features", ["--hop-length", "0"], 2), ("features", ["--log-floor", "0"], 2),
+    ("features", ["--n-fft", "64", "--n-mels", "40"], 2),
+    ("features", ["--sample-rate", "8000", "--f-max", "4000"], 3),
+    ("train", ["--alpha", "0.5", "0.5"], 2)],
+    ids=["n_fft", "f_min", "hop_length", "log_floor", "empty-filter", "sample-rate",
+         "alpha-count"])
+def test_input_check_exits_with_its_code(workspace, tmp_path, capsys, command, flags, code):
+    # a filter bank that n_fft cannot fill is the configuration's fault, not
+    # each file's, and exited 3
+    argv = (["features", "--manifest", str(workspace["manifest"]),
+             "--features", str(tmp_path / "cache")] if command == "features"
+            else tiny_train(workspace, tmp_path / "m.npz"))
+    assert main(argv + flags) == code
+    assert "Traceback" not in capsys.readouterr().err
 
 
 class TestCompareCommand:

@@ -595,11 +595,13 @@ class TestNetworkFile:
         lambda meta: meta["config"].update(bogus=1),
         lambda meta: meta["config"].update(safety_margin=math.inf),
         lambda meta: meta.update(notes=[1]),
+        lambda meta: meta["layers"][1].update(bogus=1),
     ], ids=["tau-zero", "fractional-tau", "decay-rounding", "unknown-config-key",
-            "infinite-safety-margin", "notes-list"])
+            "infinite-safety-margin", "notes-list", "unknown-layer-key"])
     def test_invalid_constants_rejected(self, tmp_path, edit):
         # time constants are integers >= 1, decay_rounding is round or
-        # trunc, every config key is known, and the notes are a JSON object
+        # trunc, every config and layer key is known, and the notes are a
+        # JSON object
         _, path = self.saved_with_meta(tmp_path, edit)
         with pytest.raises(DataError):
             load_network(path)
@@ -617,3 +619,15 @@ class TestNetworkFile:
         _, path = self.saved_with_meta(tmp_path, lambda meta: meta["config"].update({key: 50.0}))
         with pytest.raises(DataError, match=key):
             load_network(path)
+
+
+@pytest.mark.parametrize("call, match", [
+    pytest.param(lambda: alpha_to_tau(0.5, 0.0), "t_s", id="frame-period"),
+    pytest.param(lambda: map_weights(np.ones(2), 0.0, 2.0, 2.0), "scale factor",
+                 id="weight-scale-factor"),
+    pytest.param(lambda: map_bias(np.ones(2), 0.0, 2.0), "scale factor",
+                 id="bias-scale-factor"),
+])
+def test_input_check(call, match):
+    with pytest.raises(ConfigError, match=match):
+        call()

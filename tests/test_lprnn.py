@@ -1,3 +1,4 @@
+import io
 import json
 import warnings
 from dataclasses import replace
@@ -675,3 +676,60 @@ class TestModelFile:
         np.savez(path, a=np.zeros(3))
         with pytest.raises(DataError):
             load_model(path)
+
+
+def model_file(**meta) -> io.BytesIO:
+    """A saved model whose metadata meta has changed."""
+    saved = io.BytesIO()
+    save_model(random_model(np.random.default_rng(0)), saved)
+    with np.load(io.BytesIO(saved.getvalue())) as data:
+        arrays = dict(data)
+    edited = json.loads(bytes(arrays["meta"]).decode()) | meta
+    arrays["meta"] = np.frombuffer(json.dumps(edited).encode(), dtype=np.uint8)
+    out = io.BytesIO()
+    np.savez(out, **arrays)
+    out.seek(0)
+    return out
+
+
+def bare_layer(kind, w_in=np.zeros((2, 2)), w_rec=None, bias=np.zeros(2), alpha=0.5):
+    return LpRnnLayer(kind, w_in, w_rec, bias, alpha)
+
+
+@pytest.mark.parametrize("call, error, match", [
+    pytest.param(lambda: clamped_relu(np.zeros(2), 0.0), ConfigError, "clamp ceiling",
+                 id="clamp-ceiling"),
+    pytest.param(lambda: quantize_levels(np.ones(2), bits=1), ConfigError, "2 bits",
+                 id="quantizer-bits"),
+    pytest.param(lambda: bare_layer(KIND_RECURRENT, w_rec=np.zeros((2, 3))), ConfigError, "square",
+                 id="w_rec-not-square"),
+    pytest.param(lambda: bare_layer(KIND_INPUT, w_rec=np.zeros((2, 2))), ConfigError,
+                 "must not have w_rec", id="feedforward-w_rec"),
+    pytest.param(lambda: bare_layer(KIND_INPUT, bias=np.zeros(3)), ConfigError, "bias shape",
+                 id="bias-shape"),
+    pytest.param(lambda: LpRnnModel([bare_layer(KIND_OUTPUT)], t_ann=0.01), ConfigError,
+                 "layer stack", id="stack-order"),
+    pytest.param(lambda: LpRnnModel([bare_layer(KIND_INPUT, np.zeros((3, 2)), bias=np.zeros(3)),
+                                     bare_layer(KIND_OUTPUT)], t_ann=0.01),
+                 ConfigError, "width mismatch", id="width-mismatch"),
+    pytest.param(lambda: LpRnnModel([bare_layer(KIND_INPUT, alpha=1.0), bare_layer(KIND_OUTPUT)],
+                                    t_ann=0.01), ConfigError, "alpha must be < 1",
+                 id="alpha-one"),
+    pytest.param(lambda: init_model(2, (), 2, (0.5,), t_ann=0.01), ConfigError,
+                 "hidden layer", id="no-hidden-layer"),
+    pytest.param(lambda: init_model(2, (3,), 2, (0.5,), t_ann=0.01), ConfigError,
+                 "one alpha per layer", id="alpha-count"),
+    pytest.param(lambda: forward_batch(random_model(np.random.default_rng(0)), np.zeros((2, 3))),
+                 DataError, "batch input", id="batch-rank"),
+    pytest.param(lambda: forward_batch(random_model(np.random.default_rng(0)),
+                                       np.zeros((1, 3, 5))),
+                 DataError, "feature width", id="feature-width"),
+    pytest.param(lambda: bptt_grads(random_model(np.random.default_rng(0)),
+                                    (np.zeros((0, 3, 3)), np.zeros(0, dtype=np.int64))),
+                 DataError, "empty batch", id="empty-batch"),
+    pytest.param(lambda: load_model(model_file(label_names=[1, 2, 3])), DataError,
+                 "label_names", id="label-names"),
+])
+def test_input_check(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

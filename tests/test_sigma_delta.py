@@ -111,7 +111,7 @@ class TestEncodeAnalog:
     def test_zero_signal_empty_raster(self):
         sig = FeatureSequence(np.zeros((20, 3)), frame_period=0.01)
         raster = encode_analog(sig, DEFAULTS, oversample=10)
-        assert raster.n_spikes == 0
+        assert raster.times.size == 0
         assert raster.duration == 200
         assert raster.population == 3
 
@@ -223,3 +223,33 @@ class TestRasterSerialization:
     def test_rejects_out_of_range_events(self):
         with pytest.raises(DataError):
             SpikeRaster(np.array([10]), np.array([0]), duration=10, population=1, dt=1e-4)
+
+
+@pytest.mark.parametrize("call, error, match", [
+    pytest.param(lambda: NeuronParams(w_fb=0.0), ConfigError, "w_fb", id="w_fb"),
+    pytest.param(lambda: NeuronParams(clamp_ceiling=0.0), ConfigError, "clamp_ceiling",
+                 id="clamp-ceiling"),
+    pytest.param(lambda: encode_analog(FeatureSequence(np.zeros((2, 1)), 0.01), DEFAULTS, 0),
+                 ConfigError, "oversample", id="oversample"),
+    pytest.param(lambda: encode_analog(FeatureSequence(np.zeros((2, 1)), 0.01),
+                                       NeuronParams(tau_u=math.inf), 4),
+                 ConfigError, "finite tau", id="infinite-tau"),
+    pytest.param(lambda: encode_analog(FeatureSequence(np.full((2, 1), 1.5), 0.01), DEFAULTS, 4),
+                 DataError, "clamp ceiling", id="above-ceiling"),
+])
+def test_input_check(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
+
+
+@pytest.mark.parametrize("call, match", [
+    pytest.param(lambda: FeatureSequence(np.zeros(3), 0.01), "2-D", id="feature-rank"),
+    pytest.param(lambda: FeatureSequence(np.zeros((3, 2)), 0.0), "frame_period",
+                 id="frame-period"),
+    pytest.param(lambda: SpikeRaster([0, 1], [0], 5, 2, 1e-3), "equal length",
+                 id="raster-lengths"),
+    pytest.param(lambda: SpikeRaster([0], [2], 5, 2, 1e-3), "unit id", id="raster-unit"),
+])
+def test_container_input_check(call, match):
+    with pytest.raises(DataError, match=match):
+        call()

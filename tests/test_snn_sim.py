@@ -404,7 +404,7 @@ class TestBasics:
         net = compile_network(model, TIMING, f=5e4)
         trace = simulate(net, FeatureSequence(np.zeros((10, 2)), TIMING.t_ann),
                          probe=output_probe(net))
-        assert all(r.n_spikes == 0 for r in trace.rasters)
+        assert all(r.times.size == 0 for r in trace.rasters)
         assert trace.peak_state == 0.0
         assert np.all(trace.probes[(2, "s")] == 0.0)
 
@@ -849,8 +849,7 @@ class TestCompareActivations:
 
         timing = TimingConfig(t_ann=0.01, t_snn=0.0001)
         rng = np.random.default_rng(12)
-        model = make_random_model(rng, n_in=2, hidden=(6, 6), n_out=2,
-                                  alpha=0.6, t_ann=timing.t_ann)
+        model = make_random_model(rng, n_in=2, hidden=(6, 6), n_out=2)
         feats = FeatureSequence(make_smooth_input(rng, 25, 2), timing.t_ann)
         _, ann_traces = forward_sequence(model, feats)
         f = select_scale_factor(model, [feats], timing)
@@ -859,3 +858,25 @@ class TestCompareActivations:
         report = compare_activations(ann_traces, trace, net)
         for entry in report["per_layer"]:
             assert entry["relative_mse"] < 1e-2, report
+
+
+def toy_net():
+    return compile_network(toy_model(np.random.default_rng(13)), TIMING, f=5e4)
+
+
+@pytest.mark.parametrize("call, error, match", [
+    pytest.param(lambda: simulate_batch(toy_net(), np.zeros((1, 3, 2)), mode="bogus"),
+                 ConfigError, "unknown simulation mode", id="unknown-mode"),
+    pytest.param(lambda: simulate(toy_net(), SpikeRaster([], [], 10, 2, TIMING.t_snn)),
+                 DataError, "raster population", id="raster-population"),
+    pytest.param(lambda: simulate(toy_net(), SpikeRaster([], [], 15, 3, TIMING.t_snn)),
+                 DataError, "multiple of the oversample", id="raster-duration"),
+    pytest.param(lambda: simulate(toy_net(), np.zeros((3, 2))), DataError,
+                 "unsupported input type", id="input-type"),
+    pytest.param(lambda: compare_activations(
+        [], simulate(toy_net(), FeatureSequence(np.zeros((3, 2)), TIMING.t_ann)), toy_net()),
+                 DataError, "layer traces", id="trace-count"),
+])
+def test_input_check(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
