@@ -4,8 +4,11 @@ Every command writes a resolved-config JSON next to its primary output so a
 run can be replayed bit-for-bit. A --config file's values pass through the
 same argparse types and choices as flags, and the flags given win. evaluate,
 compare and convert read only features of the model's classes, frame period
-and norm_stats. Exit codes: 0 success, 2 configuration error (sizes that do
-not fit in memory among them), 3 data error, 4 numeric failure.
+and norm_stats. train and evaluate read every feature archive of their
+split, convert only the first --probes of --probe-split, and compare only
+the one at --sample-index. Exit codes: 0 success, 2 configuration error
+(sizes that do not fit in memory among them), 3 data error, 4 numeric
+failure.
 """
 
 from __future__ import annotations
@@ -120,19 +123,37 @@ def _mel_config(args) -> af.MelConfig:
     return af.MelConfig(**{f.name: getattr(args, f.name) for f in fields(af.MelConfig)})
 
 
+def _extent(data: np.ndarray) -> np.ndarray:
+    """A clip's per-feature min and max as two rows: compute_norm_stats over
+    these rows of each clip equals it over every frame of each."""
+    return np.stack([data.min(axis=0), data.max(axis=0)])
+
+
 def _feature_one(job) -> dict:
-    wav_path, key, cache_dir, mel_cfg = job
+    """Write one clip's feature archive unless it is cached; for a training
+    clip, also return its extent, read back from a cached archive."""
+    wav_path, key, cache_dir, mel_cfg, train = job
     out = Path(cache_dir) / f"{key}.npz"
-    if out.exists():
-        return {"key": key, "cached": True, "error": None}
+    result = {"cached": out.exists(), "error": None, "extent": None}
     try:
-        feats = af.mel_spectrogram(af.load_wav(wav_path), mel_cfg)
-        tmp = out.with_suffix(".tmp.npz")
-        np.savez(tmp, data=feats.data, frame_period=feats.frame_period)
-        os.replace(tmp, out)
-        return {"key": key, "cached": False, "error": None}
+        if not result["cached"]:
+            feats = af.mel_spectrogram(af.load_wav(wav_path), mel_cfg)
+            tmp = out.with_suffix(".tmp.npz")
+            np.savez(tmp, data=feats.data, frame_period=feats.frame_period)
+            os.replace(tmp, out)
+            if train:
+                result["extent"] = _extent(feats.data)
+        elif train:
+            with npz_file(out) as data:
+                raw = data["data"]
+            if not (raw.ndim == 2 and raw.shape[0] > 0 and raw.shape[1] == mel_cfg.n_mels
+                    and raw.dtype.kind in "iuf"):
+                raise DataError(f"{out}: cached feature data must be a 2-D array of numbers "
+                                f"{mel_cfg.n_mels} wide, not {raw.dtype} {raw.shape}")
+            result["extent"] = _extent(raw)
     except DataError as exc:
-        return {"key": key, "cached": False, "error": str(exc)}
+        result["error"] = str(exc)
+    return result
 
 
 def cmd_features(args) -> int:
@@ -148,7 +169,7 @@ def cmd_features(args) -> int:
         if not wav_path.exists():
             raise DataError(f"{wav_path}: listed in manifest but missing")
         key = af.cache_key(wav_path, mel_cfg)
-        jobs.append((wav_path, key, cache_dir, mel_cfg))
+        jobs.append((wav_path, key, cache_dir, mel_cfg, row["split"] == "train"))
         index.append({**row, "key": key})
 
     if args.workers > 1 and jobs:
@@ -168,12 +189,8 @@ def cmd_features(args) -> int:
             print(f"  {path}: {error}", file=sys.stderr)
         raise DataError(f"{len(failures)} of {len(rows)} files failed")
 
-    train_feats = []
-    for entry in index:
-        if entry["split"] == "train":
-            with npz_file(cache_dir / f"{entry['key']}.npz") as data:
-                train_feats.append(data["data"])
-    stats = af.compute_norm_stats(train_feats) if train_feats else None
+    extents = [res["extent"] for res in results if res["extent"] is not None]
+    stats = af.compute_norm_stats(extents) if extents else None
     payload = {"mel_config": asdict(mel_cfg), "mel_digest": mel_cfg.digest(),
                "norm_stats": stats, "entries": index}
     _write_json(cache_dir / "features_index.json", payload)
@@ -182,9 +199,14 @@ def cmd_features(args) -> int:
     return 0
 
 
-def _load_split(features_dir: Path, split: str, optional: bool = False):
-    """Stacked features/labels for one split, trimmed to the shortest
-    sequence so they batch; None for an optional split not in the index."""
+def _load_split(features_dir: Path, split: str, optional: bool = False,
+                take: slice = slice(None)):
+    """Stacked features/labels of the entries of one split that take selects
+    (all by default), trimmed to the shortest of those clips so they batch;
+    None for an optional split not in the index. Only the selected archives
+    are opened: train and evaluate read the whole split, convert the first
+    --probes entries and compare the entry at --sample-index. A selection of
+    no entry is a ConfigError that gives the split's size."""
     index_path = features_dir / "features_index.json"
     if not index_path.exists():
         raise DataError(f"{features_dir}: no features_index.json; run `features` first")
@@ -211,10 +233,13 @@ def _load_split(features_dir: Path, split: str, optional: bool = False):
             and all(_real(v) and math.isfinite(v) for v in lo + hi)):
         raise DataError(f"{index_path}: norm_stats must hold min and max lists of finite "
                         "numbers of one length")
+    if not (chosen := entries[take]):
+        raise ConfigError(f"sample index {take.start} outside split {split!r} "
+                          f"of {len(entries)} samples")
     label_names = sorted({e["label"] for e in rows})
     label_ids = {name: k for k, name in enumerate(label_names)}
     feats, labels, periods = [], [], []
-    for entry in entries:
+    for entry in chosen:
         path = features_dir / f"{entry['key']}.npz"
         with npz_file(path) as data:
             raw, period = data["data"], data["frame_period"]
@@ -235,11 +260,11 @@ def _load_split(features_dir: Path, split: str, optional: bool = False):
     return x, np.array(labels, dtype=np.int64), label_names, periods[0], stats
 
 
-def _model_split(model, features_dir: Path, split: str):
+def _model_split(model, features_dir: Path, split: str, take: slice = slice(None)):
     """_load_split's features, labels, class names and frame period, if they
     are the model's inputs: its classes, t_ann and norm_stats (a field that
     the model leaves None is not checked)."""
-    x, labels, names, t_ann, stats = _load_split(features_dir, split)
+    x, labels, names, t_ann, stats = _load_split(features_dir, split, take=take)
     for what, ours, theirs in (("number of classes", len(names), model.n_classes),
                                ("class names", names, model.label_names),
                                ("frame period", t_ann, model.t_ann),
@@ -300,8 +325,9 @@ def cmd_convert(args) -> int:
         if args.features is None:
             raise ConfigError("need --features (and a manifest with a train "
                               "split) to select f, or pass --f explicitly")
-        x, _, _, t_ann = _model_split(model, Path(args.features), args.probe_split)
-        probes = [FeatureSequence(x[k], t_ann) for k in range(min(args.probes, len(x)))]
+        x, _, _, t_ann = _model_split(model, Path(args.features), args.probe_split,
+                                      slice(args.probes))
+        probes = [FeatureSequence(clip, t_ann) for clip in x]
         predicted = predicted_peak(model, probes)
         f, trace = select_scale_factor(model, probes, timing, cfg, return_trace=True,
                                        predicted=predicted)
@@ -413,16 +439,15 @@ def cmd_evaluate(args) -> int:
 def cmd_compare(args) -> int:
     net = load_network(args.net)
     model = net.source_model
-    x, labels, label_names, t_ann = _model_split(model, Path(args.features), args.split)
-    if not 0 <= args.sample_index < len(labels):
-        raise ConfigError(f"sample index {args.sample_index} outside split "
-                          f"of {len(labels)} samples")
-    feats = FeatureSequence(x[args.sample_index], t_ann)
+    x, labels, label_names, t_ann = _model_split(
+        model, Path(args.features), args.split,
+        slice(args.sample_index, args.sample_index + 1))
+    feats = FeatureSequence(x[0], t_ann)
     logits, ann_traces = forward_sequence(model, feats)
     trace = simulate(net, feats, mode=args.mode, record_rasters=False)
     report = compare_activations(ann_traces, trace, net)
     report["sample_index"] = args.sample_index
-    report["label"] = label_names[labels[args.sample_index]]
+    report["label"] = label_names[labels[0]]
     report["ann_argmax"] = label_names[int(np.argmax(logits))]
     report["snn_argmax"] = label_names[int(np.argmax(trace.scores))]
 
@@ -489,7 +514,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f", type=float, default=None,
                    help="weight scale factor; omitted -> probe-based selection")
     p.add_argument("--features", metavar="DIR")
-    p.add_argument("--probes", type=int, default=8)
+    p.add_argument("--probes", type=_integer(1), default=8,
+                   help="the f search simulates the first PROBES clips of --probe-split; "
+                        "only their feature archives are read")
     p.add_argument("--probe-split", default="train")
     p.add_argument("--safety-margin", type=float, default=0.5)
     p.add_argument("--decay-rounding", choices=["round", "trunc"], default="round")
@@ -511,7 +538,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--net", required=True)
     p.add_argument("--features", required=True, metavar="DIR")
     p.add_argument("--split", default="test")
-    p.add_argument("--sample-index", type=int, default=0)
+    p.add_argument("--sample-index", type=_integer(0), default=0,
+                   help="the entry of --split to compare; only its feature archive is read")
     p.add_argument("--mode", choices=["reference", "fixed"], default="reference")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--config")

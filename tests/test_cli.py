@@ -1,5 +1,8 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -7,9 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdrnn.audio_frontend import MelConfig, save_wav, write_manifest
+from sdrnn.audio_frontend import (MelConfig, apply_norm, compute_norm_stats, save_wav,
+                                  write_manifest)
 from sdrnn.cli import _load_split, build_parser, main
 from sdrnn.convert import load_network
+from sdrnn.errors import ConfigError
 from sdrnn.lprnn import TrainConfig, init_model, magnitude_prune, save_model, train
 from sdrnn.synthetic import CLASSES, generate_dataset
 
@@ -121,6 +126,51 @@ class TestFeatures:
         assert names == sorted(p.name for p in caches[1].iterdir() if p.suffix == ".npz")
         for name in names + ["features_index.json"]:
             assert (caches[0] / name).read_bytes() == (caches[1] / name).read_bytes(), name
+
+    def test_norm_stats_are_those_of_every_training_frame(self, workspace, tmp_path,
+                                                          capsys):
+        # each training job returns its clip's min and max, read back from
+        # the archive on a cache hit; the index equals the one computed from
+        # every frame, cold and warm
+        cache = tmp_path / "cache"
+        args = ["features", "--manifest", str(workspace["manifest"]), "--features", str(cache)]
+        assert main(args) == 0
+        index = (cache / "features_index.json").read_bytes()
+        entries = json.loads(index)["entries"]
+        frames = []
+        for entry in entries:
+            if entry["split"] == "train":
+                with np.load(cache / f"{entry['key']}.npz") as data:
+                    frames.append(data["data"])
+        assert json.loads(index)["norm_stats"] == compute_norm_stats(frames)
+        (cache / "features_index.json").unlink()
+        assert main(args) == 0
+        assert "(24 cache hits)" in capsys.readouterr().out
+        assert (cache / "features_index.json").read_bytes() == index
+        broken = cache / f"{next(e['key'] for e in entries if e['split'] == 'train')}.npz"
+        broken.write_bytes(b"garbage")
+        assert main(args) == 3
+        err = capsys.readouterr().err
+        assert broken.name in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("edit", [lambda a: a.astype(str), lambda a: a[:, :-1],
+                                      lambda a: a[:0], lambda a: a[:, 0]],
+                             ids=["strings", "narrow", "no-frames", "1-d"])
+    def test_malformed_cached_training_archive_is_data_error(self, workspace, tmp_path,
+                                                             capsys, edit):
+        # a cache hit's data went into the norm_stats unchecked: strings and
+        # a narrow clip ended features in a traceback
+        cache = tmp_path / "cache"
+        shutil.copytree(workspace["features"], cache)
+        entries = json.loads((cache / "features_index.json").read_text())["entries"]
+        path = cache / f"{next(e['key'] for e in entries if e['split'] == 'train')}.npz"
+        with np.load(path) as data:
+            arrays = dict(data)
+        np.savez(path, **{**arrays, "data": edit(arrays["data"])})
+        assert main(["features", "--manifest", str(workspace["manifest"]),
+                     "--features", str(cache)]) == 3
+        err = capsys.readouterr().err
+        assert path.name in err and "Traceback" not in err
 
     def test_cache_directory_is_the_one_given(self, workspace, tmp_path, monkeypatch):
         # SDRNN_CACHE_DIR used to send the archives and the index elsewhere,
@@ -361,6 +411,20 @@ class TestConvertCommand:
         cfg_path.write_text(json.dumps({"tau_u": 2.0}))
         assert main(["train", "--features", str(workspace["features"]),
                      "--out", str(tmp_path / "m.npz"), "--config", str(cfg_path)]) == 2
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("convert", "--probes", "0"), ("convert", "--probes", "-1"),
+        ("compare", "--sample-index", "-1")])
+    def test_count_out_of_range_is_config_error(self, tmp_path, capsys, command, flag, value):
+        # --probes 0 and -1 exited 2 without naming the flag, after the
+        # model and every archive of the split were read; none of the files
+        # named here exists, so opening any of them would exit 3
+        ghost, feats, out = (str(tmp_path / name) for name in ("ghost.npz", "none", "out"))
+        args = {"convert": ["convert", "--model", ghost, "--features", feats, "--out", out],
+                "compare": ["compare", "--net", ghost, "--features", feats, "--out-dir", out]}
+        assert main(args[command] + [flag, value]) == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}" in err and "Traceback" not in err
 
     def test_missing_probe_source_is_config_error(self, workspace, tmp_path):
         assert main(["convert", "--model", str(workspace["model"]),
@@ -755,7 +819,8 @@ def test_inputs_unlike_the_models_are_data_error(workspace, tmp_path, capsys, wh
 
 
 @pytest.mark.parametrize("command, key, value", [
-    ("convert", "probes", "x"), ("convert", "f", "x"), ("compare", "sample_index", "a"),
+    ("convert", "probes", "x"), ("convert", "probes", 0), ("convert", "f", "x"),
+    ("compare", "sample_index", "a"), ("compare", "sample_index", -1),
     ("train", "hidden", "8"), ("train", "alpha", 0.6), ("train", "prune_sparsity", "x"),
     ("train", "seed", "x"), ("train", "seed", -1), ("features", "workers", "x"),
     ("features", "n_mels", "x")])
@@ -961,3 +1026,100 @@ class TestSyntheticDataset:
         train = [r for r in rows if r["split"] == "train"]
         counts = {c: sum(1 for r in train if r["label"] == c) for c in CLASSES}
         assert set(counts.values()) == {5}
+
+
+def damaged_except(workspace, root, split, keep) -> Path:
+    """A copy of the workspace's features in which every archive but the
+    entries keep of split is deleted or, every other one, replaced by
+    bytes that are no archive."""
+    features = root / "features"
+    shutil.copytree(workspace["features"], features)
+    entries = json.loads((features / "features_index.json").read_text())["entries"]
+    kept = {e["key"] for e in [e for e in entries if e["split"] == split][keep]}
+    for k, entry in enumerate(e for e in entries if e["key"] not in kept):
+        path = features / f"{entry['key']}.npz"
+        if k % 2:
+            path.unlink()
+        else:
+            path.write_bytes(b"garbage")
+    return features
+
+
+@pytest.mark.parametrize("command, split, keep, flags, written", [
+    ("convert", "train", slice(2), ["--t-snn", "0.001", "--probes", "2"],
+     ["net.npz", "net.npz.report.txt"]),
+    ("compare", "test", slice(1, 2), ["--sample-index", "1"], ["compare.json", "traces.csv"])],
+    ids=["convert", "compare"])
+def test_convert_and_compare_read_only_the_clips_they_use(workspace, tmp_path, command, split,
+                                                          keep, flags, written):
+    # convert read, checked and stacked every archive of --probe-split, and
+    # compare every archive of --split, to use two clips and one
+    outputs = []
+    for features in (workspace["features"], damaged_except(workspace, tmp_path, split, keep)):
+        out = tmp_path / f"out{len(outputs)}"
+        args = {"convert": ["convert", "--model", str(workspace["model"]),
+                            "--out", str(out / "net.npz")],
+                "compare": ["compare", "--net", str(workspace["net"]), "--out-dir", str(out)]}
+        assert main(args[command] + ["--features", str(features), *flags]) == 0
+        outputs.append([(out / name).read_bytes() for name in written])
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("command, split, index", [("convert", "train", 1),
+                                                   ("compare", "test", 1)],
+                         ids=["convert", "compare"])
+def test_nan_clip_among_those_read_is_data_error(workspace, tmp_path, capsys, command, split,
+                                                 index):
+    features = tmp_path / "features"
+    shutil.copytree(workspace["features"], features)
+    entries = json.loads((features / "features_index.json").read_text())["entries"]
+    path = features / f"{[e for e in entries if e['split'] == split][index]['key']}.npz"
+    with np.load(path) as data:
+        arrays = dict(data)
+    arrays["data"][2, 3] = np.nan
+    np.savez(path, **arrays)
+    args = {"convert": ["convert", "--model", str(workspace["model"]), "--features",
+                        str(features), "--probes", "2", "--out", str(tmp_path / "net.npz")],
+            "compare": ["compare", "--net", str(workspace["net"]), "--features", str(features),
+                        "--sample-index", str(index), "--out-dir", str(tmp_path / "cmp")]}
+    assert main(args[command]) == 3
+    err = capsys.readouterr().err
+    assert path.name in err and "NaN" in err and "Traceback" not in err
+
+
+def test_load_split_trims_to_the_shortest_clip_it_reads(tmp_path):
+    # clips of 5, 3 and 4 frames: a selection is trimmed to its own
+    # shortest clip, not the split's
+    rng = np.random.default_rng(0)
+    clips = [rng.normal(size=(n, 2)) for n in (5, 3, 4)]
+    stats = compute_norm_stats(clips)
+    entries = [{"split": "train", "label": label, "key": f"c{k}", "path": f"c{k}.wav"}
+               for k, label in enumerate(("up", "down", "up"))]
+    for entry, clip in zip(entries, clips):
+        np.savez(tmp_path / f"{entry['key']}.npz", data=clip, frame_period=0.01)
+    (tmp_path / "features_index.json").write_text(
+        json.dumps({"norm_stats": stats, "entries": entries}))
+    for take, frames in ((slice(None), 3), (slice(1), 5), (slice(2, 3), 4), (slice(0, 3, 2), 4)):
+        x, labels, names, period, _ = _load_split(tmp_path, "train", take=take)
+        chosen = clips[take]
+        assert x.shape == (len(chosen), frames, 2), take
+        for row, clip in zip(x, chosen):
+            np.testing.assert_array_equal(row, apply_norm(clip[:frames], stats))
+        assert names == ["down", "up"] and period == 0.01
+        assert labels.tolist() == [[1, 0, 1][k] for k in range(3)[take]]
+    with pytest.raises(ConfigError, match="sample index 3 outside split 'train' of 3 samples"):
+        _load_split(tmp_path, "train", take=slice(3, 4))
+
+
+@pytest.mark.parametrize("argv, code, stream, text", [
+    (["--help"], 0, "stdout", "usage: sdrnn"),
+    (["convert", "--model", "m.npz", "--out", "n.npz", "--probes", "0"], 2, "stderr",
+     "argument --probes")], ids=["help", "exit-code"])
+def test_python_m_sdrnn_runs_the_cli(tmp_path, argv, code, stream, text):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    done = subprocess.run([sys.executable, "-m", "sdrnn", *argv], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == code
+    assert text in getattr(done, stream)
