@@ -129,6 +129,23 @@ def _extent(data: np.ndarray) -> np.ndarray:
     return np.stack([data.min(axis=0), data.max(axis=0)])
 
 
+def _read_clip(path, width: int) -> tuple[np.ndarray, float]:
+    """The data and frame period of one clip's feature archive: a 2-D array
+    of finite numbers, at least one frame long and `width` wide, and one
+    finite positive number, or a DataError."""
+    with npz_file(path) as data:
+        raw, period = data["data"], data["frame_period"]
+    if not (raw.ndim == 2 and raw.shape[0] > 0 and raw.shape[1] == width
+            and raw.dtype.kind in "iuf" and np.isfinite(raw).all()):
+        raise DataError(f"{path}: feature data must be a 2-D array of finite numbers, at least "
+                        f"one frame long and {width} wide, not {raw.dtype} {raw.shape} or with "
+                        "NaN or inf values")
+    period = float(period) if period.shape == () and period.dtype.kind in "iuf" else None
+    if not _finite_positive(period):
+        raise DataError(f"{path}: frame_period must be one finite positive number")
+    return raw, period
+
+
 def _feature_one(job) -> dict:
     """Write one clip's feature archive unless it is cached; for a training
     clip, also return its extent, read back from a cached archive."""
@@ -144,13 +161,7 @@ def _feature_one(job) -> dict:
             if train:
                 result["extent"] = _extent(feats.data)
         elif train:
-            with npz_file(out) as data:
-                raw = data["data"]
-            if not (raw.ndim == 2 and raw.shape[0] > 0 and raw.shape[1] == mel_cfg.n_mels
-                    and raw.dtype.kind in "iuf"):
-                raise DataError(f"{out}: cached feature data must be a 2-D array of numbers "
-                                f"{mel_cfg.n_mels} wide, not {raw.dtype} {raw.shape}")
-            result["extent"] = _extent(raw)
+            result["extent"] = _extent(_read_clip(out, mel_cfg.n_mels)[0])
     except DataError as exc:
         result["error"] = str(exc)
     return result
@@ -241,17 +252,10 @@ def _load_split(features_dir: Path, split: str, optional: bool = False,
     feats, labels, periods = [], [], []
     for entry in chosen:
         path = features_dir / f"{entry['key']}.npz"
-        with npz_file(path) as data:
-            raw, period = data["data"], data["frame_period"]
-        if not (raw.ndim == 2 and raw.shape[1] == len(lo) and raw.dtype.kind in "iuf"
-                and np.isfinite(raw).all()):
-            raise DataError(f"{path}: feature data must be a 2-D array of finite numbers "
-                            f"{len(lo)} wide (as norm_stats), not {raw.dtype} {raw.shape} "
-                            "or with NaN or inf values")
-        period = float(period) if period.shape == () and period.dtype.kind in "iuf" else None
-        if not (_finite_positive(period) and period == (periods[0] if periods else period)):
-            raise DataError(f"{path}: frame_period must be one finite positive number, the "
-                            "same in every clip")
+        raw, period = _read_clip(path, len(lo))  # as wide as norm_stats
+        if periods and period != periods[0]:
+            raise DataError(f"{path}: frame_period {period} differs from the first clip's "
+                            f"{periods[0]}; it must be the same in every clip")
         periods.append(period)
         feats.append(af.apply_norm(raw, stats))
         labels.append(label_ids[entry["label"]])

@@ -27,8 +27,8 @@ layer sees its sender rise through the frame, and each of its low-pass
 stages lags like a continuous filter, not like the recursion. The compiler
 maps the recursion's timing as follows.
 
-- tau_i is the layer's own alpha-derived constant: it applies the layer's
-  smoothing.
+- tau_i is tau_s, the layer's own alpha-derived constant: the i stage
+  applies the layer's smoothing, and the feedback filter s shares it.
 - The feedback filter tau_s defines the activation readout s and, inverted
   by the spike-generation loop, puts a lead of tau_s into the emitted spike
   duty. A u stage of the sender's tau_s would cancel that lead exactly and
@@ -87,7 +87,6 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import asdict, dataclass, field, fields
-from typing import NamedTuple
 
 import numpy as np
 
@@ -293,32 +292,14 @@ def frame_lag(alpha: float) -> float:
     return -1.0 / math.log(alpha) - alpha / (1.0 - alpha)
 
 
-class LayerConstants(NamedTuple):
-    """Time constants (tau_i is tau_s), recurrent delay and weight range of one layer.
-
-    weight_cap is the largest f at which exponent 0 keeps every mapped
-    weight of the layer within weight_limit (inf for an encoder, whose
-    weights stay off-chip, or a layer whose weights are all zero);
-    weight_exp is the layer's exponent at the f the constants were derived
-    for (0 when none was given).
-    """
-
-    tau_s: float
-    tau_u: float
-    tau_s_fx: int
-    tau_u_fx: int
-    rec_delay: int
-    weight_cap: float
-    weight_exp: int
-
-
 def layer_constants(layer: LpRnnLayer, w_in_q: np.ndarray, w_rec_q: np.ndarray | None,
-                    timing: TimingConfig, f: float | None = None) -> LayerConstants:
-    """Constants of one compiled layer with effective weights w_in_q and
-    w_rec_q (module docstring): taus from the alpha mapping and the
-    frame-lag rule, the recurrent delay, the weight-range cap and,
-    given f, the weight exponent: the largest e >= 0 with
-    2**e * f <= weight_cap and 2**e <= tau_s_fx."""
+                    timing: TimingConfig) -> tuple[dict, float]:
+    """The SnnLayer fields tau_s, tau_u, tau_s_fx, tau_u_fx and rec_delay of
+    one compiled layer with effective weights w_in_q and w_rec_q (module
+    docstring), and its weight cap: the largest f at which exponent 0 keeps
+    every mapped weight of the layer within WEIGHT_LIMIT (inf for an
+    encoder, whose weights stay off-chip, or a layer whose weights are all
+    zero)."""
     tau_s = rescale_tau(alpha_to_tau(layer.alpha, timing.t_ann), timing)
     # the network's operating constants are the integer-rounded taus (the
     # hardware description); the real-valued taus are kept as provenance.
@@ -342,12 +323,8 @@ def layer_constants(layer: LpRnnLayer, w_in_q: np.ndarray, w_rec_q: np.ndarray |
         peak = 0.0 if w is None else float(np.abs(w).max())
         if peak > 0.0:
             cap = min(cap, (WEIGHT_LIMIT + 0.499) * tau_u_fx * tau_s_fx * WEIGHT_GAIN / peak)
-    exp = 0
-    if f is not None and tensors:
-        while f * 2.0 ** (exp + 1) <= cap and 2 ** (exp + 1) <= tau_s_fx:
-            exp += 1
-    return LayerConstants(tau_s=tau_s, tau_u=tau_u, tau_s_fx=tau_s_fx, tau_u_fx=tau_u_fx,
-                          rec_delay=rec_delay, weight_cap=cap, weight_exp=exp)
+    return dict(tau_s=tau_s, tau_u=tau_u, tau_s_fx=tau_s_fx, tau_u_fx=tau_u_fx,
+                rec_delay=rec_delay), cap
 
 
 def compile_network(model: LpRnnModel, timing: TimingConfig, f: float,
@@ -355,33 +332,36 @@ def compile_network(model: LpRnnModel, timing: TimingConfig, f: float,
     """Compile a trained, quantized model into a spiking network description.
 
     A pure function of (model, timing, f, config): per-layer constants from
-    layer_constants, integer weights and biases from the mapping formulas,
-    and the feedback weight w_fb = round(f / tau_s), also the firing
-    threshold."""
+    layer_constants, the weight exponent (the largest e >= 0 with
+    2**e * f <= weight cap and 2**e <= tau_s_fx; 0 for the encoder), integer
+    weights and biases from the mapping formulas, and the feedback weight
+    w_fb = round(f / tau_s), also the firing threshold."""
     if not _finite_positive(f):
         raise ConfigError(f"scale factor f must be a finite positive number, not {f!r}")
     layers = []
     for idx, layer in enumerate(model.layers):
         w_in_q, w_rec_q = model.effective_weights(layer)
-        c = layer_constants(layer, w_in_q, w_rec_q, timing, f)
-        w_fb = math.floor(f / c.tau_s_fx + 0.5)  # round half away: f > 0
+        consts, cap = layer_constants(layer, w_in_q, w_rec_q, timing)
+        tau_s_fx, tau_u_fx = consts["tau_s_fx"], consts["tau_u_fx"]
+        w_fb = math.floor(f / tau_s_fx + 0.5)  # round half away: f > 0
         if w_fb < 1:
             raise NumericError(
                 f"layer {idx}: f = {f} gives feedback weight below 1 "
-                f"(f/tau_s = {f / c.tau_s_fx:.3g}); increase f")
-        bias = map_bias(layer.bias, f, c.tau_s_fx)
+                f"(f/tau_s = {f / tau_s_fx:.3g}); increase f")
+        bias = map_bias(layer.bias, f, tau_s_fx)
+        encoder = layer.kind == KIND_INPUT  # its weights stay real-valued, off-chip
+        exp = 0
+        while not encoder and f * 2.0 ** (exp + 1) <= cap and 2 ** (exp + 1) <= tau_s_fx:
+            exp += 1
 
         def mapped(w):
-            return map_weights(w, f, c.tau_u_fx, c.tau_s_fx, WEIGHT_GAIN, WEIGHT_LIMIT,
-                               c.weight_exp)
+            return map_weights(w, f, tau_u_fx, tau_s_fx, WEIGHT_GAIN, WEIGHT_LIMIT, exp)
 
-        encoder = layer.kind == KIND_INPUT  # its weights stay real-valued, off-chip
         layers.append(SnnLayer(
             kind={KIND_INPUT: "encoder", KIND_RECURRENT: "recurrent"}.get(layer.kind, "output"),
             size=layer.size, w_in=None if encoder else mapped(w_in_q),
             w_rec=None if w_rec_q is None else mapped(w_rec_q), bias=bias,
-            enc_w=w_in_q if encoder else None, tau_s=c.tau_s, tau_u=c.tau_u, tau_s_fx=c.tau_s_fx,
-            tau_u_fx=c.tau_u_fx, w_fb=w_fb, rec_delay=c.rec_delay, weight_exp=c.weight_exp))
+            enc_w=w_in_q if encoder else None, w_fb=w_fb, weight_exp=exp, **consts))
     return SnnNetwork(layers=layers, f=f, timing=timing, config=config,
                       source_model=model.copy())
 
@@ -390,7 +370,7 @@ def _weight_cap(model: LpRnnModel, timing: TimingConfig,
                 config: CompileConfig | None = None) -> float:
     """Largest f for which every mapped weight stays within the hardware
     range; no option of config bears on it."""
-    return min(layer_constants(layer, *model.effective_weights(layer), timing).weight_cap
+    return min(layer_constants(layer, *model.effective_weights(layer), timing)[1]
                for layer in model.layers)
 
 

@@ -14,14 +14,15 @@ Update order within one step (decay-then-add, so an increment is never
 decayed in the step it arrives and the DC gain of each stage is its tau):
 
     u    <- decay(u, tau_u) + spike drive + analog drive
-    i    <- decay(i, tau_i) + u + bias
+    i    <- decay(i, tau_s) + u + bias
     s    <- decay(s, tau_s)
     imem <- i - s
     spike = imem > w_fb;  on spike: imem <- 0, s <- s + w_fb
 
-The membrane's tau is 1, and a decay by tau 1 is exactly 0 (x - x / 1, or
-in fixed point rint or trunc of x * 0), so imem keeps nothing of its last
-value: it needs no decay and its state is not an input of the step.
+i decays by tau_s, the tau of s, so that s tracks i. The membrane's tau is
+1, and a decay by tau 1 is exactly 0 (x - x / 1, or in fixed point rint or
+trunc of x * 0), so imem keeps nothing of its last value: it needs no decay
+and its state is not an input of the step.
 
 Feedback is same-step; propagation to other neurons (one step to the next
 layer, a per-layer delay on recurrent synapses) and the weight exponent
@@ -58,13 +59,14 @@ _DEFAULT_TAU_S = 100.0
 class NeuronParams:
     """Parameters of one sigma-delta neuron population.
 
-    Defaults describe a unit-gain reference neuron: the analog encoder drives
-    i toward the raw input value and one spike is worth w_fb = 1/tau_s, so a
-    neuron spiking every step sustains s = 1.0 = clamp_ceiling.
+    tau_s is the tau of both the i stage and the feedback filter s, and
+    tau_i reads it. Defaults describe a unit-gain reference neuron: the
+    analog encoder drives i toward the raw input value and one spike is
+    worth w_fb = 1/tau_s, so a neuron spiking every step sustains
+    s = 1.0 = clamp_ceiling.
     """
 
     tau_s: float = _DEFAULT_TAU_S
-    tau_i: float = _DEFAULT_TAU_S
     tau_u: float = 2.0
     w_fb: float = 1.0 / _DEFAULT_TAU_S
     clamp_ceiling: float = 1.0
@@ -72,11 +74,15 @@ class NeuronParams:
     def __post_init__(self):
         if not self.w_fb > 0:
             raise ConfigError("w_fb must be positive")
-        for name in ("tau_s", "tau_i", "tau_u"):
+        for name in ("tau_s", "tau_u"):
             if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be positive")
         if not self.clamp_ceiling > 0:
             raise ConfigError("clamp_ceiling must be positive")
+
+    @property
+    def tau_i(self) -> float:
+        return self.tau_s
 
 
 @dataclass
@@ -90,7 +96,7 @@ class NeuronState:
 def _population(params: NeuronParams, size: int):
     """(state, step) of `size` uncoupled neurons of one population, in
     reference mode."""
-    taus = np.array([params.tau_u, params.tau_i, params.tau_s])[:, None, None]
+    taus = np.array([params.tau_u, params.tau_s])[:, None, None]
     state, _, step = sigma_delta_kernel((1, size), taus, bias=0.0, w_fb=params.w_fb, exps=0)
     return state, step
 
@@ -114,13 +120,13 @@ def encode_analog(signal: FeatureSequence, params: NeuronParams, oversample: int
     """Encode an analog feature sequence into spikes, one neuron per feature.
 
     Each frame is held constant for `oversample` simulator steps. The drive
-    is pre-scaled by 1/(tau_u * tau_i) so the stage gains cancel and i
+    is pre-scaled by 1/(tau_u * tau_s) so the stage gains cancel and i
     settles at the raw input value; signals must lie in [0, clamp_ceiling].
     """
     if not (isinstance(oversample, (int, np.integer)) and oversample >= 1):
         raise ConfigError(f"oversample must be a positive integer, got {oversample}")
-    if math.isinf(params.tau_u) or math.isinf(params.tau_i):
-        raise ConfigError("analog encoding requires finite tau_u and tau_i")
+    if math.isinf(params.tau_u) or math.isinf(params.tau_s):
+        raise ConfigError("analog encoding requires finite tau_u and tau_s")
     data = signal.data
     # NaN passes both range checks below
     if not np.isfinite(data).all():
@@ -133,7 +139,7 @@ def encode_analog(signal: FeatureSequence, params: NeuronParams, oversample: int
     n_frames, n_units = data.shape
     duration = n_frames * oversample
     # each frame's held drive, a [1, n] row of the population's shape
-    drive = (data / (params.tau_u * params.tau_i))[:, None, :]
+    drive = (data / (params.tau_u * params.tau_s))[:, None, :]
     _, step = _population(params, n_units)
     spikes = np.zeros((n_frames, oversample, n_units), dtype=bool)
     for held, frame in zip(drive, spikes):

@@ -122,12 +122,13 @@ def sigma_delta_kernel(shape, taus, bias, w_fb, exps, fixed: bool = False,
     returns the spike mask:
 
         u    <- decay(u, tau_u) + drive
-        i    <- decay(i, tau_i) + u * 2**-exps + bias
+        i    <- decay(i, tau_s) + u * 2**-exps + bias
         imem <- i - decay(s, tau_s)
         s    <- decay(s, tau_s), plus w_fb where imem > w_fb (imem <- 0)
 
-    taus, the rows (tau_u, tau_i, tau_s), broadcast against [3, *shape]
-    ([3, 1, n] per neuron); bias, w_fb and exps are per neuron or scalars.
+    taus, the rows (tau_u, tau_s), broadcast against [2, *shape] ([2, 1, n]
+    per neuron); i and s share tau_s, and the kernel lays out the decay rows
+    of u, i and s from them. bias, w_fb and exps are per neuron or scalars.
     imem has tau 1, and a decay by tau 1 is exactly +0 in both modes (x -
     x / 1, and rint or trunc of x * 0), so imem keeps nothing of its last
     value and is not decayed. In fixed point the adds saturate, and each
@@ -155,7 +156,8 @@ def sigma_delta_kernel(shape, taus, bias, w_fb, exps, fixed: bool = False,
     check's min and max serve: s >= 0, so imem = i - s <= i, and a neuron
     that fires has imem > w_fb >= 0, whose reset to 0 moves neither
     extreme. Otherwise the step reduces the stack after the reset."""
-    taus = np.ascontiguousarray(np.broadcast_to(taus, (3, *shape)), dtype=np.float64)
+    taus = np.ascontiguousarray(np.broadcast_to(taus, (2, *shape))[[0, 1, 1]],
+                                dtype=np.float64)
     if fixed:
         factor, rnd = decay_factor(taus), rounder(rounding)
 
@@ -256,6 +258,10 @@ def _engine(net: SnnNetwork, x: np.ndarray | None, input_raster: SpikeRaster | N
             raise DataError(f"raster population {input_raster.population} != encoder size {n0}")
         if input_raster.duration % oversample:
             raise DataError("raster duration must be a multiple of the oversample ratio")
+        # the tolerance of TimingConfig's t_ann/t_snn ratio
+        if not abs(input_raster.dt - net.timing.t_snn) <= 1e-6 * net.timing.t_snn:
+            raise DataError(f"raster step dt {input_raster.dt!r} s != the network's step "
+                            f"t_snn {net.timing.t_snn!r} s")
         batch = 1
         duration = input_raster.duration
         input_spikes = input_raster.dense().astype(np.float64)  # [duration, n0]
@@ -287,13 +293,12 @@ def _engine(net: SnnNetwork, x: np.ndarray | None, input_raster: SpikeRaster | N
                                for l in layers])[lo:].astype(np.float64)
 
     # both modes run on the integer network constants; reference mode is
-    # real-valued state arithmetic on the same network. The i stage shares
-    # tau_s and a neuron fires above its w_fb.
-    tau_u, tau_s, w_fb = per_neuron("tau_u_fx"), per_neuron("tau_s_fx"), per_neuron("w_fb")
+    # real-valued state arithmetic on the same network
     peak = [0.0]
     state, clips, step = sigma_delta_kernel(
-        shape, np.stack([tau_u, tau_s, tau_s])[:, None, :], per_neuron("bias"), w_fb,
-        per_neuron("weight_exp").astype(np.int64), fixed, net.config.decay_rounding, peak)
+        shape, np.stack([per_neuron("tau_u_fx"), per_neuron("tau_s_fx")])[:, None, :],
+        per_neuron("bias"), per_neuron("w_fb"), per_neuron("weight_exp").astype(np.int64),
+        fixed, net.config.decay_rounding, peak)
     s = state[2]
 
     # one block matrix W_d per distinct synaptic delay d: presynaptic rows,

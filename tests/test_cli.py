@@ -154,12 +154,15 @@ class TestFeatures:
         assert broken.name in err and "Traceback" not in err
 
     @pytest.mark.parametrize("edit", [lambda a: a.astype(str), lambda a: a[:, :-1],
-                                      lambda a: a[:0], lambda a: a[:, 0]],
-                             ids=["strings", "narrow", "no-frames", "1-d"])
+                                      lambda a: a[:0], lambda a: a[:, 0],
+                                      lambda a: np.where(a > a.mean(), np.nan, a),
+                                      lambda a: np.where(a > a.mean(), np.inf, a)],
+                             ids=["strings", "narrow", "no-frames", "1-d", "nan", "inf"])
     def test_malformed_cached_training_archive_is_data_error(self, workspace, tmp_path,
                                                              capsys, edit):
         # a cache hit's data went into the norm_stats unchecked: strings and
-        # a narrow clip ended features in a traceback
+        # a narrow clip ended features in a traceback, and NaN or inf data
+        # wrote NaN into the index's norm_stats
         cache = tmp_path / "cache"
         shutil.copytree(workspace["features"], cache)
         entries = json.loads((cache / "features_index.json").read_text())["entries"]

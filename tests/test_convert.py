@@ -16,7 +16,11 @@ from sdrnn.lprnn import init_model, ste_quantize
 from sdrnn.numerics import STATE_LIMIT
 from sdrnn.snn_sim import simulate_batch
 
+from test_engine_golden import Hasher
+
 TIMING = TimingConfig(t_ann=0.01, t_snn=0.0001)
+#: TestCompile.test_golden_digest's SHA-256 of the compiled layers
+COMPILE_DIGEST = "e07a4a478fe501791acdb2406ec9ba65572ae6269f74c59b00b7fd8ba253572c"
 
 
 def quantized_model(rng, n_in=2, hidden=(4, 4, 4), n_out=2, alphas=(0.85, 0.9, 0.9, 0.8),
@@ -227,6 +231,25 @@ class TestCompile:
         # a string or None ended in a TypeError, and True was taken for f = 1
         with pytest.raises(ConfigError, match="scale factor f"):
             compile_network(quantized_model(np.random.default_rng(7)), TIMING, f=f)
+
+    def test_golden_digest(self):
+        # criterion 4's models (each drawn with its three probes), each at one
+        # f below the weight cap of oversample 50, so the weight exponents
+        # range over the oversamples. Every SnnLayer field of every layer is
+        # hashed; a compiler change that is meant to leave the networks alone
+        # must leave the digest as it is.
+        rng = np.random.default_rng(44)
+        fs = 10.0 ** np.random.default_rng(45).uniform(5.0, 6.45, size=20)
+        h = Hasher()
+        for f in fs:
+            model = make_random_model(rng)
+            for _ in range(3):
+                make_smooth_input(rng, 30, model.n_features)
+            for oversample in (50, 100, 200):
+                net = compile_network(model, TimingConfig(0.01, 0.01 / oversample), float(f))
+                for layer in net.layers:
+                    h.add(*(getattr(layer, field.name) for field in fields(SnnLayer)))
+        assert h.hexdigest() == COMPILE_DIGEST
 
     @pytest.mark.parametrize("option, value", [
         ("safety_margin", math.inf), ("safety_margin", math.nan), ("safety_margin", 0.0),

@@ -119,7 +119,6 @@ def kernel_digest(mode, rounding, exps=(0, 1, 2, 3, 0, 1),
     fixed = mode == "fixed_point"
     shape = (2, 6)
     taus = np.stack([np.array([2.0, 3.0, 5.0, 7.0, 2.0, 9.0]),
-                     np.array([9.0, 6.0, 10.0, 4.0, 3.0, 8.0]),
                      np.array([9.0, 6.0, 10.0, 4.0, 3.0, 8.0])])[:, None, :]
     exps, bias = np.asarray(exps), np.asarray(bias, dtype=np.float64)
     w_fb = np.array([40.0, 25.0, 60.0, 30.0, 20.0, 50.0])

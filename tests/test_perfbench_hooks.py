@@ -1,0 +1,71 @@
+"""The names that the benchmark's tracer wraps still exist.
+
+perfbench/run.py's install wraps sdrnn functions at every name their
+callers look up, and a name that a refactor drops or rebinds surfaces only
+as a crashed `perfbench/run.py --trace 1` run. This test loads the
+benchmark's run.py, tracing.py and workloads.py by path, installs the
+tracer, checks that the search's simulations are seen, and uninstalls it.
+"""
+
+import importlib.util
+import os
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from sdrnn import cli, convert, snn_sim
+from sdrnn.benchmarks import make_random_model, make_smooth_input
+from sdrnn.containers import FeatureSequence
+from sdrnn.convert import TimingConfig
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+#: (module, name) sites that the tracer wraps and that the package itself defines
+SITES = [(cli, name) for name in ("forward_batch", "select_scale_factor", "probe_peak_state",
+                                  "compile_network", "simulate", "simulate_batch")]
+SITES += [(snn_sim, "sat_add_array"), (snn_sim, "decay_array")]
+
+
+@pytest.fixture
+def perfbench(monkeypatch):
+    """run, tracing and workloads of the benchmark, under module names of
+    their own; os.environ as it was afterwards (run.py sets the BLAS thread
+    count at import)."""
+    environ = os.environ.copy()
+    modules = []
+    try:
+        for name in ("run", "tracing", "workloads"):
+            spec = importlib.util.spec_from_file_location(f"_perfbench_{name}",
+                                                          PERFBENCH / f"{name}.py")
+            module = importlib.util.module_from_spec(spec)
+            # dataclasses look their module up in sys.modules
+            monkeypatch.setitem(sys.modules, spec.name, module)
+            spec.loader.exec_module(module)
+            modules.append(module)
+        yield modules
+    finally:
+        os.environ.clear()
+        os.environ.update(environ)
+
+
+def test_traced_names_exist(perfbench):
+    run, tracing, workloads = perfbench
+    originals = [getattr(module, name) for module, name in SITES]
+    rng = np.random.default_rng(3)
+    model = make_random_model(rng, n_in=2, hidden=(3,), n_out=2)
+    probes = [FeatureSequence(make_smooth_input(rng, 4, 2), model.t_ann)]
+    timing = TimingConfig(model.t_ann, model.t_ann / 10)
+    counters = run.SimCounters(workloads.fanout)
+    with tracing.Tracer("hooks") as tracer:
+        run.install(tracer, counters)  # raises for a site that is gone or rebound
+        for (module, name), original in zip(SITES, originals):
+            assert getattr(module, name).__wrapped__ is original, name
+        # probe_peak_state imports simulate_batch when it runs, so the
+        # tracer sees the search's simulations
+        convert.probe_peak_state(model, probes, timing, 1e4)
+    assert "snn_sim.simulate_batch" in tracer.names
+    assert counters.sample_steps == 4 * 10
+    for (module, name), original in zip(SITES, originals):
+        assert getattr(module, name) is original, name

@@ -45,10 +45,11 @@ def drive_constant(value, steps, params=DEFAULTS):
 class TestNeuronParams:
     def test_taus_must_be_positive(self):
         # a time constant is any positive real; an infinite one disables decay
-        for name in ("tau_s", "tau_i", "tau_u"):
+        for name in ("tau_s", "tau_u"):
             with pytest.raises(ConfigError):
                 NeuronParams(**{name: 0.0})
         assert NeuronParams(tau_s=math.inf).tau_s == math.inf
+        assert NeuronParams(tau_s=7.0).tau_i == 7.0  # the i stage shares tau_s
 
 
 class TestNeuronStep:
@@ -62,7 +63,7 @@ class TestNeuronStep:
     def test_hand_simulated_accumulation_and_reset(self):
         # decays disabled: imem is i - s, which crosses the threshold w_fb
         # and resets to exactly 0
-        params = NeuronParams(tau_s=math.inf, tau_i=math.inf, tau_u=math.inf, w_fb=1.0)
+        params = NeuronParams(tau_s=math.inf, tau_u=math.inf, w_fb=1.0)
         state = NeuronState(i=params.w_fb + 1.0)
         state, spike = neuron_step(state, 0.0, 0.0, params)
         # hand simulation: imem = (w_fb + 1) - 0 = 2.0 > 1.0
@@ -72,7 +73,7 @@ class TestNeuronStep:
 
     def test_update_order_decay_then_add(self):
         # a fresh input is not decayed in its arrival step: u == input exactly
-        params = NeuronParams(tau_u=4.0, tau_i=4.0, tau_s=4.0, w_fb=100.0)
+        params = NeuronParams(tau_u=4.0, tau_s=4.0, w_fb=100.0)
         state, _ = neuron_step(NeuronState(), 0.0, 1.0, params)
         assert state.u == 1.0
         assert state.i == 1.0  # i receives the fresh u undecayed

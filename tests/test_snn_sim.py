@@ -345,7 +345,7 @@ class TestKernel:
         tau_u, tau_s = [2, 3, 5, 7, 4], [9, 6, 10, 4, 3]
         exps, bias, w_fb = [0, 1, 2, 3, 0], [3, -2, 0, 5, 1], [40, 25, 60, 30, 20]
         n = len(tau_u)
-        taus = np.array([tau_u, tau_s, tau_s], dtype=np.float64)[:, None, :]
+        taus = np.array([tau_u, tau_s], dtype=np.float64)[:, None, :]
         state, clips, step = sigma_delta_kernel(
             (1, n), taus, np.array(bias, dtype=np.float64), np.array(w_fb, dtype=np.float64),
             np.array(exps), fixed=True, rounding=rounding)
@@ -385,7 +385,7 @@ class TestKernel:
     def test_fixed_point_constants_outside_the_exact_decay_rejected(self):
         # the fixed-point decay is proven exact for integer taus up to
         # numerics.TAU_LIMIT; the kernel checks its taus and rounding once
-        taus = np.array([2.0, 9.0, 9.0])[:, None, None]
+        taus = np.array([2.0, 9.0])[:, None, None]
         args = ((1, 1), taus, 0.0, 10.0, 0)
         for bad in (2.0 ** 26, 2.5):
             wide = taus.copy()
@@ -568,8 +568,8 @@ class TestTrackingBehavior:
         feats = FeatureSequence(rng.uniform(0, 1, size=(10, 2)), TIMING.t_ann)
         trace = simulate(net, feats, probe={1: [0, 1, 2]})
         layer = net.layers[1]
-        params = NeuronParams(tau_s=layer.tau_s_fx, tau_i=layer.tau_s_fx,
-                              tau_u=layer.tau_u_fx, w_fb=layer.w_fb, clamp_ceiling=net.f)
+        params = NeuronParams(tau_s=layer.tau_s_fx, tau_u=layer.tau_u_fx, w_fb=layer.w_fb,
+                              clamp_ceiling=net.f)
         decoded = reconstruct(trace.rasters[1], params)
         np.testing.assert_array_equal(decoded.data, trace.probes[(1, "s")])
 
@@ -677,8 +677,7 @@ class TestSaturationCheck:
         # every state after every step, whether the step clipped or not,
         # holds no -0.0
         n = 6
-        taus = np.array([[2, 3, 5, 7, 4, 2], [9, 6, 10, 4, 3, 2], [9, 6, 10, 4, 3, 2]],
-                        dtype=np.float64)[:, None, :]
+        taus = np.array([[2, 3, 5, 7, 4, 2], [9, 6, 10, 4, 3, 2]], dtype=np.float64)[:, None, :]
         state, clips, step = sigma_delta_kernel(
             (3, n), taus, np.array([3.0, -2.0, 0.0, -5.0, 1.0, 0.0]),
             np.array([40.0, -25.0, 60.0, -30.0, -1.0, 20.0]), np.array([0, 1, 2, 3, 0, 1]),
@@ -871,6 +870,8 @@ def toy_net():
                  DataError, "raster population", id="raster-population"),
     pytest.param(lambda: simulate(toy_net(), SpikeRaster([], [], 15, 3, TIMING.t_snn)),
                  DataError, "multiple of the oversample", id="raster-duration"),
+    pytest.param(lambda: simulate(toy_net(), SpikeRaster([], [], 300, 3, 70 * TIMING.t_snn)),
+                 DataError, "raster step", id="raster-dt"),
     pytest.param(lambda: simulate(toy_net(), np.zeros((3, 2))), DataError,
                  "unsupported input type", id="input-type"),
     pytest.param(lambda: compare_activations(
