@@ -147,21 +147,22 @@ def _read_clip(path, width: int) -> tuple[np.ndarray, float]:
 
 
 def _feature_one(job) -> dict:
-    """Write one clip's feature archive unless it is cached; for a training
-    clip, also return its extent, read back from a cached archive."""
+    """Write one clip's feature archive unless it is cached, in which case
+    read it back as a check; for a training clip, also return its extent."""
     wav_path, key, cache_dir, mel_cfg, train = job
     out = Path(cache_dir) / f"{key}.npz"
     result = {"cached": out.exists(), "error": None, "extent": None}
     try:
-        if not result["cached"]:
+        if result["cached"]:
+            data = _read_clip(out, mel_cfg.n_mels)[0]
+        else:
             feats = af.mel_spectrogram(af.load_wav(wav_path), mel_cfg)
+            data = feats.data
             tmp = out.with_suffix(".tmp.npz")
-            np.savez(tmp, data=feats.data, frame_period=feats.frame_period)
+            np.savez(tmp, data=data, frame_period=feats.frame_period)
             os.replace(tmp, out)
-            if train:
-                result["extent"] = _extent(feats.data)
-        elif train:
-            result["extent"] = _extent(_read_clip(out, mel_cfg.n_mels)[0])
+        if train:
+            result["extent"] = _extent(data)
     except DataError as exc:
         result["error"] = str(exc)
     return result
@@ -183,10 +184,11 @@ def cmd_features(args) -> int:
         jobs.append((wav_path, key, cache_dir, mel_cfg, row["split"] == "train"))
         index.append({**row, "key": key})
 
-    if args.workers > 1 and jobs:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
+    # the pool starts all its workers at once: no more than there are jobs
+    if (workers := min(args.workers, len(jobs))) > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             # about four chunks per worker: one IPC round trip per chunk
-            chunk = max(1, len(jobs) // (4 * args.workers))
+            chunk = max(1, len(jobs) // (4 * workers))
             results = list(pool.map(_feature_one, jobs, chunksize=chunk))
     else:
         results = [_feature_one(job) for job in jobs]
@@ -487,7 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
     for mel in fields(af.MelConfig):  # read back by _mel_config
         p.add_argument("--" + mel.name.replace("_", "-"), type=type(mel.default),
                        default=mel.default)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_integer(1), default=1)
     p.add_argument("--config")
     p.set_defaults(func=cmd_features)
 

@@ -8,13 +8,13 @@ low-pass output layer; class scores are the output state averaged over the
 trailing fraction of frames.
 
 Weights are trained quantization-aware: every forward pass sees the 3-bit
-quantized view of the weights while gradients pass straight through the
-quantizer to the full-precision master copy. LpRnnModel.effective_weights is
-that one view, for training, the compiler and the benchmark models alike.
-Pruning is an invariant that LpRnnLayer checks where it is built: a mask is
-a 0/1 array of its weight's shape, and the weights under its 0s are zero. A
-masked gradient is +-0, so Adam's moments and update stay +0 and a pruned
-weight never moves.
+quantized view of the weights. The quantizer clips nothing, so each
+full-precision master weight receives its quantized weight's gradient, apart
+from the pruning mask. LpRnnModel.effective_weights is that one view, for
+training, the compiler and the benchmark models alike. Pruning is an
+invariant that LpRnnLayer checks where it is built: a mask is a 0/1 array of
+its weight's shape, and the weights under its 0s are zero. A masked gradient
+is +-0, so Adam's moments and update stay +0 and a pruned weight never moves.
 
 Histories are frame-major [T, B, n]. The forward pass writes each layer's
 drive for all frames into one buffer, then scans the frames in place. A pass
@@ -74,37 +74,27 @@ def clamped_relu(x: np.ndarray, ceiling: float) -> np.ndarray:
 def quantize_levels(w: np.ndarray, bits: int = 3) -> tuple[np.ndarray, float]:
     """Integer levels and per-tensor scale of the symmetric quantization grid.
 
-    Levels lie in [-(2**(bits-1)-1), +(2**(bits-1)-1)]; scale is max|w| over
-    the top level so the largest magnitude maps exactly onto the grid edge.
-    Rounding is half away from zero. Scale is 1.0 if peak / top is 0 (all zero or tiny).
+    The scale is max|w| over the top level 2**(bits-1)-1, or 1.0 where that
+    quotient is not a normal float (then every level is 0). Levels are
+    round_half_away(w / scale) with no clip: |w / scale| <= top * (1 + 2**-51)
+    < top + 1/2, so they lie in [-top, top].
     """
     if bits < 2:
         raise ConfigError("quantizer needs at least 2 bits")
     top = (1 << (bits - 1)) - 1
     peak = float(np.abs(w).max()) if w.size else 0.0
-    scale = peak / top if peak / top > 0 else 1.0
-    levels = round_half_away(w / scale)
-    # np.clip's dispatch costs more than the two ufuncs on small tensors
-    levels = np.minimum(np.maximum(levels, -top), top)
-    return levels.astype(np.int8), scale
+    scale = peak / top if peak / top >= sys.float_info.min else 1.0
+    return round_half_away(w / scale).astype(np.int8), scale
 
 
 def ste_quantize(w: np.ndarray, bits: int = 3) -> np.ndarray:
     """Forward value of the straight-through quantizer (levels * scale).
 
-    The backward contract is identity on entries inside the clip range and
-    zero outside; see ste_grad_mask.
+    The quantizer clips nothing (see quantize_levels), so its backward pass
+    is the identity.
     """
     levels, scale = quantize_levels(w, bits)
     return levels.astype(np.float64) * scale
-
-
-def ste_grad_mask(w: np.ndarray, bits: int = 3) -> np.ndarray:
-    """1.0 where the quantizer did not clip, 0.0 where it did, on the scale
-    of quantize_levels."""
-    _, scale = quantize_levels(w, bits)
-    top = (1 << (bits - 1)) - 1
-    return (np.abs(w) <= (top + 0.5) * scale).astype(np.float64)
 
 
 @dataclass
@@ -383,8 +373,9 @@ def _layer_errors(gain: np.ndarray, alpha: float, w_rec: np.ndarray | None,
 
 def bptt_grads(model: LpRnnModel, batch: tuple[np.ndarray, np.ndarray]):
     """Exact reverse-mode gradients of the cross-entropy loss through the
-    unrolled stack, with the straight-through contract at the quantizers and
-    clamped-ReLU subgradient 0 at both rails.
+    unrolled stack, with clamped-ReLU subgradient 0 at both rails. The
+    quantizers pass gradients through unchanged, so each master weight takes
+    its quantized weight's gradient, times its pruning mask.
 
     batch is (features [B, T, D], labels [B]). Returns (grads, loss) where
     grads is a per-layer list of dicts with keys w_in, w_rec, bias.
@@ -424,13 +415,9 @@ def bptt_grads(model: LpRnnModel, batch: tuple[np.ndarray, np.ndarray]):
         if li > 0:
             above = np.matmul(e, w_in)
 
-    # straight-through mapping back to the full-precision masters
+    # the pruning masks; LpRnnLayer allows one only for a weight that exists
     for layer, g in zip(model.layers, grads):
         for name, mask in (("w_in", layer.mask_in), ("w_rec", layer.mask_rec)):
-            if g[name] is None:
-                continue
-            if model.quantize:
-                g[name] *= ste_grad_mask(getattr(layer, name), model.bits)
             if mask is not None:
                 g[name] *= mask
     return grads, loss

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from sdrnn.audio_frontend import (MelConfig, apply_norm, compute_norm_stats, save_wav,
                                   write_manifest)
+from sdrnn import cli
 from sdrnn.cli import _load_split, build_parser, main
 from sdrnn.convert import load_network
 from sdrnn.errors import ConfigError
@@ -174,6 +175,48 @@ class TestFeatures:
                      "--features", str(cache)]) == 3
         err = capsys.readouterr().err
         assert path.name in err and "Traceback" not in err
+
+    def test_corrupt_cached_test_archive_is_data_error(self, workspace, tmp_path, capsys):
+        # only a training clip's cached archive was read back, so garbage in
+        # a test clip's archive was a cache hit and features exited 0
+        cache = tmp_path / "cache"
+        shutil.copytree(workspace["features"], cache)
+        entries = json.loads((cache / "features_index.json").read_text())["entries"]
+        broken = cache / f"{next(e['key'] for e in entries if e['split'] == 'test')}.npz"
+        broken.write_bytes(b"garbage")
+        assert main(["features", "--manifest", str(workspace["manifest"]),
+                     "--features", str(cache)]) == 3
+        err = capsys.readouterr().err
+        assert broken.name in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("workers, pool", [(1, None), (3, (3, 2)), (64, (24, 1))])
+    def test_pool_has_no_more_workers_than_clips(self, workspace, tmp_path, monkeypatch,
+                                                 workers, pool):
+        # the pool starts every worker at once: --workers 64 forked 64
+        # processes for 24 clips
+        made = []
+
+        class Pool:
+            """Records its size and chunk size, and runs the jobs in-process."""
+            def __init__(self, max_workers):
+                self.max_workers = max_workers
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs, chunksize):
+                made.append((self.max_workers, chunksize))
+                return map(fn, jobs)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
+        cache = tmp_path / "cache"
+        shutil.copytree(workspace["features"], cache)
+        assert main(["features", "--manifest", str(workspace["manifest"]),
+                     "--features", str(cache), "--workers", str(workers)]) == 0
+        assert made == ([] if pool is None else [pool])
 
     def test_cache_directory_is_the_one_given(self, workspace, tmp_path, monkeypatch):
         # SDRNN_CACHE_DIR used to send the archives and the index elsewhere,
@@ -826,7 +869,7 @@ def test_inputs_unlike_the_models_are_data_error(workspace, tmp_path, capsys, wh
     ("compare", "sample_index", "a"), ("compare", "sample_index", -1),
     ("train", "hidden", "8"), ("train", "alpha", 0.6), ("train", "prune_sparsity", "x"),
     ("train", "seed", "x"), ("train", "seed", -1), ("features", "workers", "x"),
-    ("features", "n_mels", "x")])
+    ("features", "workers", 0), ("features", "n_mels", "x")])
 def test_config_file_value_that_the_option_rejects_is_config_error(workspace, tmp_path, capsys,
                                                                    command, key, value):
     # each ended in a TypeError traceback (seed -1 in a ValueError one):

@@ -1,5 +1,6 @@
 import io
 import json
+import sys
 import warnings
 from dataclasses import replace
 
@@ -15,8 +16,9 @@ from sdrnn.lprnn import (KIND_INPUT, KIND_OUTPUT, KIND_RECURRENT, LpRnnLayer,
                          clamped_relu, cross_entropy, forward_batch,
                          forward_sequence, init_model, load_model,
                          magnitude_prune, quantize_levels, save_model,
-                         softmax, ste_grad_mask, ste_quantize, train)
+                         softmax, ste_quantize, train)
 from sdrnn.containers import FeatureSequence
+from sdrnn.numerics import round_half_away
 
 
 def scalar_cell_oracle(y_prev, x_t, w_in, w_rec, bias, alpha, ceiling):
@@ -120,12 +122,6 @@ def loop_bptt_grads(model, x, labels):
                 new_carry = new_carry + e @ w_rec
             carry[li] = new_carry
     for layer, g in zip(model.layers, grads):
-        if model.quantize:
-            g["w_in"] *= ste_grad_mask(layer.w_in if layer.mask_in is None
-                                       else layer.w_in * layer.mask_in, model.bits)
-            if g["w_rec"] is not None:
-                w = layer.w_rec if layer.mask_rec is None else layer.w_rec * layer.mask_rec
-                g["w_rec"] *= ste_grad_mask(w, model.bits)
         if layer.mask_in is not None:
             g["w_in"] *= layer.mask_in
         if g["w_rec"] is not None and layer.mask_rec is not None:
@@ -272,13 +268,31 @@ class TestSteQuantize:
         assert levels.tolist() == [0, 0, 0]
         assert np.all(np.isfinite(out))
 
-    def test_grad_mask_at_subnormal_peak_clips_nothing(self):
-        # quantize_levels takes scale 1.0 here and clips nothing, so the
-        # straight-through mask passes every gradient
-        w = np.array([5e-324, -5e-324, 0.0])
-        levels, _ = quantize_levels(w)
-        assert levels.tolist() == [0, 0, 0]
-        assert ste_grad_mask(w).tolist() == [1.0, 1.0, 1.0]
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(2, 8),
+           arrays(np.float64, st.integers(1, 12),
+                  elements=st.floats(-1.0, 1.0, allow_nan=False, allow_subnormal=True)),
+           st.one_of(st.sampled_from([1e-307, 1e-310, 1e-320, 5e-324]),
+                     st.floats(5e-324, 1e300)))
+    def test_levels_round_without_clip(self, bits, unit, peak):
+        # the scale is peak / top where that is a normal float, else 1.0; the
+        # levels are then w / scale rounded half away, none beyond top
+        w = unit * peak
+        top = (1 << (bits - 1)) - 1
+        levels, scale = quantize_levels(w, bits)
+        quotient = float(np.abs(w).max()) / top
+        assert scale == (quotient if quotient >= sys.float_info.min else 1.0)
+        assert levels.dtype == np.int8
+        assert np.array_equal(levels, round_half_away(w / scale))
+        assert np.abs(levels).max() <= top
+        assert np.all(ste_quantize(w, bits) == levels * scale)
+
+    def test_subnormal_scale_gives_zero_levels(self):
+        # max|w| / 3 is a nonzero subnormal: the scale is 1.0 and every level
+        # 0, where a subnormal scale would give levels [3, -1]
+        levels, scale = quantize_levels(np.array([1e-310, -3e-311]))
+        assert levels.tolist() == [0, 0]
+        assert scale == 1.0
 
     def test_grid_fixed_point(self):
         s = 0.37
