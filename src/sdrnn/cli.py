@@ -284,6 +284,9 @@ def _model_split(model, features_dir: Path, split: str, take: slice = slice(None
 def cmd_train(args) -> int:
     features_dir = Path(args.features)
     x_tr, y_tr, label_names, t_ann, stats = _load_split(features_dir, "train")
+    if len(label_names) < 2:
+        raise DataError(f"{features_dir}: the feature index has the labels {label_names}; "
+                        "a classifier needs at least two")
     dataset = {"train": (x_tr, y_tr)}
     val = _load_split(features_dir, "val", optional=True)
     if val is not None:
@@ -324,7 +327,7 @@ def cmd_train(args) -> int:
 def cmd_convert(args) -> int:
     model = load_model(args.model)
     timing = TimingConfig(t_ann=model.t_ann, t_snn=args.t_snn)
-    cfg = CompileConfig(safety_margin=args.safety_margin, decay_rounding=args.decay_rounding)
+    cfg = CompileConfig(safety_margin=args.safety_margin)
     if args.f is not None:
         f, trace, predicted = args.f, None, None
     else:
@@ -525,7 +528,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "only their feature archives are read")
     p.add_argument("--probe-split", default="train")
     p.add_argument("--safety-margin", type=float, default=0.5)
-    p.add_argument("--decay-rounding", choices=["round", "trunc"], default="round")
     p.add_argument("--config")
     p.set_defaults(func=cmd_convert)
 

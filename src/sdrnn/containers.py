@@ -33,9 +33,10 @@ class FeatureSequence:
 class SpikeRaster:
     """Sparse record of (timestep, neuron) spike events.
 
-    times/units are parallel int arrays sorted by (time, unit); duration is
-    the total number of simulator steps, population the number of neurons,
-    dt the simulator step in seconds.
+    times/units are parallel int arrays sorted by (time, unit), each event
+    once (a neuron spikes at most once per step); duration is the total
+    number of simulator steps, population the number of neurons, dt the
+    simulator step in seconds.
     """
 
     times: np.ndarray
@@ -60,6 +61,9 @@ class SpikeRaster:
         order = np.lexsort((self.units, self.times))
         self.times = self.times[order]
         self.units = self.units[order]
+        # sorted, a repeated event is next to its twin
+        if ((self.times[1:] == self.times[:-1]) & (self.units[1:] == self.units[:-1])).any():
+            raise DataError("a (timestep, unit) spike event appears more than once")
 
     def dense(self) -> np.ndarray:
         """Dense boolean [duration, population] matrix (small rasters only)."""

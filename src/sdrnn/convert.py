@@ -126,12 +126,13 @@ WEIGHT_GAIN = 1
 WEIGHT_LIMIT = 255
 
 #: Keys that files written before the constants above were fixed still
-#: hold, with the value each must have: a constant, or the name of the
-#: layer key it restated. "config" covers a network's compile config and
-#: the convert command's config file.
+#: hold, with the value each must have: a constant, or in a layer the name
+#: of the layer key it restated. "config" covers a network's compile config
+#: and the convert command's config file.
 RETIRED_KEYS = {
     "config": {"tau_u": ENCODER_TAU_U, "tau_mem": TAU_MEM, "weight_gain": WEIGHT_GAIN,
-               "weight_limit": WEIGHT_LIMIT, "tau_u_override": None, "tau_i_override": None},
+               "weight_limit": WEIGHT_LIMIT, "tau_u_override": None, "tau_i_override": None,
+               "decay_rounding": "round"},
     "layer": {"tau_i": "tau_s", "tau_i_fx": "tau_s_fx", "threshold": "w_fb",
               "tau_mem": TAU_MEM, "tau_mem_fx": TAU_MEM},
 }
@@ -144,7 +145,7 @@ def pop_retired(entries: dict, section: str) -> str | None:
     for key, now in RETIRED_KEYS[section].items():
         if key in entries:
             value = entries.pop(key)
-            expected = entries.get(now) if isinstance(now, str) else now
+            expected = entries.get(now) if section == "layer" and isinstance(now, str) else now
             if value != expected:
                 return f"{key} = {value!r} is no longer supported (it is {expected!r} now)"
     return None
@@ -153,25 +154,18 @@ def pop_retired(entries: dict, section: str) -> str | None:
 @dataclass(frozen=True)
 class CompileConfig:
     """The options of a compile; the hardware constants are fixed (module
-    docstring).
+    docstring), and so is the fixed-point decay (numerics.decay_by).
 
     safety_margin is the share of the 24-bit state bound that the f search
-    lets the probes' peak state reach. decay_rounding "round" keeps
-    fixed-point spike counts within a couple of spikes of reference mode;
-    "trunc" decays slightly faster per step (half an LSB of systematic bias)
-    but drains any state to exactly zero.
+    lets the probes' peak state reach.
     """
 
     safety_margin: float = 0.5
-    decay_rounding: str = "round"
 
     def __post_init__(self):
         if not _finite_positive(self.safety_margin):
             raise ConfigError(f"safety_margin must be a finite positive number, not "
                               f"{self.safety_margin!r}")
-        if self.decay_rounding not in ("round", "trunc"):
-            raise ConfigError(f"decay_rounding must be 'round' or 'trunc', not "
-                              f"{self.decay_rounding!r}")
 
 
 def alpha_to_tau(alpha: float, t_s: float) -> float:
@@ -197,23 +191,23 @@ def rescale_tau(tau_ann: float, timing: TimingConfig) -> float:
 
 
 def map_weights(w_ann: np.ndarray, f: float, tau_u: float, tau_i: float,
-                weight_gain: int = 64, weight_limit: int = 255,
-                weight_exp: int = 0) -> np.ndarray:
+                weight_gain: int = WEIGHT_GAIN, weight_exp: int = 0) -> np.ndarray:
     """Map real weights onto hardware integers:
     round(2**weight_exp * f * W / (tau_u * tau_i * gain)), nearest with ties
-    away from zero. Zero weights map to exactly 0."""
+    away from zero, each within +/-WEIGHT_LIMIT. Zero weights map to exactly
+    0."""
     if not f > 0:
         raise ConfigError("scale factor f must be positive")
     mapped = round_half_away(f * 2.0 ** weight_exp * np.asarray(w_ann, dtype=np.float64)
                              / (tau_u * tau_i * weight_gain))
-    if np.any(np.abs(mapped) > weight_limit):
-        bad = np.argwhere(np.abs(mapped) > weight_limit)
+    if np.any(np.abs(mapped) > WEIGHT_LIMIT):
+        bad = np.argwhere(np.abs(mapped) > WEIGHT_LIMIT)
         offenders = ", ".join(
             f"({', '.join(str(int(v)) for v in idx)}) -> {mapped[tuple(idx)]:.10g}"
             for idx in bad[:5])
         raise NumericError(
             f"{bad.shape[0]} mapped weights exceed the hardware range "
-            f"+/-{weight_limit}; first offenders: {offenders}")
+            f"+/-{WEIGHT_LIMIT}; first offenders: {offenders}")
     return mapped.astype(np.int64)
 
 
@@ -355,7 +349,7 @@ def compile_network(model: LpRnnModel, timing: TimingConfig, f: float,
             exp += 1
 
         def mapped(w):
-            return map_weights(w, f, tau_u_fx, tau_s_fx, WEIGHT_GAIN, WEIGHT_LIMIT, exp)
+            return map_weights(w, f, tau_u_fx, tau_s_fx, weight_exp=exp)
 
         layers.append(SnnLayer(
             kind={KIND_INPUT: "encoder", KIND_RECURRENT: "recurrent"}.get(layer.kind, "output"),

@@ -11,10 +11,11 @@ Weights are trained quantization-aware: every forward pass sees the 3-bit
 quantized view of the weights. The quantizer clips nothing, so each
 full-precision master weight receives its quantized weight's gradient, apart
 from the pruning mask. LpRnnModel.effective_weights is that one view, for
-training, the compiler and the benchmark models alike. Pruning is an
-invariant that LpRnnLayer checks where it is built: a mask is a 0/1 array of
-its weight's shape, and the weights under its 0s are zero. A masked gradient
-is +-0, so Adam's moments and update stay +0 and a pruned weight never moves.
+training, the compiler and the benchmark models alike. LpRnnLayer checks its
+arrays where it is built: the weights and bias hold finite real numbers, a
+mask is a 0/1 array of its weight's shape, and the weights under its 0s are
+zero (pruning). A masked gradient is +-0, so Adam's moments and update stay
++0 and a pruned weight never moves.
 
 Histories are frame-major [T, B, n]. The forward pass writes each layer's
 drive for all frames into one buffer, then scans the frames in place. A pass
@@ -36,9 +37,10 @@ first.
 
 from __future__ import annotations
 
+import copy
 import numbers
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -118,6 +120,14 @@ class LpRnnLayer:
             raise ConfigError(f"unknown layer kind {self.kind!r}")
         if not (_real(self.alpha) and 0.0 <= self.alpha <= 1.0):
             raise ConfigError(f"alpha must lie in [0, 1], got {self.alpha!r}")
+        for name, ndim in (("w_in", 2), ("w_rec", 2), ("bias", 1)):
+            value = getattr(self, name)
+            if (value is not None or name != "w_rec") and not (
+                    isinstance(value, np.ndarray) and value.ndim == ndim
+                    and value.dtype.kind in "iuf" and np.isfinite(value).all()):
+                raise ConfigError(f"{name} must be a {ndim}-D array of finite real numbers, "
+                                  f"not {getattr(value, 'dtype', type(value))} "
+                                  f"{getattr(value, 'shape', '')}")
         if self.kind == KIND_RECURRENT:
             if self.w_rec is None:
                 raise ConfigError("recurrent layer needs w_rec")
@@ -201,11 +211,15 @@ class LpRnnModel:
         return w_in, w_rec
 
     def copy(self) -> "LpRnnModel":
-        def copied(a):
-            return None if a is None else a.copy()
-        layers = [LpRnnLayer(l.kind, copied(l.w_in), copied(l.w_rec), copied(l.bias), l.alpha,
-                             copied(l.mask_in), copied(l.mask_rec)) for l in self.layers]
-        return replace(self, layers=layers)
+        """A copy with arrays of its own. It runs no check, so weights that
+        went non-finite in training reach the loss check."""
+        dup = copy.copy(self)
+        dup.layers = [copy.copy(layer) for layer in self.layers]
+        for layer in dup.layers:
+            for name in ("w_in", "w_rec", "bias", "mask_in", "mask_rec"):
+                if (array := getattr(layer, name)) is not None:
+                    setattr(layer, name, array.copy())
+        return dup
 
 
 def init_model(n_features: int, hidden: tuple[int, ...], n_classes: int,
@@ -541,7 +555,8 @@ def save_model(model: LpRnnModel, path) -> None:
 
 
 def load_model(path) -> LpRnnModel:
-    """Read a model file: a path or an open binary file."""
+    """Read a model file, a path or an open binary file: a classifier of at
+    least two classes."""
     with npz_file(path) as data:
         meta = npz_meta(data, path, MODEL_FORMAT)
         norm_stats, label_names = meta["norm_stats"], meta["label_names"]
@@ -559,7 +574,11 @@ def load_model(path) -> LpRnnModel:
             layers.append(LpRnnLayer(lmeta["kind"], data[f"l{li}_w_in"], data.get(f"l{li}_w_rec"),
                                      data[f"l{li}_bias"], lmeta["alpha"],
                                      data.get(f"l{li}_mask_in"), data.get(f"l{li}_mask_rec")))
-        return LpRnnModel(layers, t_ann=meta["t_ann"], clamp_ceiling=meta["clamp_ceiling"],
-                          bits=meta["bits"], readout_fraction=meta["readout_fraction"],
-                          quantize=meta["quantize"], norm_stats=norm_stats,
-                          label_names=label_names)
+        model = LpRnnModel(layers, t_ann=meta["t_ann"], clamp_ceiling=meta["clamp_ceiling"],
+                           bits=meta["bits"], readout_fraction=meta["readout_fraction"],
+                           quantize=meta["quantize"], norm_stats=norm_stats,
+                           label_names=label_names)
+    if model.n_classes < 2:
+        raise DataError(f"{path}: the output layer has {model.n_classes} unit(s); a classifier "
+                        "needs at least two")
+    return model

@@ -8,44 +8,41 @@ All compartment variables of the spiking simulator live in the signed range
 flagged, so overflow is detectable instead of silently corrupting dynamics.
 
 Decay implements x -> x - x/tau. In reference mode this is real arithmetic
-(decay_array). In fixed-point mode (decay_by) it is evaluated multiplicatively on the magnitude, which
-keeps the sign and keeps 0 a fixed point. Rounding "round" (the compiler's
-default) keeps (|x| (tau - 1) + tau // 2) // tau, the nearest integer, halves
-up: within half an LSB of reference mode per step, but magnitudes of at most
-tau // 2 stop decaying. "trunc" keeps (|x| (tau - 1)) // tau: up to one LSB
-faster per step, but (unlike subtracting trunc(x/tau), which stalls for
-0 < |x| < tau) it drains any state to exactly 0 in finitely many steps.
+(decay_array). In fixed-point mode (decay_by) it is evaluated
+multiplicatively on the magnitude, which keeps the sign and keeps 0 a fixed
+point: it keeps (|x| (tau - 1) + tau // 2) // tau, the nearest integer,
+halves up, within half an LSB of reference mode per step (magnitudes of at
+most tau // 2 stop decaying).
 
 The array kernels take float64 states, integer-valued in fixed-point mode,
-and the fixed-point decay is one rounded multiply: rint(x k) for "round"
-and trunc(x k) for "trunc", plus 0.0 so that a -0.0 becomes +0, with
+and the fixed-point decay is one rounded multiply, rint(x k), plus 0.0 so
+that a -0.0 becomes +0, with
 
     k = fl(fl((tau - 1) / tau) * (1 + 2**-50)),
 
 which decay_factor(tau) computes. The one fixed-point decay is
-decay_by(x, decay_factor(tau), rounder(rounding)); the neuron kernel decays
-by the same taus at every step, so it computes k and the rounding once per
-run. The nudge makes x k exceed the exact quotient: it sends even-tau ties away from zero
-and lifts exact multiples just above their integer, which is what the
-integer floor division does. It is exact for every integer |x| <= 2**23
-(the range of every state) and every integer tau in [1, TAU_LIMIT =
-2**25]. Proof: let a = |x|, y = a (tau - 1) / tau = n + r / tau with
-0 <= r < tau. The kept magnitude is n + [2r >= tau] for "round" and n for
-"trunc". Each of the three float64 roundings (the quotient, the nudged
-product, a k) errs by at most 2**-53 relatively, so fl(a k) = y (1 + e)
-with 4 * 2**-53 < e < 2**-49, and for y > 0
+decay_by(x, decay_factor(tau)); the neuron kernel decays by the same taus
+at every step, so it computes k once per run. The nudge makes x k exceed
+the exact quotient: it sends even-tau ties away from zero and lifts exact
+multiples just above their integer, which is what the integer floor
+division does. It is exact for every integer |x| <= 2**23 (the range of
+every state) and every integer tau in [1, TAU_LIMIT = 2**25]. Proof: let
+a = |x|, y = a (tau - 1) / tau = n + r / tau with 0 <= r < tau. The kept
+magnitude is n + [2r >= tau]. Each of the three float64 roundings (the
+quotient, the nudged product, a k) errs by at most 2**-53 relatively, so
+fl(a k) = y (1 + e) with 4 * 2**-53 < e < 2**-49, and for y > 0
 
     y < fl(a k) < y + 2**23 * 2**-49 = y + 2**-26 <= y + 1 / (2 tau).
 
-Below the next integer, n + 1, y lies at least 1 / tau; below n + 1/2, when
-2r < tau, at least 1 / (2 tau). So trunc gives n, and rint gives n + 1
-exactly when 2r >= tau, a tie 2r = tau being lifted strictly above the
-half. At y = 0 (x = 0 or tau = 1, where k = 0) the product is exactly 0.
-rint and trunc are odd and the roundings sign-symmetric, so a negative x
-decays to minus its magnitude's result. The test suite checks every
-integer |x| <= 2**23 at seven taus against the integer formula. A tau
-outside the proof's range, or not an integer, is a ConfigError in fixed
-point; reference mode takes any positive tau, infinity included.
+When 2r < tau, y lies at least 1 / (2 tau) below n + 1/2, so rint gives n.
+When 2r >= tau, fl(a k) lies strictly above n + 1/2 (a tie 2r = tau is
+lifted) and below n + 1, which y lies at least 1 / tau below, so rint gives
+n + 1. At y = 0 (x = 0 or tau = 1, where k = 0) the product is exactly 0.
+rint is odd, so a negative x decays to minus its magnitude's result. The
+test suite checks every integer |x| <= 2**23 at seven taus against the
+integer formula. A tau outside the proof's range, or not an integer, is a
+ConfigError in fixed point; reference mode takes any positive tau,
+infinity included.
 """
 
 from __future__ import annotations
@@ -61,17 +58,6 @@ STATE_LIMIT = 1 << 23
 #: Largest fixed-point decay tau for which decay_by is proven exact.
 TAU_LIMIT = 1 << 25
 
-_ROUNDERS = {"round": np.rint, "trunc": np.trunc}
-
-
-def rounder(rounding: str):
-    """The rounding of the fixed-point decay: np.rint for "round" (it meets
-    no tie, which the nudge in k lifts), np.trunc for "trunc"."""
-    if rounding not in _ROUNDERS:
-        raise ConfigError(f"unknown decay rounding mode {rounding!r}")
-    return _ROUNDERS[rounding]
-
-
 def decay_factor(tau) -> np.ndarray:
     """The multiplier k of the fixed-point decay by tau (see the module
     docstring); ConfigError unless every tau is an integer in [1, TAU_LIMIT]."""
@@ -81,11 +67,11 @@ def decay_factor(tau) -> np.ndarray:
     return (tau - 1) / tau * (1 + 2.0 ** -50)
 
 
-def decay_by(x: np.ndarray, k, rnd, out: np.ndarray | None = None) -> np.ndarray:
+def decay_by(x: np.ndarray, k, out: np.ndarray | None = None) -> np.ndarray:
     """One fixed-point decay step of every element of x, into out if given:
-    rnd(x k) + 0.0, with k = decay_factor(tau) and rnd = rounder(rounding)."""
+    rint(x k) + 0.0, with k = decay_factor(tau)."""
     out = np.multiply(x, k, out=out)
-    rnd(out, out=out)
+    np.rint(out, out=out)
     return np.add(out, 0.0, out=out)
 
 

@@ -20,9 +20,9 @@ decayed in the step it arrives and the DC gain of each stage is its tau):
     spike = imem > w_fb;  on spike: imem <- 0, s <- s + w_fb
 
 i decays by tau_s, the tau of s, so that s tracks i. The membrane's tau is
-1, and a decay by tau 1 is exactly 0 (x - x / 1, or in fixed point rint or
-trunc of x * 0), so imem keeps nothing of its last value: it needs no decay
-and its state is not an input of the step.
+1, and a decay by tau 1 is exactly 0 (x - x / 1, or in fixed point rint
+of x * 0), so imem keeps nothing of its last value: it needs no decay and
+its state is not an input of the step.
 
 Feedback is same-step; propagation to other neurons (one step to the next
 layer, a per-layer delay on recurrent synapses) and the weight exponent

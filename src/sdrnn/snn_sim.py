@@ -88,7 +88,7 @@ from .containers import FeatureSequence, SpikeRaster
 from .convert import SnnNetwork
 from .errors import ConfigError, DataError
 from .numerics import (STATE_LIMIT, decay_array, decay_by, decay_factor, round_half_away,
-                       rounder, sat_add_array)
+                       sat_add_array)
 
 _MAX_SAT_LOG = 1000
 #: Integers up to this magnitude are exact in float32.
@@ -114,7 +114,7 @@ class SimulationResult:
 
 
 def sigma_delta_kernel(shape, taus, bias, w_fb, exps, fixed: bool = False,
-                       rounding: str = "round", peak: list | None = None):
+                       peak: list | None = None):
     """The decay-then-add update of a population of compiled neurons.
 
     Returns (state, clips, step). state is the zeroed stack (u, i, s, imem)
@@ -130,10 +130,9 @@ def sigma_delta_kernel(shape, taus, bias, w_fb, exps, fixed: bool = False,
     per neuron); i and s share tau_s, and the kernel lays out the decay rows
     of u, i and s from them. bias, w_fb and exps are per neuron or scalars.
     imem has tau 1, and a decay by tau 1 is exactly +0 in both modes (x -
-    x / 1, and rint or trunc of x * 0), so imem keeps nothing of its last
-    value and is not decayed. In fixed point the adds saturate, and each
-    clipping add appends (var, clips per neuron) to clips, which the caller
-    clears.
+    x / 1, and rint of x * 0), so imem keeps nothing of its last value and
+    is not decayed. In fixed point the adds saturate, and each clipping add
+    appends (var, clips per neuron) to clips, which the caller clears.
 
     The constants are laid out once, contiguous at the full shape they meet
     in the step, so no step broadcasts. Two passes that cannot change a
@@ -159,7 +158,7 @@ def sigma_delta_kernel(shape, taus, bias, w_fb, exps, fixed: bool = False,
     taus = np.ascontiguousarray(np.broadcast_to(taus, (2, *shape))[[0, 1, 1]],
                                 dtype=np.float64)
     if fixed:
-        factor, rnd = decay_factor(taus), rounder(rounding)
+        factor = decay_factor(taus)
 
     def laid_out(value):
         return np.ascontiguousarray(np.broadcast_to(value, shape), dtype=np.float64)
@@ -209,7 +208,7 @@ def sigma_delta_kernel(shape, taus, bias, w_fb, exps, fixed: bool = False,
 
     def step(drive) -> np.ndarray:
         if fixed:
-            decay_by(live, factor, rnd, out=decayed)
+            decay_by(live, factor, out=decayed)
         else:
             decay_array(live, taus, out=decayed)
         np.add(du, drive, out=u)
@@ -298,7 +297,7 @@ def _engine(net: SnnNetwork, x: np.ndarray | None, input_raster: SpikeRaster | N
     state, clips, step = sigma_delta_kernel(
         shape, np.stack([per_neuron("tau_u_fx"), per_neuron("tau_s_fx")])[:, None, :],
         per_neuron("bias"), per_neuron("w_fb"), per_neuron("weight_exp").astype(np.int64),
-        fixed, net.config.decay_rounding, peak)
+        fixed, peak)
     s = state[2]
 
     # one block matrix W_d per distinct synaptic delay d: presynaptic rows,

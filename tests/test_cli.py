@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdrnn.audio_frontend import (MelConfig, apply_norm, compute_norm_stats, save_wav,
-                                  write_manifest)
+from sdrnn.audio_frontend import (MelConfig, apply_norm, compute_norm_stats, read_manifest,
+                                  save_wav, write_manifest)
 from sdrnn import cli
 from sdrnn.cli import _load_split, build_parser, main
 from sdrnn.convert import load_network
@@ -427,7 +427,7 @@ class TestConvertCommand:
         command wrote it while the compiler constants were options."""
         config = json.loads(Path(str(workspace["net"]) + ".config.json").read_text())
         config.update({"tau_u": 2.0, "tau_mem": 1.0, "weight_gain": 1, "weight_limit": 255,
-                       **changes})
+                       "decay_rounding": "round", **changes})
         path = tmp_path / "old.config.json"
         path.write_text(json.dumps(config))
         return path
@@ -444,7 +444,8 @@ class TestConvertCommand:
             assert (a.w_fb, a.tau_s_fx, a.tau_u_fx) == (b.w_fb, b.tau_s_fx, b.tau_u_fx)
 
     @pytest.mark.parametrize("key, value", [("tau_u", 3.0), ("tau_mem", 2.0),
-                                            ("weight_gain", 64), ("weight_limit", 127)])
+                                            ("weight_gain", 64), ("weight_limit", 127),
+                                            ("decay_rounding", "trunc")])
     def test_retired_option_with_another_value_is_config_error(self, workspace, tmp_path,
                                                                capsys, key, value):
         config = self.with_retired_options(workspace, tmp_path, **{key: value})
@@ -790,19 +791,25 @@ class TestEvaluateCommand:
             err = capsys.readouterr().err
             assert {"data": "feature data"}.get(name, name) in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("edit", [
-        lambda w, m: (w, m[:, :-1]), lambda w, m: (w, m * 0.5),
-        lambda w, m: (np.where(m == 0, 0.25, w), m)],
-        ids=["mask-shape", "mask-not-0-1", "weight-under-zero"])
-    def test_model_that_breaks_the_pruning_invariant_is_data_error(self, workspace, tmp_path,
-                                                                   capsys, edit):
+    @pytest.mark.parametrize("edit, name", [
+        (lambda a: {"l1_mask_in": a["l1_mask_in"][:, :-1]}, "mask_in"),
+        (lambda a: {"l1_mask_in": a["l1_mask_in"] * 0.5}, "mask_in"),
+        (lambda a: {"l1_w_in": np.where(a["l1_mask_in"] == 0, 0.25, a["l1_w_in"])}, "mask_in"),
+        (lambda a: {"l1_w_in": np.where(a["l1_mask_in"] == 1, np.nan, a["l1_w_in"])}, "w_in"),
+        (lambda a: {"l0_w_in": a["l0_w_in"].astype(str)}, "w_in"),
+        (lambda a: {"l1_bias": a["l1_bias"].astype(complex)}, "bias")],
+        ids=["mask-shape", "mask-not-0-1", "weight-under-zero", "nan-weight", "string-weight",
+             "complex-bias"])
+    def test_model_that_breaks_a_layer_check_is_data_error(self, workspace, tmp_path, capsys,
+                                                           edit, name):
         # a mask of another shape ended evaluate in a ValueError traceback,
-        # and the other two evaluated with exit 0
+        # the other two masks and a NaN weight evaluated with exit 0, and a
+        # string weight or a complex bias ended in a UFuncTypeError
         pruned, model = tmp_path / "pruned.npz", tmp_path / "model.npz"
         assert main(tiny_train(workspace, pruned) + ["--prune-sparsity", "0.5"]) == 0
         with np.load(pruned) as data:
             arrays = dict(data)
-        arrays["l1_w_in"], arrays["l1_mask_in"] = edit(arrays["l1_w_in"], arrays["l1_mask_in"])
+        arrays.update(edit(arrays))
         np.savez(model, **arrays)
         for args in (["evaluate", "--input", str(model), "--features",
                       str(workspace["features"]), "--out", str(tmp_path / "x.json")],
@@ -810,7 +817,30 @@ class TestEvaluateCommand:
                       "--out", str(tmp_path / "net.npz")]):
             assert main(args) == 3, args
             err = capsys.readouterr().err
-            assert "mask_in" in err and "Traceback" not in err
+            assert name in err and "Traceback" not in err
+
+    def test_one_class_index_or_model_is_data_error(self, workspace, tmp_path, capsys):
+        # on a manifest of `up` clips only, features and train exited 0, and
+        # evaluate --mode ann of a one-class model ended in an IndexError at
+        # the margin of the two highest scores
+        rows = [{**row, "path": str(workspace["manifest"].parent / row["path"])}
+                for row in read_manifest(workspace["manifest"]) if row["label"] == "up"]
+        manifest, features = tmp_path / "up.csv", tmp_path / "features"
+        write_manifest(manifest, rows)
+        assert main(["features", "--manifest", str(manifest), "--features", str(features)]) == 0
+        assert main(tiny_train({"features": features}, tmp_path / "m.npz")) == 3
+        assert "at least two" in capsys.readouterr().err
+        x, _, names, t_ann, stats = _load_split(features, "train")
+        model = init_model(x.shape[2], (2, 2), 1, (0.5, 0.5, 0.5), t_ann=t_ann)
+        model.norm_stats, model.label_names = stats, names
+        save_model(model, tmp_path / "one.npz")
+        for args in (["evaluate", "--input", str(tmp_path / "one.npz"), "--features",
+                      str(features), "--mode", "ann", "--out", str(tmp_path / "x.json")],
+                     ["convert", "--model", str(tmp_path / "one.npz"), "--f", "5e4",
+                      "--out", str(tmp_path / "net.npz")]):
+            assert main(args) == 3, args
+            err = capsys.readouterr().err
+            assert "at least two" in err and "Traceback" not in err
 
     def test_missing_split_is_data_error(self, workspace, tmp_path):
         assert main(["evaluate", "--input", str(workspace["model"]),

@@ -101,32 +101,33 @@ class TestMapWeights:
 
     def test_worked_value(self):
         # 512 * 1.0 / (2 * 4 * 64) = 1
-        out = map_weights(np.array([[1.0]]), f=512.0, tau_u=2, tau_i=4)
+        out = map_weights(np.array([[1.0]]), f=512.0, tau_u=2, tau_i=4, weight_gain=64)
         assert out[0, 0] == 1
 
     def test_scale_linearity(self):
         rng = np.random.default_rng(1)
         w = rng.normal(size=(4, 4))
         for c in (0.5, 2.0, 3.0):
-            left = map_weights(c * w, f=300.0, tau_u=2, tau_i=4)
-            right = map_weights(w, f=c * 300.0, tau_u=2, tau_i=4)
+            left = map_weights(c * w, f=300.0, tau_u=2, tau_i=4, weight_gain=64)
+            right = map_weights(w, f=c * 300.0, tau_u=2, tau_i=4, weight_gain=64)
             np.testing.assert_array_equal(left, right)
 
     def test_range_error_names_entries(self):
         w = np.array([[1.0, 0.0], [0.0, 2.0]])
         with pytest.raises(NumericError) as err:
-            map_weights(w, f=10_000_000.0, tau_u=2, tau_i=4, weight_limit=255)
+            map_weights(w, f=10_000_000.0, tau_u=2, tau_i=4)
         assert "(0, 0)" in str(err.value)
 
     def test_weights_beyond_int64_are_range_errors(self):
         # the rounded weights are beyond int64 too: the range check sees
         # them before the cast, which would wrap them past it
         with pytest.raises(NumericError, match=r"\(0, 1\) -> 9\.765625e\+296"):
-            map_weights(np.array([[1.0, 0.5]]), f=1e300, tau_u=2, tau_i=4)
+            map_weights(np.array([[1.0, 0.5]]), f=1e300, tau_u=2, tau_i=4, weight_gain=64)
 
     def test_ties_round_away_from_zero(self):
         # f/(tau_u*tau_i*gain) = 0.5 exactly
-        out = map_weights(np.array([[1.0, -1.0, 3.0]]), f=256.0, tau_u=2, tau_i=4)
+        out = map_weights(np.array([[1.0, -1.0, 3.0]]), f=256.0, tau_u=2, tau_i=4,
+                          weight_gain=64)
         assert out.tolist() == [[1, -1, 2]]
 
 
@@ -195,8 +196,7 @@ class TestCompile:
                 for mapped, w in tensors:
                     w_q = ste_quantize(w, model.bits)
                     expected = map_weights(w_q, net.f, layer.tau_u_fx, layer.tau_s_fx,
-                                           convert.WEIGHT_GAIN, convert.WEIGHT_LIMIT,
-                                           layer.weight_exp)
+                                           weight_exp=layer.weight_exp)
                     np.testing.assert_array_equal(mapped, expected)
                 # the exponent is the largest the weight range and 2**e <= tau_i allow
                 assert layer.weight_exp > 0  # f = 2e5 is far below the weight cap
@@ -205,8 +205,7 @@ class TestCompile:
                     with pytest.raises(NumericError):
                         for _, w in tensors:
                             map_weights(ste_quantize(w, model.bits), net.f, layer.tau_u_fx,
-                                        layer.tau_s_fx, convert.WEIGHT_GAIN,
-                                        convert.WEIGHT_LIMIT, layer.weight_exp + 1)
+                                        layer.tau_s_fx, weight_exp=layer.weight_exp + 1)
             assert layer.bias.dtype.kind == "i"
 
     def test_compile_is_deterministic(self):
@@ -253,8 +252,7 @@ class TestCompile:
 
     @pytest.mark.parametrize("option, value", [
         ("safety_margin", math.inf), ("safety_margin", math.nan), ("safety_margin", 0.0),
-        ("safety_margin", -1.0), ("safety_margin", True), ("safety_margin", "0.5"),
-        ("decay_rounding", "bogus"), ("decay_rounding", None)])
+        ("safety_margin", -1.0), ("safety_margin", True), ("safety_margin", "0.5")])
     def test_invalid_compile_config_rejected(self, option, value):
         with pytest.raises(ConfigError, match=option):
             CompileConfig(**{option: value})
@@ -460,7 +458,7 @@ class TestNetworkFile:
     def test_round_trip_keeps_every_field(self, tmp_path):
         # a field that the file format dropped would come back as its
         # default, or fail to load
-        config = CompileConfig(safety_margin=0.3, decay_rounding="trunc")
+        config = CompileConfig(safety_margin=0.3)
         net = compile_network(quantized_model(np.random.default_rng(16)), TIMING, f=2e5,
                               config=config)
         assert all(l.rec_delay > 1 and l.weight_exp > 0 for l in net.layers[1:3])
@@ -482,7 +480,8 @@ class TestNetworkFile:
     def with_retired_keys(meta):
         """meta as the compiler wrote it while these keys were options or
         restated another field, with the values they always took."""
-        meta["config"].update(tau_u=2.0, tau_mem=1.0, weight_gain=1, weight_limit=255)
+        meta["config"].update(tau_u=2.0, tau_mem=1.0, weight_gain=1, weight_limit=255,
+                              decay_rounding="round")
         for lmeta in meta["layers"]:
             lmeta.update(tau_i=lmeta["tau_s"], tau_mem=1.0, tau_i_fx=lmeta["tau_s_fx"],
                          tau_mem_fx=1, threshold=lmeta["w_fb"])
@@ -500,7 +499,8 @@ class TestNetworkFile:
 
     @pytest.mark.parametrize("section, key, value", [
         ("config", "tau_u", 3.0), ("config", "tau_mem", 2.0), ("config", "weight_gain", 64),
-        ("config", "weight_limit", 127), ("layer", "tau_i", 30.0), ("layer", "tau_i_fx", 7),
+        ("config", "weight_limit", 127), ("config", "decay_rounding", "trunc"),
+        ("layer", "tau_i", 30.0), ("layer", "tau_i_fx", 7),
         ("layer", "threshold", 3), ("layer", "tau_mem", 2.0), ("layer", "tau_mem_fx", 2),
     ])
     def test_retired_key_with_another_value_rejected(self, tmp_path, section, key, value):
@@ -622,8 +622,8 @@ class TestNetworkFile:
     ], ids=["tau-zero", "fractional-tau", "decay-rounding", "unknown-config-key",
             "infinite-safety-margin", "notes-list", "unknown-layer-key"])
     def test_invalid_constants_rejected(self, tmp_path, edit):
-        # time constants are integers >= 1, decay_rounding is round or
-        # trunc, every config and layer key is known, and the notes are a
+        # time constants are integers >= 1, a retired decay_rounding is
+        # round, every config and layer key is known, and the notes are a
         # JSON object
         _, path = self.saved_with_meta(tmp_path, edit)
         with pytest.raises(DataError):

@@ -17,15 +17,16 @@ import numpy as np
 import pytest
 
 from sdrnn.containers import FeatureSequence
-from sdrnn.convert import CompileConfig, compile_network
+from sdrnn.convert import compile_network
 from sdrnn.numerics import STATE_LIMIT
 from sdrnn.sigma_delta import NeuronParams, encode_analog, reconstruct
 from sdrnn.snn_sim import sigma_delta_kernel, simulate, simulate_batch
 
 from test_snn_sim import TIMING, three_tap_net, toy_model
 
-#: (mode, decay rounding); reference mode does not round
-MODES = [("reference", "round"), ("fixed_point", "round"), ("fixed_point", "trunc")]
+#: The simulation modes; each GOLDEN key also names the rounding of the
+#: fixed-point decay, "round".
+MODES = ["reference", "fixed_point"]
 
 
 class Hasher:
@@ -59,50 +60,46 @@ def result_digest(result) -> str:
     return h.hexdigest()
 
 
-def toy_net(rounding: str, seed: int = 42):
+def toy_net(seed: int = 42):
     """The toy network of the flat-loop tests: rec_delay 5 on the recurrent
     layer and nonzero weight exponents."""
     rng = np.random.default_rng(seed)
-    net = compile_network(toy_model(rng), TIMING, f=5e4,
-                          config=CompileConfig(decay_rounding=rounding))
-    return net, rng
+    return compile_network(toy_model(rng), TIMING, f=5e4), rng
 
 
 def every_probe(net, first: int = 0) -> dict:
     return {li: list(range(layer.size)) for li, layer in enumerate(net.layers) if li >= first}
 
 
-def single_run(mode, rounding):
-    net, rng = toy_net(rounding)
+def single_run(mode):
+    net, rng = toy_net()
     feats = FeatureSequence(rng.uniform(0.0, 1.0, size=(12, 2)), TIMING.t_ann)
     return simulate(net, feats, mode=mode, probe=every_probe(net))
 
 
-def batch_run(mode, rounding):
-    net, rng = toy_net(rounding)
+def batch_run(mode):
+    net, rng = toy_net()
     return simulate_batch(net, rng.uniform(0.0, 1.0, size=(3, 12, 2)), mode=mode)
 
 
-def raster_run(mode, rounding):
-    net, rng = toy_net(rounding)
+def raster_run(mode):
+    net, rng = toy_net()
     feats = FeatureSequence(rng.uniform(0.0, 1.0, size=(12, 2)), TIMING.t_ann)
     encoded = simulate(net, feats, mode=mode).rasters[0]
     return simulate(net, encoded, mode=mode, probe=every_probe(net, first=1))
 
 
-def three_tap_run(mode, rounding):
+def three_tap_run(mode):
     # synaptic delays 1, 4 and 5
-    net, rng = three_tap_net(CompileConfig(decay_rounding=rounding))
+    net, rng = three_tap_net()
     feats = FeatureSequence(rng.uniform(0.0, 1.0, size=(12, 2)), TIMING.t_ann)
     return simulate(net, feats, mode=mode, probe=every_probe(net))
 
 
-def saturating_run(mode, rounding):
+def saturating_run(mode):
     # the every_var case of test_fixed_point_states_bounded_and_logged: u,
     # i, imem and s all clip in fixed point
-    rng = np.random.default_rng(6)
-    net = compile_network(toy_model(rng), TIMING, f=5e4,
-                          config=CompileConfig(decay_rounding=rounding))
+    net, rng = toy_net(seed=6)
     net.layers[1].bias = net.layers[1].bias + STATE_LIMIT // 2
     net.layers[1].w_in = net.layers[1].w_in * 40000
     net.layers[2].bias = net.layers[2].bias + STATE_LIMIT // 4
@@ -111,7 +108,7 @@ def saturating_run(mode, rounding):
     return simulate(net, feats, mode=mode, probe=every_probe(net))
 
 
-def kernel_digest(mode, rounding, exps=(0, 1, 2, 3, 0, 1),
+def kernel_digest(mode, exps=(0, 1, 2, 3, 0, 1),
                   bias=(3.0, -2.0, 0.0, 5.0, 1.0, 0.0)) -> str:
     """A bare kernel run with per-neuron taus, weight exponents 0-3 (or the
     given ones) and a drive large enough to clip in fixed point."""
@@ -122,7 +119,7 @@ def kernel_digest(mode, rounding, exps=(0, 1, 2, 3, 0, 1),
                      np.array([9.0, 6.0, 10.0, 4.0, 3.0, 8.0])])[:, None, :]
     exps, bias = np.asarray(exps), np.asarray(bias, dtype=np.float64)
     w_fb = np.array([40.0, 25.0, 60.0, 30.0, 20.0, 50.0])
-    state, clips, step = sigma_delta_kernel(shape, taus, bias, w_fb, exps, fixed, rounding)
+    state, clips, step = sigma_delta_kernel(shape, taus, bias, w_fb, exps, fixed)
     h = Hasher()
     for t in range(200):
         drive = np.round(rng.normal(0.0, 30.0, size=shape))
@@ -166,72 +163,57 @@ GOLDEN = {
         "cc2570e4dfb86eb4c0363647aaa0a7ebb50fee978c04faef7cc3b9c80b2d086f",
     ('single', 'fixed_point', 'round'):
         "0defada0b6f1b84ce7140a9e8c0a1ba4de812b15e95a5e15a6b652a08d74e5eb",
-    ('single', 'fixed_point', 'trunc'):
-        "d6e97c352b309c15d9f6ce55aabc4bdbe7dad459c52bb40f20322df0c6e601d7",
     ('batch', 'reference', 'round'):
         "b2d0ed64bd2b4e666fb9d2943c1ddec7c30fb672e4fd5068004c4fe34b3dcbd2",
     ('batch', 'fixed_point', 'round'):
         "07031373c82c3d7bd6737d56f276240b7905325875e7d1d31991aa0f87257446",
-    ('batch', 'fixed_point', 'trunc'):
-        "9650d67ba1722d1a41b716df207fc09df63547f6728c534b1b255fe372d2b841",
     ('raster', 'reference', 'round'):
         "ccab9555fe15da785253d24671d779d8eae5be6de22ed9fcd2c4ea0d13fba844",
     ('raster', 'fixed_point', 'round'):
         "2e3ff361f1f9fe131925299a268bdc5a812fd16f02553b56c77afb8451cf86e7",
-    ('raster', 'fixed_point', 'trunc'):
-        "e2de01ec651d2bdee63e260f528f88fd2bc5ef6d7878a270e4081248799f9d99",
     ('saturating', 'reference', 'round'):
         "a9828e476d62570a03078b084c050d9b20dd22e1aa067174fc2fa8cd2b7a5d25",
     ('saturating', 'fixed_point', 'round'):
         "9dc876a865e6632944353f3946740b7ad52759959efb55cf8d8540c24b4c265b",
-    ('saturating', 'fixed_point', 'trunc'):
-        "01e7513257012fb82b3c1cf723dccb2e72c5875c6b33741919abbe93fdb67ee1",
     ('kernel', 'reference', 'round'):
         "57a2ba32b3902b8ee0a6e66e4a8dcc77f91ec3b40f75bfa1c8d6d3e5f1b9f8c0",
     ('kernel', 'fixed_point', 'round'):
         "6ceaab1fa47bc8568767cbaf9699341be7c5345bd806dd1184d6a5b9e1408af4",
-    ('kernel', 'fixed_point', 'trunc'):
-        "cac7626a1f38671471f74295420fadd44240c918102c853b4e82f453d0bb669e",
     ('encoder',):
         "fd7080e19851183c9d8da97a7982ca3473aa2830064bd81b3bba23467cfed575",
     ('three_tap', 'reference', 'round'):
         "1ffb4ab65f47646a6fc103d8d0129a61e51bf6a95bb4f732164e79830ce1ce87",
     ('three_tap', 'fixed_point', 'round'):
         "23cae098f2dddc2c7430df57d415528afaab7eafd58c3ac74f5e63a34d5ccdd9",
-    ('three_tap', 'fixed_point', 'trunc'):
-        "054c450d842dc53f74bb06e805bc206ed1c40d04e5b9366dfc16260f2361a4d4",
     ('unit_kernel', 'reference', 'round'):
         "474295d92f118d4bd85b35c1e32015ee9b49b0259b874bffd7ecea50d2e19bf9",
     ('unit_kernel', 'fixed_point', 'round'):
         "ea9d63c14c48f1a3d29a3ec5557bf98e95364476ce36e04fe27649ba26d54b64",
-    ('unit_kernel', 'fixed_point', 'trunc'):
-        "0bb36abb82402c2c50ab632a226aa4eeca228de6136dddebfeb6bf7ad6964893",
     ('reconstruct',):
         "2a39e5256067ec15fa934159b33bbc5fbd61a907ccbe308bd37b60efa5664819",
 }
 
 
-@pytest.mark.parametrize("mode, rounding", MODES)
+@pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("case", list(RUNS))
-def test_engine_result_digest(case, mode, rounding):
-    assert result_digest(RUNS[case](mode, rounding)) == GOLDEN[(case, mode, rounding)]
+def test_engine_result_digest(case, mode):
+    assert result_digest(RUNS[case](mode)) == GOLDEN[(case, mode, "round")]
 
 
-@pytest.mark.parametrize("mode, rounding", MODES)
-def test_kernel_digest(mode, rounding):
-    assert kernel_digest(mode, rounding) == GOLDEN[("kernel", mode, rounding)]
+@pytest.mark.parametrize("mode", MODES)
+def test_kernel_digest(mode):
+    assert kernel_digest(mode) == GOLDEN[("kernel", mode, "round")]
 
 
 def test_encoder_digest():
     assert encoder_digest() == GOLDEN[("encoder",)]
 
 
-@pytest.mark.parametrize("mode, rounding", MODES)
-def test_unit_kernel_digest(mode, rounding):
+@pytest.mark.parametrize("mode", MODES)
+def test_unit_kernel_digest(mode):
     # every weight exponent and bias 0, as in the analog encoder's
     # population: the kernel drops the scale and the bias add
-    assert kernel_digest(mode, rounding, exps=0, bias=0.0) == GOLDEN[("unit_kernel", mode,
-                                                                       rounding)]
+    assert kernel_digest(mode, exps=0, bias=0.0) == GOLDEN[("unit_kernel", mode, "round")]
 
 
 def test_reconstruct_digest():

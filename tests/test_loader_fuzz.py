@@ -171,15 +171,19 @@ def test_mask_replaced_is_data_error_or_holds_the_invariant(valid_dir, data):
     # a mask of another shape ended the first forward pass in a ValueError,
     # and one of 0.5s or with a nonzero weight under a 0 loaded; a mask is
     # also drawn for a layer without w_rec, and as a 0/1 array of its
-    # weight's shape
+    # weight's shape. A weight or bias is drawn the same way: a NaN weight
+    # loaded, and a string weight or a complex bias ended the first pass in
+    # a UFuncTypeError
     with np.load(valid_dir / "pruned.npz") as archive:
         arrays = dict(archive)
     n_layers = sum(1 for key in arrays if key.endswith("_w_in"))
-    li, name = data.draw(st.integers(0, n_layers - 1)), data.draw(st.sampled_from(["in", "rec"]))
-    weight = arrays.get(f"l{li}_w_{name}", np.zeros((2, 2)))
-    zero_one = hnp.arrays(st.sampled_from([np.float64, np.int8]), weight.shape,
+    li = data.draw(st.integers(0, n_layers - 1))
+    name = data.draw(st.sampled_from(["mask_in", "mask_rec", "w_in", "w_rec", "bias"]))
+    # a mask takes its weight's shape
+    shape = arrays.get(f"l{li}_{name.replace('mask', 'w')}", np.zeros((2, 2))).shape
+    zero_one = hnp.arrays(st.sampled_from([np.float64, np.int8]), shape,
                           elements=st.sampled_from([0, 1]))
-    arrays[f"l{li}_mask_{name}"] = data.draw(any_array(weight.shape) | zero_one)
+    arrays[f"l{li}_{name}"] = data.draw(any_array(shape) | zero_one)
     path = valid_dir / "edited-pruned.npz"
     np.savez(path, **arrays)
     try:
@@ -187,8 +191,13 @@ def test_mask_replaced_is_data_error_or_holds_the_invariant(valid_dir, data):
     except DataError:
         return
     for layer in model.layers:
+        for w in (layer.w_in, layer.w_rec, layer.bias):
+            if w is not None:
+                assert w.dtype.kind in "iuf" and np.isfinite(w).all()
         for w, mask in ((layer.w_in, layer.mask_in), (layer.w_rec, layer.mask_rec)):
             if mask is not None:
                 assert mask.shape == w.shape and np.isin(mask, (0, 1)).all()
                 assert (w[mask == 0] == 0).all()
-    forward_batch(model, np.random.default_rng(0).uniform(0.0, 1.0, size=(2, 3, 3)))
+    # a finite weight may still take the pass beyond the float range
+    with np.errstate(over="ignore", invalid="ignore"):
+        forward_batch(model, np.random.default_rng(0).uniform(0.0, 1.0, size=(2, 3, 3)))

@@ -692,10 +692,17 @@ class TestModelFile:
             load_model(path)
 
 
+def saved_model(model) -> io.BytesIO:
+    """model, saved into a file object read from its start."""
+    saved = io.BytesIO()
+    save_model(model, saved)
+    saved.seek(0)
+    return saved
+
+
 def model_file(**meta) -> io.BytesIO:
     """A saved model whose metadata meta has changed."""
-    saved = io.BytesIO()
-    save_model(random_model(np.random.default_rng(0)), saved)
+    saved = saved_model(random_model(np.random.default_rng(0)))
     with np.load(io.BytesIO(saved.getvalue())) as data:
         arrays = dict(data)
     edited = json.loads(bytes(arrays["meta"]).decode()) | meta
@@ -721,6 +728,16 @@ def bare_layer(kind, w_in=np.zeros((2, 2)), w_rec=None, bias=np.zeros(2), alpha=
                  "must not have w_rec", id="feedforward-w_rec"),
     pytest.param(lambda: bare_layer(KIND_INPUT, bias=np.zeros(3)), ConfigError, "bias shape",
                  id="bias-shape"),
+    pytest.param(lambda: bare_layer(KIND_INPUT, w_in=np.array([[0.0, np.nan], [0.0, 0.0]])),
+                 ConfigError, "w_in must be a 2-D array of finite real", id="nan-w_in"),
+    pytest.param(lambda: bare_layer(KIND_INPUT, w_in=np.zeros((2, 2)).astype(str)),
+                 ConfigError, "w_in must be", id="string-w_in"),
+    pytest.param(lambda: bare_layer(KIND_INPUT, w_in=np.zeros(2)), ConfigError, "w_in must be",
+                 id="1-D-w_in"),
+    pytest.param(lambda: bare_layer(KIND_RECURRENT, w_rec=np.full((2, 2), np.inf)), ConfigError,
+                 "w_rec must be", id="infinite-w_rec"),
+    pytest.param(lambda: bare_layer(KIND_INPUT, bias=np.zeros(2, dtype=complex)), ConfigError,
+                 "bias must be a 1-D array", id="complex-bias"),
     pytest.param(lambda: LpRnnModel([bare_layer(KIND_OUTPUT)], t_ann=0.01), ConfigError,
                  "layer stack", id="stack-order"),
     pytest.param(lambda: LpRnnModel([bare_layer(KIND_INPUT, np.zeros((3, 2)), bias=np.zeros(3)),
@@ -743,6 +760,8 @@ def bare_layer(kind, w_in=np.zeros((2, 2)), w_rec=None, bias=np.zeros(2), alpha=
                  DataError, "empty batch", id="empty-batch"),
     pytest.param(lambda: load_model(model_file(label_names=[1, 2, 3])), DataError,
                  "label_names", id="label-names"),
+    pytest.param(lambda: load_model(saved_model(random_model(np.random.default_rng(0), n_out=1))),
+                 DataError, "at least two", id="one-class-model"),
 ])
 def test_input_check(call, error, match):
     with pytest.raises(error, match=match):

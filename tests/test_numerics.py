@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from sdrnn.errors import ConfigError
 from sdrnn.numerics import (STATE_LIMIT, TAU_LIMIT, decay_array, decay_by, decay_factor,
-                            round_half_away, rounder, sat_add_array)
+                            round_half_away, sat_add_array)
 
 
 def sat_add(a, b):
@@ -16,16 +16,15 @@ def sat_add(a, b):
     return out[0], clipped
 
 
-def fixed_decay(x, tau, rounding="trunc", out=None):
-    """The fixed-point decay by tau: decay_by with tau's factor and the
-    rounding's rounder."""
-    return decay_by(x, decay_factor(tau), rounder(rounding), out=out)
+def fixed_decay(x, tau, out=None):
+    """The fixed-point decay by tau: decay_by with tau's factor."""
+    return decay_by(x, decay_factor(tau), out=out)
 
 
-def decay(x, tau, fixed=True, rounding="trunc"):
+def decay(x, tau, fixed=True):
     """fixed_decay, or decay_array in reference mode, on one scalar."""
     x = np.array([float(x)])
-    return (fixed_decay(x, float(tau), rounding) if fixed else decay_array(x, float(tau)))[0]
+    return (fixed_decay(x, float(tau)) if fixed else decay_array(x, float(tau)))[0]
 
 
 class TestSatAdd:
@@ -52,13 +51,11 @@ class TestSatAdd:
 
 class TestDecay:
     def test_zero_fixed_point_of_decay(self):
-        for rounding in ("trunc", "round"):
-            assert decay(0, 5, rounding=rounding) == 0
+        assert decay(0, 5) == 0
         assert decay(0.0, 3.7, fixed=False) == 0.0
 
     def test_full_decay_at_tau_one(self):
-        for rounding in ("trunc", "round"):
-            assert decay(4096, 1, rounding=rounding) == 0
+        assert decay(4096, 1) == 0
 
     def test_reference_integer_evaluation(self):
         # 4096 - 4096/4 = 3072
@@ -68,10 +65,9 @@ class TestDecay:
     def test_infinite_tau_disables_reference_decay(self):
         assert decay(123.456, math.inf, fixed=False) == 123.456
 
-    @given(st.integers(-STATE_LIMIT, STATE_LIMIT), st.integers(1, 10000),
-           st.sampled_from(["trunc", "round"]))
-    def test_sign_preserved_and_contracting(self, x, tau, rounding):
-        out = decay(x, tau, rounding=rounding)
+    @given(st.integers(-STATE_LIMIT, STATE_LIMIT), st.integers(1, 10000))
+    def test_sign_preserved_and_contracting(self, x, tau):
+        out = decay(x, tau)
         assert out == 0 or np.sign(out) == np.sign(x)
         assert abs(out) <= abs(x)
 
@@ -82,23 +78,6 @@ class TestDecay:
         if x != 0:
             assert np.sign(out) in (0, np.sign(x))
 
-    def test_reaches_zero_in_finite_steps(self):
-        # truncating decay drains every state to exactly 0: 64 states over
-        # the 24-bit range with taus up to 5000, at most max|x| + 1 steps
-        rng = np.random.default_rng(0)
-        xs = rng.integers(-STATE_LIMIT, STATE_LIMIT + 1, size=64).astype(np.float64)
-        taus = rng.integers(1, 5001, size=64).astype(np.float64)
-        state, steps = xs, 0
-        while state.any() and steps <= np.abs(xs).max():
-            state = fixed_decay(state, taus, "trunc")
-            steps += 1
-        assert not state.any()
-
-    def test_strict_decrement_even_below_tau(self):
-        # magnitudes below tau still drain instead of stalling
-        assert decay(5, 1000) == 4
-        assert decay(-5, 1000) == -4
-
 
 class TestArrayKernels:
     def test_decay_array_matches_scalar(self):
@@ -107,19 +86,15 @@ class TestArrayKernels:
         # fixed point, and as x - x / tau in reference mode
         xs = np.array([[-4096, -7, 0, 7, 4096, 999], [5, -5, 3, -3, 1, -1]])
         taus = [1, 2, 3, 4, 7, 150]
-        for rounding in ("trunc", "round"):
-            out = fixed_decay(xs.astype(np.float64), np.array(taus, dtype=np.float64),
-                              rounding)
-            expected = [[int(math.copysign((abs(int(x)) * (t - 1)
-                                            + (t // 2 if rounding == "round" else 0)) // t, x))
-                         for x, t in zip(row, taus)] for row in xs]
-            assert out.tolist() == expected
+        out = fixed_decay(xs.astype(np.float64), np.array(taus, dtype=np.float64))
+        expected = [[int(math.copysign((abs(int(x)) * (t - 1) + t // 2) // t, x))
+                     for x, t in zip(row, taus)] for row in xs]
+        assert out.tolist() == expected
         out = decay_array(xs.astype(np.float64), np.array(taus, dtype=np.float64))
         expected = [[float(x) - float(x) / t for x, t in zip(row, taus)] for row in xs]
         assert out.tolist() == expected
 
-    @pytest.mark.parametrize("rounding", ["trunc", "round"])
-    def test_float_held_decay_matches_integer_floor_division(self, rounding):
+    def test_float_held_decay_matches_integer_floor_division(self):
         # every tau in 1..4096 (the tau_*_fx the compiler emits at oversample
         # <= 200 for alpha up to 0.95, and tau_mem = 1, tau_u = 2) plus 64
         # larger ones up to 2**23, at the edge magnitudes of each tau and a
@@ -128,7 +103,6 @@ class TestArrayKernels:
         # with the sign of x, and makes no -0.0
         taus = np.concatenate([np.arange(1, 4097),
                                np.geomspace(4097, STATE_LIMIT, 64).astype(np.int64)])[:, None]
-        half = taus // 2 if rounding == "round" else np.zeros_like(taus)
         h = taus // 2
         edges = np.concatenate([np.broadcast_to(np.array([0, 1, STATE_LIMIT - 1, STATE_LIMIT]),
                                                 (taus.size, 4)),
@@ -136,14 +110,12 @@ class TestArrayKernels:
         sample = np.random.default_rng(0).integers(-STATE_LIMIT, STATE_LIMIT + 1, size=512)
         xs = np.concatenate([edges.clip(0), -edges.clip(0),
                              np.broadcast_to(sample, (taus.size, sample.size))], axis=1)
-        expected = np.sign(xs) * ((np.abs(xs) * (taus - 1) + half) // taus)
-        got = fixed_decay(xs.astype(np.float64), taus.astype(np.float64), rounding,
-                          out=np.empty(xs.shape))
+        expected = np.sign(xs) * ((np.abs(xs) * (taus - 1) + h) // taus)
+        got = fixed_decay(xs.astype(np.float64), taus.astype(np.float64), out=np.empty(xs.shape))
         np.testing.assert_array_equal(got, expected)
         assert not np.signbit(got[got == 0]).any()
 
-    @pytest.mark.parametrize("rounding", ["trunc", "round"])
-    def test_decay_exact_over_the_whole_state_range(self, rounding):
+    def test_decay_exact_over_the_whole_state_range(self):
         # every integer |x| <= 2**23, both signs, at taus from 1 to past
         # 2**24: the rounded multiply equals the int64 floor division
         # (|x| (tau - 1) + half) // tau with the sign of x, bit for bit
@@ -154,12 +126,10 @@ class TestArrayKernels:
             a = np.arange(start, min(start + chunk, STATE_LIMIT + 1))
             n = a.size
             for tau in (1, 2, 3, 98, 100, 4096, (1 << 24) + 3):
-                half = tau // 2 if rounding == "round" else 0
                 w = want[:n]
-                w[...] = (a * (tau - 1) + half) // tau
+                w[...] = (a * (tau - 1) + tau // 2) // tau
                 for sign in (1.0, -1.0):
-                    g = fixed_decay(np.multiply(a, sign, out=x[:n]), float(tau), rounding,
-                                    out=got[:n])
+                    g = fixed_decay(np.multiply(a, sign, out=x[:n]), float(tau), out=got[:n])
                     if sign < 0:
                         np.add(np.negative(w, out=w), 0.0, out=w)
                     assert np.array_equal(g.view(np.int64), w.view(np.int64)), (tau, start)
@@ -172,14 +142,10 @@ class TestArrayKernels:
         if tau > 0:
             decay_array(np.array([5.0, -5.0]), np.array([3.0, tau]))
 
-    def test_largest_proven_tau_and_unknown_rounding(self):
-        # at TAU_LIMIT a magnitude below tau / 2 keeps its value when
-        # rounded and loses one when truncated
+    def test_largest_proven_tau(self):
+        # at TAU_LIMIT a magnitude below tau / 2 keeps its value
         xs = np.array([STATE_LIMIT, -1.0, 0.0])
-        assert fixed_decay(xs, float(TAU_LIMIT), "round").tolist() == [STATE_LIMIT, -1, 0]
-        assert fixed_decay(xs, float(TAU_LIMIT), "trunc").tolist() == [STATE_LIMIT - 1, 0, 0]
-        with pytest.raises(ConfigError, match="rounding"):
-            fixed_decay(xs, 3.0, "floor")
+        assert fixed_decay(xs, float(TAU_LIMIT)).tolist() == [STATE_LIMIT, -1, 0]
 
     def test_float_held_shift_matches_arithmetic_shift(self):
         # u enters i as floor((u + half) * 2**-e), the rounded arithmetic

@@ -225,6 +225,16 @@ class TestRasterSerialization:
         with pytest.raises(DataError):
             SpikeRaster(np.array([10]), np.array([0]), duration=10, population=1, dt=1e-4)
 
+    def test_repeated_event_is_data_error(self, tmp_path):
+        # dense(), and with it simulate, counted one spike where reconstruct
+        # added w_fb twice; the twin need not follow its event in the file
+        with pytest.raises(DataError, match="more than once"):
+            SpikeRaster([3, 3], [1, 1], 10, 2, 1e-4)
+        path = tmp_path / "spikes.txt"
+        path.write_text("# duration=10 population=2 dt=0.0001\n3,1\n2,0\n3,0\n3,1\n")
+        with pytest.raises(DataError, match="more than once"):
+            load_raster(path)
+
 
 @pytest.mark.parametrize("call, error, match", [
     pytest.param(lambda: NeuronParams(w_fb=0.0), ConfigError, "w_fb", id="w_fb"),

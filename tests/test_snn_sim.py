@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from sdrnn.containers import FeatureSequence, SpikeRaster
-from sdrnn.convert import (CompileConfig, TimingConfig, compile_network, load_network,
-                           probe_peak_state, save_network)
+from sdrnn.convert import (TimingConfig, compile_network, load_network, probe_peak_state,
+                           save_network)
 from sdrnn.errors import ConfigError, DataError
 from sdrnn.lprnn import forward_sequence, init_model
 from sdrnn.numerics import STATE_LIMIT
@@ -31,12 +31,12 @@ def toy_model(rng, n_in=2, hidden=(3, 3), n_out=2, alphas=(0.85, 0.9, 0.8),
     return model
 
 
-def three_tap_net(config: CompileConfig = CompileConfig()):
+def three_tap_net():
     """Two recurrent layers of different alpha, with rec_delay 5 and 4: with
     the feed-forward synapses, three distinct synaptic delays."""
     rng = np.random.default_rng(48)
     model = toy_model(rng, hidden=(3, 3, 3), alphas=(0.85, 0.9, 0.5, 0.8))
-    return compile_network(model, TIMING, f=2.5e4, config=config), rng
+    return compile_network(model, TIMING, f=2.5e4), rng
 
 
 def output_probe(net) -> dict:
@@ -75,16 +75,10 @@ def flat_loop_sim(net, feats: np.ndarray, mode: str, sat_log: list | None = None
     events = [[] for _ in layers]
     s_traces = [[] for _ in layers]
 
-    rounding = net.config.decay_rounding
-
     def decay(value, tau):
         if fixed:
             tau = int(round(tau))
-            mag = abs(value)
-            if rounding == "round":
-                kept = (mag * (tau - 1) + tau // 2) // tau
-            else:
-                kept = (mag * (tau - 1)) // tau
+            kept = (abs(value) * (tau - 1) + tau // 2) // tau
             return kept if value >= 0 else -kept
         return value - value / tau
 
@@ -152,16 +146,11 @@ def flat_loop_sim(net, feats: np.ndarray, mode: str, sat_log: list | None = None
 
 
 class TestEngineAgainstFlatLoop:
-    @pytest.mark.parametrize("mode, rounding", [
-        pytest.param("reference", "round", id="reference"),
-        pytest.param("fixed_point", "round", id="fixed_point"),
-        pytest.param("reference", "trunc", id="reference-trunc"),
-        pytest.param("fixed_point", "trunc", id="fixed_point-trunc"),
-    ])
-    def test_identical_rasters_and_traces(self, mode, rounding):
+    @pytest.mark.parametrize("mode", ["reference", "fixed_point"])
+    def test_identical_rasters_and_traces(self, mode):
         rng = np.random.default_rng(42)
         model = toy_model(rng)
-        net = compile_network(model, TIMING, f=5e4, config=CompileConfig(decay_rounding=rounding))
+        net = compile_network(model, TIMING, f=5e4)
         feats = rng.uniform(0.0, 1.0, size=(12, 2))
         trace = simulate(net, FeatureSequence(feats, TIMING.t_ann), mode=mode,
                          probe={1: list(range(3))})
@@ -337,8 +326,7 @@ class TestDriveProducts:
 
 
 class TestKernel:
-    @pytest.mark.parametrize("rounding", ["round", "trunc"])
-    def test_fixed_point_kernel_matches_integer_loop(self, rounding):
+    def test_fixed_point_kernel_matches_integer_loop(self):
         # each neuron against Python integers: decay-then-add, the rounded
         # shift of u into i, the bias, clips at the rails, imem = i - s with
         # tau 1 (no decay), the reset and same-step feedback
@@ -348,10 +336,10 @@ class TestKernel:
         taus = np.array([tau_u, tau_s], dtype=np.float64)[:, None, :]
         state, clips, step = sigma_delta_kernel(
             (1, n), taus, np.array(bias, dtype=np.float64), np.array(w_fb, dtype=np.float64),
-            np.array(exps), fixed=True, rounding=rounding)
+            np.array(exps), fixed=True)
 
         def decay(x, tau):
-            kept = (abs(x) * (tau - 1) + (tau // 2 if rounding == "round" else 0)) // tau
+            kept = (abs(x) * (tau - 1) + tau // 2) // tau
             return kept if x >= 0 else -kept
 
         def clip(x):
@@ -384,17 +372,12 @@ class TestKernel:
 
     def test_fixed_point_constants_outside_the_exact_decay_rejected(self):
         # the fixed-point decay is proven exact for integer taus up to
-        # numerics.TAU_LIMIT; the kernel checks its taus and rounding once
-        taus = np.array([2.0, 9.0])[:, None, None]
-        args = ((1, 1), taus, 0.0, 10.0, 0)
+        # numerics.TAU_LIMIT; the kernel checks its taus once
         for bad in (2.0 ** 26, 2.5):
-            wide = taus.copy()
-            wide[1] = bad
+            taus = np.array([2.0, bad])[:, None, None]
             with pytest.raises(ConfigError, match="tau"):
-                sigma_delta_kernel((1, 1), wide, *args[2:], fixed=True)
-            sigma_delta_kernel((1, 1), wide, *args[2:])  # reference mode takes it
-        with pytest.raises(ConfigError, match="rounding"):
-            sigma_delta_kernel(*args, fixed=True, rounding="floor")
+                sigma_delta_kernel((1, 1), taus, 0.0, 10.0, 0, fixed=True)
+            sigma_delta_kernel((1, 1), taus, 0.0, 10.0, 0)  # reference mode takes it
 
 
 class TestBasics:
@@ -670,8 +653,7 @@ class TestSaturationCheck:
         assert any((1, "u") in vars_ for vars_ in clipped.values())
         assert trace.probes[(1, "u")].min() == -STATE_LIMIT
 
-    @pytest.mark.parametrize("rounding", ["round", "trunc"])
-    def test_no_state_is_ever_negative_zero(self, rounding):
+    def test_no_state_is_ever_negative_zero(self):
         # negative feedback weights, the thresholds, fire negative imem,
         # whose reset must give +0, and small negative states decay to 0;
         # every state after every step, whether the step clipped or not,
@@ -681,7 +663,7 @@ class TestSaturationCheck:
         state, clips, step = sigma_delta_kernel(
             (3, n), taus, np.array([3.0, -2.0, 0.0, -5.0, 1.0, 0.0]),
             np.array([40.0, -25.0, 60.0, -30.0, -1.0, 20.0]), np.array([0, 1, 2, 3, 0, 1]),
-            fixed=True, rounding=rounding)
+            fixed=True)
         rng = np.random.default_rng(21)
         zeros = 0
         for t in range(400):
