@@ -445,7 +445,8 @@ class TestConvertCommand:
 
     @pytest.mark.parametrize("key, value", [("tau_u", 3.0), ("tau_mem", 2.0),
                                             ("weight_gain", 64), ("weight_limit", 127),
-                                            ("decay_rounding", "trunc")])
+                                            ("decay_rounding", "trunc"),
+                                            ("decay_rounding", None)])
     def test_retired_option_with_another_value_is_config_error(self, workspace, tmp_path,
                                                                capsys, key, value):
         config = self.with_retired_options(workspace, tmp_path, **{key: value})
@@ -458,6 +459,15 @@ class TestConvertCommand:
         cfg_path.write_text(json.dumps({"tau_u": 2.0}))
         assert main(["train", "--features", str(workspace["features"]),
                      "--out", str(tmp_path / "m.npz"), "--config", str(cfg_path)]) == 2
+
+    def test_decay_rounding_is_no_longer_an_option(self, workspace, tmp_path, capsys):
+        # the fixed-point decay always rounds: the flag is a configuration
+        # error that names it, and no network is written
+        out = tmp_path / "net.npz"
+        assert main(["convert", "--model", str(workspace["model"]), "--out", str(out),
+                     "--f", "5e4", "--decay-rounding", "round"]) == 2
+        assert "unrecognized arguments: --decay-rounding" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command, flag, value", [
         ("convert", "--probes", "0"), ("convert", "--probes", "-1"),

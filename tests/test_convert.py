@@ -500,7 +500,7 @@ class TestNetworkFile:
     @pytest.mark.parametrize("section, key, value", [
         ("config", "tau_u", 3.0), ("config", "tau_mem", 2.0), ("config", "weight_gain", 64),
         ("config", "weight_limit", 127), ("config", "decay_rounding", "trunc"),
-        ("layer", "tau_i", 30.0), ("layer", "tau_i_fx", 7),
+        ("config", "decay_rounding", None), ("layer", "tau_i", 30.0), ("layer", "tau_i_fx", 7),
         ("layer", "threshold", 3), ("layer", "tau_mem", 2.0), ("layer", "tau_mem_fx", 2),
     ])
     def test_retired_key_with_another_value_rejected(self, tmp_path, section, key, value):

@@ -71,6 +71,32 @@ class TestDecay:
         assert out == 0 or np.sign(out) == np.sign(x)
         assert abs(out) <= abs(x)
 
+    @given(st.integers(-STATE_LIMIT, STATE_LIMIT), st.integers(1, 10000))
+    def test_holds_at_most_half_tau_and_shrinks_above(self, x, tau):
+        # the rounded decay keeps a magnitude of at most tau // 2 and takes
+        # at least one off every larger one
+        out = decay(x, tau)
+        if abs(x) <= tau // 2:
+            assert out == x
+        else:
+            assert abs(out) < abs(x)
+
+    def test_settles_within_half_tau_in_finite_steps(self):
+        # 64 states over the 24-bit range with taus up to 5000 each settle,
+        # within max|x| steps, at a magnitude of at most tau // 2
+        rng = np.random.default_rng(0)
+        xs = rng.integers(-STATE_LIMIT, STATE_LIMIT + 1, size=64).astype(np.float64)
+        taus = rng.integers(1, 5001, size=64).astype(np.float64)
+        state, steps = xs, 0
+        while steps <= np.abs(xs).max():
+            nxt = fixed_decay(state, taus)
+            if np.array_equal(nxt, state):
+                break
+            state, steps = nxt, steps + 1
+        assert np.array_equal(fixed_decay(state, taus), state)
+        assert (np.abs(state) <= taus // 2).all()
+        assert (np.sign(state) * np.sign(xs) >= 0).all()
+
     @given(st.floats(-1e6, 1e6), st.floats(1.0, 1e6))
     def test_reference_contraction(self, x, tau):
         out = decay(x, tau, fixed=False)
