@@ -28,6 +28,7 @@ from . import audio_frontend as af
 from .containers import FeatureSequence
 from .convert import (NET_FORMAT, CompileConfig, TimingConfig, compile_network,
                       compile_report, load_network, pop_retired, predicted_peak,
+                      # unused here; it stays because perfbench's tracer patches it in cli
                       probe_peak_state, save_network, select_scale_factor)
 from .errors import ConfigError, DataError, NumericError, npz_file, npz_meta, reading
 from .lprnn import (MODEL_FORMAT, TrainConfig, _finite_positive, _real, forward_batch,

@@ -46,8 +46,9 @@ class SpikeRaster:
     dt: float
 
     def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=np.int64)
-        self.units = np.asarray(self.units, dtype=np.int64)
+        self.times, self.units = _integers(self.times, "times"), _integers(self.units, "units")
+        self.duration = int(_integers(self.duration, "duration"))
+        self.population = int(_integers(self.population, "population"))
         if self.times.shape != self.units.shape:
             raise DataError("times and units must have equal length")
         if not (self.duration >= 0 and self.population >= 0 and self.dt > 0):
@@ -70,6 +71,16 @@ class SpikeRaster:
         out = np.zeros((self.duration, self.population), dtype=bool)
         out[self.times, self.units] = True
         return out
+
+
+def _integers(values, name: str) -> np.ndarray:
+    """values as int64, DataError unless each is an integer (of an integer
+    or a float type) within the int64 range."""
+    array = np.asarray(values)
+    if not (array.dtype.kind in "iu" or (array.dtype.kind == "f" and (
+            (array == np.rint(array)) & (np.abs(array) < 2.0 ** 63)).all())):
+        raise DataError(f"raster {name} must be integer-valued, not {values!r}")
+    return array.astype(np.int64)
 
 
 def save_raster(raster: SpikeRaster, path) -> None:

@@ -90,6 +90,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
+from . import snn_sim
 from .containers import FeatureSequence
 from .errors import ConfigError, DataError, NumericError, npz_file, npz_meta, npz_write
 from .lprnn import (KIND_INPUT, KIND_RECURRENT, LpRnnLayer, LpRnnModel, _finite_positive,
@@ -196,32 +197,29 @@ def map_weights(w_ann: np.ndarray, f: float, tau_u: float, tau_i: float,
     round(2**weight_exp * f * W / (tau_u * tau_i * gain)), nearest with ties
     away from zero, each within +/-WEIGHT_LIMIT. Zero weights map to exactly
     0."""
-    if not f > 0:
-        raise ConfigError("scale factor f must be positive")
-    mapped = round_half_away(f * 2.0 ** weight_exp * np.asarray(w_ann, dtype=np.float64)
-                             / (tau_u * tau_i * weight_gain))
-    if np.any(np.abs(mapped) > WEIGHT_LIMIT):
-        bad = np.argwhere(np.abs(mapped) > WEIGHT_LIMIT)
-        offenders = ", ".join(
-            f"({', '.join(str(int(v)) for v in idx)}) -> {mapped[tuple(idx)]:.10g}"
-            for idx in bad[:5])
-        raise NumericError(
-            f"{bad.shape[0]} mapped weights exceed the hardware range "
-            f"+/-{WEIGHT_LIMIT}; first offenders: {offenders}")
-    return mapped.astype(np.int64)
+    return _hardware_integers(w_ann, f, 2.0 ** weight_exp, tau_u * tau_i * weight_gain,
+                              WEIGHT_LIMIT, "weights exceed the hardware range")
 
 
 def map_bias(b_ann: np.ndarray, f: float, tau_i: float) -> np.ndarray:
     """Map biases onto integer currents: round(f*b/tau_i), injected into the
     input-current variable i once per simulator step."""
+    return _hardware_integers(b_ann, f, 1.0, tau_i, STATE_LIMIT, "biases exceed")
+
+
+def _hardware_integers(x: np.ndarray, f: float, scale: float, divisor: float, limit: int,
+                       exceed: str) -> np.ndarray:
+    """round(f * scale * x / divisor) as int64, ties away from zero, each
+    within +/-limit: the rule of map_weights and map_bias."""
     if not f > 0:
         raise ConfigError("scale factor f must be positive")
-    mapped = round_half_away(f * np.asarray(b_ann, dtype=np.float64) / tau_i)
-    if np.any(np.abs(mapped) > STATE_LIMIT):
-        bad = np.argwhere(np.abs(mapped) > STATE_LIMIT)[:, 0]
-        raise NumericError(
-            f"{bad.shape[0]} mapped biases exceed +/-{STATE_LIMIT}; first offenders: "
-            + ", ".join(f"({int(i)}) -> {mapped[int(i)]:.10g}" for i in bad[:5]))
+    mapped = round_half_away(f * scale * np.asarray(x, dtype=np.float64) / divisor)
+    if (over := np.abs(mapped) > limit).any():
+        offenders = ", ".join(
+            f"({', '.join(str(int(v)) for v in idx)}) -> {mapped[tuple(idx)]:.10g}"
+            for idx in np.argwhere(over)[:5])
+        raise NumericError(f"{over.sum()} mapped {exceed} +/-{limit}; first offenders: "
+                           f"{offenders}")
     return mapped.astype(np.int64)
 
 
@@ -360,6 +358,7 @@ def compile_network(model: LpRnnModel, timing: TimingConfig, f: float,
                       source_model=model.copy())
 
 
+# config is unused; it stays because perfbench's search_facts passes one
 def _weight_cap(model: LpRnnModel, timing: TimingConfig,
                 config: CompileConfig | None = None) -> float:
     """Largest f for which every mapped weight stays within the hardware
@@ -377,15 +376,12 @@ def _probe_batches(probes: list[FeatureSequence]) -> list[np.ndarray]:
 
 
 def probe_peak_state(model: LpRnnModel, probes: list[FeatureSequence],
-                     timing: TimingConfig, f: float,
-                     config: CompileConfig = CompileConfig()) -> float:
+                     timing: TimingConfig, f: float) -> float:
     """Peak |state| over a reference-mode simulation of the mapped network:
     one batched run per group of equal-shape probes."""
-    from .snn_sim import simulate_batch  # deferred: snn_sim imports this module
-
-    net = compile_network(model, timing, f, config)
-    return max((simulate_batch(net, batch).peak_state for batch in _probe_batches(probes)),
-               default=0.0)
+    net = compile_network(model, timing, f)
+    return max((snn_sim.simulate_batch(net, batch).peak_state
+                for batch in _probe_batches(probes)), default=0.0)
 
 
 def predicted_peak(model: LpRnnModel, probes: list[FeatureSequence]) -> float:
@@ -439,7 +435,7 @@ def select_scale_factor(model: LpRnnModel, probes: list[FeatureSequence],
     trace: list[tuple[float, float]] = []
     for _ in range(60):
         try:
-            peak = probe_peak_state(model, probes, timing, f, config)
+            peak = probe_peak_state(model, probes, timing, f)
         except NumericError:
             if not trace:
                 raise  # infeasible where the search starts

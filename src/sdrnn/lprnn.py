@@ -84,7 +84,7 @@ def quantize_levels(w: np.ndarray, bits: int = 3) -> tuple[np.ndarray, float]:
     if bits < 2:
         raise ConfigError("quantizer needs at least 2 bits")
     top = (1 << (bits - 1)) - 1
-    peak = float(np.abs(w).max()) if w.size else 0.0
+    peak = float(np.abs(w, dtype=np.float64).max()) if w.size else 0.0  # no integer wrap
     scale = peak / top if peak / top >= sys.float_info.min else 1.0
     return round_half_away(w / scale).astype(np.int8), scale
 
@@ -170,10 +170,10 @@ class LpRnnModel:
     label_names: list[str] | None = None
 
     def __post_init__(self):
-        if not self.layers:
-            raise ConfigError("model needs at least one layer")
-        if self.layers[0].kind != KIND_INPUT or self.layers[-1].kind != KIND_OUTPUT:
-            raise ConfigError("layer stack must start with input_lowpass and end with output")
+        kinds = [layer.kind for layer in self.layers]
+        if kinds != [KIND_INPUT] + [KIND_RECURRENT] * (len(kinds) - 2) + [KIND_OUTPUT]:
+            raise ConfigError(f"layer stack must be {KIND_INPUT}, then {KIND_RECURRENT} layers, "
+                              f"then {KIND_OUTPUT}, not {kinds}")
         for prev, cur in zip(self.layers, self.layers[1:]):
             if cur.fan_in != prev.size:
                 raise ConfigError(

@@ -64,12 +64,13 @@ columns are then left out of the update (and cannot be probed). Rasters,
 frame-end s, spike counts, probes and the readout are column slices of
 the flat state. Batched samples advance in lockstep on the same arrays.
 
-The synaptic drive is exact in float32. Spikes are 0/1 and weights
-integers, so every partial sum of a drive column, in any order and over
-all delays, is an integer no larger than the column's absolute-weight sum.
-If no column's sum exceeds 2**24 (float32 holds every integer up to
-2**24), the line, w and the product are float32; otherwise float64, exact
-to 2**53. The network alone decides, once per run. So the flat step is
+The synaptic drive is exact in float32 for integer weights, as the
+compiler emits. Spikes are 0/1, so every partial sum of a drive column, in
+any order and over all delays, is then an integer no larger than the
+column's absolute-weight sum. If every weight is an integer and no
+column's sum exceeds 2**24 (float32 holds every integer up to 2**24), the
+line, w and the product are float32; otherwise float64, exact to 2**53 for
+integers. The network alone decides, once per run. So the flat step is
 bit-identical to a layer-by-layer one, whatever the order of the sums, and
 every other operation is elementwise. Its cost is one dense product per
 step over the stacked row spans, whatever the sparsity inside them: cheap
@@ -81,14 +82,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .containers import FeatureSequence, SpikeRaster
-from .convert import SnnNetwork
 from .errors import ConfigError, DataError
 from .numerics import (STATE_LIMIT, decay_array, decay_by, decay_factor, round_half_away,
                        sat_add_array)
+
+if TYPE_CHECKING:  # for annotations only: convert imports this module
+    from .convert import SnnNetwork
 
 _MAX_SAT_LOG = 1000
 #: Integers up to this magnitude are exact in float32.
@@ -311,11 +315,13 @@ def _engine(net: SnnNetwork, x: np.ndarray | None, input_raster: SpikeRaster | N
             k = delays.index(layers[li].rec_delay)
             mats[k, starts[li]:starts[li + 1], cols] = layers[li].w_rec.T
     # W_d cut to the span of its nonzero rows is a tap; the stacked cuts w are
-    # exact in float32 while no column's absolute sum exceeds 2**24 (docstring)
+    # exact in float32 while they are integers and no column's absolute sum
+    # exceeds 2**24 (docstring)
     spans = [np.flatnonzero(m.any(axis=1)) for m in mats]
     spans = [slice(r[0], r[-1] + 1) if r.size else slice(0, 0) for r in spans]
     w = np.concatenate([m[rows] for m, rows in zip(mats, spans)])
-    dtype = np.float32 if np.abs(w).sum(axis=0).max(initial=0) <= _FLOAT32_EXACT else np.float64
+    exact32 = np.abs(w).sum(axis=0).max(initial=0) <= _FLOAT32_EXACT and (w == np.rint(w)).all()
+    dtype = np.float32 if exact32 else np.float64
     w = w.astype(dtype)
     # slot t % depth of the delay line holds, in each tap's segment, the
     # tap's rows of the spikes of step t - d; one view per tap and slot

@@ -397,6 +397,30 @@ class TestConvertCommand:
         assert option in err and "Traceback" not in err
         assert not out.exists()
 
+    def test_layer_stack_unlike_init_model_is_data_error(self, workspace, tmp_path, capsys):
+        # a model whose layer 1 is a second input_lowpass layer loaded, and
+        # convert compiled it into a second encoder without w_in, which
+        # ended in an AttributeError in the engine
+        with np.load(workspace["model"]) as data:
+            arrays = {name: a for name, a in data.items() if name != "l1_w_rec"}
+        meta = json.loads(bytes(arrays["meta"]).decode())
+        assert [layer["kind"] for layer in meta["layers"]] == [
+            "input_lowpass", "recurrent", "output"]
+        meta["layers"][1]["kind"] = "input_lowpass"
+        model = tmp_path / "model.npz"
+        arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+        np.savez(model, **arrays)
+        out = tmp_path / "net.npz"
+        for args in (["convert", "--model", str(model), "--out", str(out), "--f", "5e4"],
+                     ["convert", "--model", str(model), "--out", str(out), "--features",
+                      str(workspace["features"]), "--probes", "2"],
+                     ["evaluate", "--input", str(model), "--features", str(workspace["features"]),
+                      "--mode", "ann", "--out", str(tmp_path / "x.json")]):
+            assert main(args) == 3, args
+            err = capsys.readouterr().err
+            assert "layer stack" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_explicit_f_skips_probes(self, workspace, tmp_path):
         out = tmp_path / "net.npz"
         assert main(["convert", "--model", str(workspace["model"]),

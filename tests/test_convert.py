@@ -344,7 +344,7 @@ class TestSelectScaleFactor:
         model = quantized_model(np.random.default_rng(14))
         cap = convert._weight_cap(model, TIMING, CompileConfig())
         monkeypatch.setattr(convert, "probe_peak_state",
-                            lambda model, probes, timing, f, config: bound * (0.5 + 2.0 * f / cap))
+                            lambda model, probes, timing, f: bound * (0.5 + 2.0 * f / cap))
         probes = [FeatureSequence(np.zeros((5, 2)), TIMING.t_ann)]
         f, trace = select_scale_factor(model, probes, TIMING, return_trace=True)
         assert len(trace) > 2
@@ -376,8 +376,8 @@ class TestSelectScaleFactor:
         simulated = {}
         probe = convert.probe_peak_state
 
-        def recorded(model, probes, timing, f, config):
-            simulated[f] = probe(model, probes, timing, f, config)
+        def recorded(model, probes, timing, f):
+            simulated[f] = probe(model, probes, timing, f)
             return simulated[f]
 
         monkeypatch.setattr(convert, "probe_peak_state", recorded)
@@ -416,7 +416,7 @@ class TestSelectScaleFactor:
         bound = STATE_LIMIT * CompileConfig().safety_margin
         calls = []
 
-        def peak(model, probes, timing, f, config):
+        def peak(model, probes, timing, f):
             calls.append(f)
             if len(calls) > infeasible_from:
                 raise NumericError(f"f = {f} gives feedback weight below 1")

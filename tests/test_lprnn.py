@@ -287,6 +287,18 @@ class TestSteQuantize:
         assert np.abs(levels).max() <= top
         assert np.all(ste_quantize(w, bits) == levels * scale)
 
+    @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64])
+    def test_integer_weights_at_their_type_minimum(self, dtype):
+        # np.abs wrapped in the weights' own type: int8 [-128, 100, 5] gave
+        # levels [-4, 3, 0] at 3 bits
+        info = np.iinfo(dtype)
+        for w in (np.array([info.min, 100, 5], dtype=dtype),
+                  np.array([info.min, info.max, -1, 0], dtype=dtype)):
+            levels, scale = quantize_levels(w)
+            assert np.abs(levels).max() <= 3
+            want_levels, want_scale = quantize_levels(w.astype(np.float64))
+            assert levels.tolist() == want_levels.tolist() and scale == want_scale
+
     def test_subnormal_scale_gives_zero_levels(self):
         # max|w| / 3 is a nonzero subnormal: the scale is 1.0 and every level
         # 0, where a subnormal scale would give levels [3, -1]
@@ -717,6 +729,22 @@ def bare_layer(kind, w_in=np.zeros((2, 2)), w_rec=None, bias=np.zeros(2), alpha=
     return LpRnnLayer(kind, w_in, w_rec, bias, alpha)
 
 
+def second_encoder_file() -> io.BytesIO:
+    """A saved model whose layer 1 is a second input_lowpass layer (without
+    the w_rec it had as a recurrent one)."""
+    saved = saved_model(random_model(np.random.default_rng(0), hidden=(4, 4),
+                                     alphas=(0.6, 0.7, 0.5)))
+    with np.load(io.BytesIO(saved.getvalue())) as data:
+        arrays = {name: a for name, a in data.items() if name != "l1_w_rec"}
+    meta = json.loads(bytes(arrays["meta"]).decode())
+    meta["layers"][1]["kind"] = KIND_INPUT
+    arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    out = io.BytesIO()
+    np.savez(out, **arrays)
+    out.seek(0)
+    return out
+
+
 @pytest.mark.parametrize("call, error, match", [
     pytest.param(lambda: clamped_relu(np.zeros(2), 0.0), ConfigError, "clamp ceiling",
                  id="clamp-ceiling"),
@@ -740,6 +768,16 @@ def bare_layer(kind, w_in=np.zeros((2, 2)), w_rec=None, bias=np.zeros(2), alpha=
                  "bias must be a 1-D array", id="complex-bias"),
     pytest.param(lambda: LpRnnModel([bare_layer(KIND_OUTPUT)], t_ann=0.01), ConfigError,
                  "layer stack", id="stack-order"),
+    pytest.param(lambda: LpRnnModel([], t_ann=0.01), ConfigError, "layer stack",
+                 id="no-layer"),
+    pytest.param(lambda: LpRnnModel([bare_layer(KIND_INPUT), bare_layer(KIND_INPUT),
+                                     bare_layer(KIND_OUTPUT)], t_ann=0.01),
+                 ConfigError, "layer stack", id="second-encoder"),
+    pytest.param(lambda: LpRnnModel([bare_layer(KIND_INPUT), bare_layer(KIND_OUTPUT),
+                                     bare_layer(KIND_OUTPUT)], t_ann=0.01),
+                 ConfigError, "layer stack", id="output-inside"),
+    pytest.param(lambda: load_model(second_encoder_file()), DataError, "layer stack",
+                 id="second-encoder-file"),
     pytest.param(lambda: LpRnnModel([bare_layer(KIND_INPUT, np.zeros((3, 2)), bias=np.zeros(3)),
                                      bare_layer(KIND_OUTPUT)], t_ann=0.01),
                  ConfigError, "width mismatch", id="width-mismatch"),

@@ -62,10 +62,28 @@ def test_traced_names_exist(perfbench):
         run.install(tracer, counters)  # raises for a site that is gone or rebound
         for (module, name), original in zip(SITES, originals):
             assert getattr(module, name).__wrapped__ is original, name
-        # probe_peak_state imports simulate_batch when it runs, so the
-        # tracer sees the search's simulations
+        # probe_peak_state calls simulate_batch through the snn_sim module,
+        # so the tracer sees the search's simulations
         convert.probe_peak_state(model, probes, timing, 1e4)
     assert "snn_sim.simulate_batch" in tracer.names
     assert counters.sample_steps == 4 * 10
     for (module, name), original in zip(SITES, originals):
         assert getattr(module, name) is original, name
+
+
+def test_tracer_sees_the_search_simulations(perfbench):
+    # convert.search.evals and convert.search.sims of a --trace run: one
+    # probe_peak_state and one simulate_batch per search evaluation
+    run, tracing, workloads = perfbench
+    rng = np.random.default_rng(44)
+    model = make_random_model(rng)
+    probes = [FeatureSequence(make_smooth_input(rng, 30, model.n_features), model.t_ann)
+              for _ in range(3)]
+    timing = TimingConfig(model.t_ann, model.t_ann / 10)
+    with tracing.Tracer("search") as tracer:
+        run.install(tracer, run.SimCounters(workloads.fanout))
+        _, trace = convert.select_scale_factor(model, probes, timing, return_trace=True)
+    spans = tracer.aggregate(inside="convert.search")
+    assert spans["convert.search"]["calls"] == 1
+    assert spans["convert.probe_peak_state"]["calls"] == len(trace) >= 1
+    assert spans["snn_sim.simulate_batch"]["inside"] == len(trace)

@@ -225,6 +225,12 @@ class TestRasterSerialization:
         with pytest.raises(DataError):
             SpikeRaster(np.array([10]), np.array([0]), duration=10, population=1, dt=1e-4)
 
+    def test_integer_valued_floats_are_integers(self):
+        raster = SpikeRaster(np.array([2.0, 1.0]), np.array([0.0, 1.0]), 10.0, 2.0, 1e-4)
+        assert raster.times.tolist() == [1, 2] and raster.units.tolist() == [1, 0]
+        assert (raster.duration, raster.population) == (10, 2)
+        assert type(raster.duration) is int and type(raster.population) is int
+
     def test_repeated_event_is_data_error(self, tmp_path):
         # dense(), and with it simulate, counted one spike where reconstruct
         # added w_fb twice; the twin need not follow its event in the file
@@ -260,6 +266,23 @@ def test_input_check(call, error, match):
     pytest.param(lambda: SpikeRaster([0, 1], [0], 5, 2, 1e-3), "equal length",
                  id="raster-lengths"),
     pytest.param(lambda: SpikeRaster([0], [2], 5, 2, 1e-3), "unit id", id="raster-unit"),
+    # times [1.5, 2.7] were stored as [1, 2], and a duration of 10.5 was kept
+    pytest.param(lambda: SpikeRaster([1.5, 2.7], [0, 1], 10, 2, 1e-3),
+                 "raster times must be integer-valued", id="raster-fractional-times"),
+    pytest.param(lambda: SpikeRaster([np.nan], [0], 10, 2, 1e-3), "raster times",
+                 id="raster-nan-time"),
+    pytest.param(lambda: SpikeRaster([np.inf], [0], 10, 2, 1e-3), "raster times",
+                 id="raster-inf-time"),
+    pytest.param(lambda: SpikeRaster([1, 2], [0, 0.5], 10, 2, 1e-3),
+                 "raster units must be integer-valued", id="raster-fractional-units"),
+    pytest.param(lambda: SpikeRaster([1, 2], [0, 1], 10.5, 2, 1e-3),
+                 "raster duration must be integer-valued", id="raster-fractional-duration"),
+    pytest.param(lambda: SpikeRaster([1, 2], [0, 1], "10", 2, 1e-3), "raster duration",
+                 id="raster-string-duration"),
+    pytest.param(lambda: SpikeRaster([1, 2], [0, 1], 10, 2.5, 1e-3),
+                 "raster population must be integer-valued", id="raster-fractional-population"),
+    pytest.param(lambda: SpikeRaster([1, 2], [0, 1], 10, True, 1e-3), "raster population",
+                 id="raster-bool-population"),
 ])
 def test_container_input_check(call, match):
     with pytest.raises(DataError, match=match):

@@ -243,9 +243,10 @@ def assert_matches_flat_loop(net, feats: np.ndarray, mode: str, raster_input: bo
 
 class TestDriveProducts:
     """The engine forms the synaptic drive with one float32 product per step
-    when every drive column's absolute-weight sum is at most 2**24, and in
-    float64 above it, over a delay line of one tap per synaptic delay; the
-    encoder's drive is written at frame starts only."""
+    when every weight is an integer and every drive column's absolute-weight
+    sum is at most 2**24, and in float64 otherwise, over a delay line of one
+    tap per synaptic delay; the encoder's drive is written at frame starts
+    only."""
 
     @staticmethod
     def twin_net(big: int, small: int):
@@ -276,6 +277,22 @@ class TestDriveProducts:
         assert np.abs(net.layers[2].w_in).sum(axis=1).max() == 2 ** 24
         events = assert_matches_flat_loop(net, feats, mode)
         assert {j for _, j in events[1]} >= {0, 1}
+
+    def test_weight_that_is_no_integer_in_float64(self):
+        # float32 is exact for integer weights only: it rounds 1 + 2**-30 to
+        # 1, and the u that the weight drives then equals that of weight 1
+        rng = np.random.default_rng(47)
+        net = compile_network(toy_model(rng), TIMING, f=5e4)
+        feats = FeatureSequence(rng.uniform(0.0, 1.0, size=(12, 2)), TIMING.t_ann)
+        out = net.layers[2]
+        u = []
+        for weight in (1.0, 1.0 + 2.0 ** -30):
+            out.w_in = out.w_in.astype(np.float64)
+            out.w_in[0, 0] = weight
+            result = simulate(net, feats, probe={2: [0]})
+            u.append(result.probes[(2, "u")])
+        assert result.spike_counts[1][0] > 0
+        assert not np.array_equal(u[0], u[1])
 
     @pytest.mark.parametrize("mode", ["reference", "fixed_point"])
     @pytest.mark.parametrize("zeroed", [(2,), (1, 2)], ids=["output", "every"])
