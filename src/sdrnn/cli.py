@@ -26,14 +26,15 @@ import numpy as np
 
 from . import audio_frontend as af
 from .containers import FeatureSequence
-from .convert import (NET_FORMAT, CompileConfig, TimingConfig, compile_network,
-                      compile_report, load_network, pop_retired, predicted_peak,
+from .convert import (NET_FORMAT, RETIRED_KEYS, CompileConfig, TimingConfig,
+                      compile_network, compile_report, load_network, predicted_peak,
                       # unused here; it stays because perfbench's tracer patches it in cli
                       probe_peak_state, save_network, select_scale_factor)
-from .errors import ConfigError, DataError, NumericError, npz_file, npz_meta, reading
-from .lprnn import (MODEL_FORMAT, TrainConfig, _finite_positive, _real, forward_batch,
-                    forward_sequence, init_model, load_model, magnitude_prune, save_model,
-                    train)
+from .errors import (ConfigError, DataError, NumericError, npz_file, npz_meta, pop_retired,
+                     reading)
+from .lprnn import (CLAMP_CEILING, MODEL_FORMAT, TrainConfig, _finite_positive, _real,
+                    forward_batch, forward_sequence, init_model, load_model, magnitude_prune,
+                    save_model, train)
 from .snn_sim import compare_activations, simulate, simulate_batch
 
 
@@ -61,8 +62,9 @@ def _with_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser,
         raise ConfigError(f"{args.config}: unreadable config file ({exc})") from exc
     if not isinstance(overrides, dict):
         raise ConfigError(f"{args.config}: config file must hold a JSON object")
-    # a convert config may hold the compiler constants that were options
-    if args.command == "convert" and (bad := pop_retired(overrides, "config")):
+    # the compiler constants and the activation ceiling were options
+    retired = {"convert": RETIRED_KEYS["config"], "train": {"clamp": CLAMP_CEILING}}
+    if bad := pop_retired(overrides, retired.get(args.command, {})):
         raise ConfigError(f"{args.config}: {bad}")
     command = parser._subparsers._group_actions[0].choices[args.command]
     options = {a.dest: a for a in command._actions if a.option_strings and a.dest != "help"}
@@ -295,8 +297,8 @@ def cmd_train(args) -> int:
 
     model = init_model(n_features=x_tr.shape[2], hidden=tuple(args.hidden),
                        n_classes=len(label_names), alphas=tuple(args.alpha),
-                       t_ann=t_ann, seed=args.seed, clamp_ceiling=args.clamp,
-                       bits=args.bits, readout_fraction=args.readout_fraction)
+                       t_ann=t_ann, seed=args.seed, bits=args.bits,
+                       readout_fraction=args.readout_fraction)
     model.norm_stats = stats
     model.label_names = label_names
     cfg = TrainConfig(epochs=args.epochs, lr=args.lr,
@@ -508,7 +510,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr", type=positive_number, default=1e-2)
     p.add_argument("--batch-size", type=_integer(1), default=32)
     p.add_argument("--seed", type=_integer(0), default=0)
-    p.add_argument("--clamp", type=float, default=1.0)
     p.add_argument("--bits", type=int, default=3)
     p.add_argument("--readout-fraction", type=float, default=0.25)
     p.add_argument("--prune-sparsity", type=_fraction, default=0.0)

@@ -57,8 +57,8 @@ relative MSE against the recursion falls from about 1e-2 (tau_u = tau_s,
 one-step recurrence) to about 1e-3. The analog encoder layer is driven by
 frame-held input, which a continuous stage follows exactly at frame ends,
 so its tau_u stays a short constant. The feedback weight is tied to
-w_fb = f / tau_s so a neuron spiking every step saturates s at f * 1.0,
-making spike rate equal activation on the [0, clamp_ceiling] scale.
+w_fb = f / tau_s so a neuron spiking every step saturates s at f * 1.0:
+spike rate equals activation up to lprnn.CLAMP_CEILING = 1.0.
 
 Precision. The 24-bit state budget must cover f times the mapped weight
 resolution times tau_u * tau_i * gain. With two alpha-derived stages the
@@ -92,9 +92,10 @@ import numpy as np
 
 from . import snn_sim
 from .containers import FeatureSequence
-from .errors import ConfigError, DataError, NumericError, npz_file, npz_meta, npz_write
+from .errors import (ConfigError, DataError, NumericError, npz_file, npz_meta, npz_write,
+                     pop_retired)
 from .lprnn import (KIND_INPUT, KIND_RECURRENT, LpRnnLayer, LpRnnModel, _finite_positive,
-                    forward_batch, load_model, save_model)
+                    _real, forward_batch, load_model, save_model)
 from .numerics import STATE_LIMIT, round_half_away
 
 
@@ -139,33 +140,21 @@ RETIRED_KEYS = {
 }
 
 
-def pop_retired(entries: dict, section: str) -> str | None:
-    """Remove the retired keys of `section` from entries. Returns a message
-    naming the first that holds another value than the one it takes now,
-    or None."""
-    for key, now in RETIRED_KEYS[section].items():
-        if key in entries:
-            value = entries.pop(key)
-            expected = entries.get(now) if section == "layer" and isinstance(now, str) else now
-            if value != expected:
-                return f"{key} = {value!r} is no longer supported (it is {expected!r} now)"
-    return None
-
-
 @dataclass(frozen=True)
 class CompileConfig:
     """The options of a compile; the hardware constants are fixed (module
     docstring), and so is the fixed-point decay (numerics.decay_by).
 
     safety_margin is the share of the 24-bit state bound that the f search
-    lets the probes' peak state reach.
+    lets the probes' peak state reach, in (0, 1]: above 1 the fixed-point
+    state would clip.
     """
 
     safety_margin: float = 0.5
 
     def __post_init__(self):
-        if not _finite_positive(self.safety_margin):
-            raise ConfigError(f"safety_margin must be a finite positive number, not "
+        if not (_real(self.safety_margin) and 0 < self.safety_margin <= 1):
+            raise ConfigError(f"safety_margin must be a number in (0, 1], not "
                               f"{self.safety_margin!r}")
 
 
@@ -327,9 +316,13 @@ def compile_network(model: LpRnnModel, timing: TimingConfig, f: float,
     layer_constants, the weight exponent (the largest e >= 0 with
     2**e * f <= weight cap and 2**e <= tau_s_fx; 0 for the encoder), integer
     weights and biases from the mapping formulas, and the feedback weight
-    w_fb = round(f / tau_s), also the firing threshold."""
+    w_fb = round(f / tau_s), also the firing threshold. timing.t_ann must
+    be the model's frame period, to the raster step check's 1e-6."""
     if not _finite_positive(f):
         raise ConfigError(f"scale factor f must be a finite positive number, not {f!r}")
+    if not abs(timing.t_ann - model.t_ann) <= 1e-6 * model.t_ann:
+        raise ConfigError(f"timing t_ann {timing.t_ann!r} s != the model's frame period "
+                          f"t_ann {model.t_ann!r} s")
     layers = []
     for idx, layer in enumerate(model.layers):
         w_in_q, w_rec_q = model.effective_weights(layer)
@@ -488,7 +481,7 @@ def load_network(path) -> SnnNetwork:
         config = meta.get("config")
         if not isinstance(config, dict):
             raise DataError(f"{path}: the compile config must be a JSON object, not {config!r}")
-        if bad := pop_retired(config, "config"):
+        if bad := pop_retired(config, RETIRED_KEYS["config"]):
             raise DataError(f"{path}: {bad}")
         if not isinstance(notes := meta.get("notes", {}), dict):
             raise DataError(f"{path}: notes must be a JSON object, not {notes!r}")
@@ -506,7 +499,7 @@ def load_network(path) -> SnnNetwork:
         for li, (lmeta, layer) in enumerate(zip(stored, net.layers)):
             if not isinstance(lmeta, dict):
                 raise DataError(f"{path}: layer {li} must be a JSON object, not {lmeta!r}")
-            if bad := pop_retired(lmeta, "layer"):
+            if bad := pop_retired(lmeta, RETIRED_KEYS["layer"], named=True):
                 raise DataError(f"{path}: layer {li}: {bad}")
             if extra := sorted(set(lmeta) - set(_LAYER_SCALARS)):
                 raise DataError(f"{path}: layer {li}: {extra[0]!r} is no field of a layer")

@@ -1,5 +1,6 @@
-"""Exception classes shared across the toolkit, and the .npz archives of
-model and network files, which this module both writes and reads.
+"""Exception classes shared across the toolkit, the .npz archives of model
+and network files, which this module both writes and reads, and the rule for
+the keys that older files and configs still hold (pop_retired).
 
 The CLI maps these onto distinct exit codes (config 2, data 3, numeric 4).
 """
@@ -76,3 +77,16 @@ def npz_meta(data, path, *formats) -> dict:
         raise DataError(f"{path}: not a {' or '.join(formats)} file (its metadata is "
                         "missing, not a JSON object or of another format)")
     return meta
+
+
+def pop_retired(entries: dict, retired: dict, named: bool = False) -> str | None:
+    """Remove the keys of `retired`, each with the value it takes now (with
+    named, a string names the entry it must equal), from entries. Returns a
+    message naming the first that holds another value, or None."""
+    for key, now in retired.items():
+        if key in entries:
+            value = entries.pop(key)
+            expected = entries.get(now) if named and isinstance(now, str) else now
+            if value != expected:
+                return f"{key} = {value!r} is no longer supported (it is {expected!r} now)"
+    return None

@@ -2,10 +2,12 @@
 
 The cell computes y_t = alpha * y_{t-1} + (1 - alpha) * sigma(W_rec y_{t-1}
 + W_in x_t + b) with sigma a clamped ReLU, so the state is an exponentially
-smoothed mixture whose memory is set by alpha. Networks stack a feedforward
-low-pass input layer, recurrent low-pass layers, and a non-recurrent
-low-pass output layer; class scores are the output state averaged over the
-trailing fraction of frames.
+smoothed mixture whose memory is set by alpha. The ReLU's ceiling is the
+constant CLAMP_CEILING = 1.0: a compiled neuron carries its activation as a
+spike rate, and one spiking every step holds s = f, activation 1.0. Networks
+stack a feedforward low-pass input layer, recurrent low-pass layers, and a
+non-recurrent low-pass output layer; class scores are the output state
+averaged over the trailing fraction of frames.
 
 Weights are trained quantization-aware: every forward pass sees the 3-bit
 quantized view of the weights. The quantizer clips nothing, so each
@@ -45,7 +47,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .containers import FeatureSequence
-from .errors import ConfigError, DataError, NumericError, npz_file, npz_meta, npz_write
+from .errors import (ConfigError, DataError, NumericError, npz_file, npz_meta, npz_write,
+                     pop_retired)
 from .numerics import round_half_away
 
 KIND_INPUT = "input_lowpass"
@@ -54,6 +57,8 @@ KIND_OUTPUT = "output"
 
 #: Largest quantizer bit width: levels are stored as int8.
 MAX_BITS = 8
+#: The clamped ReLU's ceiling, the full-rate activation (module docstring).
+CLAMP_CEILING = 1.0
 
 
 def _real(value) -> bool:
@@ -66,11 +71,9 @@ def _finite_positive(value) -> bool:
     return _real(value) and 0 < value <= sys.float_info.max
 
 
-def clamped_relu(x: np.ndarray, ceiling: float) -> np.ndarray:
-    """Elementwise min(max(x, 0), ceiling)."""
-    if not ceiling > 0:
-        raise ConfigError("clamp ceiling must be positive")
-    return np.clip(x, 0.0, ceiling)
+def clamped_relu(x: np.ndarray) -> np.ndarray:
+    """Elementwise min(max(x, 0), CLAMP_CEILING)."""
+    return np.clip(x, 0.0, CLAMP_CEILING)
 
 
 def quantize_levels(w: np.ndarray, bits: int = 3) -> tuple[np.ndarray, float]:
@@ -162,7 +165,6 @@ class LpRnnModel:
 
     layers: list[LpRnnLayer]
     t_ann: float
-    clamp_ceiling: float = 1.0
     bits: int = 3
     readout_fraction: float = 0.25
     quantize: bool = True
@@ -184,9 +186,8 @@ class LpRnnModel:
         if not (_real(self.readout_fraction) and 0 < self.readout_fraction <= 1):
             raise ConfigError(f"readout_fraction must lie in (0, 1], not "
                               f"{self.readout_fraction!r}")
-        if not (_finite_positive(self.t_ann) and _finite_positive(self.clamp_ceiling)):
-            raise ConfigError(f"t_ann and clamp_ceiling must be finite positive numbers, "
-                              f"not {self.t_ann!r} and {self.clamp_ceiling!r}")
+        if not _finite_positive(self.t_ann):
+            raise ConfigError(f"t_ann must be a finite positive number, not {self.t_ann!r}")
         if not (isinstance(self.bits, numbers.Integral) and not isinstance(self.bits, bool)
                 and 2 <= self.bits <= MAX_BITS):
             raise ConfigError(f"bits must be an integer in [2, {MAX_BITS}], not {self.bits!r}")
@@ -223,8 +224,7 @@ class LpRnnModel:
 
 
 def init_model(n_features: int, hidden: tuple[int, ...], n_classes: int,
-               alphas: tuple[float, ...], t_ann: float, seed: int = 0,
-               clamp_ceiling: float = 1.0, bits: int = 3,
+               alphas: tuple[float, ...], t_ann: float, seed: int = 0, bits: int = 3,
                readout_fraction: float = 0.25) -> LpRnnModel:
     """Fresh model with uniform Glorot-style init and zero biases."""
     sizes = [n_features, *hidden, n_classes]
@@ -246,18 +246,16 @@ def init_model(n_features: int, hidden: tuple[int, ...], n_classes: int,
             rr = np.sqrt(6.0 / (2 * size))
             w_rec = rng.uniform(-rr, rr, size=(size, size))
         layers.append(LpRnnLayer(kind, w_in, w_rec, np.zeros(size), alphas[idx]))
-    return LpRnnModel(layers, t_ann=t_ann, clamp_ceiling=clamp_ceiling, bits=bits,
-                      readout_fraction=readout_fraction)
+    return LpRnnModel(layers, t_ann=t_ann, bits=bits, readout_fraction=readout_fraction)
 
 
-def cell_forward(y_prev: np.ndarray, x_t: np.ndarray, layer: LpRnnLayer,
-                 ceiling: float = 1.0) -> np.ndarray:
+def cell_forward(y_prev: np.ndarray, x_t: np.ndarray, layer: LpRnnLayer) -> np.ndarray:
     """One step of the low-pass cell for a single layer, on the layer's
     weights as they are (a model's view of them is effective_weights)."""
     z = x_t @ layer.w_in.T + layer.bias
     if layer.w_rec is not None:
         z = z + y_prev @ layer.w_rec.T
-    return layer.alpha * y_prev + (1.0 - layer.alpha) * clamped_relu(z, ceiling)
+    return layer.alpha * y_prev + (1.0 - layer.alpha) * clamped_relu(z)
 
 
 def forward_batch(model: LpRnnModel, x: np.ndarray, keep: bool = False):
@@ -276,7 +274,6 @@ def forward_batch(model: LpRnnModel, x: np.ndarray, keep: bool = False):
         raise DataError("empty sequence rejected")
     if d != model.n_features:
         raise DataError(f"feature width {d} != input layer width {model.n_features}")
-    c = model.clamp_ceiling
     ys, zs = [], []
     weights = [model.effective_weights(layer) for layer in model.layers]
     if not keep:
@@ -302,7 +299,7 @@ def forward_batch(model: LpRnnModel, x: np.ndarray, keep: bool = False):
         # feed-forward path a_t is y_t
         prev, tmp = np.zeros((b, n)), np.empty((b, n))
         if w_rec is None:
-            a = np.clip(z, 0.0, c, out=y)
+            a = np.clip(z, 0.0, CLAMP_CEILING, out=y)
             a *= 1.0 - alpha
             for a_t, y_t in zip(a, y):
                 prev = np.add(np.multiply(prev, alpha, out=tmp), a_t, out=y_t)
@@ -310,7 +307,7 @@ def forward_batch(model: LpRnnModel, x: np.ndarray, keep: bool = False):
             rec, a, w_rec_t = np.empty((b, n)), np.empty((b, n)), w_rec.T
             for z_t, y_t in zip(z, y):
                 np.add(z_t, np.dot(prev, w_rec_t, out=rec), out=z_t)
-                np.minimum(np.maximum(z_t, 0.0, out=a), c, out=a)
+                np.minimum(np.maximum(z_t, 0.0, out=a), CLAMP_CEILING, out=a)
                 a *= 1.0 - alpha
                 prev = np.add(np.multiply(prev, alpha, out=tmp), a, out=y_t)
         h = np.swapaxes(y, 0, 1)
@@ -402,7 +399,6 @@ def bptt_grads(model: LpRnnModel, batch: tuple[np.ndarray, np.ndarray]):
     if not np.isfinite(loss):
         raise NumericError(f"non-finite loss {loss}")
     b = x.shape[0]
-    c = model.clamp_ceiling
     window = cache["window"]
 
     dlogits = softmax(logits)
@@ -419,7 +415,7 @@ def bptt_grads(model: LpRnnModel, batch: tuple[np.ndarray, np.ndarray]):
         # clamp subgradient 0 at both rails; since the gate is 0 or 1,
         # delta * (1 - alpha) * gate == delta * ((1 - alpha) * gate)
         z = cache["zs"][li]
-        gain = (1.0 - alpha) * ((z > 0.0) & (z < c))
+        gain = (1.0 - alpha) * ((z > 0.0) & (z < CLAMP_CEILING))
         e = _layer_errors(gain, alpha, w_rec, above, d_out, window)
         h = np.swapaxes(x, 0, 1) if li == 0 else cache["ys"][li - 1]
         grads[li] = {"w_in": _frame_sum_back(e, h),
@@ -542,7 +538,6 @@ def save_model(model: LpRnnModel, path) -> None:
     meta = {
         "format": MODEL_FORMAT,
         "t_ann": model.t_ann,
-        "clamp_ceiling": model.clamp_ceiling,
         "bits": model.bits,
         "readout_fraction": model.readout_fraction,
         "quantize": model.quantize,
@@ -559,6 +554,8 @@ def load_model(path) -> LpRnnModel:
     least two classes."""
     with npz_file(path) as data:
         meta = npz_meta(data, path, MODEL_FORMAT)
+        if bad := pop_retired(meta, {"clamp_ceiling": CLAMP_CEILING}):  # once an option
+            raise DataError(f"{path}: {bad}")
         norm_stats, label_names = meta["norm_stats"], meta["label_names"]
         if not (isinstance(meta["layers"], list)
                 and all(isinstance(lmeta, dict) for lmeta in meta["layers"])):
@@ -574,10 +571,9 @@ def load_model(path) -> LpRnnModel:
             layers.append(LpRnnLayer(lmeta["kind"], data[f"l{li}_w_in"], data.get(f"l{li}_w_rec"),
                                      data[f"l{li}_bias"], lmeta["alpha"],
                                      data.get(f"l{li}_mask_in"), data.get(f"l{li}_mask_rec")))
-        model = LpRnnModel(layers, t_ann=meta["t_ann"], clamp_ceiling=meta["clamp_ceiling"],
-                           bits=meta["bits"], readout_fraction=meta["readout_fraction"],
-                           quantize=meta["quantize"], norm_stats=norm_stats,
-                           label_names=label_names)
+        model = LpRnnModel(layers, t_ann=meta["t_ann"], bits=meta["bits"],
+                           readout_fraction=meta["readout_fraction"], quantize=meta["quantize"],
+                           norm_stats=norm_stats, label_names=label_names)
     if model.n_classes < 2:
         raise DataError(f"{path}: the output layer has {model.n_classes} unit(s); a classifier "
                         "needs at least two")

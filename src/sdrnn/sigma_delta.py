@@ -60,16 +60,16 @@ class NeuronParams:
     """Parameters of one sigma-delta neuron population.
 
     tau_s is the tau of both the i stage and the feedback filter s, and
-    tau_i reads it. Defaults describe a unit-gain reference neuron: the
-    analog encoder drives i toward the raw input value and one spike is
-    worth w_fb = 1/tau_s, so a neuron spiking every step sustains
-    s = 1.0 = clamp_ceiling.
+    tau_i reads it. A neuron spiking every step sustains s = w_fb * tau_s,
+    its largest value (the compiler's full-rate activation). Defaults
+    describe a unit-gain reference neuron: the analog encoder drives i
+    toward the raw input value and one spike is worth w_fb = 1/tau_s, so
+    that s is 1.0.
     """
 
     tau_s: float = _DEFAULT_TAU_S
     tau_u: float = 2.0
     w_fb: float = 1.0 / _DEFAULT_TAU_S
-    clamp_ceiling: float = 1.0
 
     def __post_init__(self):
         if not self.w_fb > 0:
@@ -77,8 +77,6 @@ class NeuronParams:
         for name in ("tau_s", "tau_u"):
             if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be positive")
-        if not self.clamp_ceiling > 0:
-            raise ConfigError("clamp_ceiling must be positive")
 
     @property
     def tau_i(self) -> float:
@@ -121,7 +119,8 @@ def encode_analog(signal: FeatureSequence, params: NeuronParams, oversample: int
 
     Each frame is held constant for `oversample` simulator steps. The drive
     is pre-scaled by 1/(tau_u * tau_s) so the stage gains cancel and i
-    settles at the raw input value; signals must lie in [0, clamp_ceiling].
+    settles at the raw input value; signals must lie in [0, w_fb * tau_s],
+    up to the s of a neuron spiking every step.
     """
     if not (isinstance(oversample, (int, np.integer)) and oversample >= 1):
         raise ConfigError(f"oversample must be a positive integer, got {oversample}")
@@ -133,8 +132,8 @@ def encode_analog(signal: FeatureSequence, params: NeuronParams, oversample: int
         raise DataError("analog encoder accepts finite signals only")
     if np.any(data < 0):
         raise DataError("analog encoder accepts nonnegative signals only")
-    if np.any(data > params.clamp_ceiling):
-        raise DataError(f"signal exceeds clamp ceiling {params.clamp_ceiling}")
+    if np.any(data > (top := params.w_fb * params.tau_s)):
+        raise DataError(f"signal exceeds {top}, the full-rate s = w_fb * tau_s")
 
     n_frames, n_units = data.shape
     duration = n_frames * oversample

@@ -404,9 +404,14 @@ def _engine(net: SnnNetwork, x: np.ndarray | None, input_raster: SpikeRaster | N
 
 def simulate(net: SnnNetwork, inp, mode: str = "reference",
              probe: dict | None = None, record_rasters: bool = True) -> SimulationResult:
-    """Simulate one input: a FeatureSequence through the analog encoder, or a
-    SpikeRaster of pre-encoded input spikes that replaces the encoder output."""
+    """Simulate one input: a FeatureSequence of the network's frame period
+    through the analog encoder, or a SpikeRaster of pre-encoded input spikes
+    that replaces the encoder output."""
     if isinstance(inp, FeatureSequence):
+        # the tolerance of the raster step check
+        if not abs(inp.frame_period - net.timing.t_ann) <= 1e-6 * net.timing.t_ann:
+            raise DataError(f"frame period {inp.frame_period!r} s != the network's frame "
+                            f"period t_ann {net.timing.t_ann!r} s")
         result = _engine(net, inp.data[None, :, :], None, mode, record_rasters, probe)
     elif isinstance(inp, SpikeRaster):
         result = _engine(net, None, inp, mode, record_rasters, probe)

@@ -244,6 +244,33 @@ class TestTrainCommand:
         resolved = json.loads(Path(str(out) + ".config.json").read_text())
         assert resolved["epochs"] == 1 and resolved["hidden"] == [6, 6]
 
+    def test_written_config_replays_to_itself(self, workspace, tmp_path):
+        # the config train writes holds no ceiling, and passed back with
+        # --config it resolves to the same config
+        first, again = tmp_path / "a.npz", tmp_path / "b.npz"
+        assert main(tiny_train(workspace, first)) == 0
+        written = json.loads(Path(str(first) + ".config.json").read_text())
+        assert "clamp" not in written
+        assert main(["train", "--features", str(workspace["features"]), "--out", str(again),
+                     "--config", str(first) + ".config.json"]) == 0
+        replayed = json.loads(Path(str(again) + ".config.json").read_text())
+        assert replayed == {**written, "out": str(again)}
+
+    @pytest.mark.parametrize("clamp, code", [(1.0, 0), (2.0, 2)])
+    def test_config_with_the_retired_ceiling(self, workspace, tmp_path, capsys, clamp, code):
+        # configs written while --clamp was an option hold it: 1.0 replays,
+        # another value (which trained a model the compiled neuron cannot
+        # follow) is a configuration error that names it
+        cfg_path = tmp_path / "old.config.json"
+        cfg_path.write_text(json.dumps({"clamp": clamp, "epochs": 1, "hidden": [2, 2],
+                                        "alpha": [0.5, 0.5, 0.5]}))
+        out = tmp_path / "m.npz"
+        assert main(["train", "--features", str(workspace["features"]), "--out", str(out),
+                     "--config", str(cfg_path)]) == code
+        assert out.exists() == (code == 0)
+        if code:
+            assert "clamp" in capsys.readouterr().err
+
     def test_explicit_flag_at_default_beats_config_file(self, workspace, tmp_path):
         # --lr 0.01 is the parser default, but given on the command line it wins
         cfg_path = tmp_path / "train.json"
@@ -378,7 +405,8 @@ class TestConvertCommand:
 
     @pytest.mark.parametrize("option, value", [
         ("safety_margin", "inf"), ("safety_margin", "nan"), ("safety_margin", "0"),
-        ("safety_margin", "-1"), ("safety_margin", "x"), ("decay_rounding", "bogus")])
+        ("safety_margin", "-1"), ("safety_margin", "x"), ("decay_rounding", "bogus"),
+        ("safety_margin", "1.5")])
     def test_invalid_compile_option_is_config_error(self, workspace, tmp_path, capsys,
                                                     option, value):
         # --safety-margin inf wrote a network that evaluate then rejected,
@@ -603,6 +631,23 @@ class TestEvaluateCommand:
         err = capsys.readouterr().err
         assert f"data error: {bad}" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("value, code", [(1.0, 0), (2.0, 3)])
+    def test_model_file_with_the_retired_ceiling(self, workspace, tmp_path, capsys, value,
+                                                  code):
+        # model files written while the ceiling was an option hold it: 1.0
+        # loads; 2.0 converted without error to a network that saturates at
+        # 1.0, and is now a data error in convert and evaluate
+        with np.load(workspace["model"]) as data:
+            meta = json.loads(bytes(data["meta"]).decode())
+        model = tmp_path / "old.npz"
+        with_metadata(workspace["model"], model, {**meta, "clamp_ceiling": value})
+        assert main(["convert", "--model", str(model), "--out", str(tmp_path / "net.npz"),
+                     "--f", "5e4"]) == code
+        assert main(["evaluate", "--input", str(model), "--features", str(workspace["features"]),
+                     "--out", str(tmp_path / "x.json")]) == code
+        err = capsys.readouterr().err
+        assert ("clamp_ceiling" in err) == bool(code) and "Traceback" not in err
+
     def test_network_with_retired_key_of_another_value_is_data_error(self, workspace,
                                                                      tmp_path, capsys):
         with np.load(workspace["net"]) as data:
@@ -639,6 +684,7 @@ class TestEvaluateCommand:
         pytest.param("rec_delay", "tau_s_fx", id="rec_delay-beyond-the-compiler"),
         pytest.param("weight_exp", "bit_length", id="weight_exp-beyond-tau_s"),
         pytest.param("t_ann", "abc", id="string-t_ann"),
+        pytest.param("t_ann", 0.02, id="t_ann-unlike-the-source-model"),
         pytest.param("t_snn", None, id="null-t_snn"),
         pytest.param("t_snn", 0.0005, id="t_snn-the-taus-were-not-compiled-for"),
         pytest.param("layers", "x", id="layer-not-an-object"),

@@ -168,6 +168,16 @@ class TestCompile:
             # a network file's load compares each scalar by type
             assert type(layer_net.tau_s_fx) is int and type(layer_net.tau_u_fx) is int
 
+    def test_timing_of_another_frame_period_rejected(self):
+        # TimingConfig(0.05, 0.001) compiled the taus for 0.05 s frames of a
+        # model trained on 0.01 s frames; equal within 1e-6 compiles alike
+        model = quantized_model(np.random.default_rng(3))
+        with pytest.raises(ConfigError, match="frame period"):
+            compile_network(model, TimingConfig(0.05, 0.001), 2e5)
+        near = compile_network(model, TimingConfig(0.01 * (1 + 1e-9), 0.0001), 2e5)
+        assert [l.tau_s_fx for l in near.layers] == [
+            l.tau_s_fx for l in compile_network(model, TIMING, 2e5).layers]
+
     def test_alpha_09_tau_in_steps(self):
         # chained formula: (-0.010 / ln 0.9) s expressed in 0.1 ms steps
         model = quantized_model(np.random.default_rng(4), alphas=(0.9, 0.9, 0.9, 0.9))
@@ -252,7 +262,8 @@ class TestCompile:
 
     @pytest.mark.parametrize("option, value", [
         ("safety_margin", math.inf), ("safety_margin", math.nan), ("safety_margin", 0.0),
-        ("safety_margin", -1.0), ("safety_margin", True), ("safety_margin", "0.5")])
+        ("safety_margin", -1.0), ("safety_margin", True), ("safety_margin", "0.5"),
+        ("safety_margin", 1.5)])
     def test_invalid_compile_config_rejected(self, option, value):
         with pytest.raises(ConfigError, match=option):
             CompileConfig(**{option: value})

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from sdrnn.errors import ConfigError, DataError, NumericError
-from sdrnn.lprnn import (KIND_INPUT, KIND_OUTPUT, KIND_RECURRENT, LpRnnLayer,
+from sdrnn.lprnn import (CLAMP_CEILING, KIND_INPUT, KIND_OUTPUT, KIND_RECURRENT, LpRnnLayer,
                          LpRnnModel, TrainConfig, bptt_grads, cell_forward,
                          clamped_relu, cross_entropy, forward_batch,
                          forward_sequence, init_model, load_model,
@@ -57,7 +57,7 @@ def loop_forward_batch(model, x):
     """Frame-by-frame forward pass, one frame and one layer at a time: the
     independent oracle for the frame-major forward_batch."""
     b, t, _ = x.shape
-    c = model.clamp_ceiling
+    c = CLAMP_CEILING
     ys, zs = [], []
     weights = [model.effective_weights(layer) for layer in model.layers]
     h = x
@@ -87,7 +87,7 @@ def loop_bptt_grads(model, x, labels):
     logits, cache = loop_forward_batch(model, x)
     loss = cross_entropy(logits, labels)
     b, t, _ = x.shape
-    c = model.clamp_ceiling
+    c = CLAMP_CEILING
     n_layers = len(model.layers)
     window = cache["window"]
     dlogits = softmax(logits)
@@ -131,18 +131,18 @@ def loop_bptt_grads(model, x, labels):
 
 class TestClampedRelu:
     def test_zero(self):
-        assert np.all(clamped_relu(np.zeros(4), 1.0) == 0.0)
+        assert np.all(clamped_relu(np.zeros(4)) == 0.0)
 
     def test_floor(self):
-        assert clamped_relu(np.array([-5.0]), 1.0)[0] == 0.0
+        assert clamped_relu(np.array([-5.0]))[0] == 0.0
 
     def test_ceiling(self):
-        assert clamped_relu(np.array([3.7]), 1.0)[0] == 1.0
+        assert clamped_relu(np.array([3.7]))[0] == 1.0
 
-    @given(arrays(np.float64, (7,), elements=st.floats(-10, 10)), st.floats(0.1, 5.0))
-    def test_bounds(self, x, c):
-        out = clamped_relu(x, c)
-        assert np.all(out >= 0.0) and np.all(out <= c)
+    @given(arrays(np.float64, (7,), elements=st.floats(-10, 10)))
+    def test_bounds(self, x):
+        out = clamped_relu(x)
+        assert np.all(out >= 0.0) and np.all(out <= CLAMP_CEILING)
 
 
 class TestCellForward:
@@ -160,7 +160,7 @@ class TestCellForward:
                            alpha=0.0)
         x = rng.normal(size=(1, 3))
         out = cell_forward(np.zeros((1, 4)), x, layer)
-        expected = clamped_relu(x @ layer.w_in.T + layer.bias, 1.0)
+        expected = clamped_relu(x @ layer.w_in.T + layer.bias)
         np.testing.assert_allclose(out, expected, rtol=1e-15)
 
     def test_matches_scalar_loop_oracle(self):
@@ -203,7 +203,7 @@ class TestForwardSequence:
             z = h @ layer.w_in.T + layer.bias
             if layer.w_rec is not None:
                 z = z + np.zeros((1, layer.size)) @ layer.w_rec.T
-            h = clamped_relu(z, 1.0)
+            h = clamped_relu(z)
         np.testing.assert_allclose(logits, h[0], rtol=1e-12)
 
     def test_matches_cell_forward_chaining(self):
@@ -216,7 +216,7 @@ class TestForwardSequence:
         for t in range(20):
             h = feats[t][None, :]
             for li, layer in enumerate(model.layers):
-                states[li] = cell_forward(states[li], h, layer, model.clamp_ceiling)
+                states[li] = cell_forward(states[li], h, layer)
                 ys[li].append(states[li][0].copy())
                 h = states[li]
         for li in range(len(model.layers)):
@@ -232,7 +232,7 @@ class TestForwardSequence:
         feats = rng.normal(0.0, 2.0, size=(12, 3))
         _, traces = forward_sequence(model, FeatureSequence(feats, frame_period=0.01))
         for tr in traces:
-            assert np.all(tr >= 0.0) and np.all(tr <= model.clamp_ceiling)
+            assert np.all(tr >= 0.0) and np.all(tr <= CLAMP_CEILING)
 
     def test_constant_input_monotone_convergence_feedforward(self):
         # low-pass property: the input layer's state approaches its fixed
@@ -243,7 +243,7 @@ class TestForwardSequence:
         x = rng.uniform(0, 1, size=(1, 3))
         y = np.zeros((1, 5))
         prev_gap = None
-        target = clamped_relu(x @ layer.w_in.T + layer.bias, 1.0)
+        target = clamped_relu(x @ layer.w_in.T + layer.bias)
         for _ in range(60):
             y = cell_forward(y, x, layer)
             gap = np.abs(target - y)
@@ -697,6 +697,19 @@ class TestModelFile:
             for name in ("w_in", "w_rec", "bias", "mask_in", "mask_rec"):
                 np.testing.assert_array_equal(getattr(la, name), getattr(lb, name))
 
+    def test_ceiling_is_no_key_of_the_file(self):
+        # files written while the ceiling was an option hold clamp_ceiling:
+        # 1.0 loads to the same model, any other value is a DataError that
+        # names the key
+        with np.load(saved_model(random_model(np.random.default_rng(0)))) as data:
+            assert "clamp_ceiling" not in json.loads(bytes(data["meta"]).decode())
+        a, b = load_model(model_file()), load_model(model_file(clamp_ceiling=1.0))
+        for la, lb in zip(a.layers, b.layers):
+            np.testing.assert_array_equal(la.w_in, lb.w_in)
+        for value in (2.0, 0.5, "x"):
+            with pytest.raises(DataError, match="clamp_ceiling"):
+                load_model(model_file(clamp_ceiling=value))
+
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "junk.npz"
         np.savez(path, a=np.zeros(3))
@@ -746,8 +759,6 @@ def second_encoder_file() -> io.BytesIO:
 
 
 @pytest.mark.parametrize("call, error, match", [
-    pytest.param(lambda: clamped_relu(np.zeros(2), 0.0), ConfigError, "clamp ceiling",
-                 id="clamp-ceiling"),
     pytest.param(lambda: quantize_levels(np.ones(2), bits=1), ConfigError, "2 bits",
                  id="quantizer-bits"),
     pytest.param(lambda: bare_layer(KIND_RECURRENT, w_rec=np.zeros((2, 3))), ConfigError, "square",

@@ -1,10 +1,15 @@
-"""The names that the benchmark's tracer wraps still exist.
+"""The names that the benchmark's tracer wraps still exist, and the
+benchmark's least pass still runs.
 
 perfbench/run.py's install wraps sdrnn functions at every name their
 callers look up, and a name that a refactor drops or rebinds surfaces only
 as a crashed `perfbench/run.py --trace 1` run. This test loads the
 benchmark's run.py, tracing.py and workloads.py by path, installs the
 tracer, checks that the search's simulations are seen, and uninstalls it.
+The workloads also call the package outside the tracer (NeuronParams,
+snn_sim.readout, convert._weight_cap, the keys of compare_activations'
+report), so the least pass of the two fast workloads runs here too and must
+fail no operation and reproduce the digest of its outputs.
 """
 
 import importlib.util
@@ -87,3 +92,22 @@ def test_tracer_sees_the_search_simulations(perfbench):
     assert spans["convert.search"]["calls"] == 1
     assert spans["convert.probe_peak_state"]["calls"] == len(trace) >= 1
     assert spans["snn_sim.simulate_batch"]["inside"] == len(trace)
+
+
+@pytest.mark.parametrize("workload, digest", [
+    pytest.param("sim_kernel",
+                 "9113ea0ab7d968642e2fd04efb81d99044067be178523df7145b3d4ea317c256",
+                 id="sim_kernel"),
+    pytest.param("conversion_fidelity",
+                 "c643af9e40aec6e873f058a9591fe204e9b652a19b3bc181a8728a60e302ab68",
+                 id="conversion_fidelity")])
+def test_least_pass_of_a_workload(perfbench, tmp_path, workload, digest):
+    # `perfbench/run.py --workload W --seed 7` prints the same digest; a
+    # probe that was never started scales no time, which the pass does not need
+    _, _, workloads = perfbench
+    wl = workloads.WORKLOADS[workload](7, tmp_path, 1)
+    wl.setup(0)
+    ledger = workloads.Ledger(workloads.SpeedProbe())
+    outcome = wl.run(ledger, None)
+    assert (ledger.failed, ledger.problems) == (0, [])
+    assert outcome.digest == digest

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -50,6 +51,11 @@ class TestNeuronParams:
                 NeuronParams(**{name: 0.0})
         assert NeuronParams(tau_s=math.inf).tau_s == math.inf
         assert NeuronParams(tau_s=7.0).tau_i == 7.0  # the i stage shares tau_s
+
+    def test_fields(self):
+        # the full-rate s, w_fb * tau_s, is derived, not set
+        assert [f.name for f in fields(NeuronParams)] == ["tau_s", "tau_u", "w_fb"]
+        assert DEFAULTS.w_fb * DEFAULTS.tau_s == 1.0
 
 
 class TestNeuronStep:
@@ -141,6 +147,23 @@ class TestEncodeAnalog:
         decoded = reconstruct(raster, DEFAULTS)
         tail = decoded.data[settle:, 0]
         assert tail.mean() == pytest.approx(v, abs=DEFAULTS.w_fb)
+
+    def test_signal_up_to_the_full_rate_s(self):
+        # w_fb 0.02 and tau_s 100: a neuron spiking every step holds s = 2.0,
+        # so 1.5 encodes (the fixed ceiling 1.0 rejected it), s tracks i within
+        # w_fb once settled, and a signal above 2.0 is rejected
+        params = NeuronParams(w_fb=0.02)
+        steps = int(10 * params.tau_s)
+        sig = FeatureSequence(np.full((steps, 1), 1.5), frame_period=0.001)
+        raster = encode_analog(sig, params, oversample=1)
+        i_tr, s_tr, spikes = drive_constant(1.5, steps, params)
+        assert raster.times.tolist() == spikes
+        decoded = reconstruct(raster, params).data[:, 0]
+        np.testing.assert_array_equal(decoded, s_tr)
+        settle = int(5 * params.tau_s)
+        assert np.abs(decoded[settle:] - i_tr[settle:]).max() <= params.w_fb
+        with pytest.raises(DataError, match="full-rate"):
+            encode_analog(FeatureSequence(np.full((2, 1), 2.01), 0.001), params, 4)
 
     def test_encode_matches_neuron_step_loop(self):
         # the encoder's raster and neuron_step's states against a scalar
@@ -244,15 +267,13 @@ class TestRasterSerialization:
 
 @pytest.mark.parametrize("call, error, match", [
     pytest.param(lambda: NeuronParams(w_fb=0.0), ConfigError, "w_fb", id="w_fb"),
-    pytest.param(lambda: NeuronParams(clamp_ceiling=0.0), ConfigError, "clamp_ceiling",
-                 id="clamp-ceiling"),
     pytest.param(lambda: encode_analog(FeatureSequence(np.zeros((2, 1)), 0.01), DEFAULTS, 0),
                  ConfigError, "oversample", id="oversample"),
     pytest.param(lambda: encode_analog(FeatureSequence(np.zeros((2, 1)), 0.01),
                                        NeuronParams(tau_u=math.inf), 4),
                  ConfigError, "finite tau", id="infinite-tau"),
     pytest.param(lambda: encode_analog(FeatureSequence(np.full((2, 1), 1.5), 0.01), DEFAULTS, 4),
-                 DataError, "clamp ceiling", id="above-ceiling"),
+                 DataError, "full-rate", id="above-ceiling"),
 ])
 def test_input_check(call, error, match):
     with pytest.raises(error, match=match):

@@ -568,8 +568,7 @@ class TestTrackingBehavior:
         feats = FeatureSequence(rng.uniform(0, 1, size=(10, 2)), TIMING.t_ann)
         trace = simulate(net, feats, probe={1: [0, 1, 2]})
         layer = net.layers[1]
-        params = NeuronParams(tau_s=layer.tau_s_fx, tau_u=layer.tau_u_fx, w_fb=layer.w_fb,
-                              clamp_ceiling=net.f)
+        params = NeuronParams(tau_s=layer.tau_s_fx, tau_u=layer.tau_u_fx, w_fb=layer.w_fb)
         decoded = reconstruct(trace.rasters[1], params)
         np.testing.assert_array_equal(decoded.data, trace.probes[(1, "s")])
 
@@ -871,6 +870,10 @@ def toy_net():
                  DataError, "multiple of the oversample", id="raster-duration"),
     pytest.param(lambda: simulate(toy_net(), SpikeRaster([], [], 300, 3, 70 * TIMING.t_snn)),
                  DataError, "raster step", id="raster-dt"),
+    # the network's taus are in steps of its own frames; 0.5 s frames ran on
+    # them without complaint
+    pytest.param(lambda: simulate(toy_net(), FeatureSequence(np.zeros((3, 2)), 0.5)),
+                 DataError, "frame period", id="frame-period"),
     pytest.param(lambda: simulate(toy_net(), np.zeros((3, 2))), DataError,
                  "unsupported input type", id="input-type"),
     pytest.param(lambda: compare_activations(
