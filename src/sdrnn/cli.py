@@ -30,11 +30,10 @@ from .convert import (NET_FORMAT, RETIRED_KEYS, CompileConfig, TimingConfig,
                       compile_network, compile_report, load_network, predicted_peak,
                       # unused here; it stays because perfbench's tracer patches it in cli
                       probe_peak_state, save_network, select_scale_factor)
-from .errors import (ConfigError, DataError, NumericError, npz_file, npz_meta, pop_retired,
-                     reading)
-from .lprnn import (CLAMP_CEILING, MODEL_FORMAT, TrainConfig, _finite_positive, _real,
-                    forward_batch, forward_sequence, init_model, load_model, magnitude_prune,
-                    save_model, train)
+from .errors import (ConfigError, DataError, NumericError, _finite_positive, _real, npz_file,
+                     npz_meta, pop_retired, reading)
+from .lprnn import (CLAMP_CEILING, MODEL_FORMAT, TrainConfig, forward_batch, forward_sequence,
+                    init_model, load_model, magnitude_prune, save_model, train)
 from .snn_sim import compare_activations, simulate, simulate_batch
 
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, reading
+from .errors import DataError, _finite_positive, reading
 
 
 @dataclass
@@ -25,8 +25,9 @@ class FeatureSequence:
         self.data = np.asarray(self.data, dtype=np.float64)
         if self.data.ndim != 2:
             raise DataError(f"feature data must be 2-D [frames, features], got {self.data.shape}")
-        if not self.frame_period > 0:
-            raise DataError("frame_period must be positive")
+        if not _finite_positive(self.frame_period):
+            raise DataError(f"frame_period must be a finite positive number, not "
+                            f"{self.frame_period!r}")
 
 
 @dataclass
@@ -51,9 +52,9 @@ class SpikeRaster:
         self.population = int(_integers(self.population, "population"))
         if self.times.shape != self.units.shape:
             raise DataError("times and units must have equal length")
-        if not (self.duration >= 0 and self.population >= 0 and self.dt > 0):
-            raise DataError(f"a raster needs duration and population >= 0 and dt > 0, not "
-                            f"{self.duration}, {self.population} and {self.dt}")
+        if not (self.duration >= 0 and self.population >= 0 and _finite_positive(self.dt)):
+            raise DataError(f"a raster needs duration and population >= 0 and a finite positive "
+                            f"dt, not {self.duration}, {self.population} and {self.dt!r}")
         if self.times.size:
             if self.times.min() < 0 or self.times.max() >= self.duration:
                 raise DataError("spike timestep outside declared duration")

@@ -92,10 +92,10 @@ import numpy as np
 
 from . import snn_sim
 from .containers import FeatureSequence
-from .errors import (ConfigError, DataError, NumericError, npz_file, npz_meta, npz_write,
-                     pop_retired)
-from .lprnn import (KIND_INPUT, KIND_RECURRENT, LpRnnLayer, LpRnnModel, _finite_positive,
-                    _real, forward_batch, load_model, save_model)
+from .errors import (ConfigError, DataError, NumericError, _finite_positive, _real, npz_file,
+                     npz_meta, npz_write, pop_retired, same_period)
+from .lprnn import (KIND_INPUT, KIND_RECURRENT, LpRnnLayer, LpRnnModel, forward_batch,
+                    load_model, save_model)
 from .numerics import STATE_LIMIT, round_half_away
 
 
@@ -317,10 +317,10 @@ def compile_network(model: LpRnnModel, timing: TimingConfig, f: float,
     2**e * f <= weight cap and 2**e <= tau_s_fx; 0 for the encoder), integer
     weights and biases from the mapping formulas, and the feedback weight
     w_fb = round(f / tau_s), also the firing threshold. timing.t_ann must
-    be the model's frame period, to the raster step check's 1e-6."""
+    be the model's frame period (same_period)."""
     if not _finite_positive(f):
         raise ConfigError(f"scale factor f must be a finite positive number, not {f!r}")
-    if not abs(timing.t_ann - model.t_ann) <= 1e-6 * model.t_ann:
+    if not same_period(timing.t_ann, model.t_ann):
         raise ConfigError(f"timing t_ann {timing.t_ann!r} s != the model's frame period "
                           f"t_ann {model.t_ann!r} s")
     layers = []
@@ -478,6 +478,9 @@ def load_network(path) -> SnnNetwork:
     layers differ, naming the layer and its first field that differs."""
     with npz_file(path) as data:
         meta = npz_meta(data, path, NET_FORMAT)
+        if extra := sorted(set(meta) - {"format", "f", "t_ann", "t_snn", "config", "notes",
+                                        "layers"}):
+            raise DataError(f"{path}: {extra[0]!r} is no key of a network file")
         config = meta.get("config")
         if not isinstance(config, dict):
             raise DataError(f"{path}: the compile config must be a JSON object, not {config!r}")

@@ -1,11 +1,14 @@
-"""Exception classes shared across the toolkit, the .npz archives of model
-and network files, which this module both writes and reads, and the rule for
-the keys that older files and configs still hold (pop_retired).
+"""Exception classes shared across the toolkit, the checks of a real number
+and of a period, the .npz archives of model and network files, which this
+module both writes and reads, and the rule for the keys that older files and
+configs still hold (pop_retired).
 
 The CLI maps these onto distinct exit codes (config 2, data 3, numeric 4).
 """
 
 import json
+import numbers
+import sys
 import zipfile
 from contextlib import ExitStack, contextmanager
 
@@ -26,6 +29,21 @@ class DataError(SdrnnError):
 
 class NumericError(SdrnnError):
     """Numeric failure: divergence, infeasible scale factor, overflow."""
+
+
+def _real(value) -> bool:
+    """Whether value is a real number and not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _finite_positive(value) -> bool:
+    """Whether value is a real number, not a bool, in (0, the largest float]."""
+    return _real(value) and 0 < value <= sys.float_info.max
+
+
+def same_period(period, expected) -> bool:
+    """Whether a period in seconds is the expected one, to a relative 1e-6."""
+    return abs(period - expected) <= 1e-6 * expected
 
 
 @contextmanager
@@ -82,11 +100,12 @@ def npz_meta(data, path, *formats) -> dict:
 def pop_retired(entries: dict, retired: dict, named: bool = False) -> str | None:
     """Remove the keys of `retired`, each with the value it takes now (with
     named, a string names the entry it must equal), from entries. Returns a
-    message naming the first that holds another value, or None."""
+    message naming the first that holds another value, or None. A bool
+    matches only a bool (True == 1 in Python, but not in a file)."""
     for key, now in retired.items():
         if key in entries:
             value = entries.pop(key)
             expected = entries.get(now) if named and isinstance(now, str) else now
-            if value != expected:
+            if value != expected or isinstance(value, bool) != isinstance(expected, bool):
                 return f"{key} = {value!r} is no longer supported (it is {expected!r} now)"
     return None

@@ -47,8 +47,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .containers import FeatureSequence
-from .errors import (ConfigError, DataError, NumericError, npz_file, npz_meta, npz_write,
-                     pop_retired)
+from .errors import (ConfigError, DataError, NumericError, _finite_positive, _real, npz_file,
+                     npz_meta, npz_write, pop_retired)
 from .numerics import round_half_away
 
 KIND_INPUT = "input_lowpass"
@@ -59,16 +59,6 @@ KIND_OUTPUT = "output"
 MAX_BITS = 8
 #: The clamped ReLU's ceiling, the full-rate activation (module docstring).
 CLAMP_CEILING = 1.0
-
-
-def _real(value) -> bool:
-    """Whether value is a real number and not a bool."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-def _finite_positive(value) -> bool:
-    """Whether value is a real number, not a bool, in (0, the largest float]."""
-    return _real(value) and 0 < value <= sys.float_info.max
 
 
 def clamped_relu(x: np.ndarray) -> np.ndarray:
@@ -532,6 +522,11 @@ def magnitude_prune(model: LpRnnModel, sparsity: float) -> LpRnnModel:
 # layer, the full-precision tensors and any pruning masks.
 
 MODEL_FORMAT = "sdrnn-model-v1"
+#: The metadata keys of a model file and of its layers; "pruned", a flag
+#: that nothing read, is in the layers of files written before it was dropped.
+_MODEL_KEYS = {"format", "t_ann", "bits", "readout_fraction", "quantize", "norm_stats",
+               "label_names", "layers"}
+_MODEL_LAYER_KEYS = {"kind", "size", "fan_in", "alpha", "pruned"}
 
 
 def save_model(model: LpRnnModel, path) -> None:
@@ -556,6 +551,8 @@ def load_model(path) -> LpRnnModel:
         meta = npz_meta(data, path, MODEL_FORMAT)
         if bad := pop_retired(meta, {"clamp_ceiling": CLAMP_CEILING}):  # once an option
             raise DataError(f"{path}: {bad}")
+        if extra := sorted(set(meta) - _MODEL_KEYS):
+            raise DataError(f"{path}: {extra[0]!r} is no key of a model file")
         norm_stats, label_names = meta["norm_stats"], meta["label_names"]
         if not (isinstance(meta["layers"], list)
                 and all(isinstance(lmeta, dict) for lmeta in meta["layers"])):
@@ -568,6 +565,8 @@ def load_model(path) -> LpRnnModel:
         # the model checks the other values' types (a ConfigError, read as a DataError)
         layers = []
         for li, lmeta in enumerate(meta["layers"]):
+            if extra := sorted(set(lmeta) - _MODEL_LAYER_KEYS):
+                raise DataError(f"{path}: layer {li}: {extra[0]!r} is no key of a model layer")
             layers.append(LpRnnLayer(lmeta["kind"], data[f"l{li}_w_in"], data.get(f"l{li}_w_rec"),
                                      data[f"l{li}_bias"], lmeta["alpha"],
                                      data.get(f"l{li}_mask_in"), data.get(f"l{li}_mask_rec")))

@@ -59,10 +59,11 @@ delay line of max(rec_delay) slots: the spikes of step t enter each tap's
 segment of slot (t + d) % depth, so the drive of step t is the one product
 line[t % depth] @ w. A rec_delay of 1 shares the feed-forward tap. The
 analog encoder's drive is written into its columns at frame starts only,
-and nothing else writes them; a spike raster replaces the encoder, whose
-columns are then left out of the update (and cannot be probed). Rasters,
-frame-end s, spike counts, probes and the readout are column slices of
-the flat state. Batched samples advance in lockstep on the same arrays.
+and nothing else writes them. A spike raster stands in for the encoder:
+its columns get no drive and no bias, so they rest at +0 below w_fb >= 1,
+each step writes the raster's spikes in as theirs, and they have no states
+to probe. Rasters, frame-end s, spike counts, probes and the readout are
+column slices of the flat state. Batched samples advance in lockstep.
 
 The synaptic drive is exact in float32 for integer weights, as the
 compiler emits. Spikes are 0/1, so every partial sum of a drive column, in
@@ -87,7 +88,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .containers import FeatureSequence, SpikeRaster
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, same_period
 from .numerics import (STATE_LIMIT, decay_array, decay_by, decay_factor, round_half_away,
                        sat_add_array)
 
@@ -261,13 +262,12 @@ def _engine(net: SnnNetwork, x: np.ndarray | None, input_raster: SpikeRaster | N
             raise DataError(f"raster population {input_raster.population} != encoder size {n0}")
         if input_raster.duration % oversample:
             raise DataError("raster duration must be a multiple of the oversample ratio")
-        # the tolerance of TimingConfig's t_ann/t_snn ratio
-        if not abs(input_raster.dt - net.timing.t_snn) <= 1e-6 * net.timing.t_snn:
+        if not same_period(input_raster.dt, net.timing.t_snn):
             raise DataError(f"raster step dt {input_raster.dt!r} s != the network's step "
                             f"t_snn {net.timing.t_snn!r} s")
         batch = 1
         duration = input_raster.duration
-        input_spikes = input_raster.dense().astype(np.float64)  # [duration, n0]
+        input_spikes = input_raster.dense()  # [duration, n0]
     else:
         batch, n_frames_in, width = x.shape
         enc = layers[0]
@@ -284,24 +284,23 @@ def _engine(net: SnnNetwork, x: np.ndarray | None, input_raster: SpikeRaster | N
         enc_drive = round_half_away(drive_all) if fixed else drive_all
     if duration == 0:
         raise DataError("empty sequence rejected")
-    # a raster stands in for the encoder, whose columns are then not updated
-    first = 0 if input_raster is None else 1
-    lo = int(starts[first])
 
     n_frames = duration // oversample
-    shape = (batch, n - lo)  # the updated columns
+    shape = (batch, n)
 
     def per_neuron(attr):
         return np.concatenate([np.broadcast_to(getattr(l, attr), l.size)
-                               for l in layers])[lo:].astype(np.float64)
+                               for l in layers]).astype(np.float64)
 
+    bias = per_neuron("bias")
+    if input_raster is not None:
+        bias[:n0] = 0.0  # with no drive either, the encoder's columns stay at rest
     # both modes run on the integer network constants; reference mode is
     # real-valued state arithmetic on the same network
     peak = [0.0]
     state, clips, step = sigma_delta_kernel(
         shape, np.stack([per_neuron("tau_u_fx"), per_neuron("tau_s_fx")])[:, None, :],
-        per_neuron("bias"), per_neuron("w_fb"), per_neuron("weight_exp").astype(np.int64),
-        fixed, peak)
+        bias, per_neuron("w_fb"), per_neuron("weight_exp").astype(np.int64), fixed, peak)
     s = state[2]
 
     # one block matrix W_d per distinct synaptic delay d: presynaptic rows,
@@ -333,12 +332,12 @@ def _engine(net: SnnNetwork, x: np.ndarray | None, input_raster: SpikeRaster | N
             for d, rows, segments in zip(delays, spans, np.split(line, cuts, axis=2))]
 
     drive = np.zeros(shape)  # the encoder's columns are written at frame starts
-    synaptic = drive[:, n0 - lo:]
+    synaptic = drive[:, n0:]
     # a count grows by at most 1 per step
     counts = np.zeros((batch, n), dtype=dtype if duration <= _FLOAT32_EXACT else np.float64)
     frame_s = np.zeros((batch, n_frames, n))
-    spiked = np.zeros((duration if record_rasters else 0, n - lo), dtype=bool)
-    out = slice(int(starts[-2]) - lo, None)
+    spiked = np.zeros((duration if record_rasters else 0, n), dtype=bool)
+    out = slice(int(starts[-2]), None)
     window = max(1, math.ceil(net.source_model.readout_fraction * duration))
     acc = np.zeros((batch, layers[-1].size))
     acc_start = duration - window
@@ -348,36 +347,34 @@ def _engine(net: SnnNetwork, x: np.ndarray | None, input_raster: SpikeRaster | N
     for li, ids in probe.items():
         if not (0 <= li < len(layers) and all(0 <= k < layers[li].size for k in ids)):
             raise ConfigError(f"probe of layer {li} names no neuron of it: {ids}")
-        if li < first:
+        if li == 0 and input_raster is not None:
             raise ConfigError("a spike raster stands in for the encoder, which therefore "
                               "has no states to probe")
     probes = {(li, var): np.zeros((duration, len(ids)))
               for li, ids in probe.items() for var in ("u", "i", "s", "imem")}
-    probe_cols = {li: int(starts[li]) - lo + np.asarray(ids, dtype=np.int64)
+    probe_cols = {li: int(starts[li]) + np.asarray(ids, dtype=np.int64)
                   for li, ids in probe.items()}
 
     for t in range(duration):
         np.matmul(line[t % depth], w, out=synaptic)
-        if not lo and t % oversample == 0:
+        if input_raster is None and t % oversample == 0:
             drive[:, :n0] = enc_drive[t // oversample]
-        fired = step(drive)
-        now[:, lo:] = fired
-        if lo:
-            now[:, :lo] = input_spikes[t]
+        now[...] = step(drive)
+        if input_raster is not None:
+            now[:, :n0] = input_spikes[t]
         counts += now
         for d, rows, segments in taps:
             segments[(t + d) % depth][...] = rows
         if record_rasters:
-            spiked[t] = fired[0]
+            spiked[t] = now[0]
         if clips:
-            per_layer = [(var, np.add.reduceat(over, starts[first:-1] - lo))
-                         for var, over in clips]
+            per_layer = [(var, np.add.reduceat(over, starts[:-1])) for var, over in clips]
             sat_total += sum(int(c.sum()) for _, c in per_layer)
-            sat_events += [(t, first + k, var, int(c[k])) for k in range(len(layers) - first)
+            sat_events += [(t, k, var, int(c[k])) for k in range(len(layers))
                            for var, c in per_layer if c[k]][:_MAX_SAT_LOG - len(sat_events)]
             clips.clear()
         if (t + 1) % oversample == 0:
-            frame_s[:, t // oversample, lo:] = s
+            frame_s[:, t // oversample] = s
         if t >= acc_start:
             acc += s[:, out]
         for li, cols in probe_cols.items():
@@ -391,8 +388,7 @@ def _engine(net: SnnNetwork, x: np.ndarray | None, input_raster: SpikeRaster | N
 
     rasters: list[SpikeRaster | None] = [None] * len(layers)
     if record_rasters:
-        rasters = [input_raster if li < first else
-                   SpikeRaster(*np.nonzero(spiked[:, starts[li] - lo:starts[li + 1] - lo]),
+        rasters = [SpikeRaster(*np.nonzero(spiked[:, starts[li]:starts[li + 1]]),
                                duration, layer.size, net.timing.t_snn)
                    for li, layer in enumerate(layers)]
     return SimulationResult(
@@ -408,8 +404,7 @@ def simulate(net: SnnNetwork, inp, mode: str = "reference",
     through the analog encoder, or a SpikeRaster of pre-encoded input spikes
     that replaces the encoder output."""
     if isinstance(inp, FeatureSequence):
-        # the tolerance of the raster step check
-        if not abs(inp.frame_period - net.timing.t_ann) <= 1e-6 * net.timing.t_ann:
+        if not same_period(inp.frame_period, net.timing.t_ann):
             raise DataError(f"frame period {inp.frame_period!r} s != the network's frame "
                             f"period t_ann {net.timing.t_ann!r} s")
         result = _engine(net, inp.data[None, :, :], None, mode, record_rasters, probe)

@@ -256,7 +256,7 @@ class TestTrainCommand:
         replayed = json.loads(Path(str(again) + ".config.json").read_text())
         assert replayed == {**written, "out": str(again)}
 
-    @pytest.mark.parametrize("clamp, code", [(1.0, 0), (2.0, 2)])
+    @pytest.mark.parametrize("clamp, code", [(1.0, 0), (2.0, 2), (True, 2)])
     def test_config_with_the_retired_ceiling(self, workspace, tmp_path, capsys, clamp, code):
         # configs written while --clamp was an option hold it: 1.0 replays,
         # another value (which trained a model the compiled neuron cannot
@@ -498,7 +498,7 @@ class TestConvertCommand:
     @pytest.mark.parametrize("key, value", [("tau_u", 3.0), ("tau_mem", 2.0),
                                             ("weight_gain", 64), ("weight_limit", 127),
                                             ("decay_rounding", "trunc"),
-                                            ("decay_rounding", None)])
+                                            ("decay_rounding", None), ("weight_gain", True)])
     def test_retired_option_with_another_value_is_config_error(self, workspace, tmp_path,
                                                                capsys, key, value):
         config = self.with_retired_options(workspace, tmp_path, **{key: value})
@@ -631,7 +631,7 @@ class TestEvaluateCommand:
         err = capsys.readouterr().err
         assert f"data error: {bad}" in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("value, code", [(1.0, 0), (2.0, 3)])
+    @pytest.mark.parametrize("value, code", [(1.0, 0), (2.0, 3), (True, 3)])
     def test_model_file_with_the_retired_ceiling(self, workspace, tmp_path, capsys, value,
                                                   code):
         # model files written while the ceiling was an option hold it: 1.0
@@ -660,6 +660,21 @@ class TestEvaluateCommand:
         assert main(["evaluate", "--input", str(net), "--features", str(workspace["features"]),
                      "--out", str(tmp_path / "x.json")]) == 3
         assert "threshold" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, key", [("config", "weight_gain"), ("layer", "tau_mem")])
+    def test_network_with_a_retired_key_of_true_is_data_error(self, workspace, tmp_path, capsys,
+                                                              section, key):
+        # true == 1 in Python, and a JSON true loaded as the fixed value 1
+        with np.load(workspace["net"]) as data:
+            arrays = dict(data)
+        meta = json.loads(bytes(arrays["meta"]).decode())
+        (meta["config"] if section == "config" else meta["layers"][1])[key] = True
+        arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+        net = tmp_path / "net.npz"
+        np.savez(net, **arrays)
+        assert main(["evaluate", "--input", str(net), "--features", str(workspace["features"]),
+                     "--out", str(tmp_path / "x.json")]) == 3
+        assert key in capsys.readouterr().err
 
     @pytest.mark.parametrize("mode", ["reference", "fixed"])
     def test_network_whose_size_disagrees_with_its_arrays_is_data_error(

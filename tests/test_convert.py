@@ -513,6 +513,8 @@ class TestNetworkFile:
         ("config", "weight_limit", 127), ("config", "decay_rounding", "trunc"),
         ("config", "decay_rounding", None), ("layer", "tau_i", 30.0), ("layer", "tau_i_fx", 7),
         ("layer", "threshold", 3), ("layer", "tau_mem", 2.0), ("layer", "tau_mem_fx", 2),
+        # true == 1 in Python, and a JSON true loaded as the value 1
+        ("config", "weight_gain", True), ("layer", "tau_mem", True),
     ])
     def test_retired_key_with_another_value_rejected(self, tmp_path, section, key, value):
         def edit(meta):
@@ -521,6 +523,12 @@ class TestNetworkFile:
 
         _, path = self.saved_with_meta(tmp_path, edit)
         with pytest.raises(DataError, match=key):
+            load_network(path)
+
+    def test_unknown_key_rejected(self, tmp_path):
+        # a misspelt key loaded without a word
+        _, path = self.saved_with_meta(tmp_path, lambda meta: meta.update(nots={}))
+        with pytest.raises(DataError, match="'nots' is no key of a network file"):
             load_network(path)
 
     @staticmethod

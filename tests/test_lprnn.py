@@ -710,6 +710,19 @@ class TestModelFile:
             with pytest.raises(DataError, match="clamp_ceiling"):
                 load_model(model_file(clamp_ceiling=value))
 
+    @pytest.mark.parametrize("key", ["clamp", "readout_fracton"])
+    def test_unknown_key_rejected(self, key):
+        # a train option's name and a misspelt key both loaded without a word
+        with pytest.raises(DataError, match=f"{key}' is no key of a model file"):
+            load_model(model_file(**{key: 2.0}))
+
+    def test_unknown_layer_key_rejected(self):
+        with np.load(saved_model(random_model(np.random.default_rng(0)))) as data:
+            layers = json.loads(bytes(data["meta"]).decode())["layers"]
+        layers[1]["alpah"] = 0.5
+        with pytest.raises(DataError, match="layer 1: 'alpah' is no key of a model layer"):
+            load_model(model_file(layers=layers))
+
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "junk.npz"
         np.savez(path, a=np.zeros(3))

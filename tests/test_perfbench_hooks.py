@@ -8,8 +8,9 @@ benchmark's run.py, tracing.py and workloads.py by path, installs the
 tracer, checks that the search's simulations are seen, and uninstalls it.
 The workloads also call the package outside the tracer (NeuronParams,
 snn_sim.readout, convert._weight_cap, the keys of compare_activations'
-report), so the least pass of the two fast workloads runs here too and must
-fail no operation and reproduce the digest of its outputs.
+report), so the least pass of each workload runs here too and must fail no
+operation and reproduce the digest of its outputs. kws_e2e's pass runs the
+CLI pipeline (features, train, convert, evaluate) and takes several seconds.
 """
 
 import importlib.util
@@ -100,7 +101,10 @@ def test_tracer_sees_the_search_simulations(perfbench):
                  id="sim_kernel"),
     pytest.param("conversion_fidelity",
                  "c643af9e40aec6e873f058a9591fe204e9b652a19b3bc181a8728a60e302ab68",
-                 id="conversion_fidelity")])
+                 id="conversion_fidelity"),
+    pytest.param("kws_e2e",
+                 "186c7792cb0879a3e5b1dc73e1f6e5ed1407a2baacce4123ee713d9083e9c683",
+                 id="kws_e2e")])
 def test_least_pass_of_a_workload(perfbench, tmp_path, workload, digest):
     # `perfbench/run.py --workload W --seed 7` prints the same digest; a
     # probe that was never started scales no time, which the pass does not need

@@ -280,6 +280,10 @@ def test_input_check(call, error, match):
         call()
 
 
+#: Periods that are no finite positive real number.
+PERIODS = [("string", "0.01"), ("bool", True), ("inf", np.inf), ("nan", np.nan)]
+
+
 @pytest.mark.parametrize("call, match", [
     pytest.param(lambda: FeatureSequence(np.zeros(3), 0.01), "2-D", id="feature-rank"),
     pytest.param(lambda: FeatureSequence(np.zeros((3, 2)), 0.0), "frame_period",
@@ -304,6 +308,11 @@ def test_input_check(call, error, match):
                  "raster population must be integer-valued", id="raster-fractional-population"),
     pytest.param(lambda: SpikeRaster([1, 2], [0, 1], 10, True, 1e-3), "raster population",
                  id="raster-bool-population"),
+    # a string period raised a bare TypeError, and True and inf were kept
+    *[pytest.param(lambda p=period: FeatureSequence(np.zeros((3, 2)), p), "frame_period",
+                   id=f"frame-period-{name}") for name, period in PERIODS],
+    *[pytest.param(lambda p=period: SpikeRaster([1], [0], 10, 2, p), "finite positive dt",
+                   id=f"raster-dt-{name}") for name, period in PERIODS],
 ])
 def test_container_input_check(call, match):
     with pytest.raises(DataError, match=match):
