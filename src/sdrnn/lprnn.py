@@ -522,8 +522,8 @@ def magnitude_prune(model: LpRnnModel, sparsity: float) -> LpRnnModel:
 # layer, the full-precision tensors and any pruning masks.
 
 MODEL_FORMAT = "sdrnn-model-v1"
-#: The metadata keys of a model file and of its layers; "pruned", a flag
-#: that nothing read, is in the layers of files written before it was dropped.
+#: The metadata keys of a model file and of its layers; "pruned", a bool
+#: that nothing reads, is in the layers of files written before it was dropped.
 _MODEL_KEYS = {"format", "t_ann", "bits", "readout_fraction", "quantize", "norm_stats",
                "label_names", "layers"}
 _MODEL_LAYER_KEYS = {"kind", "size", "fan_in", "alpha", "pruned"}
@@ -567,9 +567,17 @@ def load_model(path) -> LpRnnModel:
         for li, lmeta in enumerate(meta["layers"]):
             if extra := sorted(set(lmeta) - _MODEL_LAYER_KEYS):
                 raise DataError(f"{path}: layer {li}: {extra[0]!r} is no key of a model layer")
-            layers.append(LpRnnLayer(lmeta["kind"], data[f"l{li}_w_in"], data.get(f"l{li}_w_rec"),
-                                     data[f"l{li}_bias"], lmeta["alpha"],
-                                     data.get(f"l{li}_mask_in"), data.get(f"l{li}_mask_rec")))
+            if not isinstance(lmeta.get("pruned", False), bool):
+                raise DataError(f"{path}: layer {li}: pruned is {lmeta['pruned']!r}, not a bool")
+            layer = LpRnnLayer(lmeta["kind"], data[f"l{li}_w_in"], data.get(f"l{li}_w_rec"),
+                               data[f"l{li}_bias"], lmeta["alpha"],
+                               data.get(f"l{li}_mask_in"), data.get(f"l{li}_mask_rec"))
+            for key in ("size", "fan_in"):
+                got, want = lmeta.get(key), getattr(layer, key)
+                if type(got) is not int or got != want:  # a bool is no size
+                    raise DataError(f"{path}: layer {li}: {key} is {got!r}, not the {want} of "
+                                    "its w_in")
+            layers.append(layer)
         model = LpRnnModel(layers, t_ann=meta["t_ann"], bits=meta["bits"],
                            readout_fraction=meta["readout_fraction"], quantize=meta["quantize"],
                            norm_stats=norm_stats, label_names=label_names)

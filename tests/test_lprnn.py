@@ -1,5 +1,6 @@
 import io
 import json
+import re
 import sys
 import warnings
 from dataclasses import replace
@@ -717,11 +718,39 @@ class TestModelFile:
             load_model(model_file(**{key: 2.0}))
 
     def test_unknown_layer_key_rejected(self):
-        with np.load(saved_model(random_model(np.random.default_rng(0)))) as data:
-            layers = json.loads(bytes(data["meta"]).decode())["layers"]
-        layers[1]["alpah"] = 0.5
         with pytest.raises(DataError, match="layer 1: 'alpah' is no key of a model layer"):
+            load_model(model_file(layers=saved_layers(1, alpah=0.5)))
+
+    @pytest.mark.parametrize("key, value", [
+        ("size", 999), ("size", 4.0), ("size", True), ("size", None), ("size", "4"),
+        ("fan_in", "x"), ("fan_in", 3), ("fan_in", -4)])
+    def test_layer_shape_must_match_its_w_in(self, key, value):
+        # the stored size and fan_in of layer 1 (4 by 4) loaded whatever they said
+        message = re.escape(f"layer 1: {key} is {value!r}, not the 4 of its w_in")
+        with pytest.raises(DataError, match=message):
+            load_model(model_file(layers=saved_layers(1, **{key: value})))
+
+    @pytest.mark.parametrize("key", ["size", "fan_in"])
+    def test_missing_layer_shape_rejected(self, key):
+        layers = saved_layers(1)
+        del layers[1][key]
+        with pytest.raises(DataError, match=f"layer 1: {key} is None"):
             load_model(model_file(layers=layers))
+
+    @pytest.mark.parametrize("value", ["maybe", 1, 0, None, [True]])
+    def test_pruned_must_be_a_bool(self, value):
+        with pytest.raises(DataError, match=re.escape(f"layer 1: pruned is {value!r}, not")):
+            load_model(model_file(layers=saved_layers(1, pruned=value)))
+
+    @pytest.mark.parametrize("pruned", [True, False])
+    def test_old_file_with_pruned_flag_loads(self, pruned):
+        layers = saved_layers(0)
+        for lmeta in layers:
+            lmeta["pruned"] = pruned
+        a, b = load_model(model_file()), load_model(model_file(layers=layers))
+        for la, lb in zip(a.layers, b.layers):
+            assert (la.kind, la.alpha) == (lb.kind, lb.alpha)
+            np.testing.assert_array_equal(la.w_in, lb.w_in)
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "junk.npz"
@@ -736,6 +765,14 @@ def saved_model(model) -> io.BytesIO:
     save_model(model, saved)
     saved.seek(0)
     return saved
+
+
+def saved_layers(li: int, **values) -> list[dict]:
+    """The layer metadata of model_file(), values set in layer li's."""
+    with np.load(model_file()) as data:
+        layers = json.loads(bytes(data["meta"]).decode())["layers"]
+    layers[li] |= values
+    return layers
 
 
 def model_file(**meta) -> io.BytesIO:

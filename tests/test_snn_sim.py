@@ -11,7 +11,8 @@ from sdrnn.errors import ConfigError, DataError
 from sdrnn.lprnn import forward_sequence, init_model
 from sdrnn.numerics import STATE_LIMIT
 from sdrnn.sigma_delta import NeuronParams, reconstruct
-from sdrnn.snn_sim import (compare_activations, readout, sigma_delta_kernel, simulate,
+from sdrnn import snn_sim
+from sdrnn.snn_sim import (_aligned, compare_activations, readout, sigma_delta_kernel, simulate,
                            simulate_batch)
 
 TIMING = TimingConfig(t_ann=0.01, t_snn=0.001)  # oversample 10 keeps tests fast
@@ -710,6 +711,57 @@ class TestBatchedRuns:
                 np.testing.assert_array_equal(batch.spike_counts[li][b],
                                               trace.spike_counts[li])
                 np.testing.assert_array_equal(batch.frame_s[li][b], trace.frame_s[li])
+
+
+def on_boundary(a: np.ndarray) -> bool:
+    return a.ctypes.data % 64 == 0
+
+
+class TestLayout:
+    """The step's arrays start on 64-byte boundaries (module docstring)."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, bool])
+    @pytest.mark.parametrize("shape", [(3, 64, 100), (7,), (2, 0), ()])
+    def test_helper_returns_a_zeroed_aligned_array(self, shape, dtype):
+        # several, so that some come from blocks that numpy's own
+        # allocation puts 16, 32 or 48 bytes past a boundary
+        for a in [_aligned(shape, dtype) for _ in range(8)]:
+            assert (a.shape, a.dtype) == (shape, np.dtype(dtype))
+            assert a.flags.c_contiguous and a.flags.writeable
+            assert on_boundary(a) and not a.any()
+
+    def test_helper_defaults_to_float64(self):
+        assert _aligned((2, 3)).dtype == np.float64
+
+    @pytest.mark.parametrize("fixed", [False, True])
+    @pytest.mark.parametrize("shape", [(64, 100), (64, 116), (1, 8)])
+    def test_kernel_state_on_boundaries(self, shape, fixed):
+        n = shape[1]
+        taus = np.array([np.full(n, 4.0), np.full(n, 6.0)])[:, None, :]
+        state, _, step = sigma_delta_kernel(shape, taus, 1.0, 10.0, 1, fixed)
+        step(np.full(shape, 3.0))
+        assert on_boundary(state)
+        if shape[0] == 64:  # a row holds 64 * n * 8 bytes, a multiple of 64
+            assert all(on_boundary(row) for row in state)
+
+    @pytest.mark.parametrize("mode", ["reference", "fixed_point"])
+    def test_engine_drive_on_boundary(self, mode, monkeypatch):
+        drives = []
+        kernel = snn_sim.sigma_delta_kernel
+
+        def recording_kernel(*args, **kwargs):
+            state, clips, step = kernel(*args, **kwargs)
+
+            def recorded(drive):
+                drives.append(drive)
+                return step(drive)
+            return state, clips, recorded
+
+        monkeypatch.setattr(snn_sim, "sigma_delta_kernel", recording_kernel)
+        net, rng = three_tap_net()
+        simulate_batch(net, rng.uniform(0.0, 1.0, size=(3, 4, 2)), mode)
+        assert len(drives) == 4 * net.oversample
+        assert all(on_boundary(drive) for drive in drives)
 
 
 class TestBadInput:
