@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .containers import FeatureSequence
-from .errors import ConfigError, DataError, reading
+from .errors import ConfigError, DataError, _finite_positive, reading
 
 
 @dataclass
@@ -45,8 +45,8 @@ class MelConfig:
             raise ConfigError("need 0 <= f_min < f_max")
         if self.hop_length < 1 or self.n_mels < 1:
             raise ConfigError("hop_length and n_mels must be positive")
-        if not self.log_floor > 0:
-            raise ConfigError("log_floor must be positive")
+        if not _finite_positive(self.log_floor):
+            raise ConfigError(f"log_floor must be a finite positive number, not {self.log_floor!r}")
 
     @property
     def frame_period(self) -> float:
@@ -94,13 +94,18 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
+def _mel_edges(cfg: MelConfig) -> np.ndarray:
+    """The n_mels + 2 filter edges in Hz, equally spaced in mel: filter k spans k to k + 2."""
+    return mel_to_hz(np.linspace(hz_to_mel(cfg.f_min), hz_to_mel(cfg.f_max), cfg.n_mels + 2))
+
+
 @functools.lru_cache(maxsize=8)
 def mel_filterbank(cfg: MelConfig) -> np.ndarray:
     """Triangular filters [n_mels, n_fft//2 + 1]; each row sums to 1. Built
     once per config and shared by every clip, so the array is read-only."""
     n_bins = cfg.n_fft // 2 + 1
     fft_freqs = np.arange(n_bins) * cfg.sample_rate / cfg.n_fft
-    edges = mel_to_hz(np.linspace(hz_to_mel(cfg.f_min), hz_to_mel(cfg.f_max), cfg.n_mels + 2))
+    edges = _mel_edges(cfg)
     bank = np.zeros((cfg.n_mels, n_bins))
     for k in range(cfg.n_mels):
         lo, mid, hi = edges[k], edges[k + 1], edges[k + 2]
@@ -117,8 +122,7 @@ def mel_filterbank(cfg: MelConfig) -> np.ndarray:
 
 
 def filter_center_freqs(cfg: MelConfig) -> np.ndarray:
-    edges = mel_to_hz(np.linspace(hz_to_mel(cfg.f_min), hz_to_mel(cfg.f_max), cfg.n_mels + 2))
-    return edges[1:-1]
+    return _mel_edges(cfg)[1:-1]
 
 
 def hann_window(n: int) -> np.ndarray:

@@ -26,13 +26,13 @@ import numpy as np
 
 from . import audio_frontend as af
 from .containers import FeatureSequence
-from .convert import (NET_FORMAT, RETIRED_KEYS, CompileConfig, TimingConfig,
+from .convert import (NET_FORMAT, CompileConfig, TimingConfig,
                       compile_network, compile_report, load_network, predicted_peak,
                       # unused here; it stays because perfbench's tracer patches it in cli
                       probe_peak_state, save_network, select_scale_factor)
 from .errors import (ConfigError, DataError, NumericError, _finite_positive, _real, npz_file,
-                     npz_meta, pop_retired, reading)
-from .lprnn import (CLAMP_CEILING, MODEL_FORMAT, TrainConfig, forward_batch, forward_sequence,
+                     npz_meta, reading)
+from .lprnn import (MODEL_FORMAT, TrainConfig, forward_batch, forward_sequence,
                     init_model, load_model, magnitude_prune, save_model, train)
 from .snn_sim import compare_activations, simulate, simulate_batch
 
@@ -53,7 +53,7 @@ def _with_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser,
     tokens after the command, so that the command's own argparse actions
     read them and the flags given after them win: a JSON list for an option
     that takes several values, one value otherwise; null keeps the option's
-    default."""
+    default; the recorded command and f_search_evals are skipped."""
     try:
         with open(args.config) as fh:
             overrides = json.load(fh)
@@ -61,18 +61,14 @@ def _with_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser,
         raise ConfigError(f"{args.config}: unreadable config file ({exc})") from exc
     if not isinstance(overrides, dict):
         raise ConfigError(f"{args.config}: config file must hold a JSON object")
-    # the compiler constants and the activation ceiling were options
-    retired = {"convert": RETIRED_KEYS["config"], "train": {"clamp": CLAMP_CEILING}}
-    if bad := pop_retired(overrides, retired.get(args.command, {})):
-        raise ConfigError(f"{args.config}: {bad}")
     command = parser._subparsers._group_actions[0].choices[args.command]
-    options = {a.dest: a for a in command._actions if a.option_strings and a.dest != "help"}
+    options = {a.dest: a for a in command._actions if a.dest not in ("help", "config")}
     inserted = []
     for key, value in overrides.items():
-        if key in ("func", "config", "command", "f_search_evals") or value is None:
+        if key not in options and key not in ("command", "f_search_evals"):
+            raise ConfigError(f"{args.config}: unknown config key {key!r}")
+        if key not in options or value is None:
             continue
-        if key not in options:
-            raise ConfigError(f"unknown config key {key!r}")
         flag, several = options[key].option_strings[-1], options[key].nargs == "+"
         if isinstance(value, list) != several:
             raise ConfigError(f"{args.config}: {key} takes {'a list' if several else 'one value'}"

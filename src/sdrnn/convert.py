@@ -72,10 +72,9 @@ so 2**e <= tau_i keeps it within the budget that i = f * z already needs.
 
 Hardware constants. The target is one fixed compartment chain, so these
 are not options: the analog encoder's u stage has tau ENCODER_TAU_U = 2
-steps, imem has TAU_MEM = 1, a spike deposits WEIGHT_GAIN = 1 times its
+steps, imem has tau 1, a spike deposits WEIGHT_GAIN = 1 times its
 weight, a mapped weight lies within +/-WEIGHT_LIMIT = 255, a layer's i stage
-has its tau_s and it fires above w_fb. Older files that record these load
-when they hold these values (RETIRED_KEYS).
+has its tau_s and it fires above w_fb.
 
 A network file loads only as the compiler's output: load_network compiles
 the file's source model again and requires every stored layer to equal the
@@ -93,7 +92,7 @@ import numpy as np
 from . import snn_sim
 from .containers import FeatureSequence
 from .errors import (ConfigError, DataError, NumericError, _finite_positive, _real, npz_file,
-                     npz_meta, npz_write, pop_retired, same_period)
+                     npz_meta, npz_write, same_period)
 from .lprnn import (KIND_INPUT, KIND_RECURRENT, LpRnnLayer, LpRnnModel, forward_batch,
                     load_model, save_model)
 from .numerics import STATE_LIMIT, round_half_away
@@ -123,21 +122,8 @@ class TimingConfig:
 
 #: Hardware constants of the mapping (module docstring).
 ENCODER_TAU_U = 2.0
-TAU_MEM = 1
 WEIGHT_GAIN = 1
 WEIGHT_LIMIT = 255
-
-#: Keys that files written before the constants above were fixed still
-#: hold, with the value each must have: a constant, or in a layer the name
-#: of the layer key it restated. "config" covers a network's compile config
-#: and the convert command's config file.
-RETIRED_KEYS = {
-    "config": {"tau_u": ENCODER_TAU_U, "tau_mem": TAU_MEM, "weight_gain": WEIGHT_GAIN,
-               "weight_limit": WEIGHT_LIMIT, "tau_u_override": None, "tau_i_override": None,
-               "decay_rounding": "round"},
-    "layer": {"tau_i": "tau_s", "tau_i_fx": "tau_s_fx", "threshold": "w_fb",
-              "tau_mem": TAU_MEM, "tau_mem_fx": TAU_MEM},
-}
 
 
 @dataclass(frozen=True)
@@ -221,7 +207,7 @@ class SnnLayer:
     tau_s and tau_u are the real-valued constants (provenance), tau_s_fx
     and tau_u_fx their integer counterparts, on which both simulation modes
     run. tau_s sets both the i stage and the feedback filter s, and imem
-    has tau TAU_MEM = 1. w_fb is the feedback weight and the firing
+    has tau 1. w_fb is the feedback weight and the firing
     threshold: a neuron fires when imem exceeds it. rec_delay is the delay
     of the recurrent synapses in steps (feed-forward synapses take one
     step), weight_exp the power-of-two exponent of the weights: u enters i
@@ -484,8 +470,8 @@ def load_network(path) -> SnnNetwork:
         config = meta.get("config")
         if not isinstance(config, dict):
             raise DataError(f"{path}: the compile config must be a JSON object, not {config!r}")
-        if bad := pop_retired(config, RETIRED_KEYS["config"]):
-            raise DataError(f"{path}: {bad}")
+        if extra := sorted(set(config) - {f.name for f in fields(CompileConfig)}):
+            raise DataError(f"{path}: {extra[0]!r} is no key of a compile config")
         if not isinstance(notes := meta.get("notes", {}), dict):
             raise DataError(f"{path}: notes must be a JSON object, not {notes!r}")
         source = load_model(io.BytesIO(bytes(data["source_model"])))
@@ -493,7 +479,7 @@ def load_network(path) -> SnnNetwork:
         at = f"f {f!r}, t_ann {t_ann!r} and t_snn {t_snn!r}"
         try:
             net = compile_network(source, TimingConfig(t_ann, t_snn), f, CompileConfig(**config))
-        except (ConfigError, NumericError, TypeError) as exc:  # TypeError: a key that is no option
+        except (ConfigError, NumericError) as exc:
             raise DataError(f"{path}: the source model does not compile at {at} ({exc})") from None
         stored = meta.get("layers")
         if not (isinstance(stored, list) and len(stored) == len(net.layers)):
@@ -502,8 +488,6 @@ def load_network(path) -> SnnNetwork:
         for li, (lmeta, layer) in enumerate(zip(stored, net.layers)):
             if not isinstance(lmeta, dict):
                 raise DataError(f"{path}: layer {li} must be a JSON object, not {lmeta!r}")
-            if bad := pop_retired(lmeta, RETIRED_KEYS["layer"], named=True):
-                raise DataError(f"{path}: layer {li}: {bad}")
             if extra := sorted(set(lmeta) - set(_LAYER_SCALARS)):
                 raise DataError(f"{path}: layer {li}: {extra[0]!r} is no field of a layer")
             for name in _LAYER_SCALARS + _LAYER_ARRAYS:

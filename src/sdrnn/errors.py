@@ -1,7 +1,6 @@
 """Exception classes shared across the toolkit, the checks of a real number
-and of a period, the .npz archives of model and network files, which this
-module both writes and reads, and the rule for the keys that older files and
-configs still hold (pop_retired).
+and of a period, and the .npz archives of model and network files, which
+this module both writes and reads.
 
 The CLI maps these onto distinct exit codes (config 2, data 3, numeric 4).
 """
@@ -96,16 +95,3 @@ def npz_meta(data, path, *formats) -> dict:
                         "missing, not a JSON object or of another format)")
     return meta
 
-
-def pop_retired(entries: dict, retired: dict, named: bool = False) -> str | None:
-    """Remove the keys of `retired`, each with the value it takes now (with
-    named, a string names the entry it must equal), from entries. Returns a
-    message naming the first that holds another value, or None. A bool
-    matches only a bool (True == 1 in Python, but not in a file)."""
-    for key, now in retired.items():
-        if key in entries:
-            value = entries.pop(key)
-            expected = entries.get(now) if named and isinstance(now, str) else now
-            if value != expected or isinstance(value, bool) != isinstance(expected, bool):
-                return f"{key} = {value!r} is no longer supported (it is {expected!r} now)"
-    return None

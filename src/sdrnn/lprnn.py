@@ -48,7 +48,7 @@ import numpy as np
 
 from .containers import FeatureSequence
 from .errors import (ConfigError, DataError, NumericError, _finite_positive, _real, npz_file,
-                     npz_meta, npz_write, pop_retired)
+                     npz_meta, npz_write)
 from .numerics import round_half_away
 
 KIND_INPUT = "input_lowpass"
@@ -522,11 +522,10 @@ def magnitude_prune(model: LpRnnModel, sparsity: float) -> LpRnnModel:
 # layer, the full-precision tensors and any pruning masks.
 
 MODEL_FORMAT = "sdrnn-model-v1"
-#: The metadata keys of a model file and of its layers; "pruned", a bool
-#: that nothing reads, is in the layers of files written before it was dropped.
+#: The metadata keys of a model file and of its layers.
 _MODEL_KEYS = {"format", "t_ann", "bits", "readout_fraction", "quantize", "norm_stats",
                "label_names", "layers"}
-_MODEL_LAYER_KEYS = {"kind", "size", "fan_in", "alpha", "pruned"}
+_MODEL_LAYER_KEYS = {"kind", "size", "fan_in", "alpha"}
 
 
 def save_model(model: LpRnnModel, path) -> None:
@@ -549,8 +548,6 @@ def load_model(path) -> LpRnnModel:
     least two classes."""
     with npz_file(path) as data:
         meta = npz_meta(data, path, MODEL_FORMAT)
-        if bad := pop_retired(meta, {"clamp_ceiling": CLAMP_CEILING}):  # once an option
-            raise DataError(f"{path}: {bad}")
         if extra := sorted(set(meta) - _MODEL_KEYS):
             raise DataError(f"{path}: {extra[0]!r} is no key of a model file")
         norm_stats, label_names = meta["norm_stats"], meta["label_names"]
@@ -567,8 +564,6 @@ def load_model(path) -> LpRnnModel:
         for li, lmeta in enumerate(meta["layers"]):
             if extra := sorted(set(lmeta) - _MODEL_LAYER_KEYS):
                 raise DataError(f"{path}: layer {li}: {extra[0]!r} is no key of a model layer")
-            if not isinstance(lmeta.get("pruned", False), bool):
-                raise DataError(f"{path}: layer {li}: pruned is {lmeta['pruned']!r}, not a bool")
             layer = LpRnnLayer(lmeta["kind"], data[f"l{li}_w_in"], data.get(f"l{li}_w_rec"),
                                data[f"l{li}_bias"], lmeta["alpha"],
                                data.get(f"l{li}_mask_in"), data.get(f"l{li}_mask_rec"))

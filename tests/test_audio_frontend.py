@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -219,6 +221,8 @@ class TestManifestAndCache:
     pytest.param(lambda: MelConfig(f_min=8000.0), ConfigError, "f_min", id="f_min"),
     pytest.param(lambda: MelConfig(hop_length=0), ConfigError, "hop_length", id="hop_length"),
     pytest.param(lambda: MelConfig(log_floor=0.0), ConfigError, "log_floor", id="log_floor"),
+    pytest.param(lambda: MelConfig(log_floor=math.inf), ConfigError, "log_floor",
+                 id="log_floor-inf"),
     pytest.param(lambda: mel_filterbank(MelConfig(n_fft=64, n_mels=40)), ConfigError, "empty",
                  id="empty-filter"),
     pytest.param(lambda: mel_spectrogram(AudioClip(np.zeros(16000), 8000), CFG), DataError,

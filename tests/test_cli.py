@@ -256,21 +256,6 @@ class TestTrainCommand:
         replayed = json.loads(Path(str(again) + ".config.json").read_text())
         assert replayed == {**written, "out": str(again)}
 
-    @pytest.mark.parametrize("clamp, code", [(1.0, 0), (2.0, 2), (True, 2)])
-    def test_config_with_the_retired_ceiling(self, workspace, tmp_path, capsys, clamp, code):
-        # configs written while --clamp was an option hold it: 1.0 replays,
-        # another value (which trained a model the compiled neuron cannot
-        # follow) is a configuration error that names it
-        cfg_path = tmp_path / "old.config.json"
-        cfg_path.write_text(json.dumps({"clamp": clamp, "epochs": 1, "hidden": [2, 2],
-                                        "alpha": [0.5, 0.5, 0.5]}))
-        out = tmp_path / "m.npz"
-        assert main(["train", "--features", str(workspace["features"]), "--out", str(out),
-                     "--config", str(cfg_path)]) == code
-        assert out.exists() == (code == 0)
-        if code:
-            assert "clamp" in capsys.readouterr().err
-
     def test_explicit_flag_at_default_beats_config_file(self, workspace, tmp_path):
         # --lr 0.01 is the parser default, but given on the command line it wins
         cfg_path = tmp_path / "train.json"
@@ -315,12 +300,28 @@ class TestTrainCommand:
         np.savez(features / f"{key}.npz", **arrays)
         assert main(args) == 3
 
-    def test_unknown_config_key_rejected(self, workspace, tmp_path):
+    @pytest.mark.parametrize("command, key, value", [
+        ("train", "nonsense", 1), ("train", "nonsense", None), ("train", "config", "x.json"),
+        ("train", "clamp", 1.0), ("train", "tau_u", 2.0),
+        ("convert", "tau_u", 2.0), ("convert", "tau_mem", 1.0), ("convert", "weight_gain", 1),
+        ("convert", "weight_limit", 255), ("convert", "tau_u_override", None),
+        ("convert", "tau_i_override", 50.0), ("convert", "decay_rounding", "round")])
+    def test_unknown_config_key_rejected(self, workspace, tmp_path, capsys, command, key,
+                                         value):
+        # a config file holds only what the command writes: not its own
+        # name, and not train's --clamp or convert's compiler constants,
+        # which were options, even at the value they always took (null for
+        # a tau override)
         cfg_path = tmp_path / "bad.json"
-        cfg_path.write_text(json.dumps({"nonsense": 1}))
-        assert main(["train", "--features", str(workspace["features"]),
-                     "--out", str(tmp_path / "m.npz"),
-                     "--config", str(cfg_path)]) == 2
+        cfg_path.write_text(json.dumps({key: value}))
+        out = tmp_path / "out.npz"
+        args = (tiny_train(workspace, out) if command == "train"
+                else ["convert", "--model", str(workspace["model"]), "--out", str(out),
+                      "--f", "5e4"])
+        assert main(args + ["--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"{cfg_path}: unknown config key {key!r}" in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_pruned_fine_tuning_is_train_prune_train(self, workspace, tmp_path):
         # --prune-finetune-epochs trains the pruned model again at seed + 1
@@ -405,8 +406,7 @@ class TestConvertCommand:
 
     @pytest.mark.parametrize("option, value", [
         ("safety_margin", "inf"), ("safety_margin", "nan"), ("safety_margin", "0"),
-        ("safety_margin", "-1"), ("safety_margin", "x"), ("decay_rounding", "bogus"),
-        ("safety_margin", "1.5")])
+        ("safety_margin", "-1"), ("safety_margin", "x"), ("safety_margin", "1.5")])
     def test_invalid_compile_option_is_config_error(self, workspace, tmp_path, capsys,
                                                     option, value):
         # --safety-margin inf wrote a network that evaluate then rejected,
@@ -414,7 +414,7 @@ class TestConvertCommand:
         # config file reaches options that argparse never sees
         out = tmp_path / "net.npz"
         args = ["convert", "--model", str(workspace["model"]), "--out", str(out), "--f", "5e4"]
-        if value in ("x", "bogus"):
+        if value == "x":
             cfg_path = tmp_path / "convert.json"
             cfg_path.write_text(json.dumps({option: value}))
             args += ["--config", str(cfg_path)]
@@ -472,45 +472,6 @@ class TestConvertCommand:
                 np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
             assert (a.w_fb, a.weight_exp) == (b.w_fb, b.weight_exp)
         assert json.loads(Path(str(out) + ".config.json").read_text())["f_search_evals"] == 0
-
-    @staticmethod
-    def with_retired_options(workspace, tmp_path, **changes) -> Path:
-        """The recorded config of the workspace network as the convert
-        command wrote it while the compiler constants were options."""
-        config = json.loads(Path(str(workspace["net"]) + ".config.json").read_text())
-        config.update({"tau_u": 2.0, "tau_mem": 1.0, "weight_gain": 1, "weight_limit": 255,
-                       "decay_rounding": "round", **changes})
-        path = tmp_path / "old.config.json"
-        path.write_text(json.dumps(config))
-        return path
-
-    def test_config_with_retired_options_replays(self, workspace, tmp_path):
-        out = tmp_path / "replay.npz"
-        assert main(["convert", "--model", str(workspace["model"]), "--out", str(out),
-                     "--config", str(self.with_retired_options(workspace, tmp_path))]) == 0
-        replayed, searched = load_network(out), load_network(workspace["net"])
-        assert (replayed.f, replayed.config) == (searched.f, searched.config)
-        for a, b in zip(replayed.layers, searched.layers):
-            for name in ("w_in", "w_rec", "bias", "enc_w"):
-                np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
-            assert (a.w_fb, a.tau_s_fx, a.tau_u_fx) == (b.w_fb, b.tau_s_fx, b.tau_u_fx)
-
-    @pytest.mark.parametrize("key, value", [("tau_u", 3.0), ("tau_mem", 2.0),
-                                            ("weight_gain", 64), ("weight_limit", 127),
-                                            ("decay_rounding", "trunc"),
-                                            ("decay_rounding", None), ("weight_gain", True)])
-    def test_retired_option_with_another_value_is_config_error(self, workspace, tmp_path,
-                                                               capsys, key, value):
-        config = self.with_retired_options(workspace, tmp_path, **{key: value})
-        assert main(["convert", "--model", str(workspace["model"]),
-                     "--out", str(tmp_path / "net.npz"), "--config", str(config)]) == 2
-        assert key in capsys.readouterr().err
-
-    def test_retired_option_is_unknown_to_other_commands(self, workspace, tmp_path):
-        cfg_path = tmp_path / "train.json"
-        cfg_path.write_text(json.dumps({"tau_u": 2.0}))
-        assert main(["train", "--features", str(workspace["features"]),
-                     "--out", str(tmp_path / "m.npz"), "--config", str(cfg_path)]) == 2
 
     def test_decay_rounding_is_no_longer_an_option(self, workspace, tmp_path, capsys):
         # the fixed-point decay always rounds: the flag is a configuration
@@ -631,51 +592,6 @@ class TestEvaluateCommand:
         err = capsys.readouterr().err
         assert f"data error: {bad}" in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("value, code", [(1.0, 0), (2.0, 3), (True, 3)])
-    def test_model_file_with_the_retired_ceiling(self, workspace, tmp_path, capsys, value,
-                                                  code):
-        # model files written while the ceiling was an option hold it: 1.0
-        # loads; 2.0 converted without error to a network that saturates at
-        # 1.0, and is now a data error in convert and evaluate
-        with np.load(workspace["model"]) as data:
-            meta = json.loads(bytes(data["meta"]).decode())
-        model = tmp_path / "old.npz"
-        with_metadata(workspace["model"], model, {**meta, "clamp_ceiling": value})
-        assert main(["convert", "--model", str(model), "--out", str(tmp_path / "net.npz"),
-                     "--f", "5e4"]) == code
-        assert main(["evaluate", "--input", str(model), "--features", str(workspace["features"]),
-                     "--out", str(tmp_path / "x.json")]) == code
-        err = capsys.readouterr().err
-        assert ("clamp_ceiling" in err) == bool(code) and "Traceback" not in err
-
-    def test_network_with_retired_key_of_another_value_is_data_error(self, workspace,
-                                                                     tmp_path, capsys):
-        with np.load(workspace["net"]) as data:
-            arrays = dict(data)
-        meta = json.loads(bytes(arrays["meta"]).decode())
-        meta["layers"][1]["threshold"] = meta["layers"][1]["w_fb"] + 1
-        arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
-        net = tmp_path / "net.npz"
-        np.savez(net, **arrays)
-        assert main(["evaluate", "--input", str(net), "--features", str(workspace["features"]),
-                     "--out", str(tmp_path / "x.json")]) == 3
-        assert "threshold" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("section, key", [("config", "weight_gain"), ("layer", "tau_mem")])
-    def test_network_with_a_retired_key_of_true_is_data_error(self, workspace, tmp_path, capsys,
-                                                              section, key):
-        # true == 1 in Python, and a JSON true loaded as the fixed value 1
-        with np.load(workspace["net"]) as data:
-            arrays = dict(data)
-        meta = json.loads(bytes(arrays["meta"]).decode())
-        (meta["config"] if section == "config" else meta["layers"][1])[key] = True
-        arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
-        net = tmp_path / "net.npz"
-        np.savez(net, **arrays)
-        assert main(["evaluate", "--input", str(net), "--features", str(workspace["features"]),
-                     "--out", str(tmp_path / "x.json")]) == 3
-        assert key in capsys.readouterr().err
-
     @pytest.mark.parametrize("mode", ["reference", "fixed"])
     def test_network_whose_size_disagrees_with_its_arrays_is_data_error(
             self, workspace, tmp_path, capsys, mode):
@@ -734,8 +650,7 @@ class TestEvaluateCommand:
         assert named in err and "Traceback" not in err
 
     @pytest.mark.parametrize("key, value", [
-        ("t_ann", "abc"), ("readout_fraction", None), ("clamp_ceiling", "x"), ("bits", 2.5),
-        ("quantize", "yes")])
+        ("t_ann", "abc"), ("readout_fraction", None), ("bits", 2.5), ("quantize", "yes")])
     def test_model_metadata_of_another_type_is_data_error(self, workspace, tmp_path, capsys,
                                                           key, value):
         # each ended in a TypeError traceback, or (quantize) loaded and ran
@@ -1015,6 +930,26 @@ def test_config_file_value_that_the_option_rejects_is_config_error(workspace, tm
     assert key in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["features", "evaluate", "compare"])
+def test_written_config_replays_to_itself(workspace, tmp_path, command):
+    # the config a command writes, passed back with --config and the
+    # required flags given again, resolves to the same config
+    feats = str(workspace["features"])
+    args, written = {
+        "features": (["features", "--manifest", str(workspace["manifest"]), "--features",
+                      str(tmp_path / "cache")], tmp_path / "cache" / "features.config.json"),
+        "evaluate": (["evaluate", "--input", str(workspace["net"]), "--features", feats,
+                      "--out", str(tmp_path / "x.json")], tmp_path / "x.json.config.json"),
+        "compare": (["compare", "--net", str(workspace["net"]), "--features", feats,
+                     "--out-dir", str(tmp_path / "cmp")], tmp_path / "cmp" / "compare.config.json"),
+    }[command]
+    assert main(args) == 0
+    first = written.read_bytes()
+    (tmp_path / "replayed.json").write_bytes(first)
+    assert main(args + ["--config", str(tmp_path / "replayed.json")]) == 0
+    assert written.read_bytes() == first
+
+
 #: (command, option key) of each size and step option that the CLI bounds
 SIZE_OPTIONS = [("train", "batch_size"), ("train", "epochs"), ("train", "lr"),
                 ("train", "prune_finetune_epochs"), ("evaluate", "batch")]
@@ -1146,19 +1081,22 @@ def test_arbitrary_metadata_or_index_exits_with_a_documented_code(workspace, fuz
 @pytest.mark.parametrize("command, flags, code", [
     ("features", ["--n-fft", "500"], 2), ("features", ["--f-min", "8000"], 2),
     ("features", ["--hop-length", "0"], 2), ("features", ["--log-floor", "0"], 2),
+    ("features", ["--log-floor", "inf"], 2),
     ("features", ["--n-fft", "64", "--n-mels", "40"], 2),
     ("features", ["--sample-rate", "8000", "--f-max", "4000"], 3),
     ("train", ["--alpha", "0.5", "0.5"], 2)],
-    ids=["n_fft", "f_min", "hop_length", "log_floor", "empty-filter", "sample-rate",
-         "alpha-count"])
+    ids=["n_fft", "f_min", "hop_length", "log_floor", "log_floor-inf", "empty-filter",
+         "sample-rate", "alpha-count"])
 def test_input_check_exits_with_its_code(workspace, tmp_path, capsys, command, flags, code):
     # a filter bank that n_fft cannot fill is the configuration's fault, not
-    # each file's, and exited 3
+    # each file's, and exited 3; --log-floor inf wrote all-inf features and
+    # an index that is not strict JSON, and exited 0
     argv = (["features", "--manifest", str(workspace["manifest"]),
              "--features", str(tmp_path / "cache")] if command == "features"
             else tiny_train(workspace, tmp_path / "m.npz"))
     assert main(argv + flags) == code
     assert "Traceback" not in capsys.readouterr().err
+    assert not (tmp_path / "cache" / "features_index.json").exists()
 
 
 class TestCompareCommand:

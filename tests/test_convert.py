@@ -487,48 +487,24 @@ class TestNetworkFile:
                 else:
                     assert (type(a), a) == (type(b), b), f.name
 
-    @staticmethod
-    def with_retired_keys(meta):
-        """meta as the compiler wrote it while these keys were options or
-        restated another field, with the values they always took."""
-        meta["config"].update(tau_u=2.0, tau_mem=1.0, weight_gain=1, weight_limit=255,
-                              decay_rounding="round")
-        for lmeta in meta["layers"]:
-            lmeta.update(tau_i=lmeta["tau_s"], tau_mem=1.0, tau_i_fx=lmeta["tau_s_fx"],
-                         tau_mem_fx=1, threshold=lmeta["w_fb"])
-
-    @pytest.mark.parametrize("mode", ["reference", "fixed_point"])
-    def test_file_with_retired_keys_simulates_the_same(self, tmp_path, mode):
-        net, path = self.saved_with_meta(tmp_path, self.with_retired_keys)
-        back = load_network(path)
-        assert back.config == net.config
-        x = np.random.default_rng(17).uniform(0.0, 1.0, size=(2, 6, 2))
-        a, b = simulate_batch(net, x, mode), simulate_batch(back, x, mode)
-        for li in range(len(net.layers)):
-            np.testing.assert_array_equal(a.spike_counts[li], b.spike_counts[li])
-            np.testing.assert_array_equal(a.frame_s[li], b.frame_s[li])
-
     @pytest.mark.parametrize("section, key, value", [
-        ("config", "tau_u", 3.0), ("config", "tau_mem", 2.0), ("config", "weight_gain", 64),
-        ("config", "weight_limit", 127), ("config", "decay_rounding", "trunc"),
-        ("config", "decay_rounding", None), ("layer", "tau_i", 30.0), ("layer", "tau_i_fx", 7),
-        ("layer", "threshold", 3), ("layer", "tau_mem", 2.0), ("layer", "tau_mem_fx", 2),
-        # true == 1 in Python, and a JSON true loaded as the value 1
-        ("config", "weight_gain", True), ("layer", "tau_mem", True),
-    ])
-    def test_retired_key_with_another_value_rejected(self, tmp_path, section, key, value):
+        ("file", "nots", 1), ("config", "tau_u", 2.0), ("config", "tau_mem", 1.0),
+        ("config", "weight_gain", 1), ("config", "weight_limit", 255),
+        ("config", "tau_u_override", None), ("config", "tau_i_override", 50.0),
+        ("config", "decay_rounding", "round"), ("layer", "tau_i", 30.0), ("layer", "tau_i_fx", 7),
+        ("layer", "threshold", 3), ("layer", "tau_mem", 1.0), ("layer", "tau_mem_fx", 1)])
+    def test_unknown_key_rejected(self, tmp_path, section, key, value):
+        # a misspelt key loaded without a word; the compiler's constants,
+        # its tau overrides and the layer keys that restated another are no
+        # keys, whatever value they hold
         def edit(meta):
-            self.with_retired_keys(meta)
-            (meta["config"] if section == "config" else meta["layers"][1])[key] = value
+            target = {"file": meta, "config": meta["config"], "layer": meta["layers"][1]}
+            target[section][key] = value
 
         _, path = self.saved_with_meta(tmp_path, edit)
-        with pytest.raises(DataError, match=key):
-            load_network(path)
-
-    def test_unknown_key_rejected(self, tmp_path):
-        # a misspelt key loaded without a word
-        _, path = self.saved_with_meta(tmp_path, lambda meta: meta.update(nots={}))
-        with pytest.raises(DataError, match="'nots' is no key of a network file"):
+        what = {"file": "key of a network file", "config": "key of a compile config",
+                "layer": "field of a layer"}[section]
+        with pytest.raises(DataError, match=f"'{key}' is no {what}"):
             load_network(path)
 
     @staticmethod
@@ -633,33 +609,17 @@ class TestNetworkFile:
     @pytest.mark.parametrize("edit", [
         lambda meta: meta["layers"][1].update(tau_u_fx=0),
         lambda meta: meta["layers"][2].update(tau_s_fx=2.5),
-        lambda meta: meta["config"].update(decay_rounding="bogus"),
         lambda meta: meta["config"].update(bogus=1),
         lambda meta: meta["config"].update(safety_margin=math.inf),
         lambda meta: meta.update(notes=[1]),
         lambda meta: meta["layers"][1].update(bogus=1),
-    ], ids=["tau-zero", "fractional-tau", "decay-rounding", "unknown-config-key",
+    ], ids=["tau-zero", "fractional-tau", "unknown-config-key",
             "infinite-safety-margin", "notes-list", "unknown-layer-key"])
     def test_invalid_constants_rejected(self, tmp_path, edit):
-        # time constants are integers >= 1, a retired decay_rounding is
-        # round, every config and layer key is known, and the notes are a
-        # JSON object
+        # time constants are integers >= 1, every config and layer key is
+        # known, and the notes are a JSON object
         _, path = self.saved_with_meta(tmp_path, edit)
         with pytest.raises(DataError):
-            load_network(path)
-
-    def test_null_tau_overrides_load(self, tmp_path):
-        # files written while the compiler had tau overrides record them as null
-        net, path = self.saved_with_meta(
-            tmp_path, lambda meta: meta["config"].update(tau_u_override=None,
-                                                         tau_i_override=None))
-        back = load_network(path)
-        assert back.f == net.f and back.config == net.config
-
-    @pytest.mark.parametrize("key", ["tau_u_override", "tau_i_override"])
-    def test_tau_override_rejected(self, tmp_path, key):
-        _, path = self.saved_with_meta(tmp_path, lambda meta: meta["config"].update({key: 50.0}))
-        with pytest.raises(DataError, match=key):
             load_network(path)
 
 

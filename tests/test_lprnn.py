@@ -670,8 +670,7 @@ class TestModelFile:
 
     def test_file_with_quantized_copies_loads(self, tmp_path):
         # files written before save_model dropped the unread l{k}_*_q and
-        # l{k}_*_scale arrays and each layer's "pruned" flag load to the
-        # same model
+        # l{k}_*_scale arrays load to the same model
         rng = np.random.default_rng(22)
         model = random_model(rng, quantize=True)
         path = tmp_path / "model.npz"
@@ -685,10 +684,6 @@ class TestModelFile:
                     q, scale = quantize_levels(w, model.bits)
                     arrays[f"l{li}_{name}_q"] = q
                     arrays[f"l{li}_{name}_scale"] = np.array(scale)
-        meta = json.loads(bytes(arrays["meta"]).decode())
-        for lmeta, layer in zip(meta["layers"], model.layers):
-            lmeta["pruned"] = layer.mask_in is not None
-        arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
         old = tmp_path / "old.npz"
         np.savez(old, **arrays)
         a, b = load_model(path), load_model(old)
@@ -698,28 +693,18 @@ class TestModelFile:
             for name in ("w_in", "w_rec", "bias", "mask_in", "mask_rec"):
                 np.testing.assert_array_equal(getattr(la, name), getattr(lb, name))
 
-    def test_ceiling_is_no_key_of_the_file(self):
-        # files written while the ceiling was an option hold clamp_ceiling:
-        # 1.0 loads to the same model, any other value is a DataError that
-        # names the key
-        with np.load(saved_model(random_model(np.random.default_rng(0)))) as data:
-            assert "clamp_ceiling" not in json.loads(bytes(data["meta"]).decode())
-        a, b = load_model(model_file()), load_model(model_file(clamp_ceiling=1.0))
-        for la, lb in zip(a.layers, b.layers):
-            np.testing.assert_array_equal(la.w_in, lb.w_in)
-        for value in (2.0, 0.5, "x"):
-            with pytest.raises(DataError, match="clamp_ceiling"):
-                load_model(model_file(clamp_ceiling=value))
-
-    @pytest.mark.parametrize("key", ["clamp", "readout_fracton"])
+    @pytest.mark.parametrize("key", ["clamp", "readout_fracton", "clamp_ceiling"])
     def test_unknown_key_rejected(self, key):
-        # a train option's name and a misspelt key both loaded without a word
-        with pytest.raises(DataError, match=f"{key}' is no key of a model file"):
-            load_model(model_file(**{key: 2.0}))
+        # a train option's name and a misspelt key both loaded without a
+        # word; clamp_ceiling, once an option, is no key even at its value 1.0
+        with pytest.raises(DataError, match=f"'{key}' is no key of a model file"):
+            load_model(model_file(**{key: 1.0}))
 
-    def test_unknown_layer_key_rejected(self):
-        with pytest.raises(DataError, match="layer 1: 'alpah' is no key of a model layer"):
-            load_model(model_file(layers=saved_layers(1, alpah=0.5)))
+    @pytest.mark.parametrize("key, value", [("alpah", 0.5), ("pruned", True), ("pruned", False)])
+    def test_unknown_layer_key_rejected(self, key, value):
+        # "pruned", a flag that nothing read, was dropped from the layers
+        with pytest.raises(DataError, match=f"layer 1: '{key}' is no key of a model layer"):
+            load_model(model_file(layers=saved_layers(1, **{key: value})))
 
     @pytest.mark.parametrize("key, value", [
         ("size", 999), ("size", 4.0), ("size", True), ("size", None), ("size", "4"),
@@ -736,21 +721,6 @@ class TestModelFile:
         del layers[1][key]
         with pytest.raises(DataError, match=f"layer 1: {key} is None"):
             load_model(model_file(layers=layers))
-
-    @pytest.mark.parametrize("value", ["maybe", 1, 0, None, [True]])
-    def test_pruned_must_be_a_bool(self, value):
-        with pytest.raises(DataError, match=re.escape(f"layer 1: pruned is {value!r}, not")):
-            load_model(model_file(layers=saved_layers(1, pruned=value)))
-
-    @pytest.mark.parametrize("pruned", [True, False])
-    def test_old_file_with_pruned_flag_loads(self, pruned):
-        layers = saved_layers(0)
-        for lmeta in layers:
-            lmeta["pruned"] = pruned
-        a, b = load_model(model_file()), load_model(model_file(layers=layers))
-        for la, lb in zip(a.layers, b.layers):
-            assert (la.kind, la.alpha) == (lb.kind, lb.alpha)
-            np.testing.assert_array_equal(la.w_in, lb.w_in)
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "junk.npz"
