@@ -473,6 +473,24 @@ class TestConvertCommand:
             assert (a.w_fb, a.weight_exp) == (b.w_fb, b.weight_exp)
         assert json.loads(Path(str(out) + ".config.json").read_text())["f_search_evals"] == 0
 
+    @pytest.mark.parametrize("key, value", [("tau_u", 3.0), ("tau_mem", 2.0),
+                                            ("weight_gain", 64), ("weight_limit", 127),
+                                            ("decay_rounding", "trunc"),
+                                            ("decay_rounding", None), ("weight_gain", True)])
+    def test_retired_option_with_another_value_is_config_error(self, workspace, tmp_path,
+                                                               capsys, key, value):
+        # the recorded config of the workspace network with one of the
+        # compiler constants that were options, at a value it never took
+        config = json.loads(Path(str(workspace["net"]) + ".config.json").read_text())
+        cfg_path = tmp_path / "old.config.json"
+        cfg_path.write_text(json.dumps({**config, key: value}))
+        out = tmp_path / "net.npz"
+        assert main(["convert", "--model", str(workspace["model"]), "--out", str(out),
+                     "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"unknown config key {key!r}" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_decay_rounding_is_no_longer_an_option(self, workspace, tmp_path, capsys):
         # the fixed-point decay always rounds: the flag is a configuration
         # error that names it, and no network is written
@@ -591,6 +609,54 @@ class TestEvaluateCommand:
                      "--out", str(tmp_path / "x.json")]) == 3
         err = capsys.readouterr().err
         assert f"data error: {bad}" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("value", [1.0, 2.0, True])
+    def test_model_file_with_the_retired_ceiling(self, workspace, tmp_path, capsys, value):
+        # model files written while the ceiling was an option hold it; at
+        # any value, 1.0 too, convert and evaluate exit 3 naming the key
+        with np.load(workspace["model"]) as data:
+            meta = json.loads(bytes(data["meta"]).decode())
+        model = tmp_path / "old.npz"
+        with_metadata(workspace["model"], model, {**meta, "clamp_ceiling": value})
+        assert main(["convert", "--model", str(model), "--out", str(tmp_path / "net.npz"),
+                     "--f", "5e4"]) == 3
+        assert main(["evaluate", "--input", str(model), "--features", str(workspace["features"]),
+                     "--out", str(tmp_path / "x.json")]) == 3
+        err = capsys.readouterr().err
+        assert err.count("'clamp_ceiling' is no key of a model file") == 2
+        assert "Traceback" not in err
+        assert not (tmp_path / "net.npz").exists() and not (tmp_path / "x.json").exists()
+
+    @staticmethod
+    def evaluate_with_meta(workspace, tmp_path, section, key, value) -> int:
+        """Exit code of evaluate on the workspace network with meta[section]
+        (the config, or layer 1) given key: value."""
+        with np.load(workspace["net"]) as data:
+            arrays = dict(data)
+        meta = json.loads(bytes(arrays["meta"]).decode())
+        (meta["config"] if section == "config" else meta["layers"][1])[key] = value
+        arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+        net = tmp_path / "net.npz"
+        np.savez(net, **arrays)
+        return main(["evaluate", "--input", str(net), "--features", str(workspace["features"]),
+                     "--out", str(tmp_path / "x.json")])
+
+    def test_network_with_retired_key_of_another_value_is_data_error(self, workspace,
+                                                                     tmp_path, capsys):
+        with np.load(workspace["net"]) as data:
+            w_fb = json.loads(bytes(data["meta"]).decode())["layers"][1]["w_fb"]
+        assert self.evaluate_with_meta(workspace, tmp_path, "layer", "threshold",
+                                       w_fb + 1) == 3
+        err = capsys.readouterr().err
+        assert "'threshold' is no field of a layer" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("section, key", [("config", "weight_gain"), ("layer", "tau_mem")])
+    def test_network_with_a_retired_key_of_true_is_data_error(self, workspace, tmp_path, capsys,
+                                                              section, key):
+        # true == 1 in Python, and a JSON true once loaded as the fixed value 1
+        assert self.evaluate_with_meta(workspace, tmp_path, section, key, True) == 3
+        err = capsys.readouterr().err
+        assert f"'{key}' is no " in err and "Traceback" not in err
 
     @pytest.mark.parametrize("mode", ["reference", "fixed"])
     def test_network_whose_size_disagrees_with_its_arrays_is_data_error(

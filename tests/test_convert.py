@@ -507,6 +507,23 @@ class TestNetworkFile:
         with pytest.raises(DataError, match=f"'{key}' is no {what}"):
             load_network(path)
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("config", "tau_u", 3.0), ("config", "tau_mem", 2.0), ("config", "weight_gain", 64),
+        ("config", "weight_limit", 127), ("config", "decay_rounding", "trunc"),
+        ("config", "decay_rounding", None), ("layer", "tau_i", 30.0), ("layer", "tau_i_fx", 7),
+        ("layer", "threshold", 3), ("layer", "tau_mem", 2.0), ("layer", "tau_mem_fx", 2),
+        # true == 1 in Python, and a JSON true once loaded as the value 1
+        ("config", "weight_gain", True), ("layer", "tau_mem", True),
+    ])
+    def test_retired_key_with_another_value_rejected(self, tmp_path, section, key, value):
+        # a value the compiler never wrote is rejected as the key itself is
+        def edit(meta):
+            (meta["config"] if section == "config" else meta["layers"][1])[key] = value
+
+        _, path = self.saved_with_meta(tmp_path, edit)
+        with pytest.raises(DataError, match=f"'{key}' is no "):
+            load_network(path)
+
     @staticmethod
     def saved_with_meta(tmp_path, edit, edit_arrays=None):
         """A compiled network and the path of its saved file, whose metadata
