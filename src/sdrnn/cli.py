@@ -53,7 +53,9 @@ def _with_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser,
     tokens after the command, so that the command's own argparse actions
     read them and the flags given after them win: a JSON list for an option
     that takes several values, one value otherwise; null keeps the option's
-    default; the recorded command and f_search_evals are skipped."""
+    default. The recorded command must name the command being run, and
+    f_search_evals, which only convert records, is skipped in a convert
+    config; any other key is unknown."""
     try:
         with open(args.config) as fh:
             overrides = json.load(fh)
@@ -65,9 +67,14 @@ def _with_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser,
     options = {a.dest: a for a in command._actions if a.dest not in ("help", "config")}
     inserted = []
     for key, value in overrides.items():
-        if key not in options and key not in ("command", "f_search_evals"):
+        if key == "command" and value != args.command:
+            raise ConfigError(f"{args.config}: command is {value!r}, not the command being run, "
+                              f"{args.command!r}")
+        if key == "command" or (key, args.command) == ("f_search_evals", "convert"):
+            continue
+        if key not in options:
             raise ConfigError(f"{args.config}: unknown config key {key!r}")
-        if key not in options or value is None:
+        if value is None:
             continue
         flag, several = options[key].option_strings[-1], options[key].nargs == "+"
         if isinstance(value, list) != several:

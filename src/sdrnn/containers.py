@@ -60,12 +60,14 @@ class SpikeRaster:
                 raise DataError("spike timestep outside declared duration")
             if self.units.min() < 0 or self.units.max() >= self.population:
                 raise DataError("spike unit id outside population")
-        order = np.lexsort((self.units, self.times))
-        self.times = self.times[order]
-        self.units = self.units[order]
-        # sorted, a repeated event is next to its twin
-        if ((self.times[1:] == self.times[:-1]) & (self.units[1:] == self.units[:-1])).any():
-            raise DataError("a (timestep, unit) spike event appears more than once")
+        # sorted by (time, unit) and unique iff time * population + unit rises
+        # strictly (an int64 while duration * population <= 2**63); else sort: twins adjoin
+        if not (self.duration * self.population <= 2 ** 63 and (
+                np.diff(self.times * self.population + self.units) > 0).all()):
+            order = np.lexsort((self.units, self.times))
+            self.times, self.units = self.times[order], self.units[order]
+            if ((self.times[1:] == self.times[:-1]) & (self.units[1:] == self.units[:-1])).any():
+                raise DataError("a (timestep, unit) spike event appears more than once")
 
     def dense(self) -> np.ndarray:
         """Dense boolean [duration, population] matrix (small rasters only)."""
@@ -75,13 +77,13 @@ class SpikeRaster:
 
 
 def _integers(values, name: str) -> np.ndarray:
-    """values as int64, DataError unless each is an integer (of an integer
-    or a float type) within the int64 range."""
+    """values as int64, uncopied if they are, DataError unless each is an
+    integer (of an integer or a float type) within the int64 range."""
     array = np.asarray(values)
     if not (array.dtype.kind in "iu" or (array.dtype.kind == "f" and (
             (array == np.rint(array)) & (np.abs(array) < 2.0 ** 63)).all())):
         raise DataError(f"raster {name} must be integer-valued, not {values!r}")
-    return array.astype(np.int64)
+    return array.astype(np.int64, copy=False)
 
 
 def save_raster(raster: SpikeRaster, path) -> None:

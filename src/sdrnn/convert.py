@@ -92,7 +92,7 @@ import numpy as np
 from . import snn_sim
 from .containers import FeatureSequence
 from .errors import (ConfigError, DataError, NumericError, _finite_positive, _real, npz_file,
-                     npz_meta, npz_write, same_period)
+                     exact_keys, npz_meta, npz_write, same_period)
 from .lprnn import (KIND_INPUT, KIND_RECURRENT, LpRnnLayer, LpRnnModel, forward_batch,
                     load_model, save_model)
 from .numerics import STATE_LIMIT, round_half_away
@@ -460,28 +460,28 @@ def load_network(path) -> SnnNetwork:
     compile config, and each stored layer must equal the compiled one, each
     scalar in type and value and each array in presence, dtype, shape and
     value. Returns the compiled network with the file's notes. DataError for
-    a damaged file, one whose values do not compile, and one whose stored
-    layers differ, naming the layer and its first field that differs."""
+    a damaged file, one whose metadata or compile config holds a key that
+    the writer does not emit or lacks one that it does, one whose values do
+    not compile, and one whose stored layers differ, naming the layer and
+    its first field that differs."""
     with npz_file(path) as data:
         meta = npz_meta(data, path, NET_FORMAT)
-        if extra := sorted(set(meta) - {"format", "f", "t_ann", "t_snn", "config", "notes",
-                                        "layers"}):
-            raise DataError(f"{path}: {extra[0]!r} is no key of a network file")
-        config = meta.get("config")
+        exact_keys(meta, ("format", "f", "t_ann", "t_snn", "config", "notes", "layers"),
+                      path, "a network file")
+        config = meta["config"]
         if not isinstance(config, dict):
             raise DataError(f"{path}: the compile config must be a JSON object, not {config!r}")
-        if extra := sorted(set(config) - {f.name for f in fields(CompileConfig)}):
-            raise DataError(f"{path}: {extra[0]!r} is no key of a compile config")
-        if not isinstance(notes := meta.get("notes", {}), dict):
+        exact_keys(config, [f.name for f in fields(CompileConfig)], path, "a compile config")
+        if not isinstance(notes := meta["notes"], dict):
             raise DataError(f"{path}: notes must be a JSON object, not {notes!r}")
         source = load_model(io.BytesIO(bytes(data["source_model"])))
-        f, t_ann, t_snn = meta.get("f"), meta.get("t_ann"), meta.get("t_snn")
+        f, t_ann, t_snn = meta["f"], meta["t_ann"], meta["t_snn"]
         at = f"f {f!r}, t_ann {t_ann!r} and t_snn {t_snn!r}"
         try:
             net = compile_network(source, TimingConfig(t_ann, t_snn), f, CompileConfig(**config))
         except (ConfigError, NumericError) as exc:
             raise DataError(f"{path}: the source model does not compile at {at} ({exc})") from None
-        stored = meta.get("layers")
+        stored = meta["layers"]
         if not (isinstance(stored, list) and len(stored) == len(net.layers)):
             raise DataError(f"{path}: layers must list the {len(net.layers)} layers of the source "
                             "model")

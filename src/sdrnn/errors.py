@@ -86,6 +86,16 @@ def npz_write(path, meta: dict, layers, names, **extra) -> None:
         np.savez(fh, **arrays, **extra)
 
 
+def exact_keys(mapping: dict, keys, where, what: str) -> None:
+    """DataError at where unless mapping holds exactly keys, those its
+    writer emits: naming the first key that is no key of what, else the
+    first of keys that it lacks."""
+    if extra := sorted(set(mapping) - set(keys)):
+        raise DataError(f"{where}: {extra[0]!r} is no key of {what}")
+    if lacking := sorted(set(keys) - set(mapping)):
+        raise DataError(f"{where}: {what} lacks its {lacking[0]!r} key")
+
+
 def npz_meta(data, path, *formats) -> dict:
     """The JSON object that the archive data, open under npz_file(path),
     holds as "meta", if its "format" is one of formats; else DataError."""

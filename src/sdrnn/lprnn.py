@@ -48,7 +48,7 @@ import numpy as np
 
 from .containers import FeatureSequence
 from .errors import (ConfigError, DataError, NumericError, _finite_positive, _real, npz_file,
-                     npz_meta, npz_write)
+                     exact_keys, npz_meta, npz_write)
 from .numerics import round_half_away
 
 KIND_INPUT = "input_lowpass"
@@ -548,8 +548,7 @@ def load_model(path) -> LpRnnModel:
     least two classes."""
     with npz_file(path) as data:
         meta = npz_meta(data, path, MODEL_FORMAT)
-        if extra := sorted(set(meta) - _MODEL_KEYS):
-            raise DataError(f"{path}: {extra[0]!r} is no key of a model file")
+        exact_keys(meta, _MODEL_KEYS, path, "a model file")
         norm_stats, label_names = meta["norm_stats"], meta["label_names"]
         if not (isinstance(meta["layers"], list)
                 and all(isinstance(lmeta, dict) for lmeta in meta["layers"])):

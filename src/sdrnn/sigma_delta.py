@@ -17,12 +17,13 @@ decayed in the step it arrives and the DC gain of each stage is its tau):
     i    <- decay(i, tau_s) + u + bias
     s    <- decay(s, tau_s)
     imem <- i - s
-    spike = imem > w_fb;  on spike: imem <- 0, s <- s + w_fb
+    spike = imem > w_fb;  on spike: s <- s + w_fb, imem reads 0 (the reset)
 
 i decays by tau_s, the tau of s, so that s tracks i. The membrane's tau is
 1, and a decay by tau 1 is exactly 0 (x - x / 1, or in fixed point rint
 of x * 0), so imem keeps nothing of its last value: it needs no decay and
-its state is not an input of the step.
+its state is not an input of the step, nor is the reset part of it:
+neuron_step reports imem as 0.0 after a spike, as the engine's probe does.
 
 Feedback is same-step; propagation to other neurons (one step to the next
 layer, a per-layer delay on recurrent synapses) and the weight exponent
@@ -110,8 +111,9 @@ def neuron_step(state: NeuronState, weighted_spike_input: float, analog_input: f
     """
     states, step = _population(params, 1)
     states[:, 0, 0] = (state.u, state.i, state.s, state.imem)
-    fired = step(weighted_spike_input + analog_input)
-    return NeuronState(*states[:, 0, 0].tolist()), bool(fired[0, 0])
+    fired = bool(step(weighted_spike_input + analog_input)[0, 0])
+    u, i, s, imem = states[:, 0, 0].tolist()
+    return NeuronState(u, i, s, 0.0 if fired else imem), fired  # the kernel leaves the reset
 
 
 def encode_analog(signal: FeatureSequence, params: NeuronParams, oversample: int) -> SpikeRaster:

@@ -29,15 +29,17 @@ power of two is exact, and the encoder's drive half away from zero, kept
 in float64 so that a huge one saturates u like any other sum. The
 synaptic drive is an integer already (see below). Every other operation
 sums integers exactly, so the states equal an int64 evaluation's; they
-start at +0, the decay adds 0.0, and a sum that cancels and the reset
-(imem - imem) are +0, so none is ever -0.0.
+start at +0, the decay adds 0.0, and a sum that cancels is +0, so none is
+ever -0.0. No step reads imem (imem <- i - s overwrites it), so none resets
+it: the kernel leaves imem as the spike test compared it, and the readers
+that report it (the probes, sigma_delta.neuron_step) give +0.0 where the
+neuron fired.
 
 Saturation is checked once per step. A fixed-point step runs its adds
 unclipped, exactly as reference mode does, then takes the min and max of
-the whole state stack, with imem before its reset: an imem that left the
-range and fired is 0 afterwards. Only if some sum left +/-2**23 does the
-step run the adds again from the decayed states and the drive, which the
-first run left as they were, each clipped at the rails by
+the whole state stack, imem unreset. Only if some sum left +/-2**23 does
+the step run the adds again from the decayed states and the drive, which
+the first run left as they were, each clipped at the rails by
 numerics.sat_add_array and its clips logged. The clipped re-run is the
 saturating arithmetic, and a step that clips nothing equals it.
 
@@ -48,8 +50,8 @@ multipliers, bias, w_fb, which is also the threshold, and the shift scale) out
 once per run as a contiguous array of the full shape it meets, so a step
 broadcasts nothing, and one call decays the u, i and s rows. The decay
 writes a second stack, from which the sums are written back in place, so a
-step allocates no state-sized temporary, and the peak |state| is
-max(-min, max) of the stack, in fixed point the bound check's. Every
+step allocates no state-sized temporary; the peak |state| in both modes is
+max(-min, max) of the unreset stack, in fixed point the bound check's. Every
 synapse reads spikes of an earlier step, so no update depends on another
 within a step. Each distinct synaptic delay d (one step for every layer's
 w_in, rec_delay for its w_rec) has a block matrix W_d, presynaptic rows by
@@ -152,7 +154,7 @@ def sigma_delta_kernel(shape, taus, bias, w_fb, exps, fixed: bool = False,
         u    <- decay(u, tau_u) + drive
         i    <- decay(i, tau_s) + u * 2**-exps + bias
         imem <- i - decay(s, tau_s)
-        s    <- decay(s, tau_s), plus w_fb where imem > w_fb (imem <- 0)
+        s    <- decay(s, tau_s), plus w_fb where imem > w_fb (imem not reset)
 
     taus, the rows (tau_u, tau_s), broadcast against [2, *shape] ([2, 1, n]
     per neuron); i and s share tau_s, and the kernel lays out the decay rows
@@ -176,17 +178,16 @@ def sigma_delta_kernel(shape, taus, bias, w_fb, exps, fixed: bool = False,
     clipped re-run forms the same sum and adds the bias, clipped.
 
     A fixed-point step runs the adds unclipped, as reference mode does (on
-    integers below 2**53 every sum is exact), then bounds the stack once,
-    before the reset so that an imem that left the range and fired counts.
+    integers below 2**53 every sum is exact), then bounds the stack once.
     Only if some sum left +/-2**23 does it run the adds again, each clipped
     and logged by sat_add_array, from the decayed rows and the drive, which
     the first run left as they were.
 
-    peak, if given, is a one-element list that each step raises to the
-    largest |state| after it. In fixed point with w_fb >= 0, the bound
-    check's min and max serve: s >= 0, so imem = i - s <= i, and a neuron
-    that fires has imem > w_fb >= 0, whose reset to 0 moves neither
-    extreme. Otherwise the step reduces the stack after the reset."""
+    peak, if given, is a one-element list that each step raises to
+    max(-min, max) of the stack, imem unreset, in fixed point the bound
+    check's. For w_fb >= 0 that is also the largest |state| after a reset:
+    s >= 0, so imem = i - s <= i, and a neuron that fires has imem > w_fb
+    >= 0, whose reset to 0 moves neither extreme."""
     def laid_out(*rows):
         """The rows, each broadcast to shape, in one float64 array; stacked
         if there are several."""
@@ -212,7 +213,6 @@ def sigma_delta_kernel(shape, taus, bias, w_fb, exps, fixed: bool = False,
     live = state[:3]
     tmp, fired, spikes = _aligned(shape), _aligned(shape, bool), _aligned(shape)
     clips: list[tuple] = []
-    checked_peak = fixed and (w_fb >= 0).all()
     # passes that change no value, dropped for the run (docstring)
     unit_scale, no_bias = (exps == 0).all(), not bias.any()
 
@@ -257,18 +257,13 @@ def sigma_delta_kernel(shape, taus, bias, w_fb, exps, fixed: bool = False,
             np.add(into_i(tmp), bias, out=i)
         np.subtract(i, ds, out=imem)
         np.add(ds, fire(), out=s)
-        if fixed:
+        if fixed or peak is not None:
             low, high = state.min(), state.max()
-            if not (low >= -STATE_LIMIT and high <= STATE_LIMIT):
+            if fixed and not (low >= -STATE_LIMIT and high <= STATE_LIMIT):
                 saturating(drive)
                 low, high = state.min(), state.max()
-        # the reset: imem - imem is +0 whatever the sign of imem, and
-        # imem - (+/-0) is imem
-        np.subtract(imem, np.multiply(imem, spikes, out=tmp), out=imem)
-        if peak is not None:
-            if not checked_peak:
-                low, high = state.min(), state.max()
-            peak[0] = max(peak[0], -float(low), float(high))
+            if peak is not None:
+                peak[0] = max(peak[0], -float(low), float(high))
         return fired
 
     return state, clips, step
@@ -393,7 +388,7 @@ def _engine(net: SnnNetwork, x: np.ndarray | None, input_raster: SpikeRaster | N
         np.matmul(line[t % depth], w, out=synaptic)
         if input_raster is None and t % oversample == 0:
             drive[:, :n0] = enc_drive[t // oversample]
-        now[...] = step(drive)
+        now[...] = fired = step(drive)
         if input_raster is not None:
             now[:, :n0] = input_spikes[t]
         counts += now
@@ -414,6 +409,7 @@ def _engine(net: SnnNetwork, x: np.ndarray | None, input_raster: SpikeRaster | N
         for li, cols in probe_cols.items():
             for var, v in zip(("u", "i", "s", "imem"), state):
                 probes[(li, var)][t] = v[0, cols]
+            probes[(li, "imem")][t, fired[0, cols]] = 0.0  # the reset (module docstring)
 
     totals = counts.astype(np.int64)
 

@@ -305,13 +305,14 @@ class TestTrainCommand:
         ("train", "clamp", 1.0), ("train", "tau_u", 2.0),
         ("convert", "tau_u", 2.0), ("convert", "tau_mem", 1.0), ("convert", "weight_gain", 1),
         ("convert", "weight_limit", 255), ("convert", "tau_u_override", None),
-        ("convert", "tau_i_override", 50.0), ("convert", "decay_rounding", "round")])
+        ("convert", "tau_i_override", 50.0), ("convert", "decay_rounding", "round"),
+        ("train", "f_search_evals", 3)])
     def test_unknown_config_key_rejected(self, workspace, tmp_path, capsys, command, key,
                                          value):
         # a config file holds only what the command writes: not its own
-        # name, and not train's --clamp or convert's compiler constants,
-        # which were options, even at the value they always took (null for
-        # a tau override)
+        # name, not train's --clamp or convert's compiler constants, which
+        # were options, even at the value they always took (null for a tau
+        # override), and f_search_evals only in a convert config
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text(json.dumps({key: value}))
         out = tmp_path / "out.npz"
@@ -321,6 +322,22 @@ class TestTrainCommand:
         assert main(args + ["--config", str(cfg_path)]) == 2
         err = capsys.readouterr().err
         assert f"{cfg_path}: unknown config key {key!r}" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, recorded", [("train", "convert"), ("convert", "train"),
+                                                   ("train", None), ("train", ["train"])])
+    def test_config_of_another_command_rejected(self, workspace, tmp_path, capsys, command,
+                                                recorded):
+        # a config's command, when it names one, is the command being run
+        cfg_path = tmp_path / "other.json"
+        cfg_path.write_text(json.dumps({"command": recorded}))
+        out = tmp_path / "out.npz"
+        args = (tiny_train(workspace, out) if command == "train"
+                else ["convert", "--model", str(workspace["model"]), "--out", str(out),
+                      "--f", "5e4"])
+        assert main(args + ["--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"{cfg_path}: command is {recorded!r}" in err and "Traceback" not in err
         assert not out.exists()
 
     def test_pruned_fine_tuning_is_train_prune_train(self, workspace, tmp_path):
@@ -626,6 +643,22 @@ class TestEvaluateCommand:
         assert err.count("'clamp_ceiling' is no key of a model file") == 2
         assert "Traceback" not in err
         assert not (tmp_path / "net.npz").exists() and not (tmp_path / "x.json").exists()
+
+    @pytest.mark.parametrize("section, key", [("config", "safety_margin"), ("file", "notes")])
+    def test_network_without_a_key_of_its_writer_is_data_error(self, workspace, tmp_path,
+                                                                capsys, section, key):
+        # a config of {} loaded as margin 0.5, and a file without notes as
+        # one with none; evaluate exits 3 naming the key
+        with np.load(workspace["net"]) as data:
+            meta = json.loads(bytes(data["meta"]).decode())
+        del (meta["config"] if section == "config" else meta)[key]
+        net = tmp_path / "net.npz"
+        with_metadata(workspace["net"], net, meta)
+        assert main(["evaluate", "--input", str(net), "--features", str(workspace["features"]),
+                     "--out", str(tmp_path / "x.json")]) == 3
+        err = capsys.readouterr().err
+        assert f"lacks its '{key}' key" in err and "Traceback" not in err
+        assert not (tmp_path / "x.json").exists()
 
     @staticmethod
     def evaluate_with_meta(workspace, tmp_path, section, key, value) -> int:

@@ -507,6 +507,21 @@ class TestNetworkFile:
         with pytest.raises(DataError, match=f"'{key}' is no {what}"):
             load_network(path)
 
+    @pytest.mark.parametrize("section, key", [
+        ("file", "notes"), ("file", "f"), ("file", "t_ann"), ("file", "t_snn"),
+        ("file", "config"), ("file", "layers"), ("config", "safety_margin")])
+    def test_missing_key_rejected(self, tmp_path, section, key):
+        # a config of {} loaded as the default margin, whatever margin
+        # compiled the network, and a file without notes as one with none:
+        # every key that the writer emits is required
+        def edit(meta):
+            del {"file": meta, "config": meta["config"]}[section][key]
+
+        _, path = self.saved_with_meta(tmp_path, edit)
+        what = {"file": "a network file", "config": "a compile config"}[section]
+        with pytest.raises(DataError, match=f"{what} lacks its '{key}' key"):
+            load_network(path)
+
     @pytest.mark.parametrize("section, key, value", [
         ("config", "tau_u", 3.0), ("config", "tau_mem", 2.0), ("config", "weight_gain", 64),
         ("config", "weight_limit", 127), ("config", "decay_rounding", "trunc"),

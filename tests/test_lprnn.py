@@ -700,6 +700,12 @@ class TestModelFile:
         with pytest.raises(DataError, match=f"'{key}' is no key of a model file"):
             load_model(model_file(**{key: 1.0}))
 
+    @pytest.mark.parametrize("key", ["t_ann", "quantize", "norm_stats", "layers"])
+    def test_missing_key_rejected(self, key):
+        # each key the writer emits is required, and named when missing
+        with pytest.raises(DataError, match=f"a model file lacks its '{key}' key"):
+            load_model(model_file(drop=key))
+
     @pytest.mark.parametrize("key, value", [("alpah", 0.5), ("pruned", True), ("pruned", False)])
     def test_unknown_layer_key_rejected(self, key, value):
         # "pruned", a flag that nothing read, was dropped from the layers
@@ -745,12 +751,13 @@ def saved_layers(li: int, **values) -> list[dict]:
     return layers
 
 
-def model_file(**meta) -> io.BytesIO:
-    """A saved model whose metadata meta has changed."""
+def model_file(drop: str | None = None, **meta) -> io.BytesIO:
+    """A saved model whose metadata meta has changed, without the key drop."""
     saved = saved_model(random_model(np.random.default_rng(0)))
     with np.load(io.BytesIO(saved.getvalue())) as data:
         arrays = dict(data)
     edited = json.loads(bytes(arrays["meta"]).decode()) | meta
+    edited.pop(drop, None)
     arrays["meta"] = np.frombuffer(json.dumps(edited).encode(), dtype=np.uint8)
     out = io.BytesIO()
     np.savez(out, **arrays)

@@ -105,6 +105,20 @@ class TestNeuronStep:
             if spike:
                 assert state.imem == 0.0
 
+    def test_imem_is_zero_after_a_spike_and_i_minus_s_otherwise(self):
+        # the kernel leaves imem as the spike test compared it, and
+        # neuron_step reports the reset: +0.0 after a spike
+        state, spikes = NeuronState(), 0
+        cur = 0.7 / (DEFAULTS.tau_u * DEFAULTS.tau_i)
+        for _ in range(600):
+            state, spike = neuron_step(state, 0.0, cur, DEFAULTS)
+            if spike:
+                spikes += 1
+                assert state.imem == 0.0 and math.copysign(1.0, state.imem) == 1.0
+            else:
+                assert state.imem == state.i - state.s
+        assert 0 < spikes < 600
+
     @given(st.floats(0.05, 0.45), st.floats(0.5, 1.0))
     @settings(max_examples=10, deadline=None)
     def test_monotone_spike_count(self, low, high):
@@ -253,6 +267,38 @@ class TestRasterSerialization:
         assert raster.times.tolist() == [1, 2] and raster.units.tolist() == [1, 0]
         assert (raster.duration, raster.population) == (10, 2)
         assert type(raster.duration) is int and type(raster.population) is int
+
+    @pytest.mark.parametrize("times, units", [([3, 1, 3, 0], [0, 2, 1, 4]),
+                                              ([5, 5, 2, 9], [2, 0, 1, 0])])
+    def test_unsorted_events_come_out_sorted(self, times, units):
+        raster = SpikeRaster(times, units, 10, 5, 1e-4)
+        assert list(zip(raster.times.tolist(), raster.units.tolist())) == sorted(
+            zip(times, units))
+
+    @pytest.mark.parametrize("times, units", [([1, 3, 3, 4], [0, 1, 1, 2]),
+                                              ([3, 1, 3, 0], [1, 0, 1, 2])],
+                             ids=["sorted", "unsorted"])
+    def test_repeated_event_fails_sorted_or_not(self, times, units):
+        with pytest.raises(DataError, match="more than once"):
+            SpikeRaster(times, units, 10, 5, 1e-4)
+
+    def test_raster_too_large_for_an_int64_key(self):
+        # duration * population >= 2**63: time * population + unit would
+        # wrap, and 2 * 2**62 wraps to -2**63, so an unsorted pair would
+        # look sorted; a few events validate without a dense allocation
+        raster = SpikeRaster([2, 1, 3], [0, 0, 2 ** 62 - 1], 4, 2 ** 62, 1e-4)
+        assert raster.times.tolist() == [1, 2, 3]
+        assert raster.units.tolist() == [0, 0, 2 ** 62 - 1]
+        huge = SpikeRaster([2 ** 40 - 1, 0, 7], [5, 2 ** 30 - 1, 3], 2 ** 40, 2 ** 30, 1e-4)
+        assert huge.times.tolist() == [0, 7, 2 ** 40 - 1]
+        for times in ([2, 1, 2], [1, 2, 2]):
+            with pytest.raises(DataError, match="more than once"):
+                SpikeRaster(times, [0, 0, 0], 4, 2 ** 62, 1e-4)
+
+    def test_int64_events_are_not_copied(self):
+        times, units = np.array([1, 4], dtype=np.int64), np.array([2, 0], dtype=np.int64)
+        raster = SpikeRaster(times, units, 10, 5, 1e-4)
+        assert raster.times is times and raster.units is units
 
     def test_repeated_event_is_data_error(self, tmp_path):
         # dense(), and with it simulate, counted one spike where reconstruct

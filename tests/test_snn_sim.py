@@ -383,7 +383,10 @@ class TestKernel:
                     imem, s = 0, clip(s + w_fb[j])
                 oracle[j] = [u, i, s, imem]
                 assert bool(fired[j]) == spike, (t, j)
-            np.testing.assert_array_equal(state[:, 0, :], np.array(oracle).T, err_msg=str(t))
+            # the kernel leaves imem unreset; its readers reset it from the mask
+            reported = state[:, 0, :].copy()
+            reported[3][fired] = 0.0
+            np.testing.assert_array_equal(reported, np.array(oracle).T, err_msg=str(t))
             n_clips += len(clips)
             clips.clear()
         assert n_clips > 0
@@ -424,11 +427,26 @@ class TestBasics:
 
     @pytest.mark.parametrize("mode", ["reference", "fixed_point"])
     @pytest.mark.parametrize("case", ["clipping", "negative_w_fb"])
-    def test_peak_state_where_the_bound_check_cannot_give_it(self, mode, case):
-        # a fixed-point step takes the peak from its bound check, taken
-        # again after a clipping re-run; with a negative w_fb a fired
-        # imem can exceed every state after the reset, so the step
-        # reduces the stack after the reset instead
+    def test_peak_state_where_the_bound_check_cannot_give_it(self, mode, case, monkeypatch):
+        # one rule in both modes: the peak is max(-min, max) of the state
+        # stack after each step, imem as the spike test compared it (in
+        # fixed point the bound check's, taken again after a clipping
+        # re-run). The probes record imem reset, which moves neither
+        # extreme while w_fb >= 0; with a negative w_fb a fired imem can
+        # exceed every state after its reset, and it counts
+        extremes = []
+        kernel = snn_sim.sigma_delta_kernel
+
+        def recording_kernel(*args, **kwargs):
+            state, clips, step = kernel(*args, **kwargs)
+
+            def recorded(drive):
+                fired = step(drive)
+                extremes.append(max(-float(state.min()), float(state.max())))
+                return fired
+            return state, clips, recorded
+
+        monkeypatch.setattr(snn_sim, "sigma_delta_kernel", recording_kernel)
         rng = np.random.default_rng(16)
         net = compile_network(toy_model(rng), TIMING, f=5e4)
         if case == "clipping":
@@ -439,8 +457,28 @@ class TestBasics:
         trace = simulate(net, feats, mode=mode,
                          probe={li: list(range(l.size)) for li, l in enumerate(net.layers)})
         assert (trace.saturation_total > 0) == (case == "clipping" and mode == "fixed_point")
-        peak = max(float(np.abs(v).max()) for v in trace.probes.values())
-        assert trace.peak_state == peak
+        assert trace.peak_state == max(extremes)
+        probed = max(float(np.abs(v).max()) for v in trace.probes.values())
+        if case == "clipping":
+            assert trace.peak_state == probed
+        else:
+            assert trace.peak_state > probed
+
+    @pytest.mark.parametrize("mode", ["reference", "fixed_point"])
+    def test_imem_probe_is_zero_where_fired_and_i_minus_s_elsewhere(self, mode):
+        # the kernel leaves imem as the spike test compared it, and the
+        # probe records the reset: +0.0 at the steps a neuron fired
+        rng = np.random.default_rng(16)
+        net = compile_network(toy_model(rng), TIMING, f=5e4)
+        feats = FeatureSequence(rng.uniform(0, 1, size=(12, 2)), TIMING.t_ann)
+        trace = simulate(net, feats, mode=mode,
+                         probe={li: list(range(l.size)) for li, l in enumerate(net.layers)})
+        for li in range(len(net.layers)):
+            fired, imem = trace.rasters[li].dense(), trace.probes[(li, "imem")]
+            assert fired.any() and not fired.all()
+            assert (imem[fired] == 0.0).all() and not np.signbit(imem[fired]).any()
+            want = trace.probes[(li, "i")] - trace.probes[(li, "s")]
+            np.testing.assert_array_equal(imem[~fired], want[~fired])
 
     def test_fixed_point_outputs_are_integers_without_negative_zero(self):
         # fixed-point states are integers held in float64; a -0.0 would
@@ -671,10 +709,10 @@ class TestSaturationCheck:
         assert trace.probes[(1, "u")].min() == -STATE_LIMIT
 
     def test_no_state_is_ever_negative_zero(self):
-        # negative feedback weights, the thresholds, fire negative imem,
-        # whose reset must give +0, and small negative states decay to 0;
-        # every state after every step, whether the step clipped or not,
-        # holds no -0.0
+        # negative feedback weights, the thresholds, fire negative imem
+        # (left unreset by the kernel), and small negative states decay to
+        # 0; every state after every step, whether the step clipped or
+        # not, holds no -0.0
         n = 6
         taus = np.array([[2, 3, 5, 7, 4, 2], [9, 6, 10, 4, 3, 2]], dtype=np.float64)[:, None, :]
         state, clips, step = sigma_delta_kernel(
