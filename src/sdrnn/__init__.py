@@ -2,7 +2,7 @@
 them into sigma-delta spiking networks, and simulate those networks under
 fixed-point neuromorphic constraints."""
 
-from .containers import FeatureSequence, SpikeRaster, load_raster, save_raster
+from .containers import FeatureSequence, SpikeRaster
 from .convert import (CompileConfig, SnnNetwork, TimingConfig, alpha_to_tau,
                       compile_network, load_network, map_bias, map_weights,
                       rescale_tau, save_network, select_scale_factor)

@@ -134,11 +134,8 @@ def stft_magnitude(samples: np.ndarray, n_fft: int, hop_length: int) -> np.ndarr
     """Magnitude STFT [n_frames, n_fft//2 + 1]; frames lie fully inside the signal."""
     if samples.size < n_fft:
         raise DataError(f"clip of {samples.size} samples shorter than n_fft {n_fft}")
-    n_frames = 1 + (samples.size - n_fft) // hop_length
-    window = hann_window(n_fft)
-    idx = np.arange(n_fft)[None, :] + hop_length * np.arange(n_frames)[:, None]
-    frames = samples[idx] * window
-    return np.abs(np.fft.rfft(frames, axis=1))
+    frames = np.lib.stride_tricks.sliding_window_view(samples, n_fft)[::hop_length]
+    return np.abs(np.fft.rfft(frames * hann_window(n_fft), axis=1))
 
 
 def mel_spectrogram(clip: AudioClip, cfg: MelConfig) -> FeatureSequence:

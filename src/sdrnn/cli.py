@@ -189,8 +189,8 @@ def cmd_features(args) -> int:
         jobs.append((wav_path, key, cache_dir, mel_cfg, row["split"] == "train"))
         index.append({**row, "key": key})
 
-    # the pool starts all its workers at once: no more than there are jobs
-    if (workers := min(args.workers, len(jobs))) > 1:
+    # the pool starts all its workers at once: no more than there are jobs or CPUs
+    if (workers := max(1, min(args.workers, len(jobs), os.cpu_count() or 1))) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             # about four chunks per worker: one IPC round trip per chunk
             chunk = max(1, len(jobs) // (4 * workers))
@@ -212,7 +212,8 @@ def cmd_features(args) -> int:
     payload = {"mel_config": asdict(mel_cfg), "mel_digest": mel_cfg.digest(),
                "norm_stats": stats, "entries": index}
     _write_json(cache_dir / "features_index.json", payload)
-    _write_json(cache_dir / "features.config.json", _resolved_config(args))
+    _write_json(cache_dir / "features.config.json",
+                {**_resolved_config(args), "workers": workers})
     print(f"features: {len(rows)} files ({hits} cache hits) -> {cache_dir}")
     return 0
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, _finite_positive, reading
+from .errors import DataError, _finite_positive
 
 
 @dataclass
@@ -84,39 +84,3 @@ def _integers(values, name: str) -> np.ndarray:
             (array == np.rint(array)) & (np.abs(array) < 2.0 ** 63)).all())):
         raise DataError(f"raster {name} must be integer-valued, not {values!r}")
     return array.astype(np.int64, copy=False)
-
-
-def save_raster(raster: SpikeRaster, path) -> None:
-    """Write the text raster format: a header line then `timestep,neuron_id` lines."""
-    with open(path, "w") as fh:
-        fh.write(f"# duration={raster.duration} population={raster.population} dt={raster.dt!r}\n")
-        for t, u in zip(raster.times, raster.units):
-            fh.write(f"{t},{u}\n")
-
-
-def load_raster(path) -> SpikeRaster:
-    with reading(path), open(path) as fh:
-        header = fh.readline().strip()
-        if not header.startswith("#"):
-            raise DataError(f"{path}: missing raster header line")
-        try:
-            fields = dict(item.split("=", 1) for item in header[1:].split())
-            duration = int(fields["duration"])
-            population = int(fields["population"])
-            dt = float(fields["dt"])
-        except (KeyError, ValueError) as exc:
-            raise DataError(f"{path}:1: bad raster header: {header}") from exc
-        times, units = [], []
-        for ln, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                t_str, u_str = line.split(",")
-                times.append(int(t_str))
-                units.append(int(u_str))
-            except ValueError as exc:
-                raise DataError(f"{path}:{ln}: expected 'timestep,neuron_id', "
-                                f"got {line!r}") from exc
-    return SpikeRaster(np.array(times, dtype=np.int64), np.array(units, dtype=np.int64),
-                       duration, population, dt)

@@ -488,10 +488,9 @@ def load_network(path) -> SnnNetwork:
         for li, (lmeta, layer) in enumerate(zip(stored, net.layers)):
             if not isinstance(lmeta, dict):
                 raise DataError(f"{path}: layer {li} must be a JSON object, not {lmeta!r}")
-            if extra := sorted(set(lmeta) - set(_LAYER_SCALARS)):
-                raise DataError(f"{path}: layer {li}: {extra[0]!r} is no field of a layer")
+            exact_keys(lmeta, _LAYER_SCALARS, f"{path}: layer {li}", "a network layer")
             for name in _LAYER_SCALARS + _LAYER_ARRAYS:
-                got = _compared(lmeta.get(name, "missing") if name in _LAYER_SCALARS
+                got = _compared(lmeta[name] if name in _LAYER_SCALARS
                                 else data.get(f"l{li}_{name}"))
                 if got != (want := _compared(getattr(layer, name))):
                     raise DataError(f"{path}: layer {li}: {name} is {got[-1]}, not {want[-1]} as "

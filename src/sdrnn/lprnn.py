@@ -561,13 +561,12 @@ def load_model(path) -> LpRnnModel:
         # the model checks the other values' types (a ConfigError, read as a DataError)
         layers = []
         for li, lmeta in enumerate(meta["layers"]):
-            if extra := sorted(set(lmeta) - _MODEL_LAYER_KEYS):
-                raise DataError(f"{path}: layer {li}: {extra[0]!r} is no key of a model layer")
+            exact_keys(lmeta, _MODEL_LAYER_KEYS, f"{path}: layer {li}", "a model layer")
             layer = LpRnnLayer(lmeta["kind"], data[f"l{li}_w_in"], data.get(f"l{li}_w_rec"),
                                data[f"l{li}_bias"], lmeta["alpha"],
                                data.get(f"l{li}_mask_in"), data.get(f"l{li}_mask_rec"))
             for key in ("size", "fan_in"):
-                got, want = lmeta.get(key), getattr(layer, key)
+                got, want = lmeta[key], getattr(layer, key)
                 if type(got) is not int or got != want:  # a bool is no size
                     raise DataError(f"{path}: layer {li}: {key} is {got!r}, not the {want} of "
                                     "its w_in")

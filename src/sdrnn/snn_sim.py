@@ -61,11 +61,9 @@ delay line of max(rec_delay) slots: the spikes of step t enter each tap's
 segment of slot (t + d) % depth, so the drive of step t is the one product
 line[t % depth] @ w. A rec_delay of 1 shares the feed-forward tap. The
 analog encoder's drive is written into its columns at frame starts only,
-and nothing else writes them. A spike raster stands in for the encoder:
-its columns get no drive and no bias, so they rest at +0 below w_fb >= 1,
-each step writes the raster's spikes in as theirs, and they have no states
-to probe. Rasters, frame-end s, spike counts, probes and the readout are
-column slices of the flat state. Batched samples advance in lockstep.
+and nothing else writes them. Rasters, frame-end s, spike counts, probes
+and the readout are column slices of the flat state. Batched samples
+advance in lockstep.
 
 Every array a step writes, and every constant the kernel lays out for it,
 is allocated once per run by _aligned, its data on a 64-byte boundary;
@@ -277,8 +275,7 @@ def _mode_flag(mode: str) -> bool:
     raise ConfigError(f"unknown simulation mode {mode!r}")
 
 
-def _engine(net: SnnNetwork, x: np.ndarray | None, input_raster: SpikeRaster | None,
-            mode: str, record_rasters: bool = False,
+def _engine(net: SnnNetwork, x: np.ndarray, mode: str, record_rasters: bool = False,
             probe: dict | None = None) -> SimulationResult:
     fixed = _mode_flag(mode)
     oversample = net.oversample
@@ -286,50 +283,34 @@ def _engine(net: SnnNetwork, x: np.ndarray | None, input_raster: SpikeRaster | N
     starts = np.cumsum([0] + [l.size for l in layers])  # layer li: columns starts[li]:starts[li + 1]
     n0, n = int(starts[1]), int(starts[-1])
 
-    if input_raster is not None:
-        if input_raster.population != n0:
-            raise DataError(f"raster population {input_raster.population} != encoder size {n0}")
-        if input_raster.duration % oversample:
-            raise DataError("raster duration must be a multiple of the oversample ratio")
-        if not same_period(input_raster.dt, net.timing.t_snn):
-            raise DataError(f"raster step dt {input_raster.dt!r} s != the network's step "
-                            f"t_snn {net.timing.t_snn!r} s")
-        batch = 1
-        duration = input_raster.duration
-        input_spikes = input_raster.dense()  # [duration, n0]
-    else:
-        batch, n_frames_in, width = x.shape
-        enc = layers[0]
-        if width != enc.enc_w.shape[1]:
-            raise DataError(f"feature width {width} != encoder input width {enc.enc_w.shape[1]}")
-        duration = n_frames_in * oversample
-        with np.errstate(over="ignore", invalid="ignore"):
-            drive_all = (np.einsum("btd,nd->tbn", x, enc.enc_w)
-                         * (net.f / (enc.tau_u_fx * enc.tau_s_fx)))
-        if not np.isfinite(drive_all).all():
-            raise DataError("the encoder drive is not finite: NaN or inf features, or "
-                            "features too large for the encoder weights and f")
-        # held in float64, a huge drive saturates u like any other sum
-        enc_drive = round_half_away(drive_all) if fixed else drive_all
-    if duration == 0:
+    batch, n_frames, width = x.shape
+    enc = layers[0]
+    if width != enc.enc_w.shape[1]:
+        raise DataError(f"feature width {width} != encoder input width {enc.enc_w.shape[1]}")
+    if n_frames == 0:
         raise DataError("empty sequence rejected")
-
-    n_frames = duration // oversample
+    duration = n_frames * oversample
+    with np.errstate(over="ignore", invalid="ignore"):
+        drive_all = (np.einsum("btd,nd->tbn", x, enc.enc_w)
+                     * (net.f / (enc.tau_u_fx * enc.tau_s_fx)))
+    if not np.isfinite(drive_all).all():
+        raise DataError("the encoder drive is not finite: NaN or inf features, or "
+                        "features too large for the encoder weights and f")
+    # held in float64, a huge drive saturates u like any other sum
+    enc_drive = round_half_away(drive_all) if fixed else drive_all
     shape = (batch, n)
 
     def per_neuron(attr):
         return np.concatenate([np.broadcast_to(getattr(l, attr), l.size)
                                for l in layers]).astype(np.float64)
 
-    bias = per_neuron("bias")
-    if input_raster is not None:
-        bias[:n0] = 0.0  # with no drive either, the encoder's columns stay at rest
     # both modes run on the integer network constants; reference mode is
     # real-valued state arithmetic on the same network
     peak = [0.0]
     state, clips, step = sigma_delta_kernel(
         shape, np.stack([per_neuron("tau_u_fx"), per_neuron("tau_s_fx")])[:, None, :],
-        bias, per_neuron("w_fb"), per_neuron("weight_exp").astype(np.int64), fixed, peak)
+        per_neuron("bias"), per_neuron("w_fb"), per_neuron("weight_exp").astype(np.int64),
+        fixed, peak)
     s = state[2]
 
     # one block matrix W_d per distinct synaptic delay d: presynaptic rows,
@@ -376,9 +357,6 @@ def _engine(net: SnnNetwork, x: np.ndarray | None, input_raster: SpikeRaster | N
     for li, ids in probe.items():
         if not (0 <= li < len(layers) and all(0 <= k < layers[li].size for k in ids)):
             raise ConfigError(f"probe of layer {li} names no neuron of it: {ids}")
-        if li == 0 and input_raster is not None:
-            raise ConfigError("a spike raster stands in for the encoder, which therefore "
-                              "has no states to probe")
     probes = {(li, var): np.zeros((duration, len(ids)))
               for li, ids in probe.items() for var in ("u", "i", "s", "imem")}
     probe_cols = {li: int(starts[li]) + np.asarray(ids, dtype=np.int64)
@@ -386,11 +364,9 @@ def _engine(net: SnnNetwork, x: np.ndarray | None, input_raster: SpikeRaster | N
 
     for t in range(duration):
         np.matmul(line[t % depth], w, out=synaptic)
-        if input_raster is None and t % oversample == 0:
+        if t % oversample == 0:
             drive[:, :n0] = enc_drive[t // oversample]
         now[...] = fired = step(drive)
-        if input_raster is not None:
-            now[:, :n0] = input_spikes[t]
         counts += now
         for d, rows, segments in taps:
             segments[(t + d) % depth][...] = rows
@@ -428,20 +404,16 @@ def _engine(net: SnnNetwork, x: np.ndarray | None, input_raster: SpikeRaster | N
         mode=mode, probes=probes)
 
 
-def simulate(net: SnnNetwork, inp, mode: str = "reference",
+def simulate(net: SnnNetwork, inp: FeatureSequence, mode: str = "reference",
              probe: dict | None = None, record_rasters: bool = True) -> SimulationResult:
-    """Simulate one input: a FeatureSequence of the network's frame period
-    through the analog encoder, or a SpikeRaster of pre-encoded input spikes
-    that replaces the encoder output."""
-    if isinstance(inp, FeatureSequence):
-        if not same_period(inp.frame_period, net.timing.t_ann):
-            raise DataError(f"frame period {inp.frame_period!r} s != the network's frame "
-                            f"period t_ann {net.timing.t_ann!r} s")
-        result = _engine(net, inp.data[None, :, :], None, mode, record_rasters, probe)
-    elif isinstance(inp, SpikeRaster):
-        result = _engine(net, None, inp, mode, record_rasters, probe)
-    else:
+    """Simulate one FeatureSequence of the network's frame period through
+    the analog encoder."""
+    if not isinstance(inp, FeatureSequence):
         raise DataError(f"unsupported input type {type(inp).__name__}")
+    if not same_period(inp.frame_period, net.timing.t_ann):
+        raise DataError(f"frame period {inp.frame_period!r} s != the network's frame "
+                        f"period t_ann {net.timing.t_ann!r} s")
+    result = _engine(net, inp.data[None, :, :], mode, record_rasters, probe)
     return replace(result, scores=result.scores[0],
                    spikes_per_sample=result.spikes_per_sample[0],
                    spike_counts=[c[0] for c in result.spike_counts],
@@ -453,7 +425,7 @@ def simulate_batch(net: SnnNetwork, x: np.ndarray, mode: str = "reference") -> S
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 3 or x.shape[0] < 1:
         raise DataError("simulate_batch expects [batch >= 1, frames, features]")
-    return _engine(net, x, None, mode)
+    return _engine(net, x, mode)
 
 
 def readout(result: SimulationResult, net: SnnNetwork) -> np.ndarray:

@@ -189,15 +189,14 @@ class TestFeatures:
         err = capsys.readouterr().err
         assert broken.name in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("workers, pool", [(1, None), (3, (3, 2)), (64, (24, 1))])
-    def test_pool_has_no_more_workers_than_clips(self, workspace, tmp_path, monkeypatch,
-                                                 workers, pool):
-        # the pool starts every worker at once: --workers 64 forked 64
-        # processes for 24 clips
+    @staticmethod
+    def pools_made(workspace, tmp_path, monkeypatch, workers: int, cpus: int):
+        """The (size, chunk size) of each pool that features --workers
+        starts on a machine of cpus CPUs, from a stand-in pool that runs the
+        jobs in-process, and the worker count that its config records."""
         made = []
 
         class Pool:
-            """Records its size and chunk size, and runs the jobs in-process."""
             def __init__(self, max_workers):
                 self.max_workers = max_workers
 
@@ -212,11 +211,29 @@ class TestFeatures:
                 return map(fn, jobs)
 
         monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
         cache = tmp_path / "cache"
         shutil.copytree(workspace["features"], cache)
         assert main(["features", "--manifest", str(workspace["manifest"]),
                      "--features", str(cache), "--workers", str(workers)]) == 0
+        return made, json.loads((cache / "features.config.json").read_text())["workers"]
+
+    @pytest.mark.parametrize("workers, pool", [(1, None), (3, (3, 2)), (64, (24, 1))])
+    def test_pool_has_no_more_workers_than_clips(self, workspace, tmp_path, monkeypatch,
+                                                 workers, pool):
+        # the pool starts every worker at once: --workers 64 forked 64
+        # processes for 24 clips
+        made, used = self.pools_made(workspace, tmp_path, monkeypatch, workers, cpus=64)
         assert made == ([] if pool is None else [pool])
+        assert used == (1 if pool is None else pool[0])
+
+    @pytest.mark.parametrize("cpus", [2, None])
+    def test_pool_has_no_more_workers_than_cpus(self, workspace, tmp_path, monkeypatch, cpus):
+        # --workers 500 forked a process per clip whatever the machine; a
+        # machine whose CPU count is unknown runs the clips in-process
+        made, used = self.pools_made(workspace, tmp_path, monkeypatch, 500, cpus)
+        assert made == ([(2, 3)] if cpus else [])
+        assert used == (cpus or 1)
 
     def test_cache_directory_is_the_one_given(self, workspace, tmp_path, monkeypatch):
         # SDRNN_CACHE_DIR used to send the archives and the index elsewhere,
@@ -681,7 +698,7 @@ class TestEvaluateCommand:
         assert self.evaluate_with_meta(workspace, tmp_path, "layer", "threshold",
                                        w_fb + 1) == 3
         err = capsys.readouterr().err
-        assert "'threshold' is no field of a layer" in err and "Traceback" not in err
+        assert "'threshold' is no key of a network layer" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("section, key", [("config", "weight_gain"), ("layer", "tau_mem")])
     def test_network_with_a_retired_key_of_true_is_data_error(self, workspace, tmp_path, capsys,

@@ -503,22 +503,24 @@ class TestNetworkFile:
 
         _, path = self.saved_with_meta(tmp_path, edit)
         what = {"file": "key of a network file", "config": "key of a compile config",
-                "layer": "field of a layer"}[section]
+                "layer": "key of a network layer"}[section]
         with pytest.raises(DataError, match=f"'{key}' is no {what}"):
             load_network(path)
 
     @pytest.mark.parametrize("section, key", [
         ("file", "notes"), ("file", "f"), ("file", "t_ann"), ("file", "t_snn"),
-        ("file", "config"), ("file", "layers"), ("config", "safety_margin")])
+        ("file", "config"), ("file", "layers"), ("config", "safety_margin"),
+        ("layer", "rec_delay"), ("layer", "w_fb")])
     def test_missing_key_rejected(self, tmp_path, section, key):
         # a config of {} loaded as the default margin, whatever margin
         # compiled the network, and a file without notes as one with none:
         # every key that the writer emits is required
         def edit(meta):
-            del {"file": meta, "config": meta["config"]}[section][key]
+            del {"file": meta, "config": meta["config"], "layer": meta["layers"][1]}[section][key]
 
         _, path = self.saved_with_meta(tmp_path, edit)
-        what = {"file": "a network file", "config": "a compile config"}[section]
+        what = {"file": "a network file", "config": "a compile config",
+                "layer": "layer 1: a network layer"}[section]
         with pytest.raises(DataError, match=f"{what} lacks its '{key}' key"):
             load_network(path)
 

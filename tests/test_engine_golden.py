@@ -67,8 +67,8 @@ def toy_net(seed: int = 42):
     return compile_network(toy_model(rng), TIMING, f=5e4), rng
 
 
-def every_probe(net, first: int = 0) -> dict:
-    return {li: list(range(layer.size)) for li, layer in enumerate(net.layers) if li >= first}
+def every_probe(net) -> dict:
+    return {li: list(range(layer.size)) for li, layer in enumerate(net.layers)}
 
 
 def single_run(mode):
@@ -80,13 +80,6 @@ def single_run(mode):
 def batch_run(mode):
     net, rng = toy_net()
     return simulate_batch(net, rng.uniform(0.0, 1.0, size=(3, 12, 2)), mode=mode)
-
-
-def raster_run(mode):
-    net, rng = toy_net()
-    feats = FeatureSequence(rng.uniform(0.0, 1.0, size=(12, 2)), TIMING.t_ann)
-    encoded = simulate(net, feats, mode=mode).rasters[0]
-    return simulate(net, encoded, mode=mode, probe=every_probe(net, first=1))
 
 
 def three_tap_run(mode):
@@ -159,8 +152,8 @@ def reconstruct_digest() -> str:
     return h.hexdigest()
 
 
-RUNS = {"single": single_run, "batch": batch_run, "raster": raster_run,
-        "saturating": saturating_run, "three_tap": three_tap_run}
+RUNS = {"single": single_run, "batch": batch_run, "saturating": saturating_run,
+        "three_tap": three_tap_run}
 
 GOLDEN = {
     ('single', 'reference', 'round'):
@@ -171,10 +164,6 @@ GOLDEN = {
         "b2d0ed64bd2b4e666fb9d2943c1ddec7c30fb672e4fd5068004c4fe34b3dcbd2",
     ('batch', 'fixed_point', 'round'):
         "07031373c82c3d7bd6737d56f276240b7905325875e7d1d31991aa0f87257446",
-    ('raster', 'reference', 'round'):
-        "ccab9555fe15da785253d24671d779d8eae5be6de22ed9fcd2c4ea0d13fba844",
-    ('raster', 'fixed_point', 'round'):
-        "2e3ff361f1f9fe131925299a268bdc5a812fd16f02553b56c77afb8451cf86e7",
     ('saturating', 'reference', 'round'):
         "a9828e476d62570a03078b084c050d9b20dd22e1aa067174fc2fa8cd2b7a5d25",
     ('saturating', 'fixed_point', 'round'):

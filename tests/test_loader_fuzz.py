@@ -12,14 +12,13 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from sdrnn.audio_frontend import load_wav, read_manifest, save_wav, write_manifest
-from sdrnn.containers import SpikeRaster, load_raster, save_raster
 from sdrnn.convert import TimingConfig, compile_network, load_network, save_network
 from sdrnn.errors import DataError, SdrnnError
 from sdrnn.lprnn import forward_batch, init_model, load_model, magnitude_prune, save_model
 from sdrnn.snn_sim import simulate_batch
 
-LOADERS = {"model.npz": load_model, "net.npz": load_network, "raster.txt": load_raster,
-           "manifest.csv": read_manifest, "clip.wav": load_wav}
+LOADERS = {"model.npz": load_model, "net.npz": load_network, "manifest.csv": read_manifest,
+           "clip.wav": load_wav}
 
 
 @pytest.fixture(scope="module")
@@ -33,7 +32,6 @@ def valid_dir(tmp_path_factory):
     save_model(magnitude_prune(model, 0.5), root / "pruned.npz")
     save_network(compile_network(model, TimingConfig(t_ann=0.01, t_snn=0.001), f=5e4),
                  root / "net.npz")
-    save_raster(SpikeRaster([1, 3, 3, 8], [0, 2, 1, 0], 10, 3, 0.001), root / "raster.txt")
     write_manifest(root / "manifest.csv", [{"path": "a.wav", "label": "yes", "split": "train"},
                                            {"path": "b.wav", "label": "no", "split": "test"}])
     save_wav(root / "clip.wav", np.sin(np.arange(600) / 7.0) * 0.5, 16000)

@@ -721,11 +721,13 @@ class TestModelFile:
         with pytest.raises(DataError, match=message):
             load_model(model_file(layers=saved_layers(1, **{key: value})))
 
-    @pytest.mark.parametrize("key", ["size", "fan_in"])
-    def test_missing_layer_shape_rejected(self, key):
+    @pytest.mark.parametrize("key", ["size", "fan_in", "kind", "alpha"])
+    def test_missing_layer_key_rejected(self, key):
+        # a layer without kind or alpha failed as a KeyError, and one without
+        # size or fan_in as "size is None"
         layers = saved_layers(1)
         del layers[1][key]
-        with pytest.raises(DataError, match=f"layer 1: {key} is None"):
+        with pytest.raises(DataError, match=f"layer 1: a model layer lacks its '{key}' key"):
             load_model(model_file(layers=layers))
 
     def test_rejects_foreign_file(self, tmp_path):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdrnn.containers import FeatureSequence, SpikeRaster, load_raster, save_raster
+from sdrnn.containers import FeatureSequence, SpikeRaster
 from sdrnn.errors import ConfigError, DataError
 from sdrnn.sigma_delta import NeuronParams, NeuronState, encode_analog, neuron_step, reconstruct
 
@@ -217,30 +217,6 @@ class TestReconstruct:
 
 
 class TestRasterSerialization:
-    def test_roundtrip(self, tmp_path):
-        raster = SpikeRaster(np.array([3, 1, 3]), np.array([0, 2, 1]),
-                             duration=10, population=5, dt=1e-4)
-        path = tmp_path / "spikes.txt"
-        save_raster(raster, path)
-        text = path.read_text().splitlines()
-        assert text[0] == "# duration=10 population=5 dt=0.0001"
-        assert text[1] == "1,2"  # events sorted by (time, unit)
-        back = load_raster(path)
-        assert back.duration == 10 and back.population == 5 and back.dt == 1e-4
-        np.testing.assert_array_equal(back.times, raster.times)
-        np.testing.assert_array_equal(back.units, raster.units)
-
-    @pytest.mark.parametrize("text, where", [
-        ("# duration=10 population=5 dt=0.0001\n1,2\n1;2\n", ":3:"),
-        ("# duration=10 population=5 dt=0.0001\n1,x\n", ":2:"),
-        ("# duration=10 population dt=0.0001\n1,2\n", ":1:"),
-    ], ids=["separator", "integer", "header-field"])
-    def test_malformed_file_is_data_error(self, tmp_path, text, where):
-        path = tmp_path / "spikes.txt"
-        path.write_text(text)
-        with pytest.raises(DataError, match=f"spikes.txt{where}"):
-            load_raster(path)
-
     @pytest.mark.parametrize("duration, population, dt", [
         (-5, 2, 1e-4), (10, -1, 1e-4), (10, 2, 0.0), (10, 2, -1e-4), (10, 2, math.nan)])
     def test_rejects_negative_sizes_and_a_step_that_is_not_positive(self, duration,
@@ -248,15 +224,6 @@ class TestRasterSerialization:
         with pytest.raises(DataError, match="raster"):
             SpikeRaster(np.array([], dtype=np.int64), np.array([], dtype=np.int64),
                         duration, population, dt)
-
-    @pytest.mark.parametrize("header", ["duration=-5 population=2 dt=0.001",
-                                        "duration=5 population=2 dt=0.0",
-                                        "duration=5 population=2 dt=nan"])
-    def test_file_with_a_bad_header_value_is_data_error(self, tmp_path, header):
-        path = tmp_path / "spikes.txt"
-        path.write_text(f"# {header}\n")
-        with pytest.raises(DataError, match="raster"):
-            load_raster(path)
 
     def test_rejects_out_of_range_events(self):
         with pytest.raises(DataError):
@@ -300,15 +267,10 @@ class TestRasterSerialization:
         raster = SpikeRaster(times, units, 10, 5, 1e-4)
         assert raster.times is times and raster.units is units
 
-    def test_repeated_event_is_data_error(self, tmp_path):
-        # dense(), and with it simulate, counted one spike where reconstruct
-        # added w_fb twice; the twin need not follow its event in the file
+    def test_repeated_event_is_data_error(self):
+        # dense() counted one spike where reconstruct added w_fb twice
         with pytest.raises(DataError, match="more than once"):
             SpikeRaster([3, 3], [1, 1], 10, 2, 1e-4)
-        path = tmp_path / "spikes.txt"
-        path.write_text("# duration=10 population=2 dt=0.0001\n3,1\n2,0\n3,0\n3,1\n")
-        with pytest.raises(DataError, match="more than once"):
-            load_raster(path)
 
 
 @pytest.mark.parametrize("call, error, match", [

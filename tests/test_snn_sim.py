@@ -182,7 +182,7 @@ class TestEngineAgainstFlatLoop:
         arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
         with open(path, "wb") as fh:
             np.savez(fh, **arrays)
-        with pytest.raises(DataError, match="layer 0: rec_delay is 'missing'"):
+        with pytest.raises(DataError, match="layer 0: a network layer lacks its 'rec_delay' key"):
             load_network(path)
 
 
@@ -215,22 +215,14 @@ class TestEngineAgainstFlatLoop:
         np.testing.assert_array_equal(trace.probes[(2, "s")], np.array(s_traces[-1]))
 
 
-def assert_matches_flat_loop(net, feats: np.ndarray, mode: str, raster_input: bool = False):
-    """Run the engine on feats, or on the encoder spikes of the scalar loop
-    as a raster, and require every raster and every state of each
-    spike-driven layer to equal the loop's. Returns the loop's events."""
+def assert_matches_flat_loop(net, feats: np.ndarray, mode: str):
+    """Run the engine on feats and require every raster and every state of
+    each spike-driven layer to equal the scalar loop's. Returns the loop's
+    events."""
     traces = {}
     events, _ = flat_loop_sim(net, feats, mode, traces=traces)
-    if raster_input:
-        times, units = np.array(events[0], dtype=np.int64).reshape(-1, 2).T
-        inp = SpikeRaster(times, units, feats.shape[0] * net.oversample, net.layers[0].size,
-                          net.timing.t_snn)
-    else:
-        inp = FeatureSequence(feats, net.timing.t_ann)
-    first = 1 if raster_input else 0
-    result = simulate(net, inp, mode=mode,
-                      probe={li: list(range(l.size)) for li, l in enumerate(net.layers)
-                             if li >= first})
+    result = simulate(net, FeatureSequence(feats, net.timing.t_ann), mode=mode,
+                      probe={li: list(range(l.size)) for li, l in enumerate(net.layers)})
     for li in range(len(net.layers)):
         got = list(zip(result.rasters[li].times.tolist(), result.rasters[li].units.tolist()))
         assert got == sorted(events[li]), f"layer {li} rasters differ"
@@ -308,20 +300,11 @@ class TestDriveProducts:
         assert events[0] and events[1]
 
     @pytest.mark.parametrize("mode", ["reference", "fixed_point"])
-    def test_raster_input(self, mode):
-        rng = np.random.default_rng(48)
-        net = compile_network(toy_model(rng), TIMING, f=5e4)
-        events = assert_matches_flat_loop(net, rng.uniform(0.0, 1.0, size=(12, 2)), mode,
-                                          raster_input=True)
-        assert events[0] and events[2]
-
-    @pytest.mark.parametrize("mode", ["reference", "fixed_point"])
-    @pytest.mark.parametrize("raster_input", [False, True], ids=["features", "raster"])
-    def test_three_synaptic_delays(self, mode, raster_input):
+    @pytest.mark.parametrize("n_frames", [12], ids=["features"])
+    def test_three_synaptic_delays(self, mode, n_frames):
         net, rng = three_tap_net()
         assert {1} | {l.rec_delay for l in net.layers} == {1, 4, 5}
-        events = assert_matches_flat_loop(net, rng.uniform(0.0, 1.0, size=(12, 2)), mode,
-                                          raster_input=raster_input)
+        events = assert_matches_flat_loop(net, rng.uniform(0.0, 1.0, size=(n_frames, 2)), mode)
         assert all(events)
 
     @pytest.mark.parametrize("mode", ["reference", "fixed_point"])
@@ -511,38 +494,24 @@ class TestBasics:
         np.testing.assert_array_equal(t1.probes[(2, "s")], t2.probes[(2, "s")])
 
     def test_one_step_causality(self):
+        # with no bias, layer 1 rests at 0 until the encoder's first spike
+        # at t0 reaches it one step later
         rng = np.random.default_rng(2)
         model = toy_model(rng, bias_scale=0.0)
         net = compile_network(model, TIMING, f=5e4)
-        t0 = 7
-        raster = SpikeRaster(np.array([t0]), np.array([0]), duration=30,
-                             population=3, dt=TIMING.t_snn)
-        trace = simulate(net, raster, probe={1: [0, 1, 2]})
+        feats = FeatureSequence(rng.uniform(0, 1, size=(3, 2)), TIMING.t_ann)
+        trace = simulate(net, feats, probe={1: [0, 1, 2]})
+        t0 = int(trace.rasters[0].times[0])
         u1 = trace.probes[(1, "u")]
         assert np.all(u1[:t0 + 1] == 0.0)
         assert np.any(u1[t0 + 1] != 0.0)
 
-    def test_raster_input_reproduces_feature_run(self):
-        rng = np.random.default_rng(3)
-        model = toy_model(rng)
-        net = compile_network(model, TIMING, f=5e4)
-        feats = FeatureSequence(rng.uniform(0, 1, size=(12, 2)), TIMING.t_ann)
-        full = simulate(net, feats)
-        replay = simulate(net, full.rasters[0])
-        for li in range(1, len(net.layers)):
-            np.testing.assert_array_equal(full.rasters[li].times, replay.rasters[li].times)
-            np.testing.assert_array_equal(full.rasters[li].units, replay.rasters[li].units)
-
     def test_probe_of_a_layer_the_run_does_not_update_rejected(self):
-        # a raster stands in for the encoder, whose states are then never
-        # computed; probes of neurons a layer does not have are as wrong
+        # probes of layers the network does not have, or of neurons a layer
+        # does not have
         rng = np.random.default_rng(3)
         net = compile_network(toy_model(rng), TIMING, f=5e4)
         feats = FeatureSequence(rng.uniform(0, 1, size=(4, 2)), TIMING.t_ann)
-        raster = simulate(net, feats).rasters[0]
-        assert simulate(net, raster, probe={1: [0]}).probes[(1, "u")].any()
-        with pytest.raises(ConfigError, match="raster"):
-            simulate(net, raster, probe={0: [0], 1: [0]})
         for bad in ({3: [0]}, {-1: [0]}, {1: [3]}, {2: [-1]}):
             with pytest.raises(ConfigError):
                 simulate(net, feats, probe=bad)
@@ -842,13 +811,8 @@ class TestBadInput:
         assert {-STATE_LIMIT, STATE_LIMIT} <= set(trace.probes[(0, "u")].ravel().tolist())
 
     @pytest.mark.parametrize("mode", ["reference", "fixed_point"])
-    def test_zero_step_raster_is_an_empty_sequence(self, mode):
-        # a raster of 0 steps returned all-zero scores, where 0 frames of
-        # features are a DataError
+    def test_zero_frames_are_an_empty_sequence(self, mode):
         net = compile_network(toy_model(np.random.default_rng(13)), TIMING, f=5e4)
-        empty = SpikeRaster([], [], 0, net.layers[0].size, net.timing.t_snn)
-        with pytest.raises(DataError, match="empty sequence"):
-            simulate(net, empty, mode=mode)
         with pytest.raises(DataError, match="empty sequence"):
             simulate(net, FeatureSequence(np.zeros((0, 2)), TIMING.t_ann), mode=mode)
 
@@ -954,18 +918,15 @@ def toy_net():
 @pytest.mark.parametrize("call, error, match", [
     pytest.param(lambda: simulate_batch(toy_net(), np.zeros((1, 3, 2)), mode="bogus"),
                  ConfigError, "unknown simulation mode", id="unknown-mode"),
-    pytest.param(lambda: simulate(toy_net(), SpikeRaster([], [], 10, 2, TIMING.t_snn)),
-                 DataError, "raster population", id="raster-population"),
-    pytest.param(lambda: simulate(toy_net(), SpikeRaster([], [], 15, 3, TIMING.t_snn)),
-                 DataError, "multiple of the oversample", id="raster-duration"),
-    pytest.param(lambda: simulate(toy_net(), SpikeRaster([], [], 300, 3, 70 * TIMING.t_snn)),
-                 DataError, "raster step", id="raster-dt"),
     # the network's taus are in steps of its own frames; 0.5 s frames ran on
     # them without complaint
     pytest.param(lambda: simulate(toy_net(), FeatureSequence(np.zeros((3, 2)), 0.5)),
                  DataError, "frame period", id="frame-period"),
     pytest.param(lambda: simulate(toy_net(), np.zeros((3, 2))), DataError,
                  "unsupported input type", id="input-type"),
+    # the network's own encoder is its one input: a raster of its spikes is none
+    pytest.param(lambda: simulate(toy_net(), SpikeRaster([], [], 30, 3, TIMING.t_snn)),
+                 DataError, "unsupported input type SpikeRaster", id="raster-input"),
     pytest.param(lambda: compare_activations(
         [], simulate(toy_net(), FeatureSequence(np.zeros((3, 2)), TIMING.t_ann)), toy_net()),
                  DataError, "layer traces", id="trace-count"),
