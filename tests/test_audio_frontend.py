@@ -109,6 +109,18 @@ class TestFft:
             energy = n_fft * (frame ** 2).sum()
             assert abs(full_power - energy) / energy < 1e-6
 
+    @pytest.mark.parametrize("n_samples, n_fft, hop", [
+        (512, 512, 160), (4000, 512, 160), (1000, 64, 100), (100, 16, 1)],
+        ids=["one-frame", "remainder", "hop-past-window", "hop-1"])
+    def test_frames_match_an_index_gather(self, n_samples, n_fft, hop):
+        # frame r is samples[r * hop : r * hop + n_fft], the last one whole:
+        # bit-identical to gathering through a [frames, n_fft] index matrix
+        samples = np.random.default_rng(n_samples).normal(size=n_samples)
+        n_frames = 1 + (n_samples - n_fft) // hop
+        idx = np.arange(n_fft)[None, :] + hop * np.arange(n_frames)[:, None]
+        want = np.abs(np.fft.rfft(samples[idx] * hann_window(n_fft), axis=1))
+        np.testing.assert_array_equal(stft_magnitude(samples, n_fft, hop), want)
+
     def test_short_clip_rejected(self):
         with pytest.raises(DataError):
             stft_magnitude(np.zeros(100), 512, 160)

@@ -510,7 +510,7 @@ class TestNetworkFile:
     @pytest.mark.parametrize("section, key", [
         ("file", "notes"), ("file", "f"), ("file", "t_ann"), ("file", "t_snn"),
         ("file", "config"), ("file", "layers"), ("config", "safety_margin"),
-        ("layer", "rec_delay"), ("layer", "w_fb")])
+        *[("layer", key) for key in convert._LAYER_SCALARS]])
     def test_missing_key_rejected(self, tmp_path, section, key):
         # a config of {} loaded as the default margin, whatever margin
         # compiled the network, and a file without notes as one with none:
