@@ -69,12 +69,6 @@ class SpikeRaster:
             if ((self.times[1:] == self.times[:-1]) & (self.units[1:] == self.units[:-1])).any():
                 raise DataError("a (timestep, unit) spike event appears more than once")
 
-    def dense(self) -> np.ndarray:
-        """Dense boolean [duration, population] matrix (small rasters only)."""
-        out = np.zeros((self.duration, self.population), dtype=bool)
-        out[self.times, self.units] = True
-        return out
-
 
 def _integers(values, name: str) -> np.ndarray:
     """values as int64, uncopied if they are, DataError unless each is an

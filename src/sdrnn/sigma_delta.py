@@ -146,7 +146,8 @@ def encode_analog(signal: FeatureSequence, params: NeuronParams, oversample: int
     for held, frame in zip(drive, spikes):
         for t in range(oversample):
             frame[t] = step(held)
-    return SpikeRaster(*np.nonzero(spikes.reshape(duration, n_units)), duration, n_units,
+    # flat index (frame * oversample + t) * n_units + unit: time * n_units + unit
+    return SpikeRaster(*np.divmod(np.flatnonzero(spikes), n_units), duration, n_units,
                        dt=signal.frame_period / oversample)
 
 

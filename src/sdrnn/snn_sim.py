@@ -36,12 +36,23 @@ that report it (the probes, sigma_delta.neuron_step) give +0.0 where the
 neuron fired.
 
 Saturation is checked once per step. A fixed-point step runs its adds
-unclipped, exactly as reference mode does, then takes the min and max of
-the whole state stack, imem unreset. Only if some sum left +/-2**23 does
-the step run the adds again from the decayed states and the drive, which
-the first run left as they were, each clipped at the rails by
-numerics.sat_add_array and its clips logged. The clipped re-run is the
-saturating arithmetic, and a step that clips nothing equals it.
+unclipped, exactly as reference mode does, then takes the max of its u and
+i rows and the min of its u and imem rows (imem unreset). Only if one of
+them left +/-2**23 does the step run the adds again from the decayed states
+and the drive, which the first run left as they were, each clipped at the
+rails by numerics.sat_add_array and its clips logged. The clipped re-run
+is the saturating arithmetic, and a step that clips nothing equals it.
+Those rows hold the extremes of the whole stack while every w_fb is finite
+and >= 0 and every tau_s >= 1 (a fixed-point tau is an integer >= 1), with
+the states starting at +0; otherwise both reductions read the whole stack.
+Proof: the decay keeps a state's sign and shrinks it, and a spike adds
+w_fb >= 0, so s >= 0 and ds = decay(s) is in [0, s]. So imem = fl(i - ds)
+<= i. A spike needs fl(i - ds) > w_fb, which holds exactly when i - ds >
+w_fb, so s = fl(ds + w_fb) <= i; without a spike s = ds <= s_prev. Over a
+run, then, s stays in [0, max(0, max i)] and min i >= min imem. In one
+fixed-point step the sums are exact integers and s_prev is in [0, 2**23],
+so s leaves the range only above i, when i does, and i leaves it below
+only when imem does.
 
 One step advances the whole network. The four states u, i, s and imem are
 the rows of one [4, batch, N] array with the layers' neurons side by side.
@@ -50,8 +61,10 @@ multipliers, bias, w_fb, which is also the threshold, and the shift scale) out
 once per run as a contiguous array of the full shape it meets, so a step
 broadcasts nothing, and one call decays the u, i and s rows. The decay
 writes a second stack, from which the sums are written back in place, so a
-step allocates no state-sized temporary; the peak |state| in both modes is
-max(-min, max) of the unreset stack, in fixed point the bound check's. Every
+step allocates no state-sized temporary. The peak |state| in both modes is
+max(-min, max) of the unreset stack over the run, from the same rows: in
+fixed point the bound check's per step, in reference mode two running
+elementwise extremes that the run reduces once at its end. Every
 synapse reads spikes of an earlier step, so no update depends on another
 within a step. Each distinct synaptic delay d (one step for every layer's
 w_in, rec_delay for its w_rec) has a block matrix W_d, presynaptic rows by
@@ -85,7 +98,10 @@ column's sum exceeds 2**24 (float32 holds every integer up to 2**24), the
 line, w and the product are float32; otherwise float64, exact to 2**53 for
 integers. The network alone decides, once per run. So the flat step is
 bit-identical to a layer-by-layer one, whatever the order of the sums, and
-every other operation is elementwise. Its cost is one dense product per
+every other operation is elementwise. np.dot writes the product into a
+contiguous buffer of that dtype, which is then copied into the drive's
+synaptic columns: a product written straight into those strided float64
+columns goes through a casting temporary. Its cost is one dense product per
 step over the stacked row spans, whatever the sparsity inside them: cheap
 for the networks of about 100 neurons used here; measure before relying on
 it above about 1k neurons.
@@ -176,16 +192,30 @@ def sigma_delta_kernel(shape, taus, bias, w_fb, exps, fixed: bool = False,
     clipped re-run forms the same sum and adds the bias, clipped.
 
     A fixed-point step runs the adds unclipped, as reference mode does (on
-    integers below 2**53 every sum is exact), then bounds the stack once.
-    Only if some sum left +/-2**23 does it run the adds again, each clipped
-    and logged by sat_add_array, from the decayed rows and the drive, which
-    the first run left as they were.
+    integers below 2**53 every sum is exact), then bounds the stack once,
+    by the max of its (u, i) rows and the min of its (u, imem) rows. Only if
+    one left +/-2**23 does it run the adds again, each clipped and logged by
+    sat_add_array, from the decayed rows and the drive, which the first run
+    left as they were.
 
-    peak, if given, is a one-element list that each step raises to
-    max(-min, max) of the stack, imem unreset, in fixed point the bound
-    check's. For w_fb >= 0 that is also the largest |state| after a reset:
-    s >= 0, so imem = i - s <= i, and a neuron that fires has imem > w_fb
-    >= 0, whose reset to 0 moves neither extreme."""
+    Those rows hold the stack's extremes while every w_fb is finite and >= 0,
+    every tau_s >= 1 and the states start at +0, as the kernel makes them
+    (module docstring): ds >= 0, so imem = fl(i - ds) <= i; a spike needs
+    i - ds > w_fb exactly, so s = fl(ds + w_fb) <= i, and without one s =
+    ds <= s_prev. So max s <= max(0, max i) and min i >= min imem over a
+    run, and in one exact fixed-point step s and i leave +/-2**23 only when
+    i or imem does. Otherwise both reductions read the whole stack.
+
+    peak, if given, is a list [0.0] that records max(-min, max) of the
+    stack, imem unreset, over the run. A fixed-point step raises peak[0]
+    from the bound check's extremes (the whole stack's after a clipped
+    re-run). A reference step folds the same rows into two running
+    elementwise extremes, hi (max) and lo (min), which the kernel appends
+    to peak; fmax and fmin keep an infinity that a later NaN (inf - inf in
+    a decay) would hide. _peak_of(peak) reduces them once at the end, to
+    max(peak[0], -lo.min(), hi.max()). For w_fb >= 0 the peak is also the
+    largest |state| after a reset: a neuron that fires has imem > w_fb >= 0,
+    whose reset to 0 moves neither extreme."""
     def laid_out(*rows):
         """The rows, each broadcast to shape, in one float64 array; stacked
         if there are several."""
@@ -209,8 +239,17 @@ def sigma_delta_kernel(shape, taus, bias, w_fb, exps, fixed: bool = False,
     u, i, s, imem = state
     du, di, ds = decayed
     live = state[:3]
+    # the rows that can hold the stack's max and min (docstring); a fixed
+    # tau_s is an integer >= 1 already
+    if ((w_fb >= 0) & (w_fb < np.inf)).all() and (fixed or (taus[2] >= 1).all()):
+        top, bottom = state[:2], state[::3]
+    else:
+        top = bottom = state
     tmp, fired, spikes = _aligned(shape), _aligned(shape, bool), _aligned(shape)
     clips: list[tuple] = []
+    if peak is not None and not fixed:
+        hi, lo = _aligned(top.shape), _aligned(bottom.shape)
+        peak += hi, lo
     # passes that change no value, dropped for the run (docstring)
     unit_scale, no_bias = (exps == 0).all(), not bias.any()
 
@@ -255,16 +294,30 @@ def sigma_delta_kernel(shape, taus, bias, w_fb, exps, fixed: bool = False,
             np.add(into_i(tmp), bias, out=i)
         np.subtract(i, ds, out=imem)
         np.add(ds, fire(), out=s)
-        if fixed or peak is not None:
-            low, high = state.min(), state.max()
-            if fixed and not (low >= -STATE_LIMIT and high <= STATE_LIMIT):
+        if fixed:
+            low, high = np.minimum.reduce(bottom, None), np.maximum.reduce(top, None)
+            if not (low >= -STATE_LIMIT and high <= STATE_LIMIT):
                 saturating(drive)
                 low, high = state.min(), state.max()
             if peak is not None:
                 peak[0] = max(peak[0], -float(low), float(high))
+        elif peak is not None:
+            np.fmax(hi, top, out=hi)
+            np.fmin(lo, bottom, out=lo)
         return fired
 
     return state, clips, step
+
+
+def _peak_of(peak: list) -> float:
+    """The peak |state| of a run from sigma_delta_kernel's peak list: its
+    first element, raised by a reference run's running extremes if the
+    kernel appended them."""
+    p, *extremes = peak
+    if extremes:
+        hi, lo = extremes
+        p = max(p, -float(lo.min()), float(hi.max()))
+    return p
 
 
 def _mode_flag(mode: str) -> bool:
@@ -300,17 +353,15 @@ def _engine(net: SnnNetwork, x: np.ndarray, mode: str, record_rasters: bool = Fa
     enc_drive = round_half_away(drive_all) if fixed else drive_all
     shape = (batch, n)
 
-    def per_neuron(attr):
-        return np.concatenate([np.broadcast_to(getattr(l, attr), l.size)
-                               for l in layers]).astype(np.float64)
-
     # both modes run on the integer network constants; reference mode is
     # real-valued state arithmetic on the same network
+    tau_u, tau_s, w_fb, exps = np.repeat(
+        [[l.tau_u_fx, l.tau_s_fx, l.w_fb, l.weight_exp] for l in layers],
+        [l.size for l in layers], axis=0).T
     peak = [0.0]
     state, clips, step = sigma_delta_kernel(
-        shape, np.stack([per_neuron("tau_u_fx"), per_neuron("tau_s_fx")])[:, None, :],
-        per_neuron("bias"), per_neuron("w_fb"), per_neuron("weight_exp").astype(np.int64),
-        fixed, peak)
+        shape, np.stack([tau_u, tau_s])[:, None, :], np.concatenate([l.bias for l in layers]),
+        w_fb, exps.astype(np.int64), fixed, peak)
     s = state[2]
 
     # one block matrix W_d per distinct synaptic delay d: presynaptic rows,
@@ -343,6 +394,7 @@ def _engine(net: SnnNetwork, x: np.ndarray, mode: str, record_rasters: bool = Fa
 
     drive = _aligned(shape)  # the encoder's columns are written at frame starts
     synaptic = drive[:, n0:]
+    product = _aligned(synaptic.shape, dtype)  # line[t % depth] @ w, then copied to synaptic
     # a count grows by at most 1 per step
     counts = _aligned((batch, n), dtype if duration <= _FLOAT32_EXACT else np.float64)
     frame_s = np.zeros((batch, n_frames, n))
@@ -363,7 +415,8 @@ def _engine(net: SnnNetwork, x: np.ndarray, mode: str, record_rasters: bool = Fa
                   for li, ids in probe.items()}
 
     for t in range(duration):
-        np.matmul(line[t % depth], w, out=synaptic)
+        np.dot(line[t % depth], w, out=product)
+        synaptic[...] = product
         if t % oversample == 0:
             drive[:, :n0] = enc_drive[t // oversample]
         now[...] = fired = step(drive)
@@ -394,13 +447,14 @@ def _engine(net: SnnNetwork, x: np.ndarray, mode: str, record_rasters: bool = Fa
 
     rasters: list[SpikeRaster | None] = [None] * len(layers)
     if record_rasters:
-        rasters = [SpikeRaster(*np.nonzero(spiked[:, starts[li]:starts[li + 1]]),
-                               duration, layer.size, net.timing.t_snn)
+        # each raster's events in (time, unit) order, as np.nonzero gives them
+        rasters = [SpikeRaster(*np.divmod(np.flatnonzero(spiked[:, starts[li]:starts[li + 1]]),
+                                          layer.size), duration, layer.size, net.timing.t_snn)
                    for li, layer in enumerate(layers)]
     return SimulationResult(
         scores=acc / window / net.f, spikes_per_sample=totals.sum(axis=1),
         spike_counts=per_layer(totals), frame_s=per_layer(frame_s), rasters=rasters,
-        saturation_events=sat_events, saturation_total=sat_total, peak_state=peak[0],
+        saturation_events=sat_events, saturation_total=sat_total, peak_state=_peak_of(peak),
         mode=mode, probes=probes)
 
 

@@ -20,8 +20,8 @@ LAYOUT = "laid_out"
 #: the constants the kernel lays out for it.
 PER_STEP = {
     "sigma_delta_kernel": {"state", "decayed", "tmp", "fired", "spikes", "taus", "factor",
-                           "bias", "w_fb", "scale", "half"},
-    "_engine": {"drive", "now", "line", "counts"},
+                           "bias", "w_fb", "scale", "half", "hi", "lo"},
+    "_engine": {"drive", "now", "line", "product", "counts"},
 }
 
 

@@ -1,15 +1,18 @@
+import gc
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sdrnn.containers import FeatureSequence, SpikeRaster
 from sdrnn.convert import (TimingConfig, compile_network, load_network, probe_peak_state,
                            save_network)
 from sdrnn.errors import ConfigError, DataError
 from sdrnn.lprnn import forward_sequence, init_model
-from sdrnn.numerics import STATE_LIMIT
+from sdrnn.numerics import STATE_LIMIT, decay_by, decay_factor
 from sdrnn.sigma_delta import NeuronParams, reconstruct
 from sdrnn import snn_sim
 from sdrnn.snn_sim import (_aligned, compare_activations, readout, sigma_delta_kernel, simulate,
@@ -38,6 +41,13 @@ def three_tap_net():
     rng = np.random.default_rng(48)
     model = toy_model(rng, hidden=(3, 3, 3), alphas=(0.85, 0.9, 0.5, 0.8))
     return compile_network(model, TIMING, f=2.5e4), rng
+
+
+def dense(raster: SpikeRaster) -> np.ndarray:
+    """The raster as a boolean [duration, population] mask."""
+    mask = np.zeros((raster.duration, raster.population), dtype=bool)
+    mask[raster.times, raster.units] = True
+    return mask
 
 
 def output_probe(net) -> dict:
@@ -384,6 +394,142 @@ class TestKernel:
             sigma_delta_kernel((1, 1), taus, 0.0, 10.0, 0)  # reference mode takes it
 
 
+def whole_stack_fixed_step(state, drive, factor, bias, w_fb, exps):
+    """One fixed-point step of the kernel's update from the stack state
+    [4, *shape], bounded by the min and max of the whole unclipped stack.
+    Returns (state, fired, clips, rerun): clips as the kernel logs them,
+    rerun whether the step ran its adds again clipped."""
+    du, di, ds = decay_by(state[:3], factor)
+    scale, half = np.ldexp(1.0, -exps), (1 << exps) >> 1
+    clips = []
+
+    def run(add):
+        u = add(du, drive, "u")
+        i = add(di + np.floor((u + half) * scale), bias, "i")
+        imem = add(i, -ds, "imem")
+        fired = imem > w_fb
+        return np.stack([u, i, add(ds, w_fb * fired, "s"), imem]), fired
+
+    def clipped(x, delta, var):
+        total = x + delta
+        over = np.abs(total) > STATE_LIMIT
+        if over.any():
+            clips.append((var, over.sum(axis=0)))
+        return np.clip(total, -STATE_LIMIT, STATE_LIMIT)
+
+    new, fired = run(lambda x, delta, var: x + delta)
+    rerun = not (new.min() >= -STATE_LIMIT and new.max() <= STATE_LIMIT)
+    if rerun:
+        new, fired = run(clipped)
+    return new, fired, clips, rerun
+
+
+@st.composite
+def kernel_runs(draw, fixed: bool, case: str):
+    """(shape, taus, bias, w_fb, exps, drives) of a bare kernel run: per-neuron
+    taus, biases and weight exponents, drives at a drawn scale, some beyond
+    the rails, and w_fb >= 0 of the drives' order unless case is
+    "negative_w_fb" (one neuron's is negative); for case "tau_s_below_1"
+    every tau_s is below 1 (reference mode takes any positive tau)."""
+    batch, n = draw(st.integers(1, 3)), draw(st.integers(1, 5))
+    ints = lambda lo, hi: st.lists(st.integers(lo, hi), min_size=n, max_size=n)
+    if fixed:
+        taus = [draw(ints(1, 12)), draw(ints(1, 12))]
+    else:
+        reals = st.floats(1.0, 4.0)
+        taus = [draw(st.lists(reals, min_size=n, max_size=n)) for _ in range(2)]
+    taus = np.array(taus, dtype=np.float64)[:, None, :]
+    scale = draw(st.sampled_from([40.0, 2.0 ** 12, 2.0 ** 20, 2.0 ** 23]))
+    ratios = st.sampled_from([0.0, 1 / 64, 1 / 4, 1.0, 3.0])
+    w_fb = np.round(scale * np.array(draw(st.lists(ratios, min_size=n, max_size=n))))
+    w_fb = np.minimum(w_fb, STATE_LIMIT - 5)
+    if case == "negative_w_fb":
+        w_fb[draw(st.integers(0, n - 1))] = -min(scale * draw(ratios.filter(bool)),
+                                                  STATE_LIMIT - 5)
+    elif case == "tau_s_below_1":
+        taus[1] = draw(st.floats(0.5, 0.95))
+    bias = np.array(draw(ints(-3, 3)), dtype=np.float64) * scale / 4
+    exps = np.array(draw(ints(0, 3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    drives = rng.normal(0.0, scale, size=(30, batch, n))
+    drives[rng.random(drives.shape) < 0.03] *= 8.0
+    if fixed:
+        drives, bias, w_fb = np.round(drives), np.round(bias), np.round(w_fb)
+    return (batch, n), taus, bias, w_fb, exps, drives
+
+
+class TestExtremeRows:
+    """The kernel finds the stack's max in its (u, i) rows and its min in its
+    (u, imem) rows while every w_fb >= 0 and every tau_s >= 1, and reads the
+    whole stack otherwise (sigma_delta_kernel docstring). These runs pin
+    both the fixed-point bound check and the peak to the whole stack's."""
+
+    @pytest.mark.parametrize("case", ["rows", "negative_w_fb"])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_fixed_point_check_and_peak_are_the_whole_stacks(self, case, data):
+        shape, taus, bias, w_fb, exps, drives = data.draw(kernel_runs(True, case))
+        peak = [0.0]
+        state, clips, step = sigma_delta_kernel(shape, taus, bias, w_fb, exps, True, peak)
+        factor = np.broadcast_to(decay_factor(taus), (2, *shape))[[0, 1, 1]]
+        oracle, want_peak = np.zeros((4, *shape)), 0.0
+        for t, drive in enumerate(drives):
+            oracle, want_fired, want_clips, rerun = whole_stack_fixed_step(
+                oracle, drive, factor, bias, w_fb, exps)
+            fired = step(drive)
+            np.testing.assert_array_equal(fired, want_fired, err_msg=str(t))
+            np.testing.assert_array_equal(state, oracle, err_msg=str(t))
+            # a re-run clips at least the first sum that left the rails
+            assert bool(clips) == rerun, t
+            assert [(var, c.tolist()) for var, c in clips] == [
+                (var, c.tolist()) for var, c in want_clips], t
+            want_peak = max(want_peak, -float(oracle.min()), float(oracle.max()))
+            assert snn_sim._peak_of(peak) == want_peak, t
+            clips.clear()
+
+    @pytest.mark.parametrize("case", ["rows", "negative_w_fb", "tau_s_below_1"])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_reference_peak_is_the_largest_whole_stack_extreme(self, case, data):
+        shape, taus, bias, w_fb, exps, drives = data.draw(kernel_runs(False, case))
+        peak = [0.0]
+        state, _, step = sigma_delta_kernel(shape, taus, bias, w_fb, exps, False, peak)
+        want = 0.0
+        for drive in drives:
+            step(drive)
+            want = max(want, -float(state.min()), float(state.max()))
+        assert snn_sim._peak_of(peak) == want
+
+    def test_reference_peak_with_a_tau_s_below_1(self):
+        # tau_s 0.5 decays x to -x, so s and ds turn negative, imem = i - ds
+        # rises above i, and the whole stack's extreme lies in no chosen row
+        peak, taus = [0.0], np.array([[1.0], [0.5]])[:, None, :]
+        state, _, step = sigma_delta_kernel((1, 1), taus, 26.0, 21.0, 0, False, peak)
+        want = rows = 0.0
+        for drive in [34.0, -33.0, -42.0, 36.0, -48.0, 4.0]:
+            step(np.array([[drive]]))
+            want = max(want, -float(state.min()), float(state.max()))
+            rows = max(rows, -float(state[::3].min()), float(state[:2].max()))
+        assert (want, rows) == (84.0, 63.0)
+        assert snn_sim._peak_of(peak) == want
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_reference_peak_of_states_that_overflow(self, sign):
+        # u overflows to +/-inf, and the next decay, inf - inf / tau, is NaN;
+        # the peak stays the infinity the stack reached before the NaN
+        peak, taus = [0.0], np.array([[2.0, 2.0], [4.0, 3.0]])[:, None, :]
+        state, _, step = sigma_delta_kernel((1, 2), taus, 0.0, np.array([10.0, 20.0]), 0,
+                                            False, peak)
+        want = 0.0
+        for t in range(6):
+            with np.errstate(over="ignore", invalid="ignore"):
+                step(np.array([[sign * 1.5e308, 3.0]]))
+            stack = state[~np.isnan(state)]
+            want = max(want, -float(stack.min()), float(stack.max()))
+        assert np.isnan(state).any() and want == math.inf
+        assert snn_sim._peak_of(peak) == math.inf
+
+
 class TestBasics:
     def test_zero_input_silent(self):
         rng = np.random.default_rng(0)
@@ -457,11 +603,32 @@ class TestBasics:
         trace = simulate(net, feats, mode=mode,
                          probe={li: list(range(l.size)) for li, l in enumerate(net.layers)})
         for li in range(len(net.layers)):
-            fired, imem = trace.rasters[li].dense(), trace.probes[(li, "imem")]
+            fired, imem = dense(trace.rasters[li]), trace.probes[(li, "imem")]
             assert fired.any() and not fired.all()
             assert (imem[fired] == 0.0).all() and not np.signbit(imem[fired]).any()
             want = trace.probes[(li, "i")] - trace.probes[(li, "s")]
             np.testing.assert_array_equal(imem[~fired], want[~fired])
+
+    def test_runs_leave_no_reference_cycle(self):
+        # a cycle among a run's objects keeps its arrays alive until the
+        # cyclic collector runs, which lifts the peak memory of a series of
+        # runs; with the collector off, nothing a run leaves is garbage
+        rng = np.random.default_rng(16)
+        net = compile_network(toy_model(rng), TIMING, f=5e4)
+        clipping = compile_network(toy_model(rng), TIMING, f=5e4)
+        clipping.layers[1].bias = clipping.layers[1].bias + STATE_LIMIT
+        x = rng.uniform(0, 1, size=(3, 12, 2))
+        probe = {li: list(range(l.size)) for li, l in enumerate(net.layers)}
+        gc.collect()
+        gc.disable()
+        try:
+            for run_net in (net, clipping):
+                for mode in ("reference", "fixed_point"):
+                    simulate(run_net, FeatureSequence(x[0], TIMING.t_ann), mode=mode, probe=probe)
+                    simulate_batch(run_net, x, mode=mode)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_fixed_point_outputs_are_integers_without_negative_zero(self):
         # fixed-point states are integers held in float64; a -0.0 would
@@ -608,6 +775,57 @@ class TestTrackingBehavior:
         assert {var for _, _, var, _ in sat_log} == {"u", "i", "imem", "s"}
 
 
+class TestRasters:
+    """Each layer's raster comes from the flat index of its events in the
+    recorded spike mask, divided by the layer's size."""
+
+    @pytest.mark.parametrize("mode", ["reference", "fixed_point"])
+    def test_rasters_are_the_nonzero_of_the_recorded_mask(self, mode, monkeypatch):
+        masks = []
+        kernel = snn_sim.sigma_delta_kernel
+
+        def recording_kernel(*args, **kwargs):
+            state, clips, step = kernel(*args, **kwargs)
+
+            def recorded(drive):
+                fired = step(drive)
+                masks.append(fired[0].copy())
+                return fired
+            return state, clips, recorded
+
+        monkeypatch.setattr(snn_sim, "sigma_delta_kernel", recording_kernel)
+        net, rng = three_tap_net()
+        trace = simulate(net, FeatureSequence(rng.uniform(0.0, 1.0, size=(8, 2)), TIMING.t_ann),
+                         mode=mode)
+        mask = np.array(masks)
+        starts = np.cumsum([0] + [l.size for l in net.layers])
+        for li, raster in enumerate(trace.rasters):
+            assert raster.times.dtype == raster.units.dtype == np.int64
+            times, units = np.nonzero(mask[:, starts[li]:starts[li + 1]])
+            assert times.size > 0, li
+            np.testing.assert_array_equal(raster.times, times)
+            np.testing.assert_array_equal(raster.units, units)
+
+    def test_silent_layer_gives_empty_int64_events(self):
+        rng = np.random.default_rng(0)
+        net = compile_network(toy_model(rng, bias_scale=0.0), TIMING, f=5e4)
+        trace = simulate(net, FeatureSequence(np.zeros((10, 2)), TIMING.t_ann))
+        for raster, layer in zip(trace.rasters, net.layers):
+            assert raster.times.dtype == raster.units.dtype == np.int64
+            assert raster.times.shape == raster.units.shape == (0,)
+            assert (raster.duration, raster.population) == (10 * net.oversample, layer.size)
+
+    @pytest.mark.parametrize("mode", ["reference", "fixed_point"])
+    def test_one_unit_layers(self, mode):
+        # a recurrent and an output layer of one neuron each: the flat index
+        # is the time itself
+        rng = np.random.default_rng(41)
+        net = compile_network(toy_model(rng, hidden=(3, 1), n_out=1), TIMING, f=5e4)
+        assert [l.size for l in net.layers] == [3, 1, 1]
+        events = assert_matches_flat_loop(net, rng.uniform(0.0, 1.0, size=(12, 2)), mode)
+        assert events[1] and events[2]
+
+
 class TestReadout:
     def test_silent_output_zero_scores(self):
         rng = np.random.default_rng(7)
@@ -750,6 +968,18 @@ class TestLayout:
         assert on_boundary(state)
         if shape[0] == 64:  # a row holds 64 * n * 8 bytes, a multiple of 64
             assert all(on_boundary(row) for row in state)
+
+    @pytest.mark.parametrize("w_fb", [10.0, -10.0])
+    @pytest.mark.parametrize("shape", [(64, 100), (1, 8)])
+    def test_reference_peak_extremes_on_boundaries(self, shape, w_fb):
+        # two rows each while w_fb >= 0, the whole stack otherwise
+        n = shape[1]
+        taus = np.array([np.full(n, 4.0), np.full(n, 6.0)])[:, None, :]
+        peak = [0.0]
+        sigma_delta_kernel(shape, taus, 1.0, w_fb, 1, False, peak)
+        rows = 2 if w_fb > 0 else 4
+        assert [a.shape for a in peak[1:]] == [(rows, *shape)] * 2
+        assert all(on_boundary(a) for a in peak[1:])
 
     @pytest.mark.parametrize("mode", ["reference", "fixed_point"])
     def test_engine_drive_on_boundary(self, mode, monkeypatch):
