@@ -30,8 +30,8 @@ from .convert import (NET_FORMAT, CompileConfig, TimingConfig,
                       compile_network, compile_report, load_network, predicted_peak,
                       # unused here; it stays because perfbench's tracer patches it in cli
                       probe_peak_state, save_network, select_scale_factor)
-from .errors import (ConfigError, DataError, NumericError, _finite_positive, _real, npz_file,
-                     npz_meta, reading)
+from .errors import (ConfigError, DataError, NumericError, _finite_positive, _real, npz_entries,
+                     npz_file, npz_meta, reading)
 from .lprnn import (MODEL_FORMAT, TrainConfig, forward_batch, forward_sequence,
                     init_model, load_model, magnitude_prune, save_model, train)
 from .snn_sim import compare_activations, simulate, simulate_batch
@@ -134,12 +134,16 @@ def _extent(data: np.ndarray) -> np.ndarray:
     return np.stack([data.min(axis=0), data.max(axis=0)])
 
 
+#: The entries of a clip's feature archive, in the order written.
+_CLIP_ENTRIES = ("data", "frame_period")
+
+
 def _read_clip(path, width: int) -> tuple[np.ndarray, float]:
     """The data and frame period of one clip's feature archive: a 2-D array
     of finite numbers, at least one frame long and `width` wide, and one
-    finite positive number, or a DataError."""
+    finite positive number, or a DataError; so is any other entry."""
     with npz_file(path) as data:
-        raw, period = data["data"], data["frame_period"]
+        raw, period = npz_entries(data, path, "a feature clip", _CLIP_ENTRIES)
     if not (raw.ndim == 2 and raw.shape[0] > 0 and raw.shape[1] == width
             and raw.dtype.kind in "iuf" and np.isfinite(raw).all()):
         raise DataError(f"{path}: feature data must be a 2-D array of finite numbers, at least "
@@ -164,7 +168,7 @@ def _feature_one(job) -> dict:
             feats = af.mel_spectrogram(af.load_wav(wav_path), mel_cfg)
             data = feats.data
             tmp = out.with_suffix(".tmp.npz")
-            np.savez(tmp, data=data, frame_period=feats.frame_period)
+            np.savez(tmp, **dict(zip(_CLIP_ENTRIES, (data, feats.frame_period), strict=True)))
             os.replace(tmp, out)
         if train:
             result["extent"] = _extent(data)

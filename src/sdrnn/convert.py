@@ -92,7 +92,7 @@ import numpy as np
 from . import snn_sim
 from .containers import FeatureSequence
 from .errors import (ConfigError, DataError, NumericError, _finite_positive, _real, npz_file,
-                     exact_keys, npz_meta, npz_write, same_period)
+                     exact_keys, npz_layers, npz_meta, npz_write, same_period)
 from .lprnn import (KIND_INPUT, KIND_RECURRENT, LpRnnLayer, LpRnnModel, forward_batch,
                     load_model, save_model)
 from .numerics import STATE_LIMIT, round_half_away
@@ -432,22 +432,16 @@ def select_scale_factor(model: LpRnnModel, probes: list[FeatureSequence],
     return f
 
 
-# Network container format mirrors the model format: JSON metadata entry +
-# integer payloads, with the source model embedded for paired evaluation.
-
+# A network file's metadata keys, as written; its layers' integer arrays
+# follow, then its source model's file, embedded for paired evaluation.
 NET_FORMAT = "sdrnn-net-v1"
+_NET_KEYS = ("format", "f", "t_ann", "t_snn", "config", "notes", "layers")
 
 
 def save_network(net: SnnNetwork, path) -> None:
-    meta = {
-        "format": NET_FORMAT,
-        "f": net.f,
-        "t_ann": net.timing.t_ann,
-        "t_snn": net.timing.t_snn,
-        "config": asdict(net.config),
-        "notes": net.notes,
-        "layers": [{name: getattr(l, name) for name in _LAYER_SCALARS} for l in net.layers],
-    }
+    meta = dict(zip(_NET_KEYS, (
+        NET_FORMAT, net.f, net.timing.t_ann, net.timing.t_snn, asdict(net.config), net.notes,
+        [{name: getattr(l, name) for name in _LAYER_SCALARS} for l in net.layers]), strict=True))
     buf = io.BytesIO()
     save_model(net.source_model, buf)
     npz_write(path, meta, net.layers, _LAYER_ARRAYS,
@@ -459,39 +453,36 @@ def load_network(path) -> SnnNetwork:
     the file's source model is compiled again at its t_ann, t_snn, f and
     compile config, and each stored layer must equal the compiled one, each
     scalar in type and value and each array in presence, dtype, shape and
-    value. Returns the compiled network with the file's notes. DataError for
-    a damaged file, one whose metadata or compile config holds a key that
-    the writer does not emit or lacks one that it does, one whose values do
-    not compile, and one whose stored layers differ, naming the layer and
-    its first field that differs."""
+    value. Returns the compiled network with the file's notes. It holds
+    "meta", the _LAYER_ARRAYS of each layer that meta lists and "source_model"
+    (a model file). DataError for a damaged file, one that holds another
+    entry, one whose metadata or compile config holds a key that the
+    writer does not emit or lacks one that it does, one whose values do not
+    compile, and one whose stored layers differ, naming the entry, the key
+    or the layer and its first field that differs."""
     with npz_file(path) as data:
         meta = npz_meta(data, path, NET_FORMAT)
-        exact_keys(meta, ("format", "f", "t_ann", "t_snn", "config", "notes", "layers"),
-                      path, "a network file")
+        exact_keys(meta, _NET_KEYS, path, "a network file")
         config = meta["config"]
         if not isinstance(config, dict):
             raise DataError(f"{path}: the compile config must be a JSON object, not {config!r}")
         exact_keys(config, [f.name for f in fields(CompileConfig)], path, "a compile config")
         if not isinstance(notes := meta["notes"], dict):
             raise DataError(f"{path}: notes must be a JSON object, not {notes!r}")
-        source = load_model(io.BytesIO(bytes(data["source_model"])))
+        stored, (model_file,) = npz_layers(data, meta, path, "network", _LAYER_SCALARS,
+                                           _LAYER_ARRAYS, extra=("source_model",))
+        source = load_model(io.BytesIO(bytes(model_file)))
         f, t_ann, t_snn = meta["f"], meta["t_ann"], meta["t_snn"]
         at = f"f {f!r}, t_ann {t_ann!r} and t_snn {t_snn!r}"
         try:
             net = compile_network(source, TimingConfig(t_ann, t_snn), f, CompileConfig(**config))
         except (ConfigError, NumericError) as exc:
             raise DataError(f"{path}: the source model does not compile at {at} ({exc})") from None
-        stored = meta["layers"]
-        if not (isinstance(stored, list) and len(stored) == len(net.layers)):
-            raise DataError(f"{path}: layers must list the {len(net.layers)} layers of the source "
-                            "model")
-        for li, (lmeta, layer) in enumerate(zip(stored, net.layers)):
-            if not isinstance(lmeta, dict):
-                raise DataError(f"{path}: layer {li} must be a JSON object, not {lmeta!r}")
-            exact_keys(lmeta, _LAYER_SCALARS, f"{path}: layer {li}", "a network layer")
+        if len(stored) != len(net.layers):
+            raise DataError(f"{path}: layers must list the {len(net.layers)} of the source model")
+        for li, (saved, layer) in enumerate(zip((m | a for m, a in stored), net.layers)):
             for name in _LAYER_SCALARS + _LAYER_ARRAYS:
-                got = _compared(lmeta[name] if name in _LAYER_SCALARS
-                                else data.get(f"l{li}_{name}"))
+                got = _compared(saved[name])
                 if got != (want := _compared(getattr(layer, name))):
                     raise DataError(f"{path}: layer {li}: {name} is {got[-1]}, not {want[-1]} as "
                                     f"compiled from the source model at {at}")

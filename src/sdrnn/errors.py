@@ -1,8 +1,11 @@
 """Exception classes shared across the toolkit, the checks of a real number
-and of a period, and the .npz archives of model and network files, which
-this module both writes and reads.
+and of a period, and the .npz archives of model, network and feature clip
+files, which this module both writes and reads.
 
 The CLI maps these onto distinct exit codes (config 2, data 3, numeric 4).
+Only this module knows the archive layout ("meta", whose "layers" lists
+objects, layer k's arrays as l{k}_{name}, then extra entries) and its rule:
+an archive holding an entry that its writer does not write is a DataError.
 """
 
 import json
@@ -105,3 +108,29 @@ def npz_meta(data, path, *formats) -> dict:
                         "missing, not a JSON object or of another format)")
     return meta
 
+
+def npz_entries(data, path, what: str, names, optional=()) -> list:
+    """The arrays names of the archive data, open under npz_file(path);
+    DataError naming its first entry besides names and optional."""
+    if stray := sorted(set(data.files) - {*names, *optional}):
+        raise DataError(f"{path}: {stray[0]!r} is no entry of {what}")
+    return [data[name] for name in names]
+
+
+def npz_layers(data, meta: dict, path, what: str, keys, names, extra=()):
+    """Each layer of the archive data, open under npz_file(path) with the
+    metadata meta, as (its metadata, {name: its array of names or None}),
+    and the arrays extra. DataError unless meta["layers"] is a list of JSON
+    objects of exactly keys and the archive holds only "meta", extra and
+    these layers' arrays; what names the file kind ("model")."""
+    if not isinstance(layers := meta["layers"], list):
+        raise DataError(f"{path}: layers must be a list of JSON objects, not {layers!r}")
+    for li, lmeta in enumerate(layers):
+        if not isinstance(lmeta, dict):
+            raise DataError(f"{path}: layer {li} must be a JSON object, not {lmeta!r}")
+        exact_keys(lmeta, keys, f"{path}: layer {li}", f"a {what} layer")
+    rows = [{name: f"l{li}_{name}" for name in names} for li in range(len(layers))]
+    arrays = npz_entries(data, path, f"a {what} file", extra,
+                         ["meta", *(entry for row in rows for entry in row.values())])
+    return [(lmeta, {name: data.get(entry) for name, entry in row.items()})
+            for lmeta, row in zip(layers, rows)], arrays

@@ -48,7 +48,7 @@ import numpy as np
 
 from .containers import FeatureSequence
 from .errors import (ConfigError, DataError, NumericError, _finite_positive, _real, npz_file,
-                     exact_keys, npz_meta, npz_write)
+                     exact_keys, npz_layers, npz_meta, npz_write)
 from .numerics import round_half_away
 
 KIND_INPUT = "input_lowpass"
@@ -518,62 +518,45 @@ def magnitude_prune(model: LpRnnModel, sparsity: float) -> LpRnnModel:
     return model
 
 
-# Model container format: a .npz holding a JSON metadata entry plus, per
-# layer, the full-precision tensors and any pruning masks.
-
+# A model file's metadata ("format", these fields, "layers"), each layer's,
+# and each layer's full-precision tensors and pruning masks, as written.
 MODEL_FORMAT = "sdrnn-model-v1"
-#: The metadata keys of a model file and of its layers.
-_MODEL_KEYS = {"format", "t_ann", "bits", "readout_fraction", "quantize", "norm_stats",
-               "label_names", "layers"}
-_MODEL_LAYER_KEYS = {"kind", "size", "fan_in", "alpha"}
+_MODEL_FIELDS = ("t_ann", "bits", "readout_fraction", "quantize", "norm_stats", "label_names")
+_LAYER_FIELDS = ("kind", "size", "fan_in", "alpha")
+_LAYER_ARRAYS = ("w_in", "bias", "w_rec", "mask_in", "mask_rec")
 
 
 def save_model(model: LpRnnModel, path) -> None:
-    meta = {
-        "format": MODEL_FORMAT,
-        "t_ann": model.t_ann,
-        "bits": model.bits,
-        "readout_fraction": model.readout_fraction,
-        "quantize": model.quantize,
-        "norm_stats": model.norm_stats,
-        "label_names": model.label_names,
-        "layers": [{"kind": l.kind, "size": l.size, "fan_in": l.fan_in, "alpha": l.alpha}
-                   for l in model.layers],
-    }
-    npz_write(path, meta, model.layers, ("w_in", "bias", "w_rec", "mask_in", "mask_rec"))
+    meta = {"format": MODEL_FORMAT, **{key: getattr(model, key) for key in _MODEL_FIELDS},
+            "layers": [{key: getattr(l, key) for key in _LAYER_FIELDS} for l in model.layers]}
+    npz_write(path, meta, model.layers, _LAYER_ARRAYS)
 
 
 def load_model(path) -> LpRnnModel:
     """Read a model file, a path or an open binary file: a classifier of at
-    least two classes."""
+    least two classes. It holds "meta" and, of each layer that meta lists,
+    the _LAYER_ARRAYS that the layer has; another entry is a DataError."""
     with npz_file(path) as data:
         meta = npz_meta(data, path, MODEL_FORMAT)
-        exact_keys(meta, _MODEL_KEYS, path, "a model file")
+        exact_keys(meta, ("format", *_MODEL_FIELDS, "layers"), path, "a model file")
         norm_stats, label_names = meta["norm_stats"], meta["label_names"]
-        if not (isinstance(meta["layers"], list)
-                and all(isinstance(lmeta, dict) for lmeta in meta["layers"])):
-            raise DataError(f"{path}: layers must be a list of JSON objects")
         if not (norm_stats is None or isinstance(norm_stats, dict)):
             raise DataError(f"{path}: norm_stats must be a JSON object or null")
         if not (label_names is None or (isinstance(label_names, list)
                                         and all(isinstance(n, str) for n in label_names))):
             raise DataError(f"{path}: label_names must be a list of strings or null")
         # the model checks the other values' types (a ConfigError, read as a DataError)
+        stored, _ = npz_layers(data, meta, path, "model", _LAYER_FIELDS, _LAYER_ARRAYS)
         layers = []
-        for li, lmeta in enumerate(meta["layers"]):
-            exact_keys(lmeta, _MODEL_LAYER_KEYS, f"{path}: layer {li}", "a model layer")
-            layer = LpRnnLayer(lmeta["kind"], data[f"l{li}_w_in"], data.get(f"l{li}_w_rec"),
-                               data[f"l{li}_bias"], lmeta["alpha"],
-                               data.get(f"l{li}_mask_in"), data.get(f"l{li}_mask_rec"))
+        for li, (lmeta, arrays) in enumerate(stored):
+            layer = LpRnnLayer(lmeta["kind"], alpha=lmeta["alpha"], **arrays)
             for key in ("size", "fan_in"):
                 got, want = lmeta[key], getattr(layer, key)
                 if type(got) is not int or got != want:  # a bool is no size
                     raise DataError(f"{path}: layer {li}: {key} is {got!r}, not the {want} of "
                                     "its w_in")
             layers.append(layer)
-        model = LpRnnModel(layers, t_ann=meta["t_ann"], bits=meta["bits"],
-                           readout_fraction=meta["readout_fraction"], quantize=meta["quantize"],
-                           norm_stats=norm_stats, label_names=label_names)
+        model = LpRnnModel(layers, **{key: meta[key] for key in _MODEL_FIELDS})
     if model.n_classes < 2:
         raise DataError(f"{path}: the output layer has {model.n_classes} unit(s); a classifier "
                         "needs at least two")

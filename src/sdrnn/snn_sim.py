@@ -193,18 +193,11 @@ def sigma_delta_kernel(shape, taus, bias, w_fb, exps, fixed: bool = False,
 
     A fixed-point step runs the adds unclipped, as reference mode does (on
     integers below 2**53 every sum is exact), then bounds the stack once,
-    by the max of its (u, i) rows and the min of its (u, imem) rows. Only if
-    one left +/-2**23 does it run the adds again, each clipped and logged by
-    sat_add_array, from the decayed rows and the drive, which the first run
-    left as they were.
-
-    Those rows hold the stack's extremes while every w_fb is finite and >= 0,
-    every tau_s >= 1 and the states start at +0, as the kernel makes them
-    (module docstring): ds >= 0, so imem = fl(i - ds) <= i; a spike needs
-    i - ds > w_fb exactly, so s = fl(ds + w_fb) <= i, and without one s =
-    ds <= s_prev. So max s <= max(0, max i) and min i >= min imem over a
-    run, and in one exact fixed-point step s and i leave +/-2**23 only when
-    i or imem does. Otherwise both reductions read the whole stack.
+    by the max of its (u, i) rows and the min of its (u, imem) rows while
+    every w_fb is finite and >= 0 and every tau_s >= 1 (those rows then hold
+    its extremes: proof in the module docstring), else by the whole stack.
+    Only if one left +/-2**23 does it rerun the adds, clipped and logged by
+    sat_add_array, on the decayed rows and drive that the first run kept.
 
     peak, if given, is a list [0.0] that records max(-min, max) of the
     stack, imem unreset, over the run. A fixed-point step raises peak[0]

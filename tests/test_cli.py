@@ -15,8 +15,9 @@ from sdrnn.audio_frontend import (MelConfig, apply_norm, compute_norm_stats, rea
 from sdrnn import cli
 from sdrnn.cli import _load_split, build_parser, main
 from sdrnn.convert import load_network
-from sdrnn.errors import ConfigError
-from sdrnn.lprnn import TrainConfig, init_model, magnitude_prune, save_model, train
+from sdrnn.errors import ConfigError, DataError
+from sdrnn.lprnn import (TrainConfig, init_model, load_model, magnitude_prune, save_model,
+                         train)
 from sdrnn.synthetic import CLASSES, generate_dataset
 
 from test_loader_fuzz import JSON_VALUES, any_array
@@ -1310,6 +1311,38 @@ def test_nan_clip_among_those_read_is_data_error(workspace, tmp_path, capsys, co
     assert main(args[command]) == 3
     err = capsys.readouterr().err
     assert path.name in err and "NaN" in err and "Traceback" not in err
+
+
+#: An entry that no writer writes, an array of a layer past the last, and
+#: a quantizer scale as model files once held
+STRAY_ENTRIES = {"junk": np.zeros(3), "l9_w_in": np.zeros((2, 2)),
+                 "l0_w_in_scale": np.array(0.5)}
+
+
+@pytest.mark.parametrize("entry", STRAY_ENTRIES)
+@pytest.mark.parametrize("kind", ["model", "net", "clip"])
+def test_archive_with_an_entry_its_writer_does_not_write_is_data_error(workspace, tmp_path,
+                                                                       capsys, kind, entry):
+    # each file loaded and ran without a word: the loaders read the entries
+    # they knew by name and never looked at the others
+    features, target = workspace["features"], tmp_path / f"{kind}.npz"
+    if kind == "clip":
+        features = tmp_path / "features"
+        shutil.copytree(workspace["features"], features)
+        entries = json.loads((features / "features_index.json").read_text())["entries"]
+        target = features / f"{[e for e in entries if e['split'] == 'test'][0]['key']}.npz"
+    with np.load(workspace.get(kind, target)) as data:
+        arrays = dict(data)
+    np.savez(target, **arrays, **{entry: STRAY_ENTRIES[entry]})
+    loader = {"model": load_model, "net": load_network,
+              "clip": lambda path: cli._read_clip(path, arrays["data"].shape[1])}[kind]
+    with pytest.raises(DataError, match=f"'{entry}' is no entry of"):
+        loader(target)
+    model_or_net = workspace["model"] if kind == "clip" else target
+    assert main(["evaluate", "--input", str(model_or_net), "--features", str(features),
+                 "--out", str(tmp_path / "x.json")]) == 3
+    err = capsys.readouterr().err
+    assert f"'{entry}' is no entry of" in err and "Traceback" not in err
 
 
 def test_load_split_trims_to_the_shortest_clip_it_reads(tmp_path):

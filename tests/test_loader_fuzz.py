@@ -1,13 +1,15 @@
 """Garbled copies of valid files: every loader either loads the copy or
 raises DataError, never another exception. A model or network whose
 metadata holds a value of another kind, or a model whose pruning mask is
-replaced by an arbitrary array, either is a DataError or runs."""
+replaced by an arbitrary array, either is a DataError or runs. A model or
+network with an entry that its writer never writes is a DataError."""
 
 import json
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -199,3 +201,39 @@ def test_mask_replaced_is_data_error_or_holds_the_invariant(valid_dir, data):
     # a finite weight may still take the pass beyond the float range
     with np.errstate(over="ignore", invalid="ignore"):
         forward_batch(model, np.random.default_rng(0).uniform(0.0, 1.0, size=(2, 3, 3)))
+
+
+#: The layer arrays and the extra entries that each file's writer may write
+LAYER_ARRAYS = {"model.npz": ("w_in", "bias", "w_rec", "mask_in", "mask_rec"),
+                "net.npz": ("w_in", "w_rec", "bias", "enc_w")}
+EXTRA_ENTRIES = {"model.npz": (), "net.npz": ("source_model",)}
+
+
+def written_names(name: str, n_layers: int) -> set[str]:
+    """Every entry that the writer of the file name, of n_layers layers, may
+    write."""
+    return {"meta", *EXTRA_ENTRIES[name], *(f"l{li}_{array}" for li in range(n_layers)
+                                            for array in LAYER_ARRAYS[name])}
+
+
+#: Entry names: arbitrary ones, and those of a layer array with an index
+#: past the layers or a suffix, as files once held (l0_w_in_q, l0_w_in_scale)
+ENTRY_NAMES = st.text("abcdilmnq_0123456789.-", min_size=1, max_size=12) | st.builds(
+    "l{}_{}{}".format, st.integers(0, 12),
+    st.sampled_from(sorted(set(LAYER_ARRAYS["model.npz"] + LAYER_ARRAYS["net.npz"]))),
+    st.sampled_from(["", "_q", "_scale", "x"]))
+
+
+@pytest.mark.parametrize("name", ["model.npz", "net.npz"])
+@given(entry=ENTRY_NAMES, value=any_array())
+@settings(max_examples=100, deadline=None)
+def test_archive_with_an_entry_its_writer_never_writes_is_data_error(valid_dir, name, entry,
+                                                                     value):
+    with np.load(valid_dir / name) as archive:
+        arrays = dict(archive)
+    n_layers = len(json.loads(bytes(arrays["meta"]).decode())["layers"])
+    assume(entry not in written_names(name, n_layers))
+    path = valid_dir / f"added-{name}"
+    np.savez(path, **arrays, **{entry: value})
+    with pytest.raises(DataError, match=re.escape(f"{entry!r} is no entry of")):
+        LOADERS[name](path)

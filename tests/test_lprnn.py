@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from sdrnn.cli import main
 from sdrnn.errors import ConfigError, DataError, NumericError
 from sdrnn.lprnn import (CLAMP_CEILING, KIND_INPUT, KIND_OUTPUT, KIND_RECURRENT, LpRnnLayer,
                          LpRnnModel, TrainConfig, bptt_grads, cell_forward,
@@ -668,9 +669,10 @@ class TestModelFile:
                 np.testing.assert_array_equal(a.w_rec, b.w_rec)
             np.testing.assert_array_equal(a.mask_in, b.mask_in)
 
-    def test_file_with_quantized_copies_loads(self, tmp_path):
+    def test_file_with_quantized_copies_rejected(self, tmp_path, capsys):
         # files written before save_model dropped the unread l{k}_*_q and
-        # l{k}_*_scale arrays load to the same model
+        # l{k}_*_scale arrays loaded to the same model; they hold entries
+        # that save_model does not write, so they are a DataError (exit 3)
         rng = np.random.default_rng(22)
         model = random_model(rng, quantize=True)
         path = tmp_path / "model.npz"
@@ -686,12 +688,13 @@ class TestModelFile:
                     arrays[f"l{li}_{name}_scale"] = np.array(scale)
         old = tmp_path / "old.npz"
         np.savez(old, **arrays)
-        a, b = load_model(path), load_model(old)
-        assert (a.t_ann, a.bits, a.quantize) == (b.t_ann, b.bits, b.quantize)
-        for la, lb in zip(a.layers, b.layers):
-            assert (la.kind, la.alpha) == (lb.kind, lb.alpha)
-            for name in ("w_in", "w_rec", "bias", "mask_in", "mask_rec"):
-                np.testing.assert_array_equal(getattr(la, name), getattr(lb, name))
+        load_model(path)
+        with pytest.raises(DataError, match="'l0_w_in_q' is no entry of a model file"):
+            load_model(old)
+        assert main(["evaluate", "--input", str(old), "--features", str(tmp_path),
+                     "--out", str(tmp_path / "x.json")]) == 3
+        err = capsys.readouterr().err
+        assert "'l0_w_in_q'" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("key", ["clamp", "readout_fracton", "clamp_ceiling"])
     def test_unknown_key_rejected(self, key):
