@@ -16,11 +16,14 @@ most tau // 2 stop decaying).
 
 The array kernels take float64 states, integer-valued in fixed-point mode,
 and the fixed-point decay is one rounded multiply, rint(x k), plus 0.0 so
-that a -0.0 becomes +0, with
+that a -0.0 becomes +0, which matters only at tau 1 (k = 0, where a
+negative x gives -0.0): for tau >= 2, k > 1/2, so rint(x k) of an integer
+x is 0 only for x = 0, and +0 for x = +0. The neuron kernel therefore drops
+the + 0.0 for a run in which no tau is 1. Here
 
     k = fl(fl((tau - 1) / tau) * (1 + 2**-50)),
 
-which decay_factor(tau) computes. The one fixed-point decay is
+which decay_factor(tau) computes. The fixed-point decay is
 decay_by(x, decay_factor(tau)); the neuron kernel decays by the same taus
 at every step, so it computes k once per run. The nudge makes x k exceed
 the exact quotient: it sends even-tau ties away from zero and lifts exact

@@ -37,7 +37,8 @@ codec spends none it can spare. The kernel sees, once per run, that every
 exponent and bias is 0 and drops the scale (u * 1 is u) and the bias add
 (+ 0.0 changes only -0.0, which a sum with a decayed state never is), so i
 is di + u. encode_analog hands the step each frame's held drive as a ready
-[1, n] row, and reconstruct decays each row into one buffer. Rasters and
+[1, n] row, and reconstruct decays each row into one buffer with the
+reference decay's two ufuncs, three numpy calls a step. Rasters and
 traces are bit-identical to a step-by-step loop of the update above.
 """
 
@@ -50,7 +51,6 @@ import numpy as np
 
 from .containers import FeatureSequence, SpikeRaster
 from .errors import ConfigError, DataError
-from .numerics import decay_array
 from .snn_sim import sigma_delta_kernel
 
 _DEFAULT_TAU_S = 100.0
@@ -161,7 +161,9 @@ def reconstruct(raster: SpikeRaster, params: NeuronParams) -> FeatureSequence:
     # row t + 1 starts as the increments of step t and ends as s after it
     trace = np.zeros((raster.duration + 1, raster.population))
     np.add.at(trace, (raster.times + 1, raster.units), params.w_fb)
-    decayed = np.empty(raster.population)
+    # numerics.decay_array's two ufuncs written out: three calls a step
+    decayed, tau = np.empty(raster.population), params.tau_s
     for prev, row in zip(trace, trace[1:]):
-        row += decay_array(prev, params.tau_s, out=decayed)
+        np.divide(prev, tau, out=decayed)
+        row += np.subtract(prev, decayed, out=decayed)
     return FeatureSequence(trace[1:], frame_period=raster.dt)

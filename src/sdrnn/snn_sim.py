@@ -27,13 +27,20 @@ integers (exact below 2**53) rounded where the hardware rounds: the decay
 floor((u + half) * 2**-weight_exp), the rounded shift since scaling by a
 power of two is exact, and the encoder's drive half away from zero, kept
 in float64 so that a huge one saturates u like any other sum. The
-synaptic drive is an integer already (see below). Every other operation
-sums integers exactly, so the states equal an int64 evaluation's; they
-start at +0, the decay adds 0.0, and a sum that cancels is +0, so none is
-ever -0.0. No step reads imem (imem <- i - s overwrites it), so none resets
-it: the kernel leaves imem as the spike test compared it, and the readers
-that report it (the probes, sigma_delta.neuron_step) give +0.0 where the
-neuron fired.
+synaptic drive is an integer already (see below). Fixed point takes integer
+drives, biases and w_fb, as the engine's are; every other operation then
+sums integers exactly, so the states equal an int64 evaluation's. They
+start at +0, a sum that cancels is +0, and a decay is never -0.0: by a tau
+>= 2, rint(x k) is 0 only for x = +0, and at tau 1 (k = 0) the decay adds
+0.0 to the -0.0 of a negative x. So no state is ever -0.0. A step drops
+four passes that cannot change a value, each decided once per run (proofs
+in sigma_delta_kernel): the scale when every weight exponent is 0, the
+bias add when every bias is 0, and in fixed point the decay's + 0.0 when
+no tau is 1 and the bias add, folded into the shift's offset, while that
+offset stays below 2**52. No step reads imem (imem <- i - s overwrites it),
+so none resets it: the kernel leaves imem as the spike test compared it,
+and the readers that report it (the probes, sigma_delta.neuron_step) give
++0.0 where the neuron fired.
 
 Saturation is checked once per step. A fixed-point step runs its adds
 unclipped, exactly as reference mode does, then takes the max of its u and
@@ -73,10 +80,11 @@ cuts stack into one matrix w, and the taps' rows into the columns of a
 delay line of max(rec_delay) slots: the spikes of step t enter each tap's
 segment of slot (t + d) % depth, so the drive of step t is the one product
 line[t % depth] @ w. A rec_delay of 1 shares the feed-forward tap. The
-analog encoder's drive is written into its columns at frame starts only,
-and nothing else writes them. Rasters, frame-end s, spike counts, probes
-and the readout are column slices of the flat state. Batched samples
-advance in lockstep.
+time loop runs frame by frame: the analog encoder's drive is written into
+its columns at each frame's start, and nothing else writes them, and s is
+taken at the frame's end, after its last step. Rasters, frame-end s, spike
+counts, probes and the readout are column slices of the flat state.
+Batched samples advance in lockstep.
 
 Every array a step writes, and every constant the kernel lays out for it,
 is allocated once per run by _aligned, its data on a 64-byte boundary;
@@ -183,13 +191,35 @@ def sigma_delta_kernel(shape, taus, bias, w_fb, exps, fixed: bool = False,
     one array, and like the stacks and the scratch arrays it starts on a
     64-byte boundary, where a vector store meets one cache line (module
     docstring); the stacks' rows start on one too when [*shape] spans a
-    multiple of 64 bytes, as at batch 64. Two passes that cannot change a
-    value are dropped for the run. When every exponent is 0 the scale goes:
-    u * 1 is u, and in fixed point floor(u + 0) is the integer u. When every
-    bias is 0 the bias add goes: + 0.0 changes only -0.0, and di + u *
-    2**-exps is never -0.0, since a decayed state never is and a sum is -0.0
-    only if both its terms are; i <- di + u is written straight into i. The
-    clipped re-run forms the same sum and adds the bias, clipped.
+    multiple of 64 bytes, as at batch 64.
+
+    In fixed point the drive, bias and w_fb must be integers, as the
+    engine's are; the states are then integers, and the four drops below
+    rest on it. Each pass that cannot change a value is dropped
+    for the run:
+    1. When every exponent is 0 the scale goes: u * 1 is u, and in fixed
+       point floor(u + 0) is the integer u.
+    2. When every bias is 0 the bias add goes: + 0.0 changes only -0.0, and
+       di + u * 2**-exps is never -0.0, since a decayed state never is and a
+       sum is -0.0 only if both its terms are; it is written straight into i.
+    3. In fixed point, when no tau_u or tau_s is 1, the decay is rint(x k)
+       without decay_by's + 0.0. For tau >= 2, k > 1/2 (k = 0.5 + 2**-51 at
+       tau 2), so for an integer x, rint(x k) is 0 only for x = 0, and then
+       +0 for x = +0. No state is -0.0: each starts at +0, and each sum of
+       the step has a term that is never -0.0 (a decayed state, or i). At
+       tau 1, k = 0 and a negative x decays to -0.0, so runs with a tau of 1
+       keep the pass.
+    4. In fixed point, when some exponent is nonzero and every bias b is an
+       integer with |b| 2**e + half < 2**52 (half = 2**(e - 1), 0 at e = 0),
+       the bias rides in the shift's offset: i <- di + floor((u + half +
+       b 2**e) 2**-e). While |u| <= 2**23 the inner sum is an integer below
+       2**53, so exact, as is the power-of-two scale, and floor(y + b) =
+       floor(y) + b: this equals di + floor((u + half) 2**-e) + b. The
+       offset is never -0.0, so neither form yields -0.0. A u beyond the
+       rails lies in both rows of the bound check, so that step runs again
+       clipped.
+    The clipped re-run forms di + u * 2**-exps (with the offset half) and
+    adds the bias, clipped.
 
     A fixed-point step runs the adds unclipped, as reference mode does (on
     integers below 2**53 every sum is exact), then bounds the stack once,
@@ -243,15 +273,23 @@ def sigma_delta_kernel(shape, taus, bias, w_fb, exps, fixed: bool = False,
     if peak is not None and not fixed:
         hi, lo = _aligned(top.shape), _aligned(bottom.shape)
         peak += hi, lo
-    # passes that change no value, dropped for the run (docstring)
-    unit_scale, no_bias = (exps == 0).all(), not bias.any()
+    # passes that change no value, dropped for the run (docstring): the
+    # scale, the decay's + 0.0 unless some tau is 1 (factor 0), and the bias
+    # add, which in fixed point rides in the shift's offset while exact
+    unit_scale = (exps == 0).all()
+    zero_pass = fixed and not factor.all()
+    fold = (fixed and not unit_scale and (bias == np.rint(bias)).all()
+            and (np.abs(bias) < (2.0 ** 52 - half) * scale).all())
+    offset = laid_out(half + np.ldexp(bias, exps)) if fold else half
+    bias_add = bias.any() and not fold
 
-    def into_i(out):
-        """di + u * 2**-exps (rounded in fixed point), in out."""
+    def into_i(out, offset=half):
+        """di + u * 2**-exps, in fixed point di + floor((u + offset) *
+        2**-exps) with the rounding offset half unless given, in out."""
         if unit_scale:
             return np.add(di, u, out=out)
         if fixed:
-            np.floor(np.multiply(np.add(u, half, out=tmp), scale, out=tmp), out=tmp)
+            np.floor(np.multiply(np.add(u, offset, out=tmp), scale, out=tmp), out=tmp)
         else:
             np.multiply(u, scale, out=tmp)
         return np.add(di, tmp, out=out)
@@ -276,15 +314,17 @@ def sigma_delta_kernel(shape, taus, bias, w_fb, exps, fixed: bool = False,
         sat_add(ds, fire(), s, "s")
 
     def step(drive) -> np.ndarray:
-        if fixed:
+        if not fixed:
+            decay_array(live, taus, out=decayed)
+        elif zero_pass:
             decay_by(live, factor, out=decayed)
         else:
-            decay_array(live, taus, out=decayed)
+            np.rint(np.multiply(live, factor, out=decayed), out=decayed)
         np.add(du, drive, out=u)
-        if no_bias:
-            into_i(i)
-        else:
+        if bias_add:
             np.add(into_i(tmp), bias, out=i)
+        else:
+            into_i(i, offset)
         np.subtract(i, ds, out=imem)
         np.add(ds, fire(), out=s)
         if fixed:
@@ -407,31 +447,30 @@ def _engine(net: SnnNetwork, x: np.ndarray, mode: str, record_rasters: bool = Fa
     probe_cols = {li: int(starts[li]) + np.asarray(ids, dtype=np.int64)
                   for li, ids in probe.items()}
 
-    for t in range(duration):
-        np.dot(line[t % depth], w, out=product)
-        synaptic[...] = product
-        if t % oversample == 0:
-            drive[:, :n0] = enc_drive[t // oversample]
-        now[...] = fired = step(drive)
-        counts += now
-        for d, rows, segments in taps:
-            segments[(t + d) % depth][...] = rows
-        if record_rasters:
-            spiked[t] = now[0]
-        if clips:
-            per_layer = [(var, np.add.reduceat(over, starts[:-1])) for var, over in clips]
-            sat_total += sum(int(c.sum()) for _, c in per_layer)
-            sat_events += [(t, k, var, int(c[k])) for k in range(len(layers))
-                           for var, c in per_layer if c[k]][:_MAX_SAT_LOG - len(sat_events)]
-            clips.clear()
-        if (t + 1) % oversample == 0:
-            frame_s[:, t // oversample] = s
-        if t >= acc_start:
-            acc += s[:, out]
-        for li, cols in probe_cols.items():
-            for var, v in zip(("u", "i", "s", "imem"), state):
-                probes[(li, var)][t] = v[0, cols]
-            probes[(li, "imem")][t, fired[0, cols]] = 0.0  # the reset (module docstring)
+    for frame, held in enumerate(enc_drive):
+        drive[:, :n0] = held
+        for t in range(frame * oversample, (frame + 1) * oversample):
+            np.dot(line[t % depth], w, out=product)
+            synaptic[...] = product
+            now[...] = fired = step(drive)
+            counts += now
+            for d, rows, segments in taps:
+                segments[(t + d) % depth][...] = rows
+            if record_rasters:
+                spiked[t] = now[0]
+            if clips:
+                per_layer = [(var, np.add.reduceat(over, starts[:-1])) for var, over in clips]
+                sat_total += sum(int(c.sum()) for _, c in per_layer)
+                sat_events += [(t, k, var, int(c[k])) for k in range(len(layers))
+                               for var, c in per_layer if c[k]][:_MAX_SAT_LOG - len(sat_events)]
+                clips.clear()
+            if t >= acc_start:
+                acc += s[:, out]
+            for li, cols in probe_cols.items():
+                for var, v in zip(("u", "i", "s", "imem"), state):
+                    probes[(li, var)][t] = v[0, cols]
+                probes[(li, "imem")][t, fired[0, cols]] = 0.0  # the reset (module docstring)
+        frame_s[:, frame] = s
 
     totals = counts.astype(np.int64)
 

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from sdrnn.containers import FeatureSequence
-from sdrnn.convert import compile_network
+from sdrnn.convert import TimingConfig, compile_network
 from sdrnn.numerics import STATE_LIMIT
 from sdrnn.sigma_delta import NeuronParams, encode_analog, reconstruct
 from sdrnn.snn_sim import sigma_delta_kernel, simulate, simulate_batch
@@ -89,6 +89,17 @@ def three_tap_run(mode):
     return simulate(net, feats, mode=mode, probe=every_probe(net))
 
 
+def tau_one_run(mode):
+    # alpha 0.3 at oversample 2 compiles layer 1 to tau_u_fx 1, so a
+    # fixed-point run keeps the decay's + 0.0 pass (sigma_delta_kernel)
+    timing = TimingConfig(t_ann=0.01, t_snn=0.005)
+    rng = np.random.default_rng(48)
+    net = compile_network(toy_model(rng, alphas=(0.85, 0.3, 0.8)), timing, f=700.0)
+    assert net.layers[1].tau_u_fx == 1
+    feats = FeatureSequence(rng.uniform(0.0, 1.0, size=(40, 2)), timing.t_ann)
+    return simulate(net, feats, mode=mode, probe=every_probe(net))
+
+
 def saturating_run(mode):
     # the every_var case of test_fixed_point_states_bounded_and_logged: u,
     # i, imem and s all clip in fixed point
@@ -101,15 +112,15 @@ def saturating_run(mode):
     return simulate(net, feats, mode=mode, probe=every_probe(net))
 
 
-def kernel_digest(mode, exps=(0, 1, 2, 3, 0, 1),
-                  bias=(3.0, -2.0, 0.0, 5.0, 1.0, 0.0)) -> str:
-    """A bare kernel run with per-neuron taus, weight exponents 0-3 (or the
-    given ones) and a drive large enough to clip in fixed point."""
+def kernel_digest(mode, exps=(0, 1, 2, 3, 0, 1), bias=(3.0, -2.0, 0.0, 5.0, 1.0, 0.0),
+                  taus=((2, 3, 5, 7, 2, 9), (9, 6, 10, 4, 3, 8))) -> str:
+    """A bare kernel run with per-neuron taus (tau_u, tau_s), weight
+    exponents 0-3 (or the given ones) and a drive large enough to clip in
+    fixed point."""
     rng = np.random.default_rng(77)
     fixed = mode == "fixed_point"
     shape = (2, 6)
-    taus = np.stack([np.array([2.0, 3.0, 5.0, 7.0, 2.0, 9.0]),
-                     np.array([9.0, 6.0, 10.0, 4.0, 3.0, 8.0])])[:, None, :]
+    taus = np.array(taus, dtype=np.float64)[:, None, :]
     exps, bias = np.asarray(exps), np.asarray(bias, dtype=np.float64)
     w_fb = np.array([40.0, 25.0, 60.0, 30.0, 20.0, 50.0])
     state, clips, step = sigma_delta_kernel(shape, taus, bias, w_fb, exps, fixed)
@@ -153,7 +164,7 @@ def reconstruct_digest() -> str:
 
 
 RUNS = {"single": single_run, "batch": batch_run, "saturating": saturating_run,
-        "three_tap": three_tap_run}
+        "three_tap": three_tap_run, "tau_one": tau_one_run}
 
 GOLDEN = {
     ('single', 'reference', 'round'):
@@ -184,6 +195,14 @@ GOLDEN = {
         "ea9d63c14c48f1a3d29a3ec5557bf98e95364476ce36e04fe27649ba26d54b64",
     ('reconstruct',):
         "2a39e5256067ec15fa934159b33bbc5fbd61a907ccbe308bd37b60efa5664819",
+    ('tau_one', 'reference', 'round'):
+        "40d29b09ba4994f33292d2bdd674bccad1cba1119ee4352f2e55ce39bd936da7",
+    ('tau_one', 'fixed_point', 'round'):
+        "82fb05474026d42517cfe7abe6be1b162c3dd8627312c4c65ae9d72f725c0388",
+    ('tau_one_kernel', 'reference', 'round'):
+        "e85813c1163ac4154c226d32629557e8905aab1f17440805eb4a5f9da280f62c",
+    ('tau_one_kernel', 'fixed_point', 'round'):
+        "d017e627c09c1d7543b9bf2ca3f07ad27b90a418771f6692c83a1f0c7540957d",
 }
 
 
@@ -207,6 +226,15 @@ def test_unit_kernel_digest(mode):
     # every weight exponent and bias 0, as in the analog encoder's
     # population: the kernel drops the scale and the bias add
     assert kernel_digest(mode, exps=0, bias=0.0) == GOLDEN[("unit_kernel", mode, "round")]
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_tau_one_kernel_digest(mode):
+    # a tau of 1 decays a negative state to -0.0 in fixed point, and the
+    # drives np.round makes hold -0.0 too, so u keeps a -0.0 unless the
+    # decay's + 0.0 pass runs: this digest changes if that pass is dropped
+    taus = ((1, 3, 1, 7, 2, 9), (9, 1, 10, 4, 1, 8))
+    assert kernel_digest(mode, taus=taus) == GOLDEN[("tau_one_kernel", mode, "round")]
 
 
 def test_reconstruct_digest():

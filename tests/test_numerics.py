@@ -160,6 +160,30 @@ class TestArrayKernels:
                         np.add(np.negative(w, out=w), 0.0, out=w)
                     assert np.array_equal(g.view(np.int64), w.view(np.int64)), (tau, start)
 
+    def test_rounded_multiply_needs_no_zero_pass_from_tau_2(self):
+        # for tau >= 2, k > 1/2, so rint(x k) is 0 only for x = +0: over
+        # every integer |x| <= 2**23 it holds no -0.0 and equals decay_by bit
+        # for bit (int64 views), so a run without a tau of 1 drops the + 0.0
+        chunk = 1 << 20
+        x, plain, want = np.empty(chunk), np.empty(chunk), np.empty(chunk)
+        for start in range(-STATE_LIMIT, STATE_LIMIT + 1, chunk):
+            n = min(chunk, STATE_LIMIT + 1 - start)
+            xs, p, w = x[:n], plain[:n], want[:n]
+            xs[...] = np.arange(start, start + n)
+            for tau in (2, 3, 4, 196, TAU_LIMIT):
+                k = decay_factor(float(tau))
+                np.rint(np.multiply(xs, k, out=p), out=p)
+                assert not np.signbit(p[p == 0]).any(), (tau, start)
+                assert np.array_equal(p.view(np.int64), decay_by(xs, k, out=w).view(np.int64)), (
+                    tau, start)
+
+    def test_tau_one_decays_a_negative_state_to_minus_zero_without_the_zero_pass(self):
+        # k = 0 at tau 1, and rint(x * 0) of a negative x is -0.0: a run with
+        # a tau of 1 keeps decay_by's + 0.0
+        xs, k = np.array([-STATE_LIMIT, -1.0, 0.0, 1.0]), decay_factor(1.0)
+        assert np.signbit(np.rint(xs * k)).tolist() == [True, True, False, False]
+        assert not np.signbit(decay_by(xs, k)).any()
+
     @pytest.mark.parametrize("tau", [0.0, 0.5, 2.5, TAU_LIMIT + 1.0, math.inf, math.nan])
     def test_fixed_point_tau_outside_the_proven_range_rejected(self, tau):
         with pytest.raises(ConfigError, match="tau"):

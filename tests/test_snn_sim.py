@@ -430,11 +430,19 @@ def kernel_runs(draw, fixed: bool, case: str):
     taus, biases and weight exponents, drives at a drawn scale, some beyond
     the rails, and w_fb >= 0 of the drives' order unless case is
     "negative_w_fb" (one neuron's is negative); for case "tau_s_below_1"
-    every tau_s is below 1 (reference mode takes any positive tau)."""
+    every tau_s is below 1 (reference mode takes any positive tau). Case
+    "taus_from_2" draws every fixed-point tau from 2 on and every bias and
+    weight exponent nonzero, so the kernel drops the decay's + 0.0 and folds
+    the bias into the shift's offset; "bias_past_fold" does the same but
+    gives one neuron a bias b with |b| 2**e = 2**52, past the fold's bound,
+    so the bias is added on its own."""
     batch, n = draw(st.integers(1, 3)), draw(st.integers(1, 5))
     ints = lambda lo, hi: st.lists(st.integers(lo, hi), min_size=n, max_size=n)
+    nonzero = lambda lo, hi: st.lists(st.integers(lo, hi).filter(bool), min_size=n, max_size=n)
+    from_2 = case in ("taus_from_2", "bias_past_fold")
     if fixed:
-        taus = [draw(ints(1, 12)), draw(ints(1, 12))]
+        low = 2 if from_2 else 1
+        taus = [draw(ints(low, 12)), draw(ints(low, 12))]
     else:
         reals = st.floats(1.0, 4.0)
         taus = [draw(st.lists(reals, min_size=n, max_size=n)) for _ in range(2)]
@@ -448,8 +456,11 @@ def kernel_runs(draw, fixed: bool, case: str):
                                                   STATE_LIMIT - 5)
     elif case == "tau_s_below_1":
         taus[1] = draw(st.floats(0.5, 0.95))
-    bias = np.array(draw(ints(-3, 3)), dtype=np.float64) * scale / 4
-    exps = np.array(draw(ints(0, 3)))
+    bias = np.array(draw((nonzero if from_2 else ints)(-3, 3)), dtype=np.float64) * scale / 4
+    exps = np.array(draw(ints(1, 3) if from_2 else ints(0, 3)))
+    if case == "bias_past_fold":
+        k = draw(st.integers(0, n - 1))
+        bias[k] = draw(st.sampled_from([1.0, -1.0])) * 2.0 ** (52 - exps[k])
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     drives = rng.normal(0.0, scale, size=(30, batch, n))
     drives[rng.random(drives.shape) < 0.03] *= 8.0
@@ -464,7 +475,7 @@ class TestExtremeRows:
     whole stack otherwise (sigma_delta_kernel docstring). These runs pin
     both the fixed-point bound check and the peak to the whole stack's."""
 
-    @pytest.mark.parametrize("case", ["rows", "negative_w_fb"])
+    @pytest.mark.parametrize("case", ["rows", "negative_w_fb", "taus_from_2", "bias_past_fold"])
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_fixed_point_check_and_peak_are_the_whole_stacks(self, case, data):
@@ -479,6 +490,7 @@ class TestExtremeRows:
             fired = step(drive)
             np.testing.assert_array_equal(fired, want_fired, err_msg=str(t))
             np.testing.assert_array_equal(state, oracle, err_msg=str(t))
+            assert not np.signbit(state[state == 0]).any(), t  # no state is -0.0
             # a re-run clips at least the first sum that left the rails
             assert bool(clips) == rerun, t
             assert [(var, c.tolist()) for var, c in clips] == [
@@ -486,6 +498,20 @@ class TestExtremeRows:
             want_peak = max(want_peak, -float(oracle.min()), float(oracle.max()))
             assert snn_sim._peak_of(peak) == want_peak, t
             clips.clear()
+
+    def test_fixed_point_bias_off_the_integers_is_added_on_its_own(self):
+        # the shift's offset takes only integer biases: folded, the fraction
+        # of a bias of 0.5 would be floored away with u's
+        taus, bias, w_fb, exps = np.array([[3.0], [4.0]])[:, None, :], 0.5, 30.0, 1
+        state, _, step = sigma_delta_kernel((1, 1), taus, bias, w_fb, exps, True)
+        factor = np.broadcast_to(decay_factor(taus), (2, 1, 1))[[0, 1, 1]]
+        oracle = np.zeros((4, 1, 1))
+        for drive in [7.0, 12.0, -3.0, 20.0, 5.0, -9.0]:
+            oracle = whole_stack_fixed_step(oracle, np.array([[drive]]), factor, bias, w_fb,
+                                            np.asarray(exps))[0]
+            step(np.array([[drive]]))
+            np.testing.assert_array_equal(state, oracle)
+        assert state[1, 0, 0] % 1 == 0.5
 
     @pytest.mark.parametrize("case", ["rows", "negative_w_fb", "tau_s_below_1"])
     @settings(max_examples=60, deadline=None)
